@@ -86,7 +86,13 @@ def integrate(
     n_samples: int = 1000,
     dense: bool = True,
 ) -> Trajectory:
-    """Integrate the model with a high-order explicit scheme."""
+    """Integrate the model with a high-order explicit scheme.
+
+    With ``dense=True`` the states are sampled from the dense interpolant at
+    ``n_samples`` equally spaced times.  With ``dense=False`` the trajectory
+    holds the solver's own step times and states, and ``n_samples`` is
+    ignored.
+    """
     x0 = np.asarray(x0, dtype=float)
     sol = solve_ivp(
         lambda t, X: model.rhs(X, mu),
@@ -99,8 +105,11 @@ def integrate(
     )
     if not sol.success:
         raise StepFailure(f"integration failed: {sol.message}")
-    ts = np.linspace(t_span[0], t_span[1], n_samples)
-    states = sol.sol(ts).T if dense else sol.y.T
+    if dense:
+        ts = np.linspace(t_span[0], t_span[1], n_samples)
+        states = sol.sol(ts).T
+    else:
+        ts, states = sol.t, sol.y.T
     if not np.all(np.isfinite(states)):
         raise NonFinite("integration produced non-finite states")
     return Trajectory(t=ts, states=states, sol=sol.sol if dense else None)
@@ -170,9 +179,9 @@ def _flow_with_monodromy(
     x0: np.ndarray,
     T: float,
     rtol: float,
-    dense: bool = False,
 ):
-    """Integrate state, variational matrix, and divergence quadrature."""
+    """Integrate state, variational matrix, and divergence quadrature,
+    with the dense interpolant of all three."""
     jac = _jacobian_fn(model, mu)
 
     def rhs(t: float, Y: np.ndarray) -> np.ndarray:
@@ -182,7 +191,7 @@ def _flow_with_monodromy(
         out = np.empty(13)
         out[:3] = model.rhs(x, mu)
         out[3:12] = (J @ Phi).ravel()
-        out[12] = np.trace(J)
+        out[12] = J[0, 0] + J[1, 1] + J[2, 2]
         return out
 
     Y0 = np.concatenate([x0, np.eye(3).ravel(), [0.0]])
@@ -193,14 +202,14 @@ def _flow_with_monodromy(
         method="DOP853",
         rtol=rtol,
         atol=rtol * 1e-2,
-        dense_output=dense,
+        dense_output=True,
     )
     if not sol.success:
         raise StepFailure(f"variational integration failed: {sol.message}")
     YT = sol.y[:, -1]
     if not np.all(np.isfinite(YT)):
         raise NonFinite("variational integration produced non-finite values")
-    return YT[:3], YT[3:12].reshape(3, 3), YT[12], (sol.sol if dense else None)
+    return YT[:3], YT[3:12].reshape(3, 3), YT[12], sol.sol
 
 
 def _flow(
@@ -237,6 +246,10 @@ def find_periodic_orbit(
     iterates that wander more than ``drift_cap`` from the seed (default three
     seed amplitudes), leave the model domain, or violate ``guard`` raise
     `NoConvergence` instead of silently landing on a distant attractor.
+
+    Every Newton trial is one variational solve, reused as the next iterate
+    when accepted; a trial whose solve fails (`NonFinite`, `StepFailure`) is
+    rejected and halved.  The converged solve's dense output gives `states`.
     """
     sd = _as_seed(seed)
     x = np.asarray(sd.anchor, dtype=float).copy()
@@ -266,14 +279,11 @@ def find_periodic_orbit(
         if guard is not None and not guard(P):
             raise NoConvergence("shooting iterate violated the interior guard")
 
+    check_iterate(x, T)
+    xT, monodromy, trace_int, dense = _flow_with_monodromy(model, mu, x, T, rtol)
     converged = False
-    monodromy = np.eye(3)
-    trace_int = 0.0
-    xT = x
     res_norm = math.inf
     for _ in range(max_iter):
-        check_iterate(x, T)
-        xT, monodromy, trace_int, _ = _flow_with_monodromy(model, mu, x, T, rtol)
         R = np.append(xT - x, normal @ (x - anchor0))
         res_norm = float(np.max(np.abs(R)))
         if res_norm < newton_tol:
@@ -299,13 +309,14 @@ def find_periodic_orbit(
             T_new = T + scale * delta[3]
             try:
                 check_iterate(x_new, T_new)
-                xT_new = _flow(model, mu, x_new, T_new, rtol)
+                trial = _flow_with_monodromy(model, mu, x_new, T_new, rtol)
             except (NoConvergence, NonFinite, StepFailure):
                 scale *= 0.5
                 continue
-            R_new = np.append(xT_new - x_new, normal @ (x_new - anchor0))
+            R_new = np.append(trial[0] - x_new, normal @ (x_new - anchor0))
             if float(np.linalg.norm(R_new)) < base or scale <= 1.0 / 64.0:
                 x, T = x_new, T_new
+                xT, monodromy, trace_int, dense = trial
                 accepted = True
                 break
             scale *= 0.5
@@ -317,9 +328,6 @@ def find_periodic_orbit(
             f"(residual {res_norm:.2e})"
         )
 
-    xT, monodromy, trace_int, dense = _flow_with_monodromy(
-        model, mu, x, T, rtol, dense=True
-    )
     residual = float(np.max(np.abs(xT - x)))
     times = np.linspace(0.0, T, n_samples)
     states = dense(times)[:3].T

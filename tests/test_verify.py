@@ -11,6 +11,8 @@ from hybridhopf import (
     averaged_drift_check,
     builtin,
     build_standard_frame,
+    classify,
+    compute_coefficients,
     continue_branch,
     find_periodic_orbit,
     floquet_stability,
@@ -18,8 +20,9 @@ from hybridhopf import (
     jet,
     predict_orbit,
     simulate_truncated,
+    standard_jet,
 )
-from hybridhopf import eco
+from hybridhopf import eco, verify
 from hybridhopf.errors import InvalidBounds, LeftDomain, NoConvergence
 from hybridhopf.verify import compare_with_full_model
 
@@ -41,6 +44,16 @@ def test_equilibrium_line_is_stationary(interior, interior_model):
     start = eco.coexistence_line(interior, [0.2])[0]
     traj = integrate(interior_model, 0.0, start, (0.0, 100.0), rtol=1e-11)
     assert np.max(np.abs(traj.states - start)) < 1e-8
+
+
+def test_integrate_modes_share_lengths_and_endpoint(interior_model):
+    start = np.array([0.2, 0.3, 0.35])
+    dense = integrate(interior_model, 0.0, start, (0.0, 10.0), rtol=1e-11)
+    steps = integrate(interior_model, 0.0, start, (0.0, 10.0), rtol=1e-11, dense=False)
+    assert len(dense.t) == len(dense.states) == 1000
+    assert len(steps.t) == len(steps.states)
+    assert steps.t[0] == 0.0 and steps.t[-1] == 10.0
+    assert np.allclose(steps.states[-1], dense.states[-1], rtol=0.0, atol=1e-12)
 
 
 def test_lyapunov_value_monotone_along_flow(interior, interior_model):
@@ -149,6 +162,62 @@ def test_seed_tuple_forms(synthetic_pipeline):
     ):
         orbit = find_periodic_orbit(pipe.model, -0.01, seed)
         assert orbit.period == pytest.approx(math.pi, abs=1e-8)
+
+
+@pytest.fixture
+def integrations(monkeypatch):
+    """(x0, T, dimension) of every integration `verify` makes."""
+    made = []
+    solve = verify.solve_ivp
+
+    def recording(fun, t_span, y0, **kwargs):
+        y0 = np.asarray(y0, dtype=float)
+        made.append((tuple(y0[:3]), float(t_span[1]), len(y0)))
+        return solve(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(verify, "solve_ivp", recording)
+    return made
+
+
+def test_shooting_integrates_no_point_twice(interior_pipeline, integrations):
+    mu = 0.005
+    prediction = predict_orbit(interior_pipeline.coeffs, mu, frame=interior_pipeline.frame)
+    orbit = find_periodic_orbit(
+        interior_pipeline.model, mu, prediction, guard=eco.interior_guard()
+    )
+    assert len(integrations) <= 5
+    assert all(dim == 13 for _, _, dim in integrations)
+    assert len({(x0, T) for x0, T, _ in integrations}) == len(integrations)
+    # the samples and monodromy are those of the converged iterate's own solve
+    _, monodromy, _, dense = verify._flow_with_monodromy(
+        interior_pipeline.model, mu, orbit.anchor, orbit.period, verify.ORBIT_RTOL
+    )
+    assert np.array_equal(orbit.monodromy, monodromy)
+    assert np.array_equal(orbit.states, dense(orbit.times)[:3].T)
+
+
+def test_branch_does_not_stagnate_near_tolerance(integrations):
+    # near newton_tol a plain-flow trial and the variational solve disagree
+    # by about the tolerance; judging trials with the latter keeps full steps
+    params = eco.EcoParams(
+        delta1=0.3232565097886279,
+        delta2=0.5334320833177753,
+        lam=0.3011848747806394,
+        alpha1=0.139998904393472,
+        alpha2=0.48652743109952873,
+    )
+    model = eco.model(params)
+    raw = jet(model, eco.hopf_point(params), 0.0)
+    frame = build_standard_frame(raw)
+    coeffs = compute_coefficients(standard_jet(raw, frame))
+    grid = classify(coeffs).direction * np.geomspace(5e-4, 2e-2, 8)
+    branch = continue_branch(
+        model, grid, coeffs=coeffs, frame=frame, guard=eco.interior_guard()
+    )
+    assert branch.complete() and len(branch.points) == 8
+    assert all(dim == 13 for _, _, dim in integrations)
+    assert len(integrations) <= 40
+    assert branch.points[-1].orbit.residual < 1e-12
 
 
 # ---------------------------------------------------------------------------
