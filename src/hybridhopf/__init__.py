@@ -7,9 +7,15 @@ the standard frame (`frame`), evaluate the reduced coefficients
 (`coefficients`), classify the bifurcation (`classifier`), and verify the
 predicted orbits against the full flow (`verify`).  The `eco` module carries
 the two-predator/one-prey application with closed-form reference values.
+
+`import hybridhopf` does not load `verify`, and so not `scipy.integrate`: the
+names taken from `verify` (`find_periodic_orbit`, `continue_branch`, ...) are
+served on first use, which imports the module then.
 """
 
 __version__ = "0.1.0"
+
+import importlib
 
 from .classifier import Classification, PredictedOrbit, classify, predict_orbit
 from .coefficients import CylindricalCoefficients, HarmonicScalar, compute_coefficients
@@ -32,19 +38,32 @@ from .models import (
     jet,
     polynomial_model,
 )
-from .verify import (
-    Branch,
-    PeriodicOrbit,
-    ShootingSeed,
-    StabilityVerdict,
-    averaged_drift_check,
-    compare_with_full_model,
-    continue_branch,
-    find_periodic_orbit,
-    floquet_stability,
-    integrate,
-    simulate_truncated,
+
+_VERIFY_NAMES = frozenset(
+    {
+        "Branch",
+        "PeriodicOrbit",
+        "ShootingSeed",
+        "StabilityVerdict",
+        "averaged_drift_check",
+        "compare_with_full_model",
+        "continue_branch",
+        "find_periodic_orbit",
+        "floquet_stability",
+        "integrate",
+        "simulate_truncated",
+    }
 )
+
+
+def __getattr__(name: str):
+    # PEP 562: only shooting and integration need scipy.integrate, so `verify`
+    # is imported on the first access to it or to one of its names.
+    if name == "verify" or name in _VERIFY_NAMES:
+        verify = importlib.import_module(".verify", __name__)
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

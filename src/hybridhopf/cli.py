@@ -32,7 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import __version__, classifier, eco, frame as frame_mod, models, verify
+# `verify` imports scipy.integrate, so only the subcommands that integrate
+# (verify, continue, truncated) import it; classify and eco-sweep never load it.
+from . import __version__, classifier, eco, frame as frame_mod, models
 from .coefficients import compute_coefficients
 from .errors import (
     AssumptionViolation,
@@ -232,6 +234,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify
     out = _out_dir(args)
     model, X_H, report, frame, coeffs = _pipeline(_load_config(args.config))
     _write_json(out / "assumptions.json", _assumption_doc(model, X_H, report))
@@ -278,6 +281,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_continue(args: argparse.Namespace) -> int:
+    from . import verify
     out = _out_dir(args)
     config = _load_config(args.config)
     if args.mu_grid:
@@ -387,7 +391,7 @@ def _cmd_eco_sweep(args: argparse.Namespace) -> int:
     negative_margin = 0
     for p in samples:
         cf = eco.closed_form_coefficients(p)
-        record = eco.classification_record(p)
+        record = eco.classify_closed_form(cf)
         labels[record.label] = labels.get(record.label, 0) + 1
         if cf["margin"] < 0:
             negative_margin += 1
@@ -441,6 +445,7 @@ def _cmd_eco_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_truncated(args: argparse.Namespace) -> int:
+    from . import verify
     out = _out_dir(args)
     model, X_H, report, frame, coeffs = _pipeline(_load_config(args.config))
     if not report.all_pass():

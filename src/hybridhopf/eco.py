@@ -225,12 +225,16 @@ def closed_form_coefficients(p: EcoParams) -> dict[str, float]:
 
 
 def classification_record(p: EcoParams) -> Classification:
-    """Classify from the closed forms alone (fast path for region sweeps).
+    """Classify from the closed forms alone (fast path for region sweeps)."""
+    return classify_closed_form(closed_form_coefficients(p))
+
+
+def classify_closed_form(cf: Mapping[str, float]) -> Classification:
+    """Classify from an already evaluated `closed_form_coefficients` record.
 
     Only the sign-carrying coefficients enter the classification, so the
     harmonic entries irrelevant to it are zeroed.
     """
-    cf = closed_form_coefficients(p)
     zero = HarmonicScalar()
     coeffs = CylindricalCoefficients(
         omega=cf["omega"],

@@ -143,8 +143,9 @@ class StandardFrame:
     omega: float
 
     def to_frame(self, X: Sequence[float], mu: float = 0.0) -> np.ndarray:
+        """Frame coordinates of one state (3,) or of a stack of states (..., 3)."""
         rel = np.asarray(X, dtype=float) - self.origin
-        return np.linalg.solve(self.basis, rel) - mu * self.mu_shift
+        return np.linalg.solve(self.basis, rel[..., None])[..., 0] - mu * self.mu_shift
 
     def from_frame(self, u: Sequence[float], mu: float = 0.0) -> np.ndarray:
         shifted = np.asarray(u, dtype=float) + mu * self.mu_shift

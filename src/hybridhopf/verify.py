@@ -423,7 +423,7 @@ def _amplitude(
 ) -> float:
     if frame is None:
         return orbit.radius()
-    coords = np.array([frame.to_frame(X, mu) for X in orbit.states])
+    coords = frame.to_frame(orbit.states, mu)
     return float(np.max(np.linalg.norm(coords[:, :2], axis=1)))
 
 
@@ -742,7 +742,7 @@ def compare_with_full_model(
     tau_final = float(run.tau[-1])
     t_final = tau_final * 1.2 + 5.0
     traj = integrate(model, mu, X0, (0.0, t_final), rtol=rtol, n_samples=6000)
-    coords = np.array([frame.to_frame(X, mu) for X in traj.states])
+    coords = frame.to_frame(traj.states, mu)
     r_full = np.linalg.norm(coords[:, :2], axis=1) / eps
     z_full = coords[:, 2] / eps
     phase = np.unwrap(np.arctan2(coords[:, 1], coords[:, 0]))

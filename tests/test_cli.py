@@ -346,6 +346,14 @@ def test_output_dir_from_environment(workspace, monkeypatch):
     assert (workspace.path("env_out") / "classification.json").exists()
 
 
+def source_env():
+    """Environment of a child that must run the code this test imported,
+    not an installed copy."""
+    src = str(Path(hybridhopf.__file__).resolve().parents[1])
+    inherited = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, inherited]))}
+
+
 def check_console_script(exe, workspace, env=None):
     """Run ``--version`` and ``classify`` through ``exe``; return the version line."""
     version = subprocess.run(
@@ -395,11 +403,7 @@ def test_console_entry_point(workspace, tmp_path):
     exe = shutil.which("hybridhopf", path=str(bindir))
     assert exe == str(launcher)
 
-    # the child must run the code this test imported, not an installed copy
-    src = str(Path(hybridhopf.__file__).resolve().parents[1])
-    inherited = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, inherited]))}
-    check_console_script(exe, workspace, env=env)
+    check_console_script(exe, workspace, env=source_env())
 
 
 @pytest.mark.skipif(
@@ -408,3 +412,57 @@ def test_console_entry_point(workspace, tmp_path):
 def test_installed_console_script(workspace):
     version = check_console_script(shutil.which("hybridhopf"), workspace)
     assert version.split() == ["hybridhopf", hybridhopf.__version__]
+
+
+# Runs in a fresh interpreter: records which of the integration modules each
+# step has loaded, then prints the record as the last stdout line.
+IMPORT_BUDGET_CHILD = """
+import json, sys
+
+WATCHED = ("scipy.integrate", "hybridhopf.verify")
+loaded, codes = {}, {}
+
+def record(step):
+    loaded[step] = [m for m in WATCHED if m in sys.modules]
+
+import hybridhopf
+record("import hybridhopf")
+import hybridhopf.cli
+record("import hybridhopf.cli")
+from hybridhopf.cli import main
+
+config, out = sys.argv[1:3]
+try:
+    main(["--version"])
+except SystemExit as exc:
+    codes["--version"] = exc.code
+record("--version")
+codes["classify"] = main(["classify", "--config", config, "--out", out + "/classify"])
+record("classify")
+codes["eco-sweep"] = main(["eco-sweep", "--samples", "5", "--out", out + "/eco"])
+record("eco-sweep")
+codes["verify"] = main(["verify", "--config", config, "--mu", "0.005", "--out", out + "/verify"])
+record("verify")
+unresolved = [n for n in hybridhopf.__all__ if getattr(hybridhopf, n, None) is None]
+print(json.dumps({"loaded": loaded, "codes": codes, "unresolved": unresolved}))
+"""
+
+
+def test_only_integrating_commands_import_scipy_integrate(workspace):
+    """`import hybridhopf`, `--version`, `classify` and `eco-sweep` never load
+    `verify` or `scipy.integrate`; `verify` loads both on demand."""
+    cfg = workspace.config(INTERIOR)
+    result = subprocess.run(
+        [sys.executable, "-c", IMPORT_BUDGET_CHILD, cfg, workspace.outdir("budget")],
+        capture_output=True,
+        text=True,
+        check=False,
+        env=source_env(),
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["codes"] == {"--version": 0, "classify": 0, "eco-sweep": 0, "verify": 0}
+    for step in ("import hybridhopf", "import hybridhopf.cli", "--version", "classify", "eco-sweep"):
+        assert report["loaded"][step] == [], step
+    assert report["loaded"]["verify"] == ["scipy.integrate", "hybridhopf.verify"]
+    assert report["unresolved"] == []

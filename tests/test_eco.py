@@ -199,6 +199,12 @@ def test_classification_record_interior(interior):
     assert record.sigma == pytest.approx(-0.037125, rel=1e-12)
 
 
+def test_classify_closed_form_matches_classification_record():
+    """eco-sweep classifies the closed forms it already evaluated."""
+    for p in eco.sample_region(50, 3):
+        assert eco.classify_closed_form(eco.closed_form_coefficients(p)) == eco.classification_record(p)
+
+
 # ---------------------------------------------------------------------------
 # guard, boundary structure, Lyapunov comparison
 # ---------------------------------------------------------------------------

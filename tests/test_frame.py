@@ -115,6 +115,20 @@ def test_round_trip_coordinates(interior_pipeline):
         assert np.allclose(frame.to_frame(X, mu), u, atol=1e-12)
 
 
+def test_to_frame_of_a_stack_equals_rows(interior_pipeline):
+    frame = interior_pipeline.frame
+    rng = np.random.default_rng(5)
+    states = interior_pipeline.point + 0.05 * rng.normal(size=(256, 3))
+    mu = 0.005
+    rows = np.array(
+        [np.linalg.solve(frame.basis, X - frame.origin) - mu * frame.mu_shift for X in states]
+    )
+    assert np.array_equal(frame.to_frame(states, mu), rows)
+    single = frame.to_frame(states[7], mu)
+    assert single.shape == (3,)
+    assert np.array_equal(single, rows[7])
+
+
 def test_rotated_synthetic_recovers_standard_pattern():
     base = builtin("synthetic_nf", {"a": 1, "b": 1, "c": 1, "d": 1, "omega": 1.7})
     rng = np.random.default_rng(12)
