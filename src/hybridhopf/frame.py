@@ -48,20 +48,6 @@ def _spectrum_split(J: np.ndarray) -> tuple[complex, complex]:
     return complex(nu), complex(nu0)
 
 
-def _numeric_jacobian(model: ModelDefinition, X: np.ndarray, mu: float) -> np.ndarray:
-    if model.jacobian is not None:
-        return np.asarray(model.jacobian(X, mu), dtype=float)
-    if model.exact_jet is not None:
-        return model.exact_jet(X, mu).jacobian()
-    J = np.empty((STATE_DIM, STATE_DIM))
-    for i in range(STATE_DIM):
-        h = 1e-7 * max(1.0, abs(X[i]))
-        e = np.zeros(STATE_DIM)
-        e[i] = h
-        J[:, i] = (model.rhs(X + e, mu) - model.rhs(X - e, mu)) / (2.0 * h)
-    return J
-
-
 def locate_hopf_point(
     model: ModelDefinition,
     seed: Sequence[float],
@@ -77,10 +63,11 @@ def locate_hopf_point(
     X = np.asarray(seed, dtype=float).copy()
     if X.shape != (STATE_DIM,):
         raise NoConvergence(f"seed must be a 3-vector, got shape {X.shape}")
+    jacobian = models.jacobian_fn(model, mu)
 
     def residual(P: np.ndarray) -> np.ndarray:
         F = models.evaluate(model, P, mu)
-        nu, _ = _spectrum_split(_numeric_jacobian(model, P, mu))
+        nu, _ = _spectrum_split(jacobian(P))
         return np.array([F[0], F[1], F[2], nu.real])
 
     G = residual(X)
@@ -117,7 +104,7 @@ def locate_hopf_point(
             f"(|F| = {np.max(np.abs(G[:3])):.2e}, Re nu = {G[3]:.2e})"
         )
 
-    nu, nu0 = _spectrum_split(_numeric_jacobian(model, X, mu))
+    nu, nu0 = _spectrum_split(jacobian(X))
     if nu.imag <= A2_THRESHOLD:
         raise NotHopf(f"no rotation pair at the converged point (Im nu = {nu.imag:.2e})")
     if abs(nu0) > A2_THRESHOLD:
@@ -355,6 +342,7 @@ def _line_residual(
     n_samples: int = 20,
 ) -> float:
     """Max |F| over equilibria continued transversally along the e3 segment."""
+    jacobian = models.jacobian_fn(model, mu)
     worst = 0.0
     for t in np.linspace(-half_length, half_length, n_samples):
         P = X_H + t * e3
@@ -369,7 +357,7 @@ def _line_residual(
             best = min(best, float(np.max(np.abs(F))))
             if best < 1e-14:
                 break
-            JG = np.vstack([_numeric_jacobian(model, X, mu), e3])
+            JG = np.vstack([jacobian(X), e3])
             G = np.append(F, e3 @ (X - P))
             step, *_ = np.linalg.lstsq(JG, -G, rcond=None)
             X = X + step

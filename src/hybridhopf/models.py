@@ -136,87 +136,146 @@ def jet(model: ModelDefinition, point: Sequence[float], mu: float) -> JetTable:
     return finite_difference_jet(model, X, float(mu))
 
 
+def jacobian_fn(model: ModelDefinition, mu: float) -> Callable[[np.ndarray], np.ndarray]:
+    """X -> dF/dX at fixed mu: the model's Jacobian, else its exact jet's,
+    else central differences with h = 1e-7 * max(1, |x_i|)."""
+    if model.jacobian is not None:
+        jac = model.jacobian
+        return lambda X: np.asarray(jac(X, mu), dtype=float)
+    if model.exact_jet is not None:
+        exact_jet = model.exact_jet
+        return lambda X: exact_jet(X, mu).jacobian()
+
+    def central(X: np.ndarray) -> np.ndarray:
+        J = np.empty((STATE_DIM, STATE_DIM))
+        for i in range(STATE_DIM):
+            h = 1e-7 * max(1.0, abs(X[i]))
+            e = np.zeros(STATE_DIM)
+            e[i] = h
+            J[:, i] = (model.rhs(X + e, mu) - model.rhs(X - e, mu)) / (2.0 * h)
+        return J
+
+    return central
+
+
 # ---------------------------------------------------------------------------
 # polynomial fields (exact jets by term-wise differentiation)
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class Monomial:
-    """coef * x1^i * x2^j * x3^k * mu^m"""
-
-    coef: float
-    powers: tuple[int, int, int, int]
-
-
-def _falling(power: int, order: int) -> float:
-    """power * (power-1) * ... over `order` factors; 0 if order > power."""
-    if order > power:
-        return 0.0
-    out = 1.0
-    for step in range(order):
-        out *= power - step
-    return out
+_MU_INDICES: tuple[StateIndex, ...] = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+_JET_INDICES: tuple[StateIndex, ...] = ((0, 0, 0), *state_multi_indices())
 
 
 class PolynomialField:
-    """Three polynomial components in (x1, x2, x3, mu) with exact jets."""
+    """Three polynomial components in (x1, x2, x3, mu) with exact jets.
 
-    def __init__(self, components: Sequence[Sequence[Monomial]]):
+    Terms are rows ``(coef, i, j, k, m)`` for ``coef * x1^i x2^j x3^k mu^m``,
+    held as ``coefs`` (n,), ``exponents`` (n, 4) and ``component`` (n,).  For
+    the RHS, the Jacobian columns and the 24 jet entries, ``__init__`` lays
+    out each (derivative order, term) pair as the chain
+    ``coef w_1 x1^e_1 w_2 x2^e_2 w_3 x3^e_3 w_mu mu^e_mu`` (falling-factorial
+    weights w, reduced exponents e).  A call builds a power table with libm
+    ``pow`` on Python floats (numpy's array power and ``x * x`` round
+    differently), multiplies every chain in that order in one reduction and
+    sums each entry in term order with ``np.bincount``, so results equal the
+    term-by-term loop bit for bit; where a power is not finite, `_stepwise`
+    repeats the loop's stop at the first zero factor.
+    """
+
+    def __init__(self, components: Sequence[Sequence[Sequence[float]]]):
         if len(components) != STATE_DIM:
             raise InvalidParams("a polynomial field needs exactly 3 components")
-        self.components = tuple(tuple(terms) for terms in components)
-
-    def rhs(self, X: np.ndarray, mu: float) -> np.ndarray:
-        return self._derivative((0, 0, 0, 0), X, mu)
-
-    def _derivative(
-        self, order: tuple[int, int, int, int], X: np.ndarray, mu: float
-    ) -> np.ndarray:
-        vals = np.zeros(STATE_DIM)
-        coords = (X[0], X[1], X[2], mu)
-        for comp, terms in enumerate(self.components):
-            total = 0.0
-            for term in terms:
-                factor = term.coef
-                for axis in range(4):
-                    p, d = term.powers[axis], order[axis]
-                    factor *= _falling(p, d)
-                    if factor == 0.0:
-                        break
-                    if p - d > 0:
-                        factor *= coords[axis] ** (p - d)
-                total += factor
-            vals[comp] = total
-        return vals
-
-    def jacobian(self, X: np.ndarray, mu: float) -> np.ndarray:
-        return np.column_stack(
-            [
-                self._derivative((1, 0, 0, 0), X, mu),
-                self._derivative((0, 1, 0, 0), X, mu),
-                self._derivative((0, 0, 1, 0), X, mu),
-            ]
+        rows = [row for terms in components for row in terms]
+        self.coefs = np.array([row[0] for row in rows], dtype=float)
+        self.exponents = np.array([row[1:] for row in rows], dtype=int).reshape(-1, 4)
+        self.component = np.repeat(np.arange(STATE_DIM), [len(t) for t in components])
+        self._rhs = self._layout([(0, 0, 0, 0)])
+        self._jacobian = self._layout([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+        self._jet = self._layout(
+            [(*i, 0) for i in _JET_INDICES] + [(*i, 1) for i in _MU_INDICES]
         )
 
+    def _layout(self, orders: list[tuple[int, int, int, int]], every_term: bool = False):
+        """What a call with these derivative orders needs: the orders, the
+        chain matrix (one row per factor, indexing [power table, constants]),
+        the output slot of each chain, the (axis, k) pairs of the power table
+        and the constants.
+
+        The table holds every power the term loop could take for these
+        orders.  Unless ``every_term``, pairs with a zero weight or
+        coefficient are left out (at finite powers they add a signed zero to
+        a sum that starts at +0.0), and so are factor rows that are 1.0 in
+        every chain (multiplying by 1.0 is exact).
+        """
+        order = np.array(orders)
+        taken = np.maximum(self.exponents[None] - order[:, None], 0)
+        ks, inverse = np.unique(taken, return_inverse=True)
+        index = np.arange(4) * len(ks) + inverse.reshape(taken.shape)
+        powers = [(axis, k) for axis in range(4) for k in ks.tolist()]
+        kept = (self.exponents[None] >= order[:, None]).all(axis=2) & (self.coefs != 0.0)
+        q, t = np.nonzero(kept | every_term)
+        power, reduced, d = self.exponents[t], taken[q, t], order[q]
+        weight = np.ones(reduced.shape)
+        for step in range(JET_ORDER):
+            weight = np.where(d > step, weight * (power - step), weight)
+        weight[power < d] = 0.0
+        start = len(powers)
+        constants = np.concatenate(
+            (np.zeros(start), self.coefs[t] * weight[:, 0], weight[:, 1:].T.ravel())
+        )
+        chain, weighted, powered = [], (weight != 1.0).any(axis=0), reduced.any(axis=0)
+        for axis in range(4):
+            if axis == 0 or weighted[axis]:
+                chain.append(start + axis * len(t) + np.arange(len(t)))
+            if powered[axis]:
+                chain.append(index[q, t, axis])
+        slots = self.component[t] * len(order) + q
+        return orders, np.array(chain), slots, powers, constants
+
+    def _evaluate(self, layout, X, mu) -> np.ndarray:
+        orders, chain, slots, powers, constants = layout
+        x = (*np.asarray(X, dtype=float)[:STATE_DIM].tolist(), float(mu))
+        try:
+            table = [x[axis] ** k for axis, k in powers]
+        except OverflowError:  # Python floats raise where numpy scalars give inf
+            table = None
+        if table is None or not math.isfinite(sum(x)):
+            return self._stepwise(orders, x)
+        values = constants.copy()
+        values[: len(table)] = table
+        return np.bincount(slots, values[chain].prod(axis=0), STATE_DIM * len(orders))
+
+    def _stepwise(self, orders, x) -> np.ndarray:
+        """Non-finite powers: every term, each chain stopped at its first zero
+        as the term-by-term loop did (0 * inf is nan, a stopped chain adds 0)."""
+        _, chain, slots, powers, constants = self._layout(orders, every_term=True)
+        values = constants.copy()
+        values[: len(powers)] = [np.float64(x[axis]) ** k for axis, k in powers]
+        partial = np.multiply.accumulate(values[chain])
+        products = np.where((partial == 0.0).any(axis=0), 0.0, partial[-1])
+        return np.bincount(slots, products, STATE_DIM * len(orders))
+
+    def rhs(self, X: np.ndarray, mu: float) -> np.ndarray:
+        return self._evaluate(self._rhs, X, mu)
+
+    def jacobian(self, X: np.ndarray, mu: float) -> np.ndarray:
+        return self._evaluate(self._jacobian, X, mu).reshape(STATE_DIM, STATE_DIM)
+
     def exact_jet(self, point: np.ndarray, mu: float) -> JetTable:
-        d_state: dict[StateIndex, np.ndarray] = {
-            (0, 0, 0): self._derivative((0, 0, 0, 0), point, mu)
-        }
-        for a, b, c in state_multi_indices():
-            d_state[(a, b, c)] = self._derivative((a, b, c, 0), point, mu)
-        d_mu = {
-            (0, 0, 0): self._derivative((0, 0, 0, 1), point, mu),
-            (1, 0, 0): self._derivative((1, 0, 0, 1), point, mu),
-            (0, 1, 0): self._derivative((0, 1, 0, 1), point, mu),
-            (0, 0, 1): self._derivative((0, 0, 1, 1), point, mu),
-        }
+        entries = self._evaluate(self._jet, point, mu).reshape(STATE_DIM, -1).T.copy()
         return JetTable(
             point=np.array(point, dtype=float),
             mu=float(mu),
-            d_state=d_state,
-            d_mu=d_mu,
+            d_state=dict(zip(_JET_INDICES, entries)),
+            d_mu=dict(zip(_MU_INDICES, entries[len(_JET_INDICES) :])),
             tolerance=1e-12,
+        )
+
+    def model(self, name: str, metadata: Mapping[str, object] | None = None) -> ModelDefinition:
+        """The field as a model with its exact Jacobian and jet."""
+        return ModelDefinition(
+            name, self.rhs, self.exact_jet, self.jacobian, metadata=metadata or {}
         )
 
 
@@ -237,16 +296,17 @@ def polynomial_model(
                 raise InvalidParams(
                     f"each term is [coef, i, j, k, m]; component {key!r} has {list(row)}"
                 )
-            coef = float(row[0])
-            powers = tuple(int(p) for p in row[1:])
-            if any(p < 0 for p in powers) or any(p != q for p, q in zip(powers, row[1:])):
-                raise InvalidParams(f"exponents must be nonnegative integers: {list(row)}")
-            terms.append(Monomial(coef, powers))  # type: ignore[arg-type]
+            try:
+                coef, powers = float(row[0]), tuple(int(p) for p in row[1:])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise InvalidParams(f"terms must hold numbers: {list(row)}") from exc
+            if not math.isfinite(coef):
+                raise InvalidParams(f"coefficients must be finite: {list(row)}")
+            if any(not 0 <= p < 2**63 or p != q for p, q in zip(powers, row[1:])):
+                raise InvalidParams(f"exponents must be integers in [0, 2**63): {list(row)}")
+            terms.append((coef, *powers))
         components.append(terms)
-    field = PolynomialField(components)
-    return ModelDefinition(
-        name=name, rhs=field.rhs, exact_jet=field.exact_jet, jacobian=field.jacobian
-    )
+    return PolynomialField(components).model(name)
 
 
 # ---------------------------------------------------------------------------
@@ -585,24 +645,13 @@ def _synthetic_nf(params: Mapping[str, float]) -> ModelDefinition:
         raise InvalidParams("synthetic_nf needs omega > 0")
     field = PolynomialField(
         [
-            [Monomial(-omega, (0, 1, 0, 0)), Monomial(a, (1, 0, 1, 0))],
-            [Monomial(omega, (1, 0, 0, 0)), Monomial(a, (0, 1, 1, 0))],
-            [
-                Monomial(b, (2, 0, 0, 0)),
-                Monomial(b, (0, 2, 0, 0)),
-                Monomial(c, (0, 0, 0, 1)),
-                Monomial(d, (0, 0, 1, 1)),
-            ],
+            [(-omega, 0, 1, 0, 0), (a, 1, 0, 1, 0)],
+            [(omega, 1, 0, 0, 0), (a, 0, 1, 1, 0)],
+            [(b, 2, 0, 0, 0), (b, 0, 2, 0, 0), (c, 0, 0, 0, 1), (d, 0, 0, 1, 1)],
         ]
     )
     meta = {"params": {"a": a, "b": b, "c": c, "d": d, "omega": omega}}
-    return ModelDefinition(
-        name="synthetic_nf",
-        rhs=field.rhs,
-        exact_jet=field.exact_jet,
-        jacobian=field.jacobian,
-        metadata=meta,
-    )
+    return field.model("synthetic_nf", meta)
 
 
 def _toy_cylindrical(params: Mapping[str, float]) -> ModelDefinition:
@@ -648,41 +697,35 @@ def _toy_cylindrical(params: Mapping[str, float]) -> ModelDefinition:
     field = PolynomialField(
         [
             [
-                Monomial(-o, (0, 1, 0, 0)),
-                Monomial(-o * eps * b1, (0, 1, 1, 0)),
-                Monomial(eps * b2, (1, 0, 1, 0)),
-                Monomial(e2 * g3, (1, 0, 0, 1)),
-                Monomial(e2 * b3, (3, 0, 0, 0)),
-                Monomial(e2 * b3, (1, 2, 0, 0)),
-                Monomial(-e2 * (b1 * b2 - b4), (1, 0, 2, 0)),
+                (-o, 0, 1, 0, 0),
+                (-o * eps * b1, 0, 1, 1, 0),
+                (eps * b2, 1, 0, 1, 0),
+                (e2 * g3, 1, 0, 0, 1),
+                (e2 * b3, 3, 0, 0, 0),
+                (e2 * b3, 1, 2, 0, 0),
+                (-e2 * (b1 * b2 - b4), 1, 0, 2, 0),
             ],
             [
-                Monomial(o, (1, 0, 0, 0)),
-                Monomial(o * eps * b1, (1, 0, 1, 0)),
-                Monomial(eps * b2, (0, 1, 1, 0)),
-                Monomial(e2 * g3, (0, 1, 0, 1)),
-                Monomial(e2 * b3, (2, 1, 0, 0)),
-                Monomial(e2 * b3, (0, 3, 0, 0)),
-                Monomial(-e2 * (b1 * b2 - b4), (0, 1, 2, 0)),
+                (o, 1, 0, 0, 0),
+                (o * eps * b1, 1, 0, 1, 0),
+                (eps * b2, 0, 1, 1, 0),
+                (e2 * g3, 0, 1, 0, 1),
+                (e2 * b3, 2, 1, 0, 0),
+                (e2 * b3, 0, 3, 0, 0),
+                (-e2 * (b1 * b2 - b4), 0, 1, 2, 0),
             ],
             [
-                Monomial(eps * g5, (0, 0, 0, 1)),
-                Monomial(eps * b5, (2, 0, 0, 0)),
-                Monomial(eps * b5, (0, 2, 0, 0)),
-                Monomial(e2 * (b1 * g5 + g7), (0, 0, 1, 1)),
-                Monomial(-e2 * (b1 * b5 - b6), (2, 0, 1, 0)),
-                Monomial(-e2 * (b1 * b5 - b6), (0, 2, 1, 0)),
+                (eps * g5, 0, 0, 0, 1),
+                (eps * b5, 2, 0, 0, 0),
+                (eps * b5, 0, 2, 0, 0),
+                (e2 * (b1 * g5 + g7), 0, 0, 1, 1),
+                (-e2 * (b1 * b5 - b6), 2, 0, 1, 0),
+                (-e2 * (b1 * b5 - b6), 0, 2, 1, 0),
             ],
         ]
     )
     meta = {"params": dict(filled)}
-    return ModelDefinition(
-        name="toy_cylindrical",
-        rhs=field.rhs,
-        exact_jet=field.exact_jet,
-        jacobian=field.jacobian,
-        metadata=meta,
-    )
+    return field.model("toy_cylindrical", meta)
 
 
 def _classical_hopf(params: Mapping[str, float]) -> ModelDefinition:
@@ -700,29 +743,13 @@ def _classical_hopf(params: Mapping[str, float]) -> ModelDefinition:
         raise InvalidParams("classical_hopf needs sign in {-1, +1}")
     field = PolynomialField(
         [
-            [
-                Monomial(-omega, (0, 1, 0, 0)),
-                Monomial(1.0, (1, 0, 1, 0)),
-                Monomial(sign, (3, 0, 0, 0)),
-                Monomial(sign, (1, 2, 0, 0)),
-            ],
-            [
-                Monomial(omega, (1, 0, 0, 0)),
-                Monomial(1.0, (0, 1, 1, 0)),
-                Monomial(sign, (2, 1, 0, 0)),
-                Monomial(sign, (0, 3, 0, 0)),
-            ],
-            [Monomial(1.0, (0, 0, 0, 1))],
+            [(-omega, 0, 1, 0, 0), (1.0, 1, 0, 1, 0), (sign, 3, 0, 0, 0), (sign, 1, 2, 0, 0)],
+            [(omega, 1, 0, 0, 0), (1.0, 0, 1, 1, 0), (sign, 2, 1, 0, 0), (sign, 0, 3, 0, 0)],
+            [(1.0, 0, 0, 0, 1)],
         ]
     )
     meta = {"params": dict(filled)}
-    return ModelDefinition(
-        name="classical_hopf",
-        rhs=field.rhs,
-        exact_jet=field.exact_jet,
-        jacobian=field.jacobian,
-        metadata=meta,
-    )
+    return field.model("classical_hopf", meta)
 
 
 _BUILTINS: dict[str, Callable[[Mapping[str, float]], ModelDefinition]] = {

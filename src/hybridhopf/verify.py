@@ -40,28 +40,6 @@ SWEEP_RTOL = 1e-9
 FLOQUET_MARGIN = 1e-6
 
 
-def _jacobian_fn(
-    model: ModelDefinition, mu: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    if model.jacobian is not None:
-        jac = model.jacobian
-        return lambda X: np.asarray(jac(X, mu), dtype=float)
-    if model.exact_jet is not None:
-        jet = model.exact_jet
-        return lambda X: jet(X, mu).jacobian()
-
-    def fd(X: np.ndarray) -> np.ndarray:
-        J = np.empty((3, 3))
-        for i in range(3):
-            h = 1e-7 * max(1.0, abs(X[i]))
-            e = np.zeros(3)
-            e[i] = h
-            J[:, i] = (model.rhs(X + e, mu) - model.rhs(X - e, mu)) / (2.0 * h)
-        return J
-
-    return fd
-
-
 @dataclasses.dataclass(frozen=True)
 class Trajectory:
     """Dense integration result."""
@@ -182,7 +160,7 @@ def _flow_with_monodromy(
 ):
     """Integrate state, variational matrix, and divergence quadrature,
     with the dense interpolant of all three."""
-    jac = _jacobian_fn(model, mu)
+    jac = models.jacobian_fn(model, mu)
 
     def rhs(t: float, Y: np.ndarray) -> np.ndarray:
         x = Y[:3]

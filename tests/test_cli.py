@@ -28,6 +28,11 @@ SYNTHETIC_DEGENERATE = {
     "params": {"a": -1.0, "b": 1.0, "c": 1.0, "d": 0.0, "omega": 1.0},
 }
 CLASSICAL = {"builtin": "classical_hopf"}
+PLANTED_ES = {
+    "builtin": "toy_cylindrical",
+    "params": {"beta2": -1.0, "beta3": -0.5, "beta5": 1.0, "gamma5": -1.0},
+    "seed_state": [0.01, -0.02, 0.015],
+}
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
@@ -90,6 +95,21 @@ def test_classify_is_deterministic(workspace):
         first = (workspace.path("d1") / name).read_bytes()
         second = (workspace.path("d2") / name).read_bytes()
         assert first == second
+
+
+def test_polynomial_config_outputs_are_deterministic(workspace):
+    cfg = workspace.config(PLANTED_ES)
+    for run in ("p1", "p2"):
+        assert main(["classify", "--config", cfg, "--out", workspace.outdir(f"{run}c")]) == 0
+        code = main(["verify", "--config", cfg, "--mu", "0.005", "--out", workspace.outdir(f"{run}v")])
+        assert code == 0
+    for step in ("c", "v"):
+        first, second = workspace.path(f"p1{step}"), workspace.path(f"p2{step}")
+        names = sorted(p.name for p in first.iterdir())
+        assert names and names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    assert read_json(workspace, "p1c", "classification.json")["label"] == "ES"
 
 
 def test_classify_rejects_plain_hopf(workspace, capsys):
@@ -313,6 +333,10 @@ def test_missing_config_flag_is_usage_error():
         {**INTERIOR, "extra_key": 1},
         {"builtin": "predator_prey", "polynomial": {"y1": [], "y2": [], "z": []}},
         {"builtin": "synthetic_nf", "params": {"a": 1, "b": 1, "c": 1, "d": 1, "omega": 1}, "jets": "symbolic"},
+        *(
+            {"polynomial": {"y1": [[bad, 0, 1, 0, 0]], "y2": [[1.0, 1, 0, 0, 0]], "z": []}}
+            for bad in (float("nan"), float("inf"), float("-inf"))
+        ),
     ],
 )
 def test_bad_configs_are_usage_errors(workspace, doc):

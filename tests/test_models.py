@@ -190,6 +190,120 @@ def test_exact_jacobian_matches_directional_differences(x1, x2, s):
 
 
 # ---------------------------------------------------------------------------
+# polynomial fields against the term-by-term loop
+# ---------------------------------------------------------------------------
+
+
+def _falling(power, order):
+    if order > power:
+        return 0.0
+    out = 1.0
+    for step in range(order):
+        out *= power - step
+    return out
+
+
+def _loop_derivative(components, order, X, mu):
+    """d^order F by the term-by-term loop polynomial fields were evaluated with."""
+    vals = np.zeros(STATE_DIM)
+    coords = (X[0], X[1], X[2], mu)
+    for comp, terms in enumerate(components):
+        total = 0.0
+        for coef, *powers in terms:
+            factor = coef
+            for axis in range(4):
+                p, d = powers[axis], order[axis]
+                factor *= _falling(p, d)
+                if factor == 0.0:
+                    break
+                if p - d > 0:
+                    factor *= coords[axis] ** (p - d)
+            total += factor
+        vals[comp] = total
+    return vals
+
+
+def _assert_matches_loop(components, X, mu):
+    model = polynomial_model(dict(zip(("y1", "y2", "z"), components)), name="oracle")
+    X = np.asarray(X, dtype=float)
+
+    def same(got, order):
+        # mu as a numpy scalar: on a Python float the loop raised OverflowError
+        # where a power overflows, and the field gives inf as it does for X
+        want = _loop_derivative(components, order, X, np.float64(mu))
+        return np.array_equal(got, want, equal_nan=True)
+
+    assert same(model.rhs(X, mu), (0, 0, 0, 0))
+    J = model.jacobian(X, mu)
+    for j in range(STATE_DIM):
+        assert same(J[:, j], tuple(1 if axis == j else 0 for axis in range(4))), j
+    table = model.exact_jet(X, mu)
+    assert set(table.d_state) == {(0, 0, 0), *state_multi_indices()}
+    assert set(table.d_mu) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    for idx, got in table.d_state.items():
+        assert same(got, (*idx, 0)), idx
+    for idx, got in table.d_mu.items():
+        assert same(got, (*idx, 1)), idx
+
+
+_coef = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-10.0, 10.0))
+_term = st.tuples(
+    _coef,
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.integers(0, 2),
+).map(list)
+_coord = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e200, math.inf, -math.inf, math.nan]),
+    st.floats(-2.5, 2.5),
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    components=st.lists(st.lists(_term, max_size=8), min_size=3, max_size=3),
+    X=st.lists(_coord, min_size=3, max_size=3),
+    mu=_coord,
+)
+def test_polynomial_field_is_bit_identical_to_term_loop(components, X, mu):
+    _assert_matches_loop(components, X, mu)
+
+
+def test_polynomial_field_powers_round_like_libm_pow():
+    # At this x, libm pow(x, 2) differs from x * x, and pow(x, 2) and
+    # pow(x, 3) differ from numpy's vectorised array power (its AVX-512
+    # kernel), so an evaluator that squares by multiplication or takes array
+    # powers of the coordinates fails here even when random draws miss such
+    # points.
+    x = 0.5245367165209572
+    components = [
+        [[1.0, 3, 0, 0, 0], [0.5, 1, 2, 1, 0]],
+        [[-2.0, 0, 3, 0, 1], [1.0, 2, 1, 3, 0]],
+        [[3.0, 3, 3, 3, 2], [1.0, 0, 0, 0, 0]],
+    ]
+    _assert_matches_loop(components, [x, -x, x], x)
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [math.nan, 0, 1, 0, 0],
+        [math.inf, 0, 1, 0, 0],
+        [-math.inf, 0, 1, 0, 0],
+        ["abc", 0, 1, 0, 0],
+        [1.0, 10**23, 0, 0, 0],
+        [1.0, math.inf, 0, 0, 0],
+        [1.0, 1.5, 0, 0, 0],
+    ],
+)
+def test_polynomial_model_rejects_unusable_rows(row):
+    with pytest.raises(InvalidParams):
+        polynomial_model({"y1": [row], "y2": [], "z": []})
+
+
+# ---------------------------------------------------------------------------
 # catalog and configuration
 # ---------------------------------------------------------------------------
 
