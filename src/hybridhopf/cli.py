@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -37,44 +38,7 @@ import numpy as np
 from . import __version__, classifier, eco, frame as frame_mod, models
 from .coefficients import compute_coefficients
 from .errors import (
-    AssumptionViolation,
-    Degenerate,
-    HybridHopfError,
-    InvalidBounds,
-    InvalidParams,
-    LeftDomain,
-    NoConvergence,
-    NonFinite,
-    NotAdmissible,
-    NotHopf,
-    SingularShooting,
-    StepFailure,
-    SymmetryDefect,
-    UnknownModel,
-    WrongDirection,
-)
-
-EXIT_OK = 0
-EXIT_NUMERICAL = 1
-EXIT_ASSUMPTIONS = 2
-EXIT_DEGENERATE = 3
-EXIT_USAGE = 64
-
-_USAGE_ERRORS = (
-    InvalidParams,
-    InvalidBounds,
-    UnknownModel,
-    NotAdmissible,
-)
-_NUMERICAL_ERRORS = (
-    NoConvergence,
-    SingularShooting,
-    StepFailure,
-    NonFinite,
-    LeftDomain,
-    NotHopf,
-    SymmetryDefect,
-    WrongDirection,
+    AssumptionViolation, Degenerate, HybridHopfError, InvalidParams, UsageError, WrongDirection,
 )
 
 
@@ -82,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise SystemExit(UsageError.exit_code)
 
 
 def _fmt(x: float) -> str:
@@ -119,24 +83,18 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _parse_vector(text: str, n: int, what: str) -> list[float]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if len(parts) != n:
-        raise InvalidParams(f"{what} needs {n} comma-separated numbers, got {text!r}")
+def _numbers(value, what: str, n: int | None = None) -> list[float]:
+    """Finite numbers from a JSON list or a comma-separated string."""
+    parts = value.replace(",", " ").split() if isinstance(value, str) else value
     try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise InvalidParams(f"{what} must be numeric: {text!r}") from exc
-
-
-def _parse_grid(text: str) -> list[float]:
-    parts = [p for p in text.replace(",", " ").split() if p]
-    if not parts:
-        raise InvalidParams("empty mu grid")
-    try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise InvalidParams(f"mu grid must be numeric: {text!r}") from exc
+        numbers = [float(p) for p in parts]
+    except (TypeError, ValueError) as exc:
+        raise InvalidParams(f"{what} must be numeric: {value!r}") from exc
+    if not numbers or (n is not None and len(numbers) != n):
+        raise InvalidParams(f"{what} needs {n or 'some'} comma-separated numbers, got {value!r}")
+    if not all(map(math.isfinite, numbers)):
+        raise InvalidParams(f"{what} must be finite: {value!r}")
+    return numbers
 
 
 # ---------------------------------------------------------------------------
@@ -144,18 +102,32 @@ def _parse_grid(text: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _pipeline(config: dict):
-    """Model -> Hopf point -> assumptions -> frame -> coefficients."""
+def _pipeline(config: dict, out: Path | None = None):
+    """Model -> Hopf point -> assumptions -> frame -> coefficients.
+
+    Writes ``assumptions.json`` into ``out`` when given.  Frame and
+    coefficients are None when an assumption fails.
+    """
     model = models.from_config(config)
     seed = config.get("seed_state") or model.metadata.get("hopf_seed") or (0.1, 0.1, 0.1)
-    X_H = frame_mod.locate_hopf_point(model, np.asarray(seed, dtype=float))
+    X_H = frame_mod.locate_hopf_point(model, np.array(_numbers(seed, "seed_state", 3)))
     report = frame_mod.check_assumptions(model, X_H)
     frame = coeffs = None
     if report.all_pass():
         jet = models.jet(model, X_H, 0.0)
         frame = frame_mod.build_standard_frame(jet)
         coeffs = compute_coefficients(frame_mod.standard_jet(jet, frame))
-    return model, X_H, report, frame, coeffs
+    if out is not None:
+        _write_json(out / "assumptions.json", {
+            "model": model.name, "point": [float(v) for v in X_H],
+            "all_pass": report.all_pass(), "report": report.to_document(),
+        })
+    return model, report, frame, coeffs
+
+
+def _assumptions_failed(report: frame_mod.AssumptionReport) -> int:
+    print(f"assumption check failed: {', '.join(report.failed())}")
+    return AssumptionViolation.exit_code
 
 
 def _print_assumptions(report: frame_mod.AssumptionReport) -> None:
@@ -171,15 +143,6 @@ def _print_assumptions(report: frame_mod.AssumptionReport) -> None:
     for name, value, req in rows:
         verdict = "pass" if report.verdicts[name] else "FAIL"
         print(f"{name:<18}{_fmt(value):>16}  {req:<14}{verdict}")
-
-
-def _assumption_doc(model, X_H, report) -> dict:
-    return {
-        "model": model.name,
-        "point": [float(v) for v in X_H],
-        "all_pass": report.all_pass(),
-        "report": report.to_document(),
-    }
 
 
 def _classification_doc(classification, coeffs) -> dict:
@@ -212,12 +175,10 @@ def _describe(classification) -> str:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    model, X_H, report, frame, coeffs = _pipeline(_load_config(args.config))
-    _write_json(out / "assumptions.json", _assumption_doc(model, X_H, report))
+    model, report, frame, coeffs = _pipeline(_load_config(args.config), out)
     _print_assumptions(report)
     if not report.all_pass():
-        print(f"assumption check failed: {', '.join(report.failed())}")
-        return EXIT_ASSUMPTIONS
+        return _assumptions_failed(report)
     _write_json(out / "coefficients.json", coeffs.to_document())
     try:
         classification = classifier.classify(coeffs)
@@ -227,20 +188,18 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             {"label": "degenerate", "detail": str(exc)},
         )
         print(f"degenerate: {exc}")
-        return EXIT_DEGENERATE
+        return exc.exit_code
     _write_json(out / "classification.json", _classification_doc(classification, coeffs))
     print(_describe(classification))
-    return EXIT_OK
+    return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
     out = _out_dir(args)
-    model, X_H, report, frame, coeffs = _pipeline(_load_config(args.config))
-    _write_json(out / "assumptions.json", _assumption_doc(model, X_H, report))
+    model, report, frame, coeffs = _pipeline(_load_config(args.config), out)
     if not report.all_pass():
-        print(f"assumption check failed: {', '.join(report.failed())}")
-        return EXIT_ASSUMPTIONS
+        return _assumptions_failed(report)
     classification = classifier.classify(coeffs)
     prediction = classifier.predict_orbit(coeffs, args.mu, frame)
     tol = args.tol if args.tol is not None else 1e-11
@@ -277,27 +236,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"{'stable' if stability.stable else 'unstable'} "
         f"(classification says {'stable' if classification.orbit_stable else 'unstable'})"
     )
-    return EXIT_OK
+    return 0
 
 
 def _cmd_continue(args: argparse.Namespace) -> int:
     from . import verify
     out = _out_dir(args)
     config = _load_config(args.config)
-    if args.mu_grid:
-        grid = _parse_grid(args.mu_grid)
-    elif "mu_grid" in config:
-        grid = [float(m) for m in config["mu_grid"]]
-    else:
+    grid = args.mu_grid or config.get("mu_grid")
+    if grid is None:
         raise InvalidParams("continue needs --mu-grid or a mu_grid config entry")
-    model, X_H, report, frame, coeffs = _pipeline(config)
-    _write_json(out / "assumptions.json", _assumption_doc(model, X_H, report))
+    grid = _numbers(grid, "mu grid")
+    model, report, frame, coeffs = _pipeline(config, out)
     if not report.all_pass():
-        print(f"assumption check failed: {', '.join(report.failed())}")
-        return EXIT_ASSUMPTIONS
-    seed_state = None
-    if args.seed_state:
-        seed_state = _parse_vector(args.seed_state, 3, "--seed-state")
+        return _assumptions_failed(report)
+    seed_state = _numbers(args.seed_state, "--seed-state", 3) if args.seed_state else None
     guard = eco.interior_guard() if model.name == "predator_prey" else None
     try:
         branch = verify.continue_branch(
@@ -375,16 +328,15 @@ def _cmd_continue(args: argparse.Namespace) -> int:
         print(f"tracked {len(branch.points)}/{len(grid)} points")
     if not branch.complete():
         print(f"branch lost at mu = {_fmt(branch.lost_at)}")
-        return EXIT_NUMERICAL
-    return EXIT_OK
+        return 1
+    return 0
 
 
 def _cmd_eco_sweep(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     bounds = (0.05, 20.0)
     if args.delta_bounds:
-        lo, hi = _parse_vector(args.delta_bounds, 2, "--delta-bounds")
-        bounds = (lo, hi)
+        bounds = tuple(_numbers(args.delta_bounds, "--delta-bounds", 2))
     samples = eco.sample_region(args.samples, args.seed, delta_bounds=bounds)
     rows = []
     labels: dict[str, int] = {}
@@ -441,16 +393,15 @@ def _cmd_eco_sweep(args: argparse.Namespace) -> int:
         f"{n} samples: types {labels}; non-ES rows: {non_es}/{n}; "
         f"negative margin: {negative_margin}/{n}"
     )
-    return EXIT_OK if non_es == 0 else EXIT_NUMERICAL
+    return 0 if non_es == 0 else 1
 
 
 def _cmd_truncated(args: argparse.Namespace) -> int:
     from . import verify
     out = _out_dir(args)
-    model, X_H, report, frame, coeffs = _pipeline(_load_config(args.config))
+    model, report, frame, coeffs = _pipeline(_load_config(args.config))
     if not report.all_pass():
-        print(f"assumption check failed: {', '.join(report.failed())}")
-        return EXIT_ASSUMPTIONS
+        return _assumptions_failed(report)
     run = verify.simulate_truncated(
         coeffs,
         args.epsilon,
@@ -480,7 +431,7 @@ def _cmd_truncated(args: argparse.Namespace) -> int:
     print(line)
     if args.compare:
         print(f"sup deviation from full model: {_fmt(doc['deviation'])}")
-    return EXIT_OK
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -551,25 +502,12 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except Degenerate as exc:
-        print(f"degenerate: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except AssumptionViolation as exc:
-        print(f"assumption violation: {exc}", file=sys.stderr)
-        return EXIT_ASSUMPTIONS
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except HybridHopfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except HybridHopfError as exc:  # each error base carries its exit code
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -47,9 +47,9 @@ class EcoParams:
     alpha2: float
 
     def __post_init__(self) -> None:
-        if self.delta1 <= 0 or self.delta2 <= 0:
+        if not self.delta1 > 0 or not self.delta2 > 0:
             raise InvalidParams("growth-rate ratios delta1, delta2 must be positive")
-        if self.alpha1 <= 0 or self.alpha2 <= 0:
+        if not self.alpha1 > 0 or not self.alpha2 > 0:
             raise InvalidParams("half-saturation constants must be positive")
         if not 0 < self.lam < 1:
             raise InvalidParams("break-even concentration must satisfy 0 < lam < 1")

@@ -1,23 +1,56 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each base carries the command line's exit code and stderr prefix; errors
+under the root alone exit 1 with prefix "error".
+"""
 
 
 class HybridHopfError(Exception):
     """Base class for all package-specific errors."""
 
+    exit_code = 1
+    prefix = "error"
 
-class NonFinite(HybridHopfError):
+
+class UsageError(HybridHopfError):
+    """The configuration or an argument is malformed or out of range."""
+
+    exit_code = 64
+
+
+class NumericalFailure(HybridHopfError):
+    """A numerical method failed or reached no verdict."""
+
+    prefix = "numerical failure"
+
+
+class AssumptionViolation(HybridHopfError):
+    """A quantity the classification relies on is within tolerance of zero."""
+
+    exit_code = 2
+    prefix = "assumption violation"
+
+
+class Degenerate(HybridHopfError):
+    """The focus quantity vanishes to tolerance; no stability verdict exists."""
+
+    exit_code = 3
+    prefix = "degenerate"
+
+
+class NonFinite(NumericalFailure):
     """A vector-field evaluation produced NaN or infinity."""
 
 
-class UnknownModel(HybridHopfError):
+class UnknownModel(UsageError):
     """Requested builtin model name is not in the catalog."""
 
 
-class InvalidParams(HybridHopfError):
+class InvalidParams(UsageError):
     """Model parameters are incomplete or out of range."""
 
 
-class SymmetryDefect(HybridHopfError):
+class SymmetryDefect(NumericalFailure):
     """Finite-difference mixed partials disagree between evaluation routes."""
 
 
@@ -25,7 +58,7 @@ class MissingJetEntry(HybridHopfError):
     """A derivative required by a coefficient formula is absent from the jet."""
 
 
-class NoConvergence(HybridHopfError):
+class NoConvergence(NumericalFailure):
     """An iterative solve did not reach its tolerance.
 
     For periodic-orbit shooting this is reported, not fatal: failure to
@@ -33,7 +66,7 @@ class NoConvergence(HybridHopfError):
     """
 
 
-class NotHopf(HybridHopfError):
+class NotHopf(NumericalFailure):
     """The located equilibrium does not carry the {0, +-i*omega} spectrum."""
 
 
@@ -41,31 +74,23 @@ class DefectiveSpectrum(HybridHopfError):
     """Eigenvalues at the candidate point are not simple."""
 
 
-class AssumptionViolation(HybridHopfError):
-    """A quantity the classification relies on is within tolerance of zero."""
-
-
-class Degenerate(HybridHopfError):
-    """The focus quantity vanishes to tolerance; no stability verdict exists."""
-
-
-class WrongDirection(HybridHopfError):
+class WrongDirection(NumericalFailure):
     """Requested parameter sign has no predicted orbit branch."""
 
 
-class StepFailure(HybridHopfError):
+class StepFailure(NumericalFailure):
     """Adaptive integrator step size underflowed."""
 
 
-class SingularShooting(HybridHopfError):
+class SingularShooting(NumericalFailure):
     """The shooting Jacobian is rank-deficient."""
 
 
-class LeftDomain(HybridHopfError):
+class LeftDomain(NumericalFailure):
     """A truncated-form trajectory exited its validity region."""
 
 
-class NotAdmissible(HybridHopfError):
+class NotAdmissible(UsageError):
     """Parameters are outside the admissible region."""
 
 
@@ -77,5 +102,5 @@ class NoCoexistencePossible(HybridHopfError):
     """A break-even concentration is at or above the prey carrying capacity."""
 
 
-class InvalidBounds(HybridHopfError):
+class InvalidBounds(UsageError):
     """An interval argument is empty or out of range."""

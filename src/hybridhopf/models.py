@@ -12,6 +12,7 @@ three, plus the parameter block ``d_mu F`` and ``d_mu d_{x_i} F``.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -172,8 +173,9 @@ class PolynomialField:
 
     Terms are rows ``(coef, i, j, k, m)`` for ``coef * x1^i x2^j x3^k mu^m``,
     held as ``coefs`` (n,), ``exponents`` (n, 4) and ``component`` (n,).  For
-    the RHS, the Jacobian columns and the 24 jet entries, ``__init__`` lays
-    out each (derivative order, term) pair as the chain
+    the RHS (in ``__init__``), the Jacobian columns and the 24 jet entries
+    (each on first use, so finite-difference models never build them), the
+    field lays out each (derivative order, term) pair as the chain
     ``coef w_1 x1^e_1 w_2 x2^e_2 w_3 x3^e_3 w_mu mu^e_mu`` (falling-factorial
     weights w, reduced exponents e).  A call builds a power table with libm
     ``pow`` on Python floats (numpy's array power and ``x * x`` round
@@ -191,10 +193,14 @@ class PolynomialField:
         self.exponents = np.array([row[1:] for row in rows], dtype=int).reshape(-1, 4)
         self.component = np.repeat(np.arange(STATE_DIM), [len(t) for t in components])
         self._rhs = self._layout([(0, 0, 0, 0)])
-        self._jacobian = self._layout([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
-        self._jet = self._layout(
-            [(*i, 0) for i in _JET_INDICES] + [(*i, 1) for i in _MU_INDICES]
-        )
+
+    @functools.cached_property
+    def _jacobian(self):
+        return self._layout([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+
+    @functools.cached_property
+    def _jet(self):
+        return self._layout([(*i, 0) for i in _JET_INDICES] + [(*i, 1) for i in _MU_INDICES])
 
     def _layout(self, orders: list[tuple[int, int, int, int]], every_term: bool = False):
         """What a call with these derivative orders needs: the orders, the
@@ -284,17 +290,16 @@ def polynomial_model(
 ) -> ModelDefinition:
     """Build a model from ``{"y1": [[coef, i, j, k, m], ...], "y2": ..., "z": ...}``."""
     keys = ("y1", "y2", "z")
-    if set(spec) != set(keys):
-        raise InvalidParams(
-            f"polynomial spec must have exactly the keys {keys}, got {sorted(spec)}"
-        )
+    if not isinstance(spec, Mapping) or set(spec) != set(keys):
+        raise InvalidParams(f"polynomial spec must be an object with exactly the keys {keys}")
     components = []
     for key in keys:
         terms = []
-        for row in spec[key]:
-            if len(row) != 5:
+        rows = spec[key]
+        for row in rows if isinstance(rows, Sequence) else [rows]:
+            if not isinstance(row, Sequence) or len(row) != 5:
                 raise InvalidParams(
-                    f"each term is [coef, i, j, k, m]; component {key!r} has {list(row)}"
+                    f"each term is [coef, i, j, k, m]; component {key!r} has {row!r}"
                 )
             try:
                 coef, powers = float(row[0]), tuple(int(p) for p in row[1:])
@@ -481,17 +486,30 @@ def finite_difference_jet(
 # ---------------------------------------------------------------------------
 
 
-def _require(params: Mapping[str, float], names: Sequence[str], model: str) -> list[float]:
-    missing = [n for n in names if n not in params]
+def _require(
+    params: Mapping[str, float],
+    names: Sequence[str],
+    model: str,
+    defaults: Mapping[str, float] | None = None,
+) -> list[float]:
+    """The named parameters as finite floats, missing ones taken from
+    ``defaults``; anything else is `InvalidParams`."""
+    if not isinstance(params, Mapping):
+        raise InvalidParams(f"model '{model}' params must be a JSON object")
+    filled = {**(defaults or {}), **params}
+    missing = [n for n in names if n not in filled]
     if missing:
         raise InvalidParams(f"model '{model}' missing parameters: {missing}")
     extra = sorted(set(params) - set(names))
     if extra:
         raise InvalidParams(f"model '{model}' got unknown parameters: {extra}")
     try:
-        return [float(params[n]) for n in names]
+        values = [float(filled[n]) for n in names]
     except (TypeError, ValueError) as exc:
         raise InvalidParams(f"model '{model}' parameters must be numbers") from exc
+    if not all(map(math.isfinite, values)):
+        raise InvalidParams(f"model '{model}' parameters must be finite")
+    return values
 
 
 def _predator_prey(params: Mapping[str, float]) -> ModelDefinition:
@@ -678,19 +696,11 @@ def _toy_cylindrical(params: Mapping[str, float]) -> ModelDefinition:
         "gamma7",
         "eps",
     )
-    filled = dict({n: 0.0 for n in names}, eps=1.0, omega=1.0)
-    unknown = sorted(set(params) - set(names))
-    if unknown:
-        raise InvalidParams(f"model 'toy_cylindrical' got unknown parameters: {unknown}")
-    filled.update({k: float(v) for k, v in params.items()})
-    omega = filled["omega"]
+    defaults = dict({n: 0.0 for n in names}, eps=1.0, omega=1.0)
+    values = _require(params, names, "toy_cylindrical", defaults)
+    omega, b1, b2, b3, b4, b5, b6, g3, g5, g7, eps = values
     if omega <= 0:
         raise InvalidParams("toy_cylindrical needs omega > 0")
-    b1, b2, b3, b4 = (filled[k] for k in ("beta1", "beta2", "beta3", "beta4"))
-    b5, b6, g3, g5, g7 = (
-        filled[k] for k in ("beta5", "beta6", "gamma3", "gamma5", "gamma7")
-    )
-    eps = filled["eps"]
 
     o = omega
     e2 = eps * eps
@@ -724,19 +734,14 @@ def _toy_cylindrical(params: Mapping[str, float]) -> ModelDefinition:
             ],
         ]
     )
-    meta = {"params": dict(filled)}
+    meta = {"params": dict(zip(names, values))}
     return field.model("toy_cylindrical", meta)
 
 
 def _classical_hopf(params: Mapping[str, float]) -> ModelDefinition:
     """Classical Hopf normal form with decoupled drift: no equilibrium line."""
     names = ("omega", "sign")
-    filled = {"omega": 1.0, "sign": -1.0}
-    unknown = sorted(set(params) - set(names))
-    if unknown:
-        raise InvalidParams(f"model 'classical_hopf' got unknown parameters: {unknown}")
-    filled.update({k: float(v) for k, v in params.items()})
-    omega, sign = filled["omega"], filled["sign"]
+    omega, sign = _require(params, names, "classical_hopf", {"omega": 1.0, "sign": -1.0})
     if omega <= 0:
         raise InvalidParams("classical_hopf needs omega > 0")
     if sign not in (-1.0, 1.0):
@@ -748,7 +753,7 @@ def _classical_hopf(params: Mapping[str, float]) -> ModelDefinition:
             [(1.0, 0, 0, 0, 1)],
         ]
     )
-    meta = {"params": dict(filled)}
+    meta = {"params": {"omega": omega, "sign": sign}}
     return field.model("classical_hopf", meta)
 
 

@@ -54,13 +54,32 @@ class Trajectory:
         return np.asarray(self.sol(t))
 
 
+def _solve(rhs, t_span, y0, rtol: float, what: str, dense: bool = True, events=None):
+    """The one DOP853 call: atol = rtol/100; `StepFailure` when the solver
+    gives up, `NonFinite` when any step is not finite."""
+    sol = solve_ivp(
+        rhs,
+        t_span,
+        y0,
+        method="DOP853",
+        rtol=rtol,
+        atol=rtol * 1e-2,
+        dense_output=dense,
+        events=events,
+    )
+    if not sol.success:
+        raise StepFailure(f"{what} failed: {sol.message}")
+    if not np.all(np.isfinite(sol.y)):
+        raise NonFinite(f"{what} produced non-finite values")
+    return sol
+
+
 def integrate(
     model: ModelDefinition,
     mu: float,
     x0: Sequence[float],
     t_span: tuple[float, float],
     rtol: float = SWEEP_RTOL,
-    atol: float | None = None,
     n_samples: int = 1000,
     dense: bool = True,
 ) -> Trajectory:
@@ -72,25 +91,11 @@ def integrate(
     ignored.
     """
     x0 = np.asarray(x0, dtype=float)
-    sol = solve_ivp(
-        lambda t, X: model.rhs(X, mu),
-        t_span,
-        x0,
-        method="DOP853",
-        rtol=rtol,
-        atol=atol if atol is not None else rtol * 1e-2,
-        dense_output=dense,
-    )
-    if not sol.success:
-        raise StepFailure(f"integration failed: {sol.message}")
-    if dense:
-        ts = np.linspace(t_span[0], t_span[1], n_samples)
-        states = sol.sol(ts).T
-    else:
-        ts, states = sol.t, sol.y.T
-    if not np.all(np.isfinite(states)):
-        raise NonFinite("integration produced non-finite states")
-    return Trajectory(t=ts, states=states, sol=sol.sol if dense else None)
+    sol = _solve(lambda t, X: model.rhs(X, mu), t_span, x0, rtol, "integration", dense)
+    if not dense:
+        return Trajectory(t=sol.t, states=sol.y.T)
+    ts = np.linspace(t_span[0], t_span[1], n_samples)
+    return Trajectory(t=ts, states=sol.sol(ts).T, sol=sol.sol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -173,37 +178,9 @@ def _flow_with_monodromy(
         return out
 
     Y0 = np.concatenate([x0, np.eye(3).ravel(), [0.0]])
-    sol = solve_ivp(
-        rhs,
-        (0.0, T),
-        Y0,
-        method="DOP853",
-        rtol=rtol,
-        atol=rtol * 1e-2,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise StepFailure(f"variational integration failed: {sol.message}")
+    sol = _solve(rhs, (0.0, T), Y0, rtol, "variational integration")
     YT = sol.y[:, -1]
-    if not np.all(np.isfinite(YT)):
-        raise NonFinite("variational integration produced non-finite values")
     return YT[:3], YT[3:12].reshape(3, 3), YT[12], sol.sol
-
-
-def _flow(
-    model: ModelDefinition, mu: float, x0: np.ndarray, T: float, rtol: float
-) -> np.ndarray:
-    sol = solve_ivp(
-        lambda t, X: model.rhs(X, mu),
-        (0.0, T),
-        x0,
-        method="DOP853",
-        rtol=rtol,
-        atol=rtol * 1e-2,
-    )
-    if not sol.success:
-        raise StepFailure(f"integration failed: {sol.message}")
-    return sol.y[:, -1]
 
 
 def find_periodic_orbit(
@@ -229,6 +206,11 @@ def find_periodic_orbit(
     when accepted; a trial whose solve fails (`NonFinite`, `StepFailure`) is
     rejected and halved.  The converged solve's dense output gives `states`.
     """
+    if not (math.isfinite(mu) and n_samples >= 1 and rtol > 0 and newton_tol > 0):
+        raise InvalidBounds(
+            "shooting needs a finite mu, n_samples >= 1 and positive tolerances, got "
+            f"mu={mu}, n_samples={n_samples}, rtol={rtol}, newton_tol={newton_tol}"
+        )
     sd = _as_seed(seed)
     x = np.asarray(sd.anchor, dtype=float).copy()
     T = float(sd.period)
@@ -497,8 +479,8 @@ def continue_branch(
     elif seed_strategy == "simulate":
         if seed_state is None:
             raise InvalidBounds("simulate seeding needs a seed_state")
-        settled = _flow(model, grid[0], np.asarray(seed_state, dtype=float), settle_time, rtol)
-        seed = _detect_cycle(model, grid[0], settled, rtol=rtol)
+        settled = integrate(model, grid[0], seed_state, (0.0, settle_time), rtol, dense=False)
+        seed = _detect_cycle(model, grid[0], settled.states[-1], rtol=rtol)
     else:
         raise InvalidBounds(f"unknown seed strategy {seed_strategy!r}")
 
@@ -571,7 +553,7 @@ def averaged_drift_check(
 
     X0 = frame.from_frame((radius, 0.0, 0.0), mu)
     T = 2.0 * math.pi / frame.omega
-    XT = _flow(model, mu, X0, T, rtol)
+    XT = integrate(model, mu, X0, (0.0, T), rtol, dense=False).states[-1]
     z_end = frame.to_frame(XT, mu)[2]
     measured = float(z_end) / T
 
@@ -642,9 +624,12 @@ def simulate_truncated(
     The expansion is valid for 0 < |z| < r < 1; with ``enforce_validity`` the
     run raises `LeftDomain` as soon as the trajectory exits that wedge.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise InvalidBounds("epsilon must be positive")
     horizon = t_final if t_final is not None else 10.0 / epsilon
+    y0 = np.asarray(start, dtype=float)
+    if not (horizon > 0 and np.all(np.isfinite([epsilon, mu_tilde, horizon, *y0]))):
+        raise InvalidBounds("epsilon, mu_tilde, start and t_final must be finite, t_final positive")
     rhs = _truncated_rhs(coeffs, epsilon, mu_tilde)
 
     def validity(tau: float, y: np.ndarray) -> float:
@@ -652,18 +637,7 @@ def simulate_truncated(
         return min(r - abs(z), 1.0 - r)
 
     validity.terminal = enforce_validity  # type: ignore[attr-defined]
-    sol = solve_ivp(
-        rhs,
-        (0.0, horizon),
-        np.asarray(start, dtype=float),
-        method="DOP853",
-        rtol=rtol,
-        atol=rtol * 1e-2,
-        dense_output=True,
-        events=validity,
-    )
-    if not sol.success:
-        raise StepFailure(f"truncated integration failed: {sol.message}")
+    sol = _solve(rhs, (0.0, horizon), y0, rtol, "truncated integration", events=validity)
     if enforce_validity and sol.status == 1:
         raise LeftDomain(
             f"truncated trajectory left the validity wedge at tau = {sol.t[-1]:.4g}"

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import hybridhopf
+from hybridhopf import errors, models
 from hybridhopf.cli import main
 
 INTERIOR = {
@@ -337,11 +338,23 @@ def test_missing_config_flag_is_usage_error():
             {"polynomial": {"y1": [[bad, 0, 1, 0, 0]], "y2": [[1.0, 1, 0, 0, 0]], "z": []}}
             for bad in (float("nan"), float("inf"), float("-inf"))
         ),
+        {"builtin": "toy_cylindrical", "params": {"beta2": "abc"}},
+        {"builtin": "classical_hopf", "params": {"omega": "x"}},
+        {"builtin": "toy_cylindrical", "params": {"beta2": float("nan"), "beta5": 1.0, "gamma5": -1.0}},
+        {**INTERIOR, "params": {**INTERIOR["params"], "delta1": float("nan")}},
+        {**SYNTHETIC, "params": {**SYNTHETIC["params"], "a": float("nan")}},
+        {**INTERIOR, "params": [1.0]},
+        {**INTERIOR, "seed_state": "abc"},
+        {**INTERIOR, "seed_state": [0.1, float("nan"), 0.3]},
+        {"polynomial": {"y1": 5, "y2": [], "z": []}},
+        {"polynomial": [1, 2, 3]},
     ],
 )
-def test_bad_configs_are_usage_errors(workspace, doc):
+def test_bad_configs_are_usage_errors(workspace, doc, capsys):
     cfg = workspace.config(doc)
     assert main(["classify", "--config", cfg, "--out", workspace.outdir("u")]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_unreadable_and_malformed_configs(workspace):
@@ -360,6 +373,93 @@ def test_bad_mu_grid_is_usage_error(workspace):
         ["continue", "--config", cfg, "--mu-grid", "0.01,abc", "--out", workspace.outdir("bg")]
     )
     assert code == 64
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["continue", "--mu-grid", "0.001,nan"], INTERIOR),
+        (["continue"], {**INTERIOR, "mu_grid": ["a"]}),
+        (["continue"], {**INTERIOR, "mu_grid": 5}),
+        (["continue", "--mu-grid", "0.001", "--seed-strategy", "simulate", "--seed-state", "0.1,inf,0.3"], INTERIOR),
+        (["verify", "--mu", "0.005", "--samples", "0"], INTERIOR),
+        (["verify", "--mu", "0.005", "--samples", "-3"], INTERIOR),
+        (["verify", "--mu", "nan"], INTERIOR),
+        (["verify", "--mu", "0.005", "--tol", "-1"], INTERIOR),
+        (["eco-sweep", "--delta-bounds", "0.1,inf"], None),
+        (["truncated", "--epsilon", "0.1", "--mu-tilde", "0.25", "--r0", "inf"], INTERIOR),
+        (["truncated", "--epsilon", "0.1", "--mu-tilde", "0.25", "--r0", "0.8", "--t-final", "0"], INTERIOR),
+    ],
+)
+def test_malformed_numbers_are_usage_errors(workspace, capsys, argv, doc):
+    config = ["--config", workspace.config(doc)] if doc is not None else []
+    assert main([*argv, *config, "--out", workspace.outdir("mn")]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["truncated", "--epsilon", "nan", "--mu-tilde", "0.25", "--r0", "0.8"],
+        ["truncated", "--epsilon", "0.1", "--mu-tilde", "nan", "--r0", "0.8"],
+        ["verify", "--mu", "0.005", "--tol", "nan"],
+    ],
+)
+def test_non_finite_inputs_exit_instead_of_hanging(workspace, argv):
+    """Unchecked, each of these inputs keeps the integrator spinning without
+    end; a fresh interpreter with a timeout makes a hang fail the suite
+    instead of stalling it."""
+    cfg = workspace.config(INTERIOR)
+    result = subprocess.run(
+        [sys.executable, "-m", "hybridhopf.cli", *argv, "--config", cfg, "--out", workspace.outdir("h")],
+        capture_output=True,
+        text=True,
+        check=False,
+        env=source_env(),
+        timeout=60,
+    )
+    assert result.returncode == 64, result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+# Exit code and stderr prefix of every error class (README, "Exit codes").
+EXIT_TABLE = {
+    **dict.fromkeys(("InvalidParams", "InvalidBounds", "UnknownModel", "NotAdmissible", "UsageError"), (64, "error")),
+    **dict.fromkeys(
+        (
+            "NoConvergence", "SingularShooting", "StepFailure", "NonFinite", "LeftDomain",
+            "NotHopf", "SymmetryDefect", "WrongDirection", "NumericalFailure",
+        ),
+        (1, "numerical failure"),
+    ),
+    "AssumptionViolation": (2, "assumption violation"),
+    "Degenerate": (3, "degenerate"),
+    **dict.fromkeys(
+        ("MissingJetEntry", "DefectiveSpectrum", "DegenerateAlphas", "NoCoexistencePossible", "HybridHopfError"),
+        (1, "error"),
+    ),
+}
+
+
+def test_exit_table_names_every_error_class():
+    classes = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and issubclass(obj, errors.HybridHopfError)
+    }
+    assert classes == set(EXIT_TABLE)
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_TABLE))
+def test_each_error_class_maps_to_its_exit_code(workspace, monkeypatch, capsys, name):
+    code, prefix = EXIT_TABLE[name]
+
+    def fail(config):
+        raise getattr(errors, name)("planted failure")
+
+    monkeypatch.setattr(models, "from_config", fail)
+    assert main(["classify", "--config", workspace.config(INTERIOR), "--out", workspace.outdir("x")]) == code
+    assert capsys.readouterr().err == f"{prefix}: planted failure\n"
 
 
 def test_output_dir_from_environment(workspace, monkeypatch):

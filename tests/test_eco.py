@@ -36,6 +36,7 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
         dict(lam=1.4),
         dict(alpha1=0.0),
         dict(alpha2=-0.3),
+        *(dict.fromkeys([name], math.nan) for name in ("delta1", "delta2", "lam", "alpha1", "alpha2")),
     ],
 )
 def test_params_validation(kwargs):

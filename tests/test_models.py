@@ -16,7 +16,7 @@ from hybridhopf.errors import (
     SymmetryDefect,
     UnknownModel,
 )
-from hybridhopf.models import STATE_DIM, state_multi_indices
+from hybridhopf.models import STATE_DIM, PolynomialField, state_multi_indices
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +349,37 @@ def test_from_config_requires_exactly_one_source():
 def test_from_config_rejects_unknown_keys():
     with pytest.raises(InvalidParams):
         from_config({"builtin": "synthetic_nf", "params": {}, "extra": 1})
+
+
+def test_finite_difference_model_lays_out_only_the_rhs(monkeypatch):
+    calls = []
+    layout = PolynomialField._layout
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return layout(self, *args, **kwargs)
+
+    monkeypatch.setattr(PolynomialField, "_layout", counted)
+    params = {"beta2": -1.0, "beta3": -0.5, "beta5": 1.0, "gamma5": -1.0}
+    model = from_config({"builtin": "toy_cylindrical", "params": params, "jets": "finite_difference"})
+    table = jet(model, np.array([0.01, -0.02, 0.015]), 0.0)
+    assert table.step_report is not None
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("bad", ["abc", None, math.nan, math.inf])
+def test_builtin_parameters_must_be_finite_numbers(bad):
+    good = {
+        "predator_prey": {"delta1": 1.0, "delta2": 1.0, "lam": 0.3, "alpha1": 0.2, "alpha2": 0.6},
+        "synthetic_nf": {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0, "omega": 1.0},
+        "toy_cylindrical": {"beta2": 1.0, "eps": 0.5},
+        "classical_hopf": {"omega": 1.0, "sign": 1.0},
+    }
+    for name, params in good.items():
+        builtin(name, params)
+        for key in params:
+            with pytest.raises(InvalidParams):
+                builtin(name, {**params, key: bad})
 
 
 def test_from_config_finite_difference_mode_drops_exact_jets(interior):

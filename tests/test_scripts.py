@@ -19,8 +19,6 @@ def load_script(name: str):
 @pytest.mark.parametrize(
     "name, argv",
     [
-        ("run_region_sweep", ["--n", "20", "--seed", "1"]),
-        ("run_interior_branch", []),
         ("run_boundary_connection", ["--n-points", "3", "--settle-time", "300"]),
     ],
 )

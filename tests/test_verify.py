@@ -336,6 +336,24 @@ def test_truncated_equilibrium_is_stationary_at_first_order(closed_chart):
     assert run.equilibrium_residual < 1e-12
 
 
+@pytest.mark.parametrize(
+    "epsilon, mu_tilde, start, t_final",
+    [
+        (math.nan, 0.25, (0.5, 0.0), None),
+        (0.1, math.nan, (0.5, 0.0), None),
+        (0.1, 0.25, (math.inf, 0.0), None),
+        (0.1, 0.25, (0.5, math.nan), None),
+        (0.1, 0.25, (0.5, 0.0), math.nan),
+        (0.1, 0.25, (0.5, 0.0), 0.0),
+        (1e-320, 0.25, (0.5, 0.0), None),
+    ],
+)
+def test_truncated_rejects_non_finite_input(synthetic_pipeline, epsilon, mu_tilde, start, t_final):
+    coeffs = synthetic_pipeline(-1.0, 1.0, 1.0, 1.0).coeffs
+    with pytest.raises(InvalidBounds):
+        simulate_truncated(coeffs, epsilon, mu_tilde, start, t_final=t_final)
+
+
 def test_truncated_exits_validity_wedge(synthetic_pipeline):
     coeffs = synthetic_pipeline(-1, 1, 1, 1).coeffs
     # start near the wedge boundary |z| < r with strong inward mu-drift
