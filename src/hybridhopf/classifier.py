@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .coefficients import CylindricalCoefficients
-from .errors import AssumptionViolation, Degenerate, WrongDirection
+from .errors import AssumptionViolation, Degenerate, NonFinite, WrongDirection
 from .frame import StandardFrame
 
 TYPE_HYPERBOLIC = "H"
@@ -35,6 +35,8 @@ TYPE_ELLIPTIC_UNSTABLE = "EU"
 SIGN_THRESHOLD = 1e-6
 #: relative threshold below which the focus quantity counts as zero
 DEGENERACY_RTOL = 1e-9
+#: states sampled along a predicted orbit
+PREDICTED_STATES = 64
 
 
 def focus_quantity(coeffs: CylindricalCoefficients) -> float:
@@ -71,8 +73,17 @@ class Classification:
 
 
 def classify(coeffs: CylindricalCoefficients) -> Classification:
-    """Decide the bifurcation type carried by the reduced coefficients."""
+    """Decide the bifurcation type carried by the reduced coefficients.
+
+    A non-finite beta2, beta5, gamma5 or sigma raises `NonFinite`.
+    """
     b2, b5, g5 = coeffs.beta2, coeffs.beta5, coeffs.gamma5
+    sigma = focus_quantity(coeffs)
+    if not all(map(math.isfinite, (b2, b5, g5, sigma))):
+        raise NonFinite(
+            f"cannot classify non-finite coefficients: beta2 = {b2}, beta5 = {b5}, "
+            f"gamma5 = {g5}, sigma = {sigma}"
+        )
     small = [
         name
         for name, val in (("beta2", b2), ("beta5", b5), ("gamma5", g5))
@@ -85,7 +96,6 @@ def classify(coeffs: CylindricalCoefficients) -> Classification:
 
     xi = 1 if b2 * b5 > 0 else -1
     direction = -1 if b5 * g5 > 0 else 1
-    sigma = focus_quantity(coeffs)
     hint = 0.1 * abs(b5 / g5)
 
     if xi > 0:
@@ -152,7 +162,6 @@ def predict_orbit(
     coeffs: CylindricalCoefficients,
     mu: float,
     frame: StandardFrame | None = None,
-    n_states: int = 64,
 ) -> PredictedOrbit:
     """Leading-order orbit prediction at one parameter value.
 
@@ -176,7 +185,7 @@ def predict_orbit(
     if frame is not None:
         planar = frame.basis[:, :2]
         scale = r0 * float(np.linalg.norm(planar, 2))
-        phis = np.linspace(0.0, 2.0 * math.pi, n_states, endpoint=False)
+        phis = np.linspace(0.0, 2.0 * math.pi, PREDICTED_STATES, endpoint=False)
         states = np.array(
             [
                 frame.from_frame((r0 * math.cos(p), r0 * math.sin(p), 0.0), mu)

@@ -9,8 +9,9 @@ eco-sweep  classify random admissible predator-prey parameter sets
 truncated  integrate the truncated reduced dynamics, optionally vs. the model
 
 Exit codes: 0 success; 1 numerical failure (lost branch, no convergence,
-validity exit, requested mu on the orbit-free side); 2 assumption violation;
-3 degenerate classification; 64 configuration or usage errors.
+validity exit, requested mu on the orbit-free side, non-finite coefficients);
+2 assumption violation; 3 degenerate classification; 64 configuration or
+usage errors.
 
 Model configuration files are JSON documents of one of two shapes::
 
@@ -103,7 +104,8 @@ def _numbers(value, what: str, n: int | None = None) -> list[float]:
 
 
 def _pipeline(config: dict, out: Path | None = None):
-    """Model -> Hopf point -> assumptions -> frame -> coefficients.
+    """Model -> Hopf point -> assumptions (with frame and standard jet) ->
+    coefficients.
 
     Writes ``assumptions.json`` into ``out`` when given.  Frame and
     coefficients are None when an assumption fails.
@@ -114,9 +116,8 @@ def _pipeline(config: dict, out: Path | None = None):
     report = frame_mod.check_assumptions(model, X_H)
     frame = coeffs = None
     if report.all_pass():
-        jet = models.jet(model, X_H, 0.0)
-        frame = frame_mod.build_standard_frame(jet)
-        coeffs = compute_coefficients(frame_mod.standard_jet(jet, frame))
+        frame = report.frame
+        coeffs = compute_coefficients(report.standard_jet)
     if out is not None:
         _write_json(out / "assumptions.json", {
             "model": model.name, "point": [float(v) for v in X_H],

@@ -141,11 +141,7 @@ def closed_form_frame(p: EcoParams) -> StandardFrame:
     e3 = np.array([-(p.lam + p.alpha1) / (p.lam + p.alpha2), 1.0, 0.0])
     basis = np.column_stack([e1, e2, e3])
     # first-order parameter drift: d_mu F = (0, -a2, 0) at the Hopf point
-    f_mu = np.linalg.solve(basis, np.array([0.0, -a2, 0.0]))
-    mu_shift = np.array([-f_mu[1] / omega, f_mu[0] / omega, 0.0])
-    return StandardFrame(
-        origin=hopf_point(p), basis=basis, mu_shift=mu_shift, omega=omega
-    )
+    return StandardFrame.from_drift(hopf_point(p), basis, np.array([0.0, -a2, 0.0]), omega)
 
 
 def h_polynomials(p: EcoParams) -> tuple[float, float]:
@@ -255,11 +251,15 @@ def classify_closed_form(cf: Mapping[str, float]) -> Classification:
     return classify(coeffs)
 
 
-def interior_guard(floor: float = 1e-6) -> Callable[[np.ndarray], bool]:
+#: predator densities at or below this count as extinct for `interior_guard`
+INTERIOR_FLOOR = 1e-6
+
+
+def interior_guard() -> Callable[[np.ndarray], bool]:
     """Predicate for states strictly inside the coexistence region."""
 
     def guard(X: np.ndarray) -> bool:
-        return bool(X[0] > floor and X[1] > floor and 0.0 < X[2] < 1.0)
+        return bool(X[0] > INTERIOR_FLOOR and X[1] > INTERIOR_FLOOR and 0.0 < X[2] < 1.0)
 
     return guard
 
@@ -347,29 +347,28 @@ def lyapunov_rate(p: EcoParams, X: Sequence[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def sample_region(
-    n: int,
-    seed: int,
-    delta_bounds: tuple[float, float] = (0.05, 20.0),
-    margin: float = 0.05,
-) -> list[EcoParams]:
-    """Draw admissible parameter sets, log-uniform in the deltas.
+#: relative distance of `sample_region` draws from the region boundary, which
+#: keeps closed-form denominators well conditioned
+SAMPLE_MARGIN = 0.05
 
-    ``margin`` keeps draws a relative distance away from the region boundary
-    so that closed-form denominators stay well conditioned.
-    """
+
+def sample_region(
+    n: int, seed: int, delta_bounds: tuple[float, float] = (0.05, 20.0)
+) -> list[EcoParams]:
+    """Draw ``n >= 1`` admissible parameter sets, log-uniform in the deltas,
+    at least `SAMPLE_MARGIN` (relative) inside the region boundary."""
     lo, hi = delta_bounds
     if not (0.0 < lo < hi):
         raise InvalidBounds(f"delta bounds must satisfy 0 < lo < hi, got {delta_bounds}")
-    if not 0.0 < margin < 0.5:
-        raise InvalidBounds("margin must be in (0, 1/2)")
+    if n < 1:
+        raise InvalidBounds(f"the sample count must be at least 1, got {n}")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
-        lam = float(rng.uniform(0.5 * margin, 0.5 * (1.0 - margin)))
+        lam = float(rng.uniform(0.5 * SAMPLE_MARGIN, 0.5 * (1.0 - SAMPLE_MARGIN)))
         width = 1.0 - 2.0 * lam
-        alpha1 = float(width * rng.uniform(margin, 1.0 - margin))
-        alpha2 = float(width + (1.0 - width) * rng.uniform(margin, 1.0 - margin))
+        alpha1 = float(width * rng.uniform(SAMPLE_MARGIN, 1.0 - SAMPLE_MARGIN))
+        alpha2 = float(width + (1.0 - width) * rng.uniform(SAMPLE_MARGIN, 1.0 - SAMPLE_MARGIN))
         d1, d2 = np.exp(rng.uniform(math.log(lo), math.log(hi), size=2))
         params = EcoParams(
             delta1=float(d1), delta2=float(d2), lam=lam, alpha1=alpha1, alpha2=alpha2

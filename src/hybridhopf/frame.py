@@ -26,9 +26,10 @@ from . import models
 from .errors import DefectiveSpectrum, NoConvergence, NonFinite, NotHopf
 from .models import JetTable, ModelDefinition, STATE_DIM
 
-#: |F| and |Re nu| targets for locate_hopf_point
+#: |F| and |Re nu| targets and the Newton budget of locate_hopf_point
 LOCATE_RESIDUAL_TOL = 1e-12
 LOCATE_SPECTRUM_TOL = 1e-10
+LOCATE_MAX_ITER = 50
 #: line-of-equilibria residual threshold (assumption: F vanishes on a curve)
 A1_THRESHOLD = 1e-10
 #: spectrum-pattern threshold for {0, +-i omega}
@@ -48,14 +49,10 @@ def _spectrum_split(J: np.ndarray) -> tuple[complex, complex]:
     return complex(nu), complex(nu0)
 
 
-def locate_hopf_point(
-    model: ModelDefinition,
-    seed: Sequence[float],
-    mu: float = 0.0,
-    max_iter: int = 50,
-) -> np.ndarray:
-    """Newton-solve {F(X) = 0, Re nu(X) = 0} for a point on the equilibrium line
-    where the planar eigenvalue pair crosses the imaginary axis.
+def locate_hopf_point(model: ModelDefinition, seed: Sequence[float]) -> np.ndarray:
+    """Newton-solve {F(X) = 0, Re nu(X) = 0} at mu = 0 for a point on the
+    equilibrium line where the planar eigenvalue pair crosses the imaginary
+    axis.
 
     The system is overdetermined (four conditions, three unknowns) but
     consistent on a line of equilibria; steps are least-squares solves.
@@ -63,25 +60,19 @@ def locate_hopf_point(
     X = np.asarray(seed, dtype=float).copy()
     if X.shape != (STATE_DIM,):
         raise NoConvergence(f"seed must be a 3-vector, got shape {X.shape}")
-    jacobian = models.jacobian_fn(model, mu)
+    jacobian = models.jacobian_fn(model, 0.0)
 
     def residual(P: np.ndarray) -> np.ndarray:
-        F = models.evaluate(model, P, mu)
+        F = models.evaluate(model, P, 0.0)
         nu, _ = _spectrum_split(jacobian(P))
         return np.array([F[0], F[1], F[2], nu.real])
 
     G = residual(X)
-    for _ in range(max_iter):
+    for _ in range(LOCATE_MAX_ITER):
         F_norm = float(np.max(np.abs(G[:3])))
         if F_norm < LOCATE_RESIDUAL_TOL and abs(G[3]) < LOCATE_SPECTRUM_TOL:
             break
-        # finite-difference Jacobian of the residual
-        JG = np.empty((4, STATE_DIM))
-        for i in range(STATE_DIM):
-            h = 1e-7 * max(1.0, abs(X[i]))
-            e = np.zeros(STATE_DIM)
-            e[i] = h
-            JG[:, i] = (residual(X + e) - residual(X - e)) / (2.0 * h)
+        JG = models.central_difference(residual, X)
         step, *_ = np.linalg.lstsq(JG, -G, rcond=None)
         base = float(np.linalg.norm(G))
         scale = 1.0
@@ -100,7 +91,7 @@ def locate_hopf_point(
         G = G_new
     else:
         raise NoConvergence(
-            f"Hopf-point search did not converge in {max_iter} iterations "
+            f"Hopf-point search did not converge in {LOCATE_MAX_ITER} iterations "
             f"(|F| = {np.max(np.abs(G[:3])):.2e}, Re nu = {G[3]:.2e})"
         )
 
@@ -137,6 +128,16 @@ class StandardFrame:
     def from_frame(self, u: Sequence[float], mu: float = 0.0) -> np.ndarray:
         shifted = np.asarray(u, dtype=float) + mu * self.mu_shift
         return self.origin + self.basis @ shifted
+
+    @classmethod
+    def from_drift(
+        cls, origin: np.ndarray, basis: np.ndarray, f_mu: np.ndarray, omega: float
+    ) -> StandardFrame:
+        """The frame whose ``mu_shift`` cancels the planar part of the
+        first-order drift ``f_mu = d_mu F`` at the origin."""
+        drift = np.linalg.solve(basis, f_mu)
+        mu_shift = np.array([-drift[1] / omega, drift[0] / omega, 0.0])
+        return cls(origin=origin, basis=basis, mu_shift=mu_shift, omega=omega)
 
 
 def _realify(vec: np.ndarray) -> np.ndarray:
@@ -210,13 +211,8 @@ def build_standard_frame(jet: JetTable) -> StandardFrame:
     if abs(np.linalg.det(basis)) < 1e-12:
         raise DefectiveSpectrum("eigenvectors do not span R^3")
 
-    f_mu = np.linalg.solve(basis, jet.mu_deriv(0, 0, 0))
-    mu_shift = np.array([-f_mu[1] / omega, f_mu[0] / omega, 0.0])
-    return StandardFrame(
-        origin=np.array(jet.point, dtype=float),
-        basis=basis,
-        mu_shift=mu_shift,
-        omega=omega,
+    return StandardFrame.from_drift(
+        np.array(jet.point, dtype=float), basis, jet.mu_deriv(0, 0, 0), omega
     )
 
 
@@ -298,6 +294,10 @@ class AssumptionReport:
     a3: parameter-free transversality, d/dz of the planar divergence.
     a4: planar Laplacian of the third field component.
     a5: first-order parameter drift along the line direction.
+
+    ``frame`` and ``standard_jet`` are the chart and the jet in it that the
+    checks built (None when the spectrum admits no frame); they are not part
+    of `to_document`.
     """
 
     a1_line_residual: float
@@ -308,6 +308,8 @@ class AssumptionReport:
     a5_drift: float
     omega: float
     verdicts: Mapping[str, bool]
+    frame: StandardFrame | None = dataclasses.field(compare=False)
+    standard_jet: JetTable | None = dataclasses.field(compare=False)
 
     def all_pass(self) -> bool:
         return all(self.verdicts.values())
@@ -333,24 +335,18 @@ class AssumptionReport:
         }
 
 
-def _line_residual(
-    model: ModelDefinition,
-    X_H: np.ndarray,
-    e3: np.ndarray,
-    mu: float,
-    half_length: float = 0.1,
-    n_samples: int = 20,
-) -> float:
-    """Max |F| over equilibria continued transversally along the e3 segment."""
-    jacobian = models.jacobian_fn(model, mu)
+def _line_residual(model: ModelDefinition, X_H: np.ndarray, e3: np.ndarray) -> float:
+    """Max |F| at mu = 0 over equilibria continued transversally from 20
+    points of the segment X_H + t e3, |t| <= 0.1."""
+    jacobian = models.jacobian_fn(model, 0.0)
     worst = 0.0
-    for t in np.linspace(-half_length, half_length, n_samples):
+    for t in np.linspace(-0.1, 0.1, 20):
         P = X_H + t * e3
         X = P.copy()
         best = math.inf
         for _ in range(25):
             try:
-                F = models.evaluate(model, X, mu)
+                F = models.evaluate(model, X, 0.0)
             except NonFinite:
                 best = math.inf
                 break
@@ -365,16 +361,14 @@ def _line_residual(
     return worst
 
 
-def check_assumptions(
-    model: ModelDefinition, X_H: Sequence[float], mu: float = 0.0
-) -> AssumptionReport:
-    """Evaluate all five standing assumptions at a candidate point.
+def check_assumptions(model: ModelDefinition, X_H: Sequence[float]) -> AssumptionReport:
+    """Evaluate all five standing assumptions at a candidate point, at mu = 0.
 
     Failures are verdicts, not exceptions: downstream code decides whether a
     failed assumption is fatal.
     """
     X_H = np.asarray(X_H, dtype=float)
-    jt = models.jet(model, X_H, mu)
+    jt = models.jet(model, X_H, 0.0)
     J = jt.jacobian()
     nu, nu0 = _spectrum_split(J)
     spectrum = (nu, np.conj(nu), nu0)
@@ -384,19 +378,19 @@ def check_assumptions(
 
     a3 = a4 = a5 = math.nan
     a1 = math.inf
-    frame_ok = False
+    frame = std = None
     if a2_ok:
         try:
             frame = build_standard_frame(jt)
-            frame_ok = True
         except DefectiveSpectrum:
-            frame_ok = False
+            pass
+    frame_ok = frame is not None
     if frame_ok:
         std = standard_jet(jt, frame)
         a3 = std.state(1, 0, 1, 0) + std.state(0, 1, 1, 1)
         a4 = std.state(2, 0, 0, 2) + std.state(0, 2, 0, 2)
         a5 = std.mu_deriv(0, 0, 0, 2)
-        a1 = _line_residual(model, X_H, frame.basis[:, 2], mu)
+        a1 = _line_residual(model, X_H, frame.basis[:, 2])
 
     verdicts = {
         "a1_line": a1 < A1_THRESHOLD,
@@ -414,4 +408,6 @@ def check_assumptions(
         a5_drift=a5,
         omega=omega,
         verdicts=verdicts,
+        frame=frame,
+        standard_jet=std,
     )

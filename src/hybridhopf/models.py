@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -34,9 +35,9 @@ _STENCILS: dict[int, dict[int, float]] = {
 }
 
 
-def state_multi_indices(max_order: int = JET_ORDER) -> Iterator[StateIndex]:
-    """Yield all (a, b, c) with 1 <= a+b+c <= max_order, graded-lex order."""
-    for total in range(1, max_order + 1):
+def state_multi_indices() -> Iterator[StateIndex]:
+    """Yield all (a, b, c) with 1 <= a+b+c <= JET_ORDER, graded-lex order."""
+    for total in range(1, JET_ORDER + 1):
         for a in range(total, -1, -1):
             for b in range(total - a, -1, -1):
                 yield (a, b, total - a - b)
@@ -137,26 +138,30 @@ def jet(model: ModelDefinition, point: Sequence[float], mu: float) -> JetTable:
     return finite_difference_jet(model, X, float(mu))
 
 
+def central_difference(
+    f: Callable[[np.ndarray], np.ndarray], X: np.ndarray
+) -> np.ndarray:
+    """Matrix whose column i is (f(X + h e_i) - f(X - h e_i)) / 2h, with
+    h = 1e-7 * max(1, |x_i|)."""
+    columns = []
+    for i in range(STATE_DIM):
+        h = 1e-7 * max(1.0, abs(X[i]))
+        e = np.zeros(STATE_DIM)
+        e[i] = h
+        columns.append((f(X + e) - f(X - e)) / (2.0 * h))
+    return np.column_stack(columns)
+
+
 def jacobian_fn(model: ModelDefinition, mu: float) -> Callable[[np.ndarray], np.ndarray]:
     """X -> dF/dX at fixed mu: the model's Jacobian, else its exact jet's,
-    else central differences with h = 1e-7 * max(1, |x_i|)."""
+    else `central_difference` of the RHS."""
     if model.jacobian is not None:
         jac = model.jacobian
         return lambda X: np.asarray(jac(X, mu), dtype=float)
     if model.exact_jet is not None:
         exact_jet = model.exact_jet
         return lambda X: exact_jet(X, mu).jacobian()
-
-    def central(X: np.ndarray) -> np.ndarray:
-        J = np.empty((STATE_DIM, STATE_DIM))
-        for i in range(STATE_DIM):
-            h = 1e-7 * max(1.0, abs(X[i]))
-            e = np.zeros(STATE_DIM)
-            e[i] = h
-            J[:, i] = (model.rhs(X + e, mu) - model.rhs(X - e, mu)) / (2.0 * h)
-        return J
-
-    return central
+    return lambda X: central_difference(lambda P: model.rhs(P, mu), X)
 
 
 # ---------------------------------------------------------------------------
@@ -318,51 +323,32 @@ def polynomial_model(
 # finite-difference jets
 # ---------------------------------------------------------------------------
 
-
-@dataclasses.dataclass(frozen=True)
-class StepConfig:
-    """Finite-difference step policy.
-
-    Base steps are relative to max(1, |coordinate|); order-3 stencils use a
-    larger step because the difference quotient divides by h^3.
-    """
-
-    base_low: float = 1e-4
-    base_third: float = 1e-3
-    base_mu: float = 1e-4
-    tolerance: float = 1e-6
-    symmetry_factor: float = 100.0
+#: steps relative to max(1, |coordinate|): stencils up to order two, order
+#: three (larger, since the quotient divides by h^3) and the parameter
+FD_STEP = 1e-4
+FD_STEP_THIRD = 1e-3
+FD_STEP_MU = 1e-4
+#: accuracy a finite-difference jet claims for each entry
+FD_TOLERANCE = 1e-6
+#: mixed-partial routes may disagree by this many tolerances
+FD_SYMMETRY_FACTOR = 100.0
 
 
 def _fd_tensor(
     f: Callable[[np.ndarray], np.ndarray],
     point: np.ndarray,
     orders: Sequence[int],
-    steps: Sequence[float],
+    steps: np.ndarray,
 ) -> np.ndarray:
     """Tensor-product central difference of given per-axis orders."""
     total = np.zeros(STATE_DIM)
-    axes = [list(_STENCILS[o].items()) for o in orders]
+    for stencil in itertools.product(*(_STENCILS[o].items() for o in orders)):
+        offsets, weights = zip(*stencil)
+        total += math.prod(weights) * f(point + np.array(offsets) * steps)
     scale = 1.0
     for o, h in zip(orders, steps):
         scale *= h**o
-
-    def recurse(axis: int, shift: np.ndarray, weight: float) -> None:
-        nonlocal total
-        if axis == len(axes):
-            val = f(point + shift)
-            if not np.all(np.isfinite(val)):
-                raise NonFinite("finite-difference probe left the finite domain")
-            total += weight * val
-            return
-        for offset, w in axes[axis]:
-            recurse(axis + 1, shift + offset * steps[axis] * _AXES[axis], weight * w)
-
-    recurse(0, np.zeros(STATE_DIM), 1.0)
     return total / scale
-
-
-_AXES = [np.eye(STATE_DIM)[i] for i in range(STATE_DIM)]
 
 
 def _richardson(
@@ -380,102 +366,78 @@ def _richardson(
 def _directional_second(
     f: Callable[[np.ndarray], np.ndarray], point: np.ndarray, u: np.ndarray, h: float
 ) -> np.ndarray:
-    def g(s: float) -> np.ndarray:
-        val = f(point + s * u)
-        if not np.all(np.isfinite(val)):
-            raise NonFinite("finite-difference probe left the finite domain")
-        return val
-
     def second(step: float) -> np.ndarray:
-        return (g(step) - 2.0 * g(0.0) + g(-step)) / step**2
+        values = [f(point + s * u) for s in (step, 0.0, -step)]
+        return (values[0] - 2.0 * values[1] + values[2]) / step**2
 
     return (4.0 * second(h / 2.0) - second(h)) / 3.0
 
 
 def finite_difference_jet(
-    model: ModelDefinition,
-    point: Sequence[float],
-    mu: float,
-    config: StepConfig | None = None,
+    model: ModelDefinition, point: Sequence[float], mu: float
 ) -> JetTable:
     """Order-3 jet by guarded central differences.
 
     Every entry is computed on a tensor-product central stencil at two step
     sizes and Richardson-extrapolated.  Mixed second partials are additionally
     recomputed through a diagonal directional route; if the two routes
-    disagree by more than ``symmetry_factor * tolerance`` the field is not
-    C^2 at the requested accuracy and `SymmetryDefect` is raised.
+    disagree by more than ``FD_SYMMETRY_FACTOR * FD_TOLERANCE`` the field is
+    not C^2 at the requested accuracy and `SymmetryDefect` is raised.  Every
+    probe goes through `evaluate`, so one that is not finite raises `NonFinite`.
     """
-    cfg = config or StepConfig()
     X = np.asarray(point, dtype=float)
     mu = float(mu)
 
-    def f_state(P: np.ndarray) -> np.ndarray:
-        return np.asarray(model.rhs(P, mu), dtype=float)
+    def at(m: float) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda P: evaluate(model, P, m)
 
-    d_state: dict[StateIndex, np.ndarray] = {(0, 0, 0): f_state(X)}
-    if not np.all(np.isfinite(d_state[(0, 0, 0)])):
-        raise NonFinite(f"model '{model.name}' non-finite at expansion point")
+    def steps(base: float) -> np.ndarray:
+        return np.array([base * max(1.0, abs(X[i])) for i in range(STATE_DIM)])
+
+    d_state: dict[StateIndex, np.ndarray] = {(0, 0, 0): at(mu)(X)}
     step_report: dict[StateIndex, tuple[float, ...]] = {}
-
     for idx in state_multi_indices():
-        total_order = sum(idx)
-        base = cfg.base_third if total_order >= 3 else cfg.base_low
-        steps = np.array([base * max(1.0, abs(X[i])) for i in range(STATE_DIM)])
-        d_state[idx] = _richardson(f_state, X, idx, steps)
-        step_report[idx] = tuple(steps[i] for i in range(STATE_DIM) if idx[i] > 0)
+        h = steps(FD_STEP_THIRD if sum(idx) >= 3 else FD_STEP)
+        d_state[idx] = _richardson(at(mu), X, idx, h)
+        step_report[idx] = tuple(h[i] for i in range(STATE_DIM) if idx[i] > 0)
 
     # cross-route check on mixed second partials
     defect = 0.0
     for i, j in ((0, 1), (0, 2), (1, 2)):
         idx = tuple(1 if k in (i, j) else 0 for k in range(STATE_DIM))
-        u = (_AXES[i] + _AXES[j]) / math.sqrt(2.0)
-        h = cfg.base_low * max(1.0, abs(X[i]), abs(X[j]))
-        second_u = _directional_second(f_state, X, u, h)
+        u = np.array(idx, dtype=float) / math.sqrt(2.0)
+        h = FD_STEP * max(1.0, abs(X[i]), abs(X[j]))
+        second_u = _directional_second(at(mu), X, u, h)
         e_i = tuple(2 if k == i else 0 for k in range(STATE_DIM))
         e_j = tuple(2 if k == j else 0 for k in range(STATE_DIM))
         diag_route = second_u - 0.5 * (d_state[e_i] + d_state[e_j])
         defect = max(defect, float(np.max(np.abs(d_state[idx] - diag_route))))
-    if defect > cfg.symmetry_factor * cfg.tolerance:
+    threshold = FD_SYMMETRY_FACTOR * FD_TOLERANCE
+    if defect > threshold:
         raise SymmetryDefect(
-            f"mixed partial routes disagree by {defect:.3e} "
-            f"(threshold {cfg.symmetry_factor * cfg.tolerance:.1e})"
+            f"mixed partial routes disagree by {defect:.3e} (threshold {threshold:.1e})"
         )
 
     # parameter block: d_mu F and d_mu d_{x_i} F
-    h_mu = cfg.base_mu * max(1.0, abs(mu))
+    h_mu = FD_STEP_MU * max(1.0, abs(mu))
 
     def mu_derivative(state_idx: StateIndex) -> np.ndarray:
-        def at(m: float) -> Callable[[np.ndarray], np.ndarray]:
-            return lambda P: np.asarray(model.rhs(P, m), dtype=float)
-
         def d_state_at(m: float) -> np.ndarray:
             if state_idx == (0, 0, 0):
-                val = at(m)(X)
-                if not np.all(np.isfinite(val)):
-                    raise NonFinite("finite-difference probe left the finite domain")
-                return val
-            steps = np.array(
-                [cfg.base_low * max(1.0, abs(X[i])) for i in range(STATE_DIM)]
-            )
-            return _richardson(at(m), X, state_idx, steps)
+                return at(m)(X)
+            return _richardson(at(m), X, state_idx, steps(FD_STEP))
 
         def first(step: float) -> np.ndarray:
             return (d_state_at(mu + step) - d_state_at(mu - step)) / (2.0 * step)
 
         return (4.0 * first(h_mu / 2.0) - first(h_mu)) / 3.0
 
-    d_mu = {
-        idx: mu_derivative(idx)
-        for idx in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-    }
-
     return JetTable(
         point=X,
         mu=mu,
         d_state=d_state,
-        d_mu=d_mu,
-        tolerance=cfg.tolerance,
+        d_mu={idx: mu_derivative(idx) for idx in _MU_INDICES},
+        tolerance=FD_TOLERANCE,
         symmetry_defect=defect,
         step_report=step_report,
     )

@@ -36,6 +36,14 @@ from .models import ModelDefinition
 ORBIT_RTOL = 1e-11
 #: integrator tolerance for continuation sweeps
 SWEEP_RTOL = 1e-9
+#: integrator tolerance of the averaged-drift and truncated-dynamics probes
+PROBE_RTOL = 1e-10
+#: Newton budget of one shooting solve
+SHOOTING_MAX_ITER = 25
+#: shooting iterates must stay within this many seed amplitudes of the seed
+DRIFT_FACTOR = 3.0
+#: closure tolerance of each continuation point
+BRANCH_NEWTON_TOL = 1e-10
 #: Floquet moduli must clear the unit circle by this margin for a verdict
 FLOQUET_MARGIN = 1e-6
 
@@ -107,29 +115,18 @@ class ShootingSeed:
     scale: float | None = None
 
 
-def _as_seed(seed) -> ShootingSeed:
+def _as_seed(seed: ShootingSeed | PredictedOrbit) -> ShootingSeed:
     if isinstance(seed, ShootingSeed):
         return seed
-    if isinstance(seed, PredictedOrbit):
-        if seed.anchor is None:
-            raise NoConvergence(
-                "orbit prediction has no states; predict with a frame to seed shooting"
-            )
-        return ShootingSeed(
-            anchor=np.asarray(seed.anchor, dtype=float),
-            period=seed.period,
-            scale=seed.amplitude_scale,
+    if seed.anchor is None:
+        raise NoConvergence(
+            "orbit prediction has no states; predict with a frame to seed shooting"
         )
-    parts = tuple(seed)
-    if len(parts) == 3:
-        anchor, period, scale = parts
-        return ShootingSeed(
-            anchor=np.asarray(anchor, dtype=float),
-            period=float(period),
-            scale=float(scale),
-        )
-    anchor, period = parts
-    return ShootingSeed(anchor=np.asarray(anchor, dtype=float), period=float(period))
+    return ShootingSeed(
+        anchor=np.asarray(seed.anchor, dtype=float),
+        period=seed.period,
+        scale=seed.amplitude_scale,
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -186,21 +183,21 @@ def _flow_with_monodromy(
 def find_periodic_orbit(
     model: ModelDefinition,
     mu: float,
-    seed,
+    seed: ShootingSeed | PredictedOrbit,
     rtol: float = ORBIT_RTOL,
     newton_tol: float = 1e-11,
-    max_iter: int = 25,
-    drift_cap: float | None = None,
     guard: Callable[[np.ndarray], bool] | None = None,
     n_samples: int = 256,
 ) -> PeriodicOrbit:
-    """Newton shooting for a periodic orbit near a seed.
+    """Newton shooting for a periodic orbit near a seed (a `ShootingSeed`, or
+    a `PredictedOrbit` made with a frame).
 
     The phase condition pins the solution to the plane through the seed
     anchor orthogonal to the flow there.  The solve is deliberately local:
-    iterates that wander more than ``drift_cap`` from the seed (default three
-    seed amplitudes), leave the model domain, or violate ``guard`` raise
-    `NoConvergence` instead of silently landing on a distant attractor.
+    iterates that wander more than `DRIFT_FACTOR` seed amplitudes from the
+    seed (no limit for a seed without a scale), leave the model domain, or
+    violate ``guard`` raise `NoConvergence` instead of silently landing on a
+    distant attractor.
 
     Every Newton trial is one variational solve, reused as the next iterate
     when accepted; a trial whose solve fails (`NonFinite`, `StepFailure`) is
@@ -217,8 +214,7 @@ def find_periodic_orbit(
     if T <= 0:
         raise NoConvergence("seed period must be positive")
     T0 = T
-    if drift_cap is None:
-        drift_cap = 3.0 * sd.scale if sd.scale else math.inf
+    drift_cap = DRIFT_FACTOR * sd.scale if sd.scale else math.inf
 
     F0 = models.evaluate(model, x, mu)
     speed = float(np.linalg.norm(F0))
@@ -243,7 +239,7 @@ def find_periodic_orbit(
     xT, monodromy, trace_int, dense = _flow_with_monodromy(model, mu, x, T, rtol)
     converged = False
     res_norm = math.inf
-    for _ in range(max_iter):
+    for _ in range(SHOOTING_MAX_ITER):
         R = np.append(xT - x, normal @ (x - anchor0))
         res_norm = float(np.max(np.abs(R)))
         if res_norm < newton_tol:
@@ -284,7 +280,7 @@ def find_periodic_orbit(
             raise NoConvergence("shooting stalled: no residual decrease")
     if not converged:
         raise NoConvergence(
-            f"shooting did not reach tolerance in {max_iter} iterations "
+            f"shooting did not reach tolerance in {SHOOTING_MAX_ITER} iterations "
             f"(residual {res_norm:.2e})"
         )
 
@@ -326,16 +322,17 @@ class StabilityVerdict:
         return dataclasses.asdict(self)
 
 
-def floquet_stability(orbit: PeriodicOrbit, margin: float = FLOQUET_MARGIN) -> StabilityVerdict:
+def floquet_stability(orbit: PeriodicOrbit) -> StabilityVerdict:
     """Classify orbit stability from the nontrivial Floquet moduli."""
     mults = list(orbit.multipliers)
     trivial_idx = min(range(3), key=lambda i: abs(mults[i] - 1.0))
     trivial_defect = abs(mults[trivial_idx] - 1.0)
     others = [abs(m) for i, m in enumerate(mults) if i != trivial_idx]
     others.sort(reverse=True)
-    stable = bool(all(m < 1.0 - margin for m in others))
-    marginal = bool(any(1.0 - margin <= m <= 1.0 + margin for m in others))
-    unstable_count = int(sum(1 for m in others if m > 1.0 + margin))
+    lo, hi = 1.0 - FLOQUET_MARGIN, 1.0 + FLOQUET_MARGIN
+    stable = bool(all(m < lo for m in others))
+    marginal = bool(any(lo <= m <= hi for m in others))
+    unstable_count = int(sum(1 for m in others if m > hi))
     return StabilityVerdict(
         stable=stable,
         marginal=marginal,
@@ -401,20 +398,15 @@ def _fit_amplitudes(points: Sequence[BranchPoint]) -> AmplitudeFit | None:
     )
 
 
-def _detect_cycle(
-    model: ModelDefinition,
-    mu: float,
-    x: np.ndarray,
-    window: float = 300.0,
-    rtol: float = SWEEP_RTOL,
-) -> ShootingSeed:
-    """Estimate a cycle from recurrence on a transversal section."""
+def _detect_cycle(model: ModelDefinition, mu: float, x: np.ndarray) -> ShootingSeed:
+    """Estimate a cycle from recurrence on a transversal section over a
+    window of 300 time units."""
     F = models.evaluate(model, x, mu)
     speed = float(np.linalg.norm(F))
     if speed < 1e-12:
         raise NoConvergence("trajectory settled on an equilibrium, not a cycle")
     normal = F / speed
-    traj = integrate(model, mu, x, (0.0, window), rtol=rtol, n_samples=20000)
+    traj = integrate(model, mu, x, (0.0, 300.0), n_samples=20000)
     g = (traj.states - x) @ normal
     crossings = []
     for i in range(len(g) - 1):
@@ -428,7 +420,7 @@ def _detect_cycle(
     gaps = np.diff(crossings)
     period = float(np.median(gaps[-5:]))
     anchor = traj.at(crossings[-1])
-    loop = integrate(model, mu, anchor, (0.0, period), rtol=rtol, n_samples=400)
+    loop = integrate(model, mu, anchor, (0.0, period), n_samples=400)
     centroid = loop.states.mean(axis=0)
     scale = float(np.max(np.linalg.norm(loop.states - centroid, axis=1)))
     return ShootingSeed(anchor=anchor, period=period, scale=scale)
@@ -442,9 +434,6 @@ def continue_branch(
     seed_strategy: str = "predict",
     seed_state: Sequence[float] | None = None,
     settle_time: float = 1500.0,
-    rtol: float = SWEEP_RTOL,
-    newton_tol: float = 1e-10,
-    drift_factor: float = 3.0,
     guard: Callable[[np.ndarray], bool] | None = None,
     n_samples: int = 256,
 ) -> Branch:
@@ -454,7 +443,8 @@ def continue_branch(
     (``seed_strategy="predict"``, needs coeffs and frame) or by settling a
     trajectory onto the attractor and measuring its recurrence
     (``seed_strategy="simulate"``, needs seed_state).  Later points reuse the
-    previous orbit with a secant extrapolation of anchor and period.
+    previous orbit with a secant extrapolation of anchor and period.  Every
+    integration uses `SWEEP_RTOL`, every shooting solve `BRANCH_NEWTON_TOL`.
 
     Continuation stops at the first point where shooting fails; the partial
     branch is returned with ``lost_at`` set.
@@ -479,8 +469,8 @@ def continue_branch(
     elif seed_strategy == "simulate":
         if seed_state is None:
             raise InvalidBounds("simulate seeding needs a seed_state")
-        settled = integrate(model, grid[0], seed_state, (0.0, settle_time), rtol, dense=False)
-        seed = _detect_cycle(model, grid[0], settled.states[-1], rtol=rtol)
+        settled = integrate(model, grid[0], seed_state, (0.0, settle_time), dense=False)
+        seed = _detect_cycle(model, grid[0], settled.states[-1])
     else:
         raise InvalidBounds(f"unknown seed strategy {seed_strategy!r}")
 
@@ -503,9 +493,8 @@ def continue_branch(
                 model,
                 mu,
                 seed,
-                rtol=rtol,
-                newton_tol=newton_tol,
-                drift_cap=(drift_factor * seed.scale) if seed.scale else None,
+                rtol=SWEEP_RTOL,
+                newton_tol=BRANCH_NEWTON_TOL,
                 guard=guard,
                 n_samples=n_samples,
             )
@@ -542,22 +531,20 @@ def averaged_drift_check(
     frame: StandardFrame,
     mu: float,
     radius: float,
-    rtol: float = 1e-10,
-    zero_tol: float = 1e-10,
 ) -> DriftReport:
     """Compare the measured average of dz over one rotation with
-    gamma5 * mu + beta5 * radius^2."""
+    gamma5 * mu + beta5 * radius^2; both below 1e-10 count as a match."""
     jet = models.jet(model, frame.origin, 0.0)
     coeffs = compute_coefficients(standard_jet(jet, frame))
     predicted = coeffs.gamma5 * mu + coeffs.beta5 * radius**2
 
     X0 = frame.from_frame((radius, 0.0, 0.0), mu)
     T = 2.0 * math.pi / frame.omega
-    XT = integrate(model, mu, X0, (0.0, T), rtol, dense=False).states[-1]
+    XT = integrate(model, mu, X0, (0.0, T), PROBE_RTOL, dense=False).states[-1]
     z_end = frame.to_frame(XT, mu)[2]
     measured = float(z_end) / T
 
-    if abs(measured) < zero_tol and abs(predicted) < zero_tol:
+    if abs(measured) < 1e-10 and abs(predicted) < 1e-10:
         match = True
         rel = 0.0
     else:
@@ -615,14 +602,12 @@ def simulate_truncated(
     mu_tilde: float,
     start: tuple[float, float],
     t_final: float | None = None,
-    rtol: float = 1e-10,
-    n_samples: int = 2000,
-    enforce_validity: bool = True,
 ) -> TruncatedRun:
-    """Integrate the truncated (r, z) dynamics in slow time tau.
+    """Integrate the truncated (r, z) dynamics in slow time tau, sampled at
+    2000 equally spaced times.
 
-    The expansion is valid for 0 < |z| < r < 1; with ``enforce_validity`` the
-    run raises `LeftDomain` as soon as the trajectory exits that wedge.
+    The expansion is valid for 0 < |z| < r < 1; the run raises `LeftDomain`
+    as soon as the trajectory exits that wedge.
     """
     if not epsilon > 0:
         raise InvalidBounds("epsilon must be positive")
@@ -636,13 +621,13 @@ def simulate_truncated(
         r, z = y
         return min(r - abs(z), 1.0 - r)
 
-    validity.terminal = enforce_validity  # type: ignore[attr-defined]
-    sol = _solve(rhs, (0.0, horizon), y0, rtol, "truncated integration", events=validity)
-    if enforce_validity and sol.status == 1:
+    validity.terminal = True  # type: ignore[attr-defined]
+    sol = _solve(rhs, (0.0, horizon), y0, PROBE_RTOL, "truncated integration", events=validity)
+    if sol.status == 1:
         raise LeftDomain(
             f"truncated trajectory left the validity wedge at tau = {sol.t[-1]:.4g}"
         )
-    taus = np.linspace(0.0, sol.t[-1], n_samples)
+    taus = np.linspace(0.0, sol.t[-1], 2000)
     vals = sol.sol(taus)
 
     r0 = None
@@ -678,7 +663,6 @@ def compare_with_full_model(
     model: ModelDefinition,
     frame: StandardFrame,
     run: TruncatedRun,
-    rtol: float = 1e-10,
 ) -> ComparisonReport:
     """Integrate the full model from the matching initial point and measure
     the deviation of scaled (r, z) against the truncated run.
@@ -693,7 +677,7 @@ def compare_with_full_model(
 
     tau_final = float(run.tau[-1])
     t_final = tau_final * 1.2 + 5.0
-    traj = integrate(model, mu, X0, (0.0, t_final), rtol=rtol, n_samples=6000)
+    traj = integrate(model, mu, X0, (0.0, t_final), PROBE_RTOL, n_samples=6000)
     coords = frame.to_frame(traj.states, mu)
     r_full = np.linalg.norm(coords[:, :2], axis=1) / eps
     z_full = coords[:, 2] / eps

@@ -19,7 +19,7 @@ from hybridhopf.classifier import (
     saddle_exponents,
 )
 from hybridhopf.coefficients import CylindricalCoefficients, HarmonicScalar
-from hybridhopf.errors import AssumptionViolation, Degenerate, WrongDirection
+from hybridhopf.errors import AssumptionViolation, Degenerate, NonFinite, WrongDirection
 
 
 def plain_coeffs(beta2, beta5, gamma5, gamma7, beta3=0.0, beta6=0.0, omega=1.0):
@@ -99,6 +99,12 @@ def test_vanishing_leading_coefficient_is_rejected(name):
     with pytest.raises(AssumptionViolation) as err:
         classify(plain_coeffs(**values))
     assert name in str(err.value)
+
+
+def test_non_finite_coefficients_are_rejected():
+    # a nan gamma7 leaves beta2, beta5 and gamma5 finite but sigma nan
+    with pytest.raises(NonFinite, match="sigma = nan"):
+        classify(plain_coeffs(beta2=-1.0, beta5=1.0, gamma5=1.0, gamma7=math.nan))
 
 
 @settings(max_examples=80, deadline=None)

@@ -276,6 +276,13 @@ def test_eco_sweep_single_row_and_determinism(workspace):
     ).read_bytes()
 
 
+def test_eco_sweep_overflowing_closed_forms_are_numerical_failures(workspace, capsys):
+    # deltas near 1e308 overflow the closed forms to inf and nan
+    assert main(["eco-sweep", "--delta-bounds", "1,1e308", "--out", workspace.outdir("big")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+
+
 # ---------------------------------------------------------------------------
 # truncated
 # ---------------------------------------------------------------------------
@@ -389,6 +396,8 @@ def test_bad_mu_grid_is_usage_error(workspace):
         (["eco-sweep", "--delta-bounds", "0.1,inf"], None),
         (["truncated", "--epsilon", "0.1", "--mu-tilde", "0.25", "--r0", "inf"], INTERIOR),
         (["truncated", "--epsilon", "0.1", "--mu-tilde", "0.25", "--r0", "0.8", "--t-final", "0"], INTERIOR),
+        (["eco-sweep", "--samples", "0"], None),
+        (["eco-sweep", "--samples", "-3"], None),
     ],
 )
 def test_malformed_numbers_are_usage_errors(workspace, capsys, argv, doc):

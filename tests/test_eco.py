@@ -217,7 +217,7 @@ def test_interior_guard():
     assert not guard(np.array([0.0, 0.2, 0.3]))
     assert not guard(np.array([0.1, 1e-9, 0.3]))
     assert not guard(np.array([0.1, 0.2, 1.0]))
-    assert eco.interior_guard(floor=0.05)(np.array([0.04, 0.2, 0.3])) is False
+    assert guard(np.array([eco.INTERIOR_FLOOR, 0.2, 0.3])) is False
 
 
 def test_boundary_report_interior(interior):
@@ -299,8 +299,6 @@ def test_sample_region_is_deterministic():
     [
         dict(delta_bounds=(0.0, 1.0)),
         dict(delta_bounds=(2.0, 1.0)),
-        dict(margin=0.0),
-        dict(margin=0.6),
     ],
 )
 def test_sample_region_rejects_bad_bounds(kwargs):

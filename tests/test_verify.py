@@ -154,16 +154,6 @@ def test_wrong_side_shooting_fails(interior_pipeline):
         )
 
 
-def test_seed_tuple_forms(synthetic_pipeline):
-    pipe = synthetic_pipeline(-1, 1, 1, 1, 2.0)
-    for seed in (
-        (np.array([0.105, 0.0, 0.004]), 3.3),
-        (np.array([0.105, 0.0, 0.004]), 3.3, 0.1),
-    ):
-        orbit = find_periodic_orbit(pipe.model, -0.01, seed)
-        assert orbit.period == pytest.approx(math.pi, abs=1e-8)
-
-
 @pytest.fixture
 def integrations(monkeypatch):
     """(x0, T, dimension) of every integration `verify` makes."""
