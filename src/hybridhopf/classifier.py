@@ -35,8 +35,6 @@ TYPE_ELLIPTIC_UNSTABLE = "EU"
 SIGN_THRESHOLD = 1e-6
 #: relative threshold below which the focus quantity counts as zero
 DEGENERACY_RTOL = 1e-9
-#: states sampled along a predicted orbit
-PREDICTED_STATES = 64
 
 
 def focus_quantity(coeffs: CylindricalCoefficients) -> float:
@@ -145,17 +143,16 @@ def classify(coeffs: CylindricalCoefficients) -> Classification:
 class PredictedOrbit:
     """Leading-order periodic orbit for one parameter value.
 
-    ``r0`` is the radius in frame coordinates; ``states`` samples the
-    predicted loop in original coordinates when a frame is supplied.
-    ``amplitude_scale`` converts r0 into an original-coordinate size and is
-    the natural trust-region radius for shooting.
+    ``r0`` is the radius in frame coordinates; ``anchor`` is the loop's
+    point at phase 0, u = (r0, 0, 0), in original coordinates when a frame
+    is supplied.  ``amplitude_scale`` converts r0 into an original-coordinate
+    size and is the natural trust-region radius for shooting.
     """
 
     mu: float
     r0: float
     period: float
     anchor: np.ndarray | None
-    states: np.ndarray | None
     amplitude_scale: float
 
 def predict_orbit(
@@ -180,27 +177,12 @@ def predict_orbit(
     r0 = math.sqrt(r0_sq)
     period = 2.0 * math.pi / coeffs.omega
 
-    anchor = states = None
+    anchor = None
     scale = r0
     if frame is not None:
-        planar = frame.basis[:, :2]
-        scale = r0 * float(np.linalg.norm(planar, 2))
-        phis = np.linspace(0.0, 2.0 * math.pi, PREDICTED_STATES, endpoint=False)
-        states = np.array(
-            [
-                frame.from_frame((r0 * math.cos(p), r0 * math.sin(p), 0.0), mu)
-                for p in phis
-            ]
-        )
-        anchor = states[0]
-    return PredictedOrbit(
-        mu=mu,
-        r0=r0,
-        period=period,
-        anchor=anchor,
-        states=states,
-        amplitude_scale=scale,
-    )
+        scale = r0 * float(np.linalg.norm(frame.basis[:, :2], 2))
+        anchor = frame.from_frame((r0, 0.0, 0.0), mu)
+    return PredictedOrbit(mu=mu, r0=r0, period=period, anchor=anchor, amplitude_scale=scale)
 
 
 def reduced_equilibrium(

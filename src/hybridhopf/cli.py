@@ -111,7 +111,7 @@ def _pipeline(config: dict, out: Path | None = None):
     coefficients are None when an assumption fails.
     """
     model = models.from_config(config)
-    seed = config.get("seed_state") or model.metadata.get("hopf_seed") or (0.1, 0.1, 0.1)
+    seed = config.get("seed_state", model.metadata.get("hopf_seed") or (0.1, 0.1, 0.1))
     X_H = frame_mod.locate_hopf_point(model, np.array(_numbers(seed, "seed_state", 3)))
     report = frame_mod.check_assumptions(model, X_H)
     frame = coeffs = None

@@ -355,13 +355,16 @@ SAMPLE_MARGIN = 0.05
 def sample_region(
     n: int, seed: int, delta_bounds: tuple[float, float] = (0.05, 20.0)
 ) -> list[EcoParams]:
-    """Draw ``n >= 1`` admissible parameter sets, log-uniform in the deltas,
-    at least `SAMPLE_MARGIN` (relative) inside the region boundary."""
+    """Draw ``n >= 1`` admissible parameter sets from ``seed >= 0``,
+    log-uniform in the deltas, at least `SAMPLE_MARGIN` (relative) inside
+    the region boundary."""
     lo, hi = delta_bounds
     if not (0.0 < lo < hi):
         raise InvalidBounds(f"delta bounds must satisfy 0 < lo < hi, got {delta_bounds}")
     if n < 1:
         raise InvalidBounds(f"the sample count must be at least 1, got {n}")
+    if seed < 0:
+        raise InvalidBounds(f"the seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):

@@ -219,69 +219,27 @@ def build_standard_frame(jet: JetTable) -> StandardFrame:
 def standard_jet(jet: JetTable, frame: StandardFrame) -> JetTable:
     """Rewrite a raw jet in frame coordinates, including the parameter shift.
 
-    State derivatives transform tensorially under X = origin + T u; the
-    parameter block additionally picks up corrections from the mu-dependent
-    origin, which cancel the first-order planar drift exactly.
+    State derivatives transform tensorially under X = origin + T u,
+    (A(Tu), B(Tu, Tv), C(Tu, Tv, Tw)) pulled back by T^{-1}; the parameter
+    block additionally picks up corrections from the mu-dependent origin,
+    which cancel the first-order planar drift exactly.
     """
     T = frame.basis
     Tinv = np.linalg.inv(T)
     S = frame.mu_shift
-
-    A1 = jet.jacobian()
-    A2 = np.empty((3, 3, 3))
-    A3 = np.empty((3, 3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            idx2 = [0, 0, 0]
-            idx2[i] += 1
-            idx2[j] += 1
-            A2[:, i, j] = jet.state(*idx2)
-            for k in range(3):
-                idx3 = list(idx2)
-                idx3[k] += 1
-                A3[:, i, j, k] = jet.state(*idx3)
+    F, A1, A2, A3 = jet.state_derivs
+    f_mu, A_mu = jet.mu_derivs
 
     B1 = Tinv @ A1 @ T
     B2 = np.einsum("dc,cij,ip,jq->dpq", Tinv, A2, T, T)
     B3 = np.einsum("dc,cijk,ip,jq,kr->dpqr", Tinv, A3, T, T, T)
-
-    d_state: dict[tuple[int, int, int], np.ndarray] = {
-        (0, 0, 0): Tinv @ jet.state(0, 0, 0)
-    }
-    for idx in models.state_multi_indices():
-        axes: list[int] = []
-        for axis, count in enumerate(idx):
-            axes.extend([axis] * count)
-        if len(axes) == 1:
-            d_state[idx] = B1[:, axes[0]]
-        elif len(axes) == 2:
-            d_state[idx] = B2[:, axes[0], axes[1]]
-        else:
-            d_state[idx] = B3[:, axes[0], axes[1], axes[2]]
-
-    b_mu0 = Tinv @ jet.mu_deriv(0, 0, 0)
-    b_mu1 = np.column_stack(
-        [jet.mu_deriv(1, 0, 0), jet.mu_deriv(0, 1, 0), jet.mu_deriv(0, 0, 1)]
-    )
-    b_mu1 = Tinv @ b_mu1 @ T
-    shifted0 = b_mu0 + B1 @ S
-    shifted1 = b_mu1 + np.einsum("dpq,q->dp", B2, S)
-    d_mu = {
-        (0, 0, 0): shifted0,
-        (1, 0, 0): shifted1[:, 0],
-        (0, 1, 0): shifted1[:, 1],
-        (0, 0, 1): shifted1[:, 2],
-    }
-
-    cond = np.linalg.cond(T)
     return JetTable(
         point=np.zeros(3),
         mu=jet.mu,
-        d_state=d_state,
-        d_mu=d_mu,
-        tolerance=jet.tolerance * max(1.0, cond),
+        state_derivs=(Tinv @ F, B1, B2, B3),
+        mu_derivs=(Tinv @ f_mu + B1 @ S, Tinv @ A_mu @ T + np.einsum("dpq,q->dp", B2, S)),
+        tolerance=jet.tolerance * max(1.0, np.linalg.cond(T)),
         symmetry_defect=jet.symmetry_defect,
-        step_report=jet.step_report,
     )
 
 

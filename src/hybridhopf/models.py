@@ -3,10 +3,13 @@
 A model bundles a right-hand side F(X; mu) with a way to obtain its partial
 derivatives at a point: either exact closed forms (builtin and polynomial
 models) or guarded finite differences.  Everything downstream (frames,
-reduced coefficients, classification) consumes the `JetTable` produced here,
-so the jet layout is the one hard contract of this module: raw partials
-``d^a_{x1} d^b_{x2} d^c_{x3} F`` keyed by ``(a, b, c)`` up to total order
-three, plus the parameter block ``d_mu F`` and ``d_mu d_{x_i} F``.
+reduced coefficients, classification) consumes the `JetTable` produced here.
+A jet holds derivative tensors up to order three, ``F``, ``DF``, ``D^2 F``
+and ``D^3 F`` with entry ``[c, i, j, ...] = d_i d_j ... F_c``, plus the
+parameter block ``d_mu F`` and ``d_mu DF``.  Producers hand
+`JetTable.from_entries` one vector per multi-index ``(a, b, c)`` (the
+partial ``d^a_{x1} d^b_{x2} d^c_{x3}``); that multi-index layout is known
+only to this module.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidParams, NonFinite, SymmetryDefect, UnknownModel
+from .errors import InvalidParams, MissingJetEntry, NonFinite, SymmetryDefect, UnknownModel
 
 STATE_DIM = 3
 JET_ORDER = 3
@@ -43,60 +46,99 @@ def state_multi_indices() -> Iterator[StateIndex]:
                 yield (a, b, total - a - b)
 
 
+#: rows of `JetTable.from_entries`: the state block (F first), then d_mu
+_JET_INDICES: tuple[StateIndex, ...] = ((0, 0, 0), *state_multi_indices())
+_MU_INDICES: tuple[StateIndex, ...] = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _gather_table(indices: Sequence[StateIndex], order: int, first_row: int = 0) -> np.ndarray:
+    """Flat positions in the (rows, 3) entry block that fill the order-``order``
+    tensor, shaped like it: slot [c, i, j, ...] reads component c of the row
+    whose multi-index counts the axes (i, j, ...)."""
+    rows = {index: first_row + n for n, index in enumerate(indices)}
+    slots = [
+        rows[tuple(map(axes.count, range(STATE_DIM)))]
+        for axes in itertools.product(range(STATE_DIM), repeat=order)
+    ]
+    table = STATE_DIM * np.array(slots) + np.arange(STATE_DIM)[:, None]
+    return table.reshape((STATE_DIM,) * (order + 1))
+
+
+_STATE_GATHER = tuple(_gather_table(_JET_INDICES, k) for k in range(JET_ORDER + 1))
+_MU_GATHER = tuple(_gather_table(_MU_INDICES, k, len(_JET_INDICES)) for k in range(2))
+#: multi-index -> the derivative axes in sorted order, (1, 0, 2) -> (0, 2, 2)
+_SORTED_AXES = {(a, b, c): (0,) * a + (1,) * b + (2,) * c for a, b, c in _JET_INDICES}
+
+
 @dataclasses.dataclass(frozen=True)
 class JetTable:
-    """Raw partial derivatives of a vector field at one (point, mu).
+    """Derivatives of a vector field at one (point, mu), as tensors.
 
     Attributes
     ----------
     point, mu : expansion point.
-    d_state : mapping (a, b, c) -> 3-vector of d^a_1 d^b_2 d^c_3 F for
-        1 <= a+b+c <= 3, plus (0, 0, 0) -> F itself.
-    d_mu : mapping (a, b, c) -> 3-vector of d_mu d^a_1 d^b_2 d^c_3 F for
-        a+b+c <= 1 (the parameter block needed by first-order theory).
+    state_derivs : (F, DF, D^2 F, D^3 F) with shapes (3,), (3, 3), (3, 3, 3)
+        and (3, 3, 3, 3); entry [c, i, j, ...] is d_i d_j ... F_c.
+    mu_derivs : (d_mu F, d_mu DF) with shapes (3,) and (3, 3), the parameter
+        block needed by first-order theory.
     tolerance : accuracy the producer claims for each entry.
     symmetry_defect : largest discrepancy between two evaluation routes for
         mixed second partials (0.0 for exact jets).
-    step_report : finite-difference steps actually used, empty for exact jets.
 
-    The mappings are plain dicts but must be treated as immutable.
+    Every tensor is C-contiguous, since `np.einsum` sums a strided operand
+    in another order and so moves `standard_jet` entries by an ulp.  The
+    tensors must be treated as immutable.
     """
 
     point: np.ndarray
     mu: float
-    d_state: Mapping[StateIndex, np.ndarray]
-    d_mu: Mapping[StateIndex, np.ndarray]
+    state_derivs: tuple[np.ndarray, ...]
+    mu_derivs: tuple[np.ndarray, ...]
     tolerance: float
     symmetry_defect: float = 0.0
-    step_report: Mapping[StateIndex, tuple[float, ...]] = dataclasses.field(
-        default_factory=dict
-    )
+
+    @classmethod
+    def from_entries(
+        cls,
+        point: Sequence[float],
+        mu: float,
+        entries: np.ndarray | Sequence[Sequence[float]],
+        tolerance: float,
+        symmetry_defect: float = 0.0,
+    ) -> JetTable:
+        """Jet from one 3-vector per multi-index: 24 rows, the 20 of
+        ``(0, 0, 0)`` and `state_multi_indices` for F, then the four
+        ``(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)`` for d_mu F."""
+        flat = np.asarray(entries, dtype=float).reshape(-1)
+        return cls(
+            point=np.array(point, dtype=float),
+            mu=float(mu),
+            state_derivs=tuple(flat[table] for table in _STATE_GATHER),
+            mu_derivs=tuple(flat[table] for table in _MU_GATHER),
+            tolerance=tolerance,
+            symmetry_defect=symmetry_defect,
+        )
+
+    def _entry(self, tensors, index: StateIndex, component: int | None, what: str):
+        """The slot with sorted axes: (1, 1, 0) reads [:, 0, 1], not [:, 1, 0]."""
+        axes = _SORTED_AXES.get(index)
+        if axes is None or len(axes) >= len(tensors):
+            raise MissingJetEntry(f"{what} derivative {index}")
+        if component is None:
+            return tensors[len(axes)][(slice(None), *axes)]
+        return tensors[len(axes)].item((component, *axes))
 
     def state(self, a: int, b: int, c: int, component: int | None = None):
         """Entry d^a_1 d^b_2 d^c_3 F, or one component of it."""
-        try:
-            vec = self.d_state[(a, b, c)]
-        except KeyError as exc:
-            from .errors import MissingJetEntry
-
-            raise MissingJetEntry(f"state derivative {(a, b, c)}") from exc
-        return vec if component is None else float(vec[component])
+        return self._entry(self.state_derivs, (a, b, c), component, "state")
 
     def mu_deriv(self, a: int, b: int, c: int, component: int | None = None):
         """Entry d_mu d^a_1 d^b_2 d^c_3 F, or one component of it."""
-        try:
-            vec = self.d_mu[(a, b, c)]
-        except KeyError as exc:
-            from .errors import MissingJetEntry
-
-            raise MissingJetEntry(f"parameter derivative {(a, b, c)}") from exc
-        return vec if component is None else float(vec[component])
+        return self._entry(self.mu_derivs, (a, b, c), component, "parameter")
 
     def jacobian(self) -> np.ndarray:
         """3x3 Jacobian; column j holds the derivative along axis j."""
-        return np.column_stack(
-            [self.state(1, 0, 0), self.state(0, 1, 0), self.state(0, 0, 1)]
-        )
+        return self.state_derivs[1]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -167,10 +209,6 @@ def jacobian_fn(model: ModelDefinition, mu: float) -> Callable[[np.ndarray], np.
 # ---------------------------------------------------------------------------
 # polynomial fields (exact jets by term-wise differentiation)
 # ---------------------------------------------------------------------------
-
-
-_MU_INDICES: tuple[StateIndex, ...] = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-_JET_INDICES: tuple[StateIndex, ...] = ((0, 0, 0), *state_multi_indices())
 
 
 class PolynomialField:
@@ -274,14 +312,8 @@ class PolynomialField:
         return self._evaluate(self._jacobian, X, mu).reshape(STATE_DIM, STATE_DIM)
 
     def exact_jet(self, point: np.ndarray, mu: float) -> JetTable:
-        entries = self._evaluate(self._jet, point, mu).reshape(STATE_DIM, -1).T.copy()
-        return JetTable(
-            point=np.array(point, dtype=float),
-            mu=float(mu),
-            d_state=dict(zip(_JET_INDICES, entries)),
-            d_mu=dict(zip(_MU_INDICES, entries[len(_JET_INDICES) :])),
-            tolerance=1e-12,
-        )
+        entries = self._evaluate(self._jet, point, mu).reshape(STATE_DIM, -1).T
+        return JetTable.from_entries(point, mu, entries, tolerance=1e-12)
 
     def model(self, name: str, metadata: Mapping[str, object] | None = None) -> ModelDefinition:
         """The field as a model with its exact Jacobian and jet."""
@@ -351,26 +383,9 @@ def _fd_tensor(
     return total / scale
 
 
-def _richardson(
-    f: Callable[[np.ndarray], np.ndarray],
-    point: np.ndarray,
-    orders: Sequence[int],
-    steps: np.ndarray,
-) -> np.ndarray:
-    """One Richardson extrapolation of the O(h^2) tensor stencil."""
-    coarse = _fd_tensor(f, point, orders, steps)
-    fine = _fd_tensor(f, point, orders, steps / 2.0)
-    return (4.0 * fine - coarse) / 3.0
-
-
-def _directional_second(
-    f: Callable[[np.ndarray], np.ndarray], point: np.ndarray, u: np.ndarray, h: float
-) -> np.ndarray:
-    def second(step: float) -> np.ndarray:
-        values = [f(point + s * u) for s in (step, 0.0, -step)]
-        return (values[0] - 2.0 * values[1] + values[2]) / step**2
-
-    return (4.0 * second(h / 2.0) - second(h)) / 3.0
+def _richardson(quotient: Callable, h):
+    """One Richardson step on an O(h^2) difference ``quotient`` of step h."""
+    return (4.0 * quotient(h / 2.0) - quotient(h)) / 3.0
 
 
 def finite_difference_jet(
@@ -391,27 +406,29 @@ def finite_difference_jet(
     def at(m: float) -> Callable[[np.ndarray], np.ndarray]:
         return lambda P: evaluate(model, P, m)
 
-    def steps(base: float) -> np.ndarray:
-        return np.array([base * max(1.0, abs(X[i])) for i in range(STATE_DIM)])
+    def partial(m: float, idx: StateIndex, base: float) -> np.ndarray:
+        h = np.array([base * max(1.0, abs(X[i])) for i in range(STATE_DIM)])
+        return _richardson(lambda steps: _fd_tensor(at(m), X, idx, steps), h)
 
-    d_state: dict[StateIndex, np.ndarray] = {(0, 0, 0): at(mu)(X)}
-    step_report: dict[StateIndex, tuple[float, ...]] = {}
+    entries: dict[StateIndex, np.ndarray] = {(0, 0, 0): at(mu)(X)}
     for idx in state_multi_indices():
-        h = steps(FD_STEP_THIRD if sum(idx) >= 3 else FD_STEP)
-        d_state[idx] = _richardson(at(mu), X, idx, h)
-        step_report[idx] = tuple(h[i] for i in range(STATE_DIM) if idx[i] > 0)
+        entries[idx] = partial(mu, idx, FD_STEP_THIRD if sum(idx) >= 3 else FD_STEP)
 
     # cross-route check on mixed second partials
     defect = 0.0
     for i, j in ((0, 1), (0, 2), (1, 2)):
         idx = tuple(1 if k in (i, j) else 0 for k in range(STATE_DIM))
         u = np.array(idx, dtype=float) / math.sqrt(2.0)
-        h = FD_STEP * max(1.0, abs(X[i]), abs(X[j]))
-        second_u = _directional_second(at(mu), X, u, h)
+
+        def second(step: float) -> np.ndarray:
+            values = [at(mu)(X + s * u) for s in (step, 0.0, -step)]
+            return (values[0] - 2.0 * values[1] + values[2]) / step**2
+
+        second_u = _richardson(second, FD_STEP * max(1.0, abs(X[i]), abs(X[j])))
         e_i = tuple(2 if k == i else 0 for k in range(STATE_DIM))
         e_j = tuple(2 if k == j else 0 for k in range(STATE_DIM))
-        diag_route = second_u - 0.5 * (d_state[e_i] + d_state[e_j])
-        defect = max(defect, float(np.max(np.abs(d_state[idx] - diag_route))))
+        diag_route = second_u - 0.5 * (entries[e_i] + entries[e_j])
+        defect = max(defect, float(np.max(np.abs(entries[idx] - diag_route))))
     threshold = FD_SYMMETRY_FACTOR * FD_TOLERANCE
     if defect > threshold:
         raise SymmetryDefect(
@@ -419,28 +436,19 @@ def finite_difference_jet(
         )
 
     # parameter block: d_mu F and d_mu d_{x_i} F
-    h_mu = FD_STEP_MU * max(1.0, abs(mu))
-
     def mu_derivative(state_idx: StateIndex) -> np.ndarray:
-        def d_state_at(m: float) -> np.ndarray:
+        def entry_at(m: float) -> np.ndarray:
             if state_idx == (0, 0, 0):
                 return at(m)(X)
-            return _richardson(at(m), X, state_idx, steps(FD_STEP))
+            return partial(m, state_idx, FD_STEP)
 
         def first(step: float) -> np.ndarray:
-            return (d_state_at(mu + step) - d_state_at(mu - step)) / (2.0 * step)
+            return (entry_at(mu + step) - entry_at(mu - step)) / (2.0 * step)
 
-        return (4.0 * first(h_mu / 2.0) - first(h_mu)) / 3.0
+        return _richardson(first, FD_STEP_MU * max(1.0, abs(mu)))
 
-    return JetTable(
-        point=X,
-        mu=mu,
-        d_state=d_state,
-        d_mu={idx: mu_derivative(idx) for idx in _MU_INDICES},
-        tolerance=FD_TOLERANCE,
-        symmetry_defect=defect,
-        step_report=step_report,
-    )
+    mu_entries = [mu_derivative(idx) for idx in _MU_INDICES]
+    return JetTable.from_entries(X, mu, [*entries.values(), *mu_entries], FD_TOLERANCE, defect)
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +535,7 @@ def _predator_prey(params: Mapping[str, float]) -> ModelDefinition:
         p2 = s + alpha2
         gmu = [-1.0 / p2, 1.0 / p2**2, -2.0 / p2**3, 6.0 / p2**4]
 
-        d_state: dict[StateIndex, np.ndarray] = {}
-        d_state[(0, 0, 0)] = rhs(np.array([x1, x2, s]), mu)
+        entries = [rhs(np.array([x1, x2, s]), mu)]
         for a, b, c in state_multi_indices():
             f1 = 0.0
             if b == 0 and a <= 1:
@@ -543,21 +550,14 @@ def _predator_prey(params: Mapping[str, float]) -> ModelDefinition:
                 f3 = -h1d[c]
             elif a == 0 and b == 1:
                 f3 = -h2d[c]
-            d_state[(a, b, c)] = np.array([f1, f2, f3])
-
-        d_mu = {
-            (0, 0, 0): np.array([0.0, delta2 * x2 * gmu[0], 0.0]),
-            (1, 0, 0): np.zeros(STATE_DIM),
-            (0, 1, 0): np.array([0.0, delta2 * gmu[0], 0.0]),
-            (0, 0, 1): np.array([0.0, delta2 * x2 * gmu[1], 0.0]),
-        }
-        return JetTable(
-            point=np.array(point, dtype=float),
-            mu=float(mu),
-            d_state=d_state,
-            d_mu=d_mu,
-            tolerance=1e-12,
-        )
+            entries.append((f1, f2, f3))
+        entries += [
+            (0.0, delta2 * x2 * gmu[0], 0.0),
+            (0.0, 0.0, 0.0),
+            (0.0, delta2 * gmu[0], 0.0),
+            (0.0, delta2 * x2 * gmu[1], 0.0),
+        ]
+        return JetTable.from_entries(point, mu, entries, tolerance=1e-12)
 
     def jacobian(X: np.ndarray, mu: float) -> np.ndarray:
         x1, x2, s = X

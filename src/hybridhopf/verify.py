@@ -120,7 +120,7 @@ def _as_seed(seed: ShootingSeed | PredictedOrbit) -> ShootingSeed:
         return seed
     if seed.anchor is None:
         raise NoConvergence(
-            "orbit prediction has no states; predict with a frame to seed shooting"
+            "orbit prediction has no anchor; predict with a frame to seed shooting"
         )
     return ShootingSeed(
         anchor=np.asarray(seed.anchor, dtype=float),

@@ -167,13 +167,10 @@ def test_prediction_scaling_law(closed_chart):
 
 def test_prediction_with_frame_geometry(closed_chart):
     orbit = predict_orbit(closed_chart.coeffs, 0.005, frame=closed_chart.frame)
-    assert orbit.states is not None and len(orbit.states) == 64
     r0 = orbit.r0
-    for X in orbit.states:
-        u = closed_chart.frame.to_frame(X, 0.005)
-        assert math.hypot(u[0], u[1]) == pytest.approx(r0, rel=1e-10)
-        assert abs(u[2]) < 1e-12
-    assert np.allclose(orbit.anchor, orbit.states[0])
+    u = closed_chart.frame.to_frame(orbit.anchor, 0.005)
+    assert math.hypot(u[0], u[1]) == pytest.approx(r0, rel=1e-10)
+    assert abs(u[2]) < 1e-12
     planar = closed_chart.frame.basis[:, :2]
     assert orbit.amplitude_scale == pytest.approx(
         r0 * np.linalg.norm(planar, 2), rel=1e-12

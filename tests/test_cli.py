@@ -355,6 +355,8 @@ def test_missing_config_flag_is_usage_error():
         {**INTERIOR, "seed_state": [0.1, float("nan"), 0.3]},
         {"polynomial": {"y1": 5, "y2": [], "z": []}},
         {"polynomial": [1, 2, 3]},
+        {**INTERIOR, "seed_state": []},
+        {**INTERIOR, "seed_state": 0},
     ],
 )
 def test_bad_configs_are_usage_errors(workspace, doc, capsys):
@@ -398,6 +400,7 @@ def test_bad_mu_grid_is_usage_error(workspace):
         (["truncated", "--epsilon", "0.1", "--mu-tilde", "0.25", "--r0", "0.8", "--t-final", "0"], INTERIOR),
         (["eco-sweep", "--samples", "0"], None),
         (["eco-sweep", "--samples", "-3"], None),
+        (["eco-sweep", "--seed", "-1"], None),
     ],
 )
 def test_malformed_numbers_are_usage_errors(workspace, capsys, argv, doc):

@@ -5,18 +5,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hybridhopf import (
+    StandardFrame,
     build_standard_frame,
     builtin,
     check_assumptions,
+    finite_difference_jet,
     jet,
     locate_hopf_point,
     polynomial_model,
     standard_jet,
 )
 from hybridhopf.errors import DefectiveSpectrum, NoConvergence, NotHopf
-from hybridhopf.models import ModelDefinition
+from hybridhopf.models import ModelDefinition, state_multi_indices
 
 OMEGA_INTERIOR = math.sqrt(0.3)
 
@@ -146,6 +150,108 @@ def test_rotated_synthetic_recovers_standard_pattern():
     frame = build_standard_frame(raw)
     std = standard_jet(raw, frame)
     assert np.allclose(std.jacobian(), standard_linear_part(1.7), atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# standard_jet against the multi-index reference
+# ---------------------------------------------------------------------------
+
+_MU_INDICES = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def _reference_standard_jet(jet, frame):
+    """The multi-index transform `standard_jet` replaced: unpack entries
+    into tensors, transform, and read each entry back from its sorted-axes
+    slot.  Returns (state entries, parameter entries, tolerance)."""
+    T = frame.basis
+    Tinv = np.linalg.inv(T)
+    S = frame.mu_shift
+
+    A1 = np.column_stack([jet.state(1, 0, 0), jet.state(0, 1, 0), jet.state(0, 0, 1)])
+    A2 = np.empty((3, 3, 3))
+    A3 = np.empty((3, 3, 3, 3))
+    for i in range(3):
+        for j in range(3):
+            idx2 = [0, 0, 0]
+            idx2[i] += 1
+            idx2[j] += 1
+            A2[:, i, j] = jet.state(*idx2)
+            for k in range(3):
+                idx3 = list(idx2)
+                idx3[k] += 1
+                A3[:, i, j, k] = jet.state(*idx3)
+
+    B1 = Tinv @ A1 @ T
+    B2 = np.einsum("dc,cij,ip,jq->dpq", Tinv, A2, T, T)
+    B3 = np.einsum("dc,cijk,ip,jq,kr->dpqr", Tinv, A3, T, T, T)
+
+    d_state = {(0, 0, 0): Tinv @ jet.state(0, 0, 0)}
+    for idx in state_multi_indices():
+        axes = [axis for axis, count in enumerate(idx) for _ in range(count)]
+        d_state[idx] = [B1, B2, B3][len(axes) - 1][(slice(None), *axes)]
+
+    b_mu1 = np.column_stack([jet.mu_deriv(*idx) for idx in _MU_INDICES[1:]])
+    shifted0 = Tinv @ jet.mu_deriv(0, 0, 0) + B1 @ S
+    shifted1 = Tinv @ b_mu1 @ T + np.einsum("dpq,q->dp", B2, S)
+    d_mu = {(0, 0, 0): shifted0}
+    d_mu.update((idx, shifted1[:, n]) for n, idx in enumerate(_MU_INDICES[1:]))
+    return d_state, d_mu, jet.tolerance * max(1.0, np.linalg.cond(T))
+
+
+def _assert_matches_reference(raw, frame):
+    std = standard_jet(raw, frame)
+    d_state, d_mu, tolerance = _reference_standard_jet(raw, frame)
+    for idx, want in d_state.items():
+        assert np.array_equal(std.state(*idx), want), idx
+    for idx, want in d_mu.items():
+        assert np.array_equal(std.mu_deriv(*idx), want), idx
+    assert std.tolerance == tolerance
+    assert std.symmetry_defect == raw.symmetry_defect
+    assert all(t.flags.c_contiguous for t in (*std.state_derivs, *std.mu_derivs))
+
+
+@pytest.mark.parametrize("differences", [False, True])
+def test_standard_jet_matches_reference_at_readme_hopf_point(
+    interior_model, interior_hopf, differences
+):
+    # at this point a strided (not C-ordered) A2 or A3 changes einsum's
+    # summation order and moves entries by one ulp
+    raw = (finite_difference_jet if differences else jet)(interior_model, interior_hopf, 0.0)
+    _assert_matches_reference(raw, build_standard_frame(raw))
+
+
+_MIXED_CUBIC = polynomial_model(
+    {
+        "y1": [[-1.5, 0, 1, 0, 0], [0.7, 1, 0, 1, 0], [0.2, 0, 0, 0, 1], [0.3, 1, 1, 1, 0]],
+        "y2": [[1.5, 1, 0, 0, 0], [-0.3, 0, 1, 1, 0], [0.1, 3, 0, 0, 0], [0.4, 0, 2, 0, 1]],
+        "z": [[0.9, 2, 0, 0, 0], [0.9, 0, 2, 0, 0], [0.4, 0, 0, 0, 1], [0.6, 0, 1, 2, 1]],
+    },
+    name="mixed_cubic",
+)
+_offset = st.floats(-0.05, 0.05)
+_entry = st.floats(-0.6, 0.6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    use_polynomial=st.booleans(),
+    differences=st.booleans(),
+    offset=st.tuples(_offset, _offset, _offset),
+    mu=st.floats(-0.01, 0.01),
+    basis=st.lists(_entry, min_size=9, max_size=9),
+    shift=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+)
+def test_standard_jet_matches_reference(
+    interior_model, use_polynomial, differences, offset, mu, basis, shift
+):
+    model = _MIXED_CUBIC if use_polynomial else interior_model
+    centre = np.zeros(3) if use_polynomial else np.array([0.125, 0.405, 0.3])
+    T = np.eye(3) + np.reshape(basis, (3, 3))
+    assume(np.linalg.cond(T) < 1e3)
+    point = centre + np.array(offset)
+    raw = (finite_difference_jet if differences else jet)(model, point, mu)
+    frame = StandardFrame(origin=point, basis=T, mu_shift=np.array([*shift, 0.0]), omega=1.0)
+    _assert_matches_reference(raw, frame)
 
 
 def test_defective_spectrum_rejected(rotation_model):

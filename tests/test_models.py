@@ -1,6 +1,7 @@
 """Model catalog, jet tables, and finite-difference differentiation."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridhopf import builtin, evaluate, finite_difference_jet, from_config, jet, polynomial_model
+from hybridhopf import builtin, evaluate, finite_difference_jet, from_config, jet, models, polynomial_model
 from hybridhopf.errors import (
     InvalidParams,
     MissingJetEntry,
@@ -91,6 +92,32 @@ def test_jet_missing_entry_raises(interior_model):
     table = jet(interior_model, np.array([0.2, 0.3, 0.4]), 0.0)
     with pytest.raises(MissingJetEntry):
         table.state(4, 0, 0)
+
+
+def test_jet_tensors_are_symmetric_and_c_ordered(interior_model):
+    X = np.array([0.2, 0.3, 0.4])
+    toy = builtin("toy_cylindrical", {"beta1": 0.5, "beta2": 1.0, "beta3": -0.5, "gamma3": 0.2})
+    tables = [
+        jet(interior_model, X, 0.01),
+        jet(toy, X, 0.01),
+        finite_difference_jet(interior_model, X, 0.01),
+    ]
+    for table in tables:
+        tensors = (*table.state_derivs, *table.mu_derivs)
+        assert [t.shape for t in tensors] == [(3,), (3, 3), (3, 3, 3), (3, 3, 3, 3), (3,), (3, 3)]
+        assert all(t.flags.c_contiguous for t in tensors)
+        _, D1, D2, D3 = table.state_derivs
+        assert np.array_equal(D2, D2.transpose(0, 2, 1))
+        for perm in itertools.permutations((1, 2, 3)):
+            assert np.array_equal(D3, D3.transpose(0, *perm)), perm
+        assert table.jacobian() is D1
+        assert np.array_equal(table.state(1, 0, 1), D2[:, 0, 2])
+        assert table.state(0, 1, 2, 0) == D3[0, 1, 2, 2]
+        assert np.array_equal(table.mu_deriv(0, 1, 0), table.mu_derivs[1][:, 1])
+        with pytest.raises(MissingJetEntry):
+            table.mu_deriv(1, 1, 0)
+        with pytest.raises(MissingJetEntry):
+            table.state(-1, 1, 0)
 
 
 def test_synthetic_jet_hand_values():
@@ -238,12 +265,10 @@ def _assert_matches_loop(components, X, mu):
     for j in range(STATE_DIM):
         assert same(J[:, j], tuple(1 if axis == j else 0 for axis in range(4))), j
     table = model.exact_jet(X, mu)
-    assert set(table.d_state) == {(0, 0, 0), *state_multi_indices()}
-    assert set(table.d_mu) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)}
-    for idx, got in table.d_state.items():
-        assert same(got, (*idx, 0)), idx
-    for idx, got in table.d_mu.items():
-        assert same(got, (*idx, 1)), idx
+    for idx in [(0, 0, 0), *state_multi_indices()]:
+        assert same(table.state(*idx), (*idx, 0)), idx
+    for idx in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]:
+        assert same(table.mu_deriv(*idx), (*idx, 1)), idx
 
 
 _coef = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-10.0, 10.0))
@@ -363,7 +388,7 @@ def test_finite_difference_model_lays_out_only_the_rhs(monkeypatch):
     params = {"beta2": -1.0, "beta3": -0.5, "beta5": 1.0, "gamma5": -1.0}
     model = from_config({"builtin": "toy_cylindrical", "params": params, "jets": "finite_difference"})
     table = jet(model, np.array([0.01, -0.02, 0.015]), 0.0)
-    assert table.step_report is not None
+    assert table.tolerance == models.FD_TOLERANCE
     assert len(calls) == 1
 
 
@@ -391,7 +416,7 @@ def test_from_config_finite_difference_mode_drops_exact_jets(interior):
     model = from_config(config)
     assert model.exact_jet is None
     table = jet(model, np.array([0.125, 0.405, 0.3]), 0.0)
-    assert table.step_report is not None  # finite differences actually ran
+    assert table.tolerance == models.FD_TOLERANCE  # finite differences actually ran
     exact_model = from_config({"builtin": "predator_prey", "params": interior.to_dict()})
     exact = jet(exact_model, np.array([0.125, 0.405, 0.3]), 0.0)
     for index in [(1, 0, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 2, 1)]:
