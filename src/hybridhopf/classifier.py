@@ -66,9 +66,6 @@ class Classification:
     omega: float
     mu_validity_hint: float
 
-    def to_document(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def classify(coeffs: CylindricalCoefficients) -> Classification:
     """Decide the bifurcation type carried by the reduced coefficients.

@@ -25,8 +25,10 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
+import operator
 import os
 import sys
 from pathlib import Path
@@ -70,6 +72,10 @@ def _write_table(path: Path, header: Sequence[str], rows: Sequence[Sequence]) ->
     for row in rows:
         lines.append("\t".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _write_orbit(path: Path, orbit) -> None:
+    _write_table(path, ("t", "x1", "x2", "s"), np.column_stack([orbit.times, orbit.states]))
 
 
 def _load_config(path: str) -> dict:
@@ -147,7 +153,7 @@ def _print_assumptions(report: frame_mod.AssumptionReport) -> None:
 
 
 def _classification_doc(classification, coeffs) -> dict:
-    doc = classification.to_document()
+    doc = dataclasses.asdict(classification)
     doc["predicted_period"] = 2.0 * float(np.pi) / classification.omega
     doc["amplitude_coefficient"] = float(
         np.sqrt(abs(coeffs.gamma5 / coeffs.beta5))
@@ -180,7 +186,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     _print_assumptions(report)
     if not report.all_pass():
         return _assumptions_failed(report)
-    _write_json(out / "coefficients.json", coeffs.to_document())
+    _write_json(out / "coefficients.json", dataclasses.asdict(coeffs))
     try:
         classification = classifier.classify(coeffs)
     except Degenerate as exc:
@@ -224,13 +230,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "residual": orbit.residual,
         "liouville_defect": orbit.liouville_defect,
         "multipliers": [[z.real, z.imag] for z in orbit.multipliers],
-        "stability": stability.to_document(),
+        "stability": dataclasses.asdict(stability),
         "prediction": {"r0": prediction.r0, "amplitude_scale": prediction.amplitude_scale},
         "stability_consistent": stability.stable == classification.orbit_stable,
     }
     _write_json(out / "verify.json", doc)
-    rows = np.column_stack([orbit.times, orbit.states])
-    _write_table(out / "orbit.tsv", ("t", "x1", "x2", "s"), rows)
+    _write_orbit(out / "orbit.tsv", orbit)
     print(
         f"orbit at mu = {_fmt(args.mu)}: period {_fmt(orbit.period)} "
         f"(predicted {_fmt(prediction.period)}), residual {orbit.residual:.2e}, "
@@ -238,6 +243,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"(classification says {'stable' if classification.orbit_stable else 'unstable'})"
     )
     return 0
+
+
+#: branch.tsv's leading columns, which are also the keys of each summary.json
+#: point, with the `BranchPoint` attribute each one reads
+_POINT_COLUMNS = {
+    "mu": "mu", "period": "orbit.period", "amplitude": "amplitude", "residual": "orbit.residual",
+}
+_point_values = operator.attrgetter(*_POINT_COLUMNS.values())
 
 
 def _cmd_continue(args: argparse.Namespace) -> int:
@@ -269,55 +282,21 @@ def _cmd_continue(args: argparse.Namespace) -> int:
         branch = verify.Branch(points=(), lost_at=grid[0], fit=None)
         print(exc)
 
-    rows = []
+    points = [dict(zip(_POINT_COLUMNS, _point_values(pt))) for pt in branch.points]
+    rows = [
+        [*point.values(), *(v for z in pt.orbit.multipliers for v in (z.real, z.imag))]
+        for point, pt in zip(points, branch.points)
+    ]
+    multipliers = [f"m{k}_{part}" for k in (1, 2, 3) for part in ("re", "im")]
+    _write_table(out / "branch.tsv", [*_POINT_COLUMNS, *multipliers], rows)
     for i, pt in enumerate(branch.points):
-        mults = list(pt.orbit.multipliers)
-        rows.append(
-            [pt.mu, pt.orbit.period, pt.amplitude, pt.orbit.residual]
-            + [v for z in mults for v in (z.real, z.imag)]
-        )
-        orbit_rows = np.column_stack([pt.orbit.times, pt.orbit.states])
-        _write_table(
-            out / f"orbit_{i:03d}.tsv", ("t", "x1", "x2", "s"), orbit_rows
-        )
-    _write_table(
-        out / "branch.tsv",
-        (
-            "mu",
-            "period",
-            "amplitude",
-            "residual",
-            "m1_re",
-            "m1_im",
-            "m2_re",
-            "m2_im",
-            "m3_re",
-            "m3_im",
-        ),
-        rows,
-    )
+        _write_orbit(out / f"orbit_{i:03d}.tsv", pt.orbit)
     summary = {
         "mu_grid": grid,
         "n_converged": len(branch.points),
         "lost_at": branch.lost_at,
-        "fit": (
-            None
-            if branch.fit is None
-            else {
-                "exponent": branch.fit.exponent,
-                "prefactor": branch.fit.prefactor,
-                "n_points": branch.fit.n_points,
-            }
-        ),
-        "points": [
-            {
-                "mu": pt.mu,
-                "period": pt.orbit.period,
-                "amplitude": pt.amplitude,
-                "residual": pt.orbit.residual,
-            }
-            for pt in branch.points
-        ],
+        "fit": None if branch.fit is None else dataclasses.asdict(branch.fit),
+        "points": points,
     }
     _write_json(out / "summary.json", summary)
     if branch.fit is not None:
@@ -331,6 +310,14 @@ def _cmd_continue(args: argparse.Namespace) -> int:
         print(f"branch lost at mu = {_fmt(branch.lost_at)}")
         return 1
     return 0
+
+
+#: sweep.tsv's columns: `EcoParams` attributes (``lam`` is headed "lambda"),
+#: then `eco.closed_form_coefficients` entries, then the type
+_SWEEP_PARAMS = ("delta1", "delta2", "lam", "alpha1", "alpha2", "l1", "l2")
+_SWEEP_CLOSED_FORMS = ("omega", "beta2", "beta5", "gamma5", "gamma7", "sigma", "margin")
+_sweep_params = operator.attrgetter(*_SWEEP_PARAMS)
+_sweep_closed_forms = operator.itemgetter(*_SWEEP_CLOSED_FORMS)
 
 
 def _cmd_eco_sweep(args: argparse.Namespace) -> int:
@@ -348,46 +335,9 @@ def _cmd_eco_sweep(args: argparse.Namespace) -> int:
         labels[record.label] = labels.get(record.label, 0) + 1
         if cf["margin"] < 0:
             negative_margin += 1
-        rows.append(
-            [
-                p.delta1,
-                p.delta2,
-                p.lam,
-                p.alpha1,
-                p.alpha2,
-                p.l1,
-                p.l2,
-                cf["omega"],
-                cf["beta2"],
-                cf["beta5"],
-                cf["gamma5"],
-                cf["gamma7"],
-                cf["sigma"],
-                cf["margin"],
-                record.label,
-            ]
-        )
-    _write_table(
-        out / "sweep.tsv",
-        (
-            "delta1",
-            "delta2",
-            "lambda",
-            "alpha1",
-            "alpha2",
-            "l1",
-            "l2",
-            "omega",
-            "beta2",
-            "beta5",
-            "gamma5",
-            "gamma7",
-            "sigma",
-            "margin",
-            "type",
-        ),
-        rows,
-    )
+        rows.append([*_sweep_params(p), *_sweep_closed_forms(cf), record.label])
+    header = ["lambda" if name == "lam" else name for name in _SWEEP_PARAMS]
+    _write_table(out / "sweep.tsv", [*header, *_SWEEP_CLOSED_FORMS, "type"], rows)
     n = len(samples)
     non_es = n - labels.get("ES", 0)
     print(
@@ -417,9 +367,7 @@ def _cmd_truncated(args: argparse.Namespace) -> int:
         "equilibrium_residual": run.equilibrium_residual,
     }
     if args.compare:
-        comparison = verify.compare_with_full_model(model, frame, run)
-        doc["deviation"] = comparison.deviation
-        doc["tau_covered"] = comparison.tau_covered
+        doc |= dataclasses.asdict(verify.compare_with_full_model(model, frame, run))
     _write_json(out / "truncated.json", doc)
     _write_table(
         out / "truncated.tsv",

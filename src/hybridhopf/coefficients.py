@@ -47,9 +47,6 @@ class HarmonicScalar:
         """Average over one rotation; only the constant term survives."""
         return self.c0
 
-    def to_document(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class CylindricalCoefficients:
@@ -74,15 +71,6 @@ class CylindricalCoefficients:
     gamma5: float
     gamma6: HarmonicScalar
     gamma7: float
-
-    def to_document(self) -> dict:
-        doc = {}
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            doc[field.name] = (
-                value.to_document() if isinstance(value, HarmonicScalar) else value
-            )
-        return doc
 
 
 def _check_pattern(jet: JetTable) -> float:

@@ -30,6 +30,7 @@ from .errors import (
     InvalidBounds,
     InvalidParams,
     NoCoexistencePossible,
+    NonFinite,
     NotAdmissible,
 )
 from .frame import StandardFrame
@@ -186,6 +187,8 @@ def closed_form_coefficients(p: EcoParams) -> dict[str, float]:
     lsum = l1 + l2
     w2 = omega_squared(p)
     w4 = w2 * w2
+    if w4 == 0.0:
+        raise NonFinite(f"closed forms underflow: omega^4 is 0 (omega^2 = {w2:.3g})")
     h1, h2 = h_polynomials(p)
 
     beta2 = -lam * lsum / (2.0 * q1 * q2**2)

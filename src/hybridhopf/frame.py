@@ -38,9 +38,17 @@ A2_THRESHOLD = 1e-8
 NONZERO_THRESHOLD = 1e-6
 
 
+def _eigen(decompose, J: np.ndarray):
+    """``decompose(J)`` (`np.linalg.eig` or `eigvals`); a LAPACK failure is `NonFinite`."""
+    try:
+        return decompose(J)
+    except np.linalg.LinAlgError as exc:
+        raise NonFinite(f"eigenvalues of the Jacobian failed: {exc}") from exc
+
+
 def _spectrum_split(J: np.ndarray) -> tuple[complex, complex]:
     """Return (nu, nu0): the rotation eigenvalue (Im > 0 if any) and the real one."""
-    eigs = np.linalg.eigvals(J)
+    eigs = _eigen(np.linalg.eigvals, J)
     order = np.argsort(-np.abs(eigs.imag))
     nu = eigs[order[0]]
     nu0 = eigs[order[2]]
@@ -165,7 +173,7 @@ def build_standard_frame(jet: JetTable) -> StandardFrame:
     its largest component positive.
     """
     J = jet.jacobian()
-    eigvals, eigvecs = np.linalg.eig(J)
+    eigvals, eigvecs = _eigen(np.linalg.eig, J)
     scale = max(1e-30, float(np.max(np.abs(eigvals))))
     order = np.argsort(-np.abs(eigvals.imag))
     if abs(eigvals[order[0]].imag) <= A2_THRESHOLD * scale:

@@ -315,11 +315,9 @@ class PolynomialField:
         entries = self._evaluate(self._jet, point, mu).reshape(STATE_DIM, -1).T
         return JetTable.from_entries(point, mu, entries, tolerance=1e-12)
 
-    def model(self, name: str, metadata: Mapping[str, object] | None = None) -> ModelDefinition:
+    def model(self, name: str) -> ModelDefinition:
         """The field as a model with its exact Jacobian and jet."""
-        return ModelDefinition(
-            name, self.rhs, self.exact_jet, self.jacobian, metadata=metadata or {}
-        )
+        return ModelDefinition(name, self.rhs, self.exact_jet, self.jacobian)
 
 
 def polynomial_model(
@@ -583,15 +581,7 @@ def _predator_prey(params: Mapping[str, float]) -> ModelDefinition:
             and max(abs(x1), abs(x2), abs(s)) < 50.0
         )
 
-    meta: dict[str, object] = {
-        "params": {
-            "delta1": delta1,
-            "delta2": delta2,
-            "lam": lam,
-            "alpha1": alpha1,
-            "alpha2": alpha2,
-        }
-    }
+    meta: dict[str, object] = {}
     l1 = 1.0 - 2.0 * lam - alpha1
     l2 = 2.0 * lam + alpha2 - 1.0
     gap = alpha2 - alpha1
@@ -630,8 +620,7 @@ def _synthetic_nf(params: Mapping[str, float]) -> ModelDefinition:
             [(b, 2, 0, 0, 0), (b, 0, 2, 0, 0), (c, 0, 0, 0, 1), (d, 0, 0, 1, 1)],
         ]
     )
-    meta = {"params": {"a": a, "b": b, "c": c, "d": d, "omega": omega}}
-    return field.model("synthetic_nf", meta)
+    return field.model("synthetic_nf")
 
 
 def _toy_cylindrical(params: Mapping[str, float]) -> ModelDefinition:
@@ -696,8 +685,7 @@ def _toy_cylindrical(params: Mapping[str, float]) -> ModelDefinition:
             ],
         ]
     )
-    meta = {"params": dict(zip(names, values))}
-    return field.model("toy_cylindrical", meta)
+    return field.model("toy_cylindrical")
 
 
 def _classical_hopf(params: Mapping[str, float]) -> ModelDefinition:
@@ -715,8 +703,7 @@ def _classical_hopf(params: Mapping[str, float]) -> ModelDefinition:
             [(1.0, 0, 0, 0, 1)],
         ]
     )
-    meta = {"params": {"omega": omega, "sign": sign}}
-    return field.model("classical_hopf", meta)
+    return field.model("classical_hopf")
 
 
 _BUILTINS: dict[str, Callable[[Mapping[str, float]], ModelDefinition]] = {

@@ -235,15 +235,15 @@ def find_periodic_orbit(
         if guard is not None and not guard(P):
             raise NoConvergence("shooting iterate violated the interior guard")
 
+    def closure(P: np.ndarray, PT: np.ndarray) -> np.ndarray:
+        return np.append(PT - P, normal @ (P - anchor0))
+
     check_iterate(x, T)
     xT, monodromy, trace_int, dense = _flow_with_monodromy(model, mu, x, T, rtol)
-    converged = False
-    res_norm = math.inf
     for _ in range(SHOOTING_MAX_ITER):
-        R = np.append(xT - x, normal @ (x - anchor0))
+        R = closure(x, xT)
         res_norm = float(np.max(np.abs(R)))
         if res_norm < newton_tol:
-            converged = True
             break
         A = np.zeros((4, 4))
         A[:3, :3] = monodromy - np.eye(3)
@@ -259,7 +259,6 @@ def find_periodic_orbit(
         # backtracking on the closure residual
         base = float(np.linalg.norm(R))
         scale = 1.0
-        accepted = False
         for _halving in range(8):
             x_new = x + scale * delta[:3]
             T_new = T + scale * delta[3]
@@ -269,16 +268,14 @@ def find_periodic_orbit(
             except (NoConvergence, NonFinite, StepFailure):
                 scale *= 0.5
                 continue
-            R_new = np.append(trial[0] - x_new, normal @ (x_new - anchor0))
-            if float(np.linalg.norm(R_new)) < base or scale <= 1.0 / 64.0:
+            if float(np.linalg.norm(closure(x_new, trial[0]))) < base or scale <= 1.0 / 64.0:
                 x, T = x_new, T_new
                 xT, monodromy, trace_int, dense = trial
-                accepted = True
                 break
             scale *= 0.5
-        if not accepted:
+        else:
             raise NoConvergence("shooting stalled: no residual decrease")
-    if not converged:
+    else:
         raise NoConvergence(
             f"shooting did not reach tolerance in {SHOOTING_MAX_ITER} iterations "
             f"(residual {res_norm:.2e})"
@@ -317,9 +314,6 @@ class StabilityVerdict:
     unstable_count: int
     trivial_defect: float
     nontrivial_moduli: tuple[float, float]
-
-    def to_document(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def floquet_stability(orbit: PeriodicOrbit) -> StabilityVerdict:
@@ -476,18 +470,16 @@ def continue_branch(
 
     points: list[BranchPoint] = []
     lost_at: float | None = None
-    prev: tuple[float, PeriodicOrbit] | None = None
-    prev2: tuple[float, PeriodicOrbit] | None = None
     for mu in grid:
-        if prev is not None:
-            anchor = prev[1].anchor
-            period = prev[1].period
-            if prev2 is not None and prev[0] != prev2[0]:
-                ratio = (mu - prev[0]) / (prev[0] - prev2[0])
-                anchor = anchor + ratio * (prev[1].anchor - prev2[1].anchor)
-                period = period + ratio * (prev[1].period - prev2[1].period)
-            scale = max(points[-1].amplitude, 1e-6)
-            seed = ShootingSeed(anchor=anchor, period=period, scale=scale)
+        if points:
+            last = points[-1]
+            anchor, period = last.orbit.anchor, last.orbit.period
+            if len(points) > 1:
+                before = points[-2]
+                ratio = (mu - last.mu) / (last.mu - before.mu)
+                anchor = anchor + ratio * (last.orbit.anchor - before.orbit.anchor)
+                period = period + ratio * (last.orbit.period - before.orbit.period)
+            seed = ShootingSeed(anchor=anchor, period=period, scale=max(last.amplitude, 1e-6))
         try:
             orbit = find_periodic_orbit(
                 model,
@@ -502,8 +494,6 @@ def continue_branch(
             lost_at = mu
             break
         points.append(BranchPoint(mu=mu, amplitude=_amplitude(orbit, frame, mu), orbit=orbit))
-        prev2 = prev
-        prev = (mu, orbit)
 
     return Branch(points=tuple(points), lost_at=lost_at, fit=_fit_amplitudes(points))
 
@@ -521,9 +511,6 @@ class DriftReport:
     predicted: float
     sign_match: bool
     relative_error: float
-
-    def to_document(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def averaged_drift_check(
@@ -654,9 +641,6 @@ class ComparisonReport:
 
     deviation: float
     tau_covered: float
-
-    def to_document(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def compare_with_full_model(

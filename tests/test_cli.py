@@ -243,6 +243,29 @@ def test_continue_single_point_skips_fit(workspace):
     assert len(rows) == 1
 
 
+def test_branch_and_sweep_outputs_keep_their_documented_shape(workspace):
+    """The README's columns for branch.tsv and sweep.tsv, the fit keys of
+    summary.json, and each summary point equal to its branch.tsv row."""
+    cfg = workspace.config(INTERIOR)
+    code = main(["continue", "--config", cfg, "--mu-grid", "0.002,0.005,0.01", "--out", workspace.outdir("b")])
+    assert code == 0
+    header, rows = read_table(workspace, "b", "branch.tsv")
+    assert header == "mu period amplitude residual m1_re m1_im m2_re m2_im m3_re m3_im".split()
+    summary = read_json(workspace, "b", "summary.json")
+    assert sorted(summary["fit"]) == ["exponent", "n_points", "prefactor"]
+    assert len(summary["points"]) == len(rows) == 3
+    for point, row in zip(summary["points"], rows):
+        assert sorted(point) == sorted(header[:4])
+        assert [format(point[key], ".12g") for key in header[:4]] == row[:4]
+
+    assert main(["eco-sweep", "--samples", "5", "--out", workspace.outdir("s")]) == 0
+    header, rows = read_table(workspace, "s", "sweep.tsv")
+    assert header == (
+        "delta1 delta2 lambda alpha1 alpha2 l1 l2 omega beta2 beta5 gamma5 gamma7 sigma margin type"
+    ).split()
+    assert len(rows) == 5 and all(len(row) == len(header) for row in rows)
+
+
 def test_continue_needs_a_grid(workspace):
     cfg = workspace.config(INTERIOR)
     assert main(["continue", "--config", cfg, "--out", workspace.outdir("n")]) == 64
@@ -277,10 +300,29 @@ def test_eco_sweep_single_row_and_determinism(workspace):
 
 
 def test_eco_sweep_overflowing_closed_forms_are_numerical_failures(workspace, capsys):
-    # deltas near 1e308 overflow the closed forms to inf and nan
-    assert main(["eco-sweep", "--delta-bounds", "1,1e308", "--out", workspace.outdir("big")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+    # deltas near 1e308 overflow the closed forms to inf and nan; deltas near
+    # 1e-170 underflow omega^4 to zero
+    for bounds in ("1,1e308", "1e-170,1e-160"):
+        assert main(["eco-sweep", "--delta-bounds", bounds, "--out", workspace.outdir("far")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+
+
+def test_failed_eigen_decomposition_is_a_numerical_failure(workspace):
+    """At omega = 1e308 LAPACK cannot converge on the Jacobian's eigenvalues;
+    the command exits with a numerical failure, not a LinAlgError traceback."""
+    doc = {
+        "builtin": "toy_cylindrical",
+        "params": {"omega": 1e308, "beta2": -0.7, "beta3": 0.2, "beta5": 0.9, "gamma5": -1.1},
+    }
+    result = subprocess.run(
+        [sys.executable, "-m", "hybridhopf.cli", "classify", "--config", workspace.config(doc),
+         "--out", workspace.outdir("eig")],
+        capture_output=True, text=True, check=False, env=source_env(), timeout=60,
+    )
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines()[-1].startswith("numerical failure: "), result.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Cylindrical expansion coefficients: planted models and closed-form charts."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -123,7 +124,7 @@ def test_interior_closed_chart_values(closed_chart):
 
 
 def test_coefficients_document_is_json_ready(interior_pipeline):
-    doc = interior_pipeline.coeffs.to_document()
+    doc = dataclasses.asdict(interior_pipeline.coeffs)
     import json
 
     text = json.dumps(doc, sort_keys=True)
