@@ -9,8 +9,8 @@ predicted orbits against the full flow (`verify`).  The `eco` module carries
 the two-predator/one-prey application with closed-form reference values.
 
 `import hybridhopf` does not load `verify`, and so not `scipy.integrate`: the
-names taken from `verify` (`find_periodic_orbit`, `continue_branch`, ...) are
-served on first use, which imports the module then.
+module `__getattr__` serves `verify`, and each name of `__all__` not bound at
+import (`find_periodic_orbit`, ...), by importing `verify` on first use.
 """
 
 __version__ = "0.1.0"
@@ -38,32 +38,6 @@ from .models import (
     jet,
     polynomial_model,
 )
-
-_VERIFY_NAMES = frozenset(
-    {
-        "Branch",
-        "PeriodicOrbit",
-        "ShootingSeed",
-        "StabilityVerdict",
-        "averaged_drift_check",
-        "compare_with_full_model",
-        "continue_branch",
-        "find_periodic_orbit",
-        "floquet_stability",
-        "integrate",
-        "simulate_truncated",
-    }
-)
-
-
-def __getattr__(name: str):
-    # PEP 562: only shooting and integration need scipy.integrate, so `verify`
-    # is imported on the first access to it or to one of its names.
-    if name == "verify" or name in _VERIFY_NAMES:
-        verify = importlib.import_module(".verify", __name__)
-        return verify if name == "verify" else getattr(verify, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "__version__",
@@ -101,3 +75,11 @@ __all__ = [
     "simulate_truncated",
     "standard_jet",
 ]
+
+
+def __getattr__(name: str):
+    # PEP 562: called only for names the imports above leave unbound
+    if name == "verify" or name in __all__:
+        verify = importlib.import_module(".verify", __name__)
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -35,6 +35,8 @@ TYPE_ELLIPTIC_UNSTABLE = "EU"
 SIGN_THRESHOLD = 1e-6
 #: relative threshold below which the focus quantity counts as zero
 DEGENERACY_RTOL = 1e-9
+#: dimension of the orbit's unstable manifold for each type
+_UNSTABLE_DIMENSION = {TYPE_HYPERBOLIC: 2, TYPE_ELLIPTIC_STABLE: 0, TYPE_ELLIPTIC_UNSTABLE: 3}
 
 
 def focus_quantity(coeffs: CylindricalCoefficients) -> float:
@@ -67,6 +69,11 @@ class Classification:
     mu_validity_hint: float
 
 
+def _direction(beta5: float, gamma5: float) -> int:
+    """Sign of mu on which r0^2 = -mu gamma5 / beta5 is positive."""
+    return -1 if beta5 * gamma5 > 0 else 1
+
+
 def classify(coeffs: CylindricalCoefficients) -> Classification:
     """Decide the bifurcation type carried by the reduced coefficients.
 
@@ -90,49 +97,36 @@ def classify(coeffs: CylindricalCoefficients) -> Classification:
         )
 
     xi = 1 if b2 * b5 > 0 else -1
-    direction = -1 if b5 * g5 > 0 else 1
-    hint = 0.1 * abs(b5 / g5)
-
-    if xi > 0:
-        return Classification(
-            label=TYPE_HYPERBOLIC,
-            xi=xi,
-            sigma=sigma,
-            direction=direction,
-            orbit_stable=False,
-            unstable_dimension=2,
-            omega=coeffs.omega,
-            mu_validity_hint=hint,
+    label = TYPE_HYPERBOLIC
+    if xi < 0:
+        g5sq = g5 * g5
+        scale = max(
+            abs(2.0 * coeffs.beta3 * g5sq),
+            abs(coeffs.beta5 * g5 * coeffs.gamma7),
+            abs(coeffs.beta6 * g5sq),
+            1e-300,
         )
-
-    g5sq = g5 * g5
-    scale = max(
-        abs(2.0 * coeffs.beta3 * g5sq),
-        abs(coeffs.beta5 * g5 * coeffs.gamma7),
-        abs(coeffs.beta6 * g5sq),
-        1e-300,
-    )
-    # the sign of sigma is only meaningful if at least one of its three
-    # constituents stands clear of the round-off left in the reduction;
-    # measure them against the coefficients that are guaranteed nonzero
-    resolution = SIGN_THRESHOLD * max(abs(b2), abs(b5), abs(g5), coeffs.omega)
-    resolved = max(abs(coeffs.beta3), abs(coeffs.beta6), abs(coeffs.gamma7)) > resolution
-    if not resolved or abs(sigma) <= DEGENERACY_RTOL * scale:
-        raise Degenerate(
-            f"focus quantity {sigma:.3e} is indistinguishable from zero "
-            f"(largest term {scale:.3e}, coefficient resolution {resolution:.3e}); "
-            "stability undecidable at this order"
-        )
-    stable = sigma < 0
+        # the sign of sigma is only meaningful if at least one of its three
+        # constituents stands clear of the round-off left in the reduction;
+        # measure them against the coefficients that are guaranteed nonzero
+        resolution = SIGN_THRESHOLD * max(abs(b2), abs(b5), abs(g5), coeffs.omega)
+        resolved = max(abs(coeffs.beta3), abs(coeffs.beta6), abs(coeffs.gamma7)) > resolution
+        if not resolved or abs(sigma) <= DEGENERACY_RTOL * scale:
+            raise Degenerate(
+                f"focus quantity {sigma:.3e} is indistinguishable from zero "
+                f"(largest term {scale:.3e}, coefficient resolution {resolution:.3e}); "
+                "stability undecidable at this order"
+            )
+        label = TYPE_ELLIPTIC_STABLE if sigma < 0 else TYPE_ELLIPTIC_UNSTABLE
     return Classification(
-        label=TYPE_ELLIPTIC_STABLE if stable else TYPE_ELLIPTIC_UNSTABLE,
+        label=label,
         xi=xi,
         sigma=sigma,
-        direction=direction,
-        orbit_stable=stable,
-        unstable_dimension=0 if stable else 3,
+        direction=_direction(b5, g5),
+        orbit_stable=label == TYPE_ELLIPTIC_STABLE,
+        unstable_dimension=_UNSTABLE_DIMENSION[label],
         omega=coeffs.omega,
-        mu_validity_hint=hint,
+        mu_validity_hint=0.1 * abs(b5 / g5),
     )
 
 
@@ -167,9 +161,9 @@ def predict_orbit(
         raise AssumptionViolation("cannot predict an orbit with beta5 or gamma5 ~ 0")
     r0_sq = -mu * g5 / b5
     if r0_sq <= 0.0:
-        good = "mu > 0" if -math.copysign(1.0, b5 * g5) > 0 else "mu < 0"
         raise WrongDirection(
-            f"no orbit predicted at mu = {mu:g}; the branch lives on {good}"
+            f"no orbit predicted at mu = {mu:g}; the branch lives on "
+            f"{direction_label(_direction(b5, g5))}"
         )
     r0 = math.sqrt(r0_sq)
     period = 2.0 * math.pi / coeffs.omega
@@ -182,16 +176,6 @@ def predict_orbit(
     return PredictedOrbit(mu=mu, r0=r0, period=period, anchor=anchor, amplitude_scale=scale)
 
 
-def reduced_equilibrium(
-    coeffs: CylindricalCoefficients, mu: float
-) -> tuple[float, float]:
-    """First-order reduced equilibrium (r0, z0 = 0) in frame coordinates."""
-    r0_sq = -mu * coeffs.gamma5 / coeffs.beta5
-    if r0_sq <= 0:
-        raise WrongDirection(f"no reduced equilibrium at mu = {mu:g}")
-    return math.sqrt(r0_sq), 0.0
-
-
 def saddle_exponents(
     coeffs: CylindricalCoefficients, mu: float
 ) -> tuple[complex, complex]:
@@ -201,7 +185,7 @@ def saddle_exponents(
     eigenvalues +-sqrt(2 beta2 beta5) r0: real for the hyperbolic type,
     imaginary for the elliptic one.
     """
-    r0, _ = reduced_equilibrium(coeffs, mu)
+    r0 = predict_orbit(coeffs, mu).r0
     product = 2.0 * coeffs.beta2 * coeffs.beta5
     root = complex(math.sqrt(product)) if product >= 0 else 1j * math.sqrt(-product)
     return root * r0, -root * r0

@@ -204,13 +204,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
     out = _out_dir(args)
-    model, report, frame, coeffs = _pipeline(_load_config(args.config), out)
+    config = _load_config(args.config)
+    model, report, frame, coeffs = _pipeline(config, out)
     if not report.all_pass():
         return _assumptions_failed(report)
     classification = classifier.classify(coeffs)
     prediction = classifier.predict_orbit(coeffs, args.mu, frame)
     tol = args.tol if args.tol is not None else 1e-11
-    guard = eco.interior_guard() if model.name == "predator_prey" else None
+    guard = eco.interior_guard() if config.get("builtin") == "predator_prey" else None
     orbit = verify.find_periodic_orbit(
         model,
         args.mu,
@@ -265,7 +266,7 @@ def _cmd_continue(args: argparse.Namespace) -> int:
     if not report.all_pass():
         return _assumptions_failed(report)
     seed_state = _numbers(args.seed_state, "--seed-state", 3) if args.seed_state else None
-    guard = eco.interior_guard() if model.name == "predator_prey" else None
+    guard = eco.interior_guard() if config.get("builtin") == "predator_prey" else None
     try:
         branch = verify.continue_branch(
             model,

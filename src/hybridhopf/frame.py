@@ -84,17 +84,19 @@ def locate_hopf_point(model: ModelDefinition, seed: Sequence[float]) -> np.ndarr
         step, *_ = np.linalg.lstsq(JG, -G, rcond=None)
         base = float(np.linalg.norm(G))
         scale = 1.0
+        failure = ""
         for _halving in range(12):
             try:
                 G_new = residual(X + scale * step)
-            except NonFinite:
+            except NonFinite as exc:
+                failure = f" (last failed trial: {exc})"
                 scale *= 0.5
                 continue
             if np.linalg.norm(G_new) < base or scale < 1e-6:
                 break
             scale *= 0.5
         else:
-            raise NoConvergence("Hopf-point search stalled: no descent direction")
+            raise NoConvergence(f"Hopf-point search stalled: no descent direction{failure}")
         X = X + scale * step
         G = G_new
     else:

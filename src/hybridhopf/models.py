@@ -195,14 +195,11 @@ def central_difference(
 
 
 def jacobian_fn(model: ModelDefinition, mu: float) -> Callable[[np.ndarray], np.ndarray]:
-    """X -> dF/dX at fixed mu: the model's Jacobian, else its exact jet's,
-    else `central_difference` of the RHS."""
+    """X -> dF/dX at fixed mu: the model's Jacobian, else `central_difference`
+    of the RHS."""
     if model.jacobian is not None:
         jac = model.jacobian
         return lambda X: np.asarray(jac(X, mu), dtype=float)
-    if model.exact_jet is not None:
-        exact_jet = model.exact_jet
-        return lambda X: exact_jet(X, mu).jacobian()
     return lambda X: central_difference(lambda P: model.rhs(P, mu), X)
 
 

@@ -20,16 +20,17 @@ from scipy.integrate import solve_ivp
 
 from . import models
 from .classifier import PredictedOrbit, predict_orbit
-from .coefficients import CylindricalCoefficients, compute_coefficients
+from .coefficients import CylindricalCoefficients
 from .errors import (
     InvalidBounds,
     LeftDomain,
     NoConvergence,
     NonFinite,
+    NumericalFailure,
     SingularShooting,
     StepFailure,
 )
-from .frame import StandardFrame, standard_jet
+from .frame import StandardFrame
 from .models import ModelDefinition
 
 #: integrator tolerance for one-off orbit solves
@@ -55,11 +56,6 @@ class Trajectory:
     t: np.ndarray
     states: np.ndarray
     sol: object | None = None
-
-    def at(self, t: float) -> np.ndarray:
-        if self.sol is None:
-            raise ValueError("trajectory was not stored with dense output")
-        return np.asarray(self.sol(t))
 
 
 def _solve(rhs, t_span, y0, rtol: float, what: str, dense: bool = True, events=None):
@@ -148,9 +144,10 @@ class PeriodicOrbit:
     residual: float
     liouville_defect: float
 
-    def radius(self) -> float:
-        centroid = self.states.mean(axis=0)
-        return float(np.max(np.linalg.norm(self.states - centroid, axis=1)))
+
+def _radius(states: np.ndarray) -> float:
+    """Largest distance of the sampled states from their centroid."""
+    return float(np.max(np.linalg.norm(states - states.mean(axis=0), axis=1)))
 
 
 def _flow_with_monodromy(
@@ -265,7 +262,7 @@ def find_periodic_orbit(
             try:
                 check_iterate(x_new, T_new)
                 trial = _flow_with_monodromy(model, mu, x_new, T_new, rtol)
-            except (NoConvergence, NonFinite, StepFailure):
+            except NumericalFailure:
                 scale *= 0.5
                 continue
             if float(np.linalg.norm(closure(x_new, trial[0]))) < base or scale <= 1.0 / 64.0:
@@ -373,7 +370,7 @@ def _amplitude(
     orbit: PeriodicOrbit, frame: StandardFrame | None, mu: float
 ) -> float:
     if frame is None:
-        return orbit.radius()
+        return _radius(orbit.states)
     coords = frame.to_frame(orbit.states, mu)
     return float(np.max(np.linalg.norm(coords[:, :2], axis=1)))
 
@@ -413,11 +410,9 @@ def _detect_cycle(model: ModelDefinition, mu: float, x: np.ndarray) -> ShootingS
         raise NoConvergence("no recurrent crossings; trajectory is not cycling")
     gaps = np.diff(crossings)
     period = float(np.median(gaps[-5:]))
-    anchor = traj.at(crossings[-1])
+    anchor = np.asarray(traj.sol(crossings[-1]))
     loop = integrate(model, mu, anchor, (0.0, period), n_samples=400)
-    centroid = loop.states.mean(axis=0)
-    scale = float(np.max(np.linalg.norm(loop.states - centroid, axis=1)))
-    return ShootingSeed(anchor=anchor, period=period, scale=scale)
+    return ShootingSeed(anchor=anchor, period=period, scale=_radius(loop.states))
 
 
 def continue_branch(
@@ -490,7 +485,7 @@ def continue_branch(
                 guard=guard,
                 n_samples=n_samples,
             )
-        except (NoConvergence, SingularShooting, NonFinite, StepFailure):
+        except NumericalFailure:
             lost_at = mu
             break
         points.append(BranchPoint(mu=mu, amplitude=_amplitude(orbit, frame, mu), orbit=orbit))
@@ -516,13 +511,13 @@ class DriftReport:
 def averaged_drift_check(
     model: ModelDefinition,
     frame: StandardFrame,
+    coeffs: CylindricalCoefficients,
     mu: float,
     radius: float,
 ) -> DriftReport:
     """Compare the measured average of dz over one rotation with
-    gamma5 * mu + beta5 * radius^2; both below 1e-10 count as a match."""
-    jet = models.jet(model, frame.origin, 0.0)
-    coeffs = compute_coefficients(standard_jet(jet, frame))
+    gamma5 * mu + beta5 * radius^2, read from ``coeffs`` (computed in
+    ``frame``); both below 1e-10 count as a match."""
     predicted = coeffs.gamma5 * mu + coeffs.beta5 * radius**2
 
     X0 = frame.from_frame((radius, 0.0, 0.0), mu)

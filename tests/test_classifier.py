@@ -15,7 +15,6 @@ from hybridhopf.classifier import (
     TYPE_HYPERBOLIC,
     direction_label,
     focus_quantity,
-    reduced_equilibrium,
     saddle_exponents,
 )
 from hybridhopf.coefficients import CylindricalCoefficients, HarmonicScalar
@@ -179,8 +178,7 @@ def test_prediction_with_frame_geometry(closed_chart):
 
 def test_reduced_equilibrium_and_saddle_exponents(synthetic_pipeline):
     hyp = synthetic_pipeline(1, 1, 1, 1).coeffs  # direction = -1, orbits at mu < 0
-    r0, z0 = reduced_equilibrium(hyp, -0.01)
-    assert z0 == 0.0
+    r0 = predict_orbit(hyp, -0.01).r0
     assert r0 == pytest.approx(0.1, rel=1e-12)
     lam1, lam2 = saddle_exponents(hyp, -0.01)
     want = math.sqrt(2.0) * 0.1

@@ -34,6 +34,13 @@ PLANTED_ES = {
     "params": {"beta2": -1.0, "beta3": -0.5, "beta5": 1.0, "gamma5": -1.0},
     "seed_state": [0.01, -0.02, 0.015],
 }
+ES_NORMAL_FORM = {
+    "polynomial": {
+        "y1": [[-1, 0, 1, 0, 0], [-1, 1, 0, 1, 0]],
+        "y2": [[1, 1, 0, 0, 0], [-1, 0, 1, 1, 0]],
+        "z": [[1, 2, 0, 0, 0], [1, 0, 2, 0, 0], [-1, 0, 0, 0, 1], [-1, 0, 0, 1, 1]],
+    }
+}
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
@@ -179,6 +186,20 @@ def test_verify_wrong_side_exits_numerical(workspace, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_interior_guard_follows_the_builtin_entry_not_the_name(workspace):
+    """The predator-prey interior guard belongs to the builtin model: a
+    polynomial model named "predator_prey" is shot without it, so its orbit,
+    which leaves the positive octant, is found as under its default name."""
+    named = {**ES_NORMAL_FORM, "name": "predator_prey"}
+    for out, doc in (("plain", ES_NORMAL_FORM), ("named", named)):
+        cfg = workspace.config(doc, f"{out}.json")
+        argv = ["verify", "--config", cfg, "--mu", "0.01", "--out", workspace.outdir(out)]
+        assert main(argv) == 0, out
+    assert read_json(workspace, "named", "verify.json") == read_json(
+        workspace, "plain", "verify.json"
+    )
+
+
 # ---------------------------------------------------------------------------
 # continue
 # ---------------------------------------------------------------------------
@@ -310,7 +331,8 @@ def test_eco_sweep_overflowing_closed_forms_are_numerical_failures(workspace, ca
 
 def test_failed_eigen_decomposition_is_a_numerical_failure(workspace):
     """At omega = 1e308 LAPACK cannot converge on the Jacobian's eigenvalues;
-    the command exits with a numerical failure, not a LinAlgError traceback."""
+    the command exits with a numerical failure, not a LinAlgError traceback,
+    and the stalled Hopf-point search names that failure."""
     doc = {
         "builtin": "toy_cylindrical",
         "params": {"omega": 1e308, "beta2": -0.7, "beta3": 0.2, "beta5": 0.9, "gamma5": -1.1},
@@ -322,7 +344,9 @@ def test_failed_eigen_decomposition_is_a_numerical_failure(workspace):
     )
     assert result.returncode == 1, result.stderr
     assert "Traceback" not in result.stderr
-    assert result.stderr.splitlines()[-1].startswith("numerical failure: "), result.stderr
+    last = result.stderr.splitlines()[-1]
+    assert last.startswith("numerical failure: "), result.stderr
+    assert "(last failed trial: eigenvalues of the Jacobian failed:" in last, result.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +629,8 @@ def record(step):
 
 import hybridhopf
 record("import hybridhopf")
+absent = getattr(hybridhopf, "no_such_name", None) is None
+record("unknown name")
 import hybridhopf.cli
 record("import hybridhopf.cli")
 from hybridhopf.cli import main
@@ -622,13 +648,14 @@ record("eco-sweep")
 codes["verify"] = main(["verify", "--config", config, "--mu", "0.005", "--out", out + "/verify"])
 record("verify")
 unresolved = [n for n in hybridhopf.__all__ if getattr(hybridhopf, n, None) is None]
-print(json.dumps({"loaded": loaded, "codes": codes, "unresolved": unresolved}))
+print(json.dumps({"loaded": loaded, "codes": codes, "unresolved": unresolved, "absent": absent}))
 """
 
 
 def test_only_integrating_commands_import_scipy_integrate(workspace):
-    """`import hybridhopf`, `--version`, `classify` and `eco-sweep` never load
-    `verify` or `scipy.integrate`; `verify` loads both on demand."""
+    """`import hybridhopf`, an unknown attribute, `--version`, `classify` and
+    `eco-sweep` never load `verify` or `scipy.integrate`; `verify` loads both
+    on demand."""
     cfg = workspace.config(INTERIOR)
     result = subprocess.run(
         [sys.executable, "-c", IMPORT_BUDGET_CHILD, cfg, workspace.outdir("budget")],
@@ -640,7 +667,10 @@ def test_only_integrating_commands_import_scipy_integrate(workspace):
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout.splitlines()[-1])
     assert report["codes"] == {"--version": 0, "classify": 0, "eco-sweep": 0, "verify": 0}
-    for step in ("import hybridhopf", "import hybridhopf.cli", "--version", "classify", "eco-sweep"):
+    steps = ("import hybridhopf", "unknown name", "import hybridhopf.cli", "--version", "classify",
+             "eco-sweep")
+    for step in steps:
         assert report["loaded"][step] == [], step
+    assert report["absent"] is True
     assert report["loaded"]["verify"] == ["scipy.integrate", "hybridhopf.verify"]
     assert report["unresolved"] == []

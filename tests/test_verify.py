@@ -289,7 +289,8 @@ def test_simulate_seeding_matches_prediction_seeding(interior_pipeline, interior
 
 
 def test_drift_sign_on_circle_at_zero_mu(interior_pipeline):
-    report = averaged_drift_check(interior_pipeline.model, interior_pipeline.frame, 0.0, 0.05)
+    pipe = interior_pipeline
+    report = averaged_drift_check(pipe.model, pipe.frame, pipe.coeffs, 0.0, 0.05)
     assert report.sign_match
     assert report.predicted == pytest.approx(
         interior_pipeline.coeffs.beta5 * 0.05**2, rel=1e-12
@@ -298,7 +299,8 @@ def test_drift_sign_on_circle_at_zero_mu(interior_pipeline):
 
 
 def test_drift_on_former_line_matches_first_order(interior_pipeline):
-    report = averaged_drift_check(interior_pipeline.model, interior_pipeline.frame, 0.001, 0.0)
+    pipe = interior_pipeline
+    report = averaged_drift_check(pipe.model, pipe.frame, pipe.coeffs, 0.001, 0.0)
     assert report.sign_match
     assert report.predicted == pytest.approx(
         0.001 * interior_pipeline.coeffs.gamma5, rel=1e-12
@@ -307,8 +309,10 @@ def test_drift_on_former_line_matches_first_order(interior_pipeline):
 
 
 def test_drift_vanishes_for_linear_field(rotation_model):
-    frame = build_standard_frame(jet(rotation_model, np.zeros(3), 0.0))
-    report = averaged_drift_check(rotation_model, frame, 0.002, 0.1)
+    raw = jet(rotation_model, np.zeros(3), 0.0)
+    frame = build_standard_frame(raw)
+    coeffs = compute_coefficients(standard_jet(raw, frame))
+    report = averaged_drift_check(rotation_model, frame, coeffs, 0.002, 0.1)
     assert report.predicted == 0.0
     assert abs(report.measured) < 1e-12
     assert report.sign_match
