@@ -8,7 +8,7 @@ the standard frame (`frame`), evaluate the reduced coefficients
 predicted orbits against the full flow (`verify`).  The `eco` module carries
 the two-predator/one-prey application with closed-form reference values.
 
-`import hybridhopf` does not load `verify`, and so not `scipy.integrate`: the
+`import hybridhopf` does not load `verify` or its integrator `dop853`: the
 module `__getattr__` serves `verify`, and each name of `__all__` not bound at
 import (`find_periodic_orbit`, ...), by importing `verify` on first use.
 """

@@ -36,8 +36,8 @@ from typing import Sequence
 
 import numpy as np
 
-# `verify` imports scipy.integrate, so only the subcommands that integrate
-# (verify, continue, truncated) import it; classify and eco-sweep never load it.
+# Only the subcommands that integrate (verify, continue, truncated) import
+# `verify` and its integrator; classify and eco-sweep never load them.
 from . import __version__, classifier, eco, frame as frame_mod, models
 from .coefficients import compute_coefficients
 from .errors import (

@@ -92,62 +92,64 @@ def _check_pattern(jet: JetTable) -> float:
 def compute_coefficients(jet: JetTable) -> CylindricalCoefficients:
     """Evaluate all reduced coefficients from a standard-frame jet at mu = 0."""
     omega = _check_pattern(jet)
-    D = jet.state
-    M = jet.mu_deriv
+    # d2[k][i][j] = d_i d_j F_k over frame axes (y1, y2, z) = (0, 1, 2), read at sorted
+    # axes as `JetTable.state` does; d3 likewise; m0[k] = d_mu F_k, m1[k][i] = d_i d_mu F_k.
+    d2, d3 = (t.tolist() for t in jet.state_derivs[2:])
+    m0, m1 = (t.tolist() for t in jet.mu_derivs)
 
-    beta1 = (D(1, 0, 1, 1) - D(0, 1, 1, 0)) / (2.0 * omega)
-    beta2 = 0.5 * (D(1, 0, 1, 0) + D(0, 1, 1, 1))
-    beta4 = 0.25 * (D(1, 0, 2, 0) + D(0, 1, 2, 1))
-    beta5 = 0.25 * (D(2, 0, 0, 2) + D(0, 2, 0, 2))
+    beta1 = (d2[1][0][2] - d2[0][1][2]) / (2.0 * omega)
+    beta2 = 0.5 * (d2[0][0][2] + d2[1][1][2])
+    beta4 = 0.25 * (d3[0][0][2][2] + d3[1][1][2][2])
+    beta5 = 0.25 * (d2[2][0][0] + d2[2][1][1])
 
-    lap_y_f1 = D(2, 0, 0, 0) + D(0, 2, 0, 0)
-    lap_y_f2 = D(2, 0, 0, 1) + D(0, 2, 0, 1)
+    lap_y_f1 = d2[0][0][0] + d2[0][1][1]
+    lap_y_f2 = d2[1][0][0] + d2[1][1][1]
     beta3 = (
-        (D(3, 0, 0, 0) + D(1, 2, 0, 0) + D(2, 1, 0, 1) + D(0, 3, 0, 1)) / 16.0
-        + (D(1, 1, 0, 0) * lap_y_f1 - D(1, 1, 0, 1) * lap_y_f2) / (16.0 * omega)
-        + (D(0, 2, 0, 0) * D(0, 2, 0, 1) - D(2, 0, 0, 0) * D(2, 0, 0, 1))
+        (d3[0][0][0][0] + d3[0][0][1][1] + d3[1][0][0][1] + d3[1][1][1][1]) / 16.0
+        + (d2[0][0][1] * lap_y_f1 - d2[1][0][1] * lap_y_f2) / (16.0 * omega)
+        + (d2[0][1][1] * d2[1][1][1] - d2[0][0][0] * d2[1][0][0])
         / (16.0 * omega)
-        + (D(0, 1, 1, 1) - D(1, 0, 1, 0)) * D(1, 1, 0, 2) / (16.0 * omega)
-        + (D(0, 1, 1, 0) + D(1, 0, 1, 1))
-        * (D(2, 0, 0, 2) - D(0, 2, 0, 2))
+        + (d2[1][1][2] - d2[0][0][2]) * d2[2][0][1] / (16.0 * omega)
+        + (d2[0][1][2] + d2[1][0][2])
+        * (d2[2][0][0] - d2[2][1][1])
         / (32.0 * omega)
     )
     beta6 = (
-        0.25 * (D(2, 0, 1, 2) + D(0, 2, 1, 2))
-        + (D(0, 1, 1, 2) * lap_y_f1 - D(1, 0, 1, 2) * lap_y_f2) / (4.0 * omega)
-        + (D(1, 0, 1, 0) - D(0, 1, 1, 1)) * D(1, 1, 0, 2) / (4.0 * omega)
-        + (D(0, 1, 1, 0) + D(1, 0, 1, 1))
-        * (D(0, 2, 0, 2) - D(2, 0, 0, 2))
+        0.25 * (d3[2][0][0][2] + d3[2][1][1][2])
+        + (d2[2][1][2] * lap_y_f1 - d2[2][0][2] * lap_y_f2) / (4.0 * omega)
+        + (d2[0][0][2] - d2[1][1][2]) * d2[2][0][1] / (4.0 * omega)
+        + (d2[0][1][2] + d2[1][0][2])
+        * (d2[2][1][1] - d2[2][0][0])
         / (8.0 * omega)
     )
 
-    gamma5 = M(0, 0, 0, 2)
-    gamma7 = M(0, 0, 1, 2)
+    gamma5 = m0[2]
+    gamma7 = m1[2][2]
 
     # mixed rotation/drift couplings shared by the harmonic formulas
-    c_pp = D(1, 0, 1, 0)  # d_y1 d_z f^y1
-    c_mm = D(0, 1, 1, 1)  # d_y2 d_z f^y2
-    c_pm = D(1, 0, 1, 1)  # d_y1 d_z f^y2
-    c_mp = D(0, 1, 1, 0)  # d_y2 d_z f^y1
+    c_pp = d2[0][0][2]  # d_y1 d_z f^y1
+    c_mm = d2[1][1][2]  # d_y2 d_z f^y2
+    c_pm = d2[1][0][2]  # d_y1 d_z f^y2
+    c_mp = d2[0][1][2]  # d_y2 d_z f^y1
     half = gamma5 / (2.0 * omega)
 
     gamma1 = _quadratic_harmonics(
-        sin_sq=-M(0, 1, 0, 0),
-        sin_cos=(M(0, 1, 0, 1) - M(1, 0, 0, 0)) - half * (c_mp + c_pm),
-        cos_sq=M(1, 0, 0, 1) - half * (c_pp - c_mm),
+        sin_sq=-m1[0][1],
+        sin_cos=(m1[1][1] - m1[0][0]) - half * (c_mp + c_pm),
+        cos_sq=m1[1][0] - half * (c_pp - c_mm),
         const=-half * (math.pi * c_mp - math.pi * c_pm - 0.5 * c_pp + 0.5 * c_mm),
     )
-    gamma2 = HarmonicScalar(sin1=-M(0, 0, 1, 0), cos1=M(0, 0, 1, 1))
+    gamma2 = HarmonicScalar(sin1=-m1[0][2], cos1=m1[1][2])
     gamma3 = _quadratic_harmonics(
-        sin_sq=M(0, 1, 0, 1),
-        sin_cos=(M(0, 1, 0, 0) + M(1, 0, 0, 1)) - half * (c_pp - c_mm),
-        cos_sq=M(1, 0, 0, 0) + half * (c_mp + c_pm),
+        sin_sq=m1[1][1],
+        sin_cos=(m1[0][1] + m1[1][0]) - half * (c_pp - c_mm),
+        cos_sq=m1[0][0] + half * (c_mp + c_pm),
         const=half * (math.pi * c_pp + math.pi * c_mm - 0.5 * c_mp - 0.5 * c_pm),
     )
-    gamma4 = HarmonicScalar(sin1=M(0, 0, 1, 1), cos1=M(0, 0, 1, 0))
+    gamma4 = HarmonicScalar(sin1=m1[1][2], cos1=m1[0][2])
     gamma6 = HarmonicScalar(
-        sin1=M(0, 1, 0, 2) - (gamma5 / omega) * D(1, 0, 1, 2),
-        cos1=M(1, 0, 0, 2) + (gamma5 / omega) * D(0, 1, 1, 2),
+        sin1=m1[2][1] - (gamma5 / omega) * d2[2][0][2],
+        cos1=m1[2][0] + (gamma5 / omega) * d2[2][1][2],
     )
 
     return CylindricalCoefficients(

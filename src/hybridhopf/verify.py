@@ -16,9 +16,8 @@ import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
-from . import models
+from . import dop853, models
 from .classifier import PredictedOrbit, predict_orbit
 from .coefficients import CylindricalCoefficients
 from .errors import (
@@ -58,20 +57,11 @@ class Trajectory:
     sol: object | None = None
 
 
-def _solve(rhs, t_span, y0, rtol: float, what: str, dense: bool = True, events=None):
+def _solve(rhs, t_span, y0, rtol: float, what: str, dense: bool = True, event=None):
     """The one DOP853 call: atol = rtol/100; `StepFailure` when the solver
-    gives up, `NonFinite` when any step is not finite."""
-    sol = solve_ivp(
-        rhs,
-        t_span,
-        y0,
-        method="DOP853",
-        rtol=rtol,
-        atol=rtol * 1e-2,
-        dense_output=dense,
-        events=events,
-    )
-    if not sol.success:
+    gives up, `NonFinite` when the start or any step is not finite."""
+    sol = dop853.solve(rhs, t_span, y0, rtol, rtol * 1e-2, dense, event)
+    if sol.status < 0:
         raise StepFailure(f"{what} failed: {sol.message}")
     if not np.all(np.isfinite(sol.y)):
         raise NonFinite(f"{what} produced non-finite values")
@@ -87,7 +77,7 @@ def integrate(
     n_samples: int = 1000,
     dense: bool = True,
 ) -> Trajectory:
-    """Integrate the model with a high-order explicit scheme.
+    """Integrate the model forward over ``t_span`` with `dop853`.
 
     With ``dense=True`` the states are sampled from the dense interpolant at
     ``n_samples`` equally spaced times.  With ``dense=False`` the trajectory
@@ -603,8 +593,7 @@ def simulate_truncated(
         r, z = y
         return min(r - abs(z), 1.0 - r)
 
-    validity.terminal = True  # type: ignore[attr-defined]
-    sol = _solve(rhs, (0.0, horizon), y0, PROBE_RTOL, "truncated integration", events=validity)
+    sol = _solve(rhs, (0.0, horizon), y0, PROBE_RTOL, "truncated integration", event=validity)
     if sol.status == 1:
         raise LeftDomain(
             f"truncated trajectory left the validity wedge at tau = {sol.t[-1]:.4g}"

@@ -616,16 +616,19 @@ def test_installed_console_script(workspace):
     assert version.split() == ["hybridhopf", hybridhopf.__version__]
 
 
-# Runs in a fresh interpreter: records which of the integration modules each
-# step has loaded, then prints the record as the last stdout line.
+# Runs in a fresh interpreter: records the scipy modules each step has loaded
+# and whether it has loaded `verify`, then prints the record as the last
+# stdout line.
 IMPORT_BUDGET_CHILD = """
 import json, sys
 
-WATCHED = ("scipy.integrate", "hybridhopf.verify")
 loaded, codes = {}, {}
 
 def record(step):
-    loaded[step] = [m for m in WATCHED if m in sys.modules]
+    loaded[step] = {
+        "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
+        "verify": "hybridhopf.verify" in sys.modules,
+    }
 
 import hybridhopf
 record("import hybridhopf")
@@ -652,10 +655,10 @@ print(json.dumps({"loaded": loaded, "codes": codes, "unresolved": unresolved, "a
 """
 
 
-def test_only_integrating_commands_import_scipy_integrate(workspace):
-    """`import hybridhopf`, an unknown attribute, `--version`, `classify` and
-    `eco-sweep` never load `verify` or `scipy.integrate`; `verify` loads both
-    on demand."""
+def test_no_command_imports_scipy_and_only_verify_loads_verify(workspace):
+    """No step, `verify` included, loads any scipy module; `import hybridhopf`,
+    an unknown attribute, `--version`, `classify` and `eco-sweep` never load
+    `verify`, which `verify` loads on demand."""
     cfg = workspace.config(INTERIOR)
     result = subprocess.run(
         [sys.executable, "-c", IMPORT_BUDGET_CHILD, cfg, workspace.outdir("budget")],
@@ -670,7 +673,7 @@ def test_only_integrating_commands_import_scipy_integrate(workspace):
     steps = ("import hybridhopf", "unknown name", "import hybridhopf.cli", "--version", "classify",
              "eco-sweep")
     for step in steps:
-        assert report["loaded"][step] == [], step
+        assert report["loaded"][step] == {"scipy": [], "verify": False}, step
     assert report["absent"] is True
-    assert report["loaded"]["verify"] == ["scipy.integrate", "hybridhopf.verify"]
+    assert report["loaded"]["verify"] == {"scipy": [], "verify": True}
     assert report["unresolved"] == []
