@@ -75,7 +75,7 @@ class CylindricalCoefficients:
 
 def _check_pattern(jet: JetTable) -> float:
     """Validate the Jacobian block pattern of a standard jet; return omega."""
-    J = jet.jacobian()
+    J = jet.state_derivs[1]
     omega = J[1, 0]
     if not omega > 0:
         raise NotHopf(f"standard jet must have positive rotation rate, got {omega!r}")
@@ -93,7 +93,7 @@ def compute_coefficients(jet: JetTable) -> CylindricalCoefficients:
     """Evaluate all reduced coefficients from a standard-frame jet at mu = 0."""
     omega = _check_pattern(jet)
     # d2[k][i][j] = d_i d_j F_k over frame axes (y1, y2, z) = (0, 1, 2), read at sorted
-    # axes as `JetTable.state` does; d3 likewise; m0[k] = d_mu F_k, m1[k][i] = d_i d_mu F_k.
+    # axes i <= j; d3 likewise; m0[k] = d_mu F_k, m1[k][i] = d_i d_mu F_k.
     d2, d3 = (t.tolist() for t in jet.state_derivs[2:])
     m0, m1 = (t.tolist() for t in jet.mu_derivs)
 

@@ -2,10 +2,12 @@
 ODEs I*, §II.10), ported to take its steps bit for bit: the same tableau (each
 coefficient the repr of scipy's double), initial step, error norm, controller
 and numpy operations on the same array layouts.  One change: a step builds its
-interpolant, three more stages, when a time inside it is first read.
+interpolant, three more stages, when a time inside it is first read.  The one
+terminal event is located by bisection on the interpolant of the step where it
+first reads <= 0 (Hairer, Nørsett & Wanner, §II.6), not by scipy's `brentq`.
 
-Derived from scipy (``integrate/_ivp/rk.py``, ``common.py``, ``ivp.py`` and
-``optimize/Zeros/brentq.c``) under its BSD-3 license:
+Derived from scipy (``integrate/_ivp/rk.py``, ``common.py`` and ``ivp.py``)
+under its BSD-3 license:
 
     Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers. All rights reserved.
     Redistribution and use in source and binary forms, with or without modification, are
@@ -42,8 +44,7 @@ SAFETY = 0.9  # multiplies the step factor predicted from the error
 MIN_FACTOR, MAX_FACTOR = 0.2, 10  # bounds of one step-size change
 ERROR_EXPONENT = -1 / 8  # the error estimate is of order 7
 N_STAGES = 12
-MESSAGES = {0: "The solver successfully reached the end of the integration interval.",
-            1: "A termination event occurred."}
+ATOL_PER_RTOL = 1e-2  # the absolute tolerance is rtol / 100
 
 # Row s - 1 holds the weights of stages 0 .. s-1 in stage s: stage 12 is the
 # 8th-order solution, stages 13-15 serve the dense output only.
@@ -137,14 +138,13 @@ class _Step:
 
 @dataclasses.dataclass(frozen=True)
 class Solution:
-    """Step times ``t``, states ``y`` (a column per time), the ``steps`` `sol` reads (none
-    without dense output), and scipy's ``status`` (0 done, 1 event, -1 failed), ``message``."""
+    """Step times ``t``, states ``y`` (a column per time), the ``steps`` `sol` reads,
+    and whether the event ended the run (then the last time is its root)."""
 
     t: np.ndarray
     y: np.ndarray
     steps: list[_Step]
-    status: int
-    message: str
+    event_fired: bool
 
     def sol(self, t) -> np.ndarray:
         """States at a time or a 1-D array of times; a step end reads the earlier step."""
@@ -213,77 +213,49 @@ def _advance(fun, t, y, f, h_abs, tf, rtol, atol) -> tuple[_Step | None, float]:
     return None, h_abs
 
 
-def _brentq(f, xa: float, xb: float) -> float:
-    """scipy's `brentq` with xtol = rtol = 4 eps and at most 100 iterations."""
-    xtol = rtol = 4 * EPS
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0 or fcur == 0:
-        return xpre if fpre == 0 else xcur
-    if np.signbit(fpre) == np.signbit(fcur):
-        raise StepFailure("event location failed: no sign change over the step")
-    for _ in range(100):
-        if fpre != 0 and fcur != 0 and np.signbit(fpre) != np.signbit(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+def _crossing(g, lo: float, hi: float) -> float:
+    """Bisect ``g`` from g(lo) > 0 >= g(hi) until no float lies between the ends;
+    the end where g <= 0."""
+    while lo < (mid := (lo + hi) / 2) < hi:
+        if g(mid) > 0:
+            lo = mid
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise StepFailure("event location failed to converge in 100 iterations")
+            hi = mid
+    return hi
 
 
-def solve(fun, t_span, y0, rtol: float, atol: float, dense_output=True, event=None) -> Solution:
-    """What ``solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
-    dense_output=dense_output, events=event)`` returns, for ``fun`` returning a
-    float array and ``event`` terminal.  A non-finite ``y0`` raises `NonFinite`."""
+def solve(fun, t_span, y0, rtol: float, event=None) -> Solution:
+    """``solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=rtol / 100,
+    dense_output=True)`` for ``fun`` returning a float array, raising where scipy
+    returns a failure: `StepFailure` when the step size falls below the float
+    spacing, `NonFinite` for a non-finite start or state.  ``event(t, y)``, positive
+    at the start, ends the run at its first root, which is bisected on the
+    interpolant of the first step whose end it reads <= 0."""
     t0, tf = map(float, t_span)
     if not tf > t0:
         raise InvalidBounds(f"integration spans must run forward, got {t_span}")
     y = np.asarray(y0).astype(float, copy=False)
     if not np.isfinite(y).all():
         raise NonFinite("all components of the initial state must be finite")
-    rtol = max(rtol, 100 * EPS)
+    atol, rtol = rtol * ATOL_PER_RTOL, max(rtol, 100 * EPS)
     t, f = t0, fun(t0, y)
     h_abs = _initial_step(fun, t0, y, f, tf, rtol, atol)
-    g = event(t0, y) if event is not None else None
     ts, ys, steps = [t], [y], []
-    status = message = None
-    while status is None:
+    fired = False
+    while t < tf and not fired:
         step, h_abs = _advance(fun, t, y, f, h_abs, tf, rtol, atol)
         if step is None:
-            status, message = -1, "Required step size is less than spacing between numbers."
-            break
+            raise StepFailure(
+                "integration failed: Required step size is less than spacing between numbers."
+            )
+        steps.append(step)
         t, y, f = step.t, step.y, step.f
-        status = 0 if t >= tf else None
-        if dense_output:
-            steps.append(step)
-        if event is not None:
-            g_new = event(t, y)
-            if (g <= 0 and g_new >= 0) or (g >= 0 and g_new <= 0):
-                t = _brentq(lambda s: event(s, step(np.asarray(s))), step.t_old, t)
-                y, status = step(np.asarray(t)), 1
-            g = g_new
+        if event is not None and event(t, y) <= 0:
+            t = _crossing(lambda s: event(s, step(np.asarray(s))), step.t_old, t)
+            y, fired = step(np.asarray(t)), True
         ts.append(t)
         ys.append(y)
-    return Solution(np.array(ts), np.vstack(ys).T, steps, status, MESSAGES.get(status, message))
+    y = np.vstack(ys).T
+    if not np.isfinite(y).all():
+        raise NonFinite("integration produced non-finite values")
+    return Solution(np.array(ts), y, steps, fired)

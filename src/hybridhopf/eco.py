@@ -286,14 +286,6 @@ class BoundaryReport:
     single_predator: Mapping[str, tuple[float, float, float]]
     hopf_indicators: Mapping[str, float]
 
-    def to_document(self) -> dict:
-        return {
-            "washout": list(self.washout),
-            "prey_only": list(self.prey_only),
-            "single_predator": {k: list(v) for k, v in self.single_predator.items()},
-            "hopf_indicators": dict(self.hopf_indicators),
-        }
-
 
 def boundary_report(p: EcoParams, mu: float = 0.0) -> BoundaryReport:
     """Boundary equilibria and their planar Hopf indicators."""

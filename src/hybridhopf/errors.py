@@ -54,10 +54,6 @@ class SymmetryDefect(NumericalFailure):
     """Finite-difference mixed partials disagree between evaluation routes."""
 
 
-class MissingJetEntry(HybridHopfError):
-    """A derivative required by a coefficient formula is absent from the jet."""
-
-
 class NoConvergence(NumericalFailure):
     """An iterative solve did not reach its tolerance.
 

@@ -174,7 +174,7 @@ def build_standard_frame(jet: JetTable) -> StandardFrame:
     e1 is normalized to unit length.  e3 is the unit kernel direction with
     its largest component positive.
     """
-    J = jet.jacobian()
+    J = jet.state_derivs[1]
     eigvals, eigvecs = _eigen(np.linalg.eig, J)
     scale = max(1e-30, float(np.max(np.abs(eigvals))))
     order = np.argsort(-np.abs(eigvals.imag))
@@ -222,7 +222,7 @@ def build_standard_frame(jet: JetTable) -> StandardFrame:
         raise DefectiveSpectrum("eigenvectors do not span R^3")
 
     return StandardFrame.from_drift(
-        np.array(jet.point, dtype=float), basis, jet.mu_deriv(0, 0, 0), omega
+        np.array(jet.point, dtype=float), basis, jet.mu_derivs[0], omega
     )
 
 
@@ -337,7 +337,7 @@ def check_assumptions(model: ModelDefinition, X_H: Sequence[float]) -> Assumptio
     """
     X_H = np.asarray(X_H, dtype=float)
     jt = models.jet(model, X_H, 0.0)
-    J = jt.jacobian()
+    J = jt.state_derivs[1]
     nu, nu0 = _spectrum_split(J)
     spectrum = (nu, np.conj(nu), nu0)
     a2_defect = float(max(abs(nu.real), abs(nu0)))
@@ -355,9 +355,10 @@ def check_assumptions(model: ModelDefinition, X_H: Sequence[float]) -> Assumptio
     frame_ok = frame is not None
     if frame_ok:
         std = standard_jet(jt, frame)
-        a3 = std.state(1, 0, 1, 0) + std.state(0, 1, 1, 1)
-        a4 = std.state(2, 0, 0, 2) + std.state(0, 2, 0, 2)
-        a5 = std.mu_deriv(0, 0, 0, 2)
+        d2 = std.state_derivs[2]
+        a3 = d2.item(0, 0, 2) + d2.item(1, 1, 2)
+        a4 = d2.item(2, 0, 0) + d2.item(2, 1, 1)
+        a5 = std.mu_derivs[0].item(2)
         a1 = _line_residual(model, X_H, frame.basis[:, 2])
 
     verdicts = {

@@ -22,7 +22,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidParams, MissingJetEntry, NonFinite, SymmetryDefect, UnknownModel
+from .errors import InvalidParams, NonFinite, SymmetryDefect, UnknownModel
 
 STATE_DIM = 3
 JET_ORDER = 3
@@ -66,8 +66,6 @@ def _gather_table(indices: Sequence[StateIndex], order: int, first_row: int = 0)
 
 _STATE_GATHER = tuple(_gather_table(_JET_INDICES, k) for k in range(JET_ORDER + 1))
 _MU_GATHER = tuple(_gather_table(_MU_INDICES, k, len(_JET_INDICES)) for k in range(2))
-#: multi-index -> the derivative axes in sorted order, (1, 0, 2) -> (0, 2, 2)
-_SORTED_AXES = {(a, b, c): (0,) * a + (1,) * b + (2,) * c for a, b, c in _JET_INDICES}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,27 +116,6 @@ class JetTable:
             tolerance=tolerance,
             symmetry_defect=symmetry_defect,
         )
-
-    def _entry(self, tensors, index: StateIndex, component: int | None, what: str):
-        """The slot with sorted axes: (1, 1, 0) reads [:, 0, 1], not [:, 1, 0]."""
-        axes = _SORTED_AXES.get(index)
-        if axes is None or len(axes) >= len(tensors):
-            raise MissingJetEntry(f"{what} derivative {index}")
-        if component is None:
-            return tensors[len(axes)][(slice(None), *axes)]
-        return tensors[len(axes)].item((component, *axes))
-
-    def state(self, a: int, b: int, c: int, component: int | None = None):
-        """Entry d^a_1 d^b_2 d^c_3 F, or one component of it."""
-        return self._entry(self.state_derivs, (a, b, c), component, "state")
-
-    def mu_deriv(self, a: int, b: int, c: int, component: int | None = None):
-        """Entry d_mu d^a_1 d^b_2 d^c_3 F, or one component of it."""
-        return self._entry(self.mu_derivs, (a, b, c), component, "parameter")
-
-    def jacobian(self) -> np.ndarray:
-        """3x3 Jacobian; column j holds the derivative along axis j."""
-        return self.state_derivs[1]
 
 
 @dataclasses.dataclass(frozen=True)

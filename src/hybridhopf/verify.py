@@ -24,10 +24,8 @@ from .errors import (
     InvalidBounds,
     LeftDomain,
     NoConvergence,
-    NonFinite,
     NumericalFailure,
     SingularShooting,
-    StepFailure,
 )
 from .frame import StandardFrame
 from .models import ModelDefinition
@@ -57,17 +55,6 @@ class Trajectory:
     sol: object | None = None
 
 
-def _solve(rhs, t_span, y0, rtol: float, what: str, dense: bool = True, event=None):
-    """The one DOP853 call: atol = rtol/100; `StepFailure` when the solver
-    gives up, `NonFinite` when the start or any step is not finite."""
-    sol = dop853.solve(rhs, t_span, y0, rtol, rtol * 1e-2, dense, event)
-    if sol.status < 0:
-        raise StepFailure(f"{what} failed: {sol.message}")
-    if not np.all(np.isfinite(sol.y)):
-        raise NonFinite(f"{what} produced non-finite values")
-    return sol
-
-
 def integrate(
     model: ModelDefinition,
     mu: float,
@@ -85,7 +72,7 @@ def integrate(
     ignored.
     """
     x0 = np.asarray(x0, dtype=float)
-    sol = _solve(lambda t, X: model.rhs(X, mu), t_span, x0, rtol, "integration", dense)
+    sol = dop853.solve(lambda t, X: model.rhs(X, mu), t_span, x0, rtol)
     if not dense:
         return Trajectory(t=sol.t, states=sol.y.T)
     ts = np.linspace(t_span[0], t_span[1], n_samples)
@@ -162,7 +149,7 @@ def _flow_with_monodromy(
         return out
 
     Y0 = np.concatenate([x0, np.eye(3).ravel(), [0.0]])
-    sol = _solve(rhs, (0.0, T), Y0, rtol, "variational integration")
+    sol = dop853.solve(rhs, (0.0, T), Y0, rtol)
     YT = sol.y[:, -1]
     return YT[:3], YT[3:12].reshape(3, 3), YT[12], sol.sol
 
@@ -578,8 +565,9 @@ def simulate_truncated(
     """Integrate the truncated (r, z) dynamics in slow time tau, sampled at
     2000 equally spaced times.
 
-    The expansion is valid for 0 < |z| < r < 1; the run raises `LeftDomain`
-    as soon as the trajectory exits that wedge.
+    The expansion is valid for |z| < r < 1: a start outside that wedge raises
+    `InvalidBounds`, and the run raises `LeftDomain` at the first time the
+    trajectory reaches its boundary.
     """
     if not epsilon > 0:
         raise InvalidBounds("epsilon must be positive")
@@ -593,8 +581,10 @@ def simulate_truncated(
         r, z = y
         return min(r - abs(z), 1.0 - r)
 
-    sol = _solve(rhs, (0.0, horizon), y0, PROBE_RTOL, "truncated integration", event=validity)
-    if sol.status == 1:
+    if not validity(0.0, y0) > 0:
+        raise InvalidBounds(f"start r = {y0[0]:g}, z = {y0[1]:g} is outside the wedge |z| < r < 1")
+    sol = dop853.solve(rhs, (0.0, horizon), y0, PROBE_RTOL, validity)
+    if sol.event_fired:
         raise LeftDomain(
             f"truncated trajectory left the validity wedge at tau = {sol.t[-1]:.4g}"
         )

@@ -281,7 +281,7 @@ def test_criterion_10_frame_invariance(interior_pipeline, interior_hopf):
         basis = np.column_stack(
             [frame.basis[:, :2] @ rotation * zeta, rho * frame.basis[:, 2]]
         )
-        f_mu = np.linalg.solve(basis, raw.mu_deriv(0, 0, 0))
+        f_mu = np.linalg.solve(basis, raw.mu_derivs[0])
         mu_shift = np.array([-f_mu[1] / omega, f_mu[0] / omega, 0.0])
         perturbed = StandardFrame(
             origin=frame.origin, basis=basis, mu_shift=mu_shift, omega=omega

@@ -514,7 +514,7 @@ EXIT_TABLE = {
     "AssumptionViolation": (2, "assumption violation"),
     "Degenerate": (3, "degenerate"),
     **dict.fromkeys(
-        ("MissingJetEntry", "DefectiveSpectrum", "DegenerateAlphas", "NoCoexistencePossible", "HybridHopfError"),
+        ("DefectiveSpectrum", "DegenerateAlphas", "NoCoexistencePossible", "HybridHopfError"),
         (1, "error"),
     ),
 }

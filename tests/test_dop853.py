@@ -1,4 +1,5 @@
-"""The in-repo DOP853 against scipy's `solve_ivp(method="DOP853")`, bit for bit.
+"""The in-repo DOP853 against scipy's `solve_ivp(method="DOP853")`: steps, states
+and dense output bit for bit, event roots to `brentq`'s tolerance.
 
 scipy is the oracle here only; the package does not need it at run time.
 """
@@ -18,7 +19,7 @@ from scipy.integrate._ivp import dop853_coefficients  # noqa: E402
 from scipy.optimize import brentq  # noqa: E402
 
 from hybridhopf import dop853, models, verify  # noqa: E402
-from hybridhopf.errors import LeftDomain  # noqa: E402
+from hybridhopf.errors import LeftDomain, StepFailure  # noqa: E402
 
 ES_NORMAL_FORM = {
     "polynomial": {
@@ -29,7 +30,10 @@ ES_NORMAL_FORM = {
 }
 
 
-def scipy_solve(fun, t_span, y0, rtol, atol, dense_output=True, event=None):
+EPS4 = 4 * np.finfo(float).eps
+
+
+def scipy_solve(fun, t_span, y0, rtol, event=None):
     events = None
     if event is not None:
         def events(t, y):
@@ -37,28 +41,34 @@ def scipy_solve(fun, t_span, y0, rtol, atol, dense_output=True, event=None):
 
         events.terminal = True
     return scipy_integrate.solve_ivp(
-        fun, t_span, y0, method="DOP853", rtol=rtol, atol=atol,
-        dense_output=dense_output, events=events,
+        fun, t_span, y0, method="DOP853", rtol=rtol, atol=rtol * 1e-2,
+        dense_output=True, events=events,
     )
 
 
-def assert_matches_scipy(fun, t_span, y0, rtol, atol, dense_output=True, event=None):
-    """Solve with both; steps, states, status, message, event root and dense
-    output (at a grid, at every step end, and at scalars) must be equal."""
-    ref = scipy_solve(fun, t_span, y0, rtol, atol, dense_output, event)
-    got = dop853.solve(fun, t_span, y0, rtol, atol, dense_output, event)
-    assert (got.status, got.message) == (ref.status, ref.message)
-    assert np.array_equal(got.t, ref.t)
-    assert np.array_equal(got.y, ref.y)
-    if ref.status == 1:
-        assert got.t[-1] == ref.t_events[0][0]
-    if dense_output and ref.status >= 0:
-        grid = np.linspace(ref.t[0], ref.t[-1], 1001)
-        assert np.array_equal(got.sol(grid), ref.sol(grid))
-        assert np.array_equal(got.sol(grid[::-1]), ref.sol(grid[::-1]))
-        assert np.array_equal(got.sol(ref.t), ref.sol(ref.t))
-        for s in (*ref.t, *grid[::97], float(grid[500])):
-            assert np.array_equal(got.sol(s), ref.sol(s))
+def assert_matches_scipy(fun, t_span, y0, rtol, event=None):
+    """Solve with both.  Steps, states and dense output (at a grid, a reversed
+    grid, every step end and scalars) must be equal; where the event ends the
+    run, the last time is its root and lies within brentq's tolerance of scipy's."""
+    ref = scipy_solve(fun, t_span, y0, rtol, event)
+    assert ref.status >= 0, ref.message
+    got = dop853.solve(fun, t_span, y0, rtol, event)
+    assert got.event_fired == (ref.status == 1)
+    last = len(ref.t) - 1 if got.event_fired else len(ref.t)
+    assert len(got.t) == len(ref.t)
+    assert np.array_equal(got.t[:last], ref.t[:last])
+    assert np.array_equal(got.y[:, :last], ref.y[:, :last])
+    if got.event_fired:
+        root = ref.t_events[0][0]
+        assert abs(got.t[-1] - root) <= EPS4 * (1 + abs(root))
+        assert np.array_equal(got.y[:, -1], ref.sol(got.t[-1]))
+    # the steps are scipy's, so every time, even one past the moved root, reads equal
+    grid = np.linspace(ref.t[0], ref.t[-1], 1001)
+    assert np.array_equal(got.sol(grid), ref.sol(grid))
+    assert np.array_equal(got.sol(grid[::-1]), ref.sol(grid[::-1]))
+    assert np.array_equal(got.sol(ref.t), ref.sol(ref.t))
+    for s in (*ref.t, *grid[::97], float(grid[500])):
+        assert np.array_equal(got.sol(s), ref.sol(s))
     return got, ref
 
 
@@ -68,9 +78,9 @@ def captured(monkeypatch):
     calls = []
     solve = dop853.solve
 
-    def recording(*args):
-        calls.append(args)
-        return solve(*args)
+    def recording(fun, t_span, y0, rtol, event=None):
+        calls.append((fun, t_span, y0, rtol, event))
+        return solve(fun, t_span, y0, rtol, event)
 
     monkeypatch.setattr(dop853, "solve", recording)
     return calls
@@ -94,29 +104,28 @@ def test_variational_predator_prey_solve(interior_pipeline, captured):
     verify._flow_with_monodromy(
         interior_pipeline.model, mu, seed.anchor, seed.period, verify.ORBIT_RTOL
     )
-    ((fun, t_span, y0, rtol, atol, dense_output, event),) = captured
-    assert len(y0) == 13 and dense_output and event is None
+    ((fun, t_span, y0, rtol, event),) = captured
+    assert len(y0) == 13 and event is None
     calls = []
 
     def counted(t, y):
         calls.append(t)
         return fun(t, y)
 
-    ref = scipy_solve(fun, t_span, y0, rtol, atol)
-    got = dop853.solve(counted, t_span, y0, rtol, atol)
+    ref = scipy_solve(fun, t_span, y0, rtol)
+    got = dop853.solve(counted, t_span, y0, rtol)
     steps = len(ref.t) - 1
     assert len(calls) == ref.nfev - 3 * steps
     got.sol(np.linspace(*t_span, 256))
     assert len(calls) == ref.nfev
-    assert_matches_scipy(fun, t_span, y0, rtol, atol)
+    assert_matches_scipy(fun, t_span, y0, rtol)
 
 
 def test_planted_polynomial_field():
     model = models.polynomial_model(ES_NORMAL_FORM["polynomial"])
     for mu, rtol in [(0.01, 1e-9), (-0.02, 1e-11)]:
         assert_matches_scipy(
-            lambda t, X: model.rhs(X, mu), (0.0, 40.0), np.array([0.1, 0.0, 0.05]),
-            rtol, rtol * 1e-2,
+            lambda t, X: model.rhs(X, mu), (0.0, 40.0), np.array([0.1, 0.0, 0.05]), rtol
         )
 
 
@@ -131,15 +140,21 @@ def test_truncated_flow_and_validity_event(synthetic_pipeline, captured, fires):
         verify.simulate_truncated(
             synthetic_pipeline(-1, 1, 1, 1, 2.0).coeffs, 0.1, -0.25, (0.55, 0.0), t_final=100.0
         )
-    ((fun, t_span, y0, rtol, atol, dense_output, event),) = captured
+    ((fun, t_span, y0, rtol, event),) = captured
     assert event is not None
-    got, ref = assert_matches_scipy(fun, t_span, y0, rtol, atol, dense_output, event)
+    got, ref = assert_matches_scipy(fun, t_span, y0, rtol, event)
     assert ref.status == (1 if fires else 0)
 
 
 def test_blow_up_fails_where_scipy_fails():
-    got, ref = assert_matches_scipy(lambda t, y: y**2, (0.0, 2.0), np.array([1.0]), 1e-9, 1e-11)
-    assert ref.status == -1 and abs(got.t[-1] - 1.0) < 1e-6  # y = 1 / (1 - t)
+    def fun(t, y):
+        return y**2  # y = 1 / (1 - t)
+
+    ref = scipy_solve(fun, (0.0, 2.0), np.array([1.0]), 1e-9)
+    assert ref.status == -1 and abs(ref.t[-1] - 1.0) < 1e-6
+    with pytest.raises(StepFailure) as failure:
+        dop853.solve(fun, (0.0, 2.0), np.array([1.0]), 1e-9)
+    assert str(failure.value) == f"integration failed: {ref.message}"
 
 
 @settings(max_examples=40, deadline=None)
@@ -152,7 +167,7 @@ def test_blow_up_fails_where_scipy_fails():
 def test_linear_systems(matrix, start, log_rtol, t_final):
     M = np.array(matrix).reshape(3, 3)
     rtol = 10.0**log_rtol
-    assert_matches_scipy(lambda t, y: M @ y, (0.0, t_final), np.array(start), rtol, rtol * 1e-2)
+    assert_matches_scipy(lambda t, y: M @ y, (0.0, t_final), np.array(start), rtol)
 
 
 @settings(max_examples=50, deadline=None)
@@ -161,9 +176,11 @@ def test_linear_systems(matrix, start, log_rtol, t_final):
     steepness=st.floats(0.1, 50.0),
     cubic=st.floats(0.0, 10.0),
 )
-def test_event_root_finder_is_brentq(root, steepness, cubic):
+def test_event_root_is_brentqs_to_its_tolerance(root, steepness, cubic):
     def f(x):
         return math.tanh(steepness * (x - root)) + cubic * (x - root) ** 3
 
-    eps4 = 4 * np.finfo(float).eps
-    assert dop853._brentq(f, 0.0, 1.0) == brentq(f, 0.0, 1.0, xtol=eps4, rtol=eps4)
+    got = dop853._crossing(lambda x: -f(x), 0.0, 1.0)
+    want = brentq(f, 0.0, 1.0, xtol=EPS4, rtol=EPS4)
+    assert abs(got - want) <= EPS4 * (1 + abs(want))
+    assert f(got) >= 0 and f(np.nextafter(got, 0.0)) < 0

@@ -1,6 +1,7 @@
 """Two-predator/one-prey application layer: closed forms and region tools."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -228,7 +229,7 @@ def test_boundary_report_interior(interior):
     assert report.single_predator["predator2"][0] == 0.0
     assert report.hopf_indicators["predator1"] == pytest.approx(-0.2)
     assert report.hopf_indicators["predator2"] == pytest.approx(0.2)
-    doc = report.to_document()
+    doc = dataclasses.asdict(report)
     assert set(doc) == {"washout", "prey_only", "single_predator", "hopf_indicators"}
 
 

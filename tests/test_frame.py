@@ -1,6 +1,7 @@
 """Hopf-point location, standardizing frames, and assumption checks."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from hybridhopf import (
     standard_jet,
 )
 from hybridhopf.errors import DefectiveSpectrum, NoConvergence, NotHopf
-from hybridhopf.models import ModelDefinition, state_multi_indices
+from hybridhopf.models import ModelDefinition
 
 OMEGA_INTERIOR = math.sqrt(0.3)
 
@@ -89,7 +90,7 @@ def test_interior_frame_standardizes_jacobian(interior_pipeline):
         jet(interior_pipeline.model, interior_pipeline.point, 0.0),
         interior_pipeline.frame,
     )
-    B1 = std.jacobian()
+    B1 = std.state_derivs[1]
     assert np.allclose(B1, standard_linear_part(OMEGA_INTERIOR), atol=1e-9)
     assert interior_pipeline.frame.omega == pytest.approx(OMEGA_INTERIOR, abs=1e-12)
 
@@ -105,7 +106,7 @@ def test_mu_shift_removes_planar_parameter_drift(interior_pipeline):
         jet(interior_pipeline.model, interior_pipeline.point, 0.0),
         interior_pipeline.frame,
     )
-    f_mu = std.mu_deriv(0, 0, 0)
+    f_mu = std.mu_derivs[0]
     assert np.allclose(f_mu[:2], 0.0, atol=1e-9)
 
 
@@ -149,62 +150,51 @@ def test_rotated_synthetic_recovers_standard_pattern():
     raw = jet(rotated, np.zeros(3), 0.0)
     frame = build_standard_frame(raw)
     std = standard_jet(raw, frame)
-    assert np.allclose(std.jacobian(), standard_linear_part(1.7), atol=1e-9)
+    assert np.allclose(std.state_derivs[1], standard_linear_part(1.7), atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
 # standard_jet against the multi-index reference
 # ---------------------------------------------------------------------------
 
-_MU_INDICES = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+def _sorted_slots(order):
+    """Index of every slot [:, i, j, ...] with i <= j <= ... of an order-``order`` tensor."""
+    for axes in itertools.combinations_with_replacement(range(3), order):
+        yield (slice(None), *axes)
 
 
 def _reference_standard_jet(jet, frame):
-    """The multi-index transform `standard_jet` replaced: unpack entries
-    into tensors, transform, and read each entry back from its sorted-axes
-    slot.  Returns (state entries, parameter entries, tolerance)."""
+    """The transform `standard_jet` replaced: rebuild each tensor from its
+    sorted-axes slots, transform, and return the transformed tensors, the
+    parameter block and the tolerance."""
     T = frame.basis
     Tinv = np.linalg.inv(T)
     S = frame.mu_shift
+    F, D1, D2, D3 = jet.state_derivs
 
-    A1 = np.column_stack([jet.state(1, 0, 0), jet.state(0, 1, 0), jet.state(0, 0, 1)])
     A2 = np.empty((3, 3, 3))
     A3 = np.empty((3, 3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            idx2 = [0, 0, 0]
-            idx2[i] += 1
-            idx2[j] += 1
-            A2[:, i, j] = jet.state(*idx2)
-            for k in range(3):
-                idx3 = list(idx2)
-                idx3[k] += 1
-                A3[:, i, j, k] = jet.state(*idx3)
+    for i, j in itertools.product(range(3), repeat=2):
+        A2[:, i, j] = D2[(slice(None), *sorted((i, j)))]
+        for k in range(3):
+            A3[:, i, j, k] = D3[(slice(None), *sorted((i, j, k)))]
 
-    B1 = Tinv @ A1 @ T
+    B1 = Tinv @ D1 @ T
     B2 = np.einsum("dc,cij,ip,jq->dpq", Tinv, A2, T, T)
     B3 = np.einsum("dc,cijk,ip,jq,kr->dpqr", Tinv, A3, T, T, T)
-
-    d_state = {(0, 0, 0): Tinv @ jet.state(0, 0, 0)}
-    for idx in state_multi_indices():
-        axes = [axis for axis, count in enumerate(idx) for _ in range(count)]
-        d_state[idx] = [B1, B2, B3][len(axes) - 1][(slice(None), *axes)]
-
-    b_mu1 = np.column_stack([jet.mu_deriv(*idx) for idx in _MU_INDICES[1:]])
-    shifted0 = Tinv @ jet.mu_deriv(0, 0, 0) + B1 @ S
-    shifted1 = Tinv @ b_mu1 @ T + np.einsum("dpq,q->dp", B2, S)
-    d_mu = {(0, 0, 0): shifted0}
-    d_mu.update((idx, shifted1[:, n]) for n, idx in enumerate(_MU_INDICES[1:]))
-    return d_state, d_mu, jet.tolerance * max(1.0, np.linalg.cond(T))
+    f_mu, A_mu = jet.mu_derivs
+    shifted0 = Tinv @ f_mu + B1 @ S
+    shifted1 = Tinv @ A_mu @ T + np.einsum("dpq,q->dp", B2, S)
+    state = (Tinv @ F, B1, B2, B3)
+    return state, (shifted0, shifted1), jet.tolerance * max(1.0, np.linalg.cond(T))
 
 
 def _assert_matches_reference(raw, frame):
     std = standard_jet(raw, frame)
-    d_state, d_mu, tolerance = _reference_standard_jet(raw, frame)
-    for idx, want in d_state.items():
-        assert np.array_equal(std.state(*idx), want), idx
-    for idx, want in d_mu.items():
-        assert np.array_equal(std.mu_deriv(*idx), want), idx
+    state, mu_block, tolerance = _reference_standard_jet(raw, frame)
+    for got, want in zip((*std.state_derivs, *std.mu_derivs), (*state, *mu_block)):
+        for slot in _sorted_slots(want.ndim - 1):
+            assert np.array_equal(got[slot], want[slot]), (want.ndim, slot)
     assert std.tolerance == tolerance
     assert std.symmetry_defect == raw.symmetry_defect
     assert all(t.flags.c_contiguous for t in (*std.state_derivs, *std.mu_derivs))

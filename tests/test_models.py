@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from hybridhopf import builtin, evaluate, finite_difference_jet, from_config, jet, models, polynomial_model
 from hybridhopf.errors import (
     InvalidParams,
-    MissingJetEntry,
     NonFinite,
     SymmetryDefect,
     UnknownModel,
@@ -85,13 +84,17 @@ def test_evaluate_finite_on_admissible_box(x1, x2, s, mu):
 def test_jet_zero_order_matches_evaluate(interior_model):
     X = np.array([0.2, 0.3, 0.4])
     table = jet(interior_model, X, 0.01)
-    assert np.allclose(table.state(0, 0, 0), evaluate(interior_model, X, 0.01), atol=1e-14)
+    assert np.allclose(table.state_derivs[0], evaluate(interior_model, X, 0.01), atol=1e-14)
 
 
-def test_jet_missing_entry_raises(interior_model):
-    table = jet(interior_model, np.array([0.2, 0.3, 0.4]), 0.0)
-    with pytest.raises(MissingJetEntry):
-        table.state(4, 0, 0)
+def assert_jets_close(approx, exact, tol=1e-6):
+    """Orders 1-3 agree within tol times max(1, |largest component|) of each
+    slot, and the parameter block within tol."""
+    for want, got in zip(exact.state_derivs[1:], approx.state_derivs[1:]):
+        scale = np.maximum(1.0, np.max(np.abs(want), axis=0))
+        assert np.allclose(got, want, atol=tol * scale), want.ndim - 1
+    for want, got in zip(exact.mu_derivs, approx.mu_derivs):
+        assert np.allclose(got, want, atol=tol), want.ndim
 
 
 def test_jet_tensors_are_symmetric_and_c_ordered(interior_model):
@@ -110,54 +113,39 @@ def test_jet_tensors_are_symmetric_and_c_ordered(interior_model):
         assert np.array_equal(D2, D2.transpose(0, 2, 1))
         for perm in itertools.permutations((1, 2, 3)):
             assert np.array_equal(D3, D3.transpose(0, *perm)), perm
-        assert table.jacobian() is D1
-        assert np.array_equal(table.state(1, 0, 1), D2[:, 0, 2])
-        assert table.state(0, 1, 2, 0) == D3[0, 1, 2, 2]
-        assert np.array_equal(table.mu_deriv(0, 1, 0), table.mu_derivs[1][:, 1])
-        with pytest.raises(MissingJetEntry):
-            table.mu_deriv(1, 1, 0)
-        with pytest.raises(MissingJetEntry):
-            table.state(-1, 1, 0)
 
 
 def test_synthetic_jet_hand_values():
     model = builtin("synthetic_nf", {"a": 2, "b": 3, "c": 5, "d": 7, "omega": 1})
     table = jet(model, np.zeros(3), 0.0)
-    div_z = table.state(1, 0, 1)[0] + table.state(0, 1, 1)[1]
+    D2 = table.state_derivs[2]
+    div_z = D2[0, 0, 2] + D2[1, 1, 2]
     assert div_z == pytest.approx(2 * 2, abs=1e-6)  # d/dz of planar divergence
-    laplacian = table.state(2, 0, 0)[2] + table.state(0, 2, 0)[2]
+    laplacian = D2[2, 0, 0] + D2[2, 1, 1]
     assert laplacian == pytest.approx(4 * 3, abs=1e-6)
-    assert table.mu_deriv(0, 0, 0)[2] == pytest.approx(5, abs=1e-6)
-    assert table.mu_deriv(0, 0, 1)[2] == pytest.approx(7, abs=1e-6)
+    f_mu, A_mu = table.mu_derivs
+    assert f_mu[2] == pytest.approx(5, abs=1e-6)
+    assert A_mu[2, 2] == pytest.approx(7, abs=1e-6)
 
 
 def test_classical_hopf_planar_laplacian_zero():
     model = builtin("classical_hopf", {"sign": 1})
-    table = jet(model, np.zeros(3), 0.0)
-    laplacian = table.state(2, 0, 0)[2] + table.state(0, 2, 0)[2]
+    D2 = jet(model, np.zeros(3), 0.0).state_derivs[2]
+    laplacian = D2[2, 0, 0] + D2[2, 1, 1]
     assert laplacian == pytest.approx(0.0, abs=1e-12)
 
 
 def test_linear_field_higher_orders_vanish(rotation_model):
     table = jet(rotation_model, np.zeros(3), 0.0)
-    for index in state_multi_indices():
-        if sum(index) >= 2:
-            assert np.allclose(table.state(*index), 0.0, atol=1e-12), index
+    for order in (2, 3):
+        assert np.allclose(table.state_derivs[order], 0.0, atol=1e-12), order
 
 
 def test_predator_prey_exact_jet_matches_finite_differences(interior_model):
     X_H = np.array([0.125, 0.405, 0.3])
     exact = jet(interior_model, X_H, 0.0)
     approx = finite_difference_jet(interior_model, X_H, 0.0)
-    for index in state_multi_indices():
-        want = exact.state(*index)
-        got = approx.state(*index)
-        scale = max(1.0, float(np.max(np.abs(want))))
-        assert np.allclose(got, want, atol=1e-6 * scale), index
-    for index in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]:
-        want = exact.mu_deriv(*index)
-        got = approx.mu_deriv(*index)
-        assert np.allclose(got, want, atol=1e-6), index
+    assert_jets_close(approx, exact)
 
 
 def test_polynomial_exact_jet_matches_finite_differences():
@@ -172,10 +160,7 @@ def test_polynomial_exact_jet_matches_finite_differences():
     X = np.array([0.11, -0.07, 0.05])
     exact = jet(model, X, 0.02)
     approx = finite_difference_jet(model, X, 0.02)
-    for index in state_multi_indices():
-        want = exact.state(*index)
-        scale = max(1.0, float(np.max(np.abs(want))))
-        assert np.allclose(approx.state(*index), want, atol=1e-6 * scale), index
+    assert_jets_close(approx, exact)
 
 
 def test_finite_difference_symmetry_defect_small_for_smooth_field(interior_model):
@@ -265,10 +250,12 @@ def _assert_matches_loop(components, X, mu):
     for j in range(STATE_DIM):
         assert same(J[:, j], tuple(1 if axis == j else 0 for axis in range(4))), j
     table = model.exact_jet(X, mu)
-    for idx in [(0, 0, 0), *state_multi_indices()]:
-        assert same(table.state(*idx), (*idx, 0)), idx
-    for idx in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]:
-        assert same(table.mu_deriv(*idx), (*idx, 1)), idx
+    # the slot [:, i, j, ...] with i <= j <= ... is the partial counting its axes
+    for tensors, orders, m in ((table.state_derivs, 4, 0), (table.mu_derivs, 2, 1)):
+        for order in range(orders):
+            for axes in itertools.combinations_with_replacement(range(STATE_DIM), order):
+                idx = tuple(map(axes.count, range(STATE_DIM)))
+                assert same(tensors[order][(slice(None), *axes)], (*idx, m)), (m, idx)
 
 
 _coef = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-10.0, 10.0))
@@ -419,10 +406,7 @@ def test_from_config_finite_difference_mode_drops_exact_jets(interior):
     assert table.tolerance == models.FD_TOLERANCE  # finite differences actually ran
     exact_model = from_config({"builtin": "predator_prey", "params": interior.to_dict()})
     exact = jet(exact_model, np.array([0.125, 0.405, 0.3]), 0.0)
-    for index in [(1, 0, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0), (0, 2, 1)]:
-        want = exact.state(*index)
-        scale = max(1.0, float(np.max(np.abs(want))))
-        assert np.allclose(table.state(*index), want, atol=1e-6 * scale), index
+    assert_jets_close(table, exact)
 
 
 def test_polynomial_model_validates_rows():

@@ -379,6 +379,11 @@ def test_truncated_equilibrium_is_stationary_at_first_order(closed_chart):
         (0.1, 0.25, (0.5, 0.0), math.nan),
         (0.1, 0.25, (0.5, 0.0), 0.0),
         (1e-320, 0.25, (0.5, 0.0), None),
+        # starts outside the validity wedge |z| < r < 1
+        (0.1, 0.25, (-0.3, 0.0), None),
+        (0.1, 0.25, (1.5, 0.0), None),
+        (0.1, 0.25, (0.0, 0.0), None),
+        (0.1, 0.25, (0.5, 0.7), None),
     ],
 )
 def test_truncated_rejects_non_finite_input(synthetic_pipeline, epsilon, mu_tilde, start, t_final):
