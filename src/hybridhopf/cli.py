@@ -454,7 +454,9 @@ def _build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # overflow and nan end in a typed error, not numpy's warnings on stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except HybridHopfError as exc:  # each error base carries its exit code
         print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -84,6 +84,9 @@ B = A[N_STAGES, :N_STAGES]
 C = np.array([0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
               0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6,
               0.8571428571428571, 1, 1, 0.1, 0.2, 0.7777777777777778])
+# What the stage loops read: the rows A[s, :s], sliced once, and the nodes as
+# Python floats (the same products as with numpy scalars, at less cost).
+_ROWS, _NODES = [A[s, :s] for s in range(16)], C.tolist()
 E3 = np.array([-0.18980075407240762, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
                -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
                0.02265179219836082, 0])
@@ -118,8 +121,8 @@ class _Step:
         if self.F is None:
             K = self.K
             for s in range(N_STAGES + 1, 16):
-                dy = np.dot(K[:s].T, A[s, :s]) * h
-                K[s] = self.fun(self.t_old + C[s] * h, self.y_old + dy)
+                dy = np.dot(K[:s].T, _ROWS[s]) * h
+                K[s] = self.fun(self.t_old + _NODES[s] * h, self.y_old + dy)
             delta_y = self.y - self.y_old
             self.F = np.empty((7, len(self.y)))
             self.F[0] = delta_y
@@ -183,19 +186,23 @@ def _advance(fun, t, y, f, h_abs, tf, rtol, atol) -> tuple[_Step | None, float]:
     min_step = 10 * (np.nextafter(t, np.inf) - t)
     h_abs = max(h_abs, min_step)
     K = np.empty((16, len(y)))
+    KT = K.T  # column s is stage s
     rejected = False
     while h_abs >= min_step:
         t_new = min(t + h_abs, tf)
         h = h_abs = t_new - t
         K[0] = f
         for s in range(1, N_STAGES):
-            dy = np.dot(K[:s].T, A[s, :s]) * h
-            K[s] = fun(t + C[s] * h, y + dy)
-        y_new = y + h * np.dot(K[:N_STAGES].T, B)
+            dy = np.dot(KT[:, :s], _ROWS[s]) * h
+            K[s] = fun(t + _NODES[s] * h, y + dy)
+        y_new = y + h * np.dot(KT[:, :N_STAGES], B)
         K[N_STAGES] = f_new = fun(t + h, y_new)
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        err5_norm_2 = np.linalg.norm(np.dot(K[: N_STAGES + 1].T, E5) / scale) ** 2
-        err3_norm_2 = np.linalg.norm(np.dot(K[: N_STAGES + 1].T, E3) / scale) ** 2
+        e5 = np.dot(KT[:, : N_STAGES + 1], E5) / scale
+        e3 = np.dot(KT[:, : N_STAGES + 1], E3) / scale
+        # np.linalg.norm of a 1-D float vector is exactly this
+        err5_norm_2 = np.sqrt(e5.dot(e5)) ** 2
+        err3_norm_2 = np.sqrt(e3.dot(e3)) ** 2
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             error_norm = 0.0
         else:

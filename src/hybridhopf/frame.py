@@ -68,11 +68,11 @@ def locate_hopf_point(model: ModelDefinition, seed: Sequence[float]) -> np.ndarr
     X = np.asarray(seed, dtype=float).copy()
     if X.shape != (STATE_DIM,):
         raise NoConvergence(f"seed must be a 3-vector, got shape {X.shape}")
-    jacobian = models.jacobian_fn(model, 0.0)
+    jacobian = models.jacobian_fn(model)
 
     def residual(P: np.ndarray) -> np.ndarray:
         F = models.evaluate(model, P, 0.0)
-        nu, _ = _spectrum_split(jacobian(P))
+        nu, _ = _spectrum_split(jacobian(P, 0.0))
         return np.array([F[0], F[1], F[2], nu.real])
 
     G = residual(X)
@@ -105,7 +105,7 @@ def locate_hopf_point(model: ModelDefinition, seed: Sequence[float]) -> np.ndarr
             f"(|F| = {np.max(np.abs(G[:3])):.2e}, Re nu = {G[3]:.2e})"
         )
 
-    nu, nu0 = _spectrum_split(jacobian(X))
+    nu, nu0 = _spectrum_split(jacobian(X, 0.0))
     if nu.imag <= A2_THRESHOLD:
         raise NotHopf(f"no rotation pair at the converged point (Im nu = {nu.imag:.2e})")
     if abs(nu0) > A2_THRESHOLD:
@@ -306,7 +306,7 @@ class AssumptionReport:
 def _line_residual(model: ModelDefinition, X_H: np.ndarray, e3: np.ndarray) -> float:
     """Max |F| at mu = 0 over equilibria continued transversally from 20
     points of the segment X_H + t e3, |t| <= 0.1."""
-    jacobian = models.jacobian_fn(model, 0.0)
+    jacobian = models.jacobian_fn(model)
     worst = 0.0
     for t in np.linspace(-0.1, 0.1, 20):
         P = X_H + t * e3
@@ -321,7 +321,7 @@ def _line_residual(model: ModelDefinition, X_H: np.ndarray, e3: np.ndarray) -> f
             best = min(best, float(np.max(np.abs(F))))
             if best < 1e-14:
                 break
-            JG = np.vstack([jacobian(X), e3])
+            JG = np.vstack([jacobian(X, 0.0), e3])
             G = np.append(F, e3 @ (X - P))
             step, *_ = np.linalg.lstsq(JG, -G, rcond=None)
             X = X + step

@@ -124,6 +124,8 @@ class ModelDefinition:
 
     ``rhs(X, mu)`` returns dX/dt.  ``exact_jet`` (when present) returns a
     `JetTable` whose entries are closed-form, not finite differences.
+    ``jacobian`` (when present) returns dF/dX as a (3, 3) float ndarray, which
+    callers use as is.
     ``in_domain`` demarcates the region where evaluation is trusted; solvers
     use it as a guard.
     """
@@ -171,13 +173,11 @@ def central_difference(
     return np.column_stack(columns)
 
 
-def jacobian_fn(model: ModelDefinition, mu: float) -> Callable[[np.ndarray], np.ndarray]:
-    """X -> dF/dX at fixed mu: the model's Jacobian, else `central_difference`
-    of the RHS."""
+def jacobian_fn(model: ModelDefinition) -> Callable[[np.ndarray, float], np.ndarray]:
+    """(X, mu) -> dF/dX: the model's Jacobian, else `central_difference` of the RHS."""
     if model.jacobian is not None:
-        jac = model.jacobian
-        return lambda X: np.asarray(jac(X, mu), dtype=float)
-    return lambda X: central_difference(lambda P: model.rhs(P, mu), X)
+        return model.jacobian
+    return lambda X, mu: central_difference(lambda P: model.rhs(P, mu), X)
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +454,17 @@ def _require(
     return values
 
 
+def _on_floats(expressions: Callable, X: np.ndarray, mu: float):
+    """``expressions(x1, x2, x3, mu)`` on Python floats: the same IEEE operations
+    as on numpy scalars (``**`` is libm ``pow`` on both), so the same bits at a
+    fraction of the cost.  Where Python raises instead (a pole, an overflowing
+    power), they are repeated on numpy scalars, which give inf or nan."""
+    try:
+        return expressions(*X.tolist(), mu)
+    except (ZeroDivisionError, OverflowError):
+        return expressions(*X, mu)
+
+
 def _predator_prey(params: Mapping[str, float]) -> ModelDefinition:
     delta1, delta2, lam, alpha1, alpha2 = _require(
         params, ("delta1", "delta2", "lam", "alpha1", "alpha2"), "predator_prey"
@@ -465,19 +476,19 @@ def _predator_prey(params: Mapping[str, float]) -> ModelDefinition:
     if not 0 < lam < 1:
         raise InvalidParams("predator_prey needs break-even concentration 0 < lam < 1")
 
-    def rhs(X: np.ndarray, mu: float) -> np.ndarray:
-        x1, x2, s = X
+    def field(x1, x2, s, mu):
         g1 = (s - lam) / (s + alpha1)
         g2 = (s - lam - mu) / (s + alpha2)
         h1 = s / (s + alpha1)
         h2 = s / (s + alpha2)
-        return np.array(
-            [
-                delta1 * x1 * g1,
-                delta2 * x2 * g2,
-                s * (1.0 - s) - x1 * h1 - x2 * h2,
-            ]
-        )
+        return [
+            delta1 * x1 * g1,
+            delta2 * x2 * g2,
+            s * (1.0 - s) - x1 * h1 - x2 * h2,
+        ]
+
+    def rhs(X: np.ndarray, mu: float) -> np.ndarray:
+        return np.array(_on_floats(field, X, mu))
 
     def exact_jet(point: np.ndarray, mu: float) -> JetTable:
         x1, x2, s = (float(v) for v in point)
@@ -531,20 +542,20 @@ def _predator_prey(params: Mapping[str, float]) -> ModelDefinition:
         ]
         return JetTable.from_entries(point, mu, entries, tolerance=1e-12)
 
-    def jacobian(X: np.ndarray, mu: float) -> np.ndarray:
-        x1, x2, s = X
+    def derivative(x1, x2, s, mu):
         p1, p2 = s + alpha1, s + alpha2
         g1, g2 = (s - lam) / p1, (s - lam - mu) / p2
         dg1, dg2 = (lam + alpha1) / p1**2, (lam + mu + alpha2) / p2**2
         h1, h2 = s / p1, s / p2
         dh1, dh2 = alpha1 / p1**2, alpha2 / p2**2
-        return np.array(
-            [
-                [delta1 * g1, 0.0, delta1 * x1 * dg1],
-                [0.0, delta2 * g2, delta2 * x2 * dg2],
-                [-h1, -h2, 1.0 - 2.0 * s - x1 * dh1 - x2 * dh2],
-            ]
-        )
+        return [
+            [delta1 * g1, 0.0, delta1 * x1 * dg1],
+            [0.0, delta2 * g2, delta2 * x2 * dg2],
+            [-h1, -h2, 1.0 - 2.0 * s - x1 * dh1 - x2 * dh2],
+        ]
+
+    def jacobian(X: np.ndarray, mu: float) -> np.ndarray:
+        return np.array(_on_floats(derivative, X, mu))
 
     def in_domain(X: np.ndarray) -> bool:
         x1, x2, s = X

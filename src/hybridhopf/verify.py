@@ -136,15 +136,14 @@ def _flow_with_monodromy(
 ):
     """Integrate state, variational matrix, and divergence quadrature,
     with the dense interpolant of all three."""
-    jac = models.jacobian_fn(model, mu)
+    field, jac = model.rhs, models.jacobian_fn(model)
 
     def rhs(t: float, Y: np.ndarray) -> np.ndarray:
         x = Y[:3]
-        Phi = Y[3:12].reshape(3, 3)
-        J = jac(x)
+        J = jac(x, mu)
         out = np.empty(13)
-        out[:3] = model.rhs(x, mu)
-        out[3:12] = (J @ Phi).ravel()
+        out[:3] = field(x, mu)
+        np.matmul(J, Y[3:12].reshape(3, 3), out=out[3:12].reshape(3, 3))
         out[12] = J[0, 0] + J[1, 1] + J[2, 2]
         return out
 

@@ -349,6 +349,35 @@ def test_failed_eigen_decomposition_is_a_numerical_failure(workspace):
     assert "(last failed trial: eigenvalues of the Jacobian failed:" in last, result.stderr
 
 
+@pytest.mark.parametrize(
+    "doc, argv, line",
+    [
+        (
+            INTERIOR,
+            ["truncated", "--epsilon", "0.1", "--mu-tilde", "1e300", "--r0", "0.8"],
+            "numerical failure: integration failed: Required step size is less than "
+            "spacing between numbers.",
+        ),
+        (
+            PLANTED_ES,
+            ["verify", "--mu", "1e308"],
+            "numerical failure: model 'toy_cylindrical' produced non-finite output at ",
+        ),
+    ],
+    ids=["truncated", "verify"],
+)
+def test_overflow_ends_in_one_typed_line_without_numpy_warnings(workspace, doc, argv, line):
+    """No numpy RuntimeWarning, which names the checkout's source paths and
+    line numbers, comes ahead of the typed line of an overflowing run."""
+    result = subprocess.run(
+        [sys.executable, "-m", "hybridhopf.cli", *argv, "--config", workspace.config(doc),
+         "--out", workspace.outdir("overflow")],
+        capture_output=True, text=True, check=False, env=source_env(), timeout=60,
+    )
+    assert result.returncode == 1, result.stderr
+    assert result.stderr.startswith(line) and result.stderr.count("\n") == 1, result.stderr
+
+
 # ---------------------------------------------------------------------------
 # truncated
 # ---------------------------------------------------------------------------

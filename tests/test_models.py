@@ -202,6 +202,97 @@ def test_exact_jacobian_matches_directional_differences(x1, x2, s):
 
 
 # ---------------------------------------------------------------------------
+# predator-prey on Python floats against numpy scalars
+# ---------------------------------------------------------------------------
+
+
+def _numpy_scalar_predator_prey(p, X, mu):
+    """RHS and Jacobian of the predator-prey model, each operation on numpy
+    scalars, as the model evaluated them before it moved to Python floats."""
+    delta1, delta2, lam, alpha1, alpha2 = (
+        p["delta1"], p["delta2"], p["lam"], p["alpha1"], p["alpha2"]
+    )
+    x1, x2, s = np.asarray(X, dtype=float)
+    g1 = (s - lam) / (s + alpha1)
+    g2 = (s - lam - mu) / (s + alpha2)
+    h1 = s / (s + alpha1)
+    h2 = s / (s + alpha2)
+    F = np.array([delta1 * x1 * g1, delta2 * x2 * g2, s * (1.0 - s) - x1 * h1 - x2 * h2])
+    p1, p2 = s + alpha1, s + alpha2
+    g1, g2 = (s - lam) / p1, (s - lam - mu) / p2
+    dg1, dg2 = (lam + alpha1) / p1**2, (lam + mu + alpha2) / p2**2
+    h1, h2 = s / p1, s / p2
+    dh1, dh2 = alpha1 / p1**2, alpha2 / p2**2
+    J = np.array(
+        [
+            [delta1 * g1, 0.0, delta1 * x1 * dg1],
+            [0.0, delta2 * g2, delta2 * x2 * dg2],
+            [-h1, -h2, 1.0 - 2.0 * s - x1 * dh1 - x2 * dh2],
+        ]
+    )
+    return F, J
+
+
+def _assert_predator_prey_matches_numpy_scalars(params, X, mu):
+    model = builtin("predator_prey", params)
+    X = np.asarray(X, dtype=float)
+    F, J = _numpy_scalar_predator_prey(params, X, mu)
+    got_F, got_J = model.rhs(X, mu), model.jacobian(X, mu)
+    assert got_F.dtype == got_J.dtype == np.float64
+    assert got_J.shape == (STATE_DIM, STATE_DIM)
+    assert np.array_equal(got_F, F, equal_nan=True), (got_F, F)
+    assert np.array_equal(got_J, J, equal_nan=True), (got_J, J)
+
+
+_positive = st.floats(1e-3, 10.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    delta1=_positive,
+    delta2=_positive,
+    lam=st.floats(1e-3, 0.999),
+    alpha1=_positive,
+    alpha2=_positive,
+    X=st.lists(st.floats(-2.0, 5.0), min_size=3, max_size=3),
+    mu=st.one_of(st.just(0.0), st.floats(-0.1, 0.1)),
+)
+def test_predator_prey_is_bit_identical_to_numpy_scalars(delta1, delta2, lam, alpha1, alpha2, X, mu):
+    params = {"delta1": delta1, "delta2": delta2, "lam": lam, "alpha1": alpha1, "alpha2": alpha2}
+    if X[2] in (-alpha1, -alpha2):
+        X[2] += 1.0  # poles: test_predator_prey_pole_and_overflow_match_numpy_scalars
+    _assert_predator_prey_matches_numpy_scalars(params, X, mu)
+
+
+def test_predator_prey_squares_round_like_numpy_scalar_power():
+    # s + alpha1 = 0.5245367165209572, where libm pow(p, 2), which Python
+    # floats and numpy scalars both call, differs from p * p
+    params = {"delta1": 1.0, "delta2": 1.3, "lam": 0.3, "alpha1": 0.2, "alpha2": 0.6}
+    s = 0.5245367165209572 - 0.2
+    _assert_predator_prey_matches_numpy_scalars(params, [0.4, 0.7, s], 0.005)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        [0.1, 0.2, -0.2],  # s = -alpha1: Python floats raise ZeroDivisionError
+        [0.1, 0.2, -0.6],  # s = -alpha2
+        [0.1, 0.2, 1e200],  # p1**2 overflows: Python floats raise OverflowError
+        [1e300, 1e300, -1e200],
+        [math.nan, 0.2, 0.3],
+        [0.1, math.inf, 0.3],
+    ],
+)
+def test_predator_prey_pole_and_overflow_match_numpy_scalars(state):
+    params = {"delta1": 1.0, "delta2": 1.0, "lam": 0.3, "alpha1": 0.2, "alpha2": 0.6}
+    with np.errstate(all="ignore"):
+        _assert_predator_prey_matches_numpy_scalars(params, state, 0.005)
+    with pytest.raises(NonFinite):
+        with np.errstate(all="ignore"):
+            evaluate(builtin("predator_prey", params), state, 0.005)
+
+
+# ---------------------------------------------------------------------------
 # polynomial fields against the term-by-term loop
 # ---------------------------------------------------------------------------
 

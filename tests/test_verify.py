@@ -23,7 +23,7 @@ from hybridhopf import (
     simulate_truncated,
     standard_jet,
 )
-from hybridhopf import dop853, eco, verify
+from hybridhopf import dop853, eco, models, verify
 from hybridhopf.errors import InvalidBounds, LeftDomain, NoConvergence, NonFinite, StepFailure
 from hybridhopf.models import ModelDefinition
 from hybridhopf.verify import compare_with_full_model
@@ -204,6 +204,54 @@ def test_shooting_builds_dense_output_only_where_it_is_read(interior_pipeline):
     prediction = predict_orbit(interior_pipeline.coeffs, mu, frame=interior_pipeline.frame)
     find_periodic_orbit(model, mu, prediction, guard=eco.interior_guard())
     assert len(calls) <= 2700
+
+
+def _reference_flow_with_monodromy(model, mu, x0, T, rtol):
+    """The variational solve with the closure as first written: the Jacobian
+    through ``np.asarray``, the product ``(J @ Phi).ravel()`` copied in."""
+
+    def jac(X):
+        if model.jacobian is not None:
+            return np.asarray(model.jacobian(X, mu), dtype=float)
+        return models.central_difference(lambda P: model.rhs(P, mu), X)
+
+    def rhs(t, Y):
+        x = Y[:3]
+        Phi = Y[3:12].reshape(3, 3)
+        J = jac(x)
+        out = np.empty(13)
+        out[:3] = model.rhs(x, mu)
+        out[3:12] = (J @ Phi).ravel()
+        out[12] = J[0, 0] + J[1, 1] + J[2, 2]
+        return out
+
+    Y0 = np.concatenate([x0, np.eye(3).ravel(), [0.0]])
+    return dop853.solve(rhs, (0.0, T), Y0, rtol)
+
+
+@pytest.mark.parametrize(
+    "case", ["predator_prey", "predator_prey_finite_difference", "toy_cylindrical_es"]
+)
+def test_variational_closure_is_bit_identical_to_the_reference(interior_pipeline, case):
+    if case == "toy_cylindrical_es":
+        model = builtin(
+            "toy_cylindrical", {"beta2": -1.0, "beta3": -0.5, "beta5": 1.0, "gamma5": -1.0}
+        )
+        mu, x0, T = 0.01, np.array([0.12, -0.03, 0.01]), 2.0 * math.pi
+    else:
+        model = interior_pipeline.model
+        if case.endswith("finite_difference"):
+            model = dataclasses.replace(model, exact_jet=None, jacobian=None)
+        mu, x0, T = 0.005, interior_pipeline.point + [0.02, -0.01, 0.01], INTERIOR_PERIOD
+    rtol = verify.SWEEP_RTOL  # finite-difference noise makes tighter ones slow
+    xT, monodromy, divergence, dense = verify._flow_with_monodromy(model, mu, x0, T, rtol)
+    ref = _reference_flow_with_monodromy(model, mu, x0, T, rtol)
+    assert len(ref.t) > 10
+    assert np.array_equal(xT, ref.y[:3, -1])
+    assert np.array_equal(monodromy, ref.y[3:12, -1].reshape(3, 3))
+    assert divergence == ref.y[12, -1]
+    grid = np.linspace(0.0, T, 97)
+    assert np.array_equal(dense(grid), ref.sol(grid))
 
 
 def test_non_finite_start_state_is_a_typed_error(interior_model):
