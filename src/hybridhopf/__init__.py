@@ -54,7 +54,6 @@ __all__ = [
     "ShootingSeed",
     "StabilityVerdict",
     "StandardFrame",
-    "averaged_drift_check",
     "build_standard_frame",
     "builtin",
     "check_assumptions",

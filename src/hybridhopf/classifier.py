@@ -136,15 +136,15 @@ class PredictedOrbit:
 
     ``r0`` is the radius in frame coordinates; ``anchor`` is the loop's
     point at phase 0, u = (r0, 0, 0), in original coordinates when a frame
-    is supplied.  ``amplitude_scale`` converts r0 into an original-coordinate
-    size and is the natural trust-region radius for shooting.
+    is supplied.  ``scale`` converts r0 into an original-coordinate size and
+    is the trust radius for shooting, as in `verify.ShootingSeed`.
     """
 
     mu: float
     r0: float
     period: float
     anchor: np.ndarray | None
-    amplitude_scale: float
+    scale: float
 
 def predict_orbit(
     coeffs: CylindricalCoefficients,
@@ -173,7 +173,7 @@ def predict_orbit(
     if frame is not None:
         scale = r0 * float(np.linalg.norm(frame.basis[:, :2], 2))
         anchor = frame.from_frame((r0, 0.0, 0.0), mu)
-    return PredictedOrbit(mu=mu, r0=r0, period=period, anchor=anchor, amplitude_scale=scale)
+    return PredictedOrbit(mu=mu, r0=r0, period=period, anchor=anchor, scale=scale)
 
 
 def saddle_exponents(

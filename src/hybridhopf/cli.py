@@ -210,7 +210,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         return _assumptions_failed(report)
     classification = classifier.classify(coeffs)
     prediction = classifier.predict_orbit(coeffs, args.mu, frame)
-    tol = args.tol if args.tol is not None else 1e-11
+    tol = args.tol if args.tol is not None else verify.ORBIT_NEWTON_TOL
     guard = eco.interior_guard() if config.get("builtin") == "predator_prey" else None
     orbit = verify.find_periodic_orbit(
         model,
@@ -232,7 +232,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "liouville_defect": orbit.liouville_defect,
         "multipliers": [[z.real, z.imag] for z in orbit.multipliers],
         "stability": dataclasses.asdict(stability),
-        "prediction": {"r0": prediction.r0, "amplitude_scale": prediction.amplitude_scale},
+        "prediction": {"r0": prediction.r0, "amplitude_scale": prediction.scale},
         "stability_consistent": stability.stable == classification.orbit_stable,
     }
     _write_json(out / "verify.json", doc)

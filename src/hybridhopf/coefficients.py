@@ -42,11 +42,6 @@ class HarmonicScalar:
             + self.sin2 * math.sin(2.0 * phi)
         )
 
-    @property
-    def mean(self) -> float:
-        """Average over one rotation; only the constant term survives."""
-        return self.c0
-
 
 @dataclasses.dataclass(frozen=True)
 class CylindricalCoefficients:

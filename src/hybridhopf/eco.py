@@ -4,9 +4,9 @@ At equal break-even concentrations (mu = 0) the system carries a line of
 coexistence equilibria; perturbing the second predator's break-even value by
 mu destroys the line and produces the periodic-orbit branch analyzed by the
 rest of the package.  This module provides the model instance, the interior
-Hopf point and equilibrium line, closed-form reference values for the
-reduced coefficients in the analytic chart, the admissible parameter region
-with a sampler, boundary equilibria, and the comparison Lyapunov function.
+Hopf point, closed-form reference values for the reduced coefficients in the
+analytic chart, the admissible parameter region with a sampler, boundary
+equilibria, and the comparison Lyapunov function.
 
 States are (x1, x2, s): the two predator densities and the prey density,
 with the prey rescaled to carrying capacity 1.  Parameters: per-predator
@@ -33,7 +33,6 @@ from .errors import (
     NonFinite,
     NotAdmissible,
 )
-from .frame import StandardFrame
 from .models import ModelDefinition, builtin
 
 
@@ -109,42 +108,6 @@ def hopf_point(p: EcoParams) -> np.ndarray:
     return np.array([x1, x2, p.lam])
 
 
-def coexistence_line(p: EcoParams, x1_values: Sequence[float]) -> np.ndarray:
-    """Points of the mu = 0 equilibrium line, parameterized by x1.
-
-    The line is {x1/(lam+alpha1) + x2/(lam+alpha2) = 1 - lam, s = lam}.
-    """
-    pts = []
-    for x1 in x1_values:
-        x2 = (p.lam + p.alpha2) * (1.0 - p.lam - x1 / (p.lam + p.alpha1))
-        pts.append((float(x1), x2, p.lam))
-    return np.array(pts)
-
-
-def _rotation_block(p: EcoParams) -> tuple[float, float, float]:
-    """(a1, a2, omega): Jacobian columns J[:, 2] = (a1, a2, 0) and the rate."""
-    denom = p.l1 + p.l2
-    a1 = p.delta1 * (p.lam + p.alpha1) * p.l2 / denom
-    a2 = p.delta2 * (p.lam + p.alpha2) * p.l1 / denom
-    return a1, a2, math.sqrt(omega_squared(p))
-
-
-def closed_form_frame(p: EcoParams) -> StandardFrame:
-    """The analytic chart in which the closed-form coefficients hold.
-
-    e1 = (0, 0, 1), e2 = (a1/omega, a2/omega, 0), and e3 is the line tangent
-    normalized to second component 1 (not unit length; the closed forms are
-    tied to exactly this scaling).
-    """
-    a1, a2, omega = _rotation_block(p)
-    e1 = np.array([0.0, 0.0, 1.0])
-    e2 = np.array([a1 / omega, a2 / omega, 0.0])
-    e3 = np.array([-(p.lam + p.alpha1) / (p.lam + p.alpha2), 1.0, 0.0])
-    basis = np.column_stack([e1, e2, e3])
-    # first-order parameter drift: d_mu F = (0, -a2, 0) at the Hopf point
-    return StandardFrame.from_drift(hopf_point(p), basis, np.array([0.0, -a2, 0.0]), omega)
-
-
 def h_polynomials(p: EcoParams) -> tuple[float, float]:
     """Cubic-coefficient building blocks H1, H2.
 
@@ -178,7 +141,16 @@ def stability_margin(p: EcoParams) -> float:
 
 
 def closed_form_coefficients(p: EcoParams) -> dict[str, float]:
-    """Reference reduced coefficients in the `closed_form_frame` chart."""
+    """Reference reduced coefficients in the analytic chart at `hopf_point`.
+
+    The chart's basis, in order: the prey axis (0, 0, 1); the Jacobian's
+    prey column (a1, a2, 0) divided by omega, where
+    a1 = delta1 (lam+alpha1) l2 / (l1+l2) and
+    a2 = delta2 (lam+alpha2) l1 / (l1+l2); and the tangent of the
+    equilibrium line scaled to x2-component 1, not to unit length, because
+    the closed forms are tied to exactly that scaling.  The parameter drift
+    there is d_mu F = (0, -a2, 0).
+    """
     p.require_admissible()
     lam = p.lam
     d1, d2 = p.delta1, p.delta2
@@ -301,7 +273,7 @@ def boundary_report(p: EcoParams, mu: float = 0.0) -> BoundaryReport:
     return BoundaryReport(
         washout=(0.0, 0.0, 0.0),
         prey_only=(0.0, 0.0, 1.0),
-        single_predator={"predator1": (e1[0], e1[1], e1[2]), "predator2": (0.0, e2[1], e2[2])},
+        single_predator={"predator1": e1, "predator2": e2},
         hopf_indicators={
             "predator1": 2.0 * lam1 + p.alpha1 - 1.0,
             "predator2": 2.0 * lam2 + p.alpha2 - 1.0,

@@ -710,10 +710,6 @@ def builtin(name: str, params: Mapping[str, float] | None = None) -> ModelDefini
     return factory(params or {})
 
 
-def available_builtins() -> tuple[str, ...]:
-    return tuple(sorted(_BUILTINS))
-
-
 def from_config(doc: Mapping[str, object]) -> ModelDefinition:
     """Build a model from a parsed configuration document.
 

@@ -4,9 +4,8 @@ Everything here treats the vector field as ground truth and checks the
 asymptotic predictions against it: single shooting with variational
 equations (monodromy comes from the same solve, with a Liouville trace
 quadrature as an internal consistency check), Floquet stability, natural
-continuation in the parameter, an averaged-drift sanity probe, and direct
-integration of the truncated reduced dynamics for comparison with the full
-flow.
+continuation in the parameter, and direct integration of the truncated
+reduced dynamics for comparison with the full flow.
 """
 
 from __future__ import annotations
@@ -32,9 +31,11 @@ from .models import ModelDefinition
 
 #: integrator tolerance for one-off orbit solves
 ORBIT_RTOL = 1e-11
+#: closure tolerance of one-off orbit solves
+ORBIT_NEWTON_TOL = 1e-11
 #: integrator tolerance for continuation sweeps
 SWEEP_RTOL = 1e-9
-#: integrator tolerance of the averaged-drift and truncated-dynamics probes
+#: integrator tolerance of the truncated-dynamics runs and their full-flow comparison
 PROBE_RTOL = 1e-10
 #: Newton budget of one shooting solve
 SHOOTING_MAX_ITER = 25
@@ -81,25 +82,14 @@ def integrate(
 
 @dataclasses.dataclass(frozen=True)
 class ShootingSeed:
-    """Starting guess for single shooting: a point, a period, a size."""
+    """Starting guess for single shooting: a point, a period, a size.
+
+    A `PredictedOrbit` carries the same three fields and seeds shooting too.
+    """
 
     anchor: np.ndarray
     period: float
     scale: float | None = None
-
-
-def _as_seed(seed: ShootingSeed | PredictedOrbit) -> ShootingSeed:
-    if isinstance(seed, ShootingSeed):
-        return seed
-    if seed.anchor is None:
-        raise NoConvergence(
-            "orbit prediction has no anchor; predict with a frame to seed shooting"
-        )
-    return ShootingSeed(
-        anchor=np.asarray(seed.anchor, dtype=float),
-        period=seed.period,
-        scale=seed.amplitude_scale,
-    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -158,7 +148,7 @@ def find_periodic_orbit(
     mu: float,
     seed: ShootingSeed | PredictedOrbit,
     rtol: float = ORBIT_RTOL,
-    newton_tol: float = 1e-11,
+    newton_tol: float = ORBIT_NEWTON_TOL,
     guard: Callable[[np.ndarray], bool] | None = None,
     n_samples: int = 256,
 ) -> PeriodicOrbit:
@@ -181,13 +171,16 @@ def find_periodic_orbit(
             "shooting needs a finite mu, n_samples >= 1 and positive tolerances, got "
             f"mu={mu}, n_samples={n_samples}, rtol={rtol}, newton_tol={newton_tol}"
         )
-    sd = _as_seed(seed)
-    x = np.asarray(sd.anchor, dtype=float).copy()
-    T = float(sd.period)
+    if seed.anchor is None:
+        raise NoConvergence(
+            "orbit prediction has no anchor; predict with a frame to seed shooting"
+        )
+    x = np.asarray(seed.anchor, dtype=float).copy()
+    T = float(seed.period)
     if T <= 0:
         raise NoConvergence("seed period must be positive")
     T0 = T
-    drift_cap = DRIFT_FACTOR * sd.scale if sd.scale else math.inf
+    drift_cap = DRIFT_FACTOR * seed.scale if seed.scale else math.inf
 
     F0 = models.evaluate(model, x, mu)
     speed = float(np.linalg.norm(F0))
@@ -429,8 +422,7 @@ def continue_branch(
     if seed_strategy == "predict":
         if coeffs is None or frame is None:
             raise InvalidBounds("predict seeding needs coefficients and a frame")
-        prediction = predict_orbit(coeffs, grid[0], frame)
-        seed: ShootingSeed = _as_seed(prediction)
+        seed: ShootingSeed | PredictedOrbit = predict_orbit(coeffs, grid[0], frame)
     elif seed_strategy == "simulate":
         if seed_state is None:
             raise InvalidBounds("simulate seeding needs a seed_state")
@@ -470,47 +462,8 @@ def continue_branch(
 
 
 # ---------------------------------------------------------------------------
-# reduced-dynamics probes
+# truncated reduced dynamics
 # ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class DriftReport:
-    """Average transverse drift over one rotation vs. its prediction."""
-
-    measured: float
-    predicted: float
-    sign_match: bool
-    relative_error: float
-
-
-def averaged_drift_check(
-    model: ModelDefinition,
-    frame: StandardFrame,
-    coeffs: CylindricalCoefficients,
-    mu: float,
-    radius: float,
-) -> DriftReport:
-    """Compare the measured average of dz over one rotation with
-    gamma5 * mu + beta5 * radius^2, read from ``coeffs`` (computed in
-    ``frame``); both below 1e-10 count as a match."""
-    predicted = coeffs.gamma5 * mu + coeffs.beta5 * radius**2
-
-    X0 = frame.from_frame((radius, 0.0, 0.0), mu)
-    T = 2.0 * math.pi / frame.omega
-    XT = integrate(model, mu, X0, (0.0, T), PROBE_RTOL, dense=False).states[-1]
-    z_end = frame.to_frame(XT, mu)[2]
-    measured = float(z_end) / T
-
-    if abs(measured) < 1e-10 and abs(predicted) < 1e-10:
-        match = True
-        rel = 0.0
-    else:
-        match = math.copysign(1.0, measured) == math.copysign(1.0, predicted)
-        rel = abs(measured - predicted) / max(abs(predicted), 1e-300)
-    return DriftReport(
-        measured=measured, predicted=predicted, sign_match=match, relative_error=rel
-    )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -17,6 +17,7 @@ from hybridhopf import (
 from hybridhopf import eco
 from hybridhopf.eco import EcoParams
 from hybridhopf.models import ModelDefinition
+from oracles import closed_form_frame
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,7 +61,7 @@ def interior_pipeline(interior_model, interior_hopf) -> Pipeline:
 @pytest.fixture(scope="session")
 def closed_chart(interior, interior_model, interior_hopf) -> Pipeline:
     """Interior sample in the chart where the closed-form coefficients hold."""
-    frame = eco.closed_form_frame(interior)
+    frame = closed_form_frame(interior)
     raw = jet(interior_model, interior_hopf, 0.0)
     coeffs = compute_coefficients(standard_jet(raw, frame))
     return Pipeline(model=interior_model, point=interior_hopf, frame=frame, coeffs=coeffs)

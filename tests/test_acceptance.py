@@ -31,6 +31,7 @@ from hybridhopf import eco
 from hybridhopf.errors import Degenerate, HybridHopfError
 from hybridhopf.frame import StandardFrame
 from hybridhopf.verify import compare_with_full_model
+from oracles import closed_form_frame
 
 PERIOD_LIMIT = 2.0 * math.pi / math.sqrt(0.3)
 
@@ -75,7 +76,7 @@ def test_criterion_01_closed_form_equivalence():
     worst = {"exact": 0.0, "finite_difference": 0.0}
     for p in samples:
         reference = eco.closed_form_coefficients(p)
-        chart = eco.closed_form_frame(p)
+        chart = closed_form_frame(p)
         exact_model = eco.model(p)
         fd_model = dataclasses.replace(exact_model, exact_jet=None, jacobian=None)
         point = eco.hopf_point(p)
@@ -216,7 +217,7 @@ def test_criterion_07_no_orbit_on_wrong_side(interior_pipeline, interior_hopf):
     prediction = predict_orbit(
         interior_pipeline.coeffs, 0.005, frame=interior_pipeline.frame
     )
-    radius = 2.0 * prediction.amplitude_scale
+    radius = 2.0 * prediction.scale
     period0 = 2.0 * math.pi / interior_pipeline.coeffs.omega
     rng = np.random.default_rng(20240819)
     guard = eco.interior_guard()
@@ -229,7 +230,7 @@ def test_criterion_07_no_orbit_on_wrong_side(interior_pipeline, interior_hopf):
         seed = ShootingSeed(
             anchor=interior_hopf + offset,
             period=period0,
-            scale=prediction.amplitude_scale,
+            scale=prediction.scale,
         )
         try:
             orbit = find_periodic_orbit(interior_pipeline.model, -0.005, seed, guard=guard)

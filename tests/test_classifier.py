@@ -171,7 +171,7 @@ def test_prediction_with_frame_geometry(closed_chart):
     assert math.hypot(u[0], u[1]) == pytest.approx(r0, rel=1e-10)
     assert abs(u[2]) < 1e-12
     planar = closed_chart.frame.basis[:, :2]
-    assert orbit.amplitude_scale == pytest.approx(
+    assert orbit.scale == pytest.approx(
         r0 * np.linalg.norm(planar, 2), rel=1e-12
     )
 

@@ -131,6 +131,21 @@ def test_classify_rejects_plain_hopf(workspace, capsys):
     assert not (workspace.path("c") / "classification.json").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["verify", "--mu", "0.005"], ["assumptions.json"]),
+        (["continue", "--mu-grid", "0.001,0.002"], ["assumptions.json"]),
+        (["truncated", "--epsilon", "0.1", "--mu-tilde", "0.25", "--r0", "0.8"], []),
+    ],
+)
+def test_integrating_commands_reject_plain_hopf(workspace, capsys, argv, written):
+    cfg = workspace.config(CLASSICAL)
+    assert main([*argv, "--config", cfg, "--out", workspace.outdir("c")]) == 2
+    assert capsys.readouterr().out == "assumption check failed: a4_nondegeneracy\n"
+    assert sorted(p.name for p in workspace.path("c").iterdir()) == written
+
+
 def test_classify_degenerate_focus(workspace):
     cfg = workspace.config(SYNTHETIC_DEGENERATE)
     assert main(["classify", "--config", cfg, "--out", workspace.outdir("g")]) == 3
@@ -452,6 +467,8 @@ def test_missing_config_flag_is_usage_error():
         {"polynomial": [1, 2, 3]},
         {**INTERIOR, "seed_state": []},
         {**INTERIOR, "seed_state": 0},
+        {**ES_NORMAL_FORM, "params": {"a": 1.0}},
+        {**SYNTHETIC, "params": {**SYNTHETIC["params"], "e": 1.0}},
     ],
 )
 def test_bad_configs_are_usage_errors(workspace, doc, capsys):
@@ -496,6 +513,7 @@ def test_bad_mu_grid_is_usage_error(workspace):
         (["eco-sweep", "--samples", "0"], None),
         (["eco-sweep", "--samples", "-3"], None),
         (["eco-sweep", "--seed", "-1"], None),
+        (["continue", "--mu-grid", "0.001", "--seed-strategy", "simulate"], INTERIOR),
     ],
 )
 def test_malformed_numbers_are_usage_errors(workspace, capsys, argv, doc):

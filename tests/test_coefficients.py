@@ -24,7 +24,7 @@ def test_harmonic_scalar_mean_is_constant_term():
     h = HarmonicScalar(c0=0.7, cos1=0.3, sin1=-1.1, cos2=0.25, sin2=0.4)
     phi = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
     assert np.mean([h(p) for p in phi]) == pytest.approx(0.7, abs=1e-12)
-    assert h.mean == pytest.approx(0.7, abs=1e-15)
+    assert h.c0 == pytest.approx(0.7, abs=1e-15)
 
 
 def test_harmonic_structure_by_construction(interior_pipeline, synthetic_pipeline):

@@ -18,6 +18,7 @@ from hybridhopf.errors import (
     NoCoexistencePossible,
     NotAdmissible,
 )
+from oracles import coexistence_line
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -109,7 +110,7 @@ def test_equal_alphas_rejected_before_admissibility():
 
 
 def test_coexistence_line_consists_of_equilibria(interior, interior_model):
-    for X in eco.coexistence_line(interior, [0.05, 0.125, 0.3]):
+    for X in coexistence_line(interior, [0.05, 0.125, 0.3]):
         assert np.linalg.norm(interior_model.rhs(X, 0.0)) < 1e-12
         assert X[2] == interior.lam
 

@@ -9,7 +9,6 @@ import pytest
 
 from hybridhopf import (
     ShootingSeed,
-    averaged_drift_check,
     builtin,
     build_standard_frame,
     classify,
@@ -27,6 +26,7 @@ from hybridhopf import dop853, eco, models, verify
 from hybridhopf.errors import InvalidBounds, LeftDomain, NoConvergence, NonFinite, StepFailure
 from hybridhopf.models import ModelDefinition
 from hybridhopf.verify import compare_with_full_model
+from oracles import averaged_drift_check, coexistence_line
 
 INTERIOR_PERIOD = 2.0 * math.pi / math.sqrt(0.3)
 
@@ -43,7 +43,7 @@ def test_pure_rotation_returns_to_start(rotation_model):
 
 
 def test_equilibrium_line_is_stationary(interior, interior_model):
-    start = eco.coexistence_line(interior, [0.2])[0]
+    start = coexistence_line(interior, [0.2])[0]
     traj = integrate(interior_model, 0.0, start, (0.0, 100.0), rtol=1e-11)
     assert np.max(np.abs(traj.states - start)) < 1e-8
 
@@ -151,9 +151,16 @@ def test_wrong_side_shooting_fails(interior_pipeline):
         find_periodic_orbit(
             interior_pipeline.model,
             -0.005,
-            ShootingSeed(anchor=guess.anchor, period=guess.period, scale=guess.amplitude_scale),
+            ShootingSeed(anchor=guess.anchor, period=guess.period, scale=guess.scale),
             guard=eco.interior_guard(),
         )
+
+
+def test_prediction_without_frame_cannot_seed_shooting(interior_pipeline):
+    guess = predict_orbit(interior_pipeline.coeffs, 0.005)
+    assert guess.anchor is None
+    with pytest.raises(NoConvergence, match="predict with a frame"):
+        find_periodic_orbit(interior_pipeline.model, 0.005, guess)
 
 
 @pytest.fixture
