@@ -263,10 +263,11 @@ def boundary_report(p: EcoParams, mu: float = 0.0) -> BoundaryReport:
     """Boundary equilibria and their planar Hopf indicators."""
     lam1 = p.lam
     lam2 = p.lam + mu
-    if lam1 >= 1.0 or lam2 >= 1.0:
+    if not (0.0 < lam1 < 1.0 and 0.0 < lam2 < 1.0):
         raise NoCoexistencePossible(
-            "a break-even concentration at or above the prey carrying capacity "
-            f"(lam1={lam1}, lam2={lam2}) leaves that predator unable to persist"
+            f"break-even concentrations need 0 < lam < 1, got lam1={lam1}, lam2={lam2}: at or "
+            "above the prey carrying capacity 1 that predator cannot persist, and at or below 0 "
+            "its single-predator equilibrium has no positive prey density"
         )
     e1 = ((lam1 + p.alpha1) * (1.0 - lam1), 0.0, lam1)
     e2 = (0.0, (lam2 + p.alpha2) * (1.0 - lam2), lam2)

@@ -125,16 +125,14 @@ class ModelDefinition:
     ``rhs(X, mu)`` returns dX/dt.  ``exact_jet`` (when present) returns a
     `JetTable` whose entries are closed-form, not finite differences.
     ``jacobian`` (when present) returns dF/dX as a (3, 3) float ndarray, which
-    callers use as is.
-    ``in_domain`` demarcates the region where evaluation is trusted; solvers
-    use it as a guard.
+    callers use as is.  A model sets no domain: shooting trusts an iterate by
+    its drift cap, its period window and the caller's guard.
     """
 
     name: str
     rhs: Callable[[np.ndarray, float], np.ndarray]
     exact_jet: Callable[[np.ndarray, float], JetTable] | None = None
     jacobian: Callable[[np.ndarray, float], np.ndarray] | None = None
-    in_domain: Callable[[np.ndarray], bool] = lambda X: True
     metadata: Mapping[str, object] = dataclasses.field(default_factory=dict)
 
 
@@ -557,15 +555,6 @@ def _predator_prey(params: Mapping[str, float]) -> ModelDefinition:
     def jacobian(X: np.ndarray, mu: float) -> np.ndarray:
         return np.array(_on_floats(derivative, X, mu))
 
-    def in_domain(X: np.ndarray) -> bool:
-        x1, x2, s = X
-        return (
-            x1 > -1e-9
-            and x2 > -1e-9
-            and s > -min(alpha1, alpha2) * 0.5
-            and max(abs(x1), abs(x2), abs(s)) < 50.0
-        )
-
     meta: dict[str, object] = {}
     l1 = 1.0 - 2.0 * lam - alpha1
     l2 = 2.0 * lam + alpha2 - 1.0
@@ -581,9 +570,27 @@ def _predator_prey(params: Mapping[str, float]) -> ModelDefinition:
         rhs=rhs,
         exact_jet=exact_jet,
         jacobian=jacobian,
-        in_domain=in_domain,
         metadata=meta,
     )
+
+
+def _cylindrical(name: str, rotation: list, planar: list, axial: list) -> ModelDefinition:
+    """The rotation-invariant field dy1 = -R y2 + y1 G, dy2 = R y1 + y2 G, dz = H.
+
+    R sums c z^k over the ``rotation`` rows (c, k); G and H sum c r^2p z^k mu^m
+    over the ``planar`` and ``axial`` rows (c, p, k, m).  Terms keep the row
+    order, each r^2p = (y1^2 + y2^2)^p expanded binomially in falling powers of y1.
+    """
+
+    def times(i: int, j: int, rows: list) -> list:
+        return [
+            (c * math.comb(p, q), i + 2 * (p - q), j + 2 * q, k, m)
+            for c, p, k, m in rows for q in range(p + 1)
+        ]
+
+    y1 = [(-c, 0, 1, k, 0) for c, k in rotation] + times(1, 0, planar)
+    y2 = [(c, 1, 0, k, 0) for c, k in rotation] + times(0, 1, planar)
+    return PolynomialField([y1, y2, times(0, 0, axial)]).model(name)
 
 
 def _synthetic_nf(params: Mapping[str, float]) -> ModelDefinition:
@@ -598,14 +605,9 @@ def _synthetic_nf(params: Mapping[str, float]) -> ModelDefinition:
     )
     if omega <= 0:
         raise InvalidParams("synthetic_nf needs omega > 0")
-    field = PolynomialField(
-        [
-            [(-omega, 0, 1, 0, 0), (a, 1, 0, 1, 0)],
-            [(omega, 1, 0, 0, 0), (a, 0, 1, 1, 0)],
-            [(b, 2, 0, 0, 0), (b, 0, 2, 0, 0), (c, 0, 0, 0, 1), (d, 0, 0, 1, 1)],
-        ]
+    return _cylindrical(
+        "synthetic_nf", [(omega, 0)], [(a, 0, 1, 0)], [(b, 1, 0, 0), (c, 0, 0, 1), (d, 0, 1, 1)]
     )
-    return field.model("synthetic_nf")
 
 
 def _toy_cylindrical(params: Mapping[str, float]) -> ModelDefinition:
@@ -618,6 +620,11 @@ def _toy_cylindrical(params: Mapping[str, float]) -> ModelDefinition:
             + eps^2 (mu (beta1 gamma5 + gamma7) z - (beta1 beta5 - beta6) r^2 z),
     where G = eps beta2 z + eps^2 (mu gamma3 + beta3 r^2 - (beta1 beta2 - beta4) z^2).
     All parameters default to zero except eps = 1.
+
+    With beta1 != 0, `compute_coefficients` reads back beta4 - beta1 beta2,
+    beta6 - beta1 beta5 and gamma7 + beta1 gamma5: omega = 1.3, beta1 = 0.4,
+    beta2 = 0.7, beta4 = 0.3, beta5 = -0.9, beta6 = 0.25, gamma5 = 0.8 and
+    gamma7 = -0.35 give beta4 = 0.02, beta6 = 0.61 and gamma7 = -0.03.
     """
     names = (
         "omega",
@@ -638,39 +645,11 @@ def _toy_cylindrical(params: Mapping[str, float]) -> ModelDefinition:
     if omega <= 0:
         raise InvalidParams("toy_cylindrical needs omega > 0")
 
-    o = omega
     e2 = eps * eps
-    field = PolynomialField(
-        [
-            [
-                (-o, 0, 1, 0, 0),
-                (-o * eps * b1, 0, 1, 1, 0),
-                (eps * b2, 1, 0, 1, 0),
-                (e2 * g3, 1, 0, 0, 1),
-                (e2 * b3, 3, 0, 0, 0),
-                (e2 * b3, 1, 2, 0, 0),
-                (-e2 * (b1 * b2 - b4), 1, 0, 2, 0),
-            ],
-            [
-                (o, 1, 0, 0, 0),
-                (o * eps * b1, 1, 0, 1, 0),
-                (eps * b2, 0, 1, 1, 0),
-                (e2 * g3, 0, 1, 0, 1),
-                (e2 * b3, 2, 1, 0, 0),
-                (e2 * b3, 0, 3, 0, 0),
-                (-e2 * (b1 * b2 - b4), 0, 1, 2, 0),
-            ],
-            [
-                (eps * g5, 0, 0, 0, 1),
-                (eps * b5, 2, 0, 0, 0),
-                (eps * b5, 0, 2, 0, 0),
-                (e2 * (b1 * g5 + g7), 0, 0, 1, 1),
-                (-e2 * (b1 * b5 - b6), 2, 0, 1, 0),
-                (-e2 * (b1 * b5 - b6), 0, 2, 1, 0),
-            ],
-        ]
-    )
-    return field.model("toy_cylindrical")
+    z2, muz, r2z = -e2 * (b1 * b2 - b4), e2 * (b1 * g5 + g7), -e2 * (b1 * b5 - b6)
+    G = [(eps * b2, 0, 1, 0), (e2 * g3, 0, 0, 1), (e2 * b3, 1, 0, 0), (z2, 0, 2, 0)]
+    H = [(eps * g5, 0, 0, 1), (eps * b5, 1, 0, 0), (muz, 0, 1, 1), (r2z, 1, 1, 0)]
+    return _cylindrical("toy_cylindrical", [(omega, 0), (omega * eps * b1, 1)], G, H)
 
 
 def _classical_hopf(params: Mapping[str, float]) -> ModelDefinition:
@@ -681,14 +660,9 @@ def _classical_hopf(params: Mapping[str, float]) -> ModelDefinition:
         raise InvalidParams("classical_hopf needs omega > 0")
     if sign not in (-1.0, 1.0):
         raise InvalidParams("classical_hopf needs sign in {-1, +1}")
-    field = PolynomialField(
-        [
-            [(-omega, 0, 1, 0, 0), (1.0, 1, 0, 1, 0), (sign, 3, 0, 0, 0), (sign, 1, 2, 0, 0)],
-            [(omega, 1, 0, 0, 0), (1.0, 0, 1, 1, 0), (sign, 2, 1, 0, 0), (sign, 0, 3, 0, 0)],
-            [(1.0, 0, 0, 0, 1)],
-        ]
+    return _cylindrical(
+        "classical_hopf", [(omega, 0)], [(1.0, 0, 1, 0), (sign, 1, 0, 0)], [(1.0, 0, 0, 1)]
     )
-    return field.model("classical_hopf")
 
 
 _BUILTINS: dict[str, Callable[[Mapping[str, float]], ModelDefinition]] = {

@@ -156,11 +156,12 @@ def find_periodic_orbit(
     a `PredictedOrbit` made with a frame).
 
     The phase condition pins the solution to the plane through the seed
-    anchor orthogonal to the flow there.  The solve is deliberately local:
-    iterates that wander more than `DRIFT_FACTOR` seed amplitudes from the
-    seed (no limit for a seed without a scale), leave the model domain, or
-    violate ``guard`` raise `NoConvergence` instead of silently landing on a
-    distant attractor.
+    anchor orthogonal to the flow there.  The solve is deliberately local,
+    and its trust checks are the drift cap (iterates more than `DRIFT_FACTOR`
+    seed amplitudes from the seed; no cap for a seed without a scale), the
+    period window [0.2, 5] times the seed period, and the caller's ``guard``:
+    an iterate failing one raises `NoConvergence` instead of silently landing
+    on a distant attractor.
 
     Every Newton trial is one variational solve, reused as the next iterate
     when accepted; a trial whose solve fails (`NonFinite`, `StepFailure`) is
@@ -196,8 +197,6 @@ def find_periodic_orbit(
             )
         if not (0.2 * T0 <= T_val <= 5.0 * T0):
             raise NoConvergence(f"shooting period left the trust window ({T_val:.3g})")
-        if not model.in_domain(P):
-            raise NoConvergence("shooting iterate left the model domain")
         if guard is not None and not guard(P):
             raise NoConvergence("shooting iterate violated the interior guard")
 

@@ -1,0 +1,157 @@
+"""Run a fixed matrix of command-line runs and keep everything each one leaves.
+
+    PYTHONPATH=<checkout>/src python tests/cli_matrix.py OUT
+
+For every run the script writes, under ``OUT/<run>/``, the command's output
+directory (``out/``), its ``stdout``, ``stderr`` and ``exit_code``; the
+configs the runs read go to ``OUT/configs/``.  Every run starts a fresh
+``python -m hybridhopf.cli`` in ``OUT`` with relative paths, so two
+checkouts can be compared with ``diff -r OUT_A OUT_B``.
+
+The matrix: the five subcommands on the README predator-prey config, with
+exact and finite-difference jets; ``verify``, ``continue`` and ``truncated
+--compare`` (after ``classify``) on planted ``synthetic_nf``,
+``toy_cylindrical`` (one set with beta1 != 0) and ``classical_hopf`` configs;
+``continue --seed-strategy simulate``; and the typed-error rows of
+``tests/test_cli.py``, read from its parametrize marks and test bodies.
+pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import test_cli
+from test_cli import CLASSICAL, INTERIOR, PLANTED_ES, SYNTHETIC, SYNTHETIC_DEGENERATE
+
+README_GRID = "0.0005,0.001,0.002,0.005,0.01,0.02"
+PLANTED_GRID = "0.002,0.005,0.01"
+TRUNCATED = ["truncated", "--epsilon", "0.1", "--mu-tilde", "0.25", "--r0", "0.8", "--compare"]
+#: the beta1 example of ROADMAP item 2, shot on the side `classify` predicts
+TOY_BETA1 = {
+    "builtin": "toy_cylindrical",
+    "params": {
+        "omega": 1.3, "beta1": 0.4, "beta2": 0.7, "beta4": 0.3, "beta5": -0.9,
+        "beta6": 0.25, "gamma5": 0.8, "gamma7": -0.35,
+    },
+}
+EIGEN_FAILURE = {
+    "builtin": "toy_cylindrical",
+    "params": {"omega": 1e308, "beta2": -0.7, "beta3": 0.2, "beta5": 0.9, "gamma5": -1.1},
+}
+
+
+def _cases(test) -> list:
+    """The argument values of a test's parametrize mark."""
+    (mark,) = [m for m in test.pytestmark if m.name == "parametrize"]
+    return list(mark.args[1])
+
+
+def _fd(doc: dict) -> dict:
+    return {**doc, "jets": "finite_difference"}
+
+
+def runs() -> list[tuple[str, list[str], object]]:
+    """(name, argv, config) per run; ``{config}`` in argv is the config's path,
+    and a config that is a string is written as it is."""
+    matrix = []
+    for tag, doc in (("pp", INTERIOR), ("pp_fd", _fd(INTERIOR))):
+        matrix += [
+            (f"{tag}_classify", ["classify", "--config", "{config}"], doc),
+            (f"{tag}_verify", ["verify", "--config", "{config}", "--mu", "0.005"], doc),
+            (f"{tag}_continue", ["continue", "--config", "{config}", "--mu-grid", README_GRID], doc),
+            (f"{tag}_truncated", [*TRUNCATED, "--config", "{config}"], doc),
+        ]
+    matrix += [
+        ("pp_eco_sweep_seed7", ["eco-sweep", "--samples", "1000", "--seed", "7"], None),
+        ("pp_eco_sweep_seed1", ["eco-sweep", "--samples", "10000", "--seed", "1"], None),
+        (
+            "pp_continue_simulate",
+            ["continue", "--config", "{config}", "--mu-grid", "0.005,0.01",
+             "--seed-strategy", "simulate", "--seed-state", "0.2133,0.1667,0.4"],
+            INTERIOR,
+        ),
+    ]
+    planted = {
+        "synthetic_nf": (SYNTHETIC, "-"),
+        "toy_es": (PLANTED_ES, ""),
+        "toy_beta1": (TOY_BETA1, ""),
+        "classical_hopf": (CLASSICAL, ""),
+    }
+    for tag, (doc, sign) in planted.items():
+        grid = ",".join(sign + mu for mu in PLANTED_GRID.split(","))
+        matrix += [
+            (f"{tag}_classify", ["classify", "--config", "{config}"], doc),
+            (f"{tag}_verify", ["verify", "--config", "{config}", f"--mu={sign}0.005"], doc),
+            (f"{tag}_continue", ["continue", "--config", "{config}", f"--mu-grid={grid}"], doc),
+            (f"{tag}_truncated", [*TRUNCATED, "--config", "{config}"], doc),
+        ]
+
+    # typed errors, as tests/test_cli.py runs them
+    for i, doc in enumerate(_cases(test_cli.test_bad_configs_are_usage_errors)):
+        matrix.append((f"err_bad_config_{i:02d}", ["classify", "--config", "{config}"], doc))
+    for i, (argv, doc) in enumerate(_cases(test_cli.test_malformed_numbers_are_usage_errors)):
+        config = ["--config", "{config}"] if doc is not None else []
+        matrix.append((f"err_malformed_{i:02d}", [*argv, *config], doc))
+    for i, argv in enumerate(_cases(test_cli.test_non_finite_inputs_exit_instead_of_hanging)):
+        matrix.append((f"err_non_finite_{i}", [*argv, "--config", "{config}"], INTERIOR))
+    for i, (doc, argv, _) in enumerate(
+        _cases(test_cli.test_overflow_ends_in_one_typed_line_without_numpy_warnings)
+    ):
+        matrix.append((f"err_overflow_{i}", [*argv, "--config", "{config}"], doc))
+    for i, (argv, _) in enumerate(_cases(test_cli.test_integrating_commands_reject_plain_hopf)):
+        matrix.append((f"err_plain_hopf_{i}", [*argv, "--config", "{config}"], CLASSICAL))
+    matrix += [
+        ("err_degenerate", ["classify", "--config", "{config}"], SYNTHETIC_DEGENERATE),
+        ("err_wrong_side", ["verify", "--config", "{config}", "--mu", "-0.005"], INTERIOR),
+        ("err_no_grid", ["continue", "--config", "{config}"], INTERIOR),
+        ("err_bad_mu_grid", ["continue", "--config", "{config}", "--mu-grid", "0.01,abc"], INTERIOR),
+        ("err_eigen", ["classify", "--config", "{config}"], EIGEN_FAILURE),
+        ("err_sweep_overflow", ["eco-sweep", "--delta-bounds", "1,1e308"], None),
+        ("err_sweep_underflow", ["eco-sweep", "--delta-bounds", "1e-170,1e-160"], None),
+        ("err_absent_config", ["classify", "--config", "configs/absent.json"], None),
+        ("err_list_config", ["classify", "--config", "{config}"], "[1, 2, 3]"),
+        ("err_malformed_json", ["classify", "--config", "{config}"], "{not json"),
+        ("err_unknown_subcommand", ["frobnicate"], None),
+        ("err_missing_config", ["classify"], None),
+    ]
+    return matrix
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: python tests/cli_matrix.py OUT", file=sys.stderr)
+        return 64
+    root = Path(argv[0])
+    (root / "configs").mkdir(parents=True, exist_ok=True)
+    env = {k: v for k, v in os.environ.items() if k != "HYBRIDHOPF_OUT"}
+    # the runs start in OUT, so a relative PYTHONPATH must not change meaning
+    paths = env.get("PYTHONPATH", "").split(os.pathsep)
+    env["PYTHONPATH"] = os.pathsep.join(str(Path(p).resolve()) for p in paths if p)
+    matrix = runs()
+    for name, args, config in matrix:
+        if config is not None:
+            path = root / "configs" / f"{name}.json"
+            path.write_text(config if isinstance(config, str) else json.dumps(config))
+        args = [a.replace("{config}", f"configs/{name}.json") for a in args]
+        if args[0] in ("classify", "verify", "continue", "eco-sweep", "truncated"):
+            args += ["--out", f"{name}/out"]
+        result = subprocess.run(
+            [sys.executable, "-m", "hybridhopf.cli", *args],
+            cwd=root, env=env, capture_output=True, text=True, check=False, timeout=600,
+        )
+        (root / name).mkdir(exist_ok=True)
+        (root / name / "stdout").write_text(result.stdout)
+        (root / name / "stderr").write_text(result.stderr)
+        (root / name / "exit_code").write_text(f"{result.returncode}\n")
+        print(f"{result.returncode:3d}  {name}", flush=True)
+    print(f"{len(matrix)} runs under {root}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -245,6 +245,14 @@ def test_boundary_report_rejects_nonpersistent_predator(interior):
         eco.boundary_report(interior, mu=0.7)
 
 
+@pytest.mark.parametrize("mu", [-0.5, -0.3])
+def test_boundary_report_rejects_break_even_at_or_below_zero(interior, mu):
+    # lam + mu = -0.2 would put the predator-2 equilibrium at s = -0.2, and
+    # lam + mu = 0 at s = 0: no positive prey density
+    with pytest.raises(NoCoexistencePossible, match="0 < lam < 1"):
+        eco.boundary_report(interior, mu=mu)
+
+
 def test_boundary_equilibria_are_equilibria(interior, interior_model):
     report = eco.boundary_report(interior, mu=0.002)
     for X in (

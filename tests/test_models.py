@@ -135,6 +135,54 @@ def test_classical_hopf_planar_laplacian_zero():
     assert laplacian == pytest.approx(0.0, abs=1e-12)
 
 
+_COEF = st.floats(-2.0, 2.0)
+_OMEGA = st.floats(0.1, 3.0)
+_TOY = {n: _COEF for n in ("beta2", "beta3", "beta4", "beta5", "beta6", "gamma3", "gamma5", "gamma7")}
+_PLANTED = st.one_of(
+    st.fixed_dictionaries({"a": _COEF, "b": _COEF, "c": _COEF, "d": _COEF, "omega": _OMEGA}).map(
+        lambda p: ("synthetic_nf", p)
+    ),
+    st.fixed_dictionaries(
+        {
+            **_TOY,
+            "omega": _OMEGA,
+            "beta1": _COEF.filter(lambda v: v != 0.0),
+            "eps": _COEF.filter(lambda v: v != 1.0),
+        }
+    ).map(lambda p: ("toy_cylindrical", p)),
+    st.fixed_dictionaries({"omega": _OMEGA, "sign": st.sampled_from([-1.0, 1.0])}).map(
+        lambda p: ("classical_hopf", p)
+    ),
+)
+#: tolerance of the rotation test, relative to a bound on every term of the
+#: field and its Jacobian (both sides round a few times per term)
+ROTATION_RTOL = 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    planted=_PLANTED,
+    X=st.lists(_COEF, min_size=3, max_size=3),
+    mu=st.floats(-1.0, 1.0),
+    angle=st.floats(-math.pi, math.pi),
+)
+def test_planted_builtins_commute_with_rotations_about_z(planted, X, mu, angle):
+    """rhs(RX) = R rhs(X) and jacobian(RX) = R J R^T for rotations R about the
+    z-axis: the y2 rows and the r^2 expansions mirror the y1 rows."""
+    name, params = planted
+    model = builtin(name, params)
+    X = np.array(X)
+    c, s = math.cos(angle), math.sin(angle)
+    R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    # at most 20 terms, coefficients of at most 4 parameters, degree at most 3
+    largest = max(map(abs, params.values()))
+    bound = 60.0 * (1.0 + largest) ** 4 * (1.0 + np.max(np.abs(X)) + abs(mu)) ** 3
+    tol = ROTATION_RTOL * bound
+    assert np.max(np.abs(model.rhs(R @ X, mu) - R @ model.rhs(X, mu))) <= tol
+    J_rotated = R @ model.jacobian(X, mu) @ R.T
+    assert np.max(np.abs(model.jacobian(R @ X, mu) - J_rotated)) <= tol
+
+
 def test_linear_field_higher_orders_vanish(rotation_model):
     table = jet(rotation_model, np.zeros(3), 0.0)
     for order in (2, 3):
