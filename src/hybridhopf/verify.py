@@ -383,6 +383,21 @@ def _detect_cycle(model: ModelDefinition, mu: float, x: np.ndarray) -> ShootingS
     return ShootingSeed(anchor=anchor, period=period, scale=_radius(loop.states))
 
 
+def _extrapolate(
+    nodes: Sequence[tuple[float, np.ndarray, float]], s: float
+) -> tuple[np.ndarray, float]:
+    """Anchor and period at ``s`` of the Lagrange polynomial through the
+    nodes (s_i, anchor_i, period_i); one node gives its own values back."""
+    anchor, period = 0.0, 0.0
+    for i, (s_i, anchor_i, period_i) in enumerate(nodes):
+        weight = math.prod(
+            (s - s_j) / (s_i - s_j) for j, (s_j, _, _) in enumerate(nodes) if j != i
+        )
+        anchor = anchor + weight * anchor_i
+        period += weight * period_i
+    return anchor, period
+
+
 def continue_branch(
     model: ModelDefinition,
     mu_values: Iterable[float],
@@ -399,8 +414,12 @@ def continue_branch(
     The first point is seeded either from the asymptotic prediction
     (``seed_strategy="predict"``, needs coeffs and frame) or by settling a
     trajectory onto the attractor and measuring its recurrence
-    (``seed_strategy="simulate"``, needs seed_state).  Later points reuse the
-    previous orbit with a secant extrapolation of anchor and period.  Every
+    (``seed_strategy="simulate"``, needs seed_state).  Later points are
+    seeded by extrapolating anchor and period in s = sqrt|mu|, in which the
+    branch is smooth (amplitude ~ s): the Lagrange polynomial through the last
+    four of the Hopf point (s = 0, ``frame.origin``, period 2 pi /
+    ``frame.omega``; only when a frame is given) and the converged orbits.
+    Without a frame the second point reuses the first orbit.  Every
     integration uses `SWEEP_RTOL`, every shooting solve `BRANCH_NEWTON_TOL`.
 
     Continuation stops at the first point where shooting fails; the partial
@@ -432,16 +451,15 @@ def continue_branch(
 
     points: list[BranchPoint] = []
     lost_at: float | None = None
+    # (s, anchor, period) with s = sqrt|mu|; the Hopf point is the branch's s = 0 end
+    nodes = [] if frame is None else [(0.0, frame.origin, 2.0 * math.pi / frame.omega)]
     for mu in grid:
+        s = math.sqrt(abs(mu))
         if points:
-            last = points[-1]
-            anchor, period = last.orbit.anchor, last.orbit.period
-            if len(points) > 1:
-                before = points[-2]
-                ratio = (mu - last.mu) / (last.mu - before.mu)
-                anchor = anchor + ratio * (last.orbit.anchor - before.orbit.anchor)
-                period = period + ratio * (last.orbit.period - before.orbit.period)
-            seed = ShootingSeed(anchor=anchor, period=period, scale=max(last.amplitude, 1e-6))
+            anchor, period = _extrapolate(nodes[-4:], s)
+            seed = ShootingSeed(
+                anchor=anchor, period=period, scale=max(points[-1].amplitude, 1e-6)
+            )
         try:
             orbit = find_periodic_orbit(
                 model,
@@ -456,6 +474,7 @@ def continue_branch(
             lost_at = mu
             break
         points.append(BranchPoint(mu=mu, amplitude=_amplitude(orbit, frame, mu), orbit=orbit))
+        nodes.append((s, orbit.anchor, orbit.period))
 
     return Branch(points=tuple(points), lost_at=lost_at, fit=_fit_amplitudes(points))
 

@@ -9,9 +9,10 @@ configs the runs read go to ``OUT/configs/``.  Every run starts a fresh
 checkouts can be compared with ``diff -r OUT_A OUT_B``.
 
 The matrix: the five subcommands on the README predator-prey config, with
-exact and finite-difference jets; ``verify``, ``continue`` and ``truncated
---compare`` (after ``classify``) on planted ``synthetic_nf``,
-``toy_cylindrical`` (one set with beta1 != 0) and ``classical_hopf`` configs;
+exact and finite-difference jets; ``continue`` on ROADMAP item 3's coarse
+grid; ``verify``, ``continue`` and ``truncated --compare`` (after
+``classify``) on planted ``synthetic_nf``, ``toy_cylindrical`` (one set
+with beta1 != 0) and ``classical_hopf`` configs;
 ``continue --seed-strategy simulate``; and the typed-error rows of
 ``tests/test_cli.py``, read from its parametrize marks and test bodies.
 pytest does not collect this file.
@@ -26,7 +27,9 @@ import sys
 from pathlib import Path
 
 import test_cli
-from test_cli import CLASSICAL, INTERIOR, PLANTED_ES, SYNTHETIC, SYNTHETIC_DEGENERATE
+from test_cli import (
+    CLASSICAL, COARSE_GRID, INTERIOR, PLANTED_ES, SYNTHETIC, SYNTHETIC_DEGENERATE,
+)
 
 README_GRID = "0.0005,0.001,0.002,0.005,0.01,0.02"
 PLANTED_GRID = "0.002,0.005,0.01"
@@ -69,6 +72,7 @@ def runs() -> list[tuple[str, list[str], object]]:
     matrix += [
         ("pp_eco_sweep_seed7", ["eco-sweep", "--samples", "1000", "--seed", "7"], None),
         ("pp_eco_sweep_seed1", ["eco-sweep", "--samples", "10000", "--seed", "1"], None),
+        ("pp_continue_coarse", ["continue", "--config", "{config}", "--mu-grid", COARSE_GRID], INTERIOR),
         (
             "pp_continue_simulate",
             ["continue", "--config", "{config}", "--mu-grid", "0.005,0.01",

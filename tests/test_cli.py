@@ -41,6 +41,8 @@ ES_NORMAL_FORM = {
         "z": [[1, 2, 0, 0, 0], [1, 0, 2, 0, 0], [-1, 0, 0, 0, 1], [-1, 0, 0, 1, 1]],
     }
 }
+#: three points with |mu| growing 6.3-fold (ROADMAP item 3)
+COARSE_GRID = "0.0005,0.0031622776601683794,0.02"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
@@ -246,6 +248,17 @@ def test_continue_square_root_branch(workspace):
     assert amplitudes == sorted(amplitudes)
     for i in range(8):
         assert (workspace.path("b") / f"orbit_{i:03d}.tsv").exists()
+
+
+def test_continue_tracks_a_coarse_grid(workspace):
+    """|mu| grows 6.3-fold per point; seeds extrapolated linearly in mu lost
+    the branch at mu = 0.02, seeds extrapolated in sqrt|mu| keep it."""
+    cfg = workspace.config(INTERIOR)
+    code = main(["continue", "--config", cfg, "--mu-grid", COARSE_GRID, "--out", workspace.outdir("c")])
+    assert code == 0
+    summary = read_json(workspace, "c", "summary.json")
+    assert summary["n_converged"] == 3
+    assert summary["lost_at"] is None
 
 
 def test_continue_wrong_direction_grid(workspace):
