@@ -70,7 +70,6 @@ def main(argv: list[str] | None = None) -> int:
     branch = continue_branch(
         model,
         grid,
-        seed_strategy="simulate",
         seed_state=seed_state,
         settle_time=args.settle_time,
         guard=eco.interior_guard(),
@@ -98,8 +97,8 @@ def main(argv: list[str] | None = None) -> int:
 
     # Where does the flow go at the largest mu, orbit or not?
     mu_top = grid[-1]
-    tail = integrate(model, mu_top, seed_state, (0.0, args.settle_time), n_samples=4000)
-    late = tail.states[-1000:]
+    tail = integrate(model, mu_top, seed_state, (0.0, args.settle_time))
+    late = tail.sol(np.linspace(0.0, args.settle_time, 4000)).T[-1000:]
     print(f"\nsettled flow at mu = {mu_top:g} (last quarter of t <= "
           f"{args.settle_time:g}):")
     print(f"  x2 range [{late[:, 1].min():.4g}, {late[:, 1].max():.4g}], "

@@ -41,7 +41,8 @@ import numpy as np
 from . import __version__, classifier, eco, frame as frame_mod, models
 from .coefficients import compute_coefficients
 from .errors import (
-    AssumptionViolation, Degenerate, HybridHopfError, InvalidParams, UsageError, WrongDirection,
+    AssumptionViolation, Degenerate, HybridHopfError, InvalidBounds, InvalidParams, UsageError,
+    WrongDirection,
 )
 
 
@@ -266,6 +267,8 @@ def _cmd_continue(args: argparse.Namespace) -> int:
     if not report.all_pass():
         return _assumptions_failed(report)
     seed_state = _numbers(args.seed_state, "--seed-state", 3) if args.seed_state else None
+    if args.seed_strategy == "simulate" and seed_state is None:
+        raise InvalidBounds("simulate seeding needs a seed_state")
     guard = eco.interior_guard() if config.get("builtin") == "predator_prey" else None
     try:
         branch = verify.continue_branch(
@@ -273,8 +276,7 @@ def _cmd_continue(args: argparse.Namespace) -> int:
             grid,
             coeffs=coeffs,
             frame=frame,
-            seed_strategy=args.seed_strategy,
-            seed_state=seed_state,
+            seed_state=seed_state if args.seed_strategy == "simulate" else None,
             guard=guard,
             n_samples=args.samples,
         )
@@ -323,7 +325,7 @@ _sweep_closed_forms = operator.itemgetter(*_SWEEP_CLOSED_FORMS)
 
 def _cmd_eco_sweep(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    bounds = (0.05, 20.0)
+    bounds = eco.DELTA_BOUNDS
     if args.delta_bounds:
         bounds = tuple(_numbers(args.delta_bounds, "--delta-bounds", 2))
     samples = eco.sample_region(args.samples, args.seed, delta_bounds=bounds)

@@ -318,10 +318,12 @@ def lyapunov_rate(p: EcoParams, X: Sequence[float]) -> float:
 #: relative distance of `sample_region` draws from the region boundary, which
 #: keeps closed-form denominators well conditioned
 SAMPLE_MARGIN = 0.05
+#: default range of the log-uniform delta draws of `sample_region`
+DELTA_BOUNDS = (0.05, 20.0)
 
 
 def sample_region(
-    n: int, seed: int, delta_bounds: tuple[float, float] = (0.05, 20.0)
+    n: int, seed: int, delta_bounds: tuple[float, float] = DELTA_BOUNDS
 ) -> list[EcoParams]:
     """Draw ``n >= 1`` admissible parameter sets from ``seed >= 0``,
     log-uniform in the deltas, at least `SAMPLE_MARGIN` (relative) inside

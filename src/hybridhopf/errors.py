@@ -95,7 +95,7 @@ class DegenerateAlphas(HybridHopfError):
 
 
 class NoCoexistencePossible(HybridHopfError):
-    """A break-even concentration is at or above the prey carrying capacity."""
+    """A break-even level (lam, or lam + mu) is <= 0 or at or above the prey carrying capacity."""
 
 
 class InvalidBounds(UsageError):

@@ -1,11 +1,11 @@
 """Numerical verification of predicted periodic orbits.
 
 Everything here treats the vector field as ground truth and checks the
-asymptotic predictions against it: single shooting with variational
-equations (monodromy comes from the same solve, with a Liouville trace
-quadrature as an internal consistency check), Floquet stability, natural
-continuation in the parameter, and direct integration of the truncated
-reduced dynamics for comparison with the full flow.
+asymptotic predictions against it: single shooting with variational equations
+(monodromy comes from the same solve, with a Liouville trace quadrature as an
+internal consistency check), Floquet stability, natural continuation in the
+parameter, and integration of the truncated reduced dynamics against the full
+flow.  `integrate` returns the solver's own `dop853.Solution`.
 """
 
 from __future__ import annotations
@@ -47,49 +47,28 @@ BRANCH_NEWTON_TOL = 1e-10
 FLOQUET_MARGIN = 1e-6
 
 
-@dataclasses.dataclass(frozen=True)
-class Trajectory:
-    """Dense integration result."""
-
-    t: np.ndarray
-    states: np.ndarray
-    sol: object | None = None
-
-
 def integrate(
     model: ModelDefinition,
     mu: float,
     x0: Sequence[float],
     t_span: tuple[float, float],
     rtol: float = SWEEP_RTOL,
-    n_samples: int = 1000,
-    dense: bool = True,
-) -> Trajectory:
-    """Integrate the model forward over ``t_span`` with `dop853`.
-
-    With ``dense=True`` the states are sampled from the dense interpolant at
-    ``n_samples`` equally spaced times.  With ``dense=False`` the trajectory
-    holds the solver's own step times and states, and ``n_samples`` is
-    ignored.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    sol = dop853.solve(lambda t, X: model.rhs(X, mu), t_span, x0, rtol)
-    if not dense:
-        return Trajectory(t=sol.t, states=sol.y.T)
-    ts = np.linspace(t_span[0], t_span[1], n_samples)
-    return Trajectory(t=ts, states=sol.sol(ts).T, sol=sol.sol)
+) -> dop853.Solution:
+    """Integrate the model forward over ``t_span`` with `dop853`: the solver's
+    step times ``t``, states ``y`` (a column per time) and interpolant ``sol``."""
+    return dop853.solve(lambda t, X: model.rhs(X, mu), t_span, x0, rtol)
 
 
 @dataclasses.dataclass(frozen=True)
 class ShootingSeed:
-    """Starting guess for single shooting: a point, a period, a size.
+    """Starting guess for single shooting: a point, a period, a positive, finite size.
 
     A `PredictedOrbit` carries the same three fields and seeds shooting too.
     """
 
     anchor: np.ndarray
     period: float
-    scale: float | None = None
+    scale: float
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,13 +134,12 @@ def find_periodic_orbit(
     """Newton shooting for a periodic orbit near a seed (a `ShootingSeed`, or
     a `PredictedOrbit` made with a frame).
 
-    The phase condition pins the solution to the plane through the seed
-    anchor orthogonal to the flow there.  The solve is deliberately local,
-    and its trust checks are the drift cap (iterates more than `DRIFT_FACTOR`
-    seed amplitudes from the seed; no cap for a seed without a scale), the
-    period window [0.2, 5] times the seed period, and the caller's ``guard``:
-    an iterate failing one raises `NoConvergence` instead of silently landing
-    on a distant attractor.
+    The phase condition pins the solution to the plane through the seed anchor
+    orthogonal to the flow there.  The solve is deliberately local: an iterate
+    more than `DRIFT_FACTOR` times the seed's positive, finite ``scale`` from
+    the seed, with a period outside [0.2, 5] times the seed period, or failing
+    the caller's ``guard`` raises `NoConvergence` instead of landing on a
+    distant attractor.
 
     Every Newton trial is one variational solve, reused as the next iterate
     when accepted; a trial whose solve fails (`NonFinite`, `StepFailure`) is
@@ -172,6 +150,8 @@ def find_periodic_orbit(
             "shooting needs a finite mu, n_samples >= 1 and positive tolerances, got "
             f"mu={mu}, n_samples={n_samples}, rtol={rtol}, newton_tol={newton_tol}"
         )
+    if not 0.0 < seed.scale < math.inf:
+        raise InvalidBounds(f"shooting needs a positive, finite seed scale, got {seed.scale}")
     if seed.anchor is None:
         raise NoConvergence(
             "orbit prediction has no anchor; predict with a frame to seed shooting"
@@ -181,7 +161,7 @@ def find_periodic_orbit(
     if T <= 0:
         raise NoConvergence("seed period must be positive")
     T0 = T
-    drift_cap = DRIFT_FACTOR * seed.scale if seed.scale else math.inf
+    drift_cap = DRIFT_FACTOR * seed.scale
 
     F0 = models.evaluate(model, x, mu)
     speed = float(np.linalg.norm(F0))
@@ -365,22 +345,23 @@ def _detect_cycle(model: ModelDefinition, mu: float, x: np.ndarray) -> ShootingS
     if speed < 1e-12:
         raise NoConvergence("trajectory settled on an equilibrium, not a cycle")
     normal = F / speed
-    traj = integrate(model, mu, x, (0.0, 300.0), n_samples=20000)
-    g = (traj.states - x) @ normal
+    dense = integrate(model, mu, x, (0.0, 300.0)).sol
+    ts = np.linspace(0.0, 300.0, 20000)
+    g = (dense(ts).T - x) @ normal
     crossings = []
     for i in range(len(g) - 1):
         if g[i] < 0.0 <= g[i + 1]:
             # linear refinement of the upward crossing time
-            t0, t1 = traj.t[i], traj.t[i + 1]
+            t0, t1 = ts[i], ts[i + 1]
             frac = -g[i] / (g[i + 1] - g[i])
             crossings.append(t0 + frac * (t1 - t0))
     if len(crossings) < 3:
         raise NoConvergence("no recurrent crossings; trajectory is not cycling")
     gaps = np.diff(crossings)
     period = float(np.median(gaps[-5:]))
-    anchor = np.asarray(traj.sol(crossings[-1]))
-    loop = integrate(model, mu, anchor, (0.0, period), n_samples=400)
-    return ShootingSeed(anchor=anchor, period=period, scale=_radius(loop.states))
+    anchor = np.asarray(dense(crossings[-1]))
+    loop = integrate(model, mu, anchor, (0.0, period)).sol(np.linspace(0.0, period, 400))
+    return ShootingSeed(anchor=anchor, period=period, scale=_radius(loop.T))
 
 
 def _extrapolate(
@@ -403,7 +384,6 @@ def continue_branch(
     mu_values: Iterable[float],
     coeffs: CylindricalCoefficients | None = None,
     frame: StandardFrame | None = None,
-    seed_strategy: str = "predict",
     seed_state: Sequence[float] | None = None,
     settle_time: float = 1500.0,
     guard: Callable[[np.ndarray], bool] | None = None,
@@ -411,16 +391,16 @@ def continue_branch(
 ) -> Branch:
     """Natural continuation of the orbit branch over a mu grid.
 
-    The first point is seeded either from the asymptotic prediction
-    (``seed_strategy="predict"``, needs coeffs and frame) or by settling a
-    trajectory onto the attractor and measuring its recurrence
-    (``seed_strategy="simulate"``, needs seed_state).  Later points are
-    seeded by extrapolating anchor and period in s = sqrt|mu|, in which the
-    branch is smooth (amplitude ~ s): the Lagrange polynomial through the last
-    four of the Hopf point (s = 0, ``frame.origin``, period 2 pi /
+    Given a ``seed_state``, the first point is seeded by settling the
+    trajectory from it for ``settle_time`` onto the attractor and measuring its
+    recurrence; without one, by the asymptotic prediction, which needs
+    ``coeffs`` and ``frame`` (`InvalidBounds` when either is missing).  Later
+    points are seeded by extrapolating anchor and period in s = sqrt|mu|, in
+    which the branch is smooth (amplitude ~ s): the Lagrange polynomial through
+    the last four of the Hopf point (s = 0, ``frame.origin``, period 2 pi /
     ``frame.omega``; only when a frame is given) and the converged orbits.
-    Without a frame the second point reuses the first orbit.  Every
-    integration uses `SWEEP_RTOL`, every shooting solve `BRANCH_NEWTON_TOL`.
+    Without a frame the second point reuses the first orbit.  Every integration
+    uses `SWEEP_RTOL`, every shooting solve `BRANCH_NEWTON_TOL`.
 
     Continuation stops at the first point where shooting fails; the partial
     branch is returned with ``lost_at`` set.
@@ -437,17 +417,13 @@ def continue_branch(
     if any(b <= a for a, b in zip(mags, mags[1:])):
         raise InvalidBounds("mu grid must be strictly monotone in |mu|")
 
-    if seed_strategy == "predict":
-        if coeffs is None or frame is None:
-            raise InvalidBounds("predict seeding needs coefficients and a frame")
-        seed: ShootingSeed | PredictedOrbit = predict_orbit(coeffs, grid[0], frame)
-    elif seed_strategy == "simulate":
-        if seed_state is None:
-            raise InvalidBounds("simulate seeding needs a seed_state")
-        settled = integrate(model, grid[0], seed_state, (0.0, settle_time), dense=False)
-        seed = _detect_cycle(model, grid[0], settled.states[-1])
+    if seed_state is not None:
+        settled = integrate(model, grid[0], seed_state, (0.0, settle_time))
+        seed: ShootingSeed | PredictedOrbit = _detect_cycle(model, grid[0], settled.y[:, -1])
+    elif coeffs is None or frame is None:
+        raise InvalidBounds("seeding needs a seed_state, or coefficients and a frame")
     else:
-        raise InvalidBounds(f"unknown seed strategy {seed_strategy!r}")
+        seed = predict_orbit(coeffs, grid[0], frame)
 
     points: list[BranchPoint] = []
     lost_at: float | None = None
@@ -605,8 +581,8 @@ def compare_with_full_model(
 
     tau_final = float(run.tau[-1])
     t_final = tau_final * 1.2 + 5.0
-    traj = integrate(model, mu, X0, (0.0, t_final), PROBE_RTOL, n_samples=6000)
-    coords = frame.to_frame(traj.states, mu)
+    dense = integrate(model, mu, X0, (0.0, t_final), PROBE_RTOL).sol
+    coords = frame.to_frame(dense(np.linspace(0.0, t_final, 6000)).T, mu)
     r_full = np.linalg.norm(coords[:, :2], axis=1) / eps
     z_full = coords[:, 2] / eps
     phase = np.unwrap(np.arctan2(coords[:, 1], coords[:, 0]))

@@ -6,15 +6,18 @@ For every run the script writes, under ``OUT/<run>/``, the command's output
 directory (``out/``), its ``stdout``, ``stderr`` and ``exit_code``; the
 configs the runs read go to ``OUT/configs/``.  Every run starts a fresh
 ``python -m hybridhopf.cli`` in ``OUT`` with relative paths, so two
-checkouts can be compared with ``diff -r OUT_A OUT_B``.
+checkouts can be compared with ``diff -r OUT_A OUT_B``.  The one script run
+starts ``scripts/run_boundary_connection.py`` of the checkout whose
+``hybridhopf`` is imported, the same way.
 
 The matrix: the five subcommands on the README predator-prey config, with
 exact and finite-difference jets; ``continue`` on ROADMAP item 3's coarse
 grid; ``verify``, ``continue`` and ``truncated --compare`` (after
 ``classify``) on planted ``synthetic_nf``, ``toy_cylindrical`` (one set
 with beta1 != 0) and ``classical_hopf`` configs;
-``continue --seed-strategy simulate``; and the typed-error rows of
-``tests/test_cli.py``, read from its parametrize marks and test bodies.
+``continue --seed-strategy simulate``; the typed-error rows of
+``tests/test_cli.py``, read from its parametrize marks and test bodies; and
+``scripts/run_boundary_connection.py`` on three points, with its TSV.
 pytest does not collect this file.
 """
 
@@ -26,11 +29,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import hybridhopf
 import test_cli
 from test_cli import (
     CLASSICAL, COARSE_GRID, INTERIOR, PLANTED_ES, SYNTHETIC, SYNTHETIC_DEGENERATE,
 )
 
+#: the scripts directory of the checkout whose ``src`` is on PYTHONPATH
+SCRIPTS = Path(hybridhopf.__file__).resolve().parents[2] / "scripts"
 README_GRID = "0.0005,0.001,0.002,0.005,0.01,0.02"
 PLANTED_GRID = "0.002,0.005,0.01"
 TRUNCATED = ["truncated", "--epsilon", "0.1", "--mu-tilde", "0.25", "--r0", "0.8", "--compare"]
@@ -123,6 +129,12 @@ def runs() -> list[tuple[str, list[str], object]]:
         ("err_unknown_subcommand", ["frobnicate"], None),
         ("err_missing_config", ["classify"], None),
     ]
+    matrix.append((
+        "script_boundary_connection",
+        [str(SCRIPTS / "run_boundary_connection.py"), "--n-points", "3", "--settle-time", "300",
+         "--out", "script_boundary_connection/out/connection.tsv"],
+        None,
+    ))
     return matrix
 
 
@@ -142,10 +154,15 @@ def main(argv: list[str]) -> int:
             path = root / "configs" / f"{name}.json"
             path.write_text(config if isinstance(config, str) else json.dumps(config))
         args = [a.replace("{config}", f"configs/{name}.json") for a in args]
-        if args[0] in ("classify", "verify", "continue", "eco-sweep", "truncated"):
-            args += ["--out", f"{name}/out"]
+        if args[0].endswith(".py"):
+            (root / name / "out").mkdir(parents=True, exist_ok=True)
+            command = [sys.executable, *args]
+        else:
+            if args[0] in ("classify", "verify", "continue", "eco-sweep", "truncated"):
+                args += ["--out", f"{name}/out"]
+            command = [sys.executable, "-m", "hybridhopf.cli", *args]
         result = subprocess.run(
-            [sys.executable, "-m", "hybridhopf.cli", *args],
+            command,
             cwd=root, env=env, capture_output=True, text=True, check=False, timeout=600,
         )
         (root / name).mkdir(exist_ok=True)

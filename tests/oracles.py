@@ -81,7 +81,7 @@ def averaged_drift_check(
 
     X0 = frame.from_frame((radius, 0.0, 0.0), mu)
     T = 2.0 * math.pi / frame.omega
-    XT = integrate(model, mu, X0, (0.0, T), PROBE_RTOL, dense=False).states[-1]
+    XT = integrate(model, mu, X0, (0.0, T), PROBE_RTOL).y[:, -1]
     z_end = frame.to_frame(XT, mu)[2]
     measured = float(z_end) / T
 

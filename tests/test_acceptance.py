@@ -322,7 +322,6 @@ def test_criterion_12_boundary_bound_branch_best_effort():
     branch = continue_branch(
         model,
         grid,
-        seed_strategy="simulate",
         seed_state=np.array([0.2133, 0.1667, 0.4]),
         settle_time=2500.0,
         guard=eco.interior_guard(),
