@@ -19,7 +19,9 @@ side of mu = 0.  Its character is decided by sign data:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +32,8 @@ from .frame import StandardFrame
 TYPE_HYPERBOLIC = "H"
 TYPE_ELLIPTIC_STABLE = "ES"
 TYPE_ELLIPTIC_UNSTABLE = "EU"
+#: the types in the order of `Decision.label`
+LABELS = (TYPE_HYPERBOLIC, TYPE_ELLIPTIC_STABLE, TYPE_ELLIPTIC_UNSTABLE)
 
 #: coefficients smaller than this cannot carry a sign decision
 SIGN_THRESHOLD = 1e-6
@@ -46,6 +50,59 @@ def focus_quantity(coeffs: CylindricalCoefficients) -> float:
         2.0 * coeffs.beta3 * g5 * g5
         - coeffs.beta5 * g5 * coeffs.gamma7
         + coeffs.beta6 * g5 * g5
+    )
+
+
+class Decision(NamedTuple):
+    """The sign and degeneracy analysis of `classify`, on floats or elementwise.
+
+    ``accepted`` is where `classify` returns a type, ``LABELS[label]``;
+    elsewhere the first false flag among ``finite``, ``clear`` (beta2,
+    beta5, gamma5 away from zero) and ``decided`` names its error.
+    """
+
+    sigma: float
+    finite: bool
+    clear: tuple[bool, bool, bool]
+    decided: bool
+    accepted: bool
+    label: int
+    scale: float
+    resolution: float
+
+
+def _array_max(*values: np.ndarray) -> np.ndarray:
+    return functools.reduce(np.maximum, values)
+
+
+def sign_decision(coeffs: CylindricalCoefficients) -> Decision:
+    """Decide sign and degeneracy for coefficients that are floats or equal-length
+    float arrays; `classify` and `eco.classify_region` both decide here."""
+    b2, b3, b5, b6 = coeffs.beta2, coeffs.beta3, coeffs.beta5, coeffs.beta6
+    g5, g7 = coeffs.gamma5, coeffs.gamma7
+    largest = _array_max if isinstance(b2, np.ndarray) else max
+    sigma = focus_quantity(coeffs)
+    finite = (abs(b2) < math.inf) & (abs(b5) < math.inf) & (abs(g5) < math.inf) & (
+        abs(sigma) < math.inf
+    )
+    clear = (abs(b2) > SIGN_THRESHOLD, abs(b5) > SIGN_THRESHOLD, abs(g5) > SIGN_THRESHOLD)
+    g5sq = g5 * g5
+    scale = largest(abs(2.0 * b3 * g5sq), abs(b5 * g5 * g7), abs(b6 * g5sq), 1e-300)
+    # the sign of sigma is only meaningful if at least one of its three
+    # constituents stands clear of the round-off left in the reduction;
+    # measure them against the coefficients that are guaranteed nonzero
+    resolution = SIGN_THRESHOLD * largest(abs(b2), abs(b5), abs(g5), coeffs.omega)
+    resolved = largest(abs(b3), abs(b6), abs(g7)) > resolution
+    decided = (b2 * b5 > 0) | (resolved & (abs(sigma) > DEGENERACY_RTOL * scale))
+    return Decision(
+        sigma,
+        finite,
+        clear,
+        decided,
+        finite & clear[0] & clear[1] & clear[2] & decided,
+        (b2 * b5 <= 0) * (1 + (sigma >= 0)),
+        scale,
+        resolution,
     )
 
 
@@ -80,47 +137,28 @@ def classify(coeffs: CylindricalCoefficients) -> Classification:
     A non-finite beta2, beta5, gamma5 or sigma raises `NonFinite`.
     """
     b2, b5, g5 = coeffs.beta2, coeffs.beta5, coeffs.gamma5
-    sigma = focus_quantity(coeffs)
-    if not all(map(math.isfinite, (b2, b5, g5, sigma))):
-        raise NonFinite(
-            f"cannot classify non-finite coefficients: beta2 = {b2}, beta5 = {b5}, "
-            f"gamma5 = {g5}, sigma = {sigma}"
-        )
-    small = [
-        name
-        for name, val in (("beta2", b2), ("beta5", b5), ("gamma5", g5))
-        if abs(val) <= SIGN_THRESHOLD
-    ]
-    if small:
-        raise AssumptionViolation(
-            f"cannot classify: {', '.join(small)} within {SIGN_THRESHOLD:g} of zero"
-        )
-
-    xi = 1 if b2 * b5 > 0 else -1
-    label = TYPE_HYPERBOLIC
-    if xi < 0:
-        g5sq = g5 * g5
-        scale = max(
-            abs(2.0 * coeffs.beta3 * g5sq),
-            abs(coeffs.beta5 * g5 * coeffs.gamma7),
-            abs(coeffs.beta6 * g5sq),
-            1e-300,
-        )
-        # the sign of sigma is only meaningful if at least one of its three
-        # constituents stands clear of the round-off left in the reduction;
-        # measure them against the coefficients that are guaranteed nonzero
-        resolution = SIGN_THRESHOLD * max(abs(b2), abs(b5), abs(g5), coeffs.omega)
-        resolved = max(abs(coeffs.beta3), abs(coeffs.beta6), abs(coeffs.gamma7)) > resolution
-        if not resolved or abs(sigma) <= DEGENERACY_RTOL * scale:
-            raise Degenerate(
-                f"focus quantity {sigma:.3e} is indistinguishable from zero "
-                f"(largest term {scale:.3e}, coefficient resolution {resolution:.3e}); "
-                "stability undecidable at this order"
+    decision = sign_decision(coeffs)
+    sigma = decision.sigma
+    if not decision.accepted:
+        if not decision.finite:
+            raise NonFinite(
+                f"cannot classify non-finite coefficients: beta2 = {b2}, beta5 = {b5}, "
+                f"gamma5 = {g5}, sigma = {sigma}"
             )
-        label = TYPE_ELLIPTIC_STABLE if sigma < 0 else TYPE_ELLIPTIC_UNSTABLE
+        small = [n for n, clear in zip(("beta2", "beta5", "gamma5"), decision.clear) if not clear]
+        if small:
+            raise AssumptionViolation(
+                f"cannot classify: {', '.join(small)} within {SIGN_THRESHOLD:g} of zero"
+            )
+        raise Degenerate(
+            f"focus quantity {sigma:.3e} is indistinguishable from zero "
+            f"(largest term {decision.scale:.3e}, coefficient resolution "
+            f"{decision.resolution:.3e}); stability undecidable at this order"
+        )
+    label = LABELS[decision.label]
     return Classification(
         label=label,
-        xi=xi,
+        xi=1 if label == TYPE_HYPERBOLIC else -1,
         sigma=sigma,
         direction=_direction(b5, g5),
         orbit_stable=label == TYPE_ELLIPTIC_STABLE,

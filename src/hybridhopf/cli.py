@@ -25,14 +25,16 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
+import itertools
 import json
 import math
 import operator
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,11 +70,18 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _write_table(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    lines = ["\t".join(header)]
-    for row in rows:
-        lines.append("\t".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    path.write_text("\n".join(lines) + "\n")
+def _write_table(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Header and rows, tab-separated, written as they come.  Numbers are
+    written as `_fmt` writes them (``"%.12g" % x`` is
+    ``format(float(x), ".12g")``); a column holds strings or numbers
+    throughout, as the first row shows."""
+    rows = iter(rows)
+    first = next(rows, None)
+    with path.open("w") as f:
+        f.write("\t".join(header) + "\n")
+        if first is not None:
+            row_format = "\t".join("%s" if isinstance(c, str) else "%.12g" for c in first) + "\n"
+            f.writelines(row_format % tuple(row) for row in itertools.chain([first], rows))
 
 
 def _write_orbit(path: Path, orbit) -> None:
@@ -269,6 +278,8 @@ def _cmd_continue(args: argparse.Namespace) -> int:
     seed_state = _numbers(args.seed_state, "--seed-state", 3) if args.seed_state else None
     if args.seed_strategy == "simulate" and seed_state is None:
         raise InvalidBounds("simulate seeding needs a seed_state")
+    if args.seed_strategy != "simulate" and seed_state is not None:
+        raise InvalidBounds("--seed-state is read only with --seed-strategy simulate")
     guard = eco.interior_guard() if config.get("builtin") == "predator_prey" else None
     try:
         branch = verify.continue_branch(
@@ -276,7 +287,7 @@ def _cmd_continue(args: argparse.Namespace) -> int:
             grid,
             coeffs=coeffs,
             frame=frame,
-            seed_state=seed_state if args.seed_strategy == "simulate" else None,
+            seed_state=seed_state,
             guard=guard,
             n_samples=args.samples,
         )
@@ -328,21 +339,15 @@ def _cmd_eco_sweep(args: argparse.Namespace) -> int:
     bounds = eco.DELTA_BOUNDS
     if args.delta_bounds:
         bounds = tuple(_numbers(args.delta_bounds, "--delta-bounds", 2))
-    samples = eco.sample_region(args.samples, args.seed, delta_bounds=bounds)
-    rows = []
-    labels: dict[str, int] = {}
-    negative_margin = 0
-    for p in samples:
-        cf = eco.closed_form_coefficients(p)
-        record = eco.classify_closed_form(cf)
-        labels[record.label] = labels.get(record.label, 0) + 1
-        if cf["margin"] < 0:
-            negative_margin += 1
-        rows.append([*_sweep_params(p), *_sweep_closed_forms(cf), record.label])
+    draws, cf, types = eco.classify_region(args.samples, args.seed, delta_bounds=bounds)
+    table = np.column_stack([*_sweep_params(draws), *_sweep_closed_forms(cf)])
+    rows = ([*row.tolist(), label] for row, label in zip(table, types))
     header = ["lambda" if name == "lam" else name for name in _SWEEP_PARAMS]
     _write_table(out / "sweep.tsv", [*header, *_SWEEP_CLOSED_FORMS, "type"], rows)
-    n = len(samples)
+    n = len(types)
+    labels = dict(collections.Counter(types))
     non_es = n - labels.get("ES", 0)
+    negative_margin = int(np.count_nonzero(cf["margin"] < 0))
     print(
         f"{n} samples: types {labels}; non-ES rows: {non_es}/{n}; "
         f"negative margin: {negative_margin}/{n}"

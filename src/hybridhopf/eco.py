@@ -13,17 +13,28 @@ with the prey rescaled to carrying capacity 1.  Parameters: per-predator
 growth-rate ratios delta1, delta2 > 0, half-saturation constants alpha1,
 alpha2, and the shared break-even concentration lam of predator 1; predator
 2 breaks even at lam + mu.
+
+The closed forms are written once and take Python floats (an `EcoParams`)
+or float arrays (the draws of `classify_region`, which `eco-sweep` writes)
+alike.  An array row has the bits of the float evaluation because the two
+operations whose result depends on the input type are done the float way
+on arrays too: squares go through libm ``pow`` element by element (numpy
+squares an array as ``x * x``, which rounds differently, e.g. at
+0.5245367165209572), and the exactly rounded sums are ``math.fsum`` of each
+row.  When draws fail, the first failing draw in draw order is evaluated
+again as floats and raises the typed error the float evaluation raises.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .classifier import Classification, classify
+from .classifier import LABELS, Classification, classify, sign_decision
 from .coefficients import CylindricalCoefficients, HarmonicScalar
 from .errors import (
     DegenerateAlphas,
@@ -66,11 +77,12 @@ class EcoParams:
 
     def admissible(self) -> bool:
         """Interior Hopf point with the oscillatory spectrum exists and the
-        type analysis applies."""
+        type analysis applies (elementwise on `_Draws`)."""
+        width = 1.0 - 2.0 * self.lam
         return (
-            0.0 < self.lam < 0.5
-            and 0.0 < self.alpha1 < 1.0 - 2.0 * self.lam
-            and 1.0 - 2.0 * self.lam < self.alpha2 < 1.0
+            (0.0 < self.lam) & (self.lam < 0.5)
+            & (0.0 < self.alpha1) & (self.alpha1 < width)
+            & (width < self.alpha2) & (self.alpha2 < 1.0)
         )
 
     def require_admissible(self) -> None:
@@ -88,6 +100,42 @@ class EcoParams:
 def model(p: EcoParams) -> ModelDefinition:
     """Builtin predator-prey instance for these parameters."""
     return builtin("predator_prey", p.to_dict())
+
+
+@dataclasses.dataclass(frozen=True)
+class _Draws:
+    """Parameter sets as float arrays, one entry per draw.  The closed forms
+    and `EcoParams.admissible` read them as they read an `EcoParams`."""
+
+    delta1: np.ndarray
+    delta2: np.ndarray
+    lam: np.ndarray
+    alpha1: np.ndarray
+    alpha2: np.ndarray
+
+    l1 = EcoParams.l1
+    l2 = EcoParams.l2
+    admissible = EcoParams.admissible
+
+    def params(self) -> Iterator[EcoParams]:
+        """Each draw as an `EcoParams`, in draw order."""
+        columns = (getattr(self, f.name).tolist() for f in dataclasses.fields(self))
+        return itertools.starmap(EcoParams, zip(*columns))
+
+
+def _square(x):
+    """``x ** 2`` with libm ``pow``, as Python squares a float; an array is
+    squared element by element."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.pow, x.tolist(), itertools.repeat(2.0)), float)
+    return x**2
+
+
+def _fsum(terms: list):
+    """`math.fsum` of the terms, or of each row when they are float arrays."""
+    if isinstance(terms[0], np.ndarray):
+        return np.fromiter(map(math.fsum, zip(*(t.tolist() for t in terms))), float)
+    return math.fsum(terms)
 
 
 def omega_squared(p: EcoParams) -> float:
@@ -117,22 +165,23 @@ def h_polynomials(p: EcoParams) -> tuple[float, float]:
     floating point.
     """
     lam, a1, a2 = p.lam, p.alpha1, p.alpha2
-    h1 = math.fsum(
+    h1 = _fsum(
         [-lam, 2.0 * a2, lam * a1, -(8.0 * lam) * a2, -(2.0 * a1) * a2, -(2.0 * a2) * a2]
     )
-    h2 = math.fsum(
+    h2 = _fsum(
         [lam, -2.0 * a1, -lam * a2, (8.0 * lam) * a1, (2.0 * a1) * a2, (2.0 * a1) * a1]
     )
     return h1, h2
 
 
-def stability_margin(p: EcoParams) -> float:
+def stability_margin(p: EcoParams, h: tuple[float, float] | None = None) -> float:
     """Sign-definite combination deciding orbit stability; negative means stable.
 
-    margin = (lam+alpha1) delta1 l2 H1 - (lam+alpha2) delta2 l1 H2.
+    margin = (lam+alpha1) delta1 l2 H1 - (lam+alpha2) delta2 l1 H2, where
+    ``h`` is ``h_polynomials(p)`` when already evaluated.
     """
-    h1, h2 = h_polynomials(p)
-    return math.fsum(
+    h1, h2 = h_polynomials(p) if h is None else h
+    return _fsum(
         [
             (p.lam + p.alpha1) * p.delta1 * p.l2 * h1,
             -((p.lam + p.alpha2) * p.delta2 * p.l1 * h2),
@@ -152,36 +201,40 @@ def closed_form_coefficients(p: EcoParams) -> dict[str, float]:
     there is d_mu F = (0, -a2, 0).
     """
     p.require_admissible()
+    w2 = omega_squared(p)
+    if w2 * w2 == 0.0:
+        raise NonFinite(f"closed forms underflow: omega^4 is 0 (omega^2 = {w2:.3g})")
+    return {"omega": math.sqrt(w2), **_closed_forms(p, w2)}
+
+
+def _closed_forms(p: EcoParams, w2: float) -> dict[str, float]:
+    """`closed_form_coefficients` after omega, on floats or on `_Draws`."""
     lam = p.lam
     d1, d2 = p.delta1, p.delta2
     l1, l2 = p.l1, p.l2
     q1, q2 = lam + p.alpha1, lam + p.alpha2
     lsum = l1 + l2
-    w2 = omega_squared(p)
     w4 = w2 * w2
-    if w4 == 0.0:
-        raise NonFinite(f"closed forms underflow: omega^4 is 0 (omega^2 = {w2:.3g})")
     h1, h2 = h_polynomials(p)
+    lam_sq, q1_sq, q2_sq, lsum_sq = _square(lam), _square(q1), _square(q2), _square(lsum)
 
-    beta2 = -lam * lsum / (2.0 * q1 * q2**2)
+    beta2 = -lam * lsum / (2.0 * q1 * q2_sq)
     beta5 = lam * d1 * d2 * l1 * l2 / (2.0 * q1 * w2 * lsum)
-    gamma5 = -lam * q2 * d1 * d2 * l1 * l2 / (w2 * lsum**2)
+    gamma5 = -lam * q2 * d1 * d2 * l1 * l2 / (w2 * lsum_sq)
     beta3 = lam * (q1 * d1 * l2 * h1 - q2 * d2 * l1 * h2) / (
-        8.0 * q1**2 * q2**2 * w2 * lsum
-    ) + lam**2 * d1 * d2 * l1 * l2 * (q1 * d2 - q2 * d1) / (
-        4.0 * q1**2 * q2**2 * w4 * lsum
+        8.0 * q1_sq * q2_sq * w2 * lsum
+    ) + lam_sq * d1 * d2 * l1 * l2 * (q1 * d2 - q2 * d1) / (
+        4.0 * q1_sq * q2_sq * w4 * lsum
     )
     beta6 = (
-        lam**2 * (q1 + l1) * d1 * d2 * (d1 * l2 - d2 * l1) / (2.0 * q1**2 * q2**2 * w4)
+        lam_sq * (q1 + l1) * d1 * d2 * (d1 * l2 - d2 * l1) / (2.0 * q1_sq * q2_sq * w4)
     )
-    gamma7 = -(lam**2) * d1 * d2 * (q1 * d1 * l2**2 - q2 * d2 * l1**2) / (
-        q1 * q2 * w4 * lsum**2
+    gamma7 = -lam_sq * d1 * d2 * (q1 * d1 * _square(l2) - q2 * d2 * _square(l1)) / (
+        q1 * q2 * w4 * lsum_sq
     )
-    sigma = (
-        2.0 * beta3 * gamma5**2 - beta5 * gamma5 * gamma7 + beta6 * gamma5**2
-    )
+    gamma5_sq = _square(gamma5)
+    sigma = 2.0 * beta3 * gamma5_sq - beta5 * gamma5 * gamma7 + beta6 * gamma5_sq
     return {
-        "omega": math.sqrt(w2),
         "beta2": beta2,
         "beta3": beta3,
         "beta5": beta5,
@@ -191,7 +244,7 @@ def closed_form_coefficients(p: EcoParams) -> dict[str, float]:
         "sigma": sigma,
         "H1": h1,
         "H2": h2,
-        "margin": stability_margin(p),
+        "margin": stability_margin(p, (h1, h2)),
     }
 
 
@@ -200,14 +253,11 @@ def classification_record(p: EcoParams) -> Classification:
     return classify_closed_form(closed_form_coefficients(p))
 
 
-def classify_closed_form(cf: Mapping[str, float]) -> Classification:
-    """Classify from an already evaluated `closed_form_coefficients` record.
-
-    Only the sign-carrying coefficients enter the classification, so the
-    harmonic entries irrelevant to it are zeroed.
-    """
+def _reduced(cf: Mapping[str, float]) -> CylindricalCoefficients:
+    """The closed forms as reduced coefficients.  Only the sign-carrying
+    coefficients enter the classification, so the others are zero."""
     zero = HarmonicScalar()
-    coeffs = CylindricalCoefficients(
+    return CylindricalCoefficients(
         omega=cf["omega"],
         beta1=0.0,
         beta2=cf["beta2"],
@@ -223,7 +273,11 @@ def classify_closed_form(cf: Mapping[str, float]) -> Classification:
         gamma6=zero,
         gamma7=cf["gamma7"],
     )
-    return classify(coeffs)
+
+
+def classify_closed_form(cf: Mapping[str, float]) -> Classification:
+    """Classify from an already evaluated `closed_form_coefficients` record."""
+    return classify(_reduced(cf))
 
 
 #: predator densities at or below this count as extinct for `interior_guard`
@@ -328,6 +382,13 @@ def sample_region(
     """Draw ``n >= 1`` admissible parameter sets from ``seed >= 0``,
     log-uniform in the deltas, at least `SAMPLE_MARGIN` (relative) inside
     the region boundary."""
+    return list(_draw_region(n, seed, delta_bounds).params())
+
+
+def _draw_region(n: int, seed: int, delta_bounds: tuple[float, float]) -> _Draws:
+    """`sample_region`'s draws as arrays.  Draw i takes the five uniforms
+    5i, ..., 5i+4 of the stream: lam, the relative positions of alpha1 and
+    alpha2 in their ranges, and the two log-deltas."""
     lo, hi = delta_bounds
     if not (0.0 < lo < hi):
         raise InvalidBounds(f"delta bounds must satisfy 0 < lo < hi, got {delta_bounds}")
@@ -336,16 +397,54 @@ def sample_region(
     if seed < 0:
         raise InvalidBounds(f"the seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        lam = float(rng.uniform(0.5 * SAMPLE_MARGIN, 0.5 * (1.0 - SAMPLE_MARGIN)))
-        width = 1.0 - 2.0 * lam
-        alpha1 = float(width * rng.uniform(SAMPLE_MARGIN, 1.0 - SAMPLE_MARGIN))
-        alpha2 = float(width + (1.0 - width) * rng.uniform(SAMPLE_MARGIN, 1.0 - SAMPLE_MARGIN))
-        d1, d2 = np.exp(rng.uniform(math.log(lo), math.log(hi), size=2))
-        params = EcoParams(
-            delta1=float(d1), delta2=float(d2), lam=lam, alpha1=alpha1, alpha2=alpha2
-        )
-        assert params.admissible()
-        out.append(params)
-    return out
+    inner, outer = SAMPLE_MARGIN, 1.0 - SAMPLE_MARGIN
+    u = rng.uniform(
+        (0.5 * inner, inner, inner, math.log(lo), math.log(lo)),
+        (0.5 * outer, outer, outer, math.log(hi), math.log(hi)),
+        size=(n, 5),
+    )
+    lam = u[:, 0]
+    width = 1.0 - 2.0 * lam
+    # exp of a contiguous array, as each draw's pair of deltas was exponentiated
+    deltas = np.exp(u[:, 3:].ravel()).reshape(n, 2)
+    draws = _Draws(
+        delta1=deltas[:, 0],
+        delta2=deltas[:, 1],
+        lam=lam,
+        alpha1=width * u[:, 1],
+        alpha2=width + (1.0 - width) * u[:, 2],
+    )
+    assert draws.admissible().all()
+    return draws
+
+
+def classify_region(
+    n: int, seed: int, delta_bounds: tuple[float, float] = DELTA_BOUNDS
+) -> tuple[_Draws, dict[str, np.ndarray], list[str]]:
+    """`sample_region`'s draws as arrays, their closed forms (the entries of
+    `closed_form_coefficients`, as arrays) and their type labels.
+
+    Every value has the bits of `closed_form_coefficients` and
+    `classify_closed_form` on that draw.  When a draw fails, the first
+    failing draw in draw order raises the typed error it raises as floats.
+    """
+    draws = _draw_region(n, seed, delta_bounds)
+    return (draws, *_classify_draws(draws))
+
+
+def _classify_draws(draws: _Draws) -> tuple[dict[str, np.ndarray], list[str]]:
+    try:
+        w2 = omega_squared(draws)
+        cf = {"omega": np.sqrt(w2), **_closed_forms(draws, w2)}
+        decision = sign_decision(_reduced(cf))
+        failed = (w2 * w2 == 0.0) | ~decision.accepted
+    except (OverflowError, ValueError):
+        # a libm square or a row's fsum overflows, as it does in floats
+        failed = np.ones(len(draws.lam), dtype=bool)
+    if failed.any():
+        # a rejected draw has the same values as floats, and so the same verdict
+        for p, rejected in zip(draws.params(), failed):
+            if rejected:
+                classification_record(p)
+        raise AssertionError("a draw rejected on arrays is accepted as floats")
+    return cf, np.asarray(LABELS)[decision.label].tolist()

@@ -123,6 +123,14 @@ def runs() -> list[tuple[str, list[str], object]]:
         ("err_eigen", ["classify", "--config", "{config}"], EIGEN_FAILURE),
         ("err_sweep_overflow", ["eco-sweep", "--delta-bounds", "1,1e308"], None),
         ("err_sweep_underflow", ["eco-sweep", "--delta-bounds", "1e-170,1e-160"], None),
+        # the first draw the classification rejects decides the error: draw 0
+        # here, draw 14 in the second
+        ("err_sweep_first_row", ["eco-sweep", "--delta-bounds", "1e-300,1"], None),
+        (
+            "err_sweep_later_row",
+            ["eco-sweep", "--samples", "20000", "--seed", "3", "--delta-bounds", "1e-6,1e6"],
+            None,
+        ),
         ("err_absent_config", ["classify", "--config", "configs/absent.json"], None),
         ("err_list_config", ["classify", "--config", "{config}"], "[1, 2, 3]"),
         ("err_malformed_json", ["classify", "--config", "{config}"], "{not json"),

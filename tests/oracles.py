@@ -2,8 +2,8 @@
 
 Each one checks a claim of the package against an independent route: the
 closed-form coefficients in their analytic chart, the mu = 0 equilibrium
-line of the predator-prey model, and the averaged transverse drift of the
-full flow.
+line of the predator-prey model, the averaged transverse drift of the full
+flow, and the region sampler drawn one parameter set at a time.
 """
 from __future__ import annotations
 
@@ -31,6 +31,30 @@ def coexistence_line(p: EcoParams, x1_values: Sequence[float]) -> np.ndarray:
         x2 = (p.lam + p.alpha2) * (1.0 - p.lam - x1 / (p.lam + p.alpha1))
         pts.append((float(x1), x2, p.lam))
     return np.array(pts)
+
+
+def sample_region_loop(
+    n: int, seed: int, delta_bounds: tuple[float, float] = eco.DELTA_BOUNDS
+) -> list[EcoParams]:
+    """`eco.sample_region` as a loop over draws, with one generator call per
+    uniform and each delta pair exponentiated on its own."""
+    lo, hi = delta_bounds
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        lam = float(rng.uniform(0.5 * eco.SAMPLE_MARGIN, 0.5 * (1.0 - eco.SAMPLE_MARGIN)))
+        width = 1.0 - 2.0 * lam
+        alpha1 = float(width * rng.uniform(eco.SAMPLE_MARGIN, 1.0 - eco.SAMPLE_MARGIN))
+        alpha2 = float(
+            width + (1.0 - width) * rng.uniform(eco.SAMPLE_MARGIN, 1.0 - eco.SAMPLE_MARGIN)
+        )
+        d1, d2 = np.exp(rng.uniform(math.log(lo), math.log(hi), size=2))
+        params = EcoParams(
+            delta1=float(d1), delta2=float(d2), lam=lam, alpha1=alpha1, alpha2=alpha2
+        )
+        assert params.admissible()
+        out.append(params)
+    return out
 
 
 def _rotation_block(p: EcoParams) -> tuple[float, float, float]:

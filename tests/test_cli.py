@@ -527,6 +527,8 @@ def test_bad_mu_grid_is_usage_error(workspace):
         (["eco-sweep", "--samples", "-3"], None),
         (["eco-sweep", "--seed", "-1"], None),
         (["continue", "--mu-grid", "0.001", "--seed-strategy", "simulate"], INTERIOR),
+        # a seed state under the default predict strategy would be ignored
+        (["continue", "--mu-grid", "0.001", "--seed-state", "0.2133,0.1667,0.4"], INTERIOR),
     ],
 )
 def test_malformed_numbers_are_usage_errors(workspace, capsys, argv, doc):
@@ -534,6 +536,8 @@ def test_malformed_numbers_are_usage_errors(workspace, capsys, argv, doc):
     assert main([*argv, *config, "--out", workspace.outdir("mn")]) == 64
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    if "--seed-state" in argv and "--seed-strategy" not in argv:
+        assert "--seed-strategy simulate" in err
 
 
 @pytest.mark.parametrize(

@@ -6,19 +6,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hybridhopf import eco, locate_hopf_point
+from hybridhopf import classifier, eco, locate_hopf_point
 from hybridhopf.eco import EcoParams
 from hybridhopf.errors import (
+    AssumptionViolation,
+    Degenerate,
     DegenerateAlphas,
     InvalidBounds,
     InvalidParams,
     NoCoexistencePossible,
+    NonFinite,
     NotAdmissible,
 )
-from oracles import coexistence_line
+from oracles import coexistence_line, sample_region_loop
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -314,3 +317,181 @@ def test_sample_region_is_deterministic():
 def test_sample_region_rejects_bad_bounds(kwargs):
     with pytest.raises(InvalidBounds):
         eco.sample_region(3, seed=1, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "n, seed, bounds",
+    [
+        (1, 0, eco.DELTA_BOUNDS),
+        (500, 0, eco.DELTA_BOUNDS),
+        (500, 7, eco.DELTA_BOUNDS),
+        (300, 42, (1e-3, 1e3)),
+        (300, 3, (1e-6, 1e6)),
+        (200, 11, (0.5, 0.5000001)),
+    ],
+)
+def test_sample_region_equals_the_per_draw_loop(n, seed, bounds):
+    assert eco.sample_region(n, seed, bounds) == sample_region_loop(n, seed, bounds)
+
+
+# ---------------------------------------------------------------------------
+# the region sweep on arrays: the bits of the float evaluation
+# ---------------------------------------------------------------------------
+
+
+def _draws(rows) -> eco._Draws:
+    """`eco._Draws` from (delta1, delta2, lam, alpha1, alpha2) rows."""
+    return eco._Draws(*(np.array(column) for column in zip(*rows)))
+
+
+def _assert_rows_match_floats(rows):
+    draws = _draws(rows)
+    arrays, labels = eco._classify_draws(draws)
+    for i, p in enumerate(draws.params()):
+        assert p == EcoParams(*rows[i])
+        assert draws.l1[i] == p.l1 and draws.l2[i] == p.l2
+        cf = eco.closed_form_coefficients(p)
+        assert labels[i] == eco.classify_closed_form(cf).label
+        assert arrays.keys() == cf.keys()
+        for key, value in cf.items():
+            assert np.array_equal(arrays[key][i], value), (key, rows[i])
+
+
+#: q1 = lam + alpha1 is 0.5245367165209572, whose libm square is not x * x
+LIBM_SQUARE_ROW = (1.3, 0.7, 0.25, 0.5245367165209572 - 0.25, 0.75)
+
+
+def test_libm_square_row_is_a_witness():
+    x = LIBM_SQUARE_ROW[2] + LIBM_SQUARE_ROW[3]
+    assert x == 0.5245367165209572
+    assert x**2 != x * x
+    _assert_rows_match_floats([LIBM_SQUARE_ROW])
+
+
+@st.composite
+def admissible_rows(draw):
+    lam = draw(st.floats(0.01, 0.49))
+    width = 1.0 - 2.0 * lam
+    alpha1 = width * draw(st.floats(0.01, 0.99))
+    alpha2 = width + (1.0 - width) * draw(st.floats(0.01, 0.99))
+    delta1, delta2 = (10.0 ** draw(st.floats(-3.0, 3.0)) for _ in range(2))
+    row = (delta1, delta2, lam, alpha1, alpha2)
+    assume(EcoParams(*row).admissible())
+    return row
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(admissible_rows(), min_size=1, max_size=40))
+def test_array_closed_forms_equal_the_float_evaluation(rows):
+    _assert_rows_match_floats([LIBM_SQUARE_ROW, *rows])
+
+
+def test_array_closed_forms_equal_the_float_evaluation_on_sampled_draws():
+    for seed, bounds in [(0, eco.DELTA_BOUNDS), (5, (1e-3, 1e3))]:
+        samples = eco.sample_region(400, seed, bounds)
+        _assert_rows_match_floats([dataclasses.astuple(p) for p in samples])
+
+
+@pytest.mark.parametrize(
+    "n, seed, bounds, first",
+    [
+        (5, 0, (1e-300, 1.0), 0),  # beta5 and gamma5 below the sign threshold
+        (20000, 3, (1e-6, 1e6), 14),  # the same, first on draw 14
+        (200, 0, (1.0, 1e308), 0),  # overflow: sigma is nan
+        (200, 0, (1e-170, 1e-160), 0),  # underflow: omega^4 is 0
+        (200, 0, (1e307, 1.7e308), 0),  # a later draw's margin overflows fsum
+    ],
+)
+def test_first_failing_draw_decides_the_sweep_error(n, seed, bounds, first):
+    with np.errstate(all="ignore"):
+        samples = eco.sample_region(n, seed, bounds)
+        for p in samples[:first]:
+            eco.classification_record(p)
+        with pytest.raises((AssumptionViolation, NonFinite)) as expected:
+            eco.classification_record(samples[first])
+        with pytest.raises(expected.type) as got:
+            eco.classify_region(n, seed, bounds)
+    assert str(got.value) == str(expected.value)
+
+
+def _verdict(coeffs):
+    """classify's label, or the class of its error."""
+    try:
+        return classifier.classify(coeffs).label
+    except (NonFinite, AssumptionViolation, Degenerate) as exc:
+        return type(exc)
+
+
+def _decision_rows():
+    """(omega, beta2, beta3, beta5, beta6, gamma5, gamma7) rows on both sides
+    of every threshold of the decision, one ulp apart."""
+    t = classifier.SIGN_THRESHOLD
+    around_t = (np.nextafter(t, 0.0), t, np.nextafter(t, 1.0))
+    es = (1.0, -1.0, 0.3, 1.0, 0.1, 1.0, -0.2)
+    rows = [es, (1.0, 1.0, 0.3, 1.0, 0.1, 1.0, -0.2)]
+    for v in around_t:
+        rows += [(1.0, -v, 0.3, 1.0, 0.1, 1.0, -0.2)]  # beta2
+        rows += [(1.0, -1.0, 0.3, v, 0.1, 1.0, -0.2)]  # beta5
+        rows += [(1.0, -1.0, 0.3, 1.0, 0.1, -v, -0.2)]  # gamma5
+        # beta3, beta6 and gamma7 at the coefficient resolution t * 1
+        rows += [(1.0, -1.0, v, 1.0, v, 1.0, v)]
+    # sigma = 2 beta3 - 1 against DEGENERACY_RTOL * 2 beta3, the scale
+    near = 1.0 + classifier.DEGENERACY_RTOL
+    for k in range(-3, 4):
+        two_b3 = near + k * 2.0**-52
+        rows += [(1.0, -1.0, two_b3 / 2.0, 1.0, 0.0, 1.0, 1.0)]
+    rows += [
+        (1.0, -1.0, 0.3, 1.0, math.nan, 1.0, -0.2),
+        (1.0, math.inf, 0.3, 1.0, 0.1, 1.0, -0.2),
+        (math.inf, -1.0, 0.3, 1.0, 0.1, 1.0, -0.2),
+    ]
+    return rows
+
+
+_COEFFICIENT_KEYS = ("omega", "beta2", "beta3", "beta5", "beta6", "gamma5", "gamma7")
+
+
+def _assert_decision_matches_classify(rows):
+    floats = [eco._reduced(dict(zip(_COEFFICIENT_KEYS, row))) for row in rows]
+    arrays = eco._reduced({k: np.array(column) for k, column in zip(_COEFFICIENT_KEYS, zip(*rows))})
+    with np.errstate(all="ignore"):
+        decision = classifier.sign_decision(arrays)
+    verdicts = []
+    for i, coeffs in enumerate(floats):
+        verdict = _verdict(coeffs)
+        if isinstance(verdict, str):
+            assert decision.accepted[i] and classifier.LABELS[decision.label[i]] == verdict
+        else:
+            assert not decision.accepted[i]
+            first_failed = [
+                bool(decision.finite[i]),
+                all(bool(c[i]) for c in decision.clear),
+                bool(decision.decided[i]),
+            ].index(False)
+            assert verdict is (NonFinite, AssumptionViolation, Degenerate)[first_failed]
+        verdicts.append(verdict)
+    return verdicts
+
+
+def test_array_decision_labels_every_row_as_classify_does():
+    verdicts = _assert_decision_matches_classify(_decision_rows())
+    # each threshold is straddled: both outcomes occur
+    assert {"ES", "H", NonFinite, AssumptionViolation, Degenerate} <= set(verdicts)
+    degeneracy_rows = verdicts[-10:-3]
+    assert "ES" in degeneracy_rows or "EU" in degeneracy_rows
+    assert Degenerate in degeneracy_rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.floats(0.01, 10.0),
+            *(st.floats(-2.0, 2.0) | st.sampled_from([0.0, 1e-6, -1e-6]) for _ in range(6)),
+        ),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_array_decision_matches_classify_on_drawn_coefficients(rows):
+    _assert_decision_matches_classify(rows)
