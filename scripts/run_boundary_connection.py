@@ -63,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # Start the settling trajectory between the line point and the interior
     # equilibrium of the x2-free subsystem, safely off both.
-    E1 = np.array(eco.boundary_report(p).single_predator["predator1"])
+    E1 = np.array(eco.boundary_equilibrium(p))
     seed_state = 0.6 * X_H + 0.4 * (E1 + np.array([0.0, 0.05, 0.0]))
 
     grid = [float(m) for m in np.geomspace(args.mu_min, args.mu_max, args.n_points)]

@@ -121,12 +121,14 @@ def _numbers(value, what: str, n: int | None = None) -> list[float]:
 
 def _pipeline(config: dict, out: Path | None = None):
     """Model -> Hopf point -> assumptions (with frame and standard jet) ->
-    coefficients.
+    coefficients, and the guard shooting keeps iterates in: the interior of
+    the coexistence region for predator-prey, none otherwise.
 
     Writes ``assumptions.json`` into ``out`` when given.  Frame and
     coefficients are None when an assumption fails.
     """
     model = models.from_config(config)
+    guard = eco.interior_guard() if config.get("builtin") == "predator_prey" else None
     seed = config.get("seed_state", model.metadata.get("hopf_seed") or (0.1, 0.1, 0.1))
     X_H = frame_mod.locate_hopf_point(model, np.array(_numbers(seed, "seed_state", 3)))
     report = frame_mod.check_assumptions(model, X_H)
@@ -139,7 +141,7 @@ def _pipeline(config: dict, out: Path | None = None):
             "model": model.name, "point": [float(v) for v in X_H],
             "all_pass": report.all_pass(), "report": report.to_document(),
         })
-    return model, report, frame, coeffs
+    return model, report, frame, coeffs, guard
 
 
 def _assumptions_failed(report: frame_mod.AssumptionReport) -> int:
@@ -192,7 +194,7 @@ def _describe(classification) -> str:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    model, report, frame, coeffs = _pipeline(_load_config(args.config), out)
+    _, report, _, coeffs, _ = _pipeline(_load_config(args.config), out)
     _print_assumptions(report)
     if not report.all_pass():
         return _assumptions_failed(report)
@@ -214,14 +216,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import verify
     out = _out_dir(args)
-    config = _load_config(args.config)
-    model, report, frame, coeffs = _pipeline(config, out)
+    model, report, frame, coeffs, guard = _pipeline(_load_config(args.config), out)
     if not report.all_pass():
         return _assumptions_failed(report)
     classification = classifier.classify(coeffs)
     prediction = classifier.predict_orbit(coeffs, args.mu, frame)
     tol = args.tol if args.tol is not None else verify.ORBIT_NEWTON_TOL
-    guard = eco.interior_guard() if config.get("builtin") == "predator_prey" else None
     orbit = verify.find_periodic_orbit(
         model,
         args.mu,
@@ -272,7 +272,7 @@ def _cmd_continue(args: argparse.Namespace) -> int:
     if grid is None:
         raise InvalidParams("continue needs --mu-grid or a mu_grid config entry")
     grid = _numbers(grid, "mu grid")
-    model, report, frame, coeffs = _pipeline(config, out)
+    model, report, frame, coeffs, guard = _pipeline(config, out)
     if not report.all_pass():
         return _assumptions_failed(report)
     seed_state = _numbers(args.seed_state, "--seed-state", 3) if args.seed_state else None
@@ -280,7 +280,6 @@ def _cmd_continue(args: argparse.Namespace) -> int:
         raise InvalidBounds("simulate seeding needs a seed_state")
     if args.seed_strategy != "simulate" and seed_state is not None:
         raise InvalidBounds("--seed-state is read only with --seed-strategy simulate")
-    guard = eco.interior_guard() if config.get("builtin") == "predator_prey" else None
     try:
         branch = verify.continue_branch(
             model,
@@ -339,7 +338,7 @@ def _cmd_eco_sweep(args: argparse.Namespace) -> int:
     bounds = eco.DELTA_BOUNDS
     if args.delta_bounds:
         bounds = tuple(_numbers(args.delta_bounds, "--delta-bounds", 2))
-    draws, cf, types = eco.classify_region(args.samples, args.seed, delta_bounds=bounds)
+    draws, cf, types = eco.classify_region(args.samples, args.seed, bounds)
     table = np.column_stack([*_sweep_params(draws), *_sweep_closed_forms(cf)])
     rows = ([*row.tolist(), label] for row, label in zip(table, types))
     header = ["lambda" if name == "lam" else name for name in _SWEEP_PARAMS]
@@ -358,7 +357,7 @@ def _cmd_eco_sweep(args: argparse.Namespace) -> int:
 def _cmd_truncated(args: argparse.Namespace) -> int:
     from . import verify
     out = _out_dir(args)
-    model, report, frame, coeffs = _pipeline(_load_config(args.config))
+    model, report, frame, coeffs, _ = _pipeline(_load_config(args.config))
     if not report.all_pass():
         return _assumptions_failed(report)
     run = verify.simulate_truncated(

@@ -3,10 +3,12 @@
 At equal break-even concentrations (mu = 0) the system carries a line of
 coexistence equilibria; perturbing the second predator's break-even value by
 mu destroys the line and produces the periodic-orbit branch analyzed by the
-rest of the package.  This module provides the model instance, the interior
-Hopf point, closed-form reference values for the reduced coefficients in the
-analytic chart, the admissible parameter region with a sampler, boundary
-equilibria, and the comparison Lyapunov function.
+rest of the package.  This module builds the model from an `EcoParams`
+(the ``predator_prey`` builtin of `models` forwards here), and provides the
+interior Hopf point, closed-form reference values for the reduced
+coefficients in the analytic chart, the admissible parameter region with a
+sampler, the single-predator boundary equilibrium, and the comparison
+Lyapunov function.
 
 States are (x1, x2, s): the two predator densities and the prey density,
 with the prey rescaled to carrying capacity 1.  Parameters: per-predator
@@ -36,20 +38,14 @@ import numpy as np
 
 from .classifier import LABELS, Classification, classify, sign_decision
 from .coefficients import CylindricalCoefficients, HarmonicScalar
-from .errors import (
-    DegenerateAlphas,
-    InvalidBounds,
-    InvalidParams,
-    NoCoexistencePossible,
-    NonFinite,
-    NotAdmissible,
-)
-from .models import ModelDefinition, builtin
+from .errors import DegenerateAlphas, InvalidBounds, InvalidParams, NonFinite, NotAdmissible
+from .models import JET_ORDER, JetTable, ModelDefinition, state_multi_indices
 
 
 @dataclasses.dataclass(frozen=True)
 class EcoParams:
-    """Parameter set for the two-predator/one-prey model."""
+    """Parameter set for the two-predator/one-prey model; the one place its
+    bounds are checked."""
 
     delta1: float
     delta2: float
@@ -59,11 +55,11 @@ class EcoParams:
 
     def __post_init__(self) -> None:
         if not self.delta1 > 0 or not self.delta2 > 0:
-            raise InvalidParams("growth-rate ratios delta1, delta2 must be positive")
+            raise InvalidParams("predator_prey needs positive growth-rate ratios delta1, delta2")
         if not self.alpha1 > 0 or not self.alpha2 > 0:
-            raise InvalidParams("half-saturation constants must be positive")
+            raise InvalidParams("predator_prey needs positive half-saturation constants")
         if not 0 < self.lam < 1:
-            raise InvalidParams("break-even concentration must satisfy 0 < lam < 1")
+            raise InvalidParams("predator_prey needs break-even concentration 0 < lam < 1")
 
     @property
     def l1(self) -> float:
@@ -97,9 +93,115 @@ class EcoParams:
         return dataclasses.asdict(self)
 
 
+def _on_floats(expressions: Callable, X: np.ndarray, mu: float):
+    """``expressions(x1, x2, x3, mu)`` on Python floats: the same IEEE operations
+    as on numpy scalars (``**`` is libm ``pow`` on both), so the same bits at a
+    fraction of the cost.  Where Python raises instead (a pole, an overflowing
+    power), they are repeated on numpy scalars, which give inf or nan."""
+    try:
+        return expressions(*X.tolist(), mu)
+    except (ZeroDivisionError, OverflowError):
+        return expressions(*X, mu)
+
+
+def _line_point(p: EcoParams) -> list[float]:
+    """The closed-form point of the coexistence line where the spectrum is
+    {0, +-i omega}; defined for alpha1 != alpha2."""
+    gap = p.alpha2 - p.alpha1
+    return [(p.lam + p.alpha1) ** 2 * p.l2 / gap, (p.lam + p.alpha2) ** 2 * p.l1 / gap, p.lam]
+
+
 def model(p: EcoParams) -> ModelDefinition:
-    """Builtin predator-prey instance for these parameters."""
-    return builtin("predator_prey", p.to_dict())
+    """The predator-prey field for these parameters, with its exact jet and
+    Jacobian.  ``metadata["hopf_seed"]`` is `_line_point` when
+    |alpha2 - alpha1| > 1e-9 and l1, l2 > 0."""
+    delta1, delta2, lam, alpha1, alpha2 = p.delta1, p.delta2, p.lam, p.alpha1, p.alpha2
+
+    def field(x1, x2, s, mu):
+        g1 = (s - lam) / (s + alpha1)
+        g2 = (s - lam - mu) / (s + alpha2)
+        h1 = s / (s + alpha1)
+        h2 = s / (s + alpha2)
+        return [
+            delta1 * x1 * g1,
+            delta2 * x2 * g2,
+            s * (1.0 - s) - x1 * h1 - x2 * h2,
+        ]
+
+    def rhs(X: np.ndarray, mu: float) -> np.ndarray:
+        return np.array(_on_floats(field, X, mu))
+
+    def exact_jet(point: np.ndarray, mu: float) -> JetTable:
+        x1, x2, s = (float(v) for v in point)
+
+        # n-th s-derivatives of g_j(s) = (s - lam_j)/(s + alpha_j) and
+        # h_j(s) = s/(s + alpha_j); both are 1 - const/(s + alpha_j).
+        def rational_derivs(const: float, alpha: float) -> list[float]:
+            # derivatives of -const/(s+alpha): order 0..3 of the full g or h
+            p = s + alpha
+            if p == 0.0:
+                raise NonFinite("predator_prey jet at a pole of a response function")
+            out = [1.0 - const / p]
+            sign = 1.0
+            fact = 1.0
+            for n in range(1, JET_ORDER + 1):
+                fact *= n
+                out.append(sign * fact * const / p ** (n + 1))
+                sign = -sign
+            return out
+
+        g1d = rational_derivs(lam + alpha1, alpha1)
+        g2d = rational_derivs(lam + mu + alpha2, alpha2)
+        h1d = rational_derivs(alpha1, alpha1)
+        h2d = rational_derivs(alpha2, alpha2)
+        logistic = [s * (1.0 - s), 1.0 - 2.0 * s, -2.0, 0.0]
+        # d_mu g2 derivatives in s: -1/(s+alpha2) and its s-derivatives
+        p2 = s + alpha2
+        gmu = [-1.0 / p2, 1.0 / p2**2, -2.0 / p2**3, 6.0 / p2**4]
+
+        entries = [rhs(np.array([x1, x2, s]), mu)]
+        for a, b, c in state_multi_indices():
+            f1 = 0.0
+            if b == 0 and a <= 1:
+                f1 = delta1 * g1d[c] * (x1 if a == 0 else 1.0)
+            f2 = 0.0
+            if a == 0 and b <= 1:
+                f2 = delta2 * g2d[c] * (x2 if b == 0 else 1.0)
+            f3 = 0.0
+            if a == 0 and b == 0:
+                f3 = logistic[c] - x1 * h1d[c] - x2 * h2d[c]
+            elif a == 1 and b == 0:
+                f3 = -h1d[c]
+            elif a == 0 and b == 1:
+                f3 = -h2d[c]
+            entries.append((f1, f2, f3))
+        entries += [
+            (0.0, delta2 * x2 * gmu[0], 0.0),
+            (0.0, 0.0, 0.0),
+            (0.0, delta2 * gmu[0], 0.0),
+            (0.0, delta2 * x2 * gmu[1], 0.0),
+        ]
+        return JetTable.from_entries(point, mu, entries, tolerance=1e-12)
+
+    def derivative(x1, x2, s, mu):
+        p1, p2 = s + alpha1, s + alpha2
+        g1, g2 = (s - lam) / p1, (s - lam - mu) / p2
+        dg1, dg2 = (lam + alpha1) / p1**2, (lam + mu + alpha2) / p2**2
+        h1, h2 = s / p1, s / p2
+        dh1, dh2 = alpha1 / p1**2, alpha2 / p2**2
+        return [
+            [delta1 * g1, 0.0, delta1 * x1 * dg1],
+            [0.0, delta2 * g2, delta2 * x2 * dg2],
+            [-h1, -h2, 1.0 - 2.0 * s - x1 * dh1 - x2 * dh2],
+        ]
+
+    def jacobian(X: np.ndarray, mu: float) -> np.ndarray:
+        return np.array(_on_floats(derivative, X, mu))
+
+    meta = {}
+    if abs(alpha2 - alpha1) > 1e-9 and p.l1 > 0 and p.l2 > 0:
+        meta["hopf_seed"] = _line_point(p)
+    return ModelDefinition("predator_prey", rhs, exact_jet, jacobian, meta)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -132,10 +234,14 @@ def _square(x):
 
 
 def _fsum(terms: list):
-    """`math.fsum` of the terms, or of each row when they are float arrays."""
-    if isinstance(terms[0], np.ndarray):
-        return np.fromiter(map(math.fsum, zip(*(t.tolist() for t in terms))), float)
-    return math.fsum(terms)
+    """`math.fsum` of the terms, or of each row when they are float arrays.  A
+    sum that overflows, or adds inf and -inf, is `NonFinite`."""
+    try:
+        if isinstance(terms[0], np.ndarray):
+            return np.fromiter(map(math.fsum, zip(*(t.tolist() for t in terms))), float)
+        return math.fsum(terms)
+    except (OverflowError, ValueError) as exc:
+        raise NonFinite(f"closed forms overflow: {exc}") from None
 
 
 def omega_squared(p: EcoParams) -> float:
@@ -150,10 +256,7 @@ def hopf_point(p: EcoParams) -> np.ndarray:
             "equal half-saturation constants make the interior formulas singular"
         )
     p.require_admissible()
-    gap = p.alpha2 - p.alpha1
-    x1 = (p.lam + p.alpha1) ** 2 * p.l2 / gap
-    x2 = (p.lam + p.alpha2) ** 2 * p.l1 / gap
-    return np.array([x1, x2, p.lam])
+    return np.array(_line_point(p))
 
 
 def h_polynomials(p: EcoParams) -> tuple[float, float]:
@@ -204,7 +307,10 @@ def closed_form_coefficients(p: EcoParams) -> dict[str, float]:
     w2 = omega_squared(p)
     if w2 * w2 == 0.0:
         raise NonFinite(f"closed forms underflow: omega^4 is 0 (omega^2 = {w2:.3g})")
-    return {"omega": math.sqrt(w2), **_closed_forms(p, w2)}
+    try:
+        return {"omega": math.sqrt(w2), **_closed_forms(p, w2)}
+    except ZeroDivisionError:  # on arrays the quotient is inf or nan, and the draw is rejected
+        raise NonFinite(f"closed forms underflow: a denominator is 0 (omega^2 = {w2:.3g})") from None
 
 
 def _closed_forms(p: EcoParams, w2: float) -> dict[str, float]:
@@ -293,47 +399,10 @@ def interior_guard() -> Callable[[np.ndarray], bool]:
     return guard
 
 
-# ---------------------------------------------------------------------------
-# boundary structure
-# ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass(frozen=True)
-class BoundaryReport:
-    """Equilibria of the invariant boundary planes at a given mu.
-
-    ``hopf_indicators`` holds 2*lam_j + alpha_j - 1 for each single-predator
-    equilibrium: a negative value means that equilibrium is an unstable
-    spiral surrounded by a planar limit cycle in its own predator-prey plane.
-    """
-
-    washout: tuple[float, float, float]
-    prey_only: tuple[float, float, float]
-    single_predator: Mapping[str, tuple[float, float, float]]
-    hopf_indicators: Mapping[str, float]
-
-
-def boundary_report(p: EcoParams, mu: float = 0.0) -> BoundaryReport:
-    """Boundary equilibria and their planar Hopf indicators."""
-    lam1 = p.lam
-    lam2 = p.lam + mu
-    if not (0.0 < lam1 < 1.0 and 0.0 < lam2 < 1.0):
-        raise NoCoexistencePossible(
-            f"break-even concentrations need 0 < lam < 1, got lam1={lam1}, lam2={lam2}: at or "
-            "above the prey carrying capacity 1 that predator cannot persist, and at or below 0 "
-            "its single-predator equilibrium has no positive prey density"
-        )
-    e1 = ((lam1 + p.alpha1) * (1.0 - lam1), 0.0, lam1)
-    e2 = (0.0, (lam2 + p.alpha2) * (1.0 - lam2), lam2)
-    return BoundaryReport(
-        washout=(0.0, 0.0, 0.0),
-        prey_only=(0.0, 0.0, 1.0),
-        single_predator={"predator1": e1, "predator2": e2},
-        hopf_indicators={
-            "predator1": 2.0 * lam1 + p.alpha1 - 1.0,
-            "predator2": 2.0 * lam2 + p.alpha2 - 1.0,
-        },
-    )
+def boundary_equilibrium(p: EcoParams) -> tuple[float, float, float]:
+    """E1 = ((lam+alpha1)(1-lam), 0, lam): predator 1 alone with the prey, on
+    the invariant plane x2 = 0."""
+    return ((p.lam + p.alpha1) * (1.0 - p.lam), 0.0, p.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -372,23 +441,23 @@ def lyapunov_rate(p: EcoParams, X: Sequence[float]) -> float:
 #: relative distance of `sample_region` draws from the region boundary, which
 #: keeps closed-form denominators well conditioned
 SAMPLE_MARGIN = 0.05
-#: default range of the log-uniform delta draws of `sample_region`
+#: range of the log-uniform delta draws of `sample_region`, and of
+#: `eco-sweep` without ``--delta-bounds``
 DELTA_BOUNDS = (0.05, 20.0)
 
 
-def sample_region(
-    n: int, seed: int, delta_bounds: tuple[float, float] = DELTA_BOUNDS
-) -> list[EcoParams]:
+def sample_region(n: int, seed: int) -> list[EcoParams]:
     """Draw ``n >= 1`` admissible parameter sets from ``seed >= 0``,
-    log-uniform in the deltas, at least `SAMPLE_MARGIN` (relative) inside
-    the region boundary."""
-    return list(_draw_region(n, seed, delta_bounds).params())
+    log-uniform in the deltas over `DELTA_BOUNDS`, at least `SAMPLE_MARGIN`
+    (relative) inside the region boundary."""
+    return list(_draw_region(n, seed, DELTA_BOUNDS).params())
 
 
 def _draw_region(n: int, seed: int, delta_bounds: tuple[float, float]) -> _Draws:
-    """`sample_region`'s draws as arrays.  Draw i takes the five uniforms
-    5i, ..., 5i+4 of the stream: lam, the relative positions of alpha1 and
-    alpha2 in their ranges, and the two log-deltas."""
+    """`sample_region`'s draws as arrays, log-uniform in the deltas over
+    ``delta_bounds``.  Draw i takes the five uniforms 5i, ..., 5i+4 of the
+    stream: lam, the relative positions of alpha1 and alpha2 in their
+    ranges, and the two log-deltas."""
     lo, hi = delta_bounds
     if not (0.0 < lo < hi):
         raise InvalidBounds(f"delta bounds must satisfy 0 < lo < hi, got {delta_bounds}")
@@ -419,9 +488,9 @@ def _draw_region(n: int, seed: int, delta_bounds: tuple[float, float]) -> _Draws
 
 
 def classify_region(
-    n: int, seed: int, delta_bounds: tuple[float, float] = DELTA_BOUNDS
+    n: int, seed: int, delta_bounds: tuple[float, float]
 ) -> tuple[_Draws, dict[str, np.ndarray], list[str]]:
-    """`sample_region`'s draws as arrays, their closed forms (the entries of
+    """`_draw_region`'s draws, their closed forms (the entries of
     `closed_form_coefficients`, as arrays) and their type labels.
 
     Every value has the bits of `closed_form_coefficients` and
@@ -438,8 +507,8 @@ def _classify_draws(draws: _Draws) -> tuple[dict[str, np.ndarray], list[str]]:
         cf = {"omega": np.sqrt(w2), **_closed_forms(draws, w2)}
         decision = sign_decision(_reduced(cf))
         failed = (w2 * w2 == 0.0) | ~decision.accepted
-    except (OverflowError, ValueError):
-        # a libm square or a row's fsum overflows, as it does in floats
+    except NonFinite:
+        # a row's fsum overflows, as it does in floats
         failed = np.ones(len(draws.lam), dtype=bool)
     if failed.any():
         # a rejected draw has the same values as floats, and so the same verdict

@@ -94,9 +94,5 @@ class DegenerateAlphas(HybridHopfError):
     """Half-saturation constants coincide; the interior Hopf formula is singular."""
 
 
-class NoCoexistencePossible(HybridHopfError):
-    """A break-even level (lam, or lam + mu) is <= 0 or at or above the prey carrying capacity."""
-
-
 class InvalidBounds(UsageError):
     """An interval argument is empty or out of range."""

@@ -2,7 +2,9 @@
 
 A model bundles a right-hand side F(X; mu) with a way to obtain its partial
 derivatives at a point: either exact closed forms (builtin and polynomial
-models) or guarded finite differences.  Everything downstream (frames,
+models) or guarded finite differences.  The builtin catalogue holds the
+planted polynomial fields; its ``predator_prey`` entry checks the config's
+parameters and forwards to `eco.model`.  Everything downstream (frames,
 reduced coefficients, classification) consumes the `JetTable` produced here.
 A jet holds derivative tensors up to order three, ``F``, ``DF``, ``D^2 F``
 and ``D^3 F`` with entry ``[c, i, j, ...] = d_i d_j ... F_c``, plus the
@@ -452,126 +454,12 @@ def _require(
     return values
 
 
-def _on_floats(expressions: Callable, X: np.ndarray, mu: float):
-    """``expressions(x1, x2, x3, mu)`` on Python floats: the same IEEE operations
-    as on numpy scalars (``**`` is libm ``pow`` on both), so the same bits at a
-    fraction of the cost.  Where Python raises instead (a pole, an overflowing
-    power), they are repeated on numpy scalars, which give inf or nan."""
-    try:
-        return expressions(*X.tolist(), mu)
-    except (ZeroDivisionError, OverflowError):
-        return expressions(*X, mu)
-
-
 def _predator_prey(params: Mapping[str, float]) -> ModelDefinition:
-    delta1, delta2, lam, alpha1, alpha2 = _require(
-        params, ("delta1", "delta2", "lam", "alpha1", "alpha2"), "predator_prey"
-    )
-    if delta1 <= 0 or delta2 <= 0:
-        raise InvalidParams("predator_prey needs positive growth-rate ratios delta1, delta2")
-    if alpha1 <= 0 or alpha2 <= 0:
-        raise InvalidParams("predator_prey needs positive half-saturation constants")
-    if not 0 < lam < 1:
-        raise InvalidParams("predator_prey needs break-even concentration 0 < lam < 1")
+    """`eco.model`, which holds the field, its bounds and its Hopf-line seed."""
+    from . import eco  # eco builds on this module
 
-    def field(x1, x2, s, mu):
-        g1 = (s - lam) / (s + alpha1)
-        g2 = (s - lam - mu) / (s + alpha2)
-        h1 = s / (s + alpha1)
-        h2 = s / (s + alpha2)
-        return [
-            delta1 * x1 * g1,
-            delta2 * x2 * g2,
-            s * (1.0 - s) - x1 * h1 - x2 * h2,
-        ]
-
-    def rhs(X: np.ndarray, mu: float) -> np.ndarray:
-        return np.array(_on_floats(field, X, mu))
-
-    def exact_jet(point: np.ndarray, mu: float) -> JetTable:
-        x1, x2, s = (float(v) for v in point)
-
-        # n-th s-derivatives of g_j(s) = (s - lam_j)/(s + alpha_j) and
-        # h_j(s) = s/(s + alpha_j); both are 1 - const/(s + alpha_j).
-        def rational_derivs(const: float, alpha: float) -> list[float]:
-            # derivatives of -const/(s+alpha): order 0..3 of the full g or h
-            p = s + alpha
-            if p == 0.0:
-                raise NonFinite("predator_prey jet at a pole of a response function")
-            out = [1.0 - const / p]
-            sign = 1.0
-            fact = 1.0
-            for n in range(1, JET_ORDER + 1):
-                fact *= n
-                out.append(sign * fact * const / p ** (n + 1))
-                sign = -sign
-            return out
-
-        g1d = rational_derivs(lam + alpha1, alpha1)
-        g2d = rational_derivs(lam + mu + alpha2, alpha2)
-        h1d = rational_derivs(alpha1, alpha1)
-        h2d = rational_derivs(alpha2, alpha2)
-        logistic = [s * (1.0 - s), 1.0 - 2.0 * s, -2.0, 0.0]
-        # d_mu g2 derivatives in s: -1/(s+alpha2) and its s-derivatives
-        p2 = s + alpha2
-        gmu = [-1.0 / p2, 1.0 / p2**2, -2.0 / p2**3, 6.0 / p2**4]
-
-        entries = [rhs(np.array([x1, x2, s]), mu)]
-        for a, b, c in state_multi_indices():
-            f1 = 0.0
-            if b == 0 and a <= 1:
-                f1 = delta1 * g1d[c] * (x1 if a == 0 else 1.0)
-            f2 = 0.0
-            if a == 0 and b <= 1:
-                f2 = delta2 * g2d[c] * (x2 if b == 0 else 1.0)
-            f3 = 0.0
-            if a == 0 and b == 0:
-                f3 = logistic[c] - x1 * h1d[c] - x2 * h2d[c]
-            elif a == 1 and b == 0:
-                f3 = -h1d[c]
-            elif a == 0 and b == 1:
-                f3 = -h2d[c]
-            entries.append((f1, f2, f3))
-        entries += [
-            (0.0, delta2 * x2 * gmu[0], 0.0),
-            (0.0, 0.0, 0.0),
-            (0.0, delta2 * gmu[0], 0.0),
-            (0.0, delta2 * x2 * gmu[1], 0.0),
-        ]
-        return JetTable.from_entries(point, mu, entries, tolerance=1e-12)
-
-    def derivative(x1, x2, s, mu):
-        p1, p2 = s + alpha1, s + alpha2
-        g1, g2 = (s - lam) / p1, (s - lam - mu) / p2
-        dg1, dg2 = (lam + alpha1) / p1**2, (lam + mu + alpha2) / p2**2
-        h1, h2 = s / p1, s / p2
-        dh1, dh2 = alpha1 / p1**2, alpha2 / p2**2
-        return [
-            [delta1 * g1, 0.0, delta1 * x1 * dg1],
-            [0.0, delta2 * g2, delta2 * x2 * dg2],
-            [-h1, -h2, 1.0 - 2.0 * s - x1 * dh1 - x2 * dh2],
-        ]
-
-    def jacobian(X: np.ndarray, mu: float) -> np.ndarray:
-        return np.array(_on_floats(derivative, X, mu))
-
-    meta: dict[str, object] = {}
-    l1 = 1.0 - 2.0 * lam - alpha1
-    l2 = 2.0 * lam + alpha2 - 1.0
-    gap = alpha2 - alpha1
-    if abs(gap) > 1e-9 and l1 > 0 and l2 > 0:
-        meta["hopf_seed"] = [
-            (lam + alpha1) ** 2 * l2 / gap,
-            (lam + alpha2) ** 2 * l1 / gap,
-            lam,
-        ]
-    return ModelDefinition(
-        name="predator_prey",
-        rhs=rhs,
-        exact_jet=exact_jet,
-        jacobian=jacobian,
-        metadata=meta,
-    )
+    names = ("delta1", "delta2", "lam", "alpha1", "alpha2")
+    return eco.model(eco.EcoParams(*_require(params, names, "predator_prey")))
 
 
 def _cylindrical(name: str, rotation: list, planar: list, axial: list) -> ModelDefinition:

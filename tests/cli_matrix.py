@@ -123,6 +123,10 @@ def runs() -> list[tuple[str, list[str], object]]:
         ("err_eigen", ["classify", "--config", "{config}"], EIGEN_FAILURE),
         ("err_sweep_overflow", ["eco-sweep", "--delta-bounds", "1,1e308"], None),
         ("err_sweep_underflow", ["eco-sweep", "--delta-bounds", "1e-170,1e-160"], None),
+        *(
+            (f"err_sweep_float_{i}", ["eco-sweep", *argv], None)
+            for i, argv in enumerate(test_cli.SWEEP_FLOAT_FAILURES)
+        ),
         # the first draw the classification rejects decides the error: draw 0
         # here, draw 14 in the second
         ("err_sweep_first_row", ["eco-sweep", "--delta-bounds", "1e-300,1"], None),

@@ -348,6 +348,17 @@ def test_eco_sweep_single_row_and_determinism(workspace):
     ).read_bytes()
 
 
+#: eco-sweep runs whose one draw makes Python floats raise where numpy gives
+#: inf or nan (a margin sum past the float range, a zero denominator), with
+#: the one line each prints
+SWEEP_FLOAT_FAILURES = {
+    ("--samples", "1", "--seed", "2884", "--delta-bounds", "1e306,1.7e308"):
+        "numerical failure: closed forms overflow: intermediate overflow in fsum\n",
+    ("--samples", "1", "--delta-bounds", "1e-162,1e-161"):
+        "numerical failure: closed forms underflow: a denominator is 0 (omega^2 = 1.74e-162)\n",
+}
+
+
 def test_eco_sweep_overflowing_closed_forms_are_numerical_failures(workspace, capsys):
     # deltas near 1e308 overflow the closed forms to inf and nan; deltas near
     # 1e-170 underflow omega^4 to zero
@@ -355,6 +366,9 @@ def test_eco_sweep_overflowing_closed_forms_are_numerical_failures(workspace, ca
         assert main(["eco-sweep", "--delta-bounds", bounds, "--out", workspace.outdir("far")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+    for argv, line in SWEEP_FLOAT_FAILURES.items():
+        assert main(["eco-sweep", *argv, "--out", workspace.outdir("far")]) == 1
+        assert capsys.readouterr().err == line
 
 
 def test_failed_eigen_decomposition_is_a_numerical_failure(workspace):
@@ -456,6 +470,18 @@ def test_missing_config_flag_is_usage_error():
     assert excinfo.value.code == 64
 
 
+#: a predator_prey parameter out of its bounds, with the line the command prints
+PREDATOR_PREY_BOUNDS = {
+    ("delta1", 0): "error: predator_prey needs positive growth-rate ratios delta1, delta2",
+    ("alpha2", -0.1): "error: predator_prey needs positive half-saturation constants",
+    ("lam", 1.0): "error: predator_prey needs break-even concentration 0 < lam < 1",
+}
+
+
+def _interior_with(name, value):
+    return {**INTERIOR, "params": {**INTERIOR["params"], name: value}}
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -482,6 +508,7 @@ def test_missing_config_flag_is_usage_error():
         {**INTERIOR, "seed_state": 0},
         {**ES_NORMAL_FORM, "params": {"a": 1.0}},
         {**SYNTHETIC, "params": {**SYNTHETIC["params"], "e": 1.0}},
+        *(_interior_with(name, value) for name, value in PREDATOR_PREY_BOUNDS),
     ],
 )
 def test_bad_configs_are_usage_errors(workspace, doc, capsys):
@@ -489,6 +516,9 @@ def test_bad_configs_are_usage_errors(workspace, doc, capsys):
     assert main(["classify", "--config", cfg, "--out", workspace.outdir("u")]) == 64
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    for (name, value), line in PREDATOR_PREY_BOUNDS.items():
+        if doc == _interior_with(name, value):
+            assert err == line + "\n"
 
 
 def test_unreadable_and_malformed_configs(workspace):
@@ -578,7 +608,7 @@ EXIT_TABLE = {
     "AssumptionViolation": (2, "assumption violation"),
     "Degenerate": (3, "degenerate"),
     **dict.fromkeys(
-        ("DefectiveSpectrum", "DegenerateAlphas", "NoCoexistencePossible", "HybridHopfError"),
+        ("DefectiveSpectrum", "DegenerateAlphas", "HybridHopfError"),
         (1, "error"),
     ),
 }

@@ -17,7 +17,6 @@ from hybridhopf.errors import (
     DegenerateAlphas,
     InvalidBounds,
     InvalidParams,
-    NoCoexistencePossible,
     NonFinite,
     NotAdmissible,
 )
@@ -49,6 +48,23 @@ def test_params_validation(kwargs):
     base.update(kwargs)
     with pytest.raises(InvalidParams):
         EcoParams(**base)
+
+
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("delta1", 0.0, "predator_prey needs positive growth-rate ratios delta1, delta2"),
+        ("alpha2", -0.1, "predator_prey needs positive half-saturation constants"),
+        ("lam", 1.0, "predator_prey needs break-even concentration 0 < lam < 1"),
+    ],
+    ids=["delta1", "alpha2", "lam"],
+)
+def test_params_bounds_messages(name, value, message):
+    """`EcoParams` is the one check of the bounds, and the command line prints its lines."""
+    base = dict(delta1=1.0, delta2=1.0, lam=0.3, alpha1=0.2, alpha2=0.6)
+    with pytest.raises(InvalidParams) as excinfo:
+        EcoParams(**{**base, name: value})
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize(
@@ -103,6 +119,12 @@ def test_hopf_point_interior_oracle(interior, interior_hopf):
 def test_hopf_point_agrees_with_numeric_search(interior_model, interior_hopf):
     found = locate_hopf_point(interior_model, interior_hopf + np.array([0.02, -0.03, 0.01]))
     assert found == pytest.approx(interior_hopf, abs=1e-10)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_hopf_point_is_the_model_seed_bit_for_bit(seed):
+    for p in eco.sample_region(100, seed):
+        assert np.array_equal(eco.hopf_point(p), np.array(eco.model(p).metadata["hopf_seed"]))
 
 
 def test_equal_alphas_rejected_before_admissibility():
@@ -212,7 +234,7 @@ def test_classify_closed_form_matches_classification_record():
 
 
 # ---------------------------------------------------------------------------
-# guard, boundary structure, Lyapunov comparison
+# guard, boundary equilibrium, Lyapunov comparison
 # ---------------------------------------------------------------------------
 
 
@@ -225,46 +247,10 @@ def test_interior_guard():
     assert guard(np.array([eco.INTERIOR_FLOOR, 0.2, 0.3])) is False
 
 
-def test_boundary_report_interior(interior):
-    report = eco.boundary_report(interior)
-    assert report.washout == (0.0, 0.0, 0.0)
-    assert report.prey_only == (0.0, 0.0, 1.0)
-    assert report.single_predator["predator1"] == pytest.approx((0.35, 0.0, 0.3))
-    assert report.single_predator["predator2"][0] == 0.0
-    assert report.hopf_indicators["predator1"] == pytest.approx(-0.2)
-    assert report.hopf_indicators["predator2"] == pytest.approx(0.2)
-    doc = dataclasses.asdict(report)
-    assert set(doc) == {"washout", "prey_only", "single_predator", "hopf_indicators"}
-
-
-def test_boundary_report_shifts_second_breakeven(interior):
-    report = eco.boundary_report(interior, mu=0.01)
-    assert report.single_predator["predator2"][2] == interior.lam + 0.01
-    assert report.single_predator["predator1"][2] == interior.lam
-
-
-def test_boundary_report_rejects_nonpersistent_predator(interior):
-    with pytest.raises(NoCoexistencePossible):
-        eco.boundary_report(interior, mu=0.7)
-
-
-@pytest.mark.parametrize("mu", [-0.5, -0.3])
-def test_boundary_report_rejects_break_even_at_or_below_zero(interior, mu):
-    # lam + mu = -0.2 would put the predator-2 equilibrium at s = -0.2, and
-    # lam + mu = 0 at s = 0: no positive prey density
-    with pytest.raises(NoCoexistencePossible, match="0 < lam < 1"):
-        eco.boundary_report(interior, mu=mu)
-
-
 def test_boundary_equilibria_are_equilibria(interior, interior_model):
-    report = eco.boundary_report(interior, mu=0.002)
-    for X in (
-        report.washout,
-        report.prey_only,
-        report.single_predator["predator1"],
-        report.single_predator["predator2"],
-    ):
-        assert np.linalg.norm(interior_model.rhs(np.array(X), 0.002)) < 1e-12
+    E1 = eco.boundary_equilibrium(interior)
+    assert E1 == pytest.approx((0.35, 0.0, 0.3))
+    assert np.linalg.norm(interior_model.rhs(np.array(E1), 0.002)) < 1e-12
 
 
 def test_lyapunov_rate_matches_flow_derivative(interior, interior_model):
@@ -315,8 +301,9 @@ def test_sample_region_is_deterministic():
     ],
 )
 def test_sample_region_rejects_bad_bounds(kwargs):
+    """The draws' bound checks, which `eco-sweep --delta-bounds` reaches."""
     with pytest.raises(InvalidBounds):
-        eco.sample_region(3, seed=1, **kwargs)
+        eco.classify_region(3, seed=1, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -331,7 +318,10 @@ def test_sample_region_rejects_bad_bounds(kwargs):
     ],
 )
 def test_sample_region_equals_the_per_draw_loop(n, seed, bounds):
-    assert eco.sample_region(n, seed, bounds) == sample_region_loop(n, seed, bounds)
+    draws = list(eco._draw_region(n, seed, bounds).params())
+    assert draws == sample_region_loop(n, seed, bounds)
+    if bounds == eco.DELTA_BOUNDS:
+        assert eco.sample_region(n, seed) == draws
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +378,7 @@ def test_array_closed_forms_equal_the_float_evaluation(rows):
 
 def test_array_closed_forms_equal_the_float_evaluation_on_sampled_draws():
     for seed, bounds in [(0, eco.DELTA_BOUNDS), (5, (1e-3, 1e3))]:
-        samples = eco.sample_region(400, seed, bounds)
+        samples = eco._draw_region(400, seed, bounds).params()
         _assert_rows_match_floats([dataclasses.astuple(p) for p in samples])
 
 
@@ -400,11 +390,13 @@ def test_array_closed_forms_equal_the_float_evaluation_on_sampled_draws():
         (200, 0, (1.0, 1e308), 0),  # overflow: sigma is nan
         (200, 0, (1e-170, 1e-160), 0),  # underflow: omega^4 is 0
         (200, 0, (1e307, 1.7e308), 0),  # a later draw's margin overflows fsum
+        (1, 2884, (1e306, 1.7e308), 0),  # the margin overflows fsum
+        (1, 0, (1e-162, 1e-161), 0),  # a denominator underflows to zero
     ],
 )
 def test_first_failing_draw_decides_the_sweep_error(n, seed, bounds, first):
     with np.errstate(all="ignore"):
-        samples = eco.sample_region(n, seed, bounds)
+        samples = list(eco._draw_region(n, seed, bounds).params())
         for p in samples[:first]:
             eco.classification_record(p)
         with pytest.raises((AssumptionViolation, NonFinite)) as expected:
@@ -495,3 +487,12 @@ def test_array_decision_labels_every_row_as_classify_does():
 )
 def test_array_decision_matches_classify_on_drawn_coefficients(rows):
     _assert_decision_matches_classify(rows)
+
+
+def test_overflowing_margin_is_a_typed_error():
+    """A margin whose exactly rounded sum overflows is `NonFinite`, not an
+    `OverflowError` from `math.fsum`."""
+    p = list(eco._draw_region(400, 0, (1e307, 1.7e308)).params())[35]
+    for closed_form in (eco.stability_margin, eco.classification_record):
+        with pytest.raises(NonFinite, match="^closed forms overflow: intermediate overflow in fsum$"):
+            closed_form(p)

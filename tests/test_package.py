@@ -1,8 +1,10 @@
-"""Package surface: every public name in `src/` has a caller outside the tests."""
+"""Package surface: every public name in `src/` has a caller outside the
+tests, and every defaulted parameter of a public function is set by one."""
 from __future__ import annotations
 
 import ast
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -14,19 +16,23 @@ AWAITING_CALLER = {
 }
 
 
-def _referenced_names() -> set[str]:
-    """Every identifier read as a name, an attribute or an import in the
-    package, the scripts and the benchmark."""
-    names: set[str] = set()
+def _non_test_nodes() -> Iterator[ast.AST]:
+    """Every node of the package, the scripts and the benchmark."""
     for top in ("src", "scripts", "perfbench"):
         for path in (ROOT / top).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.add(node.name)
+            yield from ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def _referenced_names() -> set[str]:
+    """Every identifier read as a name, an attribute or an import outside the tests."""
+    names: set[str] = set()
+    for node in _non_test_nodes():
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
     return names
 
 
@@ -45,3 +51,48 @@ def test_every_public_definition_has_a_caller_outside_the_tests():
             ):
                 unused.append(f"{path.stem}.{node.name}")
     assert sorted(unused) == sorted(AWAITING_CALLER)
+
+
+def _public_functions() -> Iterator[tuple[str, ast.FunctionDef, bool]]:
+    """(qualified name, definition, is a method) of each public module-level
+    function and each public method of a public class in `src/`."""
+    for path in sorted((ROOT / "src" / "hybridhopf").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield f"{path.stem}.{node.name}", node, False
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{item.name}", item, True
+
+
+def _sets(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether the call passes the parameter, by position or by keyword; a
+    ``*args`` or ``**kwargs`` argument may pass any."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    by_position = position is not None and len(call.args) > position
+    return by_position or any(k.arg == name for k in call.keywords)
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller_outside_the_tests():
+    """README: a function takes a parameter only where some caller sets it.
+    Calls are matched by the called name alone, so a call of another
+    function of that name counts too."""
+    calls: dict[str, list[ast.Call]] = {}
+    for node in _non_test_nodes():
+        if isinstance(node, ast.Call):
+            called = node.func
+            name = getattr(called, "id", None) or getattr(called, "attr", None)
+            calls.setdefault(name, []).append(node)
+    unset = []
+    for qualified, fn, method in _public_functions():
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        defaulted = [(a.arg, i - method) for i, a in enumerate(positional) if i >= first]
+        defaulted += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+        for name, position in defaulted:
+            if not any(_sets(call, position, name) for call in calls.get(fn.name, [])):
+                unset.append(f"{qualified}({name})")
+    assert unset == []
