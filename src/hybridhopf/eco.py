@@ -227,10 +227,13 @@ class _Draws:
 
 def _square(x):
     """``x ** 2`` with libm ``pow``, as Python squares a float; an array is
-    squared element by element."""
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(math.pow, x.tolist(), itertools.repeat(2.0)), float)
-    return x**2
+    squared element by element.  A square past the float range is `NonFinite`."""
+    try:
+        if isinstance(x, np.ndarray):
+            return np.fromiter(map(math.pow, x.tolist(), itertools.repeat(2.0)), float)
+        return x**2
+    except OverflowError:
+        raise NonFinite("closed forms overflow: a square exceeds the float range") from None
 
 
 def _fsum(terms: list):
@@ -508,7 +511,7 @@ def _classify_draws(draws: _Draws) -> tuple[dict[str, np.ndarray], list[str]]:
         decision = sign_decision(_reduced(cf))
         failed = (w2 * w2 == 0.0) | ~decision.accepted
     except NonFinite:
-        # a row's fsum overflows, as it does in floats
+        # a row's fsum or square overflows, as it does in floats
         failed = np.ones(len(draws.lam), dtype=bool)
     if failed.any():
         # a rejected draw has the same values as floats, and so the same verdict

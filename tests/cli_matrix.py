@@ -104,6 +104,8 @@ def runs() -> list[tuple[str, list[str], object]]:
     # typed errors, as tests/test_cli.py runs them
     for i, doc in enumerate(_cases(test_cli.test_bad_configs_are_usage_errors)):
         matrix.append((f"err_bad_config_{i:02d}", ["classify", "--config", "{config}"], doc))
+    for i, (doc, _) in enumerate(_cases(test_cli.test_predator_prey_bounds_are_usage_errors)):
+        matrix.append((f"err_pp_bounds_{i}", ["classify", "--config", "{config}"], doc))
     for i, (argv, doc) in enumerate(_cases(test_cli.test_malformed_numbers_are_usage_errors)):
         config = ["--config", "{config}"] if doc is not None else []
         matrix.append((f"err_malformed_{i:02d}", [*argv, *config], doc))

@@ -348,14 +348,21 @@ def test_eco_sweep_single_row_and_determinism(workspace):
     ).read_bytes()
 
 
-#: eco-sweep runs whose one draw makes Python floats raise where numpy gives
-#: inf or nan (a margin sum past the float range, a zero denominator), with
-#: the one line each prints
+#: eco-sweep runs where a draw makes Python floats raise where numpy gives
+#: inf or nan (a margin sum or a square past the float range, a zero
+#: denominator), with the one line each prints
 SWEEP_FLOAT_FAILURES = {
     ("--samples", "1", "--seed", "2884", "--delta-bounds", "1e306,1.7e308"):
         "numerical failure: closed forms overflow: intermediate overflow in fsum\n",
     ("--samples", "1", "--delta-bounds", "1e-162,1e-161"):
         "numerical failure: closed forms underflow: a denominator is 0 (omega^2 = 1.74e-162)\n",
+    # gamma5 is finite and its square is not
+    ("--samples", "1", "--seed", "960", "--delta-bounds", "5.5e154,7.5e154"):
+        "numerical failure: closed forms overflow: a square exceeds the float range\n",
+    # draw 0's sigma is nan, and it decides the error over draw 41's square
+    ("--samples", "50", "--seed", "7", "--delta-bounds", "5.5e154,7.5e154"):
+        "numerical failure: cannot classify non-finite coefficients: beta2 = -0.09280783384125468, "
+        "beta5 = inf, gamma5 = -inf, sigma = nan\n",
 }
 
 
@@ -470,18 +477,6 @@ def test_missing_config_flag_is_usage_error():
     assert excinfo.value.code == 64
 
 
-#: a predator_prey parameter out of its bounds, with the line the command prints
-PREDATOR_PREY_BOUNDS = {
-    ("delta1", 0): "error: predator_prey needs positive growth-rate ratios delta1, delta2",
-    ("alpha2", -0.1): "error: predator_prey needs positive half-saturation constants",
-    ("lam", 1.0): "error: predator_prey needs break-even concentration 0 < lam < 1",
-}
-
-
-def _interior_with(name, value):
-    return {**INTERIOR, "params": {**INTERIOR["params"], name: value}}
-
-
 @pytest.mark.parametrize(
     "doc",
     [
@@ -508,7 +503,6 @@ def _interior_with(name, value):
         {**INTERIOR, "seed_state": 0},
         {**ES_NORMAL_FORM, "params": {"a": 1.0}},
         {**SYNTHETIC, "params": {**SYNTHETIC["params"], "e": 1.0}},
-        *(_interior_with(name, value) for name, value in PREDATOR_PREY_BOUNDS),
     ],
 )
 def test_bad_configs_are_usage_errors(workspace, doc, capsys):
@@ -516,9 +510,25 @@ def test_bad_configs_are_usage_errors(workspace, doc, capsys):
     assert main(["classify", "--config", cfg, "--out", workspace.outdir("u")]) == 64
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    for (name, value), line in PREDATOR_PREY_BOUNDS.items():
-        if doc == _interior_with(name, value):
-            assert err == line + "\n"
+
+
+def _interior_with(name, value):
+    return {**INTERIOR, "params": {**INTERIOR["params"], name: value}}
+
+
+@pytest.mark.parametrize(
+    "doc, line",
+    [
+        (_interior_with("delta1", 0), "error: predator_prey needs positive growth-rate ratios delta1, delta2\n"),
+        (_interior_with("alpha2", -0.1), "error: predator_prey needs positive half-saturation constants\n"),
+        (_interior_with("lam", 1.0), "error: predator_prey needs break-even concentration 0 < lam < 1\n"),
+    ],
+    ids=["delta1", "alpha2", "lam"],
+)
+def test_predator_prey_bounds_are_usage_errors(workspace, doc, line, capsys):
+    cfg = workspace.config(doc)
+    assert main(["classify", "--config", cfg, "--out", workspace.outdir("u")]) == 64
+    assert capsys.readouterr().err == line
 
 
 def test_unreadable_and_malformed_configs(workspace):

@@ -392,6 +392,8 @@ def test_array_closed_forms_equal_the_float_evaluation_on_sampled_draws():
         (200, 0, (1e307, 1.7e308), 0),  # a later draw's margin overflows fsum
         (1, 2884, (1e306, 1.7e308), 0),  # the margin overflows fsum
         (1, 0, (1e-162, 1e-161), 0),  # a denominator underflows to zero
+        (1, 960, (5.5e154, 7.5e154), 0),  # gamma5 squares past the float range
+        (50, 7, (5.5e154, 7.5e154), 0),  # sigma is nan; draw 41's gamma5 square overflows
     ],
 )
 def test_first_failing_draw_decides_the_sweep_error(n, seed, bounds, first):
