@@ -129,7 +129,9 @@ def model(p: EcoParams) -> ModelDefinition:
         ]
 
     def rhs(X: np.ndarray, mu: float) -> np.ndarray:
-        return np.array(_on_floats(field, X, mu))
+        if X.ndim == 1:
+            return np.array(_on_floats(field, X, mu))
+        return np.array(field(*X, mu))  # columns: the same IEEE operations on arrays
 
     def exact_jet(point: np.ndarray, mu: float) -> JetTable:
         x1, x2, s = (float(v) for v in point)

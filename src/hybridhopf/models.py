@@ -124,7 +124,13 @@ class JetTable:
 class ModelDefinition:
     """A named vector field with optional exact derivatives.
 
-    ``rhs(X, mu)`` returns dX/dt.  ``exact_jet`` (when present) returns a
+    ``rhs(X, mu)`` returns dX/dt for a float mu: a (3,) array for a state
+    X of shape (3,), and a (3, N) array for N states held as the columns of
+    a (3, N) X.  Finite differences probe the field through the second form,
+    one call per mu, and equal probing it one state at a time bit for bit
+    when each column is computed with the operations a single state gets
+    (numpy's matrix product ``@`` is not: it rounds a (3, N) operand
+    differently from a (3,) one).  ``exact_jet`` (when present) returns a
     `JetTable` whose entries are closed-form, not finite differences.
     ``jacobian`` (when present) returns dF/dX as a (3, 3) float ndarray, which
     callers use as is.  A model sets no domain: shooting trusts an iterate by
@@ -138,6 +144,12 @@ class ModelDefinition:
     metadata: Mapping[str, object] = dataclasses.field(default_factory=dict)
 
 
+def _non_finite(model: ModelDefinition, X: np.ndarray, mu: float) -> NonFinite:
+    return NonFinite(
+        f"model '{model.name}' produced non-finite output at state={X.tolist()}, mu={mu}"
+    )
+
+
 def evaluate(model: ModelDefinition, state: Sequence[float], mu: float) -> np.ndarray:
     """Evaluate dX/dt, rejecting non-finite output."""
     X = np.asarray(state, dtype=float)
@@ -145,9 +157,7 @@ def evaluate(model: ModelDefinition, state: Sequence[float], mu: float) -> np.nd
         raise InvalidParams(f"state must have length {STATE_DIM}, got shape {X.shape}")
     out = np.asarray(model.rhs(X, float(mu)), dtype=float)
     if not np.all(np.isfinite(out)):
-        raise NonFinite(
-            f"model '{model.name}' produced non-finite output at state={X.tolist()}, mu={mu}"
-        )
+        raise _non_finite(model, X, mu)
     return out
 
 
@@ -163,7 +173,8 @@ def central_difference(
     f: Callable[[np.ndarray], np.ndarray], X: np.ndarray
 ) -> np.ndarray:
     """Matrix whose column i is (f(X + h e_i) - f(X - h e_i)) / 2h, with
-    h = 1e-7 * max(1, |x_i|)."""
+    h = 1e-7 * max(1, |x_i|), one call of f per probe; point location
+    differentiates its residual with it."""
     columns = []
     for i in range(STATE_DIM):
         h = 1e-7 * max(1.0, abs(X[i]))
@@ -173,16 +184,37 @@ def central_difference(
     return np.column_stack(columns)
 
 
+#: signs of the probe columns X + h_i e_i, then X - h_i e_i, of
+#: `central_difference`; its -0.0 entries add as ``X - 0.0`` does, keeping
+#: the sign of a zero coordinate
+_CENTRAL_SIGNS = np.hstack((np.eye(STATE_DIM), -np.eye(STATE_DIM)))
+
+
 def jacobian_fn(model: ModelDefinition) -> Callable[[np.ndarray, float], np.ndarray]:
-    """(X, mu) -> dF/dX: the model's Jacobian, else `central_difference` of the RHS."""
+    """(X, mu) -> dF/dX: the model's Jacobian, else the central differences
+    of `central_difference` with its six probes in one call of the RHS."""
     if model.jacobian is not None:
         return model.jacobian
-    return lambda X, mu: central_difference(lambda P: model.rhs(P, mu), X)
+
+    def jacobian(X: np.ndarray, mu: float) -> np.ndarray:
+        h = 1e-7 * np.fmax(1.0, np.abs(X))
+        shift = _CENTRAL_SIGNS.copy()
+        # only the probed entries: 0.0 * inf is nan where X + 0.0 keeps inf
+        np.multiply(shift, h[:, None], out=shift, where=shift != 0.0)
+        F = _probe(model, X[:, None] + shift, mu)
+        return (F[:, :STATE_DIM] - F[:, STATE_DIM:]) / (2.0 * h)
+
+    return jacobian
 
 
 # ---------------------------------------------------------------------------
 # polynomial fields (exact jets by term-wise differentiation)
 # ---------------------------------------------------------------------------
+
+
+#: coordinates at most this large in magnitude add up to a finite sum of
+#: four (2**1023 < the largest float), which `_evaluate` requires
+_SUMMABLE = 2.0**1021
 
 
 class PolynomialField:
@@ -279,8 +311,44 @@ class PolynomialField:
         products = np.where((partial == 0.0).any(axis=0), 0.0, partial[-1])
         return np.bincount(slots, products, STATE_DIM * len(orders))
 
+    def _evaluate_columns(self, layout, X: np.ndarray, mu: float) -> np.ndarray:
+        """`_evaluate` of every column of a (3, N) X, with its bits: a power
+        table with one entry per column (libm ``pow`` through `math.pow`),
+        one product reduction and one `np.bincount` whose slots are offset
+        per column.  Where a coordinate could make a column's coordinate sum
+        non-finite, or a power overflows, each column goes through
+        `_evaluate` on its own."""
+        orders, chain, slots, powers, constants = layout
+        if not (np.abs(X) <= _SUMMABLE).all() or not abs(mu) <= _SUMMABLE:
+            return self._column_by_column(layout, X, mu)
+        n = X.shape[1]
+        coords = X.tolist()
+        # pow(x, 0) is 1 for every x, and mu is one value for all columns
+        rows = (
+            map(math.pow, coords[axis], itertools.repeat(k))
+            if axis < STATE_DIM and k
+            else itertools.repeat(1.0 if k == 0 else math.pow(mu, k), n)
+            for axis, k in powers
+        )
+        try:
+            table = np.fromiter(itertools.chain.from_iterable(rows), float, len(powers) * n)
+        except OverflowError:
+            return self._column_by_column(layout, X, mu)
+        values = np.empty((len(constants), n))
+        values[: len(powers)] = table.reshape(len(powers), n)
+        values[len(powers) :] = constants[len(powers) :, None]
+        products = values[chain].prod(axis=0)
+        width = STATE_DIM * len(orders)
+        bins = slots[:, None] * n + np.arange(n)
+        return np.bincount(bins.ravel(), products.ravel(), width * n).reshape(width, n)
+
+    def _column_by_column(self, layout, X: np.ndarray, mu: float) -> np.ndarray:
+        return np.column_stack([self._evaluate(layout, x, mu) for x in X.T])
+
     def rhs(self, X: np.ndarray, mu: float) -> np.ndarray:
-        return self._evaluate(self._rhs, X, mu)
+        if X.ndim == 1:
+            return self._evaluate(self._rhs, X, mu)
+        return self._evaluate_columns(self._rhs, X, mu)
 
     def jacobian(self, X: np.ndarray, mu: float) -> np.ndarray:
         return self._evaluate(self._jacobian, X, mu).reshape(STATE_DIM, STATE_DIM)
@@ -336,28 +404,101 @@ FD_STEP_MU = 1e-4
 FD_TOLERANCE = 1e-6
 #: mixed-partial routes may disagree by this many tolerances
 FD_SYMMETRY_FACTOR = 100.0
+#: mixed second partials checked along the diagonal of each axis pair
+_FD_PAIRS = ((0, 1), (0, 2), (1, 2))
+#: probe slots of one quotient: the largest stencil, order (1, 1, 1), has 8
+_FD_SLOTS = 8
 
 
-def _fd_tensor(
-    f: Callable[[np.ndarray], np.ndarray],
-    point: np.ndarray,
-    orders: Sequence[int],
-    steps: np.ndarray,
+@dataclasses.dataclass(frozen=True)
+class _StencilPlan:
+    """Where `finite_difference_jet` probes the field and how it weighs the
+    probes; it depends on nothing but the stencils.
+
+    Probe column 0 is X; column c > 0 is ``X + offsets[:, c] *
+    steps[step_row[c]]``, where the rows of ``steps`` are h/2 and h for
+    ``h = FD_STEP * max(1, |X|)``, then for `FD_STEP_THIRD`.  Quotient q,
+    two per multi-index of `state_multi_indices` (step h/2, then h), sums
+    ``weights[q, s] * F[:, gather[q, s]]`` over its slots s and divides by
+    the product over axes k of ``steps[row[q], k] ** orders[q, k]``; a
+    stencil with fewer than `_FD_SLOTS` probes reads column 0 with weight
+    0.0 in the rest, which adds nothing to a sum of finite terms.  The first
+    13 columns (X and the first-order stencils) and 6 quotients serve the
+    parameter block.  After the stencils come the mixed-route probes
+    ``X + s * directions``, six per axis pair, for s = (h/2, 0, -h/2, h, 0,
+    -h).  The columns keep the order in which the probes were once
+    evaluated one at a time, so the first non-finite one is the one that
+    was reported then.
+    """
+
+    offsets: np.ndarray
+    step_row: np.ndarray
+    gather: np.ndarray
+    weights: np.ndarray
+    orders: np.ndarray
+    row: np.ndarray
+    directions: np.ndarray
+
+
+@functools.cache
+def _stencil_plan() -> _StencilPlan:
+    """The plan, built on first use rather than at import."""
+    offsets, step_row = [(0, 0, 0)], [0]
+    gather, weights, orders, row = [], [], [], []
+    for idx in state_multi_indices():
+        for full in (0, 1):
+            r = 2 * (sum(idx) >= 3) + full
+            slots, ws = [], []
+            for stencil in itertools.product(*(_STENCILS[o].items() for o in idx)):
+                offs, w = zip(*stencil)
+                slots.append(len(offsets))
+                offsets.append(offs)
+                step_row.append(r)
+                ws.append(math.prod(w))
+            pad = _FD_SLOTS - len(slots)
+            gather.append(slots + [0] * pad)
+            weights.append(ws + [0.0] * pad)
+            orders.append(idx)
+            row.append(r)
+    directions = [
+        np.array([1 if k in pair else 0 for k in range(STATE_DIM)], dtype=float) / math.sqrt(2.0)
+        for pair in _FD_PAIRS
+        for _ in range(6)
+    ]
+    return _StencilPlan(
+        offsets=np.array(offsets, dtype=float).T,
+        step_row=np.array(step_row),
+        gather=np.array(gather),
+        weights=np.array(weights),
+        orders=np.array(orders),
+        row=np.array(row),
+        directions=np.column_stack(directions),
+    )
+
+
+def _probe(model: ModelDefinition, P: np.ndarray, mu: float) -> np.ndarray:
+    """The RHS at every column of the (3, N) array P, from one call."""
+    out = np.asarray(model.rhs(P, mu), dtype=float)
+    if out.shape != P.shape:
+        raise InvalidParams(
+            f"model '{model.name}' rhs must map a (3, N) array of states to (3, N), "
+            f"got shape {out.shape} for {P.shape}"
+        )
+    return out
+
+
+def _stencil_sums(
+    F: np.ndarray, plan: _StencilPlan, scale: np.ndarray, count: int
 ) -> np.ndarray:
-    """Tensor-product central difference of given per-axis orders."""
-    total = np.zeros(STATE_DIM)
-    for stencil in itertools.product(*(_STENCILS[o].items() for o in orders)):
-        offsets, weights = zip(*stencil)
-        total += math.prod(weights) * f(point + np.array(offsets) * steps)
-    scale = 1.0
-    for o, h in zip(orders, steps):
-        scale *= h**o
-    return total / scale
-
-
-def _richardson(quotient: Callable, h):
-    """One Richardson step on an O(h^2) difference ``quotient`` of step h."""
-    return (4.0 * quotient(h / 2.0) - quotient(h)) / 3.0
+    """The first ``count`` quotients of the plan, Richardson-extrapolated in
+    pairs: (3, count // 2).  Each quotient adds its slots one by one, from
+    0.0, as the per-probe loop did."""
+    terms = F[:, plan.gather[:count]] * plan.weights[:count]
+    total = np.zeros(terms.shape[:2])
+    for s in range(_FD_SLOTS):
+        total += terms[:, :, s]
+    quotient = total / scale[:count]
+    return (4.0 * quotient[:, 0::2] - quotient[:, 1::2]) / 3.0
 
 
 def finite_difference_jet(
@@ -369,58 +510,83 @@ def finite_difference_jet(
     sizes and Richardson-extrapolated.  Mixed second partials are additionally
     recomputed through a diagonal directional route; if the two routes
     disagree by more than ``FD_SYMMETRY_FACTOR * FD_TOLERANCE`` the field is
-    not C^2 at the requested accuracy and `SymmetryDefect` is raised.  Every
-    probe goes through `evaluate`, so one that is not finite raises `NonFinite`.
+    not C^2 at the requested accuracy and `SymmetryDefect` is raised.  The
+    field is called five times, each on every probe of one mu: the state
+    block with the mixed routes, then the four shifted mu of the parameter
+    block.  A non-finite probe raises `NonFinite` for the first such probe in
+    the order of `_StencilPlan`, with the parameter block read only after the
+    symmetry check.
     """
     X = np.asarray(point, dtype=float)
+    if X.shape != (STATE_DIM,):
+        raise InvalidParams(f"state must have length {STATE_DIM}, got shape {X.shape}")
     mu = float(mu)
+    plan = _stencil_plan()
 
-    def at(m: float) -> Callable[[np.ndarray], np.ndarray]:
-        return lambda P: evaluate(model, P, m)
+    reach = np.fmax(1.0, np.abs(X))  # max(1, |x_i|), ignoring a NaN as max() did
+    steps = np.array(
+        [h for base in (FD_STEP, FD_STEP_THIRD) for h in (base * reach / 2.0, base * reach)]
+    )
+    P = X[:, None] + plan.offsets * steps[plan.step_row].T
+    P[:, 0] = X
+    powers = np.array([[[h**o for o in range(JET_ORDER + 1)] for h in hs] for hs in steps])
+    axes = np.arange(STATE_DIM)
+    factors = powers[plan.row[:, None], axes, plan.orders]
+    scale = factors[:, 0] * factors[:, 1] * factors[:, 2]
 
-    def partial(m: float, idx: StateIndex, base: float) -> np.ndarray:
-        h = np.array([base * max(1.0, abs(X[i])) for i in range(STATE_DIM)])
-        return _richardson(lambda steps: _fd_tensor(at(m), X, idx, steps), h)
+    # mixed-route probes X + s u, s = (h/2, 0, -h/2, h, 0, -h) per pair
+    route_steps = [FD_STEP * max(1.0, abs(X[i]), abs(X[j])) for i, j in _FD_PAIRS]
+    s = np.array([[h / 2.0, 0.0, -h / 2.0, h, 0.0, -h] for h in route_steps])
+    P = np.concatenate((P, X[:, None] + s.ravel() * plan.directions), axis=1)
 
-    entries: dict[StateIndex, np.ndarray] = {(0, 0, 0): at(mu)(X)}
-    for idx in state_multi_indices():
-        entries[idx] = partial(mu, idx, FD_STEP_THIRD if sum(idx) >= 3 else FD_STEP)
+    F = _probe(model, P, mu)
+    finite = np.isfinite(F).all(axis=0)
+    if not finite.all():
+        c = int(np.argmin(finite))
+        raise _non_finite(model, P[:, c], mu)
+    state = _stencil_sums(F, plan, scale, len(plan.row))
+    entry = {idx: state[:, n] for n, idx in enumerate(state_multi_indices())}
 
-    # cross-route check on mixed second partials
+    V = F[:, plan.offsets.shape[1] :].reshape(STATE_DIM, len(_FD_PAIRS), 2, 3)
+    denominators = np.array([[(h / 2.0) ** 2, h**2] for h in route_steps])
+    second = (V[..., 0] - 2.0 * V[..., 1] + V[..., 2]) / denominators
+    second_u = (4.0 * second[..., 0] - second[..., 1]) / 3.0
     defect = 0.0
-    for i, j in ((0, 1), (0, 2), (1, 2)):
+    for n, (i, j) in enumerate(_FD_PAIRS):
         idx = tuple(1 if k in (i, j) else 0 for k in range(STATE_DIM))
-        u = np.array(idx, dtype=float) / math.sqrt(2.0)
-
-        def second(step: float) -> np.ndarray:
-            values = [at(mu)(X + s * u) for s in (step, 0.0, -step)]
-            return (values[0] - 2.0 * values[1] + values[2]) / step**2
-
-        second_u = _richardson(second, FD_STEP * max(1.0, abs(X[i]), abs(X[j])))
         e_i = tuple(2 if k == i else 0 for k in range(STATE_DIM))
         e_j = tuple(2 if k == j else 0 for k in range(STATE_DIM))
-        diag_route = second_u - 0.5 * (entries[e_i] + entries[e_j])
-        defect = max(defect, float(np.max(np.abs(entries[idx] - diag_route))))
+        diag_route = second_u[:, n] - 0.5 * (entry[e_i] + entry[e_j])
+        defect = max(defect, float(np.max(np.abs(entry[idx] - diag_route))))
     threshold = FD_SYMMETRY_FACTOR * FD_TOLERANCE
     if defect > threshold:
         raise SymmetryDefect(
             f"mixed partial routes disagree by {defect:.3e} (threshold {threshold:.1e})"
         )
 
-    # parameter block: d_mu F and d_mu d_{x_i} F
-    def mu_derivative(state_idx: StateIndex) -> np.ndarray:
-        def entry_at(m: float) -> np.ndarray:
-            if state_idx == (0, 0, 0):
-                return at(m)(X)
-            return partial(m, state_idx, FD_STEP)
-
-        def first(step: float) -> np.ndarray:
-            return (entry_at(mu + step) - entry_at(mu - step)) / (2.0 * step)
-
-        return _richardson(first, FD_STEP_MU * max(1.0, abs(mu)))
-
-    mu_entries = [mu_derivative(idx) for idx in _MU_INDICES]
-    return JetTable.from_entries(X, mu, [*entries.values(), *mu_entries], FD_TOLERANCE, defect)
+    # parameter block: d_mu F and d_mu d_{x_i} F from X and the first-order
+    # stencils at mu +- h/2 and mu +- h
+    h = FD_STEP_MU * max(1.0, abs(mu))
+    shifted = (mu + h / 2.0, mu - h / 2.0, mu + h, mu - h)
+    block = 1 + 4 * STATE_DIM  # X and the first-order stencils
+    F_mu = [_probe(model, P[:, :block], m) for m in shifted]
+    finite = [np.isfinite(Fm).all(axis=0) for Fm in F_mu]
+    if not all(f.all() for f in finite):
+        # the loop took X at each mu, then each first-order stencil at each mu
+        for columns in ([0], *(range(1 + 4 * k, 5 + 4 * k) for k in range(STATE_DIM))):
+            for m, f in zip(shifted, finite):
+                for c in columns:
+                    if not f[c]:
+                        raise _non_finite(model, P[:, c], m)
+    E = [
+        np.column_stack((Fm[:, 0], _stencil_sums(Fm, plan, scale, 2 * STATE_DIM)))
+        for Fm in F_mu
+    ]
+    first_half = (E[0] - E[1]) / (2.0 * (h / 2.0))
+    first_full = (E[2] - E[3]) / (2.0 * h)
+    mu_entries = (4.0 * first_half - first_full) / 3.0
+    entries = np.vstack((F[:, :1].T, state.T, mu_entries.T))
+    return JetTable.from_entries(X, mu, entries, FD_TOLERANCE, defect)
 
 
 # ---------------------------------------------------------------------------

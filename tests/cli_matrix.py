@@ -14,7 +14,9 @@ The matrix: the five subcommands on the README predator-prey config, with
 exact and finite-difference jets; ``continue`` on ROADMAP item 3's coarse
 grid; ``verify``, ``continue`` and ``truncated --compare`` (after
 ``classify``) on planted ``synthetic_nf``, ``toy_cylindrical`` (one set
-with beta1 != 0) and ``classical_hopf`` configs;
+with beta1 != 0) and ``classical_hopf`` configs; ``classify`` and ``verify``
+on a planted ``toy_cylindrical`` with finite-difference jets, and a
+finite-difference jet whose probes overflow;
 ``continue --seed-strategy simulate``; the typed-error rows of
 ``tests/test_cli.py``, read from its parametrize marks and test bodies; and
 ``scripts/run_boundary_connection.py`` on three points, with its TSV.
@@ -51,6 +53,20 @@ TOY_BETA1 = {
 EIGEN_FAILURE = {
     "builtin": "toy_cylindrical",
     "params": {"omega": 1e308, "beta2": -0.7, "beta3": 0.2, "beta5": 0.9, "gamma5": -1.1},
+}
+#: z^3 at the Hopf point (0, 0, FAR_Z) is 0.1 % below the float range: point
+#: location and the Jacobian probe within 1e-7 |z| of it, but the jet's
+#: third-order stencils in z overflow z^3, so the finite-difference jet fails
+FAR_Z = 5.641923079628052e102
+FD_OVERFLOW = {
+    "polynomial": {
+        "y1": [[-1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [-FAR_Z, 1, 0, 0, 0]],
+        "y2": [[1, 1, 0, 0, 0], [1, 0, 1, 1, 0], [-FAR_Z, 0, 1, 0, 0]],
+        "z": [[-1, 2, 0, 0, 0], [-1, 0, 2, 0, 0], [1, 0, 0, 0, 1], [1e-310, 2, 0, 3, 0]],
+    },
+    "name": "far_hopf",
+    "seed_state": [0.0, 0.0, FAR_Z],
+    "jets": "finite_difference",
 }
 
 
@@ -100,6 +116,10 @@ def runs() -> list[tuple[str, list[str], object]]:
             (f"{tag}_continue", ["continue", "--config", "{config}", f"--mu-grid={grid}"], doc),
             (f"{tag}_truncated", [*TRUNCATED, "--config", "{config}"], doc),
         ]
+    matrix += [
+        ("toy_es_fd_classify", ["classify", "--config", "{config}"], _fd(PLANTED_ES)),
+        ("toy_es_fd_verify", ["verify", "--config", "{config}", "--mu=0.005"], _fd(PLANTED_ES)),
+    ]
 
     # typed errors, as tests/test_cli.py runs them
     for i, doc in enumerate(_cases(test_cli.test_bad_configs_are_usage_errors)):
@@ -123,6 +143,7 @@ def runs() -> list[tuple[str, list[str], object]]:
         ("err_no_grid", ["continue", "--config", "{config}"], INTERIOR),
         ("err_bad_mu_grid", ["continue", "--config", "{config}", "--mu-grid", "0.01,abc"], INTERIOR),
         ("err_eigen", ["classify", "--config", "{config}"], EIGEN_FAILURE),
+        ("err_fd_overflow", ["classify", "--config", "{config}"], FD_OVERFLOW),
         ("err_sweep_overflow", ["eco-sweep", "--delta-bounds", "1,1e308"], None),
         ("err_sweep_underflow", ["eco-sweep", "--delta-bounds", "1e-170,1e-160"], None),
         *(

@@ -3,21 +3,38 @@
 Each one checks a claim of the package against an independent route: the
 closed-form coefficients in their analytic chart, the mu = 0 equilibrium
 line of the predator-prey model, the averaged transverse drift of the full
-flow, and the region sampler drawn one parameter set at a time.
+flow, the region sampler drawn one parameter set at a time, and the
+finite-difference jet probed one state at a time.
 """
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from hybridhopf import eco
 from hybridhopf.coefficients import CylindricalCoefficients
 from hybridhopf.eco import EcoParams
+from hybridhopf.errors import SymmetryDefect
 from hybridhopf.frame import StandardFrame
-from hybridhopf.models import ModelDefinition
+from hybridhopf.models import (
+    _MU_INDICES,
+    _STENCILS,
+    FD_STEP,
+    FD_STEP_MU,
+    FD_STEP_THIRD,
+    FD_SYMMETRY_FACTOR,
+    FD_TOLERANCE,
+    STATE_DIM,
+    JetTable,
+    ModelDefinition,
+    StateIndex,
+    evaluate,
+    state_multi_indices,
+)
 from hybridhopf.verify import PROBE_RTOL, integrate
 
 
@@ -118,3 +135,80 @@ def averaged_drift_check(
     return DriftReport(
         measured=measured, predicted=predicted, sign_match=match, relative_error=rel
     )
+
+
+def _fd_tensor(
+    f: Callable[[np.ndarray], np.ndarray],
+    point: np.ndarray,
+    orders: Sequence[int],
+    steps: np.ndarray,
+) -> np.ndarray:
+    """Tensor-product central difference of given per-axis orders."""
+    total = np.zeros(STATE_DIM)
+    for stencil in itertools.product(*(_STENCILS[o].items() for o in orders)):
+        offsets, weights = zip(*stencil)
+        total += math.prod(weights) * f(point + np.array(offsets) * steps)
+    scale = 1.0
+    for o, h in zip(orders, steps):
+        scale *= h**o
+    return total / scale
+
+
+def _richardson(quotient: Callable, h):
+    """One Richardson step on an O(h^2) difference ``quotient`` of step h."""
+    return (4.0 * quotient(h / 2.0) - quotient(h)) / 3.0
+
+
+def finite_difference_jet_loop(
+    model: ModelDefinition, point: Sequence[float], mu: float
+) -> JetTable:
+    """`models.finite_difference_jet` with every probe a separate `evaluate`
+    call, in the order the batched stencils keep: the state block, the
+    mixed-partial routes, then the parameter block."""
+    X = np.asarray(point, dtype=float)
+    mu = float(mu)
+
+    def at(m: float) -> Callable[[np.ndarray], np.ndarray]:
+        return lambda P: evaluate(model, P, m)
+
+    def partial(m: float, idx: StateIndex, base: float) -> np.ndarray:
+        h = np.array([base * max(1.0, abs(X[i])) for i in range(STATE_DIM)])
+        return _richardson(lambda steps: _fd_tensor(at(m), X, idx, steps), h)
+
+    entries: dict[StateIndex, np.ndarray] = {(0, 0, 0): at(mu)(X)}
+    for idx in state_multi_indices():
+        entries[idx] = partial(mu, idx, FD_STEP_THIRD if sum(idx) >= 3 else FD_STEP)
+
+    defect = 0.0
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        idx = tuple(1 if k in (i, j) else 0 for k in range(STATE_DIM))
+        u = np.array(idx, dtype=float) / math.sqrt(2.0)
+
+        def second(step: float) -> np.ndarray:
+            values = [at(mu)(X + s * u) for s in (step, 0.0, -step)]
+            return (values[0] - 2.0 * values[1] + values[2]) / step**2
+
+        second_u = _richardson(second, FD_STEP * max(1.0, abs(X[i]), abs(X[j])))
+        e_i = tuple(2 if k == i else 0 for k in range(STATE_DIM))
+        e_j = tuple(2 if k == j else 0 for k in range(STATE_DIM))
+        diag_route = second_u - 0.5 * (entries[e_i] + entries[e_j])
+        defect = max(defect, float(np.max(np.abs(entries[idx] - diag_route))))
+    threshold = FD_SYMMETRY_FACTOR * FD_TOLERANCE
+    if defect > threshold:
+        raise SymmetryDefect(
+            f"mixed partial routes disagree by {defect:.3e} (threshold {threshold:.1e})"
+        )
+
+    def mu_derivative(state_idx: StateIndex) -> np.ndarray:
+        def entry_at(m: float) -> np.ndarray:
+            if state_idx == (0, 0, 0):
+                return at(m)(X)
+            return partial(m, state_idx, FD_STEP)
+
+        def first(step: float) -> np.ndarray:
+            return (entry_at(mu + step) - entry_at(mu - step)) / (2.0 * step)
+
+        return _richardson(first, FD_STEP_MU * max(1.0, abs(mu)))
+
+    mu_entries = [mu_derivative(idx) for idx in _MU_INDICES]
+    return JetTable.from_entries(X, mu, [*entries.values(), *mu_entries], FD_TOLERANCE, defect)

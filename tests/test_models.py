@@ -1,6 +1,7 @@
 """Model catalog, jet tables, and finite-difference differentiation."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -9,14 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridhopf import builtin, evaluate, finite_difference_jet, from_config, jet, models, polynomial_model
+from hybridhopf import (
+    builtin, eco, evaluate, finite_difference_jet, from_config, jet, models, polynomial_model,
+)
 from hybridhopf.errors import (
+    HybridHopfError,
     InvalidParams,
     NonFinite,
     SymmetryDefect,
     UnknownModel,
 )
-from hybridhopf.models import STATE_DIM, PolynomialField, state_multi_indices
+from hybridhopf.models import STATE_DIM, ModelDefinition, PolynomialField, state_multi_indices
+from oracles import finite_difference_jet_loop
 
 
 # ---------------------------------------------------------------------------
@@ -216,16 +221,17 @@ def test_finite_difference_symmetry_defect_small_for_smooth_field(interior_model
     assert table.symmetry_defect < 1e-6
 
 
+def _kinked(X, mu):
+    y1, y2, z = X
+    return np.array([-y2, y1, abs(y1) * abs(y2)])
+
+
+KINKED = ModelDefinition(name="kinked", rhs=_kinked)
+
+
 def test_finite_difference_flags_broken_mixed_partials():
-    from hybridhopf.models import ModelDefinition
-
-    def rhs(X, mu):
-        y1, y2, z = X
-        return np.array([-y2, y1, abs(y1) * abs(y2)])
-
-    model = ModelDefinition(name="kinked", rhs=rhs)
     with pytest.raises(SymmetryDefect):
-        finite_difference_jet(model, np.zeros(3), 0.0)
+        finite_difference_jet(KINKED, np.zeros(3), 0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -452,6 +458,218 @@ def test_polynomial_field_powers_round_like_libm_pow():
 def test_polynomial_model_rejects_unusable_rows(row):
     with pytest.raises(InvalidParams):
         polynomial_model({"y1": [row], "y2": [], "z": []})
+
+
+# ---------------------------------------------------------------------------
+# batched finite differences against the per-probe loop
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_jet(model, X, mu):
+    """`finite_difference_jet` gives the per-probe loop's jet bit for bit, or
+    raises the loop's error with the loop's message."""
+    try:
+        want = finite_difference_jet_loop(model, X, mu)
+    except HybridHopfError as exc:
+        with pytest.raises(type(exc)) as got:
+            finite_difference_jet(model, X, mu)
+        assert str(got.value) == str(exc)
+        return
+    got = finite_difference_jet(model, X, mu)
+    assert np.array_equal(got.point, want.point) and got.mu == want.mu
+    tensors = zip((*got.state_derivs, *got.mu_derivs), (*want.state_derivs, *want.mu_derivs))
+    for n, (a, b) in enumerate(tensors):
+        assert np.array_equal(a, b), n
+    assert (got.tolerance, got.symmetry_defect) == (want.tolerance, want.symmetry_defect)
+
+
+def _rotate(M, V):
+    """M @ V with the same operations on a (3,) and a (3, N) operand, where
+    numpy's matrix product rounds the two differently."""
+    outer = np.multiply.outer
+    return outer(M[:, 0], V[0]) + outer(M[:, 1], V[1]) + outer(M[:, 2], V[2])
+
+
+def _rotated_synthetic():
+    base = builtin("synthetic_nf", {"a": 1, "b": 1, "c": 1, "d": 1, "omega": 1.7})
+    Q, _ = np.linalg.qr(np.random.default_rng(12).normal(size=(3, 3)))
+    return ModelDefinition(
+        "rotated_synthetic", lambda X, mu: _rotate(Q, base.rhs(_rotate(Q.T, X), mu))
+    )
+
+
+_PREDATOR_PREY = {"delta1": 1.0, "delta2": 1.0, "lam": 0.3, "alpha1": 0.2, "alpha2": 0.6}
+_TOY = {"beta1": 0.5, "beta2": 1.0, "beta3": -0.5, "beta5": 0.3, "gamma3": 0.2, "gamma5": 0.7}
+
+
+@pytest.mark.parametrize(
+    "model, X, mu",
+    [
+        (builtin("predator_prey", _PREDATOR_PREY), [0.125, 0.405, 0.3], 0.0),
+        (builtin("predator_prey", _PREDATOR_PREY), [2.5, -0.0, 0.3], -0.02),
+        (builtin("synthetic_nf", {"a": 2, "b": 3, "c": 5, "d": 7, "omega": 1}), [0, -0.0, 0], 0.0),
+        (builtin("toy_cylindrical", _TOY), [0.01, -0.02, 0.015], 0.003),
+        (builtin("toy_cylindrical", _TOY), [-1.7, 3.2, 1e-3], -2.0),
+        (builtin("classical_hopf", {"sign": 1}), [0.1, 0.2, -0.3], 0.01),
+        (KINKED, [0.0, 0.0, 0.0], 0.0),
+        (KINKED, [0.3, 0.2, 0.1], 0.0),
+        (_rotated_synthetic(), [0.0, 0.0, 0.0], 0.0),
+        (_rotated_synthetic(), [0.4, -1.1, 0.2], 0.05),
+    ],
+    ids=[
+        "predator_prey", "predator_prey_far", "synthetic_nf", "toy_cylindrical",
+        "toy_cylindrical_far", "classical_hopf", "kinked", "kinked_smooth",
+        "rotated_synthetic", "rotated_synthetic_far",
+    ],
+)
+def test_finite_difference_jet_is_bit_identical_to_the_probe_loop(model, X, mu):
+    _assert_same_jet(model, np.array(X), mu)
+
+
+_draw = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
+    mu=st.floats(-0.05, 0.05),
+)
+def test_predator_prey_finite_difference_jet_matches_the_loop(seed, offset, mu):
+    p = eco.sample_region(1, seed)[0]
+    _assert_same_jet(eco.model(p), eco.hopf_point(p) + offset, mu)
+
+
+@settings(max_examples=25, deadline=None)
+@given(planted=_PLANTED, X=st.lists(_draw, min_size=3, max_size=3), mu=_draw)
+def test_planted_finite_difference_jet_matches_the_loop(planted, X, mu):
+    _assert_same_jet(builtin(*planted), np.array(X), mu)
+
+
+def _pole(where):
+    """A smooth cubic field that is infinite where ``where(X, mu)`` holds,
+    without a floating-point exception."""
+
+    def rhs(X, mu):
+        y1, y2, z = X
+        F = np.array([-y2 + y1 * z, y1 + y2 * z, y1 * y1 + y2 * y2 * z + mu * z])
+        return np.where(where(X, mu), math.inf, F)
+
+    return ModelDefinition("pole", rhs)
+
+
+#: state probes reach 2 h = 2e-3 on an axis, the mixed routes 7.1e-5 on two
+#: axes at once and the parameter block 1e-4 on one axis at mu +- 1e-4
+@pytest.mark.parametrize(
+    "where, state, mu",
+    [
+        # first hit by the order-3 stencil of x1, step h/2, offset +2
+        (lambda X, mu: X[0] > 9e-4, [0.001, 0.0, 0.0], 0.0),
+        # hit only at mu + h (by x3 < 0) and at mu - h (by x2 > 0): the loop
+        # took the x2 stencils at every mu before the x3 ones
+        (
+            lambda X, mu: ((mu < -7.5e-5) & (X[1] > 8e-5)) | ((mu > 7.5e-5) & (X[2] < -8e-5)),
+            [0.0, 0.0001, 0.0],
+            -0.0001,
+        ),
+        # coordinates between 6e-5 and 8e-5 occur only on the mixed routes
+        (
+            lambda X, mu: (6e-5 < X[0]) & (X[0] < 8e-5),
+            [7.071067811865476e-05, 7.071067811865476e-05, 0.0],
+            0.0,
+        ),
+    ],
+    ids=["state_block", "mu_block", "mixed_routes"],
+)
+def test_first_non_finite_probe_in_loop_order_decides_the_error(where, state, mu):
+    model = _pole(where)
+    _assert_same_jet(model, np.zeros(3), 0.0)
+    with pytest.raises(NonFinite) as excinfo:
+        finite_difference_jet(model, np.zeros(3), 0.0)
+    want = f"model 'pole' produced non-finite output at state={state}, mu={mu}"
+    assert str(excinfo.value) == want
+
+
+def test_symmetry_defect_comes_before_the_parameter_block():
+    def rhs(X, mu):
+        return np.where(mu != 0.0, math.inf, _kinked(X, mu))
+
+    model = ModelDefinition("kinked_off_zero", rhs)
+    _assert_same_jet(model, np.zeros(3), 0.0)
+    with pytest.raises(SymmetryDefect):
+        finite_difference_jet(model, np.zeros(3), 0.0)
+
+
+@pytest.mark.parametrize("name", ["finite_difference_jet", "jacobian_fn"])
+def test_rhs_that_does_not_map_columns_is_invalid(name):
+    model = ModelDefinition("flat", lambda X, mu: np.full(3, 0.0))
+    with pytest.raises(InvalidParams) as excinfo:
+        if name == "jacobian_fn":
+            models.jacobian_fn(model)(np.zeros(3), 0.0)
+        else:
+            finite_difference_jet(model, np.zeros(3), 0.0)
+    message = str(excinfo.value)
+    assert message.startswith("model 'flat' rhs must map") and "\n" not in message
+
+
+@settings(max_examples=60, deadline=None)
+@given(planted=_PLANTED, X=st.lists(_draw, min_size=3, max_size=3), mu=_draw)
+def test_finite_difference_jacobian_is_central_difference_bit_for_bit(planted, X, mu):
+    for model in (builtin(*planted), builtin("predator_prey", _PREDATOR_PREY)):
+        X = np.array(X)
+        want = models.central_difference(lambda P: model.rhs(P, mu), X)
+        got = models.jacobian_fn(dataclasses.replace(model, jacobian=None))(X, mu)
+        assert np.array_equal(got, want)
+
+
+def _columns_match(rhs, P, mu):
+    with np.errstate(all="ignore"):
+        got = rhs(P, mu)
+        want = np.column_stack([rhs(P[:, c], mu) for c in range(P.shape[1])])
+    assert got.shape == P.shape and np.array_equal(got, want, equal_nan=True)
+
+
+def _columns(coordinate, last=None):
+    """Up to 12 states; ``last`` draws their third coordinate."""
+    state = st.tuples(coordinate, coordinate, coordinate if last is None else last)
+    return st.lists(state, min_size=1, max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    # s = -alpha1 and s = -alpha2 are the poles of the response functions
+    columns=_columns(st.floats(-2.0, 5.0) | _coord, st.sampled_from([-0.2, -0.6]) | _coord),
+    mu=st.floats(-0.1, 0.1),
+)
+def test_predator_prey_rhs_maps_columns_as_single_states(columns, mu):
+    _columns_match(builtin("predator_prey", _PREDATOR_PREY).rhs, np.array(columns).T, mu)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    components=st.lists(st.lists(_term, max_size=8), min_size=3, max_size=3),
+    columns=_columns(st.floats(-2.5, 2.5) | _coord),
+    mu=_coord,
+)
+def test_polynomial_rhs_maps_columns_as_single_states(components, columns, mu):
+    model = polynomial_model(dict(zip(("y1", "y2", "z"), components)))
+    _columns_match(model.rhs, np.array(columns).T, mu)
+
+
+@pytest.mark.parametrize(
+    "overflow", [None, [1e200, 0.5, 0.5], [0.5, math.inf, 0.5], [1e308, 1e308, 1e308]]
+)
+def test_polynomial_rhs_columns_with_an_overflowing_power(overflow):
+    # with x^3, 1e200 overflows in pow; the other columns share the call
+    model = polynomial_model(
+        {
+            "y1": [[1.0, 3, 0, 0, 0], [-2.0, 0, 1, 1, 1]],
+            "y2": [[0.5, 1, 2, 0, 0]],
+            "z": [[1.5, 0, 0, 2, 1]],
+        }
+    )
+    columns = [[0.5245367165209572, -0.3, 0.7], [-0.0, 0.0, 2.0]] + ([overflow] if overflow else [])
+    _columns_match(model.rhs, np.array(columns).T, 0.25)
 
 
 # ---------------------------------------------------------------------------
