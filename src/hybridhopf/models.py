@@ -126,12 +126,13 @@ class ModelDefinition:
 
     ``rhs(X, mu)`` returns dX/dt for a float mu: a (3,) array for a state
     X of shape (3,), and a (3, N) array for N states held as the columns of
-    a (3, N) X.  Finite differences probe the field through the second form,
-    one call per mu, and equal probing it one state at a time bit for bit
-    when each column is computed with the operations a single state gets
-    (numpy's matrix product ``@`` is not: it rounds a (3, N) operand
-    differently from a (3,) one).  ``exact_jet`` (when present) returns a
-    `JetTable` whose entries are closed-form, not finite differences.
+    a (3, N) X.  The finite-difference jet probes the field through the
+    second form, one call per mu, and equals probing it one state at a time
+    bit for bit when each column is computed with the operations a single
+    state gets (numpy's matrix product ``@`` is not: it rounds a (3, N)
+    operand differently from a (3,) one).  ``exact_jet`` (when present)
+    returns a `JetTable` whose entries are closed-form, not finite
+    differences.
     ``jacobian`` (when present) returns dF/dX as a (3, 3) float ndarray, which
     callers use as is.  A model sets no domain: shooting trusts an iterate by
     its drift cap, its period window and the caller's guard.
@@ -173,8 +174,7 @@ def central_difference(
     f: Callable[[np.ndarray], np.ndarray], X: np.ndarray
 ) -> np.ndarray:
     """Matrix whose column i is (f(X + h e_i) - f(X - h e_i)) / 2h, with
-    h = 1e-7 * max(1, |x_i|), one call of f per probe; point location
-    differentiates its residual with it."""
+    h = 1e-7 * max(1, |x_i|)."""
     columns = []
     for i in range(STATE_DIM):
         h = 1e-7 * max(1.0, abs(X[i]))
@@ -184,27 +184,11 @@ def central_difference(
     return np.column_stack(columns)
 
 
-#: signs of the probe columns X + h_i e_i, then X - h_i e_i, of
-#: `central_difference`; its -0.0 entries add as ``X - 0.0`` does, keeping
-#: the sign of a zero coordinate
-_CENTRAL_SIGNS = np.hstack((np.eye(STATE_DIM), -np.eye(STATE_DIM)))
-
-
 def jacobian_fn(model: ModelDefinition) -> Callable[[np.ndarray, float], np.ndarray]:
-    """(X, mu) -> dF/dX: the model's Jacobian, else the central differences
-    of `central_difference` with its six probes in one call of the RHS."""
+    """(X, mu) -> dF/dX: the model's Jacobian, else `central_difference` of the RHS."""
     if model.jacobian is not None:
         return model.jacobian
-
-    def jacobian(X: np.ndarray, mu: float) -> np.ndarray:
-        h = 1e-7 * np.fmax(1.0, np.abs(X))
-        shift = _CENTRAL_SIGNS.copy()
-        # only the probed entries: 0.0 * inf is nan where X + 0.0 keeps inf
-        np.multiply(shift, h[:, None], out=shift, where=shift != 0.0)
-        F = _probe(model, X[:, None] + shift, mu)
-        return (F[:, :STATE_DIM] - F[:, STATE_DIM:]) / (2.0 * h)
-
-    return jacobian
+    return lambda X, mu: central_difference(lambda P: model.rhs(P, mu), X)
 
 
 # ---------------------------------------------------------------------------
@@ -478,12 +462,13 @@ def _stencil_plan() -> _StencilPlan:
 
 def _probe(model: ModelDefinition, P: np.ndarray, mu: float) -> np.ndarray:
     """The RHS at every column of the (3, N) array P, from one call."""
-    out = np.asarray(model.rhs(P, mu), dtype=float)
+    must = f"model '{model.name}' rhs must map a (3, N) array of states to (3, N)"
+    try:
+        out = np.asarray(model.rhs(P, mu), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParams(f"{must}, got {type(exc).__name__} for {P.shape}") from exc
     if out.shape != P.shape:
-        raise InvalidParams(
-            f"model '{model.name}' rhs must map a (3, N) array of states to (3, N), "
-            f"got shape {out.shape} for {P.shape}"
-        )
+        raise InvalidParams(f"{must}, got shape {out.shape} for {P.shape}")
     return out
 
 
