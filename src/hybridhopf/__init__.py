@@ -33,7 +33,6 @@ from .models import (
     ModelDefinition,
     builtin,
     evaluate,
-    finite_difference_jet,
     from_config,
     jet,
     polynomial_model,
@@ -63,7 +62,6 @@ __all__ = [
     "continue_branch",
     "evaluate",
     "find_periodic_orbit",
-    "finite_difference_jet",
     "floquet_stability",
     "from_config",
     "integrate",

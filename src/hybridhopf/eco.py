@@ -113,8 +113,9 @@ def _line_point(p: EcoParams) -> list[float]:
 
 def model(p: EcoParams) -> ModelDefinition:
     """The predator-prey field for these parameters, with its exact jet and
-    Jacobian.  ``metadata["hopf_seed"]`` is `_line_point` when
-    |alpha2 - alpha1| > 1e-9 and l1, l2 > 0."""
+    Jacobian.  ``field`` is plain arithmetic, exact over rationals as well.
+    ``metadata["hopf_seed"]`` is `_line_point` when |alpha2 - alpha1| > 1e-9
+    and l1, l2 > 0."""
     delta1, delta2, lam, alpha1, alpha2 = p.delta1, p.delta2, p.lam, p.alpha1, p.alpha2
 
     def field(x1, x2, s, mu):
@@ -125,13 +126,11 @@ def model(p: EcoParams) -> ModelDefinition:
         return [
             delta1 * x1 * g1,
             delta2 * x2 * g2,
-            s * (1.0 - s) - x1 * h1 - x2 * h2,
+            s * (1 - s) - x1 * h1 - x2 * h2,
         ]
 
     def rhs(X: np.ndarray, mu: float) -> np.ndarray:
-        if X.ndim == 1:
-            return np.array(_on_floats(field, X, mu))
-        return np.array(field(*X, mu))  # columns: the same IEEE operations on arrays
+        return np.array(_on_floats(field, X, mu))
 
     def exact_jet(point: np.ndarray, mu: float) -> JetTable:
         x1, x2, s = (float(v) for v in point)
@@ -203,7 +202,7 @@ def model(p: EcoParams) -> ModelDefinition:
     meta = {}
     if abs(alpha2 - alpha1) > 1e-9 and p.l1 > 0 and p.l2 > 0:
         meta["hopf_seed"] = _line_point(p)
-    return ModelDefinition("predator_prey", rhs, exact_jet, jacobian, meta)
+    return ModelDefinition("predator_prey", rhs, exact_jet, jacobian, meta, field)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -50,10 +50,6 @@ class InvalidParams(UsageError):
     """Model parameters are incomplete or out of range."""
 
 
-class SymmetryDefect(NumericalFailure):
-    """Finite-difference mixed partials disagree between evaluation routes."""
-
-
 class NoConvergence(NumericalFailure):
     """An iterative solve did not reach its tolerance.
 

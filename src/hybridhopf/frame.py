@@ -249,7 +249,6 @@ def standard_jet(jet: JetTable, frame: StandardFrame) -> JetTable:
         state_derivs=(Tinv @ F, B1, B2, B3),
         mu_derivs=(Tinv @ f_mu + B1 @ S, Tinv @ A_mu @ T + np.einsum("dpq,q->dp", B2, S)),
         tolerance=jet.tolerance * max(1.0, np.linalg.cond(T)),
-        symmetry_defect=jet.symmetry_defect,
     )
 
 

@@ -1,11 +1,12 @@
 """Vector fields on R^3 with derivative jets.
 
 A model bundles a right-hand side F(X; mu) with a way to obtain its partial
-derivatives at a point: either exact closed forms (builtin and polynomial
-models) or guarded finite differences.  The builtin catalogue holds the
-planted polynomial fields; its ``predator_prey`` entry checks the config's
-parameters and forwards to `eco.model`.  Everything downstream (frames,
-reduced coefficients, classification) consumes the `JetTable` produced here.
+derivatives at a point: exact closed forms (builtin and polynomial models),
+or its ``field`` evaluated on truncated Taylor numbers.  The builtin
+catalogue holds the planted polynomial fields; its ``predator_prey`` entry
+checks the config's parameters and forwards to `eco.model`.  Everything
+downstream (frames, reduced coefficients, classification) consumes the
+`JetTable` produced here.
 A jet holds derivative tensors up to order three, ``F``, ``DF``, ``D^2 F``
 and ``D^3 F`` with entry ``[c, i, j, ...] = d_i d_j ... F_c``, plus the
 parameter block ``d_mu F`` and ``d_mu DF``.  Producers hand
@@ -20,24 +21,18 @@ import dataclasses
 import functools
 import itertools
 import math
+import numbers
+import operator
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidParams, NonFinite, SymmetryDefect, UnknownModel
+from .errors import InvalidParams, NonFinite, UnknownModel
 
 STATE_DIM = 3
 JET_ORDER = 3
 
 StateIndex = tuple[int, int, int]
-
-#: central-difference stencils (offset -> weight); divide by h**order
-_STENCILS: dict[int, dict[int, float]] = {
-    0: {0: 1.0},
-    1: {-1: -0.5, 1: 0.5},
-    2: {-1: 1.0, 0: -2.0, 1: 1.0},
-    3: {-2: -0.5, -1: 1.0, 1: -1.0, 2: 0.5},
-}
 
 
 def state_multi_indices() -> Iterator[StateIndex]:
@@ -51,6 +46,8 @@ def state_multi_indices() -> Iterator[StateIndex]:
 #: rows of `JetTable.from_entries`: the state block (F first), then d_mu
 _JET_INDICES: tuple[StateIndex, ...] = ((0, 0, 0), *state_multi_indices())
 _MU_INDICES: tuple[StateIndex, ...] = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+#: the same rows as derivative orders in (x1, x2, x3, mu)
+_JET_ORDERS = [(*i, 0) for i in _JET_INDICES] + [(*i, 1) for i in _MU_INDICES]
 
 
 def _gather_table(indices: Sequence[StateIndex], order: int, first_row: int = 0) -> np.ndarray:
@@ -82,8 +79,6 @@ class JetTable:
     mu_derivs : (d_mu F, d_mu DF) with shapes (3,) and (3, 3), the parameter
         block needed by first-order theory.
     tolerance : accuracy the producer claims for each entry.
-    symmetry_defect : largest discrepancy between two evaluation routes for
-        mixed second partials (0.0 for exact jets).
 
     Every tensor is C-contiguous, since `np.einsum` sums a strided operand
     in another order and so moves `standard_jet` entries by an ulp.  The
@@ -95,7 +90,6 @@ class JetTable:
     state_derivs: tuple[np.ndarray, ...]
     mu_derivs: tuple[np.ndarray, ...]
     tolerance: float
-    symmetry_defect: float = 0.0
 
     @classmethod
     def from_entries(
@@ -104,7 +98,6 @@ class JetTable:
         mu: float,
         entries: np.ndarray | Sequence[Sequence[float]],
         tolerance: float,
-        symmetry_defect: float = 0.0,
     ) -> JetTable:
         """Jet from one 3-vector per multi-index: 24 rows, the 20 of
         ``(0, 0, 0)`` and `state_multi_indices` for F, then the four
@@ -116,7 +109,6 @@ class JetTable:
             state_derivs=tuple(flat[table] for table in _STATE_GATHER),
             mu_derivs=tuple(flat[table] for table in _MU_GATHER),
             tolerance=tolerance,
-            symmetry_defect=symmetry_defect,
         )
 
 
@@ -124,18 +116,14 @@ class JetTable:
 class ModelDefinition:
     """A named vector field with optional exact derivatives.
 
-    ``rhs(X, mu)`` returns dX/dt for a float mu: a (3,) array for a state
-    X of shape (3,), and a (3, N) array for N states held as the columns of
-    a (3, N) X.  The finite-difference jet probes the field through the
-    second form, one call per mu, and equals probing it one state at a time
-    bit for bit when each column is computed with the operations a single
-    state gets (numpy's matrix product ``@`` is not: it rounds a (3, N)
-    operand differently from a (3,) one).  ``exact_jet`` (when present)
-    returns a `JetTable` whose entries are closed-form, not finite
-    differences.
-    ``jacobian`` (when present) returns dF/dX as a (3, 3) float ndarray, which
-    callers use as is.  A model sets no domain: shooting trusts an iterate by
-    its drift cap, its period window and the caller's guard.
+    ``rhs(X, mu)`` returns dX/dt, a (3,) array, for a state X of shape (3,)
+    and a float mu.  ``exact_jet`` (when present) returns a `JetTable` whose
+    entries are closed-form.  ``jacobian`` (when present) returns dF/dX as a
+    (3, 3) float ndarray, which callers use as is.  ``field(x1, x2, x3, mu)``
+    (when present) returns the three components written in plain arithmetic
+    (``+ - * /`` and integer powers); `jet` evaluates it on Taylor numbers
+    when there is no ``exact_jet``.  A model sets no domain: shooting trusts
+    an iterate by its drift cap, its period window and the caller's guard.
     """
 
     name: str
@@ -143,12 +131,7 @@ class ModelDefinition:
     exact_jet: Callable[[np.ndarray, float], JetTable] | None = None
     jacobian: Callable[[np.ndarray, float], np.ndarray] | None = None
     metadata: Mapping[str, object] = dataclasses.field(default_factory=dict)
-
-
-def _non_finite(model: ModelDefinition, X: np.ndarray, mu: float) -> NonFinite:
-    return NonFinite(
-        f"model '{model.name}' produced non-finite output at state={X.tolist()}, mu={mu}"
-    )
+    field: Callable[..., Sequence] | None = None
 
 
 def evaluate(model: ModelDefinition, state: Sequence[float], mu: float) -> np.ndarray:
@@ -158,16 +141,19 @@ def evaluate(model: ModelDefinition, state: Sequence[float], mu: float) -> np.nd
         raise InvalidParams(f"state must have length {STATE_DIM}, got shape {X.shape}")
     out = np.asarray(model.rhs(X, float(mu)), dtype=float)
     if not np.all(np.isfinite(out)):
-        raise _non_finite(model, X, mu)
+        raise NonFinite(
+            f"model '{model.name}' produced non-finite output at state={X.tolist()}, mu={mu}"
+        )
     return out
 
 
 def jet(model: ModelDefinition, point: Sequence[float], mu: float) -> JetTable:
-    """Model jet at a point: exact when available, finite differences otherwise."""
+    """Model jet at a point: the exact jet when the model has one, else the
+    jet of its field by Taylor arithmetic."""
     X = np.asarray(point, dtype=float)
     if model.exact_jet is not None:
         return model.exact_jet(X, float(mu))
-    return finite_difference_jet(model, X, float(mu))
+    return _field_jet(model, X, float(mu))
 
 
 def central_difference(
@@ -196,11 +182,6 @@ def jacobian_fn(model: ModelDefinition) -> Callable[[np.ndarray, float], np.ndar
 # ---------------------------------------------------------------------------
 
 
-#: coordinates at most this large in magnitude add up to a finite sum of
-#: four (2**1023 < the largest float), which `_evaluate` requires
-_SUMMABLE = 2.0**1021
-
-
 class PolynomialField:
     """Three polynomial components in (x1, x2, x3, mu) with exact jets.
 
@@ -215,7 +196,8 @@ class PolynomialField:
     differently), multiplies every chain in that order in one reduction and
     sums each entry in term order with ``np.bincount``, so results equal the
     term-by-term loop bit for bit; where a power is not finite, `_stepwise`
-    repeats the loop's stop at the first zero factor.
+    repeats the loop's stop at the first zero factor.  `field` is that loop
+    in plain arithmetic, for jets by Taylor arithmetic.
     """
 
     def __init__(self, components: Sequence[Sequence[Sequence[float]]]):
@@ -233,7 +215,7 @@ class PolynomialField:
 
     @functools.cached_property
     def _jet(self):
-        return self._layout([(*i, 0) for i in _JET_INDICES] + [(*i, 1) for i in _MU_INDICES])
+        return self._layout(_JET_ORDERS)
 
     def _layout(self, orders: list[tuple[int, int, int, int]], every_term: bool = False):
         """What a call with these derivative orders needs: the orders, the
@@ -295,44 +277,15 @@ class PolynomialField:
         products = np.where((partial == 0.0).any(axis=0), 0.0, partial[-1])
         return np.bincount(slots, products, STATE_DIM * len(orders))
 
-    def _evaluate_columns(self, layout, X: np.ndarray, mu: float) -> np.ndarray:
-        """`_evaluate` of every column of a (3, N) X, with its bits: a power
-        table with one entry per column (libm ``pow`` through `math.pow`),
-        one product reduction and one `np.bincount` whose slots are offset
-        per column.  Where a coordinate could make a column's coordinate sum
-        non-finite, or a power overflows, each column goes through
-        `_evaluate` on its own."""
-        orders, chain, slots, powers, constants = layout
-        if not (np.abs(X) <= _SUMMABLE).all() or not abs(mu) <= _SUMMABLE:
-            return self._column_by_column(layout, X, mu)
-        n = X.shape[1]
-        coords = X.tolist()
-        # pow(x, 0) is 1 for every x, and mu is one value for all columns
-        rows = (
-            map(math.pow, coords[axis], itertools.repeat(k))
-            if axis < STATE_DIM and k
-            else itertools.repeat(1.0 if k == 0 else math.pow(mu, k), n)
-            for axis, k in powers
-        )
-        try:
-            table = np.fromiter(itertools.chain.from_iterable(rows), float, len(powers) * n)
-        except OverflowError:
-            return self._column_by_column(layout, X, mu)
-        values = np.empty((len(constants), n))
-        values[: len(powers)] = table.reshape(len(powers), n)
-        values[len(powers) :] = constants[len(powers) :, None]
-        products = values[chain].prod(axis=0)
-        width = STATE_DIM * len(orders)
-        bins = slots[:, None] * n + np.arange(n)
-        return np.bincount(bins.ravel(), products.ravel(), width * n).reshape(width, n)
-
-    def _column_by_column(self, layout, X: np.ndarray, mu: float) -> np.ndarray:
-        return np.column_stack([self._evaluate(layout, x, mu) for x in X.T])
-
     def rhs(self, X: np.ndarray, mu: float) -> np.ndarray:
-        if X.ndim == 1:
-            return self._evaluate(self._rhs, X, mu)
-        return self._evaluate_columns(self._rhs, X, mu)
+        return self._evaluate(self._rhs, X, mu)
+
+    def field(self, x1, x2, x3, mu) -> list:
+        out = [0.0] * STATE_DIM
+        terms = zip(self.coefs.tolist(), self.exponents.tolist(), self.component.tolist())
+        for coef, powers, c in terms:
+            out[c] = out[c] + coef * math.prod(v**k for v, k in zip((x1, x2, x3, mu), powers) if k)
+        return out
 
     def jacobian(self, X: np.ndarray, mu: float) -> np.ndarray:
         return self._evaluate(self._jacobian, X, mu).reshape(STATE_DIM, STATE_DIM)
@@ -343,7 +296,7 @@ class PolynomialField:
 
     def model(self, name: str) -> ModelDefinition:
         """The field as a model with its exact Jacobian and jet."""
-        return ModelDefinition(name, self.rhs, self.exact_jet, self.jacobian)
+        return ModelDefinition(name, self.rhs, self.exact_jet, self.jacobian, field=self.field)
 
 
 def polynomial_model(
@@ -376,202 +329,126 @@ def polynomial_model(
 
 
 # ---------------------------------------------------------------------------
-# finite-difference jets
+# jets from the field: truncated Taylor arithmetic
 # ---------------------------------------------------------------------------
 
-#: steps relative to max(1, |coordinate|): stencils up to order two, order
-#: three (larger, since the quotient divides by h^3) and the parameter
-FD_STEP = 1e-4
-FD_STEP_THIRD = 1e-3
-FD_STEP_MU = 1e-4
-#: accuracy a finite-difference jet claims for each entry
-FD_TOLERANCE = 1e-6
-#: mixed-partial routes may disagree by this many tolerances
-FD_SYMMETRY_FACTOR = 100.0
-#: mixed second partials checked along the diagonal of each axis pair
-_FD_PAIRS = ((0, 1), (0, 2), (1, 2))
-#: probe slots of one quotient: the largest stencil, order (1, 1, 1), has 8
-_FD_SLOTS = 8
+#: accuracy a jet from the field claims for each entry.  The arithmetic is
+#: exact to rounding, but without an exact Jacobian `frame.locate_hopf_point`
+#: places the point by central differences (error about 1e-9), and a jet is
+#: no more accurate than its point: claiming 1e-12 would put correct
+#: predator-prey coefficients up to 2.5e4 bands from the exact ones.
+FIELD_JET_TOLERANCE = 1e-6
+
+#: exponents (a, b, c, m) of the monomials x1^a x2^b x3^c mu^m of total
+#: degree at most JET_ORDER, the constant first, and their positions
+_MONOMIALS = np.array(
+    [m for m in itertools.product(range(JET_ORDER + 1), repeat=4) if sum(m) <= JET_ORDER]
+)
+_INDEX = np.zeros((JET_ORDER + 1,) * 4, dtype=int)
+_INDEX[tuple(_MONOMIALS.T)] = np.arange(len(_MONOMIALS))
+#: products: coefficient _LEFT times coefficient _RIGHT adds to _TARGET
+_LEFT, _RIGHT = np.nonzero((_MONOMIALS[:, None] + _MONOMIALS).sum(axis=2) <= JET_ORDER)
+_TARGET = _INDEX[tuple((_MONOMIALS[_LEFT] + _MONOMIALS[_RIGHT]).T)]
+#: the rows of `JetTable.from_entries` among the monomials, and the
+#: factorials that turn their Taylor coefficients into derivatives
+_JET_SLOTS = _INDEX[tuple(np.array(_JET_ORDERS).T)]
+_JET_FACTORIALS = np.vectorize(math.factorial)(_JET_ORDERS).prod(axis=1)
+_ONE = np.eye(1, len(_MONOMIALS)).ravel()
 
 
-@dataclasses.dataclass(frozen=True)
-class _StencilPlan:
-    """Where `finite_difference_jet` probes the field and how it weighs the
-    probes; it depends on nothing but the stencils.
-
-    Probe column 0 is X; column c > 0 is ``X + offsets[:, c] *
-    steps[step_row[c]]``, where the rows of ``steps`` are h/2 and h for
-    ``h = FD_STEP * max(1, |X|)``, then for `FD_STEP_THIRD`.  Quotient q,
-    two per multi-index of `state_multi_indices` (step h/2, then h), sums
-    ``weights[q, s] * F[:, gather[q, s]]`` over its slots s and divides by
-    the product over axes k of ``steps[row[q], k] ** orders[q, k]``; a
-    stencil with fewer than `_FD_SLOTS` probes reads column 0 with weight
-    0.0 in the rest, which adds nothing to a sum of finite terms.  The first
-    13 columns (X and the first-order stencils) and 6 quotients serve the
-    parameter block.  After the stencils come the mixed-route probes
-    ``X + s * directions``, six per axis pair, for s = (h/2, 0, -h/2, h, 0,
-    -h).  The columns keep the order in which the probes were once
-    evaluated one at a time, so the first non-finite one is the one that
-    was reported then.
-    """
-
-    offsets: np.ndarray
-    step_row: np.ndarray
-    gather: np.ndarray
-    weights: np.ndarray
-    orders: np.ndarray
-    row: np.ndarray
-    directions: np.ndarray
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.bincount(_TARGET, a[_LEFT] * b[_RIGHT], len(_MONOMIALS))
 
 
-@functools.cache
-def _stencil_plan() -> _StencilPlan:
-    """The plan, built on first use rather than at import."""
-    offsets, step_row = [(0, 0, 0)], [0]
-    gather, weights, orders, row = [], [], [], []
-    for idx in state_multi_indices():
-        for full in (0, 1):
-            r = 2 * (sum(idx) >= 3) + full
-            slots, ws = [], []
-            for stencil in itertools.product(*(_STENCILS[o].items() for o in idx)):
-                offs, w = zip(*stencil)
-                slots.append(len(offsets))
-                offsets.append(offs)
-                step_row.append(r)
-                ws.append(math.prod(w))
-            pad = _FD_SLOTS - len(slots)
-            gather.append(slots + [0] * pad)
-            weights.append(ws + [0.0] * pad)
-            orders.append(idx)
-            row.append(r)
-    directions = [
-        np.array([1 if k in pair else 0 for k in range(STATE_DIM)], dtype=float) / math.sqrt(2.0)
-        for pair in _FD_PAIRS
-        for _ in range(6)
-    ]
-    return _StencilPlan(
-        offsets=np.array(offsets, dtype=float).T,
-        step_row=np.array(step_row),
-        gather=np.array(gather),
-        weights=np.array(weights),
-        orders=np.array(orders),
-        row=np.array(row),
-        directions=np.column_stack(directions),
-    )
-
-
-def _probe(model: ModelDefinition, P: np.ndarray, mu: float) -> np.ndarray:
-    """The RHS at every column of the (3, N) array P, from one call."""
-    must = f"model '{model.name}' rhs must map a (3, N) array of states to (3, N)"
-    try:
-        out = np.asarray(model.rhs(P, mu), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidParams(f"{must}, got {type(exc).__name__} for {P.shape}") from exc
-    if out.shape != P.shape:
-        raise InvalidParams(f"{must}, got shape {out.shape} for {P.shape}")
+def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b by the geometric series: for b = b0 (1 + d), d without a
+    constant term, a / b = (a / b0) (1 - d + d^2 - d^3), summed by Horner."""
+    if b[0] == 0.0:
+        raise ZeroDivisionError("division by a Taylor number with a zero constant term")
+    q, d = a / b[0], b / b[0]
+    d[0] = 0.0
+    out = q
+    for _ in range(JET_ORDER):
+        out = q - _product(out, d)
     return out
 
 
-def _stencil_sums(
-    F: np.ndarray, plan: _StencilPlan, scale: np.ndarray, count: int
-) -> np.ndarray:
-    """The first ``count`` quotients of the plan, Richardson-extrapolated in
-    pairs: (3, count // 2).  Each quotient adds its slots one by one, from
-    0.0, as the per-probe loop did."""
-    terms = F[:, plan.gather[:count]] * plan.weights[:count]
-    total = np.zeros(terms.shape[:2])
-    for s in range(_FD_SLOTS):
-        total += terms[:, :, s]
-    quotient = total / scale[:count]
-    return (4.0 * quotient[:, 0::2] - quotient[:, 1::2]) / 3.0
+def _lift(value) -> np.ndarray:
+    """The coefficients of a `_Taylor`, or of a real constant."""
+    if isinstance(value, _Taylor):
+        return value.c
+    if not isinstance(value, numbers.Real):
+        raise TypeError(f"{type(value).__name__} is not a real number")
+    return _ONE * value
 
 
-def finite_difference_jet(
-    model: ModelDefinition, point: Sequence[float], mu: float
-) -> JetTable:
-    """Order-3 jet by guarded central differences.
+class _Taylor:
+    """A polynomial in (x1, x2, x3, mu) cut at total degree JET_ORDER, with
+    ``c[n]`` the coefficient of ``_MONOMIALS[n]``.  It has ``+ - * /`` with
+    reals on either side and integer powers; anything else (``abs``,
+    ``math.exp``, comparisons, numpy functions) raises `TypeError`."""
 
-    Every entry is computed on a tensor-product central stencil at two step
-    sizes and Richardson-extrapolated.  Mixed second partials are additionally
-    recomputed through a diagonal directional route; if the two routes
-    disagree by more than ``FD_SYMMETRY_FACTOR * FD_TOLERANCE`` the field is
-    not C^2 at the requested accuracy and `SymmetryDefect` is raised.  The
-    field is called five times, each on every probe of one mu: the state
-    block with the mixed routes, then the four shifted mu of the parameter
-    block.  A non-finite probe raises `NonFinite` for the first such probe in
-    the order of `_StencilPlan`, with the parameter block read only after the
-    symmetry check.
-    """
-    X = np.asarray(point, dtype=float)
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
+
+    def __init__(self, c: np.ndarray):
+        self.c = c
+
+    __add__ = __radd__ = lambda self, other: _Taylor(self.c + _lift(other))
+    __sub__ = lambda self, other: _Taylor(self.c - _lift(other))
+    __rsub__ = lambda self, other: _Taylor(_lift(other) - self.c)
+    __truediv__ = lambda self, other: _Taylor(_quotient(self.c, _lift(other)))
+    __rtruediv__ = lambda self, other: _Taylor(_quotient(_lift(other), self.c))
+    __neg__ = lambda self: _Taylor(-self.c)
+    __pos__ = lambda self: self
+
+    def __mul__(self, other):
+        if isinstance(other, numbers.Real):
+            return _Taylor(self.c * other)
+        return _Taylor(_product(self.c, _lift(other)))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        """(a0 + d)^k as the sum of C(k, n) a0^(k-n) d^n over n <= JET_ORDER,
+        so a large k costs what a small one does."""
+        k = operator.index(k)
+        if k < 0:
+            return 1 / self ** -k
+        if k == 1:
+            return self
+        a0, d = self.c[0], self.c.copy()
+        d[0], out, power = 0.0, _lift(a0**k), _ONE
+        for n in range(1, min(k, JET_ORDER) + 1):
+            power = d if n == 1 else _product(power, d)
+            out += float(math.comb(k, n)) * a0 ** (k - n) * power
+        return _Taylor(out)
+
+
+def _field_jet(model: ModelDefinition, X: np.ndarray, mu: float) -> JetTable:
+    """The jet of ``model.field`` at (X, mu): the field evaluated on `_Taylor`
+    numbers.  Every failure is a typed error naming the model."""
+    if model.field is None:
+        raise InvalidParams(f"model '{model.name}' has neither an exact jet nor a field")
     if X.shape != (STATE_DIM,):
         raise InvalidParams(f"state must have length {STATE_DIM}, got shape {X.shape}")
-    mu = float(mu)
-    plan = _stencil_plan()
-
-    reach = np.fmax(1.0, np.abs(X))  # max(1, |x_i|), ignoring a NaN as max() did
-    steps = np.array(
-        [h for base in (FD_STEP, FD_STEP_THIRD) for h in (base * reach / 2.0, base * reach)]
-    )
-    P = X[:, None] + plan.offsets * steps[plan.step_row].T
-    P[:, 0] = X
-    powers = np.array([[[h**o for o in range(JET_ORDER + 1)] for h in hs] for hs in steps])
-    axes = np.arange(STATE_DIM)
-    factors = powers[plan.row[:, None], axes, plan.orders]
-    scale = factors[:, 0] * factors[:, 1] * factors[:, 2]
-
-    # mixed-route probes X + s u, s = (h/2, 0, -h/2, h, 0, -h) per pair
-    route_steps = [FD_STEP * max(1.0, abs(X[i]), abs(X[j])) for i, j in _FD_PAIRS]
-    s = np.array([[h / 2.0, 0.0, -h / 2.0, h, 0.0, -h] for h in route_steps])
-    P = np.concatenate((P, X[:, None] + s.ravel() * plan.directions), axis=1)
-
-    F = _probe(model, P, mu)
-    finite = np.isfinite(F).all(axis=0)
-    if not finite.all():
-        c = int(np.argmin(finite))
-        raise _non_finite(model, P[:, c], mu)
-    state = _stencil_sums(F, plan, scale, len(plan.row))
-    entry = {idx: state[:, n] for n, idx in enumerate(state_multi_indices())}
-
-    V = F[:, plan.offsets.shape[1] :].reshape(STATE_DIM, len(_FD_PAIRS), 2, 3)
-    denominators = np.array([[(h / 2.0) ** 2, h**2] for h in route_steps])
-    second = (V[..., 0] - 2.0 * V[..., 1] + V[..., 2]) / denominators
-    second_u = (4.0 * second[..., 0] - second[..., 1]) / 3.0
-    defect = 0.0
-    for n, (i, j) in enumerate(_FD_PAIRS):
-        idx = tuple(1 if k in (i, j) else 0 for k in range(STATE_DIM))
-        e_i = tuple(2 if k == i else 0 for k in range(STATE_DIM))
-        e_j = tuple(2 if k == j else 0 for k in range(STATE_DIM))
-        diag_route = second_u[:, n] - 0.5 * (entry[e_i] + entry[e_j])
-        defect = max(defect, float(np.max(np.abs(entry[idx] - diag_route))))
-    threshold = FD_SYMMETRY_FACTOR * FD_TOLERANCE
-    if defect > threshold:
-        raise SymmetryDefect(
-            f"mixed partial routes disagree by {defect:.3e} (threshold {threshold:.1e})"
-        )
-
-    # parameter block: d_mu F and d_mu d_{x_i} F from X and the first-order
-    # stencils at mu +- h/2 and mu +- h
-    h = FD_STEP_MU * max(1.0, abs(mu))
-    shifted = (mu + h / 2.0, mu - h / 2.0, mu + h, mu - h)
-    block = 1 + 4 * STATE_DIM  # X and the first-order stencils
-    F_mu = [_probe(model, P[:, :block], m) for m in shifted]
-    finite = [np.isfinite(Fm).all(axis=0) for Fm in F_mu]
-    if not all(f.all() for f in finite):
-        # the loop took X at each mu, then each first-order stencil at each mu
-        for columns in ([0], *(range(1 + 4 * k, 5 + 4 * k) for k in range(STATE_DIM))):
-            for m, f in zip(shifted, finite):
-                for c in columns:
-                    if not f[c]:
-                        raise _non_finite(model, P[:, c], m)
-    E = [
-        np.column_stack((Fm[:, 0], _stencil_sums(Fm, plan, scale, 2 * STATE_DIM)))
-        for Fm in F_mu
-    ]
-    first_half = (E[0] - E[1]) / (2.0 * (h / 2.0))
-    first_full = (E[2] - E[3]) / (2.0 * h)
-    mu_entries = (4.0 * first_half - first_full) / 3.0
-    entries = np.vstack((F[:, :1].T, state.T, mu_entries.T))
-    return JetTable.from_entries(X, mu, entries, FD_TOLERANCE, defect)
+    at = f"state={X.tolist()}, mu={mu}"
+    seeds = np.zeros((4, len(_MONOMIALS)))
+    seeds[:, 0], seeds[range(4), _INDEX[tuple(np.eye(4, dtype=int))]] = (*X, mu), 1.0
+    try:
+        with np.errstate(all="ignore"):  # a non-finite entry is reported below
+            rows = [_lift(F) for F in model.field(*map(_Taylor, seeds))]
+            if len(rows) != STATE_DIM:
+                raise TypeError(f"it has {len(rows)} components")
+            entries = (np.array(rows)[:, _JET_SLOTS] * _JET_FACTORIALS).T
+    except ArithmeticError as exc:  # a pole, or a Python float overflow
+        raise NonFinite(f"model '{model.name}' field fails at {at}: {exc}") from exc
+    except TypeError as exc:
+        raise InvalidParams(
+            f"model '{model.name}' field must use only + - * / and integer powers: {exc}"
+        ) from exc
+    if not np.isfinite(entries).all():
+        raise NonFinite(f"model '{model.name}' has a non-finite jet entry at {at}")
+    return JetTable.from_entries(X, mu, entries, FIELD_JET_TOLERANCE)
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +609,9 @@ def from_config(doc: Mapping[str, object]) -> ModelDefinition:
         {"polynomial": {"y1": [[coef, i, j, k, m], ...], "y2": [...], "z": [...]}}
 
     Any other top-level keys besides the optional ``name``, ``seed_state``,
-    ``mu_grid`` and ``jets`` are rejected.
+    ``mu_grid`` and ``jets`` are rejected.  ``"jets": "finite_difference"``
+    drops the hand-derived derivatives: jets then come from the field by
+    Taylor arithmetic, and Jacobians from `central_difference`.
     """
     allowed = {"builtin", "params", "polynomial", "name", "seed_state", "mu_grid", "jets"}
     unknown = sorted(set(doc) - allowed)

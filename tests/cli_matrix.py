@@ -16,7 +16,7 @@ grid; ``verify``, ``continue`` and ``truncated --compare`` (after
 ``classify``) on planted ``synthetic_nf``, ``toy_cylindrical`` (one set
 with beta1 != 0) and ``classical_hopf`` configs; ``classify`` and ``verify``
 on a planted ``toy_cylindrical`` with finite-difference jets, and a
-finite-difference jet whose probes overflow;
+finite-difference-mode jet entry that overflows;
 ``continue --seed-strategy simulate``; the typed-error rows of
 ``tests/test_cli.py``, read from its parametrize marks and test bodies; and
 ``scripts/run_boundary_connection.py`` on three points, with its TSV.
@@ -54,18 +54,18 @@ EIGEN_FAILURE = {
     "builtin": "toy_cylindrical",
     "params": {"omega": 1e308, "beta2": -0.7, "beta3": 0.2, "beta5": 0.9, "gamma5": -1.1},
 }
-#: z^3 at the Hopf point (0, 0, FAR_Z) is 0.1 % below the float range: point
-#: location and the Jacobian probe within 1e-7 |z| of it, but the jet's
-#: third-order stencils in z overflow z^3, so the finite-difference jet fails
-FAR_Z = 5.641923079628052e102
+#: the Hopf point is (0, 0, 1), where the term 1e308 mu z^3 and its
+#: derivatives in the state vanish at mu = 0, so point location and the
+#: Jacobian never see it; the jet entry d_mu d_z F = 3e308 overflows, so
+#: finite-difference mode ends in NonFinite from the field route
 FD_OVERFLOW = {
     "polynomial": {
-        "y1": [[-1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [-FAR_Z, 1, 0, 0, 0]],
-        "y2": [[1, 1, 0, 0, 0], [1, 0, 1, 1, 0], [-FAR_Z, 0, 1, 0, 0]],
-        "z": [[-1, 2, 0, 0, 0], [-1, 0, 2, 0, 0], [1, 0, 0, 0, 1], [1e-310, 2, 0, 3, 0]],
+        "y1": [[-1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [-1, 1, 0, 0, 0]],
+        "y2": [[1, 1, 0, 0, 0], [1, 0, 1, 1, 0], [-1, 0, 1, 0, 0]],
+        "z": [[-1, 2, 0, 0, 0], [-1, 0, 2, 0, 0], [1, 0, 0, 0, 1], [1e308, 0, 0, 3, 1]],
     },
-    "name": "far_hopf",
-    "seed_state": [0.0, 0.0, FAR_Z],
+    "name": "steep_drift",
+    "seed_state": [0.0, 0.0, 1.0],
     "jets": "finite_difference",
 }
 

@@ -3,7 +3,7 @@
 Each one checks a claim of the package against an independent route: the
 closed-form coefficients in their analytic chart, the mu = 0 equilibrium
 line of the predator-prey model, the averaged transverse drift of the full
-flow, the region sampler drawn one parameter set at a time, and the
+flow, the region sampler drawn one parameter set at a time, and a
 finite-difference jet probed one state at a time.
 """
 from __future__ import annotations
@@ -18,24 +18,35 @@ import numpy as np
 from hybridhopf import eco
 from hybridhopf.coefficients import CylindricalCoefficients
 from hybridhopf.eco import EcoParams
-from hybridhopf.errors import SymmetryDefect
 from hybridhopf.frame import StandardFrame
 from hybridhopf.models import (
     _MU_INDICES,
-    _STENCILS,
-    FD_STEP,
-    FD_STEP_MU,
-    FD_STEP_THIRD,
-    FD_SYMMETRY_FACTOR,
-    FD_TOLERANCE,
     STATE_DIM,
     JetTable,
     ModelDefinition,
     StateIndex,
     evaluate,
+    jet,
     state_multi_indices,
 )
 from hybridhopf.verify import PROBE_RTOL, integrate
+
+#: central-difference stencils (offset -> weight); divide by h**order
+FD_STENCILS: dict[int, dict[int, float]] = {
+    0: {0: 1.0},
+    1: {-1: -0.5, 1: 0.5},
+    2: {-1: 1.0, 0: -2.0, 1: 1.0},
+    3: {-2: -0.5, -1: 1.0, 1: -1.0, 2: 0.5},
+}
+#: steps relative to max(1, |coordinate|): stencils up to order two, order
+#: three (larger, since the quotient divides by h^3) and the parameter
+FD_STEP = 1e-4
+FD_STEP_THIRD = 1e-3
+FD_STEP_MU = 1e-4
+#: accuracy the loop's jet claims for each entry; its third-order entries
+#: meet it only where the field is small (`tests/test_models.py` allows them
+#: FD_THIRD_ORDER_TOLERANCE)
+FD_TOLERANCE = 1e-6
 
 
 def coexistence_line(p: EcoParams, x1_values: Sequence[float]) -> np.ndarray:
@@ -145,7 +156,7 @@ def _fd_tensor(
 ) -> np.ndarray:
     """Tensor-product central difference of given per-axis orders."""
     total = np.zeros(STATE_DIM)
-    for stencil in itertools.product(*(_STENCILS[o].items() for o in orders)):
+    for stencil in itertools.product(*(FD_STENCILS[o].items() for o in orders)):
         offsets, weights = zip(*stencil)
         total += math.prod(weights) * f(point + np.array(offsets) * steps)
     scale = 1.0
@@ -159,12 +170,19 @@ def _richardson(quotient: Callable, h):
     return (4.0 * quotient(h / 2.0) - quotient(h)) / 3.0
 
 
+def field_jet(model: ModelDefinition, point: Sequence[float], mu: float) -> JetTable:
+    """The jet `models.jet` takes from ``model.field`` when the model has no
+    exact jet, as in finite-difference mode."""
+    return jet(dataclasses.replace(model, exact_jet=None), point, mu)
+
+
 def finite_difference_jet_loop(
     model: ModelDefinition, point: Sequence[float], mu: float
 ) -> JetTable:
-    """`models.finite_difference_jet` with every probe a separate `evaluate`
-    call, in the order the batched stencils keep: the state block, the
-    mixed-partial routes, then the parameter block."""
+    """Order-3 jet by central differences at two steps, Richardson-
+    extrapolated, with every probe a separate `evaluate` call: the state
+    block, then the parameter block from the first-order stencils at shifted
+    mu.  It reads only ``model.rhs``, independently of ``model.field``."""
     X = np.asarray(point, dtype=float)
     mu = float(mu)
 
@@ -179,26 +197,6 @@ def finite_difference_jet_loop(
     for idx in state_multi_indices():
         entries[idx] = partial(mu, idx, FD_STEP_THIRD if sum(idx) >= 3 else FD_STEP)
 
-    defect = 0.0
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        idx = tuple(1 if k in (i, j) else 0 for k in range(STATE_DIM))
-        u = np.array(idx, dtype=float) / math.sqrt(2.0)
-
-        def second(step: float) -> np.ndarray:
-            values = [at(mu)(X + s * u) for s in (step, 0.0, -step)]
-            return (values[0] - 2.0 * values[1] + values[2]) / step**2
-
-        second_u = _richardson(second, FD_STEP * max(1.0, abs(X[i]), abs(X[j])))
-        e_i = tuple(2 if k == i else 0 for k in range(STATE_DIM))
-        e_j = tuple(2 if k == j else 0 for k in range(STATE_DIM))
-        diag_route = second_u - 0.5 * (entries[e_i] + entries[e_j])
-        defect = max(defect, float(np.max(np.abs(entries[idx] - diag_route))))
-    threshold = FD_SYMMETRY_FACTOR * FD_TOLERANCE
-    if defect > threshold:
-        raise SymmetryDefect(
-            f"mixed partial routes disagree by {defect:.3e} (threshold {threshold:.1e})"
-        )
-
     def mu_derivative(state_idx: StateIndex) -> np.ndarray:
         def entry_at(m: float) -> np.ndarray:
             if state_idx == (0, 0, 0):
@@ -211,4 +209,4 @@ def finite_difference_jet_loop(
         return _richardson(first, FD_STEP_MU * max(1.0, abs(mu)))
 
     mu_entries = [mu_derivative(idx) for idx in _MU_INDICES]
-    return JetTable.from_entries(X, mu, [*entries.values(), *mu_entries], FD_TOLERANCE, defect)
+    return JetTable.from_entries(X, mu, [*entries.values(), *mu_entries], FD_TOLERANCE)

@@ -89,10 +89,10 @@ def test_criterion_01_closed_form_equivalence():
     elapsed = time.monotonic() - t0
     print(
         f"criterion 1: worst relative error {worst['exact']:.3e} (exact jets), "
-        f"{worst['finite_difference']:.3e} (finite differences), {elapsed:.1f}s"
+        f"{worst['finite_difference']:.3e} (jets from the field), {elapsed:.1f}s"
     )
     assert worst["exact"] < 1e-6
-    assert worst["finite_difference"] < 1e-4
+    assert worst["finite_difference"] < 1e-6
     assert elapsed < 30.0
 
 

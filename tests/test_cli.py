@@ -611,7 +611,7 @@ EXIT_TABLE = {
     **dict.fromkeys(
         (
             "NoConvergence", "SingularShooting", "StepFailure", "NonFinite", "LeftDomain",
-            "NotHopf", "SymmetryDefect", "WrongDirection", "NumericalFailure",
+            "NotHopf", "WrongDirection", "NumericalFailure",
         ),
         (1, "numerical failure"),
     ),

@@ -15,6 +15,7 @@ from hybridhopf.errors import (
     AssumptionViolation,
     Degenerate,
     DegenerateAlphas,
+    HybridHopfError,
     InvalidBounds,
     InvalidParams,
     NonFinite,
@@ -335,7 +336,18 @@ def _draws(rows) -> eco._Draws:
 
 
 def _assert_rows_match_floats(rows):
+    """Every row's closed forms and label have the bits of the float
+    evaluation; where a row fails as floats (beta5 within tolerance of zero,
+    say), the batch raises the first such row's error."""
     draws = _draws(rows)
+    try:
+        for p in draws.params():
+            eco.classification_record(p)
+    except HybridHopfError as exc:
+        with pytest.raises(type(exc)) as raised:
+            eco._classify_draws(draws)
+        assert str(raised.value) == str(exc)
+        return
     arrays, labels = eco._classify_draws(draws)
     for i, p in enumerate(draws.params()):
         assert p == EcoParams(*rows[i])

@@ -1,4 +1,4 @@
-"""Model catalog, jet tables, and finite-difference differentiation."""
+"""Model catalog, jet tables, and jets from the field by Taylor arithmetic."""
 from __future__ import annotations
 
 import itertools
@@ -9,18 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridhopf import (
-    builtin, eco, evaluate, finite_difference_jet, from_config, jet, models, polynomial_model,
-)
-from hybridhopf.errors import (
-    HybridHopfError,
-    InvalidParams,
-    NonFinite,
-    SymmetryDefect,
-    UnknownModel,
-)
+from hybridhopf import builtin, eco, evaluate, from_config, jet, models, polynomial_model
+from hybridhopf.errors import InvalidParams, NonFinite, UnknownModel
 from hybridhopf.models import STATE_DIM, ModelDefinition, PolynomialField, state_multi_indices
-from oracles import finite_difference_jet_loop
+from oracles import FD_TOLERANCE, field_jet, finite_difference_jet_loop
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +99,7 @@ def test_jet_tensors_are_symmetric_and_c_ordered(interior_model):
     tables = [
         jet(interior_model, X, 0.01),
         jet(toy, X, 0.01),
-        finite_difference_jet(interior_model, X, 0.01),
+        field_jet(interior_model, X, 0.01),
     ]
     for table in tables:
         tensors = (*table.state_derivs, *table.mu_derivs)
@@ -196,7 +188,7 @@ def test_linear_field_higher_orders_vanish(rotation_model):
 def test_predator_prey_exact_jet_matches_finite_differences(interior_model):
     X_H = np.array([0.125, 0.405, 0.3])
     exact = jet(interior_model, X_H, 0.0)
-    approx = finite_difference_jet(interior_model, X_H, 0.0)
+    approx = finite_difference_jet_loop(interior_model, X_H, 0.0)
     assert_jets_close(approx, exact)
 
 
@@ -211,26 +203,22 @@ def test_polynomial_exact_jet_matches_finite_differences():
     )
     X = np.array([0.11, -0.07, 0.05])
     exact = jet(model, X, 0.02)
-    approx = finite_difference_jet(model, X, 0.02)
+    approx = finite_difference_jet_loop(model, X, 0.02)
     assert_jets_close(approx, exact)
 
 
-def test_finite_difference_symmetry_defect_small_for_smooth_field(interior_model):
-    table = finite_difference_jet(interior_model, np.array([0.125, 0.405, 0.3]), 0.0)
-    assert table.symmetry_defect < 1e-6
-
-
-def _kinked(X, mu):
-    y1, y2, z = X
-    return np.array([-y2, y1, abs(y1) * abs(y2)])
-
-
-KINKED = ModelDefinition(name="kinked", rhs=_kinked)
+def _kinked(y1, y2, z, mu):
+    return [-y2, y1, abs(y1) * abs(y2)]
 
 
 def test_finite_difference_flags_broken_mixed_partials():
-    with pytest.raises(SymmetryDefect):
-        finite_difference_jet(KINKED, np.zeros(3), 0.0)
+    """|y1| |y2| has no mixed partial at 0; `abs` is not arithmetic, so the
+    field route refuses it in one line that names the model."""
+    model = ModelDefinition("kinked", lambda X, mu: np.array(_kinked(*X, mu)), field=_kinked)
+    with pytest.raises(InvalidParams) as excinfo:
+        jet(model, np.zeros(3), 0.0)
+    message = str(excinfo.value)
+    assert message.startswith("model 'kinked' field must use only") and "\n" not in message
 
 
 @settings(max_examples=40, deadline=None)
@@ -425,6 +413,30 @@ _coord = st.one_of(
 )
 def test_polynomial_field_is_bit_identical_to_term_loop(components, X, mu):
     _assert_matches_loop(components, X, mu)
+    if all(abs(v) <= 2.5 for v in (*X, mu)):
+        _assert_field_route_matches_exact_jet(components, X, mu)
+
+
+TINY = np.finfo(float).tiny
+
+
+def _assert_field_route_matches_exact_jet(components, X, mu):
+    """The field route gives `exact_jet` to 1e-12 of the same jet taken with
+    every coefficient and coordinate replaced by its magnitude, which bounds
+    every term of each entry, so cancellation cannot hide behind rounding;
+    below the smallest normal float rounding is absolute, hence ``TINY``."""
+    model = polynomial_model(dict(zip(("y1", "y2", "z"), components)))
+    bound = polynomial_model(
+        {k: [[abs(c), *p] for c, *p in terms] for k, terms in zip(("y1", "y2", "z"), components)}
+    ).exact_jet(np.abs(X), abs(mu))
+    exact, got = jet(model, X, mu), field_jet(model, X, mu)
+    assert got.tolerance == models.FIELD_JET_TOLERANCE
+    for a, b, c in zip(
+        (*got.state_derivs, *got.mu_derivs),
+        (*exact.state_derivs, *exact.mu_derivs),
+        (*bound.state_derivs, *bound.mu_derivs),
+    ):
+        assert (np.abs(a - b) <= 1e-12 * c + TINY).all(), (a, b)
 
 
 def test_polynomial_field_powers_round_like_libm_pow():
@@ -460,41 +472,40 @@ def test_polynomial_model_rejects_unusable_rows(row):
 
 
 # ---------------------------------------------------------------------------
-# batched finite differences against the per-probe loop
+# jets from the field against the per-probe finite-difference loop
 # ---------------------------------------------------------------------------
 
 
-def _assert_same_jet(model, X, mu):
-    """`finite_difference_jet` gives the per-probe loop's jet bit for bit, or
-    raises the loop's error with the loop's message."""
-    try:
-        want = finite_difference_jet_loop(model, X, mu)
-    except HybridHopfError as exc:
-        with pytest.raises(type(exc)) as got:
-            finite_difference_jet(model, X, mu)
-        assert str(got.value) == str(exc)
-        return
-    got = finite_difference_jet(model, X, mu)
-    assert np.array_equal(got.point, want.point) and got.mu == want.mu
-    tensors = zip((*got.state_derivs, *got.mu_derivs), (*want.state_derivs, *want.mu_derivs))
-    for n, (a, b) in enumerate(tensors):
-        assert np.array_equal(a, b), n
-    assert (got.tolerance, got.symmetry_defect) == (want.tolerance, want.symmetry_defect)
+#: the loop's third-order quotients divide the rounding of each probed value,
+#: about 1e-16 of the field's size, by h^3 = 1e-9 with weights and Richardson
+#: factors summing to about 32, so they are good to about 1e-5 of that size
+FD_THIRD_ORDER_TOLERANCE = 1e-4
+
+
+def _assert_agrees_with_the_loop(model, X, mu):
+    """Each tensor within FD_TOLERANCE (order three: FD_THIRD_ORDER_TOLERANCE)
+    of the loop's, relative to the largest of 1, |F| and the tensor's entries."""
+    got, want = field_jet(model, X, mu), finite_difference_jet_loop(model, X, mu)
+    size = max(1.0, float(np.max(np.abs(want.state_derivs[0]))))
+    pairs = zip((*got.state_derivs[1:], *got.mu_derivs), (*want.state_derivs[1:], *want.mu_derivs))
+    for n, (a, b) in enumerate(pairs):
+        tol = FD_THIRD_ORDER_TOLERANCE if n == 2 else FD_TOLERANCE
+        assert np.max(np.abs(a - b)) <= tol * max(size, float(np.max(np.abs(b)))), n
 
 
 def _rotate(M, V):
-    """M @ V with the same operations on a (3,) and a (3, N) operand, where
-    numpy's matrix product rounds the two differently."""
-    outer = np.multiply.outer
-    return outer(M[:, 0], V[0]) + outer(M[:, 1], V[1]) + outer(M[:, 2], V[2])
+    """M V for a matrix of floats and a vector of numbers, in plain arithmetic."""
+    return [sum(m * v for m, v in zip(row, V)) for row in M.tolist()]
 
 
 def _rotated_synthetic():
     base = builtin("synthetic_nf", {"a": 1, "b": 1, "c": 1, "d": 1, "omega": 1.7})
     Q, _ = np.linalg.qr(np.random.default_rng(12).normal(size=(3, 3)))
-    return ModelDefinition(
-        "rotated_synthetic", lambda X, mu: _rotate(Q, base.rhs(_rotate(Q.T, X), mu))
-    )
+
+    def field(*args):
+        return _rotate(Q, base.field(*_rotate(Q.T, args[:3]), args[3]))
+
+    return ModelDefinition("rotated_synthetic", lambda X, mu: np.array(field(*X, mu)), field=field)
 
 
 _PREDATOR_PREY = {"delta1": 1.0, "delta2": 1.0, "lam": 0.3, "alpha1": 0.2, "alpha2": 0.6}
@@ -510,19 +521,16 @@ _TOY = {"beta1": 0.5, "beta2": 1.0, "beta3": -0.5, "beta5": 0.3, "gamma3": 0.2, 
         (builtin("toy_cylindrical", _TOY), [0.01, -0.02, 0.015], 0.003),
         (builtin("toy_cylindrical", _TOY), [-1.7, 3.2, 1e-3], -2.0),
         (builtin("classical_hopf", {"sign": 1}), [0.1, 0.2, -0.3], 0.01),
-        (KINKED, [0.0, 0.0, 0.0], 0.0),
-        (KINKED, [0.3, 0.2, 0.1], 0.0),
         (_rotated_synthetic(), [0.0, 0.0, 0.0], 0.0),
         (_rotated_synthetic(), [0.4, -1.1, 0.2], 0.05),
     ],
     ids=[
         "predator_prey", "predator_prey_far", "synthetic_nf", "toy_cylindrical",
-        "toy_cylindrical_far", "classical_hopf", "kinked", "kinked_smooth",
-        "rotated_synthetic", "rotated_synthetic_far",
+        "toy_cylindrical_far", "classical_hopf", "rotated_synthetic", "rotated_synthetic_far",
     ],
 )
-def test_finite_difference_jet_is_bit_identical_to_the_probe_loop(model, X, mu):
-    _assert_same_jet(model, np.array(X), mu)
+def test_field_route_jet_agrees_with_the_probe_loop(model, X, mu):
+    _assert_agrees_with_the_loop(model, np.array(X), mu)
 
 
 _draw = st.floats(-1.0, 1.0)
@@ -536,130 +544,101 @@ _draw = st.floats(-1.0, 1.0)
 )
 def test_predator_prey_finite_difference_jet_matches_the_loop(seed, offset, mu):
     p = eco.sample_region(1, seed)[0]
-    _assert_same_jet(eco.model(p), eco.hopf_point(p) + offset, mu)
+    _assert_agrees_with_the_loop(eco.model(p), eco.hopf_point(p) + offset, mu)
 
 
 @settings(max_examples=25, deadline=None)
 @given(planted=_PLANTED, X=st.lists(_draw, min_size=3, max_size=3), mu=_draw)
 def test_planted_finite_difference_jet_matches_the_loop(planted, X, mu):
-    _assert_same_jet(builtin(*planted), np.array(X), mu)
+    _assert_agrees_with_the_loop(builtin(*planted), np.array(X), mu)
 
 
-def _pole(where):
-    """A smooth cubic field that is infinite where ``where(X, mu)`` holds,
-    without a floating-point exception."""
+def _sympy_jet_matches(model, point, mu):
+    """Every entry of the field route's jet at a dyadic point is sympy's
+    derivative of ``model.field`` there, to 1e-13 relative."""
+    import sympy
 
-    def rhs(X, mu):
-        y1, y2, z = X
-        F = np.array([-y2 + y1 * z, y1 + y2 * z, y1 * y1 + y2 * y2 * z + mu * z])
-        return np.where(where(X, mu), math.inf, F)
+    symbols = sympy.symbols("x1 x2 x3 mu")
+    F = model.field(*symbols)
+    at = dict(zip(symbols, map(sympy.Rational, (*point, mu))))
+    table = field_jet(model, np.array(point), mu)
+    for tensors, orders, m in ((table.state_derivs, 4, 0), (table.mu_derivs, 2, 1)):
+        for order in range(orders):
+            for axes in itertools.combinations_with_replacement(range(STATE_DIM), order):
+                counts = [*map(axes.count, range(STATE_DIM)), m]
+                for c in range(STATE_DIM):
+                    want = float(sympy.diff(F[c], *zip(symbols, counts)).subs(at))
+                    got = tensors[order][(c, *axes)]
+                    assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (c, counts)
 
-    return ModelDefinition("pole", rhs)
+
+def test_field_route_jet_is_sympy_derivative_of_the_field():
+    dyadic = eco.EcoParams(delta1=1.0, delta2=1.25, lam=0.3125, alpha1=0.1875, alpha2=0.625)
+    _sympy_jet_matches(eco.model(dyadic), [0.125, 0.375, 0.4375], 0.03125)
+    toy = {"omega": 1.5, "beta1": 0.5, "beta2": -0.75, "beta4": 0.25, "beta5": 1.25, "gamma7": -0.5}
+    _sympy_jet_matches(builtin("toy_cylindrical", toy), [0.25, -0.5, 0.125], -0.0625)
 
 
-#: state probes reach 2 h = 2e-3 on an axis, the mixed routes 7.1e-5 on two
-#: axes at once and the parameter block 1e-4 on one axis at mu +- 1e-4
-@pytest.mark.parametrize(
-    "where, state, mu",
-    [
-        # first hit by the order-3 stencil of x1, step h/2, offset +2
-        (lambda X, mu: X[0] > 9e-4, [0.001, 0.0, 0.0], 0.0),
-        # hit only at mu + h (by x3 < 0) and at mu - h (by x2 > 0): the loop
-        # took the x2 stencils at every mu before the x3 ones
-        (
-            lambda X, mu: ((mu < -7.5e-5) & (X[1] > 8e-5)) | ((mu > 7.5e-5) & (X[2] < -8e-5)),
-            [0.0, 0.0001, 0.0],
-            -0.0001,
-        ),
-        # coordinates between 6e-5 and 8e-5 occur only on the mixed routes
-        (
-            lambda X, mu: (6e-5 < X[0]) & (X[0] < 8e-5),
-            [7.071067811865476e-05, 7.071067811865476e-05, 0.0],
-            0.0,
-        ),
-    ],
-    ids=["state_block", "mu_block", "mixed_routes"],
-)
-def test_first_non_finite_probe_in_loop_order_decides_the_error(where, state, mu):
-    model = _pole(where)
-    _assert_same_jet(model, np.zeros(3), 0.0)
+# ---------------------------------------------------------------------------
+# field-route failures: each a typed error naming the model
+# ---------------------------------------------------------------------------
+
+
+def test_field_route_pole_is_non_finite():
+    model = builtin("predator_prey", _PREDATOR_PREY)  # s + alpha1 = 0 at s = -0.2
     with pytest.raises(NonFinite) as excinfo:
-        finite_difference_jet(model, np.zeros(3), 0.0)
-    want = f"model 'pole' produced non-finite output at state={state}, mu={mu}"
-    assert str(excinfo.value) == want
+        field_jet(model, [0.1, 0.2, -0.2], 0.0)
+    assert str(excinfo.value) == (
+        "model 'predator_prey' field fails at state=[0.1, 0.2, -0.2], mu=0.0: "
+        "division by a Taylor number with a zero constant term"
+    )
 
 
-def test_symmetry_defect_comes_before_the_parameter_block():
-    def rhs(X, mu):
-        return np.where(mu != 0.0, math.inf, _kinked(X, mu))
-
-    model = ModelDefinition("kinked_off_zero", rhs)
-    _assert_same_jet(model, np.zeros(3), 0.0)
-    with pytest.raises(SymmetryDefect):
-        finite_difference_jet(model, np.zeros(3), 0.0)
+def test_field_route_overflowing_jet_entry_is_non_finite():
+    # the x1^3 coefficient is finite, 6 times it is not; RuntimeWarning is an
+    # error in this suite, so this also checks that the overflow stays quiet
+    model = polynomial_model({"y1": [[1e308, 3, 0, 0, 0]], "y2": [], "z": []}, name="steep")
+    with pytest.raises(NonFinite) as excinfo:
+        field_jet(model, [1.0, 0.0, 0.0], 0.0)
+    assert str(excinfo.value).startswith("model 'steep' has a non-finite jet entry")
 
 
 @pytest.mark.parametrize(
-    "rhs",
-    [lambda X, mu: np.full(3, 0.0), lambda X, mu: np.array([math.exp(X[0]), 0.0, 0.0])],
-    ids=["wrong_shape", "single_state_only"],
+    "component",
+    [lambda x: math.exp(x), lambda x: np.exp(x), lambda x: x if x > 0 else -x],
+    ids=["math_exp", "numpy_exp", "comparison"],
 )
-def test_rhs_that_does_not_map_columns_is_invalid(rhs):
-    model = ModelDefinition("flat", rhs)
+def test_field_with_a_non_arithmetic_call_is_invalid(component):
+    model = ModelDefinition(
+        "curved", lambda X, mu: np.zeros(3), field=lambda x1, x2, x3, mu: [component(x1), x2, x3]
+    )
     with pytest.raises(InvalidParams) as excinfo:
-        finite_difference_jet(model, np.zeros(3), 0.0)
+        jet(model, [0.5, 0.0, 0.0], 0.0)
     message = str(excinfo.value)
-    assert message.startswith("model 'flat' rhs must map") and "\n" not in message
+    assert message.startswith("model 'curved' field must use only") and "\n" not in message
 
 
-def _columns_match(rhs, P, mu):
-    with np.errstate(all="ignore"):
-        got = rhs(P, mu)
-        want = np.column_stack([rhs(P[:, c], mu) for c in range(P.shape[1])])
-    assert got.shape == P.shape and np.array_equal(got, want, equal_nan=True)
+def test_model_without_exact_jet_or_field_is_invalid():
+    model = ModelDefinition("bare", lambda X, mu: np.zeros(3))
+    with pytest.raises(InvalidParams, match="^model 'bare' has neither an exact jet nor a field$"):
+        jet(model, np.zeros(3), 0.0)
 
 
-def _columns(coordinate, last=None):
-    """Up to 12 states; ``last`` draws their third coordinate."""
-    state = st.tuples(coordinate, coordinate, coordinate if last is None else last)
-    return st.lists(state, min_size=1, max_size=12)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    # s = -alpha1 and s = -alpha2 are the poles of the response functions
-    columns=_columns(st.floats(-2.0, 5.0) | _coord, st.sampled_from([-0.2, -0.6]) | _coord),
-    mu=st.floats(-0.1, 0.1),
-)
-def test_predator_prey_rhs_maps_columns_as_single_states(columns, mu):
-    _columns_match(builtin("predator_prey", _PREDATOR_PREY).rhs, np.array(columns).T, mu)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    components=st.lists(st.lists(_term, max_size=8), min_size=3, max_size=3),
-    columns=_columns(st.floats(-2.5, 2.5) | _coord),
-    mu=_coord,
-)
-def test_polynomial_rhs_maps_columns_as_single_states(components, columns, mu):
-    model = polynomial_model(dict(zip(("y1", "y2", "z"), components)))
-    _columns_match(model.rhs, np.array(columns).T, mu)
-
-
-@pytest.mark.parametrize(
-    "overflow", [None, [1e200, 0.5, 0.5], [0.5, math.inf, 0.5], [1e308, 1e308, 1e308]]
-)
-def test_polynomial_rhs_columns_with_an_overflowing_power(overflow):
-    # with x^3, 1e200 overflows in pow; the other columns share the call
-    model = polynomial_model(
+def test_huge_integer_power_takes_constant_time():
+    """(a0 + d)^k is summed binomially, so k = 2**62 costs what k = 3 does."""
+    k = 2**62
+    model = from_config(
         {
-            "y1": [[1.0, 3, 0, 0, 0], [-2.0, 0, 1, 1, 1]],
-            "y2": [[0.5, 1, 2, 0, 0]],
-            "z": [[1.5, 0, 0, 2, 1]],
+            "polynomial": {"y1": [[1.0, k, 0, 0, 0]], "y2": [[1.0, 0, 1, 0, 0]], "z": []},
+            "jets": "finite_difference",
         }
     )
-    columns = [[0.5245367165209572, -0.3, 0.7], [-0.0, 0.0, 2.0]] + ([overflow] if overflow else [])
-    _columns_match(model.rhs, np.array(columns).T, 0.25)
+    table = jet(model, [1.0, 0.0, 0.0], 0.0)
+    assert table.state_derivs[1][0, 0] == k
+    assert table.state_derivs[3][0, 0, 0, 0] == pytest.approx(k * (k - 1) * (k - 2), rel=1e-15)
+    assert not jet(model, [0.5, 0.0, 0.0], 0.0).state_derivs[3].any()
+    with pytest.raises(NonFinite):
+        jet(model, [2.0, 0.0, 0.0], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +700,7 @@ def test_finite_difference_model_lays_out_only_the_rhs(monkeypatch):
     params = {"beta2": -1.0, "beta3": -0.5, "beta5": 1.0, "gamma5": -1.0}
     model = from_config({"builtin": "toy_cylindrical", "params": params, "jets": "finite_difference"})
     table = jet(model, np.array([0.01, -0.02, 0.015]), 0.0)
-    assert table.tolerance == models.FD_TOLERANCE
+    assert table.tolerance == models.FIELD_JET_TOLERANCE
     assert len(calls) == 1
 
 
@@ -749,7 +728,7 @@ def test_from_config_finite_difference_mode_drops_exact_jets(interior):
     model = from_config(config)
     assert model.exact_jet is None
     table = jet(model, np.array([0.125, 0.405, 0.3]), 0.0)
-    assert table.tolerance == models.FD_TOLERANCE  # finite differences actually ran
+    assert table.tolerance == models.FIELD_JET_TOLERANCE  # the field route ran
     exact_model = from_config({"builtin": "predator_prey", "params": interior.to_dict()})
     exact = jet(exact_model, np.array([0.125, 0.405, 0.3]), 0.0)
     assert_jets_close(table, exact)
