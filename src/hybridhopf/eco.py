@@ -39,7 +39,7 @@ import numpy as np
 from .classifier import LABELS, Classification, classify, sign_decision
 from .coefficients import CylindricalCoefficients, HarmonicScalar
 from .errors import DegenerateAlphas, InvalidBounds, InvalidParams, NonFinite, NotAdmissible
-from .models import JET_ORDER, JetTable, ModelDefinition, state_multi_indices
+from .models import ModelDefinition
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,10 +112,10 @@ def _line_point(p: EcoParams) -> list[float]:
 
 
 def model(p: EcoParams) -> ModelDefinition:
-    """The predator-prey field for these parameters, with its exact jet and
-    Jacobian.  ``field`` is plain arithmetic, exact over rationals as well.
-    ``metadata["hopf_seed"]`` is `_line_point` when |alpha2 - alpha1| > 1e-9
-    and l1, l2 > 0."""
+    """The predator-prey field for these parameters and its Jacobian, the one
+    hand-derived derivative; `models.jet` takes jets from ``field``, plain
+    arithmetic, exact over rationals as well.  ``metadata["hopf_seed"]`` is
+    `_line_point` when |alpha2 - alpha1| > 1e-9 and l1, l2 > 0."""
     delta1, delta2, lam, alpha1, alpha2 = p.delta1, p.delta2, p.lam, p.alpha1, p.alpha2
 
     def field(x1, x2, s, mu):
@@ -131,58 +131,6 @@ def model(p: EcoParams) -> ModelDefinition:
 
     def rhs(X: np.ndarray, mu: float) -> np.ndarray:
         return np.array(_on_floats(field, X, mu))
-
-    def exact_jet(point: np.ndarray, mu: float) -> JetTable:
-        x1, x2, s = (float(v) for v in point)
-
-        # n-th s-derivatives of g_j(s) = (s - lam_j)/(s + alpha_j) and
-        # h_j(s) = s/(s + alpha_j); both are 1 - const/(s + alpha_j).
-        def rational_derivs(const: float, alpha: float) -> list[float]:
-            # derivatives of -const/(s+alpha): order 0..3 of the full g or h
-            p = s + alpha
-            if p == 0.0:
-                raise NonFinite("predator_prey jet at a pole of a response function")
-            out = [1.0 - const / p]
-            sign = 1.0
-            fact = 1.0
-            for n in range(1, JET_ORDER + 1):
-                fact *= n
-                out.append(sign * fact * const / p ** (n + 1))
-                sign = -sign
-            return out
-
-        g1d = rational_derivs(lam + alpha1, alpha1)
-        g2d = rational_derivs(lam + mu + alpha2, alpha2)
-        h1d = rational_derivs(alpha1, alpha1)
-        h2d = rational_derivs(alpha2, alpha2)
-        logistic = [s * (1.0 - s), 1.0 - 2.0 * s, -2.0, 0.0]
-        # d_mu g2 derivatives in s: -1/(s+alpha2) and its s-derivatives
-        p2 = s + alpha2
-        gmu = [-1.0 / p2, 1.0 / p2**2, -2.0 / p2**3, 6.0 / p2**4]
-
-        entries = [rhs(np.array([x1, x2, s]), mu)]
-        for a, b, c in state_multi_indices():
-            f1 = 0.0
-            if b == 0 and a <= 1:
-                f1 = delta1 * g1d[c] * (x1 if a == 0 else 1.0)
-            f2 = 0.0
-            if a == 0 and b <= 1:
-                f2 = delta2 * g2d[c] * (x2 if b == 0 else 1.0)
-            f3 = 0.0
-            if a == 0 and b == 0:
-                f3 = logistic[c] - x1 * h1d[c] - x2 * h2d[c]
-            elif a == 1 and b == 0:
-                f3 = -h1d[c]
-            elif a == 0 and b == 1:
-                f3 = -h2d[c]
-            entries.append((f1, f2, f3))
-        entries += [
-            (0.0, delta2 * x2 * gmu[0], 0.0),
-            (0.0, 0.0, 0.0),
-            (0.0, delta2 * gmu[0], 0.0),
-            (0.0, delta2 * x2 * gmu[1], 0.0),
-        ]
-        return JetTable.from_entries(point, mu, entries, tolerance=1e-12)
 
     def derivative(x1, x2, s, mu):
         p1, p2 = s + alpha1, s + alpha2
@@ -202,7 +150,7 @@ def model(p: EcoParams) -> ModelDefinition:
     meta = {}
     if abs(alpha2 - alpha1) > 1e-9 and p.l1 > 0 and p.l2 > 0:
         meta["hopf_seed"] = _line_point(p)
-    return ModelDefinition("predator_prey", rhs, exact_jet, jacobian, meta, field)
+    return ModelDefinition("predator_prey", rhs, None, jacobian, meta, field)
 
 
 @dataclasses.dataclass(frozen=True)

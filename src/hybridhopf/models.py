@@ -1,8 +1,8 @@
 """Vector fields on R^3 with derivative jets.
 
 A model bundles a right-hand side F(X; mu) with a way to obtain its partial
-derivatives at a point: exact closed forms (builtin and polynomial models),
-or its ``field`` evaluated on truncated Taylor numbers.  The builtin
+derivatives at a point: exact closed forms (polynomial models), or its
+``field`` evaluated on truncated Taylor numbers (predator-prey).  The builtin
 catalogue holds the planted polynomial fields; its ``predator_prey`` entry
 checks the config's parameters and forwards to `eco.model`.  Everything
 downstream (frames, reduced coefficients, classification) consumes the
@@ -149,11 +149,19 @@ def evaluate(model: ModelDefinition, state: Sequence[float], mu: float) -> np.nd
 
 def jet(model: ModelDefinition, point: Sequence[float], mu: float) -> JetTable:
     """Model jet at a point: the exact jet when the model has one, else the
-    jet of its field by Taylor arithmetic."""
-    X = np.asarray(point, dtype=float)
-    if model.exact_jet is not None:
-        return model.exact_jet(X, float(mu))
-    return _field_jet(model, X, float(mu))
+    jet of its field by Taylor arithmetic.  A point that is not a 3-vector is
+    `InvalidParams`, a non-finite entry `NonFinite` naming the model."""
+    X, mu = np.asarray(point, dtype=float), float(mu)
+    if X.shape != (STATE_DIM,):
+        raise InvalidParams(f"state must have length {STATE_DIM}, got shape {X.shape}")
+    with np.errstate(all="ignore"):  # a non-finite entry is reported below
+        table = model.exact_jet(X, mu) if model.exact_jet else _field_jet(model, X, mu)
+    tensors = (*table.state_derivs, *table.mu_derivs)
+    if not np.isfinite(np.concatenate([t.ravel() for t in tensors])).all():
+        raise NonFinite(
+            f"model '{model.name}' has a non-finite jet entry at state={X.tolist()}, mu={mu}"
+        )
+    return table
 
 
 def central_difference(
@@ -332,11 +340,12 @@ def polynomial_model(
 # jets from the field: truncated Taylor arithmetic
 # ---------------------------------------------------------------------------
 
-#: accuracy a jet from the field claims for each entry.  The arithmetic is
-#: exact to rounding, but without an exact Jacobian `frame.locate_hopf_point`
-#: places the point by central differences (error about 1e-9), and a jet is
-#: no more accurate than its point: claiming 1e-12 would put correct
-#: predator-prey coefficients up to 2.5e4 bands from the exact ones.
+#: accuracy a jet from the field claims for each entry when the model has no
+#: Jacobian (with one, the 1e-12 of an exact jet).  The arithmetic is exact
+#: to rounding, but `frame.locate_hopf_point` then places the point by central
+#: differences (error about 1e-9), and a jet is no more accurate than its
+#: point: claiming 1e-12 would put correct predator-prey coefficients up to
+#: 2.5e4 bands from the exact ones.
 FIELD_JET_TOLERANCE = 1e-6
 
 #: exponents (a, b, c, m) of the monomials x1^a x2^b x3^c mu^m of total
@@ -353,7 +362,9 @@ _TARGET = _INDEX[tuple((_MONOMIALS[_LEFT] + _MONOMIALS[_RIGHT]).T)]
 #: factorials that turn their Taylor coefficients into derivatives
 _JET_SLOTS = _INDEX[tuple(np.array(_JET_ORDERS).T)]
 _JET_FACTORIALS = np.vectorize(math.factorial)(_JET_ORDERS).prod(axis=1)
+#: the constant 1, and the four variables with their constant terms still 0
 _ONE = np.eye(1, len(_MONOMIALS)).ravel()
+_SEEDS = np.eye(len(_MONOMIALS))[_INDEX[tuple(np.eye(4, dtype=int))]]
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -429,26 +440,22 @@ def _field_jet(model: ModelDefinition, X: np.ndarray, mu: float) -> JetTable:
     numbers.  Every failure is a typed error naming the model."""
     if model.field is None:
         raise InvalidParams(f"model '{model.name}' has neither an exact jet nor a field")
-    if X.shape != (STATE_DIM,):
-        raise InvalidParams(f"state must have length {STATE_DIM}, got shape {X.shape}")
-    at = f"state={X.tolist()}, mu={mu}"
-    seeds = np.zeros((4, len(_MONOMIALS)))
-    seeds[:, 0], seeds[range(4), _INDEX[tuple(np.eye(4, dtype=int))]] = (*X, mu), 1.0
+    seeds = _SEEDS.copy()
+    seeds[:, 0] = (*X, mu)
     try:
-        with np.errstate(all="ignore"):  # a non-finite entry is reported below
-            rows = [_lift(F) for F in model.field(*map(_Taylor, seeds))]
-            if len(rows) != STATE_DIM:
-                raise TypeError(f"it has {len(rows)} components")
-            entries = (np.array(rows)[:, _JET_SLOTS] * _JET_FACTORIALS).T
+        rows = [_lift(F) for F in model.field(*map(_Taylor, seeds))]
+        if len(rows) != STATE_DIM:
+            raise TypeError(f"it has {len(rows)} components")
     except ArithmeticError as exc:  # a pole, or a Python float overflow
+        at = f"state={X.tolist()}, mu={mu}"
         raise NonFinite(f"model '{model.name}' field fails at {at}: {exc}") from exc
     except TypeError as exc:
         raise InvalidParams(
             f"model '{model.name}' field must use only + - * / and integer powers: {exc}"
         ) from exc
-    if not np.isfinite(entries).all():
-        raise NonFinite(f"model '{model.name}' has a non-finite jet entry at {at}")
-    return JetTable.from_entries(X, mu, entries, FIELD_JET_TOLERANCE)
+    entries = (np.array(rows)[:, _JET_SLOTS] * _JET_FACTORIALS).T
+    tolerance = FIELD_JET_TOLERANCE if model.jacobian is None else 1e-12
+    return JetTable.from_entries(X, mu, entries, tolerance)
 
 
 # ---------------------------------------------------------------------------

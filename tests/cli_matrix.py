@@ -15,8 +15,8 @@ exact and finite-difference jets; ``continue`` on ROADMAP item 3's coarse
 grid; ``verify``, ``continue`` and ``truncated --compare`` (after
 ``classify``) on planted ``synthetic_nf``, ``toy_cylindrical`` (one set
 with beta1 != 0) and ``classical_hopf`` configs; ``classify`` and ``verify``
-on a planted ``toy_cylindrical`` with finite-difference jets, and a
-finite-difference-mode jet entry that overflows;
+on a planted ``toy_cylindrical`` with finite-difference jets; a jet entry
+that overflows, in both jet modes;
 ``continue --seed-strategy simulate``; the typed-error rows of
 ``tests/test_cli.py``, read from its parametrize marks and test bodies; and
 ``scripts/run_boundary_connection.py`` on three points, with its TSV.
@@ -34,7 +34,7 @@ from pathlib import Path
 import hybridhopf
 import test_cli
 from test_cli import (
-    CLASSICAL, COARSE_GRID, INTERIOR, PLANTED_ES, SYNTHETIC, SYNTHETIC_DEGENERATE,
+    CLASSICAL, COARSE_GRID, INTERIOR, PLANTED_ES, STEEP_DRIFT, SYNTHETIC, SYNTHETIC_DEGENERATE,
 )
 
 #: the scripts directory of the checkout whose ``src`` is on PYTHONPATH
@@ -53,20 +53,6 @@ TOY_BETA1 = {
 EIGEN_FAILURE = {
     "builtin": "toy_cylindrical",
     "params": {"omega": 1e308, "beta2": -0.7, "beta3": 0.2, "beta5": 0.9, "gamma5": -1.1},
-}
-#: the Hopf point is (0, 0, 1), where the term 1e308 mu z^3 and its
-#: derivatives in the state vanish at mu = 0, so point location and the
-#: Jacobian never see it; the jet entry d_mu d_z F = 3e308 overflows, so
-#: finite-difference mode ends in NonFinite from the field route
-FD_OVERFLOW = {
-    "polynomial": {
-        "y1": [[-1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [-1, 1, 0, 0, 0]],
-        "y2": [[1, 1, 0, 0, 0], [1, 0, 1, 1, 0], [-1, 0, 1, 0, 0]],
-        "z": [[-1, 2, 0, 0, 0], [-1, 0, 2, 0, 0], [1, 0, 0, 0, 1], [1e308, 0, 0, 3, 1]],
-    },
-    "name": "steep_drift",
-    "seed_state": [0.0, 0.0, 1.0],
-    "jets": "finite_difference",
 }
 
 
@@ -143,7 +129,8 @@ def runs() -> list[tuple[str, list[str], object]]:
         ("err_no_grid", ["continue", "--config", "{config}"], INTERIOR),
         ("err_bad_mu_grid", ["continue", "--config", "{config}", "--mu-grid", "0.01,abc"], INTERIOR),
         ("err_eigen", ["classify", "--config", "{config}"], EIGEN_FAILURE),
-        ("err_fd_overflow", ["classify", "--config", "{config}"], FD_OVERFLOW),
+        ("err_exact_overflow", ["classify", "--config", "{config}"], STEEP_DRIFT),
+        ("err_fd_overflow", ["classify", "--config", "{config}"], _fd(STEEP_DRIFT)),
         ("err_sweep_overflow", ["eco-sweep", "--delta-bounds", "1,1e308"], None),
         ("err_sweep_underflow", ["eco-sweep", "--delta-bounds", "1e-170,1e-160"], None),
         *(

@@ -171,9 +171,9 @@ def _richardson(quotient: Callable, h):
 
 
 def field_jet(model: ModelDefinition, point: Sequence[float], mu: float) -> JetTable:
-    """The jet `models.jet` takes from ``model.field`` when the model has no
-    exact jet, as in finite-difference mode."""
-    return jet(dataclasses.replace(model, exact_jet=None), point, mu)
+    """The jet `models.jet` takes from ``model.field`` in finite-difference
+    mode, which drops the exact jet and the Jacobian."""
+    return jet(dataclasses.replace(model, exact_jet=None, jacobian=None), point, mu)
 
 
 def finite_difference_jet_loop(

@@ -41,6 +41,19 @@ ES_NORMAL_FORM = {
         "z": [[1, 2, 0, 0, 0], [1, 0, 2, 0, 0], [-1, 0, 0, 0, 1], [-1, 0, 0, 1, 1]],
     }
 }
+#: the Hopf point is (0, 0, 1), where the term 1e308 mu z^3 and its state
+#: derivatives vanish at mu = 0, so central differences never see it (the
+#: exact Jacobian takes 3 * 1e308 = inf before the factor mu = 0, and gives
+#: nan); the jet entry d_mu d_z F = 3e308 overflows
+STEEP_DRIFT = {
+    "polynomial": {
+        "y1": [[-1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [-1, 1, 0, 0, 0]],
+        "y2": [[1, 1, 0, 0, 0], [1, 0, 1, 1, 0], [-1, 0, 1, 0, 0]],
+        "z": [[-1, 2, 0, 0, 0], [-1, 0, 2, 0, 0], [1, 0, 0, 0, 1], [1e308, 0, 0, 3, 1]],
+    },
+    "name": "steep_drift",
+    "seed_state": [0.0, 0.0, 1.0],
+}
 #: three points with |mu| growing 6.3-fold (ROADMAP item 3)
 COARSE_GRID = "0.0005,0.0031622776601683794,0.02"
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -396,6 +409,23 @@ def test_failed_eigen_decomposition_is_a_numerical_failure(workspace):
     last = result.stderr.splitlines()[-1]
     assert last.startswith("numerical failure: "), result.stderr
     assert "(last failed trial: eigenvalues of the Jacobian failed:" in last, result.stderr
+
+
+@pytest.mark.parametrize(
+    "doc, line",
+    [
+        # the exact Jacobian is nan, so point location stops before the jet
+        (STEEP_DRIFT, "eigenvalues of the Jacobian failed: Array must not contain infs or NaNs"),
+        (
+            {**STEEP_DRIFT, "jets": "finite_difference"},
+            "model 'steep_drift' has a non-finite jet entry at state=[0.0, 0.0, 1.0], mu=0.0",
+        ),
+    ],
+    ids=["exact", "finite_difference"],
+)
+def test_overflowing_steep_drift_is_a_numerical_failure(workspace, doc, line, capsys):
+    assert main(["classify", "--config", workspace.config(doc), "--out", workspace.outdir("j")]) == 1
+    assert capsys.readouterr().err == f"numerical failure: {line}\n"
 
 
 @pytest.mark.parametrize(

@@ -96,12 +96,7 @@ def assert_jets_close(approx, exact, tol=1e-6):
 def test_jet_tensors_are_symmetric_and_c_ordered(interior_model):
     X = np.array([0.2, 0.3, 0.4])
     toy = builtin("toy_cylindrical", {"beta1": 0.5, "beta2": 1.0, "beta3": -0.5, "gamma3": 0.2})
-    tables = [
-        jet(interior_model, X, 0.01),
-        jet(toy, X, 0.01),
-        field_jet(interior_model, X, 0.01),
-    ]
-    for table in tables:
+    for table in (jet(interior_model, X, 0.01), jet(toy, X, 0.01)):
         tensors = (*table.state_derivs, *table.mu_derivs)
         assert [t.shape for t in tensors] == [(3,), (3, 3), (3, 3, 3), (3, 3, 3, 3), (3,), (3, 3)]
         assert all(t.flags.c_contiguous for t in tensors)
@@ -109,6 +104,30 @@ def test_jet_tensors_are_symmetric_and_c_ordered(interior_model):
         assert np.array_equal(D2, D2.transpose(0, 2, 1))
         for perm in itertools.permutations((1, 2, 3)):
             assert np.array_equal(D3, D3.transpose(0, *perm)), perm
+
+
+#: the two jet routes of a polynomial model: its exact jet and its field
+_ROUTES = pytest.mark.parametrize("route", [jet, field_jet], ids=["exact", "field"])
+
+
+@_ROUTES
+@pytest.mark.parametrize("point", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4]], ids=["short", "long"])
+def test_jet_point_must_be_a_state(route, point):
+    model = builtin("toy_cylindrical", {"beta2": 1.0, "beta5": 0.3})
+    with pytest.raises(InvalidParams, match=r"^state must have length 3, got shape \([24],\)$"):
+        route(model, point, 0.0)
+
+
+@_ROUTES
+def test_overflowing_jet_entry_is_non_finite(route):
+    # the x1^3 coefficient is finite, 6 times it is not; RuntimeWarning is an
+    # error in this suite, so this also checks that the overflow stays quiet
+    model = polynomial_model({"y1": [[1e308, 3, 0, 0, 0]], "y2": [], "z": []}, name="steep")
+    with pytest.raises(NonFinite) as excinfo:
+        route(model, [1.0, 0.0, 0.0], 0.0)
+    assert str(excinfo.value) == (
+        "model 'steep' has a non-finite jet entry at state=[1.0, 0.0, 0.0], mu=0.0"
+    )
 
 
 def test_synthetic_jet_hand_values():
@@ -185,11 +204,11 @@ def test_linear_field_higher_orders_vanish(rotation_model):
         assert np.allclose(table.state_derivs[order], 0.0, atol=1e-12), order
 
 
-def test_predator_prey_exact_jet_matches_finite_differences(interior_model):
+def test_predator_prey_field_jet_matches_finite_differences(interior_model):
     X_H = np.array([0.125, 0.405, 0.3])
-    exact = jet(interior_model, X_H, 0.0)
+    table = jet(interior_model, X_H, 0.0)
     approx = finite_difference_jet_loop(interior_model, X_H, 0.0)
-    assert_jets_close(approx, exact)
+    assert_jets_close(approx, table)
 
 
 def test_polynomial_exact_jet_matches_finite_differences():
@@ -553,6 +572,51 @@ def test_planted_finite_difference_jet_matches_the_loop(planted, X, mu):
     _assert_agrees_with_the_loop(builtin(*planted), np.array(X), mu)
 
 
+# ---------------------------------------------------------------------------
+# each model's own Jacobian against the DF block of its field jet
+# ---------------------------------------------------------------------------
+
+
+def _assert_jacobian_is_the_field_jet_block(model, X, mu, bound):
+    """``model.jacobian`` equals DF of the field route to 1e-12 of ``bound``,
+    a bound on every term of each entry, as in
+    `_assert_field_route_matches_exact_jet`."""
+    J, DF = model.jacobian(X, mu), field_jet(model, X, mu).state_derivs[1]
+    assert (np.abs(J - DF) <= 1e-12 * bound + TINY).all(), (J, DF)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    X=st.lists(st.floats(0.05, 1.5), min_size=3, max_size=3),
+    mu=st.floats(-0.05, 0.05),
+)
+def test_predator_prey_jacobian_is_its_field_jet_block(seed, X, mu):
+    """`eco`'s hand-written ``derivative`` against Taylor arithmetic on its field."""
+    p = eco.sample_region(1, seed)[0]
+    x1, x2, s = X
+    # at s > 0 every term of an entry, in ``derivative`` and in the Taylor
+    # arithmetic, is at most a delta (or 1) times a coordinate sum times a
+    # parameter sum over (s + alpha_j)^2 or over s + alpha_j
+    w = 1.0 / min(1.0, s + p.alpha1, s + p.alpha2)
+    sums = (1.0 + x1 + x2) * (1.0 + 2.0 * s + p.lam + abs(mu) + p.alpha1 + p.alpha2)
+    bound = max(1.0, p.delta1, p.delta2) * sums * w**2
+    _assert_jacobian_is_the_field_jet_block(eco.model(p), np.array(X), mu, bound)
+
+
+@settings(max_examples=50, deadline=None)
+@given(planted=_PLANTED, X=st.lists(_draw, min_size=3, max_size=3), mu=_draw)
+def test_planted_jacobian_is_its_field_jet_block(planted, X, mu):
+    model = builtin(*planted)
+    field = model.field.__self__  # the model's PolynomialField
+    rows = [(abs(c), *e) for c, e in zip(field.coefs.tolist(), field.exponents.tolist())]
+    magnitude = PolynomialField(
+        [[r for r, k in zip(rows, field.component) if k == c] for c in range(STATE_DIM)]
+    )
+    bound = magnitude.jacobian(np.abs(X), abs(mu))
+    _assert_jacobian_is_the_field_jet_block(model, np.array(X), mu, bound)
+
+
 def _sympy_jet_matches(model, point, mu):
     """Every entry of the field route's jet at a dyadic point is sympy's
     derivative of ``model.field`` there, to 1e-13 relative."""
@@ -587,20 +651,11 @@ def test_field_route_jet_is_sympy_derivative_of_the_field():
 def test_field_route_pole_is_non_finite():
     model = builtin("predator_prey", _PREDATOR_PREY)  # s + alpha1 = 0 at s = -0.2
     with pytest.raises(NonFinite) as excinfo:
-        field_jet(model, [0.1, 0.2, -0.2], 0.0)
+        jet(model, [0.1, 0.2, -0.2], 0.0)
     assert str(excinfo.value) == (
         "model 'predator_prey' field fails at state=[0.1, 0.2, -0.2], mu=0.0: "
         "division by a Taylor number with a zero constant term"
     )
-
-
-def test_field_route_overflowing_jet_entry_is_non_finite():
-    # the x1^3 coefficient is finite, 6 times it is not; RuntimeWarning is an
-    # error in this suite, so this also checks that the overflow stays quiet
-    model = polynomial_model({"y1": [[1e308, 3, 0, 0, 0]], "y2": [], "z": []}, name="steep")
-    with pytest.raises(NonFinite) as excinfo:
-        field_jet(model, [1.0, 0.0, 0.0], 0.0)
-    assert str(excinfo.value).startswith("model 'steep' has a non-finite jet entry")
 
 
 @pytest.mark.parametrize(
@@ -731,6 +786,7 @@ def test_from_config_finite_difference_mode_drops_exact_jets(interior):
     assert table.tolerance == models.FIELD_JET_TOLERANCE  # the field route ran
     exact_model = from_config({"builtin": "predator_prey", "params": interior.to_dict()})
     exact = jet(exact_model, np.array([0.125, 0.405, 0.3]), 0.0)
+    assert exact.tolerance == 1e-12  # a field jet with the model's own Jacobian
     assert_jets_close(table, exact)
 
 
