@@ -43,8 +43,7 @@ import numpy as np
 from . import __version__, classifier, eco, frame as frame_mod, models
 from .coefficients import compute_coefficients
 from .errors import (
-    AssumptionViolation, Degenerate, HybridHopfError, InvalidBounds, InvalidParams, UsageError,
-    WrongDirection,
+    AssumptionViolation, Degenerate, HybridHopfError, InvalidParams, UsageError, WrongDirection,
 )
 
 
@@ -276,10 +275,6 @@ def _cmd_continue(args: argparse.Namespace) -> int:
     if not report.all_pass():
         return _assumptions_failed(report)
     seed_state = _numbers(args.seed_state, "--seed-state", 3) if args.seed_state else None
-    if args.seed_strategy == "simulate" and seed_state is None:
-        raise InvalidBounds("simulate seeding needs a seed_state")
-    if args.seed_strategy != "simulate" and seed_state is not None:
-        raise InvalidBounds("--seed-state is read only with --seed-strategy simulate")
     try:
         branch = verify.continue_branch(
             model,
@@ -326,9 +321,9 @@ def _cmd_continue(args: argparse.Namespace) -> int:
 
 
 #: sweep.tsv's columns: `EcoParams` attributes (``lam`` is headed "lambda"),
-#: then `eco.closed_form_coefficients` entries, then the type
+#: then `eco.classify_region` closed forms, then the type
 _SWEEP_PARAMS = ("delta1", "delta2", "lam", "alpha1", "alpha2", "l1", "l2")
-_SWEEP_CLOSED_FORMS = ("omega", "beta2", "beta5", "gamma5", "gamma7", "sigma", "margin")
+_SWEEP_CLOSED_FORMS = ("omega", "beta2", "beta5", "gamma5", "gamma7", "sigma")
 _sweep_params = operator.attrgetter(*_SWEEP_PARAMS)
 _sweep_closed_forms = operator.itemgetter(*_SWEEP_CLOSED_FORMS)
 
@@ -346,11 +341,7 @@ def _cmd_eco_sweep(args: argparse.Namespace) -> int:
     n = len(types)
     labels = dict(collections.Counter(types))
     non_es = n - labels.get("ES", 0)
-    negative_margin = int(np.count_nonzero(cf["margin"] < 0))
-    print(
-        f"{n} samples: types {labels}; non-ES rows: {non_es}/{n}; "
-        f"negative margin: {negative_margin}/{n}"
-    )
+    print(f"{n} samples: types {labels}; non-ES rows: {non_es}/{n}")
     return 0 if non_es == 0 else 1
 
 
@@ -371,7 +362,6 @@ def _cmd_truncated(args: argparse.Namespace) -> int:
         "epsilon": run.epsilon,
         "mu_tilde": run.mu_tilde,
         "r0": run.r0,
-        "equilibrium_residual": run.equilibrium_residual,
     }
     if args.compare:
         doc |= dataclasses.asdict(verify.compare_with_full_model(model, frame, run))
@@ -381,10 +371,7 @@ def _cmd_truncated(args: argparse.Namespace) -> int:
         ("tau", "r", "z"),
         np.column_stack([run.tau, run.r, run.z]),
     )
-    line = f"truncated run to tau = {_fmt(run.tau[-1])}"
-    if run.equilibrium_residual is not None:
-        line += f"; first-order equilibrium residual {run.equilibrium_residual:.2e}"
-    print(line)
+    print(f"truncated run to tau = {_fmt(run.tau[-1])}")
     if args.compare:
         print(f"sup deviation from full model: {_fmt(doc['deviation'])}")
     return 0
@@ -423,13 +410,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("continue", help="track the orbit branch over a mu grid")
     add_common(p)
     p.add_argument("--mu-grid", default=None, help="comma-separated mu values")
-    p.add_argument(
-        "--seed-strategy",
-        choices=("predict", "simulate"),
-        default="predict",
-        help="first-point seeding",
-    )
-    p.add_argument("--seed-state", default=None, help="start state for simulate seeding")
+    p.add_argument("--seed-state", default=None, help="settle from this state to seed the first point")
     p.add_argument("--samples", type=int, default=256, help="orbit sample count")
     p.set_defaults(func=_cmd_continue)
 

@@ -176,24 +176,19 @@ class _Draws:
 
 def _square(x):
     """``x ** 2`` with libm ``pow``, as Python squares a float; an array is
-    squared element by element.  A square past the float range is `NonFinite`."""
-    try:
-        if isinstance(x, np.ndarray):
-            return np.fromiter(map(math.pow, x.tolist(), itertools.repeat(2.0)), float)
-        return x**2
-    except OverflowError:
-        raise NonFinite("closed forms overflow: a square exceeds the float range") from None
+    squared element by element.  The closed forms square only lam and sums
+    of lam, alpha1, alpha2 and 1, which stay below 2 on admissible
+    parameters, so no square overflows."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(math.pow, x.tolist(), itertools.repeat(2.0)), float)
+    return x**2
 
 
 def _fsum(terms: list):
-    """`math.fsum` of the terms, or of each row when they are float arrays.  A
-    sum that overflows, or adds inf and -inf, is `NonFinite`."""
-    try:
-        if isinstance(terms[0], np.ndarray):
-            return np.fromiter(map(math.fsum, zip(*(t.tolist() for t in terms))), float)
-        return math.fsum(terms)
-    except (OverflowError, ValueError) as exc:
-        raise NonFinite(f"closed forms overflow: {exc}") from None
+    """`math.fsum` of the terms, or of each row when they are float arrays."""
+    if isinstance(terms[0], np.ndarray):
+        return np.fromiter(map(math.fsum, zip(*(t.tolist() for t in terms))), float)
+    return math.fsum(terms)
 
 
 def omega_squared(p: EcoParams) -> float:
@@ -212,12 +207,17 @@ def hopf_point(p: EcoParams) -> np.ndarray:
 
 
 def h_polynomials(p: EcoParams) -> tuple[float, float]:
-    """Cubic-coefficient building blocks H1, H2.
+    """Cubic-coefficient building blocks H1, H2 of beta3.
 
     Each is a correctly rounded sum of the same six products with the roles
     of alpha1 and alpha2 swapped and all signs flipped, so
     H2(lam, alpha1, alpha2) == -H1(lam, alpha2, alpha1) holds exactly in
-    floating point.
+    floating point.  On the admissible region
+    H1 = -lam (1-alpha1) - alpha2 (4 lam + 2 alpha1 + 2 l2) < 0 and
+    H2 = lam (1-alpha2) + alpha1 (4 lam + 2 alpha1 + 2 l2) > 0, and the
+    focus quantity is c ((lam+alpha1) delta1 l2 H1 - (lam+alpha2) delta2 l1 H2)
+    with c > 0, so in exact arithmetic every admissible parameter set is of
+    type ES; the tests prove both on these closed forms.
     """
     lam, a1, a2 = p.lam, p.alpha1, p.alpha2
     h1 = _fsum(
@@ -227,21 +227,6 @@ def h_polynomials(p: EcoParams) -> tuple[float, float]:
         [lam, -2.0 * a1, -lam * a2, (8.0 * lam) * a1, (2.0 * a1) * a2, (2.0 * a1) * a1]
     )
     return h1, h2
-
-
-def stability_margin(p: EcoParams, h: tuple[float, float] | None = None) -> float:
-    """Sign-definite combination deciding orbit stability; negative means stable.
-
-    margin = (lam+alpha1) delta1 l2 H1 - (lam+alpha2) delta2 l1 H2, where
-    ``h`` is ``h_polynomials(p)`` when already evaluated.
-    """
-    h1, h2 = h_polynomials(p) if h is None else h
-    return _fsum(
-        [
-            (p.lam + p.alpha1) * p.delta1 * p.l2 * h1,
-            -((p.lam + p.alpha2) * p.delta2 * p.l1 * h2),
-        ]
-    )
 
 
 def closed_form_coefficients(p: EcoParams) -> dict[str, float]:
@@ -254,6 +239,10 @@ def closed_form_coefficients(p: EcoParams) -> dict[str, float]:
     equilibrium line scaled to x2-component 1, not to unit length, because
     the closed forms are tied to exactly that scaling.  The parameter drift
     there is d_mu F = (0, -a2, 0).
+
+    The entries are omega, the sign-carrying beta2, beta3, beta5, beta6,
+    gamma5, gamma7 and beta3's building blocks H1, H2; the focus quantity
+    sigma is `classification_record`'s, computed by `classify` from these.
     """
     p.require_admissible()
     w2 = omega_squared(p)
@@ -290,8 +279,6 @@ def _closed_forms(p: EcoParams, w2: float) -> dict[str, float]:
     gamma7 = -lam_sq * d1 * d2 * (q1 * d1 * _square(l2) - q2 * d2 * _square(l1)) / (
         q1 * q2 * w4 * lsum_sq
     )
-    gamma5_sq = _square(gamma5)
-    sigma = 2.0 * beta3 * gamma5_sq - beta5 * gamma5 * gamma7 + beta6 * gamma5_sq
     return {
         "beta2": beta2,
         "beta3": beta3,
@@ -299,16 +286,15 @@ def _closed_forms(p: EcoParams, w2: float) -> dict[str, float]:
         "beta6": beta6,
         "gamma5": gamma5,
         "gamma7": gamma7,
-        "sigma": sigma,
         "H1": h1,
         "H2": h2,
-        "margin": stability_margin(p, (h1, h2)),
     }
 
 
 def classification_record(p: EcoParams) -> Classification:
-    """Classify from the closed forms alone (fast path for region sweeps)."""
-    return classify_closed_form(closed_form_coefficients(p))
+    """Classify from the closed forms alone (fast path for region sweeps);
+    its ``sigma`` is the focus quantity of the closed forms."""
+    return classify(_reduced(closed_form_coefficients(p)))
 
 
 def _reduced(cf: Mapping[str, float]) -> CylindricalCoefficients:
@@ -331,11 +317,6 @@ def _reduced(cf: Mapping[str, float]) -> CylindricalCoefficients:
         gamma6=zero,
         gamma7=cf["gamma7"],
     )
-
-
-def classify_closed_form(cf: Mapping[str, float]) -> Classification:
-    """Classify from an already evaluated `closed_form_coefficients` record."""
-    return classify(_reduced(cf))
 
 
 #: predator densities at or below this count as extinct for `interior_guard`
@@ -443,10 +424,11 @@ def classify_region(
     n: int, seed: int, delta_bounds: tuple[float, float]
 ) -> tuple[_Draws, dict[str, np.ndarray], list[str]]:
     """`_draw_region`'s draws, their closed forms (the entries of
-    `closed_form_coefficients`, as arrays) and their type labels.
+    `closed_form_coefficients` and the focus quantity ``sigma``, as arrays)
+    and their type labels.
 
     Every value has the bits of `closed_form_coefficients` and
-    `classify_closed_form` on that draw.  When a draw fails, the first
+    `classification_record` on that draw.  When a draw fails, the first
     failing draw in draw order raises the typed error it raises as floats.
     """
     draws = _draw_region(n, seed, delta_bounds)
@@ -454,14 +436,11 @@ def classify_region(
 
 
 def _classify_draws(draws: _Draws) -> tuple[dict[str, np.ndarray], list[str]]:
-    try:
-        w2 = omega_squared(draws)
-        cf = {"omega": np.sqrt(w2), **_closed_forms(draws, w2)}
-        decision = sign_decision(_reduced(cf))
-        failed = (w2 * w2 == 0.0) | ~decision.accepted
-    except NonFinite:
-        # a row's fsum or square overflows, as it does in floats
-        failed = np.ones(len(draws.lam), dtype=bool)
+    w2 = omega_squared(draws)
+    cf = {"omega": np.sqrt(w2), **_closed_forms(draws, w2)}
+    decision = sign_decision(_reduced(cf))
+    cf["sigma"] = decision.sigma
+    failed = (w2 * w2 == 0.0) | ~decision.accepted
     if failed.any():
         # a rejected draw has the same values as floats, and so the same verdict
         for p, rejected in zip(draws.params(), failed):

@@ -348,13 +348,10 @@ def _detect_cycle(model: ModelDefinition, mu: float, x: np.ndarray) -> ShootingS
     dense = integrate(model, mu, x, (0.0, 300.0)).sol
     ts = np.linspace(0.0, 300.0, 20000)
     g = (dense(ts).T - x) @ normal
-    crossings = []
-    for i in range(len(g) - 1):
-        if g[i] < 0.0 <= g[i + 1]:
-            # linear refinement of the upward crossing time
-            t0, t1 = ts[i], ts[i + 1]
-            frac = -g[i] / (g[i + 1] - g[i])
-            crossings.append(t0 + frac * (t1 - t0))
+    i = np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))
+    # linear refinement of the upward crossing times
+    frac = -g[i] / (g[i + 1] - g[i])
+    crossings = ts[i] + frac * (ts[i + 1] - ts[i])
     if len(crossings) < 3:
         raise NoConvergence("no recurrent crossings; trajectory is not cycling")
     gaps = np.diff(crossings)
@@ -462,7 +459,9 @@ def continue_branch(
 
 @dataclasses.dataclass(frozen=True)
 class TruncatedRun:
-    """Trajectory of the truncated reduced dynamics in slow time."""
+    """Trajectory of the truncated reduced dynamics in slow time.  ``r0`` is
+    the first-order equilibrium radius sqrt(-mu_tilde gamma5 / beta5), None
+    where that radicand is not positive."""
 
     epsilon: float
     mu_tilde: float
@@ -470,7 +469,6 @@ class TruncatedRun:
     r: np.ndarray
     z: np.ndarray
     r0: float | None
-    equilibrium_residual: float | None
 
 
 def _truncated_rhs(
@@ -537,21 +535,14 @@ def simulate_truncated(
     taus = np.linspace(0.0, sol.t[-1], 2000)
     vals = sol.sol(taus)
 
-    r0 = None
-    residual = None
     ratio = -mu_tilde * coeffs.gamma5 / coeffs.beta5
-    if ratio > 0:
-        r0 = math.sqrt(ratio)
-        first_order = epsilon * (mu_tilde * coeffs.gamma5 + coeffs.beta5 * r0**2)
-        residual = abs(first_order)
     return TruncatedRun(
         epsilon=epsilon,
         mu_tilde=mu_tilde,
         tau=taus,
         r=vals[0],
         z=vals[1],
-        r0=r0,
-        equilibrium_residual=residual,
+        r0=math.sqrt(ratio) if ratio > 0 else None,
     )
 
 

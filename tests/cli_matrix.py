@@ -17,7 +17,7 @@ grid; ``verify``, ``continue`` and ``truncated --compare`` (after
 with beta1 != 0) and ``classical_hopf`` configs; ``classify`` and ``verify``
 on a planted ``toy_cylindrical`` with finite-difference jets; a jet entry
 that overflows, in both jet modes;
-``continue --seed-strategy simulate``; the typed-error rows of
+``continue --seed-state``; the typed-error rows of
 ``tests/test_cli.py``, read from its parametrize marks and test bodies; and
 ``scripts/run_boundary_connection.py`` on three points, with its TSV.
 pytest does not collect this file.
@@ -84,7 +84,7 @@ def runs() -> list[tuple[str, list[str], object]]:
         (
             "pp_continue_simulate",
             ["continue", "--config", "{config}", "--mu-grid", "0.005,0.01",
-             "--seed-strategy", "simulate", "--seed-state", "0.2133,0.1667,0.4"],
+             "--seed-state", "0.2133,0.1667,0.4"],
             INTERIOR,
         ),
     ]

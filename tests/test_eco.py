@@ -165,10 +165,8 @@ def test_closed_forms_interior_frozen_values(interior):
     assert cf["gamma7"] == pytest.approx(2.0 / 9.0, rel=1e-12)
     assert cf["beta3"] == pytest.approx(-0.4160493827160494, rel=1e-12)
     assert abs(cf["beta6"]) < 1e-15  # equal deltas cancel the asymmetry term
-    assert cf["sigma"] == pytest.approx(-0.037125, rel=1e-12)
     assert cf["H1"] == pytest.approx(-1.44, rel=1e-14)
     assert cf["H2"] == pytest.approx(0.52, rel=1e-14)
-    assert cf["margin"] == pytest.approx(-0.2376, rel=1e-13)
 
 
 def test_closed_forms_require_admissibility():
@@ -194,8 +192,60 @@ def test_beta6_vanishes_on_symmetric_growth_locus():
     assert eco.closed_form_coefficients(p)["beta6"] == 0.0
 
 
-def test_stability_margin_interior(interior):
-    assert eco.stability_margin(interior) == pytest.approx(-0.2376, rel=1e-13)
+def test_closed_forms_are_stable_elliptic_on_the_whole_region(monkeypatch):
+    """The showcase claim, proven on the closed forms that `eco` evaluates:
+    on {0 < lam < 1/2, 0 < alpha1 < 1-2lam < alpha2 < 1} and for all deltas,
+    beta2 < 0 < beta5 and gamma5 < 0 (xi = -1, branch on mu > 0), and
+    sigma = c * margin with c > 0 and margin < 0, so in exact arithmetic
+    every admissible parameter set is of type ES.
+
+    The closed forms run on symbols through `eco._Draws`.  Every point of
+    the region is ((u+v)/2, a, u+a+t) / (u+v+a+t) for positive u, v, a, t
+    (at u+v+a+t = 1 they are l2, 1 - alpha2, alpha1 and l1), so a rational
+    function whose numerator and denominator in (u, v, a, t, delta1, delta2)
+    each have coefficients of one sign has that sign on the whole region.
+    """
+    import sympy
+
+    lam, a1, a2, d1, d2 = sympy.symbols("lam alpha1 alpha2 delta1 delta2", positive=True)
+    monkeypatch.setattr(eco, "_fsum", sum)
+    draws = eco._Draws(d1, d2, lam, a1, a2)
+    w2 = eco.omega_squared(draws)
+    cf = {"omega": sympy.sqrt(w2), **eco._closed_forms(draws, w2)}
+    # the float constants of the closed forms are small dyadic numbers
+    cf = {k: e.xreplace({f: sympy.Rational(f) for f in e.atoms(sympy.Float)}) for k, e in cf.items()}
+    sigma = classifier.focus_quantity(eco._reduced(cf))
+
+    l1, l2 = 1 - 2 * lam - a1, 2 * lam + a2 - 1
+    # H1 and H2 as sums of products of factors positive on the region
+    h1 = -lam * (1 - a1) - a2 * (4 * lam + 2 * a1 + 2 * l2)
+    h2 = lam * (1 - a2) + a1 * (4 * lam + 2 * a1 + 2 * l2)
+    assert sympy.expand(cf["H1"] - h1) == 0
+    assert sympy.expand(cf["H2"] - h2) == 0
+    margin = (lam + a1) * d1 * l2 * h1 - (lam + a2) * d2 * l1 * h2
+    c = (d1 * d2 * l1 * l2) ** 2 / (
+        4 * (a2 - a1) ** 2 * (lam + a1) ** 2 * (d1 * l2 + d2 * l1) ** 3
+    )
+    assert sympy.expand(sympy.fraction(sympy.together(sigma - c * margin))[0]) == 0
+
+    u, v, a, t = sympy.symbols("u v a t", positive=True)
+    s = u + v + a + t
+    region = {lam: (u + v) / (2 * s), a1: a / s, a2: (u + a + t) / s}
+
+    def sign_on_region(expr) -> int:
+        num, den = sympy.fraction(sympy.cancel(expr.subs(region)))
+        signs = [
+            {sympy.sign(k) for k in sympy.Poly(part, u, v, a, t, d1, d2).coeffs()}
+            for part in (num, den)
+        ]
+        assert all(len(one) == 1 for one in signs), (expr, signs)
+        return int(signs[0].pop() * signs[1].pop())
+
+    signed = {"H1": h1, "H2": h2, "margin": margin, "c": c}
+    signed |= {name: cf[name] for name in ("beta2", "beta5", "gamma5")}
+    assert {name: sign_on_region(e) for name, e in signed.items()} == {
+        "H1": -1, "H2": 1, "margin": -1, "c": 1, "beta2": -1, "beta5": 1, "gamma5": -1,
+    }
 
 
 def test_h1_limit_at_vanishing_l1():
@@ -226,12 +276,6 @@ def test_classification_record_interior(interior):
     assert record.xi == -1
     assert record.direction == 1
     assert record.sigma == pytest.approx(-0.037125, rel=1e-12)
-
-
-def test_classify_closed_form_matches_classification_record():
-    """eco-sweep classifies the closed forms it already evaluated."""
-    for p in eco.sample_region(50, 3):
-        assert eco.classify_closed_form(eco.closed_form_coefficients(p)) == eco.classification_record(p)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +396,9 @@ def _assert_rows_match_floats(rows):
     for i, p in enumerate(draws.params()):
         assert p == EcoParams(*rows[i])
         assert draws.l1[i] == p.l1 and draws.l2[i] == p.l2
-        cf = eco.closed_form_coefficients(p)
-        assert labels[i] == eco.classify_closed_form(cf).label
+        record = eco.classification_record(p)
+        cf = {**eco.closed_form_coefficients(p), "sigma": record.sigma}
+        assert labels[i] == record.label
         assert arrays.keys() == cf.keys()
         for key, value in cf.items():
             assert np.array_equal(arrays[key][i], value), (key, rows[i])
@@ -399,13 +444,13 @@ def test_array_closed_forms_equal_the_float_evaluation_on_sampled_draws():
     [
         (5, 0, (1e-300, 1.0), 0),  # beta5 and gamma5 below the sign threshold
         (20000, 3, (1e-6, 1e6), 14),  # the same, first on draw 14
-        (200, 0, (1.0, 1e308), 0),  # overflow: sigma is nan
+        (200, 0, (1.0, 1e308), 0),  # overflow: sigma is not finite
         (200, 0, (1e-170, 1e-160), 0),  # underflow: omega^4 is 0
-        (200, 0, (1e307, 1.7e308), 0),  # a later draw's margin overflows fsum
-        (1, 2884, (1e306, 1.7e308), 0),  # the margin overflows fsum
+        (200, 0, (1e307, 1.7e308), 0),  # beta5 and gamma5 overflow on every draw
+        (1, 2884, (1e306, 1.7e308), 0),  # beta5 and gamma5 overflow
         (1, 0, (1e-162, 1e-161), 0),  # a denominator underflows to zero
-        (1, 960, (5.5e154, 7.5e154), 0),  # gamma5 squares past the float range
-        (50, 7, (5.5e154, 7.5e154), 0),  # sigma is nan; draw 41's gamma5 square overflows
+        (1, 960, (5.5e154, 7.5e154), 0),  # gamma5 is finite and sigma is not
+        (50, 7, (5.5e154, 7.5e154), 0),  # sigma is nan
     ],
 )
 def test_first_failing_draw_decides_the_sweep_error(n, seed, bounds, first):
@@ -503,10 +548,9 @@ def test_array_decision_matches_classify_on_drawn_coefficients(rows):
     _assert_decision_matches_classify(rows)
 
 
-def test_overflowing_margin_is_a_typed_error():
-    """A margin whose exactly rounded sum overflows is `NonFinite`, not an
-    `OverflowError` from `math.fsum`."""
+def test_overflowing_closed_forms_are_a_typed_error():
+    """Deltas near the float maximum overflow the closed forms to inf and
+    nan, which classify rejects as `NonFinite`."""
     p = list(eco._draw_region(400, 0, (1e307, 1.7e308)).params())[35]
-    for closed_form in (eco.stability_margin, eco.classification_record):
-        with pytest.raises(NonFinite, match="^closed forms overflow: intermediate overflow in fsum$"):
-            closed_form(p)
+    with pytest.raises(NonFinite, match=r"^cannot classify non-finite coefficients: .* sigma = nan$"):
+        eco.classification_record(p)

@@ -528,7 +528,7 @@ def _rotated_synthetic():
 
 
 _PREDATOR_PREY = {"delta1": 1.0, "delta2": 1.0, "lam": 0.3, "alpha1": 0.2, "alpha2": 0.6}
-_TOY = {"beta1": 0.5, "beta2": 1.0, "beta3": -0.5, "beta5": 0.3, "gamma3": 0.2, "gamma5": 0.7}
+_TOY_PARAMS = {"beta1": 0.5, "beta2": 1.0, "beta3": -0.5, "beta5": 0.3, "gamma3": 0.2, "gamma5": 0.7}
 
 
 @pytest.mark.parametrize(
@@ -537,8 +537,8 @@ _TOY = {"beta1": 0.5, "beta2": 1.0, "beta3": -0.5, "beta5": 0.3, "gamma3": 0.2, 
         (builtin("predator_prey", _PREDATOR_PREY), [0.125, 0.405, 0.3], 0.0),
         (builtin("predator_prey", _PREDATOR_PREY), [2.5, -0.0, 0.3], -0.02),
         (builtin("synthetic_nf", {"a": 2, "b": 3, "c": 5, "d": 7, "omega": 1}), [0, -0.0, 0], 0.0),
-        (builtin("toy_cylindrical", _TOY), [0.01, -0.02, 0.015], 0.003),
-        (builtin("toy_cylindrical", _TOY), [-1.7, 3.2, 1e-3], -2.0),
+        (builtin("toy_cylindrical", _TOY_PARAMS), [0.01, -0.02, 0.015], 0.003),
+        (builtin("toy_cylindrical", _TOY_PARAMS), [-1.7, 3.2, 1e-3], -2.0),
         (builtin("classical_hopf", {"sign": 1}), [0.1, 0.2, -0.3], 0.01),
         (_rotated_synthetic(), [0.0, 0.0, 0.0], 0.0),
         (_rotated_synthetic(), [0.4, -1.1, 0.2], 0.05),
