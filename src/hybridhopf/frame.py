@@ -46,6 +46,14 @@ def _eigen(decompose, J: np.ndarray):
         raise NonFinite(f"eigenvalues of the Jacobian failed: {exc}") from exc
 
 
+def _finite(model: ModelDefinition, what: str, M: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """M, taken at (X, mu = 0); a non-finite entry is `NonFinite` naming the
+    model and the state, so no such matrix reaches LAPACK."""
+    if not np.isfinite(M).all():
+        raise NonFinite(f"model '{model.name}' has a non-finite {what} at state={X.tolist()}, mu=0.0")
+    return M
+
+
 def _spectrum_split(J: np.ndarray) -> tuple[complex, complex]:
     """Return (nu, nu0): the rotation eigenvalue (Im > 0 if any) and the real one."""
     eigs = _eigen(np.linalg.eigvals, J)
@@ -72,7 +80,7 @@ def locate_hopf_point(model: ModelDefinition, seed: Sequence[float]) -> np.ndarr
 
     def residual(P: np.ndarray) -> np.ndarray:
         F = models.evaluate(model, P, 0.0)
-        nu, _ = _spectrum_split(jacobian(P, 0.0))
+        nu, _ = _spectrum_split(_finite(model, "Jacobian", jacobian(P, 0.0), P))
         return np.array([F[0], F[1], F[2], nu.real])
 
     G = residual(X)
@@ -80,7 +88,7 @@ def locate_hopf_point(model: ModelDefinition, seed: Sequence[float]) -> np.ndarr
         F_norm = float(np.max(np.abs(G[:3])))
         if F_norm < LOCATE_RESIDUAL_TOL and abs(G[3]) < LOCATE_SPECTRUM_TOL:
             break
-        JG = models.central_difference(residual, X)
+        JG = _finite(model, "Newton matrix", models.central_difference(residual, X), X)
         step, *_ = np.linalg.lstsq(JG, -G, rcond=None)
         base = float(np.linalg.norm(G))
         scale = 1.0
@@ -105,7 +113,7 @@ def locate_hopf_point(model: ModelDefinition, seed: Sequence[float]) -> np.ndarr
             f"(|F| = {np.max(np.abs(G[:3])):.2e}, Re nu = {G[3]:.2e})"
         )
 
-    nu, nu0 = _spectrum_split(jacobian(X, 0.0))
+    nu, nu0 = _spectrum_split(_finite(model, "Jacobian", jacobian(X, 0.0), X))
     if nu.imag <= A2_THRESHOLD:
         raise NotHopf(f"no rotation pair at the converged point (Im nu = {nu.imag:.2e})")
     if abs(nu0) > A2_THRESHOLD:
@@ -314,13 +322,13 @@ def _line_residual(model: ModelDefinition, X_H: np.ndarray, e3: np.ndarray) -> f
         for _ in range(25):
             try:
                 F = models.evaluate(model, X, 0.0)
+                best = min(best, float(np.max(np.abs(F))))
+                if best < 1e-14:
+                    break
+                JG = np.vstack([_finite(model, "Jacobian", jacobian(X, 0.0), X), e3])
             except NonFinite:
                 best = math.inf
                 break
-            best = min(best, float(np.max(np.abs(F))))
-            if best < 1e-14:
-                break
-            JG = np.vstack([jacobian(X, 0.0), e3])
             G = np.append(F, e3 @ (X - P))
             step, *_ = np.linalg.lstsq(JG, -G, rcond=None)
             X = X + step

@@ -194,18 +194,17 @@ class PolynomialField:
     """Three polynomial components in (x1, x2, x3, mu) with exact jets.
 
     Terms are rows ``(coef, i, j, k, m)`` for ``coef * x1^i x2^j x3^k mu^m``,
-    held as ``coefs`` (n,), ``exponents`` (n, 4) and ``component`` (n,).  For
-    the RHS (in ``__init__``), the Jacobian columns and the 24 jet entries
-    (each on first use, so finite-difference models never build them), the
-    field lays out each (derivative order, term) pair as the chain
-    ``coef w_1 x1^e_1 w_2 x2^e_2 w_3 x3^e_3 w_mu mu^e_mu`` (falling-factorial
-    weights w, reduced exponents e).  A call builds a power table with libm
-    ``pow`` on Python floats (numpy's array power and ``x * x`` round
-    differently), multiplies every chain in that order in one reduction and
-    sums each entry in term order with ``np.bincount``, so results equal the
-    term-by-term loop bit for bit; where a power is not finite, `_stepwise`
-    repeats the loop's stop at the first zero factor.  `field` is that loop
-    in plain arithmetic, for jets by Taylor arithmetic.
+    held as ``coefs`` (n,), ``exponents`` (n, 4) and ``component`` (n,).  The
+    RHS, the Jacobian columns and the 24 jet entries (the last two built on
+    first use) evaluate each (derivative order, term) pair with a nonzero
+    coefficient as ``coef * (w * x1^e1 x2^e2 x3^e3 mu^em)`` (falling-factorial
+    weight w, reduced exponents e), with powers from one table of libm ``pow``
+    on Python floats (numpy's array power depends on the CPU), and sum each
+    entry with one ``np.bincount``: barring underflow, an entry of n terms is
+    within about (n + 16) 2^-53 times the sum of their magnitudes.  An entry is
+    non-finite when a power it needs overflows or a coordinate it reads is
+    not finite; a pair whose powers multiply to 0 adds exactly 0.  `field` is
+    the term loop in plain arithmetic, for jets by Taylor arithmetic.
     """
 
     def __init__(self, components: Sequence[Sequence[Sequence[float]]]):
@@ -225,65 +224,28 @@ class PolynomialField:
     def _jet(self):
         return self._layout(_JET_ORDERS)
 
-    def _layout(self, orders: list[tuple[int, int, int, int]], every_term: bool = False):
-        """What a call with these derivative orders needs: the orders, the
-        chain matrix (one row per factor, indexing [power table, constants]),
-        the output slot of each chain, the (axis, k) pairs of the power table
-        and the constants.
-
-        The table holds every power the term loop could take for these
-        orders.  Unless ``every_term``, pairs with a zero weight or
-        coefficient are left out (at finite powers they add a signed zero to
-        a sum that starts at +0.0), and so are factor rows that are 1.0 in
-        every chain (multiplying by 1.0 is exact).
-        """
+    def _layout(self, orders: list[tuple[int, int, int, int]]):
+        """For these derivative orders: the power table's (axis, k) pairs, each
+        kept pair's table positions, coefficient, weight and slot, the slot count."""
         order = np.array(orders)
-        taken = np.maximum(self.exponents[None] - order[:, None], 0)
-        ks, inverse = np.unique(taken, return_inverse=True)
-        index = np.arange(4) * len(ks) + inverse.reshape(taken.shape)
-        powers = [(axis, k) for axis in range(4) for k in ks.tolist()]
         kept = (self.exponents[None] >= order[:, None]).all(axis=2) & (self.coefs != 0.0)
-        q, t = np.nonzero(kept | every_term)
-        power, reduced, d = self.exponents[t], taken[q, t], order[q]
-        weight = np.ones(reduced.shape)
-        for step in range(JET_ORDER):
-            weight = np.where(d > step, weight * (power - step), weight)
-        weight[power < d] = 0.0
-        start = len(powers)
-        constants = np.concatenate(
-            (np.zeros(start), self.coefs[t] * weight[:, 0], weight[:, 1:].T.ravel())
-        )
-        chain, weighted, powered = [], (weight != 1.0).any(axis=0), reduced.any(axis=0)
-        for axis in range(4):
-            if axis == 0 or weighted[axis]:
-                chain.append(start + axis * len(t) + np.arange(len(t)))
-            if powered[axis]:
-                chain.append(index[q, t, axis])
+        q, t = np.nonzero(kept)
+        power, d = self.exponents[t], order[q]
+        ks, inverse = np.unique(power - d, return_inverse=True)
+        index = np.arange(4) * len(ks) + inverse.reshape(power.shape)
+        powers = [(axis, k) for axis in range(4) for k in ks.tolist()]
+        weight = np.prod([np.where(d > s, power - s, 1.0) for s in range(JET_ORDER)], axis=(0, 2))
         slots = self.component[t] * len(order) + q
-        return orders, np.array(chain), slots, powers, constants
+        return powers, index, self.coefs[t], weight, slots, STATE_DIM * len(order)
 
     def _evaluate(self, layout, X, mu) -> np.ndarray:
-        orders, chain, slots, powers, constants = layout
+        powers, index, coefs, weight, slots, size = layout
         x = (*np.asarray(X, dtype=float)[:STATE_DIM].tolist(), float(mu))
         try:
             table = [x[axis] ** k for axis, k in powers]
         except OverflowError:  # Python floats raise where numpy scalars give inf
-            table = None
-        if table is None or not math.isfinite(sum(x)):
-            return self._stepwise(orders, x)
-        values = constants.copy()
-        values[: len(table)] = table
-        return np.bincount(slots, values[chain].prod(axis=0), STATE_DIM * len(orders))
-
-    def _stepwise(self, orders, x) -> np.ndarray:
-        """Non-finite powers: every term, each chain stopped at its first zero
-        as the term-by-term loop did (0 * inf is nan, a stopped chain adds 0)."""
-        _, chain, slots, powers, constants = self._layout(orders, every_term=True)
-        values = constants.copy()
-        values[: len(powers)] = [np.float64(x[axis]) ** k for axis, k in powers]
-        partial = np.multiply.accumulate(values[chain])
-        products = np.where((partial == 0.0).any(axis=0), 0.0, partial[-1])
-        return np.bincount(slots, products, STATE_DIM * len(orders))
+            table = [np.float64(x[axis]) ** k for axis, k in powers]
+        return np.bincount(slots, coefs * (weight * np.array(table)[index].prod(axis=1)), size)
 
     def rhs(self, X: np.ndarray, mu: float) -> np.ndarray:
         return self._evaluate(self._rhs, X, mu)

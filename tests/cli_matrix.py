@@ -16,10 +16,11 @@ grid; ``verify``, ``continue`` and ``truncated --compare`` (after
 ``classify``) on planted ``synthetic_nf``, ``toy_cylindrical`` (one set
 with beta1 != 0) and ``classical_hopf`` configs; ``classify`` and ``verify``
 on a planted ``toy_cylindrical`` with finite-difference jets; a jet entry
-that overflows, in both jet modes;
-``continue --seed-state``; the typed-error rows of
-``tests/test_cli.py``, read from its parametrize marks and test bodies; and
-``scripts/run_boundary_connection.py`` on three points, with its TSV.
+that overflows, in both jet modes, and a Jacobian that overflows;
+``continue --seed-state``; a degenerate ``eco-sweep`` draw; the typed-error
+rows of ``tests/test_cli.py``, read from its parametrize marks and test
+bodies; and ``scripts/run_boundary_connection.py`` on three points, with its
+TSV.
 pytest does not collect this file.
 """
 
@@ -34,7 +35,8 @@ from pathlib import Path
 import hybridhopf
 import test_cli
 from test_cli import (
-    CLASSICAL, COARSE_GRID, INTERIOR, PLANTED_ES, STEEP_DRIFT, SYNTHETIC, SYNTHETIC_DEGENERATE,
+    CLASSICAL, COARSE_GRID, INTERIOR, PLANTED_ES, STEEP_DRIFT, STEEP_JACOBIAN, SWEEP_DEGENERATE,
+    SYNTHETIC, SYNTHETIC_DEGENERATE,
 )
 
 #: the scripts directory of the checkout whose ``src`` is on PYTHONPATH
@@ -131,12 +133,14 @@ def runs() -> list[tuple[str, list[str], object]]:
         ("err_eigen", ["classify", "--config", "{config}"], EIGEN_FAILURE),
         ("err_exact_overflow", ["classify", "--config", "{config}"], STEEP_DRIFT),
         ("err_fd_overflow", ["classify", "--config", "{config}"], _fd(STEEP_DRIFT)),
+        ("err_jacobian_overflow", ["classify", "--config", "{config}"], STEEP_JACOBIAN),
         ("err_sweep_overflow", ["eco-sweep", "--delta-bounds", "1,1e308"], None),
         ("err_sweep_underflow", ["eco-sweep", "--delta-bounds", "1e-170,1e-160"], None),
         *(
             (f"err_sweep_float_{i}", ["eco-sweep", *argv], None)
-            for i, argv in enumerate(test_cli.SWEEP_FLOAT_FAILURES)
+            for i, argv in enumerate(test_cli.SWEEP_NUMERICAL_FAILURES)
         ),
+        ("err_sweep_degenerate", ["eco-sweep", *SWEEP_DEGENERATE], None),
         # the first draw the classification rejects decides the error: draw 0
         # here, draw 14 in the second
         ("err_sweep_first_row", ["eco-sweep", "--delta-bounds", "1e-300,1"], None),

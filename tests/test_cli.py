@@ -42,9 +42,8 @@ ES_NORMAL_FORM = {
     }
 }
 #: the Hopf point is (0, 0, 1), where the term 1e308 mu z^3 and its state
-#: derivatives vanish at mu = 0, so central differences never see it (the
-#: exact Jacobian takes 3 * 1e308 = inf before the factor mu = 0, and gives
-#: nan); the jet entry d_mu d_z F = 3e308 overflows
+#: derivatives vanish at mu = 0, so neither Jacobian sees it; the jet entry
+#: d_mu d_z F = 3e308 overflows
 STEEP_DRIFT = {
     "polynomial": {
         "y1": [[-1, 0, 1, 0, 0], [1, 1, 0, 1, 0], [-1, 1, 0, 0, 0]],
@@ -53,6 +52,16 @@ STEEP_DRIFT = {
     },
     "name": "steep_drift",
     "seed_state": [0.0, 0.0, 1.0],
+}
+#: steep_drift with 1.5e308 z^2 for its last term: d_z F_z = 3e308 overflows
+#: at the seed
+STEEP_JACOBIAN = {
+    **STEEP_DRIFT,
+    "polynomial": {
+        **STEEP_DRIFT["polynomial"],
+        "z": [*STEEP_DRIFT["polynomial"]["z"][:3], [1.5e308, 0, 0, 2, 0]],
+    },
+    "name": "steep_jacobian",
 }
 #: three points with |mu| growing 6.3-fold (ROADMAP item 3)
 COARSE_GRID = "0.0005,0.0031622776601683794,0.02"
@@ -361,10 +370,10 @@ def test_eco_sweep_single_row_and_determinism(workspace):
     ).read_bytes()
 
 
-#: eco-sweep runs whose draws overflow or underflow the closed forms, with
-#: the one line each prints: a zero denominator makes Python floats raise
-#: where numpy gives inf or nan, and the overflows reach classify as inf and nan
-SWEEP_FLOAT_FAILURES = {
+#: eco-sweep runs that end in a numerical failure, with the one line each
+#: prints: the closed forms overflow to inf and nan, which classify rejects,
+#: or a denominator underflows to 0
+SWEEP_NUMERICAL_FAILURES = {
     ("--samples", "1", "--seed", "2884", "--delta-bounds", "1e306,1.7e308"):
         "numerical failure: cannot classify non-finite coefficients: beta2 = -0.17177876162010228, "
         "beta5 = inf, gamma5 = -inf, sigma = nan\n",
@@ -388,9 +397,20 @@ def test_eco_sweep_overflowing_closed_forms_are_numerical_failures(workspace, ca
         assert main(["eco-sweep", "--delta-bounds", bounds, "--out", workspace.outdir("far")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
-    for argv, line in SWEEP_FLOAT_FAILURES.items():
+    for argv, line in SWEEP_NUMERICAL_FAILURES.items():
         assert main(["eco-sweep", *argv, "--out", workspace.outdir("far")]) == 1
         assert capsys.readouterr().err == line
+
+
+#: an eco-sweep run whose one draw has a focus quantity (-5.983) below the
+#: resolution of its largest term (4.791e3)
+SWEEP_DEGENERATE = ("--samples", "1", "--seed", "25", "--delta-bounds", "1,1e200")
+
+
+def test_eco_sweep_degenerate_draw_is_exit_3(workspace, capsys):
+    assert main(["eco-sweep", *SWEEP_DEGENERATE, "--out", workspace.outdir("deg")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate: ") and err.count("\n") == 1, err
 
 
 def test_failed_eigen_decomposition_is_a_numerical_failure(workspace):
@@ -416,14 +436,16 @@ def test_failed_eigen_decomposition_is_a_numerical_failure(workspace):
 @pytest.mark.parametrize(
     "doc, line",
     [
-        # the exact Jacobian is nan, so point location stops before the jet
-        (STEEP_DRIFT, "eigenvalues of the Jacobian failed: Array must not contain infs or NaNs"),
+        *(
+            (doc, "model 'steep_drift' has a non-finite jet entry at state=[0.0, 0.0, 1.0], mu=0.0")
+            for doc in (STEEP_DRIFT, {**STEEP_DRIFT, "jets": "finite_difference"})
+        ),
         (
-            {**STEEP_DRIFT, "jets": "finite_difference"},
-            "model 'steep_drift' has a non-finite jet entry at state=[0.0, 0.0, 1.0], mu=0.0",
+            STEEP_JACOBIAN,
+            "model 'steep_jacobian' has a non-finite Jacobian at state=[0.0, 0.0, 1.0], mu=0.0",
         ),
     ],
-    ids=["exact", "finite_difference"],
+    ids=["exact", "finite_difference", "jacobian"],
 )
 def test_overflowing_steep_drift_is_a_numerical_failure(workspace, doc, line, capsys):
     assert main(["classify", "--config", workspace.config(doc), "--out", workspace.outdir("j")]) == 1

@@ -446,11 +446,11 @@ def test_array_closed_forms_equal_the_float_evaluation_on_sampled_draws():
         (20000, 3, (1e-6, 1e6), 14),  # the same, first on draw 14
         (200, 0, (1.0, 1e308), 0),  # overflow: sigma is not finite
         (200, 0, (1e-170, 1e-160), 0),  # underflow: omega^4 is 0
-        (200, 0, (1e307, 1.7e308), 0),  # beta5 and gamma5 overflow on every draw
+        (60, 28, (1.0, 1e200), 1),  # beta5 and gamma5 are finite and sigma is not
         (1, 2884, (1e306, 1.7e308), 0),  # beta5 and gamma5 overflow
         (1, 0, (1e-162, 1e-161), 0),  # a denominator underflows to zero
         (1, 960, (5.5e154, 7.5e154), 0),  # gamma5 is finite and sigma is not
-        (50, 7, (5.5e154, 7.5e154), 0),  # sigma is nan
+        (1, 25, (1.0, 1e200), 0),  # sigma is below its degeneracy threshold
     ],
 )
 def test_first_failing_draw_decides_the_sweep_error(n, seed, bounds, first):
@@ -458,7 +458,7 @@ def test_first_failing_draw_decides_the_sweep_error(n, seed, bounds, first):
         samples = list(eco._draw_region(n, seed, bounds).params())
         for p in samples[:first]:
             eco.classification_record(p)
-        with pytest.raises((AssumptionViolation, NonFinite)) as expected:
+        with pytest.raises((AssumptionViolation, NonFinite, Degenerate)) as expected:
             eco.classification_record(samples[first])
         with pytest.raises(expected.type) as got:
             eco.classify_region(n, seed, bounds)

@@ -1,6 +1,7 @@
 """Hopf-point location, standardizing frames, and assumption checks."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -19,7 +20,7 @@ from hybridhopf import (
     polynomial_model,
     standard_jet,
 )
-from hybridhopf.errors import DefectiveSpectrum, NoConvergence, NotHopf
+from hybridhopf.errors import DefectiveSpectrum, NoConvergence, NonFinite, NotHopf
 from hybridhopf.models import ModelDefinition
 from oracles import field_jet
 
@@ -70,6 +71,22 @@ def test_locate_rejects_spectrum_without_rotation():
     )
     with pytest.raises((NotHopf, NoConvergence)):
         locate_hopf_point(model, np.array([0.1, 0.1, 0.1]))
+
+
+def test_locate_rejects_a_non_finite_newton_matrix_before_lapack():
+    # F_1 jumps from -1e308 to 1e308 across x1 = 0, so the central difference
+    # of the residual there is 2e308 / 2h = inf; numpy's lstsq did not return
+    # on such a matrix.  A non-finite Jacobian is a row of tests/test_cli.py.
+    model = ModelDefinition(
+        "cliff",
+        lambda X, mu: np.array([1e308 if X[0] > 0 else -1e308, 0.0, 0.0]),
+        jacobian=lambda X, mu: standard_linear_part(1.0),
+    )
+    with pytest.raises(NonFinite) as excinfo, np.errstate(all="ignore"):
+        locate_hopf_point(model, np.zeros(3))
+    assert str(excinfo.value) == (
+        "model 'cliff' has a non-finite Newton matrix at state=[0.0, 0.0, 0.0], mu=0.0"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +317,20 @@ def test_classical_hopf_fails_exactly_nondegeneracy(sign):
     assert report.verdicts["a2_spectrum"]
     assert report.verdicts["a3_crossing"]
     assert report.verdicts["a5_drift"]
+
+
+def test_line_residual_of_a_non_finite_jacobian_is_infinite():
+    # F is not 0 off the point, and the Jacobian there is nan: each Newton
+    # start on the segment fails as a non-finite F would, before LAPACK
+    model = builtin("synthetic_nf", {"a": 1, "b": 1, "c": 1, "d": 0, "omega": 1})
+    model = dataclasses.replace(
+        model,
+        rhs=lambda X, mu: np.full(3, 1e-3),
+        jacobian=lambda X, mu: np.full((3, 3), math.nan),
+    )
+    report = check_assumptions(model, np.zeros(3))
+    assert report.a1_line_residual == math.inf
+    assert report.failed() == ["a1_line"]
 
 
 def test_report_document_shape(interior_model, interior_hopf):
