@@ -18,10 +18,12 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import sys
 
 import numpy as np
 
 from hybridhopf import eco
+from hybridhopf.errors import HybridHopfError
 from hybridhopf.frame import check_assumptions
 from hybridhopf.verify import continue_branch, integrate
 
@@ -42,7 +44,17 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run the driver; a package error ends in the command line's one
+    ``prefix: message`` line on stderr and its exit code."""
     args = parse_args(argv)
+    try:
+        return run(args)
+    except HybridHopfError as exc:
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
+        return exc.exit_code
+
+
+def run(args: argparse.Namespace) -> int:
     p = eco.EcoParams(
         delta1=args.delta1,
         delta2=args.delta2,

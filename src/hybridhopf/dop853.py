@@ -234,13 +234,14 @@ def _crossing(g, lo: float, hi: float) -> float:
 def solve(fun, t_span, y0, rtol: float, event=None) -> Solution:
     """``solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=rtol / 100,
     dense_output=True)`` for ``fun`` returning a float array, raising where scipy
-    returns a failure: `StepFailure` when the step size falls below the float
+    returns a failure: `InvalidBounds` unless both ends of ``t_span`` are finite
+    and it runs forward, `StepFailure` when the step size falls below the float
     spacing, `NonFinite` for a non-finite start or state.  ``event(t, y)``, positive
     at the start, ends the run at its first root, which is bisected on the
     interpolant of the first step whose end it reads <= 0."""
     t0, tf = map(float, t_span)
-    if not tf > t0:
-        raise InvalidBounds(f"integration spans must run forward, got {t_span}")
+    if not -np.inf < t0 < tf < np.inf:
+        raise InvalidBounds(f"integration spans must be finite and run forward, got {t_span}")
     y = np.asarray(y0).astype(float, copy=False)
     if not np.isfinite(y).all():
         raise NonFinite("all components of the initial state must be finite")

@@ -3,10 +3,10 @@
 A model bundles a right-hand side F(X; mu) with a way to obtain its partial
 derivatives at a point: exact closed forms (polynomial models), or its
 ``field`` evaluated on truncated Taylor numbers (predator-prey).  The builtin
-catalogue holds the planted polynomial fields; its ``predator_prey`` entry
-checks the config's parameters and forwards to `eco.model`.  Everything
-downstream (frames, reduced coefficients, classification) consumes the
-`JetTable` produced here.
+catalogue holds the planted polynomial field ``toy_cylindrical``; its
+``predator_prey`` entry checks the config's parameters and forwards to
+`eco.model`.  Everything downstream (frames, reduced coefficients,
+classification) consumes the `JetTable` produced here.
 A jet holds derivative tensors up to order three, ``F``, ``DF``, ``D^2 F``
 and ``D^3 F`` with entry ``[c, i, j, ...] = d_i d_j ... F_c``, plus the
 parameter block ``d_mu F`` and ``d_mu DF``.  Producers hand
@@ -459,57 +459,25 @@ def _predator_prey(params: Mapping[str, float]) -> ModelDefinition:
     return eco.model(eco.EcoParams(*_require(params, names, "predator_prey")))
 
 
-def _cylindrical(name: str, rotation: list, planar: list, axial: list) -> ModelDefinition:
-    """The rotation-invariant field dy1 = -R y2 + y1 G, dy2 = R y1 + y2 G, dz = H.
-
-    R sums c z^k over the ``rotation`` rows (c, k); G and H sum c r^2p z^k mu^m
-    over the ``planar`` and ``axial`` rows (c, p, k, m).  Terms keep the row
-    order, each r^2p = (y1^2 + y2^2)^p expanded binomially in falling powers of y1.
-    """
-
-    def times(i: int, j: int, rows: list) -> list:
-        return [
-            (c * math.comb(p, q), i + 2 * (p - q), j + 2 * q, k, m)
-            for c, p, k, m in rows for q in range(p + 1)
-        ]
-
-    y1 = [(-c, 0, 1, k, 0) for c, k in rotation] + times(1, 0, planar)
-    y2 = [(c, 1, 0, k, 0) for c, k in rotation] + times(0, 1, planar)
-    return PolynomialField([y1, y2, times(0, 0, axial)]).model(name)
-
-
-def _synthetic_nf(params: Mapping[str, float]) -> ModelDefinition:
-    """Quadratic field in exact cylindrical normal form.
-
-    dy1 = -omega y2 + a y1 z, dy2 = omega y1 + a y2 z,
-    dz = b (y1^2 + y2^2) + c mu + d mu z.
-    Planted reduced coefficients: beta2 = a, beta5 = b, gamma5 = c, gamma7 = d.
-    """
-    a, b, c, d, omega = _require(
-        params, ("a", "b", "c", "d", "omega"), "synthetic_nf"
-    )
-    if omega <= 0:
-        raise InvalidParams("synthetic_nf needs omega > 0")
-    return _cylindrical(
-        "synthetic_nf", [(omega, 0)], [(a, 0, 1, 0)], [(b, 1, 0, 0), (c, 0, 0, 1), (d, 0, 1, 1)]
-    )
-
-
 def _toy_cylindrical(params: Mapping[str, float]) -> ModelDefinition:
-    """Cartesian realization of the second-order reduced dynamics.
+    """The planted reduced dynamics: every coefficient it takes by name is the
+    one `compute_coefficients` returns.
 
     With r^2 = y1^2 + y2^2 the field is
       dy1 = -omega (1 + eps beta1 z) y2 + y1 G,
       dy2 =  omega (1 + eps beta1 z) y1 + y2 G,
-      dz  = eps (mu gamma5 + beta5 r^2)
-            + eps^2 (mu (beta1 gamma5 + gamma7) z - (beta1 beta5 - beta6) r^2 z),
-    where G = eps beta2 z + eps^2 (mu gamma3 + beta3 r^2 - (beta1 beta2 - beta4) z^2).
-    All parameters default to zero except eps = 1.
+      dz  = eps (mu gamma5 + beta5 r^2) + eps^2 (mu gamma7 z + beta6 r^2 z),
+    where G = eps beta2 z + eps^2 (mu gamma3 + beta3 r^2 + beta4 z^2): the
+    rotation-invariant realisation of the (r, z) system that `truncated`
+    integrates in phase time, times 1 + eps beta1 z, to O(eps^2).  With
+    eps = 1, `compute_coefficients` reads back omega and every beta, gamma5
+    and gamma7 as planted, up to rounding.  The phase averaging adds two
+    constants the field does not plant: gamma3 has c0 = gamma3 + pi beta2
+    gamma5 / omega and gamma1 has c0 = pi beta1 gamma5.  All parameters
+    default to zero except omega = eps = 1.
 
-    With beta1 != 0, `compute_coefficients` reads back beta4 - beta1 beta2,
-    beta6 - beta1 beta5 and gamma7 + beta1 gamma5: omega = 1.3, beta1 = 0.4,
-    beta2 = 0.7, beta4 = 0.3, beta5 = -0.9, beta6 = 0.25, gamma5 = 0.8 and
-    gamma7 = -0.35 give beta4 = 0.02, beta6 = 0.61 and gamma7 = -0.03.
+    Terms keep the row order below, each r^2 = y1^2 + y2^2 expanded into its
+    two monomials.
     """
     names = (
         "omega",
@@ -531,30 +499,22 @@ def _toy_cylindrical(params: Mapping[str, float]) -> ModelDefinition:
         raise InvalidParams("toy_cylindrical needs omega > 0")
 
     e2 = eps * eps
-    z2, muz, r2z = -e2 * (b1 * b2 - b4), e2 * (b1 * g5 + g7), -e2 * (b1 * b5 - b6)
-    G = [(eps * b2, 0, 1, 0), (e2 * g3, 0, 0, 1), (e2 * b3, 1, 0, 0), (z2, 0, 2, 0)]
-    H = [(eps * g5, 0, 0, 1), (eps * b5, 1, 0, 0), (muz, 0, 1, 1), (r2z, 1, 1, 0)]
-    return _cylindrical("toy_cylindrical", [(omega, 0), (omega * eps * b1, 1)], G, H)
+    # (c, p, k, m) for c r^2p z^k mu^m, p being 0 or 1
+    G = [(eps * b2, 0, 1, 0), (e2 * g3, 0, 0, 1), (e2 * b3, 1, 0, 0), (e2 * b4, 0, 2, 0)]
+    H = [(eps * g5, 0, 0, 1), (eps * b5, 1, 0, 0), (e2 * g7, 0, 1, 1), (e2 * b6, 1, 1, 0)]
 
+    def times(i: int, j: int, rows: list) -> list:
+        return [(c, i + 2 * (p - q), j + 2 * q, k, m) for c, p, k, m in rows for q in range(p + 1)]
 
-def _classical_hopf(params: Mapping[str, float]) -> ModelDefinition:
-    """Classical Hopf normal form with decoupled drift: no equilibrium line."""
-    names = ("omega", "sign")
-    omega, sign = _require(params, names, "classical_hopf", {"omega": 1.0, "sign": -1.0})
-    if omega <= 0:
-        raise InvalidParams("classical_hopf needs omega > 0")
-    if sign not in (-1.0, 1.0):
-        raise InvalidParams("classical_hopf needs sign in {-1, +1}")
-    return _cylindrical(
-        "classical_hopf", [(omega, 0)], [(1.0, 0, 1, 0), (sign, 1, 0, 0)], [(1.0, 0, 0, 1)]
-    )
+    rotation = [(omega, 0), (omega * eps * b1, 1)]
+    y1 = [(-c, 0, 1, k, 0) for c, k in rotation] + times(1, 0, G)
+    y2 = [(c, 1, 0, k, 0) for c, k in rotation] + times(0, 1, G)
+    return PolynomialField([y1, y2, times(0, 0, H)]).model("toy_cylindrical")
 
 
 _BUILTINS: dict[str, Callable[[Mapping[str, float]], ModelDefinition]] = {
     "predator_prey": _predator_prey,
-    "synthetic_nf": _synthetic_nf,
     "toy_cylindrical": _toy_cylindrical,
-    "classical_hopf": _classical_hopf,
 }
 
 

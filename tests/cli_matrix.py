@@ -13,9 +13,12 @@ starts ``scripts/run_boundary_connection.py`` of the checkout whose
 The matrix: the five subcommands on the README predator-prey config, with
 exact and finite-difference jets; ``continue`` on ROADMAP item 3's coarse
 grid; ``verify``, ``continue`` and ``truncated --compare`` (after
-``classify``) on planted ``synthetic_nf``, ``toy_cylindrical`` (one set
-with beta1 != 0) and ``classical_hopf`` configs; ``classify`` and ``verify``
-on a planted ``toy_cylindrical`` with finite-difference jets; a jet entry
+``classify``) on four planted ``toy_cylindrical`` sets, each named for what
+it plants: ``synthetic_nf`` the quadratic normal form (beta2, beta5, gamma5,
+gamma7 only), ``toy_es`` an ES set, ``toy_beta1`` ROADMAP item 2's set with
+beta1 != 0, read back as planted, and ``classical_hopf`` the classical Hopf
+normal form, which has no line of equilibria; ``classify`` and ``verify``
+on the ES set with finite-difference jets; a jet entry
 that overflows, in both jet modes, and a Jacobian that overflows;
 ``continue --seed-state``; a degenerate ``eco-sweep`` draw; the typed-error
 rows of ``tests/test_cli.py``, read from its parametrize marks and test
@@ -44,7 +47,7 @@ SCRIPTS = Path(hybridhopf.__file__).resolve().parents[2] / "scripts"
 README_GRID = "0.0005,0.001,0.002,0.005,0.01,0.02"
 PLANTED_GRID = "0.002,0.005,0.01"
 TRUNCATED = ["truncated", "--epsilon", "0.1", "--mu-tilde", "0.25", "--r0", "0.8", "--compare"]
-#: the beta1 example of ROADMAP item 2, shot on the side `classify` predicts
+#: ROADMAP item 2's set with beta1 != 0, shot on the side `classify` predicts
 TOY_BETA1 = {
     "builtin": "toy_cylindrical",
     "params": {

@@ -69,13 +69,14 @@ def closed_chart(interior, interior_model, interior_hopf) -> Pipeline:
 
 @pytest.fixture(scope="session")
 def synthetic_pipeline():
-    """Factory: planted normal-form model (a, b, c, d, omega) at the origin."""
+    """Factory: the planted quadratic normal form dy1 = -omega y2 + a y1 z,
+    dy2 = omega y1 + a y2 z, dz = b r^2 + c mu + d mu z at the origin, that is
+    `toy_cylindrical` with beta2, beta5, gamma5, gamma7 = a, b, c, d."""
     from hybridhopf import builtin
 
     def factory(a: float, b: float, c: float, d: float, omega: float = 1.0) -> Pipeline:
-        model = builtin(
-            "synthetic_nf", {"a": a, "b": b, "c": c, "d": d, "omega": omega}
-        )
+        params = {"omega": omega, "beta2": a, "beta5": b, "gamma5": c, "gamma7": d}
+        model = builtin("toy_cylindrical", params)
         return build_pipeline(model, np.zeros(3))
 
     return factory

@@ -250,7 +250,7 @@ def test_criterion_07_no_orbit_on_wrong_side(interior_pipeline, interior_hopf):
 
 
 def test_criterion_08_classical_hopf_rejected():
-    model = builtin("classical_hopf")
+    model = builtin("toy_cylindrical", {"beta2": 1, "beta3": -1, "gamma5": 1})
     point = locate_hopf_point(model, np.array([0.1, 0.1, 0.1]))
     report = check_assumptions(model, point)
     print(

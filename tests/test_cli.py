@@ -20,15 +20,17 @@ INTERIOR = {
     "builtin": "predator_prey",
     "params": {"delta1": 1.0, "delta2": 1.0, "lam": 0.3, "alpha1": 0.2, "alpha2": 0.6},
 }
+#: the quadratic normal form: beta2, beta5, gamma5 and gamma7 planted alone
 SYNTHETIC = {
-    "builtin": "synthetic_nf",
-    "params": {"a": -1.0, "b": 1.0, "c": 1.0, "d": 1.0, "omega": 2.0},
+    "builtin": "toy_cylindrical",
+    "params": {"omega": 2.0, "beta2": -1.0, "beta5": 1.0, "gamma5": 1.0, "gamma7": 1.0},
 }
 SYNTHETIC_DEGENERATE = {
-    "builtin": "synthetic_nf",
-    "params": {"a": -1.0, "b": 1.0, "c": 1.0, "d": 0.0, "omega": 1.0},
+    "builtin": "toy_cylindrical",
+    "params": {"omega": 1.0, "beta2": -1.0, "beta5": 1.0, "gamma5": 1.0, "gamma7": 0.0},
 }
-CLASSICAL = {"builtin": "classical_hopf"}
+#: the classical Hopf normal form: a Hopf point, but no line of equilibria
+CLASSICAL = {"builtin": "toy_cylindrical", "params": {"beta2": 1.0, "beta3": -1.0, "gamma5": 1.0}}
 PLANTED_ES = {
     "builtin": "toy_cylindrical",
     "params": {"beta2": -1.0, "beta3": -0.5, "beta5": 1.0, "gamma5": -1.0},
@@ -537,16 +539,16 @@ def test_missing_config_flag_is_usage_error():
         {"builtin": "predator_prey"},  # missing params
         {**INTERIOR, "extra_key": 1},
         {"builtin": "predator_prey", "polynomial": {"y1": [], "y2": [], "z": []}},
-        {"builtin": "synthetic_nf", "params": {"a": 1, "b": 1, "c": 1, "d": 1, "omega": 1}, "jets": "symbolic"},
+        {"builtin": "toy_cylindrical", "params": {"omega": 1, "beta2": 1, "beta5": 1, "gamma5": 1, "gamma7": 1}, "jets": "symbolic"},
         *(
             {"polynomial": {"y1": [[bad, 0, 1, 0, 0]], "y2": [[1.0, 1, 0, 0, 0]], "z": []}}
             for bad in (float("nan"), float("inf"), float("-inf"))
         ),
         {"builtin": "toy_cylindrical", "params": {"beta2": "abc"}},
-        {"builtin": "classical_hopf", "params": {"omega": "x"}},
+        {"builtin": "toy_cylindrical", "params": {"omega": "x"}},
         {"builtin": "toy_cylindrical", "params": {"beta2": float("nan"), "beta5": 1.0, "gamma5": -1.0}},
         {**INTERIOR, "params": {**INTERIOR["params"], "delta1": float("nan")}},
-        {**SYNTHETIC, "params": {**SYNTHETIC["params"], "a": float("nan")}},
+        {**SYNTHETIC, "params": {**SYNTHETIC["params"], "beta2": float("nan")}},
         {**INTERIOR, "params": [1.0]},
         {**INTERIOR, "seed_state": "abc"},
         {**INTERIOR, "seed_state": [0.1, float("nan"), 0.3]},

@@ -70,27 +70,36 @@ def test_synthetic_planted_coefficients(synthetic_pipeline, a, b, c, d, omega):
         assert getattr(coeffs.gamma3, field) == pytest.approx(0.0, abs=1e-12), field
 
 
-def test_toy_cylindrical_round_trip():
-    planted = {
-        "omega": 1.3,
-        "beta2": -0.7,
-        "beta5": 0.9,
-        "gamma5": 1.1,
-        "gamma7": -0.4,
-        "beta3": 0.25,
-        "beta6": -0.15,
-        "eps": 1.0,
-    }
-    model = builtin("toy_cylindrical", planted)
-    raw = jet(model, np.zeros(3), 0.0)
+@pytest.mark.parametrize(
+    "planted",
+    [
+        {"omega": 1.3, "beta2": -0.7, "beta3": 0.25, "beta5": 0.9, "beta6": -0.15,
+         "gamma5": 1.1, "gamma7": -0.4},
+        # ROADMAP item 2's set
+        {"omega": 1.3, "beta1": 0.4, "beta2": 0.7, "beta3": -0.1, "beta4": 0.3, "beta5": -0.9,
+         "beta6": 0.25, "gamma3": 0.2, "gamma5": 0.8, "gamma7": -0.35},
+        {"omega": 0.7, "beta1": -1.7, "beta2": -0.6, "beta3": 0.45, "beta4": -0.8, "beta5": 1.2,
+         "beta6": -0.3, "gamma3": -0.5, "gamma5": -1.4, "gamma7": 0.9},
+    ],
+    ids=["beta1_zero", "item2", "beta1_negative"],
+)
+def test_toy_cylindrical_round_trip(planted):
     from hybridhopf import build_standard_frame
 
-    frame = build_standard_frame(raw)
-    got = compute_coefficients(standard_jet(raw, frame))
-    for name in ("omega", "beta2", "beta3", "beta5", "beta6", "gamma5", "gamma7"):
-        assert getattr(got, name) == pytest.approx(planted[name], rel=1e-10), name
-    assert got.beta1 == pytest.approx(0.0, abs=1e-10)
-    assert got.beta4 == pytest.approx(0.0, abs=1e-10)
+    raw = jet(builtin("toy_cylindrical", planted), np.zeros(3), 0.0)
+    got = compute_coefficients(standard_jet(raw, build_standard_frame(raw)))
+    planted = {name: 0.0 for name in (*SCALARS, "gamma3")} | planted
+    for name in ("omega", *SCALARS):
+        assert getattr(got, name) == pytest.approx(planted[name], rel=0, abs=1e-12), name
+    # the phase average adds these constants to the planted gamma3 and to a
+    # gamma1 the toy does not plant; ROADMAP items 12 and 19 may move them
+    omega, b1, b2, g5 = (planted[n] for n in ("omega", "beta1", "beta2", "gamma5"))
+    constants = {"gamma1": math.pi * b1 * g5, "gamma3": planted["gamma3"] + math.pi * b2 * g5 / omega}
+    for name in HARMONICS:
+        h = getattr(got, name)
+        for field in ("c0", "cos1", "sin1", "cos2", "sin2"):
+            want = constants.get(name, 0.0) if field == "c0" else 0.0
+            assert getattr(h, field) == pytest.approx(want, rel=1e-12, abs=1e-12), (name, field)
 
 
 def test_linear_field_all_coefficients_vanish(rotation_model):

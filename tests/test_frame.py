@@ -44,12 +44,12 @@ def test_locate_interior_sample_from_perturbed_seed(interior_model):
 @pytest.mark.parametrize(
     "params",
     [
-        {"a": 1, "b": 1, "c": 1, "d": 0, "omega": 1},
-        {"a": -2, "b": 0.5, "c": 3, "d": 1, "omega": 2.5},
+        {"omega": 1, "beta2": 1, "beta5": 1, "gamma5": 1, "gamma7": 0},
+        {"omega": 2.5, "beta2": -2, "beta5": 0.5, "gamma5": 3, "gamma7": 1},
     ],
 )
 def test_locate_synthetic_returns_origin(params):
-    model = builtin("synthetic_nf", params)
+    model = builtin("toy_cylindrical", params)
     X = locate_hopf_point(model, np.array([0.1, 0.1, 0.1]))
     assert np.allclose(X, 0.0, atol=1e-10)
 
@@ -57,7 +57,7 @@ def test_locate_synthetic_returns_origin(params):
 def test_locate_accepts_classical_hopf_spectrum():
     # the classical normal form passes the spectral test here; it is rejected
     # later by the nondegeneracy check, not by the locator
-    model = builtin("classical_hopf", {"sign": 1})
+    model = builtin("toy_cylindrical", {"beta2": 1, "beta3": 1, "gamma5": 1})
     X = locate_hopf_point(model, np.array([0.1, 0.1, 0.1]))
     assert np.allclose(X, 0.0, atol=1e-10)
 
@@ -95,7 +95,7 @@ def test_locate_rejects_a_non_finite_newton_matrix_before_lapack():
 
 
 def test_identity_frame_for_standard_form_model():
-    model = builtin("synthetic_nf", {"a": 1, "b": 1, "c": 1, "d": 0, "omega": 1})
+    model = builtin("toy_cylindrical", {"omega": 1, "beta2": 1, "beta5": 1, "gamma5": 1, "gamma7": 0})
     frame = build_standard_frame(jet(model, np.zeros(3), 0.0))
     assert np.allclose(frame.basis, np.eye(3), atol=1e-12)
     assert np.allclose(frame.mu_shift, 0.0, atol=1e-12)
@@ -152,7 +152,7 @@ def test_to_frame_of_a_stack_equals_rows(interior_pipeline):
 
 
 def test_rotated_synthetic_recovers_standard_pattern():
-    base = builtin("synthetic_nf", {"a": 1, "b": 1, "c": 1, "d": 1, "omega": 1.7})
+    base = builtin("toy_cylindrical", {"omega": 1.7, "beta2": 1, "beta5": 1, "gamma5": 1, "gamma7": 1})
     rng = np.random.default_rng(12)
     A_mat = rng.normal(size=(3, 3))
     Q, _ = np.linalg.qr(A_mat)
@@ -298,7 +298,7 @@ def test_interior_sample_passes_all_assumptions(interior_model, interior_hopf, i
 
 
 def test_synthetic_assumption_values():
-    model = builtin("synthetic_nf", {"a": 1, "b": 1, "c": 1, "d": 0, "omega": 1})
+    model = builtin("toy_cylindrical", {"omega": 1, "beta2": 1, "beta5": 1, "gamma5": 1, "gamma7": 0})
     report = check_assumptions(model, np.zeros(3))
     assert report.all_pass()
     assert report.a3_crossing == pytest.approx(2.0, abs=1e-9)
@@ -308,7 +308,7 @@ def test_synthetic_assumption_values():
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_classical_hopf_fails_exactly_nondegeneracy(sign):
-    model = builtin("classical_hopf", {"sign": sign})
+    model = builtin("toy_cylindrical", {"beta2": 1, "beta3": sign, "gamma5": 1})
     report = check_assumptions(model, np.zeros(3))
     assert not report.all_pass()
     assert list(report.failed()) == ["a4_nondegeneracy"]
@@ -322,7 +322,7 @@ def test_classical_hopf_fails_exactly_nondegeneracy(sign):
 def test_line_residual_of_a_non_finite_jacobian_is_infinite():
     # F is not 0 off the point, and the Jacobian there is nan: each Newton
     # start on the segment fails as a non-finite F would, before LAPACK
-    model = builtin("synthetic_nf", {"a": 1, "b": 1, "c": 1, "d": 0, "omega": 1})
+    model = builtin("toy_cylindrical", {"omega": 1, "beta2": 1, "beta5": 1, "gamma5": 1, "gamma7": 0})
     model = dataclasses.replace(
         model,
         rhs=lambda X, mu: np.full(3, 1e-3),

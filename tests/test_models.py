@@ -37,7 +37,7 @@ def test_state_multi_indices_enumerates_full_third_order_jet():
 
 
 def test_synthetic_origin_is_equilibrium():
-    model = builtin("synthetic_nf", {"a": 1, "b": 1, "c": 1, "d": 1, "omega": 1})
+    model = builtin("toy_cylindrical", {"omega": 1, "beta2": 1, "beta5": 1, "gamma5": 1, "gamma7": 1})
     assert np.allclose(evaluate(model, np.zeros(3), 0.0), 0.0, atol=1e-15)
 
 
@@ -133,7 +133,7 @@ def test_overflowing_jet_entry_is_non_finite(route):
 
 
 def test_synthetic_jet_hand_values():
-    model = builtin("synthetic_nf", {"a": 2, "b": 3, "c": 5, "d": 7, "omega": 1})
+    model = builtin("toy_cylindrical", {"omega": 1, "beta2": 2, "beta5": 3, "gamma5": 5, "gamma7": 7})
     table = jet(model, np.zeros(3), 0.0)
     D2 = table.state_derivs[2]
     div_z = D2[0, 0, 2] + D2[1, 1, 2]
@@ -146,7 +146,7 @@ def test_synthetic_jet_hand_values():
 
 
 def test_classical_hopf_planar_laplacian_zero():
-    model = builtin("classical_hopf", {"sign": 1})
+    model = builtin("toy_cylindrical", {"beta2": 1, "beta3": 1, "gamma5": 1})
     D2 = jet(model, np.zeros(3), 0.0).state_derivs[2]
     laplacian = D2[2, 0, 0] + D2[2, 1, 1]
     assert laplacian == pytest.approx(0.0, abs=1e-12)
@@ -155,22 +155,9 @@ def test_classical_hopf_planar_laplacian_zero():
 _COEF = st.floats(-2.0, 2.0)
 _OMEGA = st.floats(0.1, 3.0)
 _TOY = {n: _COEF for n in ("beta2", "beta3", "beta4", "beta5", "beta6", "gamma3", "gamma5", "gamma7")}
-_PLANTED = st.one_of(
-    st.fixed_dictionaries({"a": _COEF, "b": _COEF, "c": _COEF, "d": _COEF, "omega": _OMEGA}).map(
-        lambda p: ("synthetic_nf", p)
-    ),
-    st.fixed_dictionaries(
-        {
-            **_TOY,
-            "omega": _OMEGA,
-            "beta1": _COEF.filter(lambda v: v != 0.0),
-            "eps": _COEF.filter(lambda v: v != 1.0),
-        }
-    ).map(lambda p: ("toy_cylindrical", p)),
-    st.fixed_dictionaries({"omega": _OMEGA, "sign": st.sampled_from([-1.0, 1.0])}).map(
-        lambda p: ("classical_hopf", p)
-    ),
-)
+_PLANTED = st.fixed_dictionaries(
+    {**_TOY, "omega": _OMEGA, "beta1": _COEF, "eps": _COEF}
+).map(lambda p: ("toy_cylindrical", p))
 #: tolerance of the rotation test, relative to a bound on every term of the
 #: field and its Jacobian (both sides round a few times per term)
 ROTATION_RTOL = 1e-12
@@ -551,7 +538,7 @@ def _rotate(M, V):
 
 
 def _rotated_synthetic():
-    base = builtin("synthetic_nf", {"a": 1, "b": 1, "c": 1, "d": 1, "omega": 1.7})
+    base = builtin("toy_cylindrical", {"omega": 1.7, "beta2": 1, "beta5": 1, "gamma5": 1, "gamma7": 1})
     Q, _ = np.linalg.qr(np.random.default_rng(12).normal(size=(3, 3)))
 
     def field(*args):
@@ -569,10 +556,10 @@ _TOY_PARAMS = {"beta1": 0.5, "beta2": 1.0, "beta3": -0.5, "beta5": 0.3, "gamma3"
     [
         (builtin("predator_prey", _PREDATOR_PREY), [0.125, 0.405, 0.3], 0.0),
         (builtin("predator_prey", _PREDATOR_PREY), [2.5, -0.0, 0.3], -0.02),
-        (builtin("synthetic_nf", {"a": 2, "b": 3, "c": 5, "d": 7, "omega": 1}), [0, -0.0, 0], 0.0),
+        (builtin("toy_cylindrical", {"omega": 1, "beta2": 2, "beta5": 3, "gamma5": 5, "gamma7": 7}), [0, -0.0, 0], 0.0),
         (builtin("toy_cylindrical", _TOY_PARAMS), [0.01, -0.02, 0.015], 0.003),
         (builtin("toy_cylindrical", _TOY_PARAMS), [-1.7, 3.2, 1e-3], -2.0),
-        (builtin("classical_hopf", {"sign": 1}), [0.1, 0.2, -0.3], 0.01),
+        (builtin("toy_cylindrical", {"beta2": 1, "beta3": 1, "gamma5": 1}), [0.1, 0.2, -0.3], 0.01),
         (_rotated_synthetic(), [0.0, 0.0, 0.0], 0.0),
         (_rotated_synthetic(), [0.4, -1.1, 0.2], 0.05),
     ],
@@ -737,8 +724,7 @@ def test_huge_integer_power_takes_constant_time():
 def test_builtin_catalog_names():
     with pytest.raises(UnknownModel) as excinfo:
         builtin("lorenz", {})
-    for name in ("predator_prey", "synthetic_nf", "toy_cylindrical", "classical_hopf"):
-        assert repr(name) in str(excinfo.value)
+    assert str(excinfo.value).endswith("available: ['predator_prey', 'toy_cylindrical']")
 
 
 def test_builtin_unknown_name():
@@ -765,7 +751,7 @@ def test_from_config_requires_exactly_one_source():
     with pytest.raises(InvalidParams):
         from_config(
             {
-                "builtin": "synthetic_nf",
+                "builtin": "toy_cylindrical",
                 "polynomial": {"y1": [], "y2": [], "z": []},
             }
         )
@@ -773,7 +759,7 @@ def test_from_config_requires_exactly_one_source():
 
 def test_from_config_rejects_unknown_keys():
     with pytest.raises(InvalidParams):
-        from_config({"builtin": "synthetic_nf", "params": {}, "extra": 1})
+        from_config({"builtin": "toy_cylindrical", "params": {}, "extra": 1})
 
 
 def test_finite_difference_model_lays_out_only_the_rhs(monkeypatch):
@@ -796,9 +782,7 @@ def test_finite_difference_model_lays_out_only_the_rhs(monkeypatch):
 def test_builtin_parameters_must_be_finite_numbers(bad):
     good = {
         "predator_prey": {"delta1": 1.0, "delta2": 1.0, "lam": 0.3, "alpha1": 0.2, "alpha2": 0.6},
-        "synthetic_nf": {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0, "omega": 1.0},
-        "toy_cylindrical": {"beta2": 1.0, "eps": 0.5},
-        "classical_hopf": {"omega": 1.0, "sign": 1.0},
+        "toy_cylindrical": {"omega": 1.0, "beta2": 1.0, "eps": 0.5},
     }
     for name, params in good.items():
         builtin(name, params)

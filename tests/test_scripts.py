@@ -2,9 +2,13 @@
 from __future__ import annotations
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from test_cli import source_env
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -25,3 +29,19 @@ def load_script(name: str):
 def test_script_runs(name, argv, capsys):
     assert load_script(name).main(argv) == 0
     assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("settle_time", ["nan", "inf"])
+def test_script_errors_end_in_one_typed_line(settle_time):
+    """As on the command line: exit with the error's code, one stderr line.
+    A fresh interpreter with a timeout makes a hang fail instead of stall."""
+    result = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_boundary_connection.py"), "--settle-time", settle_time],
+        capture_output=True,
+        text=True,
+        check=False,
+        env=source_env(),
+        timeout=60,
+    )
+    assert result.returncode == 64, result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr

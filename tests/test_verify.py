@@ -178,6 +178,14 @@ def test_shooting_rejects_a_seed_scale_that_is_not_positive_and_finite(
         find_periodic_orbit(pipe.model, -0.01, seed)
 
 
+def test_shooting_an_infinite_seed_period_is_a_typed_error(synthetic_pipeline):
+    """An infinite period passes the trust window; its integration span does not."""
+    pipe = synthetic_pipeline(-1, 1, 1, 1, 2.0)
+    seed = ShootingSeed(anchor=np.array([0.105, 0.0, 0.004]), period=math.inf, scale=0.1)
+    with pytest.raises(InvalidBounds, match="finite"):
+        find_periodic_orbit(pipe.model, -0.01, seed)
+
+
 def test_prediction_without_frame_cannot_seed_shooting(interior_pipeline):
     guess = predict_orbit(interior_pipeline.coeffs, 0.005)
     assert guess.anchor is None
@@ -288,7 +296,7 @@ def test_non_finite_start_state_is_a_typed_error(interior_model):
         integrate(interior_model, 0.0, [math.nan, 0.3, 0.35], (0.0, 1.0))
 
 
-@pytest.mark.parametrize("t_span", [(1.0, 0.0), (1.0, 1.0), (0.0, math.nan)])
+@pytest.mark.parametrize("t_span", [(1.0, 0.0), (1.0, 1.0), (0.0, math.nan), (0.0, math.inf)])
 def test_integration_spans_run_forward(interior_model, t_span):
     with pytest.raises(InvalidBounds):
         integrate(interior_model, 0.0, [0.2, 0.3, 0.35], t_span)
