@@ -3,6 +3,12 @@
 For parameter sets near the admissibility boundary the branch born at the
 equilibrium-line point grows quickly and its minimum x2 approaches zero,
 suggesting a connection to the boundary cycle of the x2-free subsystem.
+The defaults (lambda = 0.39, alpha1 = 0.15, alpha2 = 0.3) sit strictly inside
+the admissible region 0 < alpha1 < 1 - 2 lambda = 0.22 < alpha2 < 1, where all
+five standing assumptions pass; their branch comes within about 0.006 of
+x2 = 0 before shooting loses it.  A parameter set that fails an assumption
+ends the run with exit code 1.
+
 This driver seeds the first orbit by settling onto the attractor (the
 asymptotic prediction is only valid for small mu), continues outward over a
 mu grid, and reports amplitude and boundary distance per orbit.  It then
@@ -32,9 +38,9 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--delta1", type=float, default=0.8)
     parser.add_argument("--delta2", type=float, default=0.5)
-    parser.add_argument("--lam", type=float, default=0.4)
-    parser.add_argument("--alpha1", type=float, default=0.1)
-    parser.add_argument("--alpha2", type=float, default=0.2)
+    parser.add_argument("--lam", type=float, default=0.39)
+    parser.add_argument("--alpha1", type=float, default=0.15)
+    parser.add_argument("--alpha2", type=float, default=0.3)
     parser.add_argument("--mu-min", type=float, default=5e-4)
     parser.add_argument("--mu-max", type=float, default=5e-2)
     parser.add_argument("--n-points", type=int, default=10)
@@ -70,8 +76,10 @@ def run(args: argparse.Namespace) -> int:
     X_H = eco.hopf_point(p)
     report = check_assumptions(model, X_H)
     print(f"point on equilibrium line : {np.array2string(X_H, precision=6)}")
-    print(f"standing assumptions      : "
-          f"{'all pass' if report.all_pass() else f'FAILED {report.failed()}'}")
+    if not report.all_pass():
+        print(f"standing assumptions failed: {', '.join(report.failed())}", file=sys.stderr)
+        return 1
+    print("standing assumptions      : all pass")
 
     # Start the settling trajectory between the line point and the interior
     # equilibrium of the x2-free subsystem, safely off both.

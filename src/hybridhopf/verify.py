@@ -2,10 +2,12 @@
 
 Everything here treats the vector field as ground truth and checks the
 asymptotic predictions against it: single shooting with variational equations
-(monodromy comes from the same solve, with a Liouville trace quadrature as an
-internal consistency check), Floquet stability, natural continuation in the
-parameter, and integration of the truncated reduced dynamics against the full
-flow.  `integrate` returns the solver's own `dop853.Solution`.
+(an inexact Newton iteration whose seed solve runs at the square root of the
+tolerance; the monodromy comes from the converged solve, with a Liouville
+trace quadrature as an internal consistency check), Floquet stability,
+natural continuation in the parameter, and integration of the truncated
+reduced dynamics against the full flow.  `integrate` returns the solver's own
+`dop853.Solution`.
 """
 
 from __future__ import annotations
@@ -78,6 +80,9 @@ class PeriodicOrbit:
     ``residual`` is the closure error |Phi_T(x) - x| of the returned orbit;
     ``liouville_defect`` compares det(monodromy) to the exponential of the
     integrated divergence and measures variational-solve quality.
+    ``newton`` is the (rtol, max |closure residual|) of every variational
+    solve of the shooting in order, backtracking trials included; a solve
+    that failed reads nan.
     """
 
     mu: float
@@ -89,6 +94,7 @@ class PeriodicOrbit:
     multipliers: tuple[complex, complex, complex]
     residual: float
     liouville_defect: float
+    newton: tuple[tuple[float, float], ...]
 
 
 def _radius(states: np.ndarray) -> float:
@@ -141,9 +147,15 @@ def find_periodic_orbit(
     the caller's ``guard`` raises `NoConvergence` instead of landing on a
     distant attractor.
 
-    Every Newton trial is one variational solve, reused as the next iterate
-    when accepted; a trial whose solve fails (`NonFinite`, `StepFailure`) is
-    rejected and halved.  The converged solve's dense output gives `states`.
+    An inexact Newton iteration: the seed's variational solve runs at
+    sqrt(``rtol``), since its residual only aims the first step.  Every
+    Newton trial is one variational solve at ``rtol``, reused as the next
+    iterate when accepted; a trial whose solve fails (`NonFinite`,
+    `StepFailure`) is rejected and halved.  Only a solve at ``rtol`` can end
+    the iteration, so a seed whose residual reads below ``newton_tol``, or
+    below what its loose solve resolves, takes its full step, solved at
+    ``rtol``; no point is integrated twice.  The residual, monodromy,
+    multipliers, Liouville check and `states` all come from that last solve.
     """
     if not (math.isfinite(mu) and n_samples >= 1 and rtol > 0 and newton_tol > 0):
         raise InvalidBounds(
@@ -184,11 +196,15 @@ def find_periodic_orbit(
         return np.append(PT - P, normal @ (P - anchor0))
 
     check_iterate(x, T)
-    xT, monodromy, trace_int, dense = _flow_with_monodromy(model, mu, x, T, rtol)
+    # the seed's solve only aims the first step, so it runs at sqrt(rtol);
+    # every trial runs at rtol, so only a trial's solve can end the iteration
+    iterate_rtol = math.sqrt(rtol)
+    xT, monodromy, trace_int, dense = _flow_with_monodromy(model, mu, x, T, iterate_rtol)
+    newton = [(iterate_rtol, float(np.max(np.abs(closure(x, xT)))))]
     for _ in range(SHOOTING_MAX_ITER):
         R = closure(x, xT)
         res_norm = float(np.max(np.abs(R)))
-        if res_norm < newton_tol:
+        if res_norm < newton_tol and iterate_rtol == rtol:
             break
         A = np.zeros((4, 4))
         A[:3, :3] = monodromy - np.eye(3)
@@ -201,20 +217,34 @@ def find_periodic_orbit(
         if not np.all(np.isfinite(delta)):
             raise SingularShooting("shooting step is non-finite")
 
-        # backtracking on the closure residual
-        base = float(np.linalg.norm(R))
+        # backtracking on the closure residual; a seed solve's residual below
+        # newton_tol or below its own tolerance at the anchor, atol + rtol |x|
+        # at sqrt(rtol), is its integration error and cannot judge a step:
+        # that step is taken in full
+        resolution = iterate_rtol * (dop853.ATOL_PER_RTOL + float(np.max(np.abs(x))))
+        if iterate_rtol != rtol and res_norm < max(newton_tol, resolution):
+            base = math.inf
+        else:
+            base = float(np.linalg.norm(R))
         scale = 1.0
         for _halving in range(8):
             x_new = x + scale * delta[:3]
             T_new = T + scale * delta[3]
             try:
                 check_iterate(x_new, T_new)
-                trial = _flow_with_monodromy(model, mu, x_new, T_new, rtol)
             except NumericalFailure:
                 scale *= 0.5
                 continue
-            if float(np.linalg.norm(closure(x_new, trial[0]))) < base or scale <= 1.0 / 64.0:
-                x, T = x_new, T_new
+            try:
+                trial = _flow_with_monodromy(model, mu, x_new, T_new, rtol)
+            except NumericalFailure:
+                newton.append((rtol, math.nan))
+                scale *= 0.5
+                continue
+            R_new = closure(x_new, trial[0])
+            newton.append((rtol, float(np.max(np.abs(R_new)))))
+            if float(np.linalg.norm(R_new)) < base or scale <= 1.0 / 64.0:
+                x, T, iterate_rtol = x_new, T_new, rtol
                 xT, monodromy, trace_int, dense = trial
                 break
             scale *= 0.5
@@ -243,6 +273,7 @@ def find_periodic_orbit(
         multipliers=multipliers,  # type: ignore[arg-type]
         residual=residual,
         liouville_defect=liouville,
+        newton=tuple(newton),
     )
 
 
@@ -396,8 +427,10 @@ def continue_branch(
     which the branch is smooth (amplitude ~ s): the Lagrange polynomial through
     the last four of the Hopf point (s = 0, ``frame.origin``, period 2 pi /
     ``frame.omega``; only when a frame is given) and the converged orbits.
-    Without a frame the second point reuses the first orbit.  Every integration
-    uses `SWEEP_RTOL`, every shooting solve `BRANCH_NEWTON_TOL`.
+    Without a frame the second point reuses the first orbit.  Shooting runs
+    at `SWEEP_RTOL` and `BRANCH_NEWTON_TOL` (its seed solve at the square
+    root of `SWEEP_RTOL`, see `find_periodic_orbit`); every other
+    integration uses `SWEEP_RTOL`.
 
     Continuation stops at the first point where shooting fails; the partial
     branch is returned with ``lost_at`` set.

@@ -24,13 +24,27 @@ that overflows, in both jet modes, and a Jacobian that overflows;
 rows of ``tests/test_cli.py``, read from its parametrize marks and test
 bodies; and ``scripts/run_boundary_connection.py`` on three points, with its
 TSV.
+
+    python tests/cli_matrix.py --compare OUT_A OUT_B
+
+compares two such trees file by file.  For each file that differs it says
+whether only numbers changed, and gives the largest relative change
+|b - a| / max(|a|, |b|) over the number pairs of which one has magnitude
+1e-9 or more (residuals and defects near rounding are left out).  Any other
+difference is flagged: text (labels, verdicts, null against a number), a
+changed integer (exit codes, counts such as ``n_converged``; ``lost_at`` is
+a grid value, so moving it changes the point count), a non-finite number on
+one side only, or a file present in one tree only.  It exits 1 when
+anything is flagged.
 pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -167,9 +181,82 @@ def runs() -> list[tuple[str, list[str], object]]:
     return matrix
 
 
+#: a number standing alone: not part of a name such as ``orbit_000`` or ``a4``
+NUMBER = re.compile(
+    r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf(?:inity)?|nan)(?!\w)", re.I
+)
+#: magnitude below which a number takes no part in the largest relative change
+COMPARE_FLOOR = 1e-9
+
+
+def compare_text(a: str, b: str) -> tuple[str | None, float, str]:
+    """(flag or None, largest relative change, the pair where it occurs)
+    between two versions of one file."""
+    text_a, text_b = NUMBER.split(a), NUMBER.split(b)
+    if text_a != text_b:
+        for x, y in zip(text_a, text_b):
+            if x != y:
+                x, y = (x.strip() or x)[:60], (y.strip() or y)[:60]
+                return f"text {x!r} -> {y!r}", 0.0, ""
+        return f"{len(text_a) - 1} -> {len(text_b) - 1} numbers", 0.0, ""
+    largest, where = 0.0, ""
+    for x, y in zip(NUMBER.findall(a), NUMBER.findall(b)):
+        if x == y:
+            continue
+        if re.fullmatch(r"[-+]?\d+", x) and re.fullmatch(r"[-+]?\d+", y):
+            return f"integer {x} -> {y}", 0.0, ""
+        u, v = float(x), float(y)
+        if not (math.isfinite(u) and math.isfinite(v)):
+            return f"non-finite {x} -> {y}", 0.0, ""
+        scale = max(abs(u), abs(v))
+        if scale >= COMPARE_FLOOR and abs(v - u) / scale > largest:
+            largest, where = abs(v - u) / scale, f"{x} -> {y}"
+    return None, largest, where
+
+
+def compare(old: Path, new: Path) -> int:
+    """Print one line per file that differs between two matrix trees and a
+    summary; 1 when a difference is flagged."""
+    files = sorted(
+        {p.relative_to(old) for p in old.rglob("*") if p.is_file()}
+        | {p.relative_to(new) for p in new.rglob("*") if p.is_file()}
+    )
+    differing = flagged = 0
+    largest, largest_at = 0.0, ""
+    for rel in files:
+        a, b = old / rel, new / rel
+        if not (a.is_file() and b.is_file()):
+            flag, change, where = f"only in {old if a.is_file() else new}", 0.0, ""
+        elif a.read_bytes() == b.read_bytes():
+            continue
+        else:
+            flag, change, where = compare_text(
+                a.read_text(errors="replace"), b.read_text(errors="replace")
+            )
+        differing += 1
+        if flag is not None:
+            flagged += 1
+            print(f"FLAGGED  {rel}: {flag}")
+            continue
+        print(f"numbers  {rel}: largest relative change {change:.2g} ({where})")
+        if change > largest:
+            largest, largest_at = change, str(rel)
+    print(
+        f"{differing} files differ, {flagged} flagged; largest relative change "
+        f"{largest:.2g}{f' in {largest_at}' if largest_at else ''}"
+    )
+    return int(flagged > 0)
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(Path(argv[1]), Path(argv[2]))
     if len(argv) != 1:
-        print("usage: python tests/cli_matrix.py OUT", file=sys.stderr)
+        print(
+            "usage: python tests/cli_matrix.py OUT\n"
+            "       python tests/cli_matrix.py --compare OUT_A OUT_B",
+            file=sys.stderr,
+        )
         return 64
     root = Path(argv[0])
     (root / "configs").mkdir(parents=True, exist_ok=True)

@@ -831,3 +831,46 @@ def test_no_command_imports_scipy_and_only_verify_loads_verify(workspace):
     assert report["absent"] is True
     assert report["loaded"]["verify"] == {"scipy": [], "verify": True}
     assert report["unresolved"] == []
+
+
+@pytest.mark.parametrize(
+    "old, new, flag",
+    [
+        (
+            '{"period": 11.4552795400, "residual": 6.8e-14}',
+            '{"period": 11.4552795412, "residual": 2.1e-13}',
+            None,
+        ),
+        ("0\n", "1\n", "integer 0 -> 1"),
+        ('{"n_converged": 6}', '{"n_converged": 5}', "integer 6 -> 5"),
+        ('{"lost_at": null}', '{"lost_at": 0.02}', "text "),
+        ("standing assumptions      : all pass\n", "FAILED ['a4_nondegeneracy']\n", "text "),
+        ("mu\tperiod\n0.001\t11.46\n", "mu\tperiod\n", "2 -> 0 numbers"),
+        ("amplitude 0.25\n", "amplitude nan\n", "non-finite 0.25 -> nan"),
+    ],
+)
+def test_matrix_compare_separates_numbers_from_everything_else(old, new, flag):
+    """`tests/cli_matrix.py --compare` lets floats move, leaves those below
+    1e-9 out of the largest change, and flags text, integers, a changed count
+    of numbers and non-finite values."""
+    import cli_matrix
+
+    got, change, _ = cli_matrix.compare_text(old, new)
+    if flag is None:
+        assert got is None and change == pytest.approx(1.2e-9 / 11.4552795412, rel=1e-6)
+    else:
+        assert got.startswith(flag) and change == 0.0
+
+
+def test_matrix_compare_flags_a_file_in_one_tree_only(tmp_path, capsys):
+    import cli_matrix
+
+    for tree, value in (("a", "1.0"), ("b", "1.5")):
+        (tmp_path / tree / "run").mkdir(parents=True)
+        (tmp_path / tree / "run" / "stdout").write_text(f"x = {value}\n")
+    (tmp_path / "b" / "run" / "extra").write_text("")
+    assert cli_matrix.main(["--compare", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("FLAGGED  run/extra: only in ")
+    assert out[1] == "numbers  run/stdout: largest relative change 0.33 (1.0 -> 1.5)"
+    assert out[2] == "2 files differ, 1 flagged; largest relative change 0.33 in run/stdout"

@@ -45,3 +45,13 @@ def test_script_errors_end_in_one_typed_line(settle_time):
     )
     assert result.returncode == 64, result.stderr
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+
+
+def test_boundary_connection_stops_when_an_assumption_fails(capsys):
+    """The former defaults lie on the admissibility boundary 1 - 2 lam = alpha2,
+    where a4 and a5 fail: the script names them and exits 1 without continuing."""
+    script = load_script("run_boundary_connection")
+    assert script.main(["--lam", "0.4", "--alpha1", "0.1", "--alpha2", "0.2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "standing assumptions failed: a4_nondegeneracy, a5_drift\n"
+    assert "mu" not in captured.out

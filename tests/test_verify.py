@@ -217,6 +217,12 @@ def test_shooting_integrates_no_point_twice(interior_pipeline, integrations):
     assert len(integrations) <= 5
     assert all(dim == 13 for _, _, dim in integrations)
     assert len({(x0, T) for x0, T, _ in integrations}) == len(integrations)
+    # the seed's solve runs at sqrt(rtol) and only aims the first Newton
+    # step; every trial, the converged one last, runs at rtol
+    rtols = [rtol for rtol, _ in orbit.newton]
+    assert rtols == [math.sqrt(verify.ORBIT_RTOL)] + [verify.ORBIT_RTOL] * (len(rtols) - 1)
+    assert len(rtols) == len(integrations) >= 2
+    assert orbit.newton[-1][1] < verify.ORBIT_NEWTON_TOL
     # the samples and monodromy are those of the converged iterate's own solve
     _, monodromy, _, dense = verify._flow_with_monodromy(
         interior_pipeline.model, mu, orbit.anchor, orbit.period, verify.ORBIT_RTOL
@@ -225,11 +231,41 @@ def test_shooting_integrates_no_point_twice(interior_pipeline, integrations):
     assert np.array_equal(orbit.states, dense(orbit.times)[:3].T)
 
 
+@pytest.mark.parametrize("newton_tol, solves", [(verify.ORBIT_NEWTON_TOL, 3), (1e-3, 2)])
+def test_a_converged_seed_still_ends_on_a_solve_at_rtol(
+    interior_pipeline, integrations, newton_tol, solves
+):
+    """Seeded with a converged orbit's own anchor and period, the seed solve
+    at sqrt(rtol) reads only its own integration error.  That cannot end the
+    shooting, even below ``newton_tol``, nor judge a step: the Newton step
+    from it is taken in full, without halving, and solved at rtol at a new
+    point."""
+    mu = 0.005
+    prediction = predict_orbit(interior_pipeline.coeffs, mu, frame=interior_pipeline.frame)
+    first = find_periodic_orbit(
+        interior_pipeline.model, mu, prediction, guard=eco.interior_guard()
+    )
+    integrations.clear()
+    seed = ShootingSeed(anchor=first.anchor, period=first.period, scale=prediction.scale)
+    orbit = find_periodic_orbit(
+        interior_pipeline.model, mu, seed, newton_tol=newton_tol, guard=eco.interior_guard()
+    )
+    assert orbit.newton[0][1] < math.sqrt(verify.ORBIT_RTOL) * np.max(np.abs(first.anchor))
+    assert len(orbit.newton) == len(integrations) == solves
+    assert [rtol for rtol, _ in orbit.newton[1:]] == [verify.ORBIT_RTOL] * (solves - 1)
+    assert orbit.newton[-1][1] < newton_tol
+    assert integrations[0][:2] == (tuple(first.anchor), first.period)
+    assert len({(x0, T) for x0, T, _ in integrations}) == solves
+    assert orbit.period == pytest.approx(first.period, rel=1e-6)
+
+
 def test_shooting_builds_dense_output_only_where_it_is_read(interior_pipeline):
     """Every Newton trial is a dense variational solve, but only the converged
     one's interpolant is read.  Building each step's interpolant on first read
     saves the three extra stages per step of the four earlier solves: 3147
-    model RHS calls when every solve built its dense output, 2658 now."""
+    model RHS calls when every solve built its dense output, 2658 with the
+    seed solved at rtol, 2310 with it at sqrt(rtol); the bound leaves 90 calls
+    of margin."""
     calls = []
 
     def rhs(x, mu, _rhs=interior_pipeline.model.rhs):
@@ -240,7 +276,7 @@ def test_shooting_builds_dense_output_only_where_it_is_read(interior_pipeline):
     mu = 0.005
     prediction = predict_orbit(interior_pipeline.coeffs, mu, frame=interior_pipeline.frame)
     find_periodic_orbit(model, mu, prediction, guard=eco.interior_guard())
-    assert len(calls) <= 2700
+    assert len(calls) <= 2400
 
 
 def _reference_flow_with_monodromy(model, mu, x0, T, rtol):
