@@ -6,8 +6,11 @@ suggesting a connection to the boundary cycle of the x2-free subsystem.
 The defaults (lambda = 0.39, alpha1 = 0.15, alpha2 = 0.3) sit strictly inside
 the admissible region 0 < alpha1 < 1 - 2 lambda = 0.22 < alpha2 < 1, where all
 five standing assumptions pass; their branch comes within about 0.006 of
-x2 = 0 before shooting loses it.  A parameter set that fails an assumption
-ends the run with exit code 1.
+x2 = 0 before shooting loses it.  Errors end the run as they end the
+command line, with the package's exit codes: a parameter set outside the
+admissible region is one ``error:`` line on stderr and exit 64, and one
+where a standing assumption fails names the failed assumptions on stderr
+and exits 2, the code of an assumption violation.
 
 This driver seeds the first orbit by settling onto the attractor (the
 asymptotic prediction is only valid for small mu), continues outward over a
@@ -29,7 +32,7 @@ import sys
 import numpy as np
 
 from hybridhopf import eco
-from hybridhopf.errors import HybridHopfError
+from hybridhopf.errors import AssumptionViolation, HybridHopfError
 from hybridhopf.frame import check_assumptions
 from hybridhopf.verify import continue_branch, integrate
 
@@ -68,9 +71,7 @@ def run(args: argparse.Namespace) -> int:
         alpha1=args.alpha1,
         alpha2=args.alpha2,
     )
-    if not p.admissible():
-        print(f"parameters {p.to_dict()} are outside the admissible region")
-        return 2
+    p.require_admissible()
 
     model = eco.model(p)
     X_H = eco.hopf_point(p)
@@ -78,7 +79,7 @@ def run(args: argparse.Namespace) -> int:
     print(f"point on equilibrium line : {np.array2string(X_H, precision=6)}")
     if not report.all_pass():
         print(f"standing assumptions failed: {', '.join(report.failed())}", file=sys.stderr)
-        return 1
+        return AssumptionViolation.exit_code
     print("standing assumptions      : all pass")
 
     # Start the settling trajectory between the line point and the interior

@@ -30,6 +30,7 @@ again as floats and raises the typed error the float evaluation raises.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from typing import Callable, Iterator, Mapping, Sequence
@@ -93,15 +94,15 @@ class EcoParams:
         return dataclasses.asdict(self)
 
 
-def _on_floats(expressions: Callable, X: np.ndarray, mu: float):
+def _on_floats(expressions: Callable, *x: float):
     """``expressions(x1, x2, x3, mu)`` on Python floats: the same IEEE operations
     as on numpy scalars (``**`` is libm ``pow`` on both), so the same bits at a
     fraction of the cost.  Where Python raises instead (a pole, an overflowing
     power), they are repeated on numpy scalars, which give inf or nan."""
     try:
-        return expressions(*X.tolist(), mu)
+        return expressions(*x)
     except (ZeroDivisionError, OverflowError):
-        return expressions(*X, mu)
+        return expressions(*map(np.float64, x))
 
 
 def _line_point(p: EcoParams) -> list[float]:
@@ -114,7 +115,9 @@ def _line_point(p: EcoParams) -> list[float]:
 def model(p: EcoParams) -> ModelDefinition:
     """The predator-prey field for these parameters and its Jacobian, the one
     hand-derived derivative; `models.jet` takes jets from ``field``, plain
-    arithmetic, exact over rationals as well.  ``metadata["hopf_seed"]`` is
+    arithmetic, exact over rationals as well.  The linearisation evaluates
+    field and Jacobian in one `_on_floats` call, so both keep the bits of
+    ``rhs`` and ``jacobian``.  ``metadata["hopf_seed"]`` is
     `_line_point` when |alpha2 - alpha1| > 1e-9 and l1, l2 > 0."""
     delta1, delta2, lam, alpha1, alpha2 = p.delta1, p.delta2, p.lam, p.alpha1, p.alpha2
 
@@ -130,7 +133,7 @@ def model(p: EcoParams) -> ModelDefinition:
         ]
 
     def rhs(X: np.ndarray, mu: float) -> np.ndarray:
-        return np.array(_on_floats(field, X, mu))
+        return np.array(_on_floats(field, *X.tolist(), mu))
 
     def derivative(x1, x2, s, mu):
         p1, p2 = s + alpha1, s + alpha2
@@ -145,12 +148,16 @@ def model(p: EcoParams) -> ModelDefinition:
         ]
 
     def jacobian(X: np.ndarray, mu: float) -> np.ndarray:
-        return np.array(_on_floats(derivative, X, mu))
+        return np.array(_on_floats(derivative, *X.tolist(), mu))
+
+    def field_and_derivative(*x):
+        return field(*x), derivative(*x)
 
     meta = {}
     if abs(alpha2 - alpha1) > 1e-9 and p.l1 > 0 and p.l2 > 0:
         meta["hopf_seed"] = _line_point(p)
-    return ModelDefinition("predator_prey", rhs, None, jacobian, meta, field)
+    linearization = functools.partial(_on_floats, field_and_derivative)
+    return ModelDefinition("predator_prey", rhs, None, jacobian, meta, field, linearization)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -122,8 +122,13 @@ class ModelDefinition:
     (3, 3) float ndarray, which callers use as is.  ``field(x1, x2, x3, mu)``
     (when present) returns the three components written in plain arithmetic
     (``+ - * /`` and integer powers); `jet` evaluates it on Taylor numbers
-    when there is no ``exact_jet``.  A model sets no domain: shooting trusts
-    an iterate by its drift cap, its period window and the caller's guard.
+    when there is no ``exact_jet``.  ``linearization(x1, x2, x3, mu)`` (when
+    present) returns ``(F, DF)`` on Python floats, three floats and three
+    rows of three, with the bits of ``rhs`` and ``jacobian``; it holds only
+    for the ``rhs`` and ``jacobian`` the model was constructed with, which
+    ``built_with`` records (see `linearization_fn`).  A model sets no
+    domain: shooting trusts an iterate by its drift cap, its period window
+    and the caller's guard.
     """
 
     name: str
@@ -132,6 +137,13 @@ class ModelDefinition:
     jacobian: Callable[[np.ndarray, float], np.ndarray] | None = None
     metadata: Mapping[str, object] = dataclasses.field(default_factory=dict)
     field: Callable[..., Sequence] | None = None
+    linearization: Callable[..., tuple[list, list]] | None = None
+    #: (rhs, jacobian) at construction; `dataclasses.replace` copies it
+    built_with: tuple | None = dataclasses.field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.built_with is None:
+            object.__setattr__(self, "built_with", (self.rhs, self.jacobian))
 
 
 def evaluate(model: ModelDefinition, state: Sequence[float], mu: float) -> np.ndarray:
@@ -185,6 +197,23 @@ def jacobian_fn(model: ModelDefinition) -> Callable[[np.ndarray, float], np.ndar
     return lambda X, mu: central_difference(lambda P: model.rhs(P, mu), X)
 
 
+def linearization_fn(model: ModelDefinition) -> Callable[..., tuple[list, list]]:
+    """(x1, x2, x3, mu) -> (F, DF) on Python floats: the model's own
+    ``linearization`` while its ``rhs`` and ``jacobian`` are the ones it was
+    built with, else ``rhs`` and `jacobian_fn` converted with ``tolist``, so
+    a model whose ``rhs`` or ``jacobian`` was replaced is never linearised
+    by the former ones."""
+    if model.linearization is not None and model.built_with == (model.rhs, model.jacobian):
+        return model.linearization
+    jac = jacobian_fn(model)
+
+    def derived(x1, x2, x3, mu):
+        X = np.array([x1, x2, x3])
+        return np.asarray(model.rhs(X, mu), dtype=float).tolist(), jac(X, mu).tolist()
+
+    return derived
+
+
 # ---------------------------------------------------------------------------
 # polynomial fields (exact jets by term-wise differentiation)
 # ---------------------------------------------------------------------------
@@ -195,8 +224,9 @@ class PolynomialField:
 
     Terms are rows ``(coef, i, j, k, m)`` for ``coef * x1^i x2^j x3^k mu^m``,
     held as ``coefs`` (n,), ``exponents`` (n, 4) and ``component`` (n,).  The
-    RHS, the Jacobian columns and the 24 jet entries (the last two built on
-    first use) evaluate each (derivative order, term) pair with a nonzero
+    RHS, the linearisation (F and the three Jacobian columns, which
+    ``jacobian`` returns) and the 24 jet entries (the last two built on first
+    use) evaluate each (derivative order, term) pair with a nonzero
     coefficient as ``coef * (w * x1^e1 x2^e2 x3^e3 mu^em)`` (falling-factorial
     weight w, reduced exponents e), with powers from one table of libm ``pow``
     on Python floats (numpy's array power depends on the CPU), and sum each
@@ -217,8 +247,8 @@ class PolynomialField:
         self._rhs = self._layout([(0, 0, 0, 0)])
 
     @functools.cached_property
-    def _jacobian(self):
-        return self._layout([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+    def _linear(self):
+        return self._layout([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
 
     @functools.cached_property
     def _jet(self):
@@ -238,9 +268,12 @@ class PolynomialField:
         slots = self.component[t] * len(order) + q
         return powers, index, self.coefs[t], weight, slots, STATE_DIM * len(order)
 
-    def _evaluate(self, layout, X, mu) -> np.ndarray:
+    @staticmethod
+    def _point(X, mu) -> tuple[float, float, float, float]:
+        return (*np.asarray(X, dtype=float)[:STATE_DIM].tolist(), float(mu))
+
+    def _evaluate(self, layout, x: tuple[float, float, float, float]) -> np.ndarray:
         powers, index, coefs, weight, slots, size = layout
-        x = (*np.asarray(X, dtype=float)[:STATE_DIM].tolist(), float(mu))
         try:
             table = [x[axis] ** k for axis, k in powers]
         except OverflowError:  # Python floats raise where numpy scalars give inf
@@ -248,7 +281,7 @@ class PolynomialField:
         return np.bincount(slots, coefs * (weight * np.array(table)[index].prod(axis=1)), size)
 
     def rhs(self, X: np.ndarray, mu: float) -> np.ndarray:
-        return self._evaluate(self._rhs, X, mu)
+        return self._evaluate(self._rhs, self._point(X, mu))
 
     def field(self, x1, x2, x3, mu) -> list:
         out = [0.0] * STATE_DIM
@@ -257,16 +290,27 @@ class PolynomialField:
             out[c] = out[c] + coef * math.prod(v**k for v, k in zip((x1, x2, x3, mu), powers) if k)
         return out
 
+    def linearization(self, x1: float, x2: float, x3: float, mu: float) -> tuple[list, list]:
+        """(F, DF) from one evaluation; each entry sums its terms in term
+        order, as ``rhs`` does, so F has its bits, and ``jacobian`` reads DF
+        from the same evaluation."""
+        v = self._evaluate(self._linear, (x1, x2, x3, mu)).tolist()
+        return v[0::4], [v[1:4], v[5:8], v[9:12]]
+
     def jacobian(self, X: np.ndarray, mu: float) -> np.ndarray:
-        return self._evaluate(self._jacobian, X, mu).reshape(STATE_DIM, STATE_DIM)
+        rows = self._evaluate(self._linear, self._point(X, mu)).reshape(STATE_DIM, 4)
+        return rows[:, 1:].copy()  # each row is F_c, then the three partials
 
     def exact_jet(self, point: np.ndarray, mu: float) -> JetTable:
-        entries = self._evaluate(self._jet, point, mu).reshape(STATE_DIM, -1).T
+        entries = self._evaluate(self._jet, self._point(point, mu)).reshape(STATE_DIM, -1).T
         return JetTable.from_entries(point, mu, entries, tolerance=1e-12)
 
     def model(self, name: str) -> ModelDefinition:
-        """The field as a model with its exact Jacobian and jet."""
-        return ModelDefinition(name, self.rhs, self.exact_jet, self.jacobian, field=self.field)
+        """The field as a model with its exact Jacobian, jet and linearisation."""
+        return ModelDefinition(
+            name, self.rhs, self.exact_jet, self.jacobian, field=self.field,
+            linearization=self.linearization,
+        )
 
 
 def polynomial_model(

@@ -4,7 +4,9 @@ Everything here treats the vector field as ground truth and checks the
 asymptotic predictions against it: single shooting with variational equations
 (an inexact Newton iteration whose seed solve runs at the square root of the
 tolerance; the monodromy comes from the converged solve, with a Liouville
-trace quadrature as an internal consistency check), Floquet stability,
+trace quadrature as an internal consistency check; each stage of the
+variational equations is one call of the model's linearisation on Python
+floats, `models.linearization_fn`), Floquet stability,
 natural continuation in the parameter, and integration of the truncated
 reduced dynamics against the full flow.  `integrate` returns the solver's own
 `dop853.Solution`.
@@ -98,8 +100,12 @@ class PeriodicOrbit:
 
 
 def _radius(states: np.ndarray) -> float:
-    """Largest distance of the sampled states from their centroid."""
-    return float(np.max(np.linalg.norm(states - states.mean(axis=0), axis=1)))
+    """Largest distance of the states sampled at ``np.linspace(0, T, n)`` over
+    one period from their centroid.  The last sample repeats the first, so
+    the centroid leaves it out: counted twice, the anchor would pull the
+    centroid toward itself and make the radius depend on where it sits."""
+    centroid = states[: max(len(states) - 1, 1)].mean(axis=0)
+    return float(np.max(np.linalg.norm(states - centroid, axis=1)))
 
 
 def _flow_with_monodromy(
@@ -110,17 +116,22 @@ def _flow_with_monodromy(
     rtol: float,
 ):
     """Integrate state, variational matrix, and divergence quadrature,
-    with the dense interpolant of all three."""
-    field, jac = model.rhs, models.jacobian_fn(model)
+    with the dense interpolant of all three.  Each stage is one call of
+    `models.linearization_fn` on Python floats; entry (i, j) of J Phi is
+    ``J[i][0] Phi[0][j] + J[i][1] Phi[1][j] + J[i][2] Phi[2][j]`` summed
+    left to right, and the divergence ``J[0][0] + J[1][1] + J[2][2]``."""
+    linearize = models.linearization_fn(model)
 
     def rhs(t: float, Y: np.ndarray) -> np.ndarray:
-        x = Y[:3]
-        J = jac(x, mu)
-        out = np.empty(13)
-        out[:3] = field(x, mu)
-        np.matmul(J, Y[3:12].reshape(3, 3), out=out[3:12].reshape(3, 3))
-        out[12] = J[0, 0] + J[1, 1] + J[2, 2]
-        return out
+        x1, x2, x3, a, b, c, d, e, f, g, h, i, _ = Y.tolist()
+        F, ((j11, j12, j13), (j21, j22, j23), (j31, j32, j33)) = linearize(x1, x2, x3, mu)
+        return np.array([
+            *F,
+            j11 * a + j12 * d + j13 * g, j11 * b + j12 * e + j13 * h, j11 * c + j12 * f + j13 * i,
+            j21 * a + j22 * d + j23 * g, j21 * b + j22 * e + j23 * h, j21 * c + j22 * f + j23 * i,
+            j31 * a + j32 * d + j33 * g, j31 * b + j32 * e + j33 * h, j31 * c + j32 * f + j33 * i,
+            j11 + j22 + j33,
+        ])
 
     Y0 = np.concatenate([x0, np.eye(3).ravel(), [0.0]])
     sol = dop853.solve(rhs, (0.0, T), Y0, rtol)

@@ -6,6 +6,7 @@ scipy is the oracle here only; the package does not need it at run time.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -49,9 +50,13 @@ def scipy_solve(fun, t_span, y0, rtol, event=None):
 def assert_matches_scipy(fun, t_span, y0, rtol, event=None):
     """Solve with both.  Steps, states and dense output (at a grid, a reversed
     grid, every step end and scalars) must be equal; where the event ends the
-    run, the last time is its root and lies within brentq's tolerance of scipy's."""
+    run, the last time is its root and lies within brentq's tolerance of scipy's.
+    Where scipy returns a failure, the port raises `StepFailure` with its message."""
     ref = scipy_solve(fun, t_span, y0, rtol, event)
-    assert ref.status >= 0, ref.message
+    if ref.status < 0:
+        with pytest.raises(StepFailure, match=re.escape(ref.message)):
+            dop853.solve(fun, t_span, y0, rtol, event)
+        return None, ref
     got = dop853.solve(fun, t_span, y0, rtol, event)
     assert got.event_fired == (ref.status == 1)
     last = len(ref.t) - 1 if got.event_fired else len(ref.t)
@@ -169,6 +174,14 @@ def test_blow_up_fails_where_scipy_fails():
     matrix=[0.0, 0.0, 0.0, 0.0, 0.375, 0.0, 0.0, 0.0, 0.0],
     start=[0.0, 6.79e-160, 0.0],
     log_rtol=-9.0,
+    t_final=1.0,
+)
+# a coupling of 1.6e-156: scipy returns "Required step size is less than
+# spacing between numbers", and the port must raise the same failure
+@example(
+    matrix=[0.0, 0.0, 0.0, 1.644023511568755e-156, 0.0, 0.0, 0.0, 0.0, 0.0],
+    start=[1.0, 0.0, 0.0],
+    log_rtol=-8.0,
     t_final=1.0,
 )
 def test_linear_systems(matrix, start, log_rtol, t_final):

@@ -1,6 +1,7 @@
 """Model catalog, jet tables, and jets from the field by Taylor arithmetic."""
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -342,6 +343,96 @@ def test_predator_prey_pole_and_overflow_match_numpy_scalars(state):
 
 
 # ---------------------------------------------------------------------------
+# the fused linearisation (F, DF) on Python floats
+# ---------------------------------------------------------------------------
+
+
+def _assert_linearization_is_rhs_and_jacobian(model, X, mu):
+    """The model's own entry, not the derived one, gives the bits of ``rhs``
+    and ``jacobian``."""
+    linearize = models.linearization_fn(model)
+    assert linearize is model.linearization is not None
+    F, DF = linearize(*map(float, X), float(mu))
+    X = np.asarray(X, dtype=float)
+    assert np.array_equal(np.array(F), model.rhs(X, mu), equal_nan=True), (F, model.rhs(X, mu))
+    J = model.jacobian(X, mu)
+    assert np.array_equal(np.array(DF), J, equal_nan=True), (DF, J)
+
+
+@st.composite
+def _admissible_predator_prey(draw):
+    """An admissible parameter set (0 < alpha1 < 1 - 2 lam < alpha2 < 1) and
+    a state, the pole s = -alpha1 and the overflow s = 1e200 among them."""
+    lam = draw(st.floats(0.01, 0.49))
+    width = 1.0 - 2.0 * lam
+    alpha1 = draw(st.floats(0.001, 0.999)) * width
+    alpha2 = width + draw(st.floats(0.001, 0.999)) * (1.0 - width)
+    params = {
+        "delta1": draw(_positive), "delta2": draw(_positive), "lam": lam,
+        "alpha1": alpha1, "alpha2": alpha2,
+    }
+    x1, x2 = draw(st.floats(-0.5, 2.0)), draw(st.floats(-0.5, 2.0))
+    s = draw(st.one_of(st.floats(-0.5, 1.5), st.sampled_from([-alpha1, -alpha2, 1e200])))
+    return params, [x1, x2, s]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(draw=_admissible_predator_prey(), mu=st.one_of(st.just(0.0), st.floats(-0.1, 0.1)))
+def test_predator_prey_linearization_is_bit_identical_to_rhs_and_jacobian(draw, mu):
+    params, X = draw
+    model = builtin("predator_prey", params)
+    assert eco.EcoParams(**params).admissible()
+    _assert_linearization_is_rhs_and_jacobian(model, X, mu)
+
+
+@pytest.mark.parametrize("s", [-0.2, 1e200], ids=["pole", "overflow"])
+def test_predator_prey_linearization_falls_back_to_numpy_scalars(s):
+    """At the pole s = -alpha1 Python floats raise `ZeroDivisionError`, at
+    s = 1e200 `OverflowError`; the entry repeats both halves on numpy
+    scalars, as ``rhs`` and ``jacobian`` do."""
+    model = builtin(
+        "predator_prey", {"delta1": 1.0, "delta2": 1.0, "lam": 0.3, "alpha1": 0.2, "alpha2": 0.6}
+    )
+    with np.errstate(all="ignore"):
+        _assert_linearization_is_rhs_and_jacobian(model, [0.1, 0.2, s], 0.005)
+        F, DF = model.linearization(0.1, 0.2, s, 0.005)
+    assert not np.isfinite(np.array([*F, *np.ravel(DF)])).all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    planted=st.fixed_dictionaries(
+        {**_TOY, "omega": _OMEGA, "eps": _COEF, "beta1": _COEF.filter(bool)}
+    ),
+    X=st.lists(
+        st.one_of(_COEF, st.sampled_from([1e200, -math.inf, math.nan])), min_size=3, max_size=3
+    ),
+    mu=st.floats(-1.0, 1.0),
+)
+def test_toy_cylindrical_linearization_is_bit_identical_to_rhs_and_jacobian(planted, X, mu):
+    _assert_linearization_is_rhs_and_jacobian(builtin("toy_cylindrical", planted), X, mu)
+
+
+@pytest.mark.parametrize("replaced", ["rhs", "jacobian", "finite_difference"])
+def test_a_replaced_rhs_or_jacobian_is_never_linearized_by_the_former_one(replaced):
+    model = builtin("toy_cylindrical", {"beta1": 0.4, "beta2": 0.7, "beta5": -0.9, "gamma5": 0.8})
+    changes = {
+        "rhs": {"rhs": lambda X, mu: 2.0 * model.rhs(X, mu)},
+        "jacobian": {"jacobian": lambda X, mu: 2.0 * model.jacobian(X, mu)},
+        "finite_difference": {"exact_jet": None, "jacobian": None},
+    }[replaced]
+    other = dataclasses.replace(model, **changes)
+    linearize = models.linearization_fn(other)
+    assert linearize is not other.linearization
+    X, mu = np.array([0.3, -0.2, 0.1]), 0.01
+    F, DF = linearize(*X, mu)
+    assert np.array_equal(F, other.rhs(X, mu))
+    assert np.array_equal(DF, models.jacobian_fn(other)(X, mu))
+
+
+# ---------------------------------------------------------------------------
 # polynomial fields against exact rational arithmetic
 # ---------------------------------------------------------------------------
 
@@ -437,6 +528,8 @@ _coord = st.one_of(
 )
 def test_polynomial_field_is_within_its_rounding_bound(components, X, mu):
     _assert_within_bound(components, X, mu)
+    model = polynomial_model(dict(zip(("y1", "y2", "z"), components)))
+    _assert_linearization_is_rhs_and_jacobian(model, X, mu)
     if all(abs(v) <= 2.5 for v in (*X, mu)):
         _assert_field_route_matches_exact_jet(components, X, mu)
 

@@ -49,9 +49,21 @@ def test_script_errors_end_in_one_typed_line(settle_time):
 
 def test_boundary_connection_stops_when_an_assumption_fails(capsys):
     """The former defaults lie on the admissibility boundary 1 - 2 lam = alpha2,
-    where a4 and a5 fail: the script names them and exits 1 without continuing."""
+    where a4 and a5 fail: the script names them and exits 2, the code of an
+    assumption violation, without continuing."""
     script = load_script("run_boundary_connection")
-    assert script.main(["--lam", "0.4", "--alpha1", "0.1", "--alpha2", "0.2"]) == 1
+    assert script.main(["--lam", "0.4", "--alpha1", "0.1", "--alpha2", "0.2"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "standing assumptions failed: a4_nondegeneracy, a5_drift\n"
     assert "mu" not in captured.out
+
+
+def test_boundary_connection_rejects_an_inadmissible_set_as_the_cli_does(capsys):
+    """alpha2 < 1 - 2 lam is outside the admissible region: `NotAdmissible`,
+    one ``error:`` line on stderr and exit 64, nothing on stdout."""
+    script = load_script("run_boundary_connection")
+    assert script.main(["--lam", "0.3", "--alpha1", "0.1", "--alpha2", "0.3"]) == 64
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: (delta1=0.8") and captured.err.count("\n") == 1
+    assert "outside the admissible region" in captured.err
+    assert captured.out == ""

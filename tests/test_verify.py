@@ -265,7 +265,8 @@ def test_shooting_builds_dense_output_only_where_it_is_read(interior_pipeline):
     saves the three extra stages per step of the four earlier solves: 3147
     model RHS calls when every solve built its dense output, 2658 with the
     seed solved at rtol, 2310 with it at sqrt(rtol); the bound leaves 90 calls
-    of margin."""
+    of margin.  The lower bound makes sure the solves call the counted
+    ``rhs`` at all, not a linearisation built with the model's former one."""
     calls = []
 
     def rhs(x, mu, _rhs=interior_pipeline.model.rhs):
@@ -276,12 +277,57 @@ def test_shooting_builds_dense_output_only_where_it_is_read(interior_pipeline):
     mu = 0.005
     prediction = predict_orbit(interior_pipeline.coeffs, mu, frame=interior_pipeline.frame)
     find_periodic_orbit(model, mu, prediction, guard=eco.interior_guard())
-    assert len(calls) <= 2400
+    assert 2000 <= len(calls) <= 2400
+
+
+@pytest.mark.parametrize("replaced", ["rhs", "no_jacobian"])
+def test_shooting_calls_the_functions_that_replaced_the_models_own(
+    interior_pipeline, monkeypatch, replaced
+):
+    """A model's linearisation stands only for the ``rhs`` and ``jacobian``
+    it was built with.  After `dataclasses.replace` shooting calls a new
+    ``rhs`` at every stage, and without a ``jacobian`` it takes central
+    differences of the RHS, as finite-difference configs ask."""
+    model, calls = interior_pipeline.model, []
+
+    def counted(fun):
+        def wrapper(*args):
+            calls.append(None)
+            return fun(*args)
+
+        return wrapper
+
+    if replaced == "rhs":
+        shot = dataclasses.replace(model, rhs=counted(model.rhs))
+    else:
+        monkeypatch.setattr(models, "central_difference", counted(models.central_difference))
+        shot = dataclasses.replace(model, exact_jet=None, jacobian=None)
+    mu = 0.005
+    prediction = predict_orbit(interior_pipeline.coeffs, mu, frame=interior_pipeline.frame)
+
+    def shoot(m):
+        return find_periodic_orbit(
+            m, mu, prediction, verify.SWEEP_RTOL, verify.BRANCH_NEWTON_TOL, eco.interior_guard()
+        )
+
+    orbit = shoot(shot)
+    # one call a stage: 1491 and 1564 calls; a stale linearisation leaves
+    # only the few of `models.evaluate`
+    assert len(calls) >= 1000
+    own = shoot(model)
+    if replaced == "rhs":  # the same function, so the same bits
+        assert np.array_equal(orbit.monodromy, own.monodromy)
+        assert orbit.period == own.period
+    else:
+        assert not np.array_equal(orbit.monodromy, own.monodromy)
+        assert orbit.period == pytest.approx(own.period, rel=1e-6)
 
 
 def _reference_flow_with_monodromy(model, mu, x0, T, rtol):
-    """The variational solve with the closure as first written: the Jacobian
-    through ``np.asarray``, the product ``(J @ Phi).ravel()`` copied in."""
+    """The variational solve from the model's ``rhs`` and ``jacobian`` (or
+    `central_difference` of the RHS), never its linearisation: the Jacobian
+    through ``np.asarray``, each entry of J Phi a left-to-right sum of three
+    products on Python floats."""
 
     def jac(X):
         if model.jacobian is not None:
@@ -290,12 +336,16 @@ def _reference_flow_with_monodromy(model, mu, x0, T, rtol):
 
     def rhs(t, Y):
         x = Y[:3]
-        Phi = Y[3:12].reshape(3, 3)
-        J = jac(x)
+        Phi = Y[3:12].reshape(3, 3).tolist()
+        J = jac(x).tolist()
         out = np.empty(13)
         out[:3] = model.rhs(x, mu)
-        out[3:12] = (J @ Phi).ravel()
-        out[12] = J[0, 0] + J[1, 1] + J[2, 2]
+        out[3:12] = [
+            J[i][0] * Phi[0][j] + J[i][1] * Phi[1][j] + J[i][2] * Phi[2][j]
+            for i in range(3)
+            for j in range(3)
+        ]
+        out[12] = J[0][0] + J[1][1] + J[2][2]
         return out
 
     Y0 = np.concatenate([x0, np.eye(3).ravel(), [0.0]])
@@ -427,6 +477,19 @@ def test_continuation_monotone_amplitudes(interior_pipeline):
     assert all(a > 0 for a in amps)
     assert all(b > a for a, b in zip(amps, amps[1:]))
     assert branch.points[1].orbit.period == pytest.approx(11.455279540078301, rel=1e-9)
+
+
+@pytest.mark.parametrize("n_samples", [7, 256])
+def test_frameless_amplitude_is_the_radius_from_any_anchor(n_samples):
+    """A tilted circle of radius 0.05 sampled as shooting samples an orbit,
+    at ``np.linspace(0, T, n)`` from anchors at several phases: the last
+    sample repeats the anchor and must not pull the centroid toward it."""
+    centre, radius = np.array([0.3, 0.2, 0.35]), 0.05
+    u, v = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8])
+    t = np.linspace(0.0, 2.0 * math.pi, n_samples)
+    for phase in (0.0, 0.4, 1.3, 2.9, 5.1):
+        states = centre + radius * (np.outer(np.cos(t + phase), u) + np.outer(np.sin(t + phase), v))
+        assert verify._radius(states) == pytest.approx(radius, rel=0.0, abs=1e-12)
 
 
 def test_simulate_seeding_matches_prediction_seeding(interior_pipeline, interior_hopf):
