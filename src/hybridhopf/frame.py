@@ -65,55 +65,84 @@ def _spectrum_split(J: np.ndarray) -> tuple[complex, complex]:
     return complex(nu), complex(nu0)
 
 
+def _newton_matrix(model: ModelDefinition, X: np.ndarray) -> np.ndarray:
+    """The (4, 3) derivative of ``[F, Re nu]`` at (X, mu = 0) from one jet.
+
+    Rows 1-3 are DF.  Row 4 is the first-order eigenvalue perturbation
+    d nu / dX_k = w (d_k DF) v with J v = nu v and w the matching row of
+    V^{-1}, so w v = 1; d_k DF is ``D^2 F[:, :, k]``.  nu is the eigenvalue
+    of largest |Im| that `_spectrum_split` picks; its conjugate has the same
+    real part of the derivative.  w is the cofactor row c / (c v), c the
+    cross product of the other two eigenvectors: a complex LAPACK inverse
+    would page in 0.7 MB of code for it.  Eigenvectors that do not span R^3
+    give c v = 0 and so a non-finite row, which is `NonFinite`.
+    """
+    jt = models.jet(model, X, 0.0)
+    J, H = jt.state_derivs[1], jt.state_derivs[2]
+    eigs, V = _eigen(np.linalg.eig, J)
+    k = int(np.argmax(np.abs(eigs.imag)))
+    columns = V.T.tolist()
+    v, a, b = columns[k], columns[(k + 1) % 3], columns[(k + 2) % 3]
+    c = [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+    with np.errstate(all="ignore"):  # a non-finite entry is reported below
+        dnu = np.einsum("c,cik,i->k", c, H, v) / (c[0] * v[0] + c[1] * v[1] + c[2] * v[2])
+    return _finite(model, "Newton matrix", np.vstack([J, dnu.real]), X)
+
+
 def locate_hopf_point(model: ModelDefinition, seed: Sequence[float]) -> np.ndarray:
     """Newton-solve {F(X) = 0, Re nu(X) = 0} at mu = 0 for a point on the
     equilibrium line where the planar eigenvalue pair crosses the imaginary
     axis.
 
     The system is overdetermined (four conditions, three unknowns) but
-    consistent on a line of equilibria; steps are least-squares solves.
+    consistent on a line of equilibria; steps are least-squares solves.  The
+    residual takes DF from `models.jacobian_fn`, and the spectrum it splits
+    at the last iterate is the one the post-checks read; the Newton matrix
+    is `_newton_matrix`, from one `models.jet` per iterate, so the model
+    needs an exact jet or a field (else `InvalidParams`).
     """
     X = np.asarray(seed, dtype=float).copy()
     if X.shape != (STATE_DIM,):
         raise NoConvergence(f"seed must be a 3-vector, got shape {X.shape}")
     jacobian = models.jacobian_fn(model)
 
-    def residual(P: np.ndarray) -> np.ndarray:
+    def residual(P: np.ndarray) -> tuple[np.ndarray, tuple[complex, complex]]:
+        """[F, Re nu] at P, and the (nu, nu0) of `_spectrum_split`."""
         F = models.evaluate(model, P, 0.0)
-        nu, _ = _spectrum_split(_finite(model, "Jacobian", jacobian(P, 0.0), P))
-        return np.array([F[0], F[1], F[2], nu.real])
+        spectrum = _spectrum_split(_finite(model, "Jacobian", jacobian(P, 0.0), P))
+        return np.array([F[0], F[1], F[2], spectrum[0].real]), spectrum
 
-    G = residual(X)
+    G, spectrum = residual(X)
     for _ in range(LOCATE_MAX_ITER):
         F_norm = float(np.max(np.abs(G[:3])))
         if F_norm < LOCATE_RESIDUAL_TOL and abs(G[3]) < LOCATE_SPECTRUM_TOL:
             break
-        JG = _finite(model, "Newton matrix", models.central_difference(residual, X), X)
+        JG = _newton_matrix(model, X)
         step, *_ = np.linalg.lstsq(JG, -G, rcond=None)
         base = float(np.linalg.norm(G))
         scale = 1.0
         failure = ""
         for _halving in range(12):
             try:
-                G_new = residual(X + scale * step)
+                G_new, spectrum_new = residual(X + scale * step)
             except NonFinite as exc:
                 failure = f" (last failed trial: {exc})"
                 scale *= 0.5
                 continue
-            if np.linalg.norm(G_new) < base or scale < 1e-6:
+            if np.linalg.norm(G_new) < base:
                 break
             scale *= 0.5
         else:
             raise NoConvergence(f"Hopf-point search stalled: no descent direction{failure}")
         X = X + scale * step
-        G = G_new
+        G, spectrum = G_new, spectrum_new
     else:
         raise NoConvergence(
             f"Hopf-point search did not converge in {LOCATE_MAX_ITER} iterations "
             f"(|F| = {np.max(np.abs(G[:3])):.2e}, Re nu = {G[3]:.2e})"
         )
 
-    nu, nu0 = _spectrum_split(_finite(model, "Jacobian", jacobian(X, 0.0), X))
+    nu, nu0 = spectrum
     if nu.imag <= A2_THRESHOLD:
         raise NotHopf(f"no rotation pair at the converged point (Im nu = {nu.imag:.2e})")
     if abs(nu0) > A2_THRESHOLD:

@@ -348,10 +348,10 @@ def polynomial_model(
 
 #: accuracy a jet from the field claims for each entry when the model has no
 #: Jacobian (with one, the 1e-12 of an exact jet).  The arithmetic is exact
-#: to rounding, but `frame.locate_hopf_point` then places the point by central
-#: differences (error about 1e-9), and a jet is no more accurate than its
-#: point: claiming 1e-12 would put correct predator-prey coefficients up to
-#: 2.5e4 bands from the exact ones.
+#: to rounding, but `frame.locate_hopf_point` then solves a residual whose
+#: Re nu comes from a central-difference Jacobian (error about 1e-9), and a
+#: jet is no more accurate than its point: claiming 1e-12 would put correct
+#: predator-prey coefficients up to 2.5e4 bands from the exact ones.
 FIELD_JET_TOLERANCE = 1e-6
 
 #: exponents (a, b, c, m) of the monomials x1^a x2^b x3^c mu^m of total

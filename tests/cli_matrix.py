@@ -30,12 +30,14 @@ TSV.
 compares two such trees file by file.  For each file that differs it says
 whether only numbers changed, and gives the largest relative change
 |b - a| / max(|a|, |b|) over the number pairs of which one has magnitude
-1e-9 or more (residuals and defects near rounding are left out).  Any other
-difference is flagged: text (labels, verdicts, null against a number), a
-changed integer (exit codes, counts such as ``n_converged``; ``lost_at`` is
-a grid value, so moving it changes the point count), a non-finite number on
-one side only, or a file present in one tree only.  It exits 1 when
-anything is flagged.
+1e-9 or more (residuals and defects near rounding are left out).  Text
+that differs only in spaces and tabs, as where a table re-pads its column
+to a number of another width, counts as numbers, with ``realigned`` after
+the pair.  Any other difference is flagged: text (labels, verdicts, null
+against a number), a changed integer (exit codes, counts such as
+``n_converged``; ``lost_at`` is a grid value, so moving it changes the
+point count), a non-finite number on one side only, or a file present in
+one tree only.  It exits 1 when anything is flagged.
 pytest does not collect this file.
 """
 
@@ -189,11 +191,18 @@ NUMBER = re.compile(
 COMPARE_FLOOR = 1e-9
 
 
+#: spaces and tabs, which a table pads a number with to its column width
+PADDING = re.compile(r"[ \t]+")
+
+
 def compare_text(a: str, b: str) -> tuple[str | None, float, str]:
     """(flag or None, largest relative change, the pair where it occurs)
-    between two versions of one file."""
+    between two versions of one file.  Text that differs only in spaces and
+    tabs is a column re-padded to a number of another width: the numbers
+    are compared, and the pair reads ``realigned``."""
     text_a, text_b = NUMBER.split(a), NUMBER.split(b)
-    if text_a != text_b:
+    realigned = text_a != text_b
+    if realigned and [PADDING.sub("", x) for x in text_a] != [PADDING.sub("", y) for y in text_b]:
         for x, y in zip(text_a, text_b):
             if x != y:
                 x, y = (x.strip() or x)[:60], (y.strip() or y)[:60]
@@ -211,6 +220,8 @@ def compare_text(a: str, b: str) -> tuple[str | None, float, str]:
         scale = max(abs(u), abs(v))
         if scale >= COMPARE_FLOOR and abs(v - u) / scale > largest:
             largest, where = abs(v - u) / scale, f"{x} -> {y}"
+    if realigned:
+        where = f"{where}; realigned" if where else "realigned"
     return None, largest, where
 
 

@@ -862,6 +862,34 @@ def test_matrix_compare_separates_numbers_from_everything_else(old, new, flag):
         assert got.startswith(flag) and change == 0.0
 
 
+def _assumption_row(value: str, verdict: str = "pass") -> str:
+    return f"{'a1_line':<18}{value:>16}  {'< 1e-10':<14}{verdict}\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, flag, where",
+    [
+        # a value wider than its 16-character column shifts the rest of the row
+        (_assumption_row("8.9e-16"), _assumption_row("2.6101217871994e-44"), None, "realigned"),
+        (_assumption_row("0.25"), _assumption_row("0.2500000000000001"), None, "0.25 -> "),
+        (_assumption_row("8.9e-16"), _assumption_row("2.6101217871994e-44", "FAIL"), "text ", ""),
+        ("a1 8.9e-16\n", "a1\n2.6e-44\n", "text ", ""),
+    ],
+)
+def test_matrix_compare_reports_a_realigned_column_as_numbers(old, new, flag, where):
+    """Text that differs only in spaces and tabs next to a changed number is
+    a number change, noted ``realigned``; a changed word or line break next
+    to it is still flagged."""
+    import cli_matrix
+
+    got, change, pair = cli_matrix.compare_text(old, new)
+    if flag is None:
+        assert got is None and pair.startswith(where) and pair.endswith("realigned")
+    else:
+        assert got.startswith(flag) and pair == ""
+    assert change < 1e-15
+
+
 def test_matrix_compare_flags_a_file_in_one_tree_only(tmp_path, capsys):
     import cli_matrix
 

@@ -15,12 +15,16 @@ from hybridhopf import (
     build_standard_frame,
     builtin,
     check_assumptions,
+    eco,
+    from_config,
     jet,
     locate_hopf_point,
+    models,
     polynomial_model,
     standard_jet,
 )
-from hybridhopf.errors import DefectiveSpectrum, NoConvergence, NonFinite, NotHopf
+from hybridhopf import frame as frame_mod
+from hybridhopf.errors import DefectiveSpectrum, InvalidParams, NoConvergence, NonFinite, NotHopf
 from hybridhopf.models import ModelDefinition
 from oracles import field_jet
 
@@ -73,20 +77,94 @@ def test_locate_rejects_spectrum_without_rotation():
         locate_hopf_point(model, np.array([0.1, 0.1, 0.1]))
 
 
-def test_locate_rejects_a_non_finite_newton_matrix_before_lapack():
-    # F_1 jumps from -1e308 to 1e308 across x1 = 0, so the central difference
-    # of the residual there is 2e308 / 2h = inf; numpy's lstsq did not return
-    # on such a matrix.  A non-finite Jacobian is a row of tests/test_cli.py.
-    model = ModelDefinition(
-        "cliff",
-        lambda X, mu: np.array([1e308 if X[0] > 0 else -1e308, 0.0, 0.0]),
-        jacobian=lambda X, mu: standard_linear_part(1.0),
+def test_locate_rejects_a_non_finite_newton_matrix_before_lapack(monkeypatch):
+    # at the seed F = (1e306, 0.1, 0) and DF are finite, so the residual is,
+    # but d1 d1 F_1 = 2e308 = inf: the jet that builds the Newton matrix is
+    # non-finite, in both jet modes, and numpy's lstsq did not return on
+    # such a matrix.  A non-finite Jacobian is a row of tests/test_cli.py.
+    def lstsq(*args, **kwargs):
+        raise AssertionError("lstsq ran on the Newton matrix")
+
+    monkeypatch.setattr(np.linalg, "lstsq", lstsq)
+    cliff = {"y1": [[-1.0, 0, 1, 0, 0], [1e308, 2, 0, 0, 0]], "y2": [[1.0, 1, 0, 0, 0]], "z": []}
+    for jets in ("exact", "finite_difference"):
+        model = from_config({"polynomial": cliff, "name": "cliff", "jets": jets})
+        with pytest.raises(NonFinite) as excinfo:
+            locate_hopf_point(model, np.array([0.1, 0.0, 0.0]))
+        assert str(excinfo.value) == (
+            "model 'cliff' has a non-finite jet entry at state=[0.1, 0.0, 0.0], mu=0.0"
+        )
+
+
+def test_locate_needs_an_exact_jet_or_a_field():
+    # the Newton matrix comes from the jet; F is not 0 at the seed, so the
+    # search builds one
+    J = standard_linear_part(1.0)
+    model = ModelDefinition("bare", lambda X, mu: J @ X, jacobian=lambda X, mu: J)
+    with pytest.raises(InvalidParams, match="model 'bare' has neither an exact jet nor a field"):
+        locate_hopf_point(model, np.array([0.1, 0.1, 0.1]))
+
+
+def test_locate_rejects_eigenvectors_that_do_not_span():
+    # DF is a nilpotent Jordan block everywhere: its eigenvectors span one
+    # direction, so the eigenvalue derivative of the Newton matrix is undefined
+    model = polynomial_model(
+        {"y1": [[1.0, 0, 1, 0, 0]], "y2": [[1.0, 0, 0, 1, 0]], "z": [[1.0, 0, 0, 0, 0]]},
+        name="jordan",
     )
-    with pytest.raises(NonFinite) as excinfo, np.errstate(all="ignore"):
-        locate_hopf_point(model, np.zeros(3))
+    with pytest.raises(NonFinite) as excinfo:
+        locate_hopf_point(model, np.array([0.1, 0.1, 0.1]))
     assert str(excinfo.value) == (
-        "model 'cliff' has a non-finite Newton matrix at state=[0.0, 0.0, 0.0], mu=0.0"
+        "model 'jordan' has a non-finite Newton matrix at state=[0.1, 0.1, 0.1], mu=0.0"
     )
+
+
+#: planted sets whose Hopf point is the origin; ``beta1`` is ROADMAP item 2's
+PLANTED_BETA1 = {
+    "omega": 1.3, "beta1": 0.4, "beta2": 0.7, "beta4": 0.3, "beta5": -0.9,
+    "beta6": 0.25, "gamma5": 0.8, "gamma7": -0.35,
+}
+PLANTED_ES = {
+    "omega": 1.1, "beta2": -0.8, "beta3": 0.5, "beta5": 1.2, "beta6": -0.4,
+    "gamma5": 0.9, "gamma7": 0.6,
+}
+#: largest |Newton matrix - central difference of the residual| over the
+#: largest entry.  With a model Jacobian the difference quotient errs by
+#: about eps |G| / h + h^2 |D^3 G| (7e-10 seen); without one the residual's
+#: Jacobian is itself a central difference, so its rounding eps |F| / h is
+#: divided by h once more (1.2e-3 seen on the predator-prey draw).  A factor
+#: of 2 or a conjugated v or w in d nu errs by 0.5 or more.
+NEWTON_ORACLE_TOL = {"exact": 1e-8, "finite_difference": 1e-2}
+
+
+def _newton_oracle_cases():
+    p = eco.sample_region(1, 7)[0]
+    yield "toy_beta1", {"builtin": "toy_cylindrical", "params": PLANTED_BETA1}, np.zeros(3)
+    yield "toy_es", {"builtin": "toy_cylindrical", "params": PLANTED_ES}, np.zeros(3)
+    yield "region_draw", {"builtin": "predator_prey", "params": p.to_dict()}, eco.hopf_point(p)
+
+
+@pytest.mark.parametrize("jets", ["exact", "finite_difference"])
+@pytest.mark.parametrize("name, config, X_H", list(_newton_oracle_cases()))
+def test_newton_matrix_is_the_derivative_of_the_residual(name, config, X_H, jets):
+    """The jet-built Newton matrix of `locate_hopf_point` agrees with the
+    central difference of its residual [F, Re nu] at points 0.01-0.05 from
+    the Hopf point."""
+    model = from_config(dict(config, jets=jets))
+    jacobian = models.jacobian_fn(model)
+
+    def residual(P):
+        eigs = np.linalg.eigvals(jacobian(P, 0.0))
+        return np.append(models.evaluate(model, P, 0.0), eigs[np.argmax(np.abs(eigs.imag))].real)
+
+    rng = np.random.default_rng(3)
+    for radius in (0.01, 0.03, 0.05):
+        direction = rng.normal(size=3)
+        X = X_H + radius * direction / np.linalg.norm(direction)
+        JG = frame_mod._newton_matrix(model, X)
+        oracle = models.central_difference(residual, X)
+        error = np.max(np.abs(JG - oracle)) / np.max(np.abs(JG))
+        assert JG.shape == (4, 3) and error < NEWTON_ORACLE_TOL[jets], (name, X, JG, oracle)
 
 
 # ---------------------------------------------------------------------------
