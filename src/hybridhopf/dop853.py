@@ -1,10 +1,17 @@
 """scipy's ``solve_ivp(method="DOP853")`` (Hairer, Nørsett & Wanner, *Solving
 ODEs I*, §II.10), ported to take its steps bit for bit: the same tableau (each
-coefficient the repr of scipy's double), initial step, error norm, controller
-and numpy operations on the same array layouts.  One change: a step builds its
-interpolant, three more stages, when a time inside it is first read.  The one
-terminal event is located by bisection on the interpolant of the step where it
-first reads <= 0 (Hairer, Nørsett & Wanner, §II.6), not by scipy's `brentq`.
+coefficient the repr of scipy's double), initial step, error norm, controller,
+and IEEE operations per element in the same order.  One change: a step builds
+its interpolant, three more stages, when a time inside it is first read.  The
+one terminal event is located by bisection on the interpolant of the step where
+it first reads <= 0 (Hairer, Nørsett & Wanner, §II.6), not by scipy's `brentq`.
+Where the form differs from scipy's, the bits stay because:
+
+- ``M.dot(v)`` is the BLAS call of ``np.dot(M, v)``, on the same views of ``K``;
+- ``dy = M.dot(a); dy *= h; dy += y`` is ``y + np.dot(M, a) * h``: + and * commute;
+- the controller's floats round as numpy's scalars do; ``**`` is libm ``pow`` on both;
+- ``K[s] = fun(...)`` stores a list or tuple of floats exactly, as ``np.asarray`` does;
+- `Solution.sol` runs each time's Horner sum as its step alone would, in one pass.
 
 Derived from scipy (``integrate/_ivp/rk.py``, ``common.py`` and ``ivp.py``)
 under its BSD-3 license:
@@ -34,6 +41,7 @@ under its BSD-3 license:
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -110,33 +118,38 @@ D = np.array([
 
 
 class _Step:
-    """One step; the last three of its 16 stages ``K`` are evaluated on first read."""
+    """One step; `coefficients` builds its interpolant, stages 13-15 of ``K``, on first call."""
 
     def __init__(self, fun, t_old, t, y_old, y, f, K):
         self.fun, self.t_old, self.t, self.y_old, self.y = fun, t_old, t, y_old, y
         self.f, self.K, self.F = f, K, None
 
-    def __call__(self, t: np.ndarray) -> np.ndarray:
-        h = self.t - self.t_old
+    def coefficients(self) -> np.ndarray:
         if self.F is None:
-            K = self.K
+            K, h = self.K, self.t - self.t_old
             for s in range(N_STAGES + 1, 16):
-                dy = np.dot(K[:s].T, _ROWS[s]) * h
+                dy = K[:s].T.dot(_ROWS[s]) * h
                 K[s] = self.fun(self.t_old + _NODES[s] * h, self.y_old + dy)
             delta_y = self.y - self.y_old
             self.F = np.empty((7, len(self.y)))
             self.F[0] = delta_y
             self.F[1] = h * K[0] - delta_y
             self.F[2] = 2 * delta_y - h * (self.f + K[0])
-            self.F[3:] = h * np.dot(D, K)
+            self.F[3:] = h * D.dot(K)
             self.K = None
-        x = ((t - self.t_old) / h)[..., None]
-        y = np.zeros(t.shape + self.y.shape)
-        for i, f in enumerate(reversed(self.F)):  # Horner in x and 1 - x
-            y += f
-            y *= x if i % 2 == 0 else 1 - x
-        y += self.y_old
-        return y.T
+        return self.F
+
+    def __call__(self, t: float) -> np.ndarray:
+        return _horner(self.coefficients(), (t - self.t_old) / (self.t - self.t_old), self.y_old)
+
+
+def _horner(F: np.ndarray, x, y_old: np.ndarray, at=slice(None)) -> np.ndarray:
+    """scipy's interpolant, Horner in x and 1 - x, at ``x`` of rows ``F[i][..., at]``."""
+    y = np.zeros(y_old.shape)
+    for i in range(7):
+        y += F[6 - i][..., at]
+        y *= x if i % 2 == 0 else 1 - x
+    return y + y_old
 
 
 @dataclasses.dataclass(frozen=True)
@@ -150,16 +163,18 @@ class Solution:
     event_fired: bool
 
     def sol(self, t) -> np.ndarray:
-        """States at a time or a 1-D array of times; a step end reads the earlier step."""
+        """States at a time or a 1-D array of times (C-ordered: a mean over them rounds
+        by layout); a step end reads the earlier step."""
         t = np.asarray(t)
         seg = np.clip(np.searchsorted(self.t, t, side="left") - 1, 0, len(self.steps) - 1)
         if t.ndim == 0:
             return self.steps[seg](t)
-        order = np.argsort(seg, kind="stable")  # values are pointwise: any grouping gives them
-        out = np.empty((len(self.y), len(t)))
-        for group in np.split(order, np.flatnonzero(np.diff(seg[order])) + 1):
-            out[:, group] = self.steps[seg[group[0]]](t[group])
-        return out
+        read, at = np.unique(seg, return_inverse=True)
+        steps = [self.steps[k] for k in read.tolist()]
+        t_old, t_end = np.array([(s.t_old, s.t) for s in steps]).T
+        y_old = np.stack([s.y_old for s in steps], axis=-1).take(at, axis=-1)
+        F = np.stack([s.coefficients() for s in steps], axis=-1)
+        return _horner(F, (t - t_old[at]) / (t_end - t_old)[at], y_old, at)
 
 
 def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
@@ -178,42 +193,42 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    return min(100 * h0, h1, interval_length)
+    return float(min(100 * h0, h1, interval_length))
 
 
 def _advance(fun, t, y, f, h_abs, tf, rtol, atol) -> tuple[_Step | None, float]:
     """The next accepted step and step size, or no step below the float spacing at ``t``."""
-    min_step = 10 * (np.nextafter(t, np.inf) - t)
+    min_step = 10 * (math.nextafter(t, math.inf) - t)
     h_abs = max(h_abs, min_step)
-    K = np.empty((16, len(y)))
-    KT = K.T  # column s is stage s
+    K = np.empty((16, len(y)))  # K[:s].T holds stages 0 .. s-1 as columns
     rejected = False
     while h_abs >= min_step:
         t_new = min(t + h_abs, tf)
         h = h_abs = t_new - t
         K[0] = f
         for s in range(1, N_STAGES):
-            dy = np.dot(KT[:, :s], _ROWS[s]) * h
-            K[s] = fun(t + _NODES[s] * h, y + dy)
-        y_new = y + h * np.dot(KT[:, :N_STAGES], B)
-        K[N_STAGES] = f_new = fun(t + h, y_new)
+            dy = K[:s].T.dot(_ROWS[s])
+            dy *= h
+            dy += y
+            K[s] = fun(t + _NODES[s] * h, dy)
+        y_new = y + h * K[:N_STAGES].T.dot(B)
+        K[N_STAGES] = fun(t + h, y_new)
         scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-        e5 = np.dot(KT[:, : N_STAGES + 1], E5) / scale
-        e3 = np.dot(KT[:, : N_STAGES + 1], E3) / scale
+        e5 = K[: N_STAGES + 1].T.dot(E5) / scale
+        e3 = K[: N_STAGES + 1].T.dot(E3) / scale
         # np.linalg.norm of a 1-D float vector is exactly this
-        err5_norm_2 = np.sqrt(e5.dot(e5)) ** 2
-        err3_norm_2 = np.sqrt(e3.dot(e3)) ** 2
+        err5_norm_2, err3_norm_2 = math.sqrt(e5.dot(e5)) ** 2, math.sqrt(e3.dot(e3)) ** 2
         if err5_norm_2 == 0 and err3_norm_2 == 0:
             error_norm = 0.0
         else:
-            denom = err5_norm_2 + 0.01 * err3_norm_2
-            error_norm = h * err5_norm_2 / np.sqrt(denom * len(scale))
+            denom = err5_norm_2 + 0.01 * err3_norm_2  # 0 only if 0.01 * err3 underflows
+            error_norm = h * err5_norm_2 / math.sqrt(denom * len(scale)) if denom else math.nan
         if error_norm < 1:
             if error_norm == 0:
                 factor = MAX_FACTOR
             else:
                 factor = min(MAX_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
-            step = _Step(fun, t, t_new, y, y_new, f_new, K)
+            step = _Step(fun, t, t_new, y, y_new, K[N_STAGES], K)
             return step, h_abs * (min(1, factor) if rejected else factor)
         h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
         rejected = True
@@ -233,12 +248,12 @@ def _crossing(g, lo: float, hi: float) -> float:
 
 def solve(fun, t_span, y0, rtol: float, event=None) -> Solution:
     """``solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol, atol=rtol / 100,
-    dense_output=True)`` for ``fun`` returning a float array, raising where scipy
-    returns a failure: `InvalidBounds` unless both ends of ``t_span`` are finite
-    and it runs forward, `StepFailure` when the step size falls below the float
-    spacing, `NonFinite` for a non-finite start or state.  ``event(t, y)``, positive
-    at the start, ends the run at its first root, which is bisected on the
-    interpolant of the first step whose end it reads <= 0."""
+    dense_output=True)`` for ``fun`` returning floats (an array, list or tuple),
+    raising where scipy returns a failure: `InvalidBounds` unless both ends of
+    ``t_span`` are finite and it runs forward, `StepFailure` when the step size
+    falls below the float spacing, `NonFinite` for a non-finite start or state.
+    ``event(t, y)``, positive at the start, ends the run at its first root, which
+    is bisected on the interpolant of the first step whose end it reads <= 0."""
     t0, tf = map(float, t_span)
     if not -np.inf < t0 < tf < np.inf:
         raise InvalidBounds(f"integration spans must be finite and run forward, got {t_span}")
@@ -246,7 +261,7 @@ def solve(fun, t_span, y0, rtol: float, event=None) -> Solution:
     if not np.isfinite(y).all():
         raise NonFinite("all components of the initial state must be finite")
     atol, rtol = rtol * ATOL_PER_RTOL, max(rtol, 100 * EPS)
-    t, f = t0, fun(t0, y)
+    t, f = t0, np.asarray(fun(t0, y), dtype=float)
     h_abs = _initial_step(fun, t0, y, f, tf, rtol, atol)
     ts, ys, steps = [t], [y], []
     fired = False

@@ -117,21 +117,21 @@ def _flow_with_monodromy(
 ):
     """Integrate state, variational matrix, and divergence quadrature,
     with the dense interpolant of all three.  Each stage is one call of
-    `models.linearization_fn` on Python floats; entry (i, j) of J Phi is
-    ``J[i][0] Phi[0][j] + J[i][1] Phi[1][j] + J[i][2] Phi[2][j]`` summed
-    left to right, and the divergence ``J[0][0] + J[1][1] + J[2][2]``."""
+    `models.linearization_fn` on Python floats, returning a list of 13: entry
+    (i, j) of J Phi is ``J[i][0] Phi[0][j] + J[i][1] Phi[1][j] + J[i][2] Phi[2][j]``
+    summed left to right, and the divergence ``J[0][0] + J[1][1] + J[2][2]``."""
     linearize = models.linearization_fn(model)
 
-    def rhs(t: float, Y: np.ndarray) -> np.ndarray:
+    def rhs(t: float, Y: np.ndarray) -> list[float]:
         x1, x2, x3, a, b, c, d, e, f, g, h, i, _ = Y.tolist()
         F, ((j11, j12, j13), (j21, j22, j23), (j31, j32, j33)) = linearize(x1, x2, x3, mu)
-        return np.array([
+        return [
             *F,
             j11 * a + j12 * d + j13 * g, j11 * b + j12 * e + j13 * h, j11 * c + j12 * f + j13 * i,
             j21 * a + j22 * d + j23 * g, j21 * b + j22 * e + j23 * h, j21 * c + j22 * f + j23 * i,
             j31 * a + j32 * d + j33 * g, j31 * b + j32 * e + j33 * h, j31 * c + j32 * f + j33 * i,
             j11 + j22 + j33,
-        ])
+        ]
 
     Y0 = np.concatenate([x0, np.eye(3).ravel(), [0.0]])
     sol = dop853.solve(rhs, (0.0, T), Y0, rtol)
@@ -517,14 +517,14 @@ class TruncatedRun:
 
 def _truncated_rhs(
     coeffs: CylindricalCoefficients, epsilon: float, mu_tilde: float
-) -> Callable[[float, np.ndarray], np.ndarray]:
+) -> Callable[[float, np.ndarray], list[float]]:
     b1, b2, b3 = coeffs.beta1, coeffs.beta2, coeffs.beta3
     b4, b5, b6 = coeffs.beta4, coeffs.beta5, coeffs.beta6
     g5, g7 = coeffs.gamma5, coeffs.gamma7
     omega = coeffs.omega
     e, e2 = epsilon, epsilon * epsilon
 
-    def rhs(tau: float, y: np.ndarray) -> np.ndarray:
+    def rhs(tau: float, y: np.ndarray) -> list[float]:
         r, z = y
         phi = omega * tau
         dr = e * b2 * r * z + e2 * (
@@ -538,7 +538,7 @@ def _truncated_rhs(
             - mu_tilde * (b1 * g5 - g7) * z
             - (b1 * b5 - b6) * r**2 * z
         )
-        return np.array([dr, dz])
+        return [dr, dz]
 
     return rhs
 
