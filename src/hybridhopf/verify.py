@@ -104,7 +104,7 @@ def _radius(states: np.ndarray) -> float:
     one period from their centroid.  The last sample repeats the first, so
     the centroid leaves it out: counted twice, the anchor would pull the
     centroid toward itself and make the radius depend on where it sits."""
-    centroid = states[: max(len(states) - 1, 1)].mean(axis=0)
+    centroid = np.ascontiguousarray(states[: max(len(states) - 1, 1)].T).mean(axis=1)
     return float(np.max(np.linalg.norm(states - centroid, axis=1)))
 
 

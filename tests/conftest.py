@@ -6,17 +6,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hybridhopf import (
-    CylindricalCoefficients,
-    StandardFrame,
-    build_standard_frame,
-    compute_coefficients,
-    jet,
-    standard_jet,
-)
 from hybridhopf import eco
+from hybridhopf.coefficients import CylindricalCoefficients, compute_coefficients
 from hybridhopf.eco import EcoParams
-from hybridhopf.models import ModelDefinition
+from hybridhopf.frame import StandardFrame, build_standard_frame, standard_jet
+from hybridhopf.models import ModelDefinition, builtin, jet, polynomial_model
 from oracles import closed_form_frame
 
 
@@ -72,7 +66,6 @@ def synthetic_pipeline():
     """Factory: the planted quadratic normal form dy1 = -omega y2 + a y1 z,
     dy2 = omega y1 + a y2 z, dz = b r^2 + c mu + d mu z at the origin, that is
     `toy_cylindrical` with beta2, beta5, gamma5, gamma7 = a, b, c, d."""
-    from hybridhopf import builtin
 
     def factory(a: float, b: float, c: float, d: float, omega: float = 1.0) -> Pipeline:
         params = {"omega": omega, "beta2": a, "beta5": b, "gamma5": c, "gamma7": d}
@@ -85,8 +78,6 @@ def synthetic_pipeline():
 @pytest.fixture(scope="session")
 def rotation_model():
     """Pure planar rotation with a trivial third axis: all coefficients zero."""
-    from hybridhopf import polynomial_model
-
     return polynomial_model(
         {"y1": [[-1.0, 0, 1, 0, 0]], "y2": [[1.0, 1, 0, 0, 0]], "z": []},
         name="pure_rotation",

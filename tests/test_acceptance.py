@@ -11,25 +11,20 @@ import time
 import numpy as np
 import pytest
 
-from hybridhopf import (
+from hybridhopf import eco
+from hybridhopf.classifier import classify, predict_orbit
+from hybridhopf.coefficients import compute_coefficients
+from hybridhopf.errors import Degenerate, HybridHopfError
+from hybridhopf.frame import StandardFrame, check_assumptions, locate_hopf_point, standard_jet
+from hybridhopf.models import builtin, jet
+from hybridhopf.verify import (
     ShootingSeed,
-    builtin,
-    check_assumptions,
-    classify,
-    compute_coefficients,
+    compare_with_full_model,
     continue_branch,
     find_periodic_orbit,
     floquet_stability,
-    jet,
-    locate_hopf_point,
-    predict_orbit,
     simulate_truncated,
-    standard_jet,
 )
-from hybridhopf import eco
-from hybridhopf.errors import Degenerate, HybridHopfError
-from hybridhopf.frame import StandardFrame
-from hybridhopf.verify import compare_with_full_model
 from oracles import FD_TOLERANCE, closed_form_frame, finite_difference_jet_loop
 
 PERIOD_LIMIT = 2.0 * math.pi / math.sqrt(0.3)

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridhopf import classify, predict_orbit
 from hybridhopf.classifier import (
     TYPE_ELLIPTIC_STABLE,
     TYPE_ELLIPTIC_UNSTABLE,
     TYPE_HYPERBOLIC,
+    classify,
     direction_label,
     focus_quantity,
+    predict_orbit,
     saddle_exponents,
 )
 from hybridhopf.coefficients import CylindricalCoefficients, HarmonicScalar

@@ -770,9 +770,9 @@ def test_installed_console_script(workspace):
     assert version.split() == ["hybridhopf", hybridhopf.__version__]
 
 
-# Runs in a fresh interpreter: records the scipy modules each step has loaded
-# and whether it has loaded `verify`, then prints the record as the last
-# stdout line.
+# Runs in a fresh interpreter: records the scipy modules each step has loaded,
+# whether it has loaded `verify` and the package modules `import hybridhopf`
+# loads, then prints the record as the last stdout line.
 IMPORT_BUDGET_CHILD = """
 import json, sys
 
@@ -786,8 +786,7 @@ def record(step):
 
 import hybridhopf
 record("import hybridhopf")
-absent = getattr(hybridhopf, "no_such_name", None) is None
-record("unknown name")
+package = sorted(m for m in sys.modules if m.startswith("hybridhopf"))
 import hybridhopf.cli
 record("import hybridhopf.cli")
 from hybridhopf.cli import main
@@ -804,15 +803,14 @@ codes["eco-sweep"] = main(["eco-sweep", "--samples", "5", "--out", out + "/eco"]
 record("eco-sweep")
 codes["verify"] = main(["verify", "--config", config, "--mu", "0.005", "--out", out + "/verify"])
 record("verify")
-unresolved = [n for n in hybridhopf.__all__ if getattr(hybridhopf, n, None) is None]
-print(json.dumps({"loaded": loaded, "codes": codes, "unresolved": unresolved, "absent": absent}))
+print(json.dumps({"loaded": loaded, "codes": codes, "package": package}))
 """
 
 
 def test_no_command_imports_scipy_and_only_verify_loads_verify(workspace):
-    """No step, `verify` included, loads any scipy module; `import hybridhopf`,
-    an unknown attribute, `--version`, `classify` and `eco-sweep` never load
-    `verify`, which `verify` loads on demand."""
+    """No step, `verify` included, loads any scipy module; `import hybridhopf`
+    loads no module of the package, and `--version`, `classify` and
+    `eco-sweep` never load `verify`, which `verify` loads on demand."""
     cfg = workspace.config(INTERIOR)
     result = subprocess.run(
         [sys.executable, "-c", IMPORT_BUDGET_CHILD, cfg, workspace.outdir("budget")],
@@ -824,13 +822,10 @@ def test_no_command_imports_scipy_and_only_verify_loads_verify(workspace):
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout.splitlines()[-1])
     assert report["codes"] == {"--version": 0, "classify": 0, "eco-sweep": 0, "verify": 0}
-    steps = ("import hybridhopf", "unknown name", "import hybridhopf.cli", "--version", "classify",
-             "eco-sweep")
-    for step in steps:
+    assert report["package"] == ["hybridhopf"]
+    for step in ("import hybridhopf", "import hybridhopf.cli", "--version", "classify", "eco-sweep"):
         assert report["loaded"][step] == {"scipy": [], "verify": False}, step
-    assert report["absent"] is True
     assert report["loaded"]["verify"] == {"scipy": [], "verify": True}
-    assert report["unresolved"] == []
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from hybridhopf import builtin, compute_coefficients, jet, standard_jet
-from hybridhopf.coefficients import HarmonicScalar
+from hybridhopf.coefficients import HarmonicScalar, compute_coefficients
 from hybridhopf.errors import NotHopf
+from hybridhopf.frame import build_standard_frame, standard_jet
+from hybridhopf.models import builtin, jet
 
 SCALARS = ("beta1", "beta2", "beta3", "beta4", "beta5", "beta6", "gamma5", "gamma7")
 HARMONICS = ("gamma1", "gamma2", "gamma3", "gamma4", "gamma6")
@@ -84,8 +85,6 @@ def test_synthetic_planted_coefficients(synthetic_pipeline, a, b, c, d, omega):
     ids=["beta1_zero", "item2", "beta1_negative"],
 )
 def test_toy_cylindrical_round_trip(planted):
-    from hybridhopf import build_standard_frame
-
     raw = jet(builtin("toy_cylindrical", planted), np.zeros(3), 0.0)
     got = compute_coefficients(standard_jet(raw, build_standard_frame(raw)))
     planted = {name: 0.0 for name in (*SCALARS, "gamma3")} | planted
@@ -103,8 +102,6 @@ def test_toy_cylindrical_round_trip(planted):
 
 
 def test_linear_field_all_coefficients_vanish(rotation_model):
-    from hybridhopf import build_standard_frame
-
     raw = jet(rotation_model, np.zeros(3), 0.0)
     coeffs = compute_coefficients(standard_jet(raw, build_standard_frame(raw)))
     assert coeffs.omega == pytest.approx(1.0, abs=1e-12)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hybridhopf import classifier, eco, locate_hopf_point
+from hybridhopf import classifier, eco
 from hybridhopf.eco import EcoParams
 from hybridhopf.errors import (
     AssumptionViolation,
@@ -21,6 +21,7 @@ from hybridhopf.errors import (
     NonFinite,
     NotAdmissible,
 )
+from hybridhopf.frame import locate_hopf_point
 from oracles import coexistence_line, sample_region_loop
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -10,22 +10,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hybridhopf import (
-    StandardFrame,
-    build_standard_frame,
-    builtin,
-    check_assumptions,
-    eco,
-    from_config,
-    jet,
-    locate_hopf_point,
-    models,
-    polynomial_model,
-    standard_jet,
-)
+from hybridhopf import eco, models
 from hybridhopf import frame as frame_mod
 from hybridhopf.errors import DefectiveSpectrum, InvalidParams, NoConvergence, NonFinite, NotHopf
-from hybridhopf.models import ModelDefinition
+from hybridhopf.frame import (
+    StandardFrame,
+    build_standard_frame,
+    check_assumptions,
+    locate_hopf_point,
+    standard_jet,
+)
+from hybridhopf.models import ModelDefinition, builtin, from_config, jet, polynomial_model
 from oracles import field_jet
 
 OMEGA_INTERIOR = math.sqrt(0.3)

@@ -11,9 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridhopf import builtin, eco, evaluate, from_config, jet, models, polynomial_model
+from hybridhopf import eco, models
 from hybridhopf.errors import InvalidParams, NonFinite, UnknownModel
-from hybridhopf.models import STATE_DIM, ModelDefinition, PolynomialField, state_multi_indices
+from hybridhopf.models import (
+    STATE_DIM,
+    ModelDefinition,
+    PolynomialField,
+    builtin,
+    evaluate,
+    from_config,
+    jet,
+    polynomial_model,
+    state_multi_indices,
+)
 from oracles import FD_TOLERANCE, field_jet, finite_difference_jet_loop
 from test_cli import STEEP_DRIFT
 
@@ -754,6 +764,16 @@ def test_field_route_jet_is_sympy_derivative_of_the_field():
     _sympy_jet_matches(eco.model(dyadic), [0.125, 0.375, 0.4375], 0.03125)
     toy = {"omega": 1.5, "beta1": 0.5, "beta2": -0.75, "beta4": 0.25, "beta5": 1.25, "gamma7": -0.5}
     _sympy_jet_matches(builtin("toy_cylindrical", toy), [0.25, -0.5, 0.125], -0.0625)
+    negative_powers = ModelDefinition(
+        "negative_powers",
+        lambda X, mu: np.zeros(3),
+        field=lambda x1, x2, x3, mu: [
+            x1 * (x3 + 2) ** -1,
+            x2**2 * (x1 + 3) ** -3,
+            x3 * (x2 - mu + 1) ** -2,
+        ],
+    )
+    _sympy_jet_matches(negative_powers, [0.25, -0.5, 0.125], 0.0625)
 
 
 # ---------------------------------------------------------------------------

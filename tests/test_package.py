@@ -1,5 +1,6 @@
 """Package surface: every public name in `src/` has a caller outside the
-tests, and every defaulted parameter of a public function is set by one."""
+tests, every defaulted parameter of a public function is set by one, and
+each name has one import path, that of its own module."""
 from __future__ import annotations
 
 import ast
@@ -16,11 +17,16 @@ AWAITING_CALLER = {
 }
 
 
+def _non_test_files() -> Iterator[Path]:
+    """Every source file of the package, the scripts and the benchmark."""
+    for top in ("src", "scripts", "perfbench"):
+        yield from (ROOT / top).rglob("*.py")
+
+
 def _non_test_nodes() -> Iterator[ast.AST]:
     """Every node of the package, the scripts and the benchmark."""
-    for top in ("src", "scripts", "perfbench"):
-        for path in (ROOT / top).rglob("*.py"):
-            yield from ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+    for path in _non_test_files():
+        yield from ast.walk(ast.parse(path.read_text(encoding="utf-8")))
 
 
 def _referenced_names() -> set[str]:
@@ -96,3 +102,36 @@ def test_every_defaulted_parameter_is_set_by_a_caller_outside_the_tests():
             if not any(_sets(call, position, name) for call in calls.get(fn.name, [])):
                 unset.append(f"{qualified}({name})")
     assert unset == []
+
+
+def test_package_init_holds_only_its_docstring_and_version():
+    """Names are imported from their own modules; the package re-exports none."""
+    body = ast.parse((ROOT / "src" / "hybridhopf" / "__init__.py").read_text(encoding="utf-8")).body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    assert len(body) == 1, [ast.unparse(node) for node in body]
+    (version,) = body
+    assert isinstance(version, ast.Assign) and isinstance(version.value, ast.Constant)
+    assert [ast.unparse(target) for target in version.targets] == ["__version__"]
+
+
+def test_package_imports_name_only_modules():
+    """`from hybridhopf import X` (`from . import X` inside the package)
+    outside the tests names a module of the package or `__version__`, never
+    a name in a module."""
+    package = ROOT / "src" / "hybridhopf"
+    allowed = {path.stem for path in package.glob("*.py")} - {"__init__"} | {"__version__"}
+    strays = []
+    for path in _non_test_files():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            absolute = node.level == 0 and node.module == "hybridhopf"
+            relative = node.level == 1 and node.module is None and path.parent == package
+            if absolute or relative:
+                strays += [
+                    f"{path.relative_to(ROOT)}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name not in allowed
+                ]
+    assert strays == []

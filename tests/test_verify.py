@@ -7,25 +7,21 @@ import math
 import numpy as np
 import pytest
 
-from hybridhopf import (
+from hybridhopf import dop853, eco, models, verify
+from hybridhopf.classifier import classify, predict_orbit
+from hybridhopf.coefficients import compute_coefficients
+from hybridhopf.errors import InvalidBounds, LeftDomain, NoConvergence, NonFinite, StepFailure
+from hybridhopf.frame import build_standard_frame, standard_jet
+from hybridhopf.models import ModelDefinition, builtin, jet
+from hybridhopf.verify import (
     ShootingSeed,
-    builtin,
-    build_standard_frame,
-    classify,
-    compute_coefficients,
+    compare_with_full_model,
     continue_branch,
     find_periodic_orbit,
     floquet_stability,
     integrate,
-    jet,
-    predict_orbit,
     simulate_truncated,
-    standard_jet,
 )
-from hybridhopf import dop853, eco, models, verify
-from hybridhopf.errors import InvalidBounds, LeftDomain, NoConvergence, NonFinite, StepFailure
-from hybridhopf.models import ModelDefinition
-from hybridhopf.verify import compare_with_full_model
 from oracles import averaged_drift_check, coexistence_line
 
 INTERIOR_PERIOD = 2.0 * math.pi / math.sqrt(0.3)
@@ -490,6 +486,23 @@ def test_frameless_amplitude_is_the_radius_from_any_anchor(n_samples):
     for phase in (0.0, 0.4, 1.3, 2.9, 5.1):
         states = centre + radius * (np.outer(np.cos(t + phase), u) + np.outer(np.sin(t + phase), v))
         assert verify._radius(states) == pytest.approx(radius, rel=0.0, abs=1e-12)
+
+
+def test_frameless_amplitude_does_not_depend_on_memory_layout(interior_pipeline, interior_hopf):
+    """numpy sums a column of a C-ordered array row by row and of an
+    F-ordered one pairwise; the radius must not follow the layout that the
+    integrator happens to hand back."""
+    branch = continue_branch(
+        interior_pipeline.model,
+        [0.002],
+        seed_state=interior_hopf + np.array([0.01, 0.01, 0.0]),
+        guard=eco.interior_guard(),
+    )
+    point = branch.points[0]
+    states = point.orbit.states
+    assert point.amplitude == verify._radius(states)
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        assert verify._radius(layout(states)) == point.amplitude, layout.__name__
 
 
 def test_simulate_seeding_matches_prediction_seeding(interior_pipeline, interior_hopf):
