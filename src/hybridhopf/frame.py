@@ -46,11 +46,12 @@ def _eigen(decompose, J: np.ndarray):
         raise NonFinite(f"eigenvalues of the Jacobian failed: {exc}") from exc
 
 
-def _finite(model: ModelDefinition, what: str, M: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """M, taken at (X, mu = 0); a non-finite entry is `NonFinite` naming the
-    model and the state, so no such matrix reaches LAPACK."""
+def _finite(model: ModelDefinition, failure: str, M, X: np.ndarray) -> np.ndarray:
+    """M as an array, taken at (X, mu = 0); a non-finite entry is `NonFinite`
+    naming the model, the ``failure`` and the state, so none reaches LAPACK."""
+    M = np.asarray(M, dtype=float)
     if not np.isfinite(M).all():
-        raise NonFinite(f"model '{model.name}' has a non-finite {what} at state={X.tolist()}, mu=0.0")
+        raise NonFinite(f"model '{model.name}' {failure} at state={X.tolist()}, mu=0.0")
     return M
 
 
@@ -86,7 +87,7 @@ def _newton_matrix(model: ModelDefinition, X: np.ndarray) -> np.ndarray:
     c = [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
     with np.errstate(all="ignore"):  # a non-finite entry is reported below
         dnu = np.einsum("c,cik,i->k", c, H, v) / (c[0] * v[0] + c[1] * v[1] + c[2] * v[2])
-    return _finite(model, "Newton matrix", np.vstack([J, dnu.real]), X)
+    return _finite(model, "has a non-finite Newton matrix", np.vstack([J, dnu.real]), X)
 
 
 def locate_hopf_point(model: ModelDefinition, seed: Sequence[float]) -> np.ndarray:
@@ -96,20 +97,21 @@ def locate_hopf_point(model: ModelDefinition, seed: Sequence[float]) -> np.ndarr
 
     The system is overdetermined (four conditions, three unknowns) but
     consistent on a line of equilibria; steps are least-squares solves.  The
-    residual takes DF from `models.jacobian_fn`, and the spectrum it splits
-    at the last iterate is the one the post-checks read; the Newton matrix
-    is `_newton_matrix`, from one `models.jet` per iterate, so the model
-    needs an exact jet or a field (else `InvalidParams`).
+    residual takes F and DF from one `models.linearization_fn` call, and the
+    spectrum it splits at the last iterate is the one the post-checks read;
+    the Newton matrix is `_newton_matrix`, from one `models.jet` per iterate,
+    so the model needs an exact jet or a field (else `InvalidParams`).
     """
     X = np.asarray(seed, dtype=float).copy()
     if X.shape != (STATE_DIM,):
         raise NoConvergence(f"seed must be a 3-vector, got shape {X.shape}")
-    jacobian = models.jacobian_fn(model)
+    linearize = models.linearization_fn(model)
 
     def residual(P: np.ndarray) -> tuple[np.ndarray, tuple[complex, complex]]:
         """[F, Re nu] at P, and the (nu, nu0) of `_spectrum_split`."""
-        F = models.evaluate(model, P, 0.0)
-        spectrum = _spectrum_split(_finite(model, "Jacobian", jacobian(P, 0.0), P))
+        F, DF = linearize(*P.tolist(), 0.0)
+        F = _finite(model, "produced non-finite output", F, P)
+        spectrum = _spectrum_split(_finite(model, "has a non-finite Jacobian", DF, P))
         return np.array([F[0], F[1], F[2], spectrum[0].real]), spectrum
 
     G, spectrum = residual(X)
@@ -341,8 +343,8 @@ class AssumptionReport:
 
 def _line_residual(model: ModelDefinition, X_H: np.ndarray, e3: np.ndarray) -> float:
     """Max |F| at mu = 0 over equilibria continued transversally from 20
-    points of the segment X_H + t e3, |t| <= 0.1."""
-    jacobian = models.jacobian_fn(model)
+    points of the segment X_H + t e3, |t| <= 0.1, DF taken only for a step."""
+    linearize = models.linearization_fn(model)
     worst = 0.0
     for t in np.linspace(-0.1, 0.1, 20):
         P = X_H + t * e3
@@ -354,7 +356,8 @@ def _line_residual(model: ModelDefinition, X_H: np.ndarray, e3: np.ndarray) -> f
                 best = min(best, float(np.max(np.abs(F))))
                 if best < 1e-14:
                     break
-                JG = np.vstack([_finite(model, "Jacobian", jacobian(X, 0.0), X), e3])
+                DF = linearize(*X.tolist(), 0.0)[1]
+                JG = np.vstack([_finite(model, "has a non-finite Jacobian", DF, X), e3])
             except NonFinite:
                 best = math.inf
                 break

@@ -119,7 +119,8 @@ class ModelDefinition:
     ``rhs(X, mu)`` returns dX/dt, a (3,) array, for a state X of shape (3,)
     and a float mu.  ``exact_jet`` (when present) returns a `JetTable` whose
     entries are closed-form.  ``jacobian`` (when present) returns dF/dX as a
-    (3, 3) float ndarray, which callers use as is.  ``field(x1, x2, x3, mu)``
+    (3, 3) float ndarray; point location, the line check and shooting read
+    DF only through `linearization_fn`.  ``field(x1, x2, x3, mu)``
     (when present) returns the three components written in plain arithmetic
     (``+ - * /`` and integer powers); `jet` evaluates it on Taylor numbers
     when there is no ``exact_jet``.  ``linearization(x1, x2, x3, mu)`` (when
@@ -190,26 +191,22 @@ def central_difference(
     return np.column_stack(columns)
 
 
-def jacobian_fn(model: ModelDefinition) -> Callable[[np.ndarray, float], np.ndarray]:
-    """(X, mu) -> dF/dX: the model's Jacobian, else `central_difference` of the RHS."""
-    if model.jacobian is not None:
-        return model.jacobian
-    return lambda X, mu: central_difference(lambda P: model.rhs(P, mu), X)
-
-
 def linearization_fn(model: ModelDefinition) -> Callable[..., tuple[list, list]]:
-    """(x1, x2, x3, mu) -> (F, DF) on Python floats: the model's own
-    ``linearization`` while its ``rhs`` and ``jacobian`` are the ones it was
-    built with, else ``rhs`` and `jacobian_fn` converted with ``tolist``, so
-    a model whose ``rhs`` or ``jacobian`` was replaced is never linearised
-    by the former ones."""
+    """(x1, x2, x3, mu) -> (F, DF) on Python floats, the one source of DF:
+    the model's own ``linearization`` while its ``rhs`` and ``jacobian`` are
+    the ones it was built with, else ``rhs`` and ``jacobian`` (or, without
+    one, `central_difference` of ``rhs``) converted with ``tolist``, so a
+    model whose ``rhs`` or ``jacobian`` was replaced is never linearised by
+    the former ones."""
     if model.linearization is not None and model.built_with == (model.rhs, model.jacobian):
         return model.linearization
-    jac = jacobian_fn(model)
 
     def derived(x1, x2, x3, mu):
         X = np.array([x1, x2, x3])
-        return np.asarray(model.rhs(X, mu), dtype=float).tolist(), jac(X, mu).tolist()
+        F = np.asarray(model.rhs(X, mu), dtype=float).tolist()
+        if model.jacobian is None:
+            return F, central_difference(lambda P: model.rhs(P, mu), X).tolist()
+        return F, model.jacobian(X, mu).tolist()
 
     return derived
 
@@ -223,18 +220,19 @@ class PolynomialField:
     """Three polynomial components in (x1, x2, x3, mu) with exact jets.
 
     Terms are rows ``(coef, i, j, k, m)`` for ``coef * x1^i x2^j x3^k mu^m``,
-    held as ``coefs`` (n,), ``exponents`` (n, 4) and ``component`` (n,).  The
-    RHS, the linearisation (F and the three Jacobian columns, which
-    ``jacobian`` returns) and the 24 jet entries (the last two built on first
-    use) evaluate each (derivative order, term) pair with a nonzero
-    coefficient as ``coef * (w * x1^e1 x2^e2 x3^e3 mu^em)`` (falling-factorial
-    weight w, reduced exponents e), with powers from one table of libm ``pow``
-    on Python floats (numpy's array power depends on the CPU), and sum each
-    entry with one ``np.bincount``: barring underflow, an entry of n terms is
-    within about (n + 16) 2^-53 times the sum of their magnitudes.  An entry is
-    non-finite when a power it needs overflows or a coordinate it reads is
-    not finite; a pair whose powers multiply to 0 adds exactly 0.  `field` is
-    the term loop in plain arithmetic, for jets by Taylor arithmetic.
+    held as ``coefs`` (n,), ``exponents`` (n, 4) and ``component`` (n,).  Two
+    layouts, F with the three Jacobian columns (built at construction, read
+    by ``rhs``, ``jacobian`` and ``linearization``) and the 24 jet entries
+    (built on first use), evaluate each (derivative order, term) pair with a
+    nonzero coefficient as ``coef * (w * x1^e1 x2^e2 x3^e3 mu^em)``
+    (falling-factorial weight w, reduced exponents e), with powers from one
+    table of libm ``pow`` on Python floats (numpy's array power depends on
+    the CPU), and sum each entry in term order with one ``np.bincount``:
+    barring underflow, an entry of n terms is within about (n + 16) 2^-53
+    times the sum of their magnitudes.  An entry is non-finite when a power
+    it needs overflows or a coordinate it reads is not finite; a pair whose
+    powers multiply to 0 adds exactly 0.  `field` is the term loop in plain
+    arithmetic, for jets by Taylor arithmetic.
     """
 
     def __init__(self, components: Sequence[Sequence[Sequence[float]]]):
@@ -244,11 +242,7 @@ class PolynomialField:
         self.coefs = np.array([row[0] for row in rows], dtype=float)
         self.exponents = np.array([row[1:] for row in rows], dtype=int).reshape(-1, 4)
         self.component = np.repeat(np.arange(STATE_DIM), [len(t) for t in components])
-        self._rhs = self._layout([(0, 0, 0, 0)])
-
-    @functools.cached_property
-    def _linear(self):
-        return self._layout([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+        self._linear = self._layout([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
 
     @functools.cached_property
     def _jet(self):
@@ -281,7 +275,7 @@ class PolynomialField:
         return np.bincount(slots, coefs * (weight * np.array(table)[index].prod(axis=1)), size)
 
     def rhs(self, X: np.ndarray, mu: float) -> np.ndarray:
-        return self._evaluate(self._rhs, self._point(X, mu))
+        return self._evaluate(self._linear, self._point(X, mu))[0::4].copy()
 
     def field(self, x1, x2, x3, mu) -> list:
         out = [0.0] * STATE_DIM
@@ -291,9 +285,7 @@ class PolynomialField:
         return out
 
     def linearization(self, x1: float, x2: float, x3: float, mu: float) -> tuple[list, list]:
-        """(F, DF) from one evaluation; each entry sums its terms in term
-        order, as ``rhs`` does, so F has its bits, and ``jacobian`` reads DF
-        from the same evaluation."""
+        """(F, DF) from the one evaluation ``rhs`` and ``jacobian`` read."""
         v = self._evaluate(self._linear, (x1, x2, x3, mu)).tolist()
         return v[0::4], [v[1:4], v[5:8], v[9:12]]
 

@@ -175,19 +175,36 @@ def test_criterion_04_type_es_everywhere(thousand_samples):
     assert elapsed < 10.0
 
 
-def test_criterion_05_branch_and_square_root_scaling(interior_branch):
+def test_criterion_05_branch_and_square_root_scaling(interior_branch, interior_pipeline):
+    """The exponent 1/2 and both leading-order laws: the intercept a of
+    A / sqrt|mu| = a + b sqrt|mu| is sqrt|gamma5 / beta5|, and that of the
+    period T = T0 + c mu is 2 pi / omega.  The laws are fitted over the 4
+    smallest |mu|, the points of the exponent fit: over all 8 the branch
+    bends, giving a = 1.4867 and T0 = 11.4584 against 1.5 and 11.4715."""
     branch, elapsed = interior_branch
     assert branch.complete()
     assert len(branch.points) == 8
     assert branch.fit is not None
     smallest = branch.points[0]
     period_error = abs(smallest.orbit.period - PERIOD_LIMIT) / PERIOD_LIMIT
+    coeffs = interior_pipeline.coeffs
+    chosen = sorted(branch.points, key=lambda point: abs(point.mu))[: branch.fit.n_points]
+    root_mu = np.sqrt([abs(point.mu) for point in chosen])
+    _, a = np.polyfit(root_mu, [point.amplitude for point in chosen] / root_mu, 1)
+    _, T0 = np.polyfit([point.mu for point in chosen], [point.orbit.period for point in chosen], 1)
+    prefactor = math.sqrt(abs(coeffs.gamma5 / coeffs.beta5))
+    prefactor_error = abs(a - prefactor) / prefactor
+    T0_error = abs(T0 - 2.0 * math.pi / coeffs.omega) / (2.0 * math.pi / coeffs.omega)
     print(
         f"criterion 5: amplitude exponent {branch.fit.exponent:.4f}, period at "
-        f"mu={smallest.mu:g} off the limit by {period_error:.2%}, {elapsed:.1f}s"
+        f"mu={smallest.mu:g} off the limit by {period_error:.2%}, prefactor {a:.5f} "
+        f"against {prefactor:.5f}, period limit {T0:.6f} off by {T0_error:.1e}, {elapsed:.1f}s"
     )
+    assert branch.fit.n_points == 4
     assert abs(branch.fit.exponent - 0.5) < 0.05
     assert period_error < 0.01
+    assert prefactor_error < 0.01
+    assert T0_error < 1e-4
     assert elapsed < 120.0
 
 

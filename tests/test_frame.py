@@ -91,6 +91,20 @@ def test_locate_rejects_a_non_finite_newton_matrix_before_lapack(monkeypatch):
         )
 
 
+def test_locate_reports_a_non_finite_f_in_the_words_of_evaluate():
+    # at the seed 1e308 x1^2 = 1e310 overflows: F and DF of the residual's
+    # linearisation are both non-finite, and F, checked first, is named as
+    # `models.evaluate` names it, in both jet modes; errstate as in the CLI
+    spec = {"y1": [[1e308, 2, 0, 0, 0]], "y2": [[1.0, 1, 0, 0, 0]], "z": []}
+    for jets in ("exact", "finite_difference"):
+        model = from_config({"polynomial": spec, "name": "overflow", "jets": jets})
+        with np.errstate(all="ignore"), pytest.raises(NonFinite) as excinfo:
+            locate_hopf_point(model, np.array([10.0, 0.0, 0.0]))
+        assert str(excinfo.value) == (
+            "model 'overflow' produced non-finite output at state=[10.0, 0.0, 0.0], mu=0.0"
+        )
+
+
 def test_locate_needs_an_exact_jet_or_a_field():
     # the Newton matrix comes from the jet; F is not 0 at the seed, so the
     # search builds one
@@ -146,11 +160,12 @@ def test_newton_matrix_is_the_derivative_of_the_residual(name, config, X_H, jets
     central difference of its residual [F, Re nu] at points 0.01-0.05 from
     the Hopf point."""
     model = from_config(dict(config, jets=jets))
-    jacobian = models.jacobian_fn(model)
+    linearize = models.linearization_fn(model)
 
     def residual(P):
-        eigs = np.linalg.eigvals(jacobian(P, 0.0))
-        return np.append(models.evaluate(model, P, 0.0), eigs[np.argmax(np.abs(eigs.imag))].real)
+        F, DF = linearize(*P.tolist(), 0.0)
+        eigs = np.linalg.eigvals(DF)
+        return np.append(F, eigs[np.argmax(np.abs(eigs.imag))].real)
 
     rng = np.random.default_rng(3)
     for radius in (0.01, 0.03, 0.05):

@@ -1,6 +1,6 @@
 """Package surface: every public name in `src/` has a caller outside the
-tests, every defaulted parameter of a public function is set by one, and
-each name has one import path, that of its own module."""
+tests, every defaulted parameter of a public function is set by one, each
+name has one import path, that of its own module, and DF has one provider."""
 from __future__ import annotations
 
 import ast
@@ -134,4 +134,25 @@ def test_package_imports_name_only_modules():
                     for alias in node.names
                     if alias.name not in allowed
                 ]
+    assert strays == []
+
+
+def test_models_is_the_one_derivative_provider():
+    """Outside `models`, no module of the package reads a model's
+    ``jacobian`` or ``linearization`` attribute or names
+    `central_difference`: DF reaches the solvers only through
+    `models.linearization_fn`, and `models` defines no second provider
+    `jacobian_fn`."""
+    strays = []
+    for path in sorted((ROOT / "src" / "hybridhopf").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+            if path.name == "models.py":
+                stray = name == "jacobian_fn"
+            elif isinstance(node, ast.Attribute):
+                stray = name in ("jacobian", "linearization", "central_difference")
+            else:
+                stray = name == "central_difference"
+            if stray:
+                strays.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
     assert strays == []
