@@ -343,26 +343,28 @@ class AssumptionReport:
 
 def _line_residual(model: ModelDefinition, X_H: np.ndarray, e3: np.ndarray) -> float:
     """Max |F| at mu = 0 over equilibria continued transversally from 20
-    points of the segment X_H + t e3, |t| <= 0.1, DF taken only for a step."""
+    points of the segment X_H + t e3, |t| <= 0.1: each iterate reads F once,
+    as Python floats, and takes DF only for a step; a non-finite F or DF
+    makes the residual inf."""
     linearize = models.linearization_fn(model)
     worst = 0.0
-    for t in np.linspace(-0.1, 0.1, 20):
-        P = X_H + t * e3
-        X = P.copy()
-        best = math.inf
+    for P in X_H + np.linspace(-0.1, 0.1, 20)[:, None] * e3:
+        X, best = P, math.inf
         for _ in range(25):
             try:
-                F = models.evaluate(model, X, 0.0)
-                best = min(best, float(np.max(np.abs(F))))
+                F = np.asarray(model.rhs(X, 0.0), dtype=float).tolist()
+                if not all(map(math.isfinite, F)):
+                    best = math.inf
+                    break
+                best = min(best, max(map(abs, F)))
                 if best < 1e-14:
                     break
                 DF = linearize(*X.tolist(), 0.0)[1]
-                JG = np.vstack([_finite(model, "has a non-finite Jacobian", DF, X), e3])
+                JG = _finite(model, "has a non-finite Jacobian", [*DF, e3], X)
             except NonFinite:
                 best = math.inf
                 break
-            G = np.append(F, e3 @ (X - P))
-            step, *_ = np.linalg.lstsq(JG, -G, rcond=None)
+            step, *_ = np.linalg.lstsq(JG, -np.array([*F, e3 @ (X - P)]), rcond=None)
             X = X + step
         worst = max(worst, best)
     return worst

@@ -153,7 +153,7 @@ def evaluate(model: ModelDefinition, state: Sequence[float], mu: float) -> np.nd
     if X.shape != (STATE_DIM,):
         raise InvalidParams(f"state must have length {STATE_DIM}, got shape {X.shape}")
     out = np.asarray(model.rhs(X, float(mu)), dtype=float)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonFinite(
             f"model '{model.name}' produced non-finite output at state={X.tolist()}, mu={mu}"
         )
@@ -180,15 +180,12 @@ def jet(model: ModelDefinition, point: Sequence[float], mu: float) -> JetTable:
 def central_difference(
     f: Callable[[np.ndarray], np.ndarray], X: np.ndarray
 ) -> np.ndarray:
-    """Matrix whose column i is (f(X + h e_i) - f(X - h e_i)) / 2h, with
-    h = 1e-7 * max(1, |x_i|)."""
-    columns = []
-    for i in range(STATE_DIM):
-        h = 1e-7 * max(1.0, abs(X[i]))
-        e = np.zeros(STATE_DIM)
-        e[i] = h
-        columns.append((f(X + e) - f(X - e)) / (2.0 * h))
-    return np.column_stack(columns)
+    """Matrix whose column i is (f(X + h_i e_i) - f(X - h_i e_i)) / 2 h_i, with
+    h_i = 1e-7 * max(1, |x_i|): the probes are the rows of X ± diag(h)."""
+    h = 1e-7 * np.fmax(1.0, np.abs(X))  # fmax, like max, keeps 1 for a nan x_i
+    step = np.diag(h)
+    plus, minus = np.array([f(P) for P in X + step]), np.array([f(P) for P in X - step])
+    return (plus - minus).T / (2.0 * h)
 
 
 def linearization_fn(model: ModelDefinition) -> Callable[..., tuple[list, list]]:
@@ -221,10 +218,10 @@ class PolynomialField:
 
     Terms are rows ``(coef, i, j, k, m)`` for ``coef * x1^i x2^j x3^k mu^m``,
     held as ``coefs`` (n,), ``exponents`` (n, 4) and ``component`` (n,).  Two
-    layouts, F with the three Jacobian columns (built at construction, read
-    by ``rhs``, ``jacobian`` and ``linearization``) and the 24 jet entries
-    (built on first use), evaluate each (derivative order, term) pair with a
-    nonzero coefficient as ``coef * (w * x1^e1 x2^e2 x3^e3 mu^em)``
+    layouts, F with the three Jacobian columns (built at construction; ``rhs``
+    reads its leading F block only) and the 24 jet entries (on first use),
+    evaluate each (derivative order, term) pair with a nonzero coefficient
+    as ``coef * (w * x1^e1 x2^e2 x3^e3 mu^em)``
     (falling-factorial weight w, reduced exponents e), with powers from one
     table of libm ``pow`` on Python floats (numpy's array power depends on
     the CPU), and sum each entry in term order with one ``np.bincount``:
@@ -243,6 +240,9 @@ class PolynomialField:
         self.exponents = np.array([row[1:] for row in rows], dtype=int).reshape(-1, 4)
         self.component = np.repeat(np.arange(STATE_DIM), [len(t) for t in components])
         self._linear = self._layout([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
+        powers, index, coefs, weight, slots, _ = self._linear
+        f = np.count_nonzero(slots % 4 == 0)  # derivative order leads: F's f pairs come first
+        self._values = powers, index[:f], coefs[:f], weight[:f], slots[:f] // 4, STATE_DIM
 
     @functools.cached_property
     def _jet(self):
@@ -275,7 +275,7 @@ class PolynomialField:
         return np.bincount(slots, coefs * (weight * np.array(table)[index].prod(axis=1)), size)
 
     def rhs(self, X: np.ndarray, mu: float) -> np.ndarray:
-        return self._evaluate(self._linear, self._point(X, mu))[0::4].copy()
+        return self._evaluate(self._values, self._point(X, mu))
 
     def field(self, x1, x2, x3, mu) -> list:
         out = [0.0] * STATE_DIM

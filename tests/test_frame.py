@@ -421,6 +421,91 @@ def test_line_residual_of_a_non_finite_jacobian_is_infinite():
     assert report.failed() == ["a1_line"]
 
 
+def _reference_line_residual(model, X_H, e3):
+    """The per-probe loop `_line_residual` replaced: each probe built as
+    X_H + t e3, F through `models.evaluate` and |F| through numpy."""
+    linearize = models.linearization_fn(model)
+    worst = 0.0
+    for t in np.linspace(-0.1, 0.1, 20):
+        P = X_H + t * e3
+        X = P.copy()
+        best = math.inf
+        for _ in range(25):
+            try:
+                F = models.evaluate(model, X, 0.0)
+                best = min(best, float(np.max(np.abs(F))))
+                if best < 1e-14:
+                    break
+                DF = linearize(*X.tolist(), 0.0)[1]
+                JG = np.vstack([frame_mod._finite(model, "has a non-finite Jacobian", DF, X), e3])
+            except NonFinite:
+                best = math.inf
+                break
+            G = np.append(F, e3 @ (X - P))
+            step, *_ = np.linalg.lstsq(JG, -G, rcond=None)
+            X = X + step
+        worst = max(worst, best)
+    return worst
+
+
+def _assert_line_residual_is_reference(model, X_H, e3, monkeypatch):
+    """Equal a1, and as many `lstsq` solves, as the reference loop."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    got = frame_mod._line_residual(model, X_H, e3)
+    steps = len(calls)
+    want = _reference_line_residual(model, X_H, e3)
+    assert got == want, (got, want)
+    assert steps == len(calls) - steps
+    return got, steps
+
+
+def test_line_residual_is_the_probe_loop_at_readme_point(interior_model, interior_hopf, monkeypatch):
+    report = check_assumptions(interior_model, interior_hopf)
+    e3 = report.frame.basis[:, 2]
+    got, _ = _assert_line_residual_is_reference(interior_model, interior_hopf, e3, monkeypatch)
+    assert report.a1_line_residual == got < frame_mod.A1_THRESHOLD
+
+
+@pytest.mark.parametrize("jets", ["exact", "finite_difference"])
+def test_line_residual_is_the_probe_loop_on_located_planted_point(jets, monkeypatch):
+    model = from_config({"builtin": "toy_cylindrical", "params": PLANTED_BETA1, "jets": jets})
+    X_H = locate_hopf_point(model, np.array([0.02, -0.03, 0.05]))
+    report = check_assumptions(model, X_H)
+    # X_H is off the z-axis by about 1e-13, so the probes step
+    got, steps = _assert_line_residual_is_reference(model, X_H, report.frame.basis[:, 2], monkeypatch)
+    assert report.a1_line_residual == got and steps > 0
+
+
+def test_line_residual_is_the_probe_loop_off_the_line(interior_model, interior_hopf, monkeypatch):
+    # 1e-9 off the line, every probe starts with |F| far above 1e-14 and takes
+    # Newton steps, each with DF from the linearisation and one lstsq
+    e = check_assumptions(interior_model, interior_hopf).frame.basis
+    X_H = interior_hopf + 1e-9 * e[:, 0]
+    got, steps = _assert_line_residual_is_reference(interior_model, X_H, e[:, 2], monkeypatch)
+    assert steps >= 20 and got < frame_mod.A1_THRESHOLD
+
+
+def test_line_residual_is_the_probe_loop_at_a_non_finite_probe(interior_model, interior_hopf, monkeypatch):
+    # F is nan on the probes past t = 0.05; they read inf, the others converge
+    e3 = check_assumptions(interior_model, interior_hopf).frame.basis[:, 2]
+    far = interior_hopf + 0.05 * e3
+
+    def rhs(X, mu):
+        F = interior_model.rhs(X, mu)
+        return F + math.nan if (X - far) @ e3 > 0 else F
+
+    model = dataclasses.replace(interior_model, rhs=rhs)
+    got, _ = _assert_line_residual_is_reference(model, interior_hopf, e3, monkeypatch)
+    assert got == math.inf
+
+
 def test_report_document_shape(interior_model, interior_hopf):
     doc = check_assumptions(interior_model, interior_hopf).to_document()
     for key in ("a1_line", "a2_spectrum", "a3_crossing", "a4_nondegeneracy", "a5_drift"):

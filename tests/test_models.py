@@ -359,14 +359,14 @@ def test_predator_prey_pole_and_overflow_match_numpy_scalars(state):
 
 def _assert_linearization_is_rhs_and_jacobian(model, X, mu):
     """The model's own entry, not the derived one, gives the bits of ``rhs``
-    and ``jacobian``."""
+    and ``jacobian``, the sign of a zero and the bits of a nan included."""
     linearize = models.linearization_fn(model)
     assert linearize is model.linearization is not None
     F, DF = linearize(*map(float, X), float(mu))
     X = np.asarray(X, dtype=float)
-    assert np.array_equal(np.array(F), model.rhs(X, mu), equal_nan=True), (F, model.rhs(X, mu))
+    assert np.array(F).tobytes() == model.rhs(X, mu).tobytes(), (F, model.rhs(X, mu))
     J = model.jacobian(X, mu)
-    assert np.array_equal(np.array(DF), J, equal_nan=True), (DF, J)
+    assert np.array(DF).tobytes() == J.tobytes(), (DF, J)
 
 
 @st.composite
@@ -597,6 +597,55 @@ def test_vanishing_powers_add_zero_whatever_the_coefficient():
     # 1e308 * (3 * (0 * 1)) = 0, though 3 * 1e308 overflows
     J = from_config(STEEP_DRIFT).jacobian(np.array([0.0, 0.0, 1.0]), 0.0)
     assert np.isfinite(J).all() and J[2, 2] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# central differences
+# ---------------------------------------------------------------------------
+
+
+def _central_difference_loop(f, X):
+    """The column loop `central_difference` replaced."""
+    columns = []
+    for i in range(STATE_DIM):
+        h = 1e-7 * max(1.0, abs(X[i]))
+        e = np.zeros(STATE_DIM)
+        e[i] = h
+        columns.append((f(X + e) - f(X - e)) / (2.0 * h))
+    return np.column_stack(columns)
+
+
+def _signed(P):
+    """A field that tells +0.0 from -0.0 in every coordinate."""
+    return np.copysign(1.0, P) + P * P[::-1]
+
+
+def _partly_nan(P):
+    return np.array([math.nan, P[0] * P[1], -math.nan * P[2]])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(X=st.lists(_coord, min_size=3, max_size=3), planted=_PLANTED, mu=st.floats(-1.0, 1.0))
+def test_central_difference_is_the_column_loop(X, planted, mu):
+    X = np.array(X)
+    model = builtin(*planted)
+    for f in (_signed, _partly_nan, lambda P: model.rhs(P, mu)):
+        got, want = models.central_difference(f, X), _central_difference_loop(f, X)
+        assert got.tobytes(order="C") == want.tobytes(order="C"), (got, want)
+
+
+@pytest.mark.parametrize("X", [[-0.0, 0.3, -1.5], [0.0, -0.0, 2.0]], ids=["x1", "x2"])
+def test_central_difference_keeps_the_probes_of_a_negative_zero(X):
+    # a -0.0 coordinate is +0.0 in X + h e_i and -0.0 in X - h e_i, so the
+    # other columns read copysign(1, +0.0) - copysign(1, -0.0) = 2 over 2h
+    X = np.array(X)
+    got = models.central_difference(_signed, X)
+    assert got.tobytes(order="C") == _central_difference_loop(_signed, X).tobytes(order="C")
+    zero = int(np.flatnonzero(np.signbit(X) & (X == 0.0))[0])
+    for i in set(range(STATE_DIM)) - {zero}:
+        h = 1e-7 * max(1.0, abs(X[i]))
+        assert got[zero, i] == 2.0 / (2.0 * h)
 
 
 @pytest.mark.parametrize(
