@@ -265,6 +265,26 @@ def build_standard_frame(jet: JetTable) -> StandardFrame:
     )
 
 
+#: `_pull_back`'s contractions by tensor rank: T^{-1} on the component axis,
+#: then T on each derivative axis in turn
+_PULL_BACK = {
+    3: ("dc,cij->dij", "dij,ip->dpj", "dpj,jq->dpq"),
+    4: ("dc,cijk->dijk", "dijk,ip->dpjk", "dpjk,jq->dpqk", "dpqk,kr->dpqr"),
+}
+
+
+def _pull_back(Tinv: np.ndarray, A: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """T^{-1} A(T., T., ...) for a rank-3 or rank-4 tensor A, one two-operand
+    `np.einsum` per axis: einsum without ``optimize`` calls no BLAS, so the
+    bits do not depend on its kernel, and every operand and result is
+    C-contiguous, which fixes einsum's summation order."""
+    first, *rest = _PULL_BACK[A.ndim]
+    B = np.einsum(first, Tinv, A)
+    for subscripts in rest:
+        B = np.einsum(subscripts, B, T)
+    return B
+
+
 def standard_jet(jet: JetTable, frame: StandardFrame) -> JetTable:
     """Rewrite a raw jet in frame coordinates, including the parameter shift.
 
@@ -280,8 +300,8 @@ def standard_jet(jet: JetTable, frame: StandardFrame) -> JetTable:
     f_mu, A_mu = jet.mu_derivs
 
     B1 = Tinv @ A1 @ T
-    B2 = np.einsum("dc,cij,ip,jq->dpq", Tinv, A2, T, T)
-    B3 = np.einsum("dc,cijk,ip,jq,kr->dpqr", Tinv, A3, T, T, T)
+    B2 = _pull_back(Tinv, A2, T)
+    B3 = _pull_back(Tinv, A3, T)
     return JetTable(
         point=np.zeros(3),
         mu=jet.mu,
@@ -344,8 +364,9 @@ class AssumptionReport:
 def _line_residual(model: ModelDefinition, X_H: np.ndarray, e3: np.ndarray) -> float:
     """Max |F| at mu = 0 over equilibria continued transversally from 20
     points of the segment X_H + t e3, |t| <= 0.1: each iterate reads F once,
-    as Python floats, and takes DF only for a step; a non-finite F or DF
-    makes the residual inf."""
+    as Python floats, and takes DF only for a step; a probe stops once
+    max |F| falls below LOCATE_RESIDUAL_TOL, the accuracy the point itself
+    was located to; a non-finite F or DF makes the residual inf."""
     linearize = models.linearization_fn(model)
     worst = 0.0
     for P in X_H + np.linspace(-0.1, 0.1, 20)[:, None] * e3:
@@ -357,7 +378,7 @@ def _line_residual(model: ModelDefinition, X_H: np.ndarray, e3: np.ndarray) -> f
                     best = math.inf
                     break
                 best = min(best, max(map(abs, F)))
-                if best < 1e-14:
+                if best < LOCATE_RESIDUAL_TOL:
                     break
                 DF = linearize(*X.tolist(), 0.0)[1]
                 JG = _finite(model, "has a non-finite Jacobian", [*DF, e3], X)

@@ -80,9 +80,10 @@ class JetTable:
         block needed by first-order theory.
     tolerance : accuracy the producer claims for each entry.
 
-    Every tensor is C-contiguous, since `np.einsum` sums a strided operand
-    in another order and so moves `standard_jet` entries by an ulp.  The
-    tensors must be treated as immutable.
+    Every tensor is C-contiguous: `np.einsum` sums a strided operand in
+    another order, so `frame.standard_jet`'s bits would depend on how a
+    producer laid its tensors out.  The tensors must be treated as
+    immutable.
     """
 
     point: np.ndarray
@@ -229,7 +230,8 @@ class PolynomialField:
     times the sum of their magnitudes.  An entry is non-finite when a power
     it needs overflows or a coordinate it reads is not finite; a pair whose
     powers multiply to 0 adds exactly 0.  `field` is the term loop in plain
-    arithmetic, for jets by Taylor arithmetic.
+    arithmetic, for jets by Taylor arithmetic, with each power it needs
+    taken once per call.
     """
 
     def __init__(self, components: Sequence[Sequence[Sequence[float]]]):
@@ -277,11 +279,26 @@ class PolynomialField:
     def rhs(self, X: np.ndarray, mu: float) -> np.ndarray:
         return self._evaluate(self._values, self._point(X, mu))
 
+    @functools.cached_property
+    def _terms(self):
+        """The (axis, k) of every power ``field`` needs, k > 0, and each term's
+        coefficient, component and positions in that list, axis by axis."""
+        rows = self.exponents.tolist()
+        powers = sorted({(axis, k) for row in rows for axis, k in enumerate(row) if k})
+        position = {power: n for n, power in enumerate(powers)}
+        terms = [
+            (coef, c, [position[axis, k] for axis, k in enumerate(row) if k])
+            for coef, row, c in zip(self.coefs.tolist(), rows, self.component.tolist())
+        ]
+        return powers, terms
+
     def field(self, x1, x2, x3, mu) -> list:
+        powers, terms = self._terms
+        x = (x1, x2, x3, mu)
+        table = [x[axis] ** k for axis, k in powers]
         out = [0.0] * STATE_DIM
-        terms = zip(self.coefs.tolist(), self.exponents.tolist(), self.component.tolist())
-        for coef, powers, c in terms:
-            out[c] = out[c] + coef * math.prod(v**k for v, k in zip((x1, x2, x3, mu), powers) if k)
+        for coef, c, positions in terms:
+            out[c] = out[c] + coef * math.prod([table[n] for n in positions])
         return out
 
     def linearization(self, x1: float, x2: float, x3: float, mu: float) -> tuple[list, list]:
@@ -346,16 +363,23 @@ def polynomial_model(
 #: predator-prey coefficients up to 2.5e4 bands from the exact ones.
 FIELD_JET_TOLERANCE = 1e-6
 
-#: exponents (a, b, c, m) of the monomials x1^a x2^b x3^c mu^m of total
-#: degree at most JET_ORDER, the constant first, and their positions
+#: exponents (a, b, c, m) of the monomials x1^a x2^b x3^c mu^m of weighted
+#: degree a + b + c + 2m at most JET_ORDER, the constant first, and their
+#: positions: exactly the rows of `JetTable.from_entries`.  A product's
+#: weighted degree is the sum of its factors', so a kept coefficient only
+#: ever receives products of kept ones
 _MONOMIALS = np.array(
-    [m for m in itertools.product(range(JET_ORDER + 1), repeat=4) if sum(m) <= JET_ORDER]
+    [
+        m for m in itertools.product(range(JET_ORDER + 1), repeat=4)
+        if sum(m) + m[3] <= JET_ORDER
+    ]
 )
 _INDEX = np.zeros((JET_ORDER + 1,) * 4, dtype=int)
 _INDEX[tuple(_MONOMIALS.T)] = np.arange(len(_MONOMIALS))
 #: products: coefficient _LEFT times coefficient _RIGHT adds to _TARGET
-_LEFT, _RIGHT = np.nonzero((_MONOMIALS[:, None] + _MONOMIALS).sum(axis=2) <= JET_ORDER)
-_TARGET = _INDEX[tuple((_MONOMIALS[_LEFT] + _MONOMIALS[_RIGHT]).T)]
+_SUMS = _MONOMIALS[:, None] + _MONOMIALS
+_LEFT, _RIGHT = np.nonzero(_SUMS.sum(axis=2) + _SUMS[..., 3] <= JET_ORDER)
+_TARGET = _INDEX[tuple(_SUMS[_LEFT, _RIGHT].T)]
 #: the rows of `JetTable.from_entries` among the monomials, and the
 #: factorials that turn their Taylor coefficients into derivatives
 _JET_SLOTS = _INDEX[tuple(np.array(_JET_ORDERS).T)]
@@ -386,16 +410,17 @@ def _lift(value) -> np.ndarray:
     """The coefficients of a `_Taylor`, or of a real constant."""
     if isinstance(value, _Taylor):
         return value.c
-    if not isinstance(value, numbers.Real):
+    if type(value) is not float and not isinstance(value, numbers.Real):
         raise TypeError(f"{type(value).__name__} is not a real number")
     return _ONE * value
 
 
 class _Taylor:
-    """A polynomial in (x1, x2, x3, mu) cut at total degree JET_ORDER, with
-    ``c[n]`` the coefficient of ``_MONOMIALS[n]``.  It has ``+ - * /`` with
-    reals on either side and integer powers; anything else (``abs``,
-    ``math.exp``, comparisons, numpy functions) raises `TypeError`."""
+    """A polynomial in (x1, x2, x3, mu) cut at weighted degree JET_ORDER, mu
+    counting twice, with ``c[n]`` the coefficient of ``_MONOMIALS[n]``.  It
+    has ``+ - * /`` with reals on either side and integer powers; anything
+    else (``abs``, ``math.exp``, comparisons, numpy functions) raises
+    `TypeError`."""
 
     __array_ufunc__ = None  # numpy scalars defer to the reflected operators
 
@@ -411,7 +436,7 @@ class _Taylor:
     __pos__ = lambda self: self
 
     def __mul__(self, other):
-        if isinstance(other, numbers.Real):
+        if type(other) is float or isinstance(other, numbers.Real):
             return _Taylor(self.c * other)
         return _Taylor(_product(self.c, _lift(other)))
 

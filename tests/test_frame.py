@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -265,57 +266,78 @@ def test_rotated_synthetic_recovers_standard_pattern():
 
 
 # ---------------------------------------------------------------------------
-# standard_jet against the multi-index reference
+# standard_jet against exact rational arithmetic
 # ---------------------------------------------------------------------------
 
-def _sorted_slots(order):
-    """Index of every slot [:, i, j, ...] with i <= j <= ... of an order-``order`` tensor."""
-    for axes in itertools.combinations_with_replacement(range(3), order):
-        yield (slice(None), *axes)
+#: unit roundoff, and the spacing of subnormal floats
+U = Fraction(1, 2**53)
+ETA = Fraction(1, 2**1074)
+#: roundings a term of a `standard_jet` entry passes through, at most: a
+#: term of the B2 S part of d_mu DF takes B2's three contractions of three
+#: terms (three products, six sums), one more with S (a product, two sums)
+#: and the sum with T^-1 d_mu DF T; B3's four contractions make twelve
+STANDARD_JET_ROUNDINGS = 13
+#: products in one term, at most (T^-1, D^3 F and three T, or T^-1, D^2 F,
+#: two T and S): each that underflows errs by at most ETA / 2
+STANDARD_JET_PRODUCTS = 4
+_exact = np.vectorize(Fraction, otypes=[object])
 
 
-def _reference_standard_jet(jet, frame):
-    """The transform `standard_jet` replaced: rebuild each tensor from its
-    sorted-axes slots, transform, and return the transformed tensors, the
-    parameter block and the tolerance."""
+def _transform(Tinv, F, D1, A2, A3, f_mu, A_mu, T, S):
+    """`standard_jet`'s formulas on arrays of any element type, contracted in
+    whatever order einsum's path search picks (on Fractions every order is
+    exact)."""
+    B1 = np.einsum("dc,ci,ip->dp", Tinv, D1, T, optimize=True)
+    B2 = np.einsum("dc,cij,ip,jq->dpq", Tinv, A2, T, T, optimize=True)
+    B3 = np.einsum("dc,cijk,ip,jq,kr->dpqr", Tinv, A3, T, T, T, optimize=True)
+    shifted0 = Tinv.dot(f_mu) + B1.dot(S)
+    shifted1 = np.einsum("dc,ci,ip->dp", Tinv, A_mu, T, optimize=True) + B2.dot(S)
+    return Tinv.dot(F), B1, B2, B3, shifted0, shifted1
+
+
+def _exact_standard_jet(jet, frame):
+    """Each `standard_jet` tensor in exact rational arithmetic on the float
+    inputs (the jet read at its sorted-axes slots, T, S and the float
+    inverse of T), with the same sums over |term| and over each term's
+    ceiling, the product of max(1, |factor|) over its factors."""
     T = frame.basis
-    Tinv = np.linalg.inv(T)
-    S = frame.mu_shift
     F, D1, D2, D3 = jet.state_derivs
-
     A2 = np.empty((3, 3, 3))
     A3 = np.empty((3, 3, 3, 3))
     for i, j in itertools.product(range(3), repeat=2):
         A2[:, i, j] = D2[(slice(None), *sorted((i, j)))]
         for k in range(3):
             A3[:, i, j, k] = D3[(slice(None), *sorted((i, j, k)))]
-
-    B1 = Tinv @ D1 @ T
-    B2 = np.einsum("dc,cij,ip,jq->dpq", Tinv, A2, T, T)
-    B3 = np.einsum("dc,cijk,ip,jq,kr->dpqr", Tinv, A3, T, T, T)
-    f_mu, A_mu = jet.mu_derivs
-    shifted0 = Tinv @ f_mu + B1 @ S
-    shifted1 = Tinv @ A_mu @ T + np.einsum("dpq,q->dp", B2, S)
-    state = (Tinv @ F, B1, B2, B3)
-    return state, (shifted0, shifted1), jet.tolerance * max(1.0, np.linalg.cond(T))
+    inputs = [np.linalg.inv(T), F, D1, A2, A3, *jet.mu_derivs, T, frame.mu_shift]
+    exact = [_exact(a) for a in inputs]
+    magnitudes = [np.abs(a) for a in exact]
+    ceilings = [np.maximum(a, 1) for a in magnitudes]
+    return zip(*(_transform(*values) for values in (exact, magnitudes, ceilings)))
 
 
 def _assert_matches_reference(raw, frame):
+    """Every entry within rounding of its exact value (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Lemma 3.1): at most
+    STANDARD_JET_ROUNDINGS roundings per term put the sum within
+    gamma_13 sum |term| of exact, and a product that underflows adds at most
+    ETA / 2 times the factors after it, which the term's ceiling bounds."""
     std = standard_jet(raw, frame)
-    state, mu_block, tolerance = _reference_standard_jet(raw, frame)
-    for got, want in zip((*std.state_derivs, *std.mu_derivs), (*state, *mu_block)):
-        for slot in _sorted_slots(want.ndim - 1):
-            assert np.array_equal(got[slot], want[slot]), (want.ndim, slot)
-    assert std.tolerance == tolerance
-    assert all(t.flags.c_contiguous for t in (*std.state_derivs, *std.mu_derivs))
+    k = STANDARD_JET_ROUNDINGS
+    gamma = k * U / (1 - k * U)
+    got = (*std.state_derivs, *std.mu_derivs)
+    for tensor, (exact, magnitude, ceiling) in zip(got, _exact_standard_jet(raw, frame)):
+        bound = gamma * magnitude + STANDARD_JET_PRODUCTS * ETA * ceiling
+        error = np.abs(_exact(tensor) - exact)
+        assert (error <= bound).all(), (tensor.ndim, tensor, error, bound)
+    assert std.tolerance == raw.tolerance * max(1.0, np.linalg.cond(frame.basis))
+    assert all(t.flags.c_contiguous for t in got)
 
 
 @pytest.mark.parametrize("differences", [False, True])
 def test_standard_jet_matches_reference_at_readme_hopf_point(
     interior_model, interior_hopf, differences
 ):
-    # at this point a strided (not C-ordered) A2 or A3 changes einsum's
-    # summation order and moves entries by one ulp
+    # the exact jet and the jet from the field, in the frame the checks build
     raw = (field_jet if differences else jet)(interior_model, interior_hopf, 0.0)
     _assert_matches_reference(raw, build_standard_frame(raw))
 
@@ -423,7 +445,8 @@ def test_line_residual_of_a_non_finite_jacobian_is_infinite():
 
 def _reference_line_residual(model, X_H, e3):
     """The per-probe loop `_line_residual` replaced: each probe built as
-    X_H + t e3, F through `models.evaluate` and |F| through numpy."""
+    X_H + t e3, F through `models.evaluate` and |F| through numpy, with the
+    stopping rule of `_line_residual`."""
     linearize = models.linearization_fn(model)
     worst = 0.0
     for t in np.linspace(-0.1, 0.1, 20):
@@ -434,7 +457,7 @@ def _reference_line_residual(model, X_H, e3):
             try:
                 F = models.evaluate(model, X, 0.0)
                 best = min(best, float(np.max(np.abs(F))))
-                if best < 1e-14:
+                if best < frame_mod.LOCATE_RESIDUAL_TOL:
                     break
                 DF = linearize(*X.tolist(), 0.0)[1]
                 JG = np.vstack([frame_mod._finite(model, "has a non-finite Jacobian", DF, X), e3])
@@ -478,13 +501,31 @@ def test_line_residual_is_the_probe_loop_on_located_planted_point(jets, monkeypa
     model = from_config({"builtin": "toy_cylindrical", "params": PLANTED_BETA1, "jets": jets})
     X_H = locate_hopf_point(model, np.array([0.02, -0.03, 0.05]))
     report = check_assumptions(model, X_H)
-    # X_H is off the z-axis by about 1e-13, so the probes step
+    # X_H is off the z-axis by about 1e-13, as far as locate_hopf_point's own
+    # |F| < LOCATE_RESIDUAL_TOL places it, so every probe first reads |F|
+    # below that stop and none takes a Newton step
     got, steps = _assert_line_residual_is_reference(model, X_H, report.frame.basis[:, 2], monkeypatch)
-    assert report.a1_line_residual == got and steps > 0
+    assert report.a1_line_residual == got < frame_mod.LOCATE_RESIDUAL_TOL and steps == 0
+
+
+@pytest.mark.parametrize("offset", [5e-13, 5e-12])
+def test_line_residual_steps_only_above_the_located_accuracy(offset, monkeypatch):
+    # F + (offset, 0, 0) on the planted z-axis reads exactly ``offset`` at
+    # every probe: 5e-13 lies above 1e-14 but below LOCATE_RESIDUAL_TOL, so
+    # no probe steps and a1 is the offset; 5e-12 lies above the stop, so
+    # every probe steps off the axis to where the rotation cancels the offset
+    planted = builtin("toy_cylindrical", PLANTED_BETA1)
+    model = dataclasses.replace(planted, rhs=lambda X, mu: planted.rhs(X, mu) + [offset, 0, 0])
+    e3 = np.array([0.0, 0.0, 1.0])
+    got, steps = _assert_line_residual_is_reference(model, np.zeros(3), e3, monkeypatch)
+    if offset < frame_mod.LOCATE_RESIDUAL_TOL:
+        assert got == offset and steps == 0
+    else:
+        assert got < frame_mod.LOCATE_RESIDUAL_TOL and steps >= 20
 
 
 def test_line_residual_is_the_probe_loop_off_the_line(interior_model, interior_hopf, monkeypatch):
-    # 1e-9 off the line, every probe starts with |F| far above 1e-14 and takes
+    # 1e-9 off the line, every probe starts with |F| far above the stop and takes
     # Newton steps, each with DF from the linearisation and one lstsq
     e = check_assumptions(interior_model, interior_hopf).frame.basis
     X_H = interior_hopf + 1e-9 * e[:, 0]
