@@ -113,12 +113,15 @@ def _line_point(p: EcoParams) -> list[float]:
 
 
 def model(p: EcoParams) -> ModelDefinition:
-    """The predator-prey field for these parameters and its Jacobian, the one
-    hand-derived derivative; `models.jet` takes jets from ``field``, plain
-    arithmetic, exact over rationals as well.  The linearisation evaluates
-    field and Jacobian in one `_on_floats` call, so both keep the bits of
-    ``rhs`` and ``jacobian``.  ``metadata["hopf_seed"]`` is
-    `_line_point` when |alpha2 - alpha1| > 1e-9 and l1, l2 > 0."""
+    """The predator-prey field for these parameters, written twice: ``field``
+    (for ``rhs``, and for `models.jet` on Taylor numbers: plain arithmetic,
+    exact over rationals as well) and the linearisation, which forms the
+    shared terms p1, p2, g1, g2, h1 and h2 once, with the operations of
+    ``field``, and adds the Jacobian, the one hand-derived derivative;
+    ``jacobian`` reads its DF.  Both run under `_on_floats`, so the
+    linearisation keeps the bits of ``rhs`` and ``jacobian``.
+    ``metadata["hopf_seed"]`` is `_line_point` when |alpha2 - alpha1| > 1e-9
+    and l1, l2 > 0."""
     delta1, delta2, lam, alpha1, alpha2 = p.delta1, p.delta2, p.lam, p.alpha1, p.alpha2
 
     def field(x1, x2, s, mu):
@@ -135,28 +138,28 @@ def model(p: EcoParams) -> ModelDefinition:
     def rhs(X: np.ndarray, mu: float) -> np.ndarray:
         return np.array(_on_floats(field, *X.tolist(), mu))
 
-    def derivative(x1, x2, s, mu):
+    def field_and_derivative(x1, x2, s, mu):
         p1, p2 = s + alpha1, s + alpha2
         g1, g2 = (s - lam) / p1, (s - lam - mu) / p2
-        dg1, dg2 = (lam + alpha1) / p1**2, (lam + mu + alpha2) / p2**2
         h1, h2 = s / p1, s / p2
-        dh1, dh2 = alpha1 / p1**2, alpha2 / p2**2
-        return [
+        q1, q2 = p1**2, p2**2
+        dg1, dg2 = (lam + alpha1) / q1, (lam + mu + alpha2) / q2
+        dh1, dh2 = alpha1 / q1, alpha2 / q2
+        F = [delta1 * x1 * g1, delta2 * x2 * g2, s * (1 - s) - x1 * h1 - x2 * h2]
+        return F, [
             [delta1 * g1, 0.0, delta1 * x1 * dg1],
             [0.0, delta2 * g2, delta2 * x2 * dg2],
             [-h1, -h2, 1.0 - 2.0 * s - x1 * dh1 - x2 * dh2],
         ]
 
-    def jacobian(X: np.ndarray, mu: float) -> np.ndarray:
-        return np.array(_on_floats(derivative, *X.tolist(), mu))
+    linearization = functools.partial(_on_floats, field_and_derivative)
 
-    def field_and_derivative(*x):
-        return field(*x), derivative(*x)
+    def jacobian(X: np.ndarray, mu: float) -> np.ndarray:
+        return np.array(linearization(*X.tolist(), mu)[1])
 
     meta = {}
     if abs(alpha2 - alpha1) > 1e-9 and p.l1 > 0 and p.l2 > 0:
         meta["hopf_seed"] = _line_point(p)
-    linearization = functools.partial(_on_floats, field_and_derivative)
     return ModelDefinition("predator_prey", rhs, None, jacobian, meta, field, linearization)
 
 

@@ -214,24 +214,85 @@ def linearization_fn(model: ModelDefinition) -> Callable[..., tuple[list, list]]
 # ---------------------------------------------------------------------------
 
 
+#: terms per statement of a generated sum: Python's compiler recurses once
+#: per ``+`` of an expression and gives up between 1000 and 3000 of them
+_TERMS_PER_SUM = 256
+
+
+def _kernel_source(structure: tuple) -> str:
+    """Source of ``make(c0, c1, ...)``: it binds the coefficient of each pair
+    of a `PolynomialField` layout of F and DF and returns ``kernel(x0, x1,
+    x2, x3) -> (F, DF)``.  The kernel takes each power it reads once, as
+    ``x ** k``, forms each pair as ``c * (w * (p_a * p_b ...))`` with its
+    factors in axis order, and sums each entry as ``0.0 + term + ...`` in
+    pair order: the operations of the numpy evaluation, less its factors of
+    1.0 (powers 0 and weights 1), which are exact."""
+    powers, index, weight, slots = structure
+    used = sorted({n for row in index for n in row if powers[n][1]})
+    body = [f"p{n} = x{powers[n][0]} ** {powers[n][1]}" for n in used]
+    sums: list[list[str]] = [["0.0"] for _ in range(STATE_DIM * (STATE_DIM + 1))]
+    for n, (row, w, slot) in enumerate(zip(index, weight, slots)):
+        term = " * ".join(f"p{m}" for m in row if powers[m][1])
+        if w != 1.0:
+            term = f"{w!r} * ({term})" if term else repr(w)
+        sums[slot].append(f"c{n} * ({term})" if term else f"c{n}")
+    for slot, terms in enumerate(sums):
+        for start in range(0, len(terms), _TERMS_PER_SUM):
+            head = [f"e{slot}"] if start else []
+            body.append(f"e{slot} = {' + '.join(head + terms[start:start + _TERMS_PER_SUM])}")
+    body.append("return [e0, e4, e8], [[e1, e2, e3], [e5, e6, e7], [e9, e10, e11]]")
+    return "\n".join([
+        f"def make({', '.join(f'c{n}' for n in range(len(slots)))}):",
+        "    def kernel(x0, x1, x2, x3):",
+        *(f"        {line}" for line in body),
+        "    return kernel\n",
+    ])
+
+
+def _kernel_on_floats(kernel: Callable, x1: float, x2: float, x3: float, mu: float):
+    """``kernel(x1, x2, x3, mu)`` on Python floats, repeated on numpy scalars
+    where Python's ``**`` overflows (as in `eco._on_floats`), and run on
+    numpy scalars from the start when an argument is nan.  Of a product or sum of two NaNs, CPython's ``float_mul``
+    and the inline code it specialises a function's float operations into
+    after about eight calls pass on different operands, so on Python floats
+    the bits of a NaN would depend on how often the kernel had run; numpy's
+    scalar operations have one code path.  Without a nan argument or
+    coefficient every NaN the kernel forms is the machine's default NaN."""
+    if x1 == x1 and x2 == x2 and x3 == x3 and mu == mu:
+        try:
+            return kernel(x1, x2, x3, mu)
+        except OverflowError:
+            pass
+    return kernel(*map(np.float64, (x1, x2, x3, mu)))
+
+
+@functools.lru_cache(maxsize=64)
+def _kernel(structure: tuple) -> Callable:
+    """The ``make`` of `_kernel_source`, compiled once per structure."""
+    namespace: dict = {}
+    exec(compile(_kernel_source(structure), "<polynomial kernel>", "exec"), namespace)
+    return namespace["make"]
+
+
 class PolynomialField:
     """Three polynomial components in (x1, x2, x3, mu) with exact jets.
 
     Terms are rows ``(coef, i, j, k, m)`` for ``coef * x1^i x2^j x3^k mu^m``,
     held as ``coefs`` (n,), ``exponents`` (n, 4) and ``component`` (n,).  Two
-    layouts, F with the three Jacobian columns (built at construction; ``rhs``
-    reads its leading F block only) and the 24 jet entries (on first use),
-    evaluate each (derivative order, term) pair with a nonzero coefficient
-    as ``coef * (w * x1^e1 x2^e2 x3^e3 mu^em)``
-    (falling-factorial weight w, reduced exponents e), with powers from one
-    table of libm ``pow`` on Python floats (numpy's array power depends on
-    the CPU), and sum each entry in term order with one ``np.bincount``:
-    barring underflow, an entry of n terms is within about (n + 16) 2^-53
-    times the sum of their magnitudes.  An entry is non-finite when a power
-    it needs overflows or a coordinate it reads is not finite; a pair whose
-    powers multiply to 0 adds exactly 0.  `field` is the term loop in plain
-    arithmetic, for jets by Taylor arithmetic, with each power it needs
-    taken once per call.
+    layouts, F with the three Jacobian columns (built at construction) and
+    the 24 jet entries (on first use), evaluate each (derivative order, term)
+    pair with a nonzero coefficient as ``coef * (w * x1^e1 x2^e2 x3^e3 mu^em)``
+    (falling-factorial weight w, reduced exponents e), with powers by libm
+    ``pow`` on Python floats (numpy's array power depends on the CPU), and
+    sum each entry in term order: barring underflow, an entry of n terms is
+    within about (n + 16) 2^-53 times the sum of their magnitudes.  The
+    first layout runs as the straight-line code of `_kernel`, bound to this
+    field's coefficients (``linearization``; ``rhs`` and ``jacobian`` read
+    it), the jet layout as one numpy gather, product and ``np.bincount``.
+    An entry is non-finite when a power it needs overflows
+    (`_kernel_on_floats`) or a coordinate it reads is not finite; a pair
+    whose powers multiply to 0 adds exactly 0.  `field` is the term loop in plain arithmetic, for
+    jets by Taylor arithmetic, with each power it needs taken once per call.
     """
 
     def __init__(self, components: Sequence[Sequence[Sequence[float]]]):
@@ -243,8 +304,13 @@ class PolynomialField:
         self.component = np.repeat(np.arange(STATE_DIM), [len(t) for t in components])
         self._linear = self._layout([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
         powers, index, coefs, weight, slots, _ = self._linear
-        f = np.count_nonzero(slots % 4 == 0)  # derivative order leads: F's f pairs come first
-        self._values = powers, index[:f], coefs[:f], weight[:f], slots[:f] // 4, STATE_DIM
+        structure = (
+            tuple(powers), tuple(map(tuple, index.tolist())), tuple(weight.tolist()), tuple(slots.tolist())
+        )
+        # a nan coefficient stays a numpy scalar, so every operation on it is numpy's
+        kernel = _kernel(structure)(*(coefs if np.isnan(coefs).any() else coefs.tolist()))
+        #: (x1, x2, x3, mu) -> (F, DF), three floats and three rows of three
+        self.linearization = functools.partial(_kernel_on_floats, kernel)
 
     @functools.cached_property
     def _jet(self):
@@ -268,16 +334,11 @@ class PolynomialField:
     def _point(X, mu) -> tuple[float, float, float, float]:
         return (*np.asarray(X, dtype=float)[:STATE_DIM].tolist(), float(mu))
 
-    def _evaluate(self, layout, x: tuple[float, float, float, float]) -> np.ndarray:
-        powers, index, coefs, weight, slots, size = layout
-        try:
-            table = [x[axis] ** k for axis, k in powers]
-        except OverflowError:  # Python floats raise where numpy scalars give inf
-            table = [np.float64(x[axis]) ** k for axis, k in powers]
-        return np.bincount(slots, coefs * (weight * np.array(table)[index].prod(axis=1)), size)
-
     def rhs(self, X: np.ndarray, mu: float) -> np.ndarray:
-        return self._evaluate(self._values, self._point(X, mu))
+        return np.array(self.linearization(*self._point(X, mu))[0])
+
+    def jacobian(self, X: np.ndarray, mu: float) -> np.ndarray:
+        return np.array(self.linearization(*self._point(X, mu))[1])
 
     @functools.cached_property
     def _terms(self):
@@ -301,17 +362,15 @@ class PolynomialField:
             out[c] = out[c] + coef * math.prod([table[n] for n in positions])
         return out
 
-    def linearization(self, x1: float, x2: float, x3: float, mu: float) -> tuple[list, list]:
-        """(F, DF) from the one evaluation ``rhs`` and ``jacobian`` read."""
-        v = self._evaluate(self._linear, (x1, x2, x3, mu)).tolist()
-        return v[0::4], [v[1:4], v[5:8], v[9:12]]
-
-    def jacobian(self, X: np.ndarray, mu: float) -> np.ndarray:
-        rows = self._evaluate(self._linear, self._point(X, mu)).reshape(STATE_DIM, 4)
-        return rows[:, 1:].copy()  # each row is F_c, then the three partials
-
     def exact_jet(self, point: np.ndarray, mu: float) -> JetTable:
-        entries = self._evaluate(self._jet, self._point(point, mu)).reshape(STATE_DIM, -1).T
+        powers, index, coefs, weight, slots, size = self._jet
+        x = self._point(point, mu)
+        try:
+            table = [x[axis] ** k for axis, k in powers]
+        except OverflowError:  # Python floats raise where numpy scalars give inf
+            table = [np.float64(x[axis]) ** k for axis, k in powers]
+        values = coefs * (weight * np.array(table)[index].prod(axis=1))
+        entries = np.bincount(slots, values, size).reshape(STATE_DIM, -1).T
         return JetTable.from_entries(point, mu, entries, tolerance=1e-12)
 
     def model(self, name: str) -> ModelDefinition:

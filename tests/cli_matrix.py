@@ -51,15 +51,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import hybridhopf
-import test_cli
-from test_cli import (
-    CLASSICAL, COARSE_GRID, INTERIOR, PLANTED_ES, STEEP_DRIFT, STEEP_JACOBIAN, SWEEP_DEGENERATE,
-    SYNTHETIC, SYNTHETIC_DEGENERATE,
-)
-
-#: the scripts directory of the checkout whose ``src`` is on PYTHONPATH
-SCRIPTS = Path(hybridhopf.__file__).resolve().parents[2] / "scripts"
 README_GRID = "0.0005,0.001,0.002,0.005,0.01,0.02"
 PLANTED_GRID = "0.002,0.005,0.01"
 TRUNCATED = ["truncated", "--epsilon", "0.1", "--mu-tilde", "0.25", "--r0", "0.8", "--compare"]
@@ -89,7 +80,17 @@ def _fd(doc: dict) -> dict:
 
 def runs() -> list[tuple[str, list[str], object]]:
     """(name, argv, config) per run; ``{config}`` in argv is the config's path,
-    and a config that is a string is written as it is."""
+    and a config that is a string is written as it is.  Only run mode needs
+    ``hybridhopf`` and ``tests/test_cli.py``, so only it imports them."""
+    import hybridhopf
+    import test_cli
+    from test_cli import (
+        CLASSICAL, COARSE_GRID, INTERIOR, PLANTED_ES, STEEP_DRIFT, STEEP_JACOBIAN,
+        SWEEP_DEGENERATE, SYNTHETIC, SYNTHETIC_DEGENERATE,
+    )
+
+    # the scripts directory of the checkout whose ``src`` is on PYTHONPATH
+    scripts = Path(hybridhopf.__file__).resolve().parents[2] / "scripts"
     matrix = []
     for tag, doc in (("pp", INTERIOR), ("pp_fd", _fd(INTERIOR))):
         matrix += [
@@ -176,7 +177,7 @@ def runs() -> list[tuple[str, list[str], object]]:
     ]
     matrix.append((
         "script_boundary_connection",
-        [str(SCRIPTS / "run_boundary_connection.py"), "--n-points", "3", "--settle-time", "300",
+        [str(scripts / "run_boundary_connection.py"), "--n-points", "3", "--settle-time", "300",
          "--out", "script_boundary_connection/out/connection.tsv"],
         None,
     ))

@@ -3,12 +3,15 @@
 Each one checks a claim of the package against an independent route: the
 closed-form coefficients in their analytic chart, the mu = 0 equilibrium
 line of the predator-prey model, the averaged transverse drift of the full
-flow, the region sampler drawn one parameter set at a time, and a
-finite-difference jet probed one state at a time.
+flow, the region sampler drawn one parameter set at a time, a
+finite-difference jet probed one state at a time, and the linearisations
+that the generated polynomial kernel and the fused predator-prey one
+replaced.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from typing import Callable, Sequence
@@ -24,6 +27,7 @@ from hybridhopf.models import (
     STATE_DIM,
     JetTable,
     ModelDefinition,
+    PolynomialField,
     StateIndex,
     evaluate,
     jet,
@@ -168,6 +172,53 @@ def _fd_tensor(
 def _richardson(quotient: Callable, h):
     """One Richardson step on an O(h^2) difference ``quotient`` of step h."""
     return (4.0 * quotient(h / 2.0) - quotient(h)) / 3.0
+
+
+def polynomial_linearization(field: PolynomialField) -> Callable[..., tuple[list, list]]:
+    """(x1, x2, x3, mu) -> (F, DF) by the numpy evaluation of ``field``'s
+    layout of F and DF that its generated kernel replaced: one table of libm
+    powers on Python floats (on numpy scalars where Python overflows), one
+    gather, ``prod(axis=1)`` over each pair's four factors and one
+    ``np.bincount`` summing each entry in pair order."""
+    powers, index, coefs, weight, slots, size = field._linear
+
+    def linearize(x1, x2, x3, mu):
+        x = (x1, x2, x3, mu)
+        try:
+            table = [x[axis] ** k for axis, k in powers]
+        except OverflowError:
+            table = [np.float64(x[axis]) ** k for axis, k in powers]
+        pairs = coefs * (weight * np.array(table)[index].prod(axis=1))
+        v = np.bincount(slots, pairs, size).tolist()
+        return v[0::4], [v[1:4], v[5:8], v[9:12]]
+
+    return linearize
+
+
+def predator_prey_linearization(p: EcoParams) -> Callable[..., tuple[list, list]]:
+    """(x1, x2, s, mu) -> (F, DF) as `eco.model` formed it before its
+    linearisation took the shared terms once: the model's ``field`` and a
+    separate hand-written derivative, both repeated on numpy scalars when
+    either raises."""
+    field = eco.model(p).field
+    delta1, delta2, lam, alpha1, alpha2 = p.delta1, p.delta2, p.lam, p.alpha1, p.alpha2
+
+    def derivative(x1, x2, s, mu):
+        p1, p2 = s + alpha1, s + alpha2
+        g1, g2 = (s - lam) / p1, (s - lam - mu) / p2
+        dg1, dg2 = (lam + alpha1) / p1**2, (lam + mu + alpha2) / p2**2
+        h1, h2 = s / p1, s / p2
+        dh1, dh2 = alpha1 / p1**2, alpha2 / p2**2
+        return [
+            [delta1 * g1, 0.0, delta1 * x1 * dg1],
+            [0.0, delta2 * g2, delta2 * x2 * dg2],
+            [-h1, -h2, 1.0 - 2.0 * s - x1 * dh1 - x2 * dh2],
+        ]
+
+    def field_and_derivative(*x):
+        return field(*x), derivative(*x)
+
+    return functools.partial(eco._on_floats, field_and_derivative)
 
 
 def field_jet(model: ModelDefinition, point: Sequence[float], mu: float) -> JetTable:

@@ -897,3 +897,23 @@ def test_matrix_compare_flags_a_file_in_one_tree_only(tmp_path, capsys):
     assert out[0].startswith("FLAGGED  run/extra: only in ")
     assert out[1] == "numbers  run/stdout: largest relative change 0.33 (1.0 -> 1.5)"
     assert out[2] == "2 files differ, 1 flagged; largest relative change 0.33 in run/stdout"
+
+
+def test_matrix_compare_needs_neither_the_package_nor_test_cli(tmp_path):
+    """``python tests/cli_matrix.py --compare OUT_A OUT_B`` runs as its
+    docstring shows it, with neither ``hybridhopf`` nor ``test_cli``
+    importable: only run mode imports them."""
+    for tree in ("a", "b"):
+        (tmp_path / tree / "run").mkdir(parents=True)
+        (tmp_path / tree / "run" / "stdout").write_text("x = 1.0\n")
+    script = str(Path(__file__).with_name("cli_matrix.py"))
+    code = (
+        "import runpy, sys; sys.modules['hybridhopf'] = sys.modules['test_cli'] = None; "
+        f"sys.argv = [{script!r}, '--compare', 'a', 'b']; runpy.run_path(sys.argv[0], run_name='__main__')"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "0 files differ, 0 flagged; largest relative change 0\n"

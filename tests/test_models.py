@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridhopf import eco, models
@@ -24,7 +24,7 @@ from hybridhopf.models import (
     polynomial_model,
     state_multi_indices,
 )
-from oracles import FD_TOLERANCE, field_jet, finite_difference_jet_loop
+from oracles import FD_TOLERANCE, field_jet, finite_difference_jet_loop, polynomial_linearization
 from test_cli import STEEP_DRIFT
 
 
@@ -597,6 +597,103 @@ def test_vanishing_powers_add_zero_whatever_the_coefficient():
     # 1e308 * (3 * (0 * 1)) = 0, though 3 * 1e308 overflows
     J = from_config(STEEP_DRIFT).jacobian(np.array([0.0, 0.0, 1.0]), 0.0)
     assert np.isfinite(J).all() and J[2, 2] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the generated polynomial kernel against the numpy evaluation it replaced
+# ---------------------------------------------------------------------------
+
+
+def _bits(values) -> bytes:
+    """The bytes of ``values`` as floats, the sign of a zero included, with
+    every NaN replaced by one NaN."""
+    a = np.array(values, dtype=float)
+    return np.where(np.isnan(a), np.nan, a).tobytes()
+
+
+def _assert_same_entries(got, want):
+    """``(F, DF)`` byte-equal to the reference's, nan exactly where it has
+    nan.  NaN payloads are not compared: of two NaNs, numpy's ``prod``
+    reduction keeps its running product, where the kernel's ``a * b`` (on
+    numpy scalars once an argument is nan) passes on the operand the C
+    compiler chose.  At X = (0, 0, inf), mu = nan the term x2 x3 mu is
+    (0 * inf) * nan, the machine's default NaN (sign bit set) times mu's,
+    and the two evaluations differ in the sign of the nan."""
+    assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1]), (got, want)
+
+
+_STEEP_DRIFT = [STEEP_DRIFT["polynomial"][key] for key in ("y1", "y2", "z")]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    components=st.lists(st.lists(_term, max_size=8), min_size=3, max_size=3),
+    X=st.lists(_coord, min_size=3, max_size=3),
+    mu=_coord,
+)
+@example(components=[[[1.0, 2, 0, 0, 0]], [[0.0, 1, 0, 0, 0]], []], X=[1e200, 0.0, 0.0], mu=0.0)
+@example(components=[[[1.0, 0, 1, 1, 1]], [[1.0, 1, 1, 0, 0]], [[-0.0, 0, 0, 1, 0]]],
+         X=[0.0, 0.0, math.inf], mu=math.nan)
+@example(components=_STEEP_DRIFT, X=[0.0, 0.0, 1.0], mu=0.0)
+def test_polynomial_kernel_is_the_numpy_evaluation(components, X, mu):
+    """Zero coefficients, ±0, 1e200 (Python's ``**`` overflows and the
+    kernel runs again on numpy scalars), ±inf and nan, and `steep_drift`'s
+    1e308 mu z^3 at mu = 0, whose d_z F_z stays exactly 0
+    (`test_vanishing_powers_add_zero_whatever_the_coefficient`)."""
+    field = PolynomialField(components)
+    _assert_same_entries(field.linearization(*X, mu), polynomial_linearization(field)(*X, mu))
+
+
+def test_a_kernel_is_compiled_once_per_structure_and_bound_per_field(monkeypatch):
+    """Fields of one structure share the compiled kernel and keep their own
+    coefficients; which coefficient is zero is part of the structure."""
+    models._kernel.cache_clear()
+    generated = []
+    source = models._kernel_source
+    monkeypatch.setattr(models, "_kernel_source", lambda s: generated.append(s) or source(s))
+    a = builtin("toy_cylindrical", {"beta2": 0.7, "beta5": -0.9, "gamma5": 0.8})
+    b = builtin("toy_cylindrical", {"beta2": -0.3, "beta5": 1.1, "gamma5": 0.2})
+    assert len(generated) == 1
+    point = (0.3, -0.2, 0.1, 0.01)
+    assert a.linearization(*point) != b.linearization(*point)
+    for model in (a, b):
+        assert model.linearization(*point) == polynomial_linearization(model.field.__self__)(*point)
+    first = PolynomialField([[(2.0, 1, 0, 0, 0), (0.0, 0, 1, 0, 0)], [], []])
+    second = PolynomialField([[(0.0, 1, 0, 0, 0), (2.0, 0, 1, 0, 0)], [], []])
+    assert len(generated) == 3
+    zero = [0.0] * STATE_DIM
+    assert first.linearization(5.0, 7.0, 0.0, 0.0) == ([10.0, 0.0, 0.0], [[2.0, 0.0, 0.0], zero, zero])
+    assert second.linearization(5.0, 7.0, 0.0, 0.0) == ([14.0, 0.0, 0.0], [[0.0, 2.0, 0.0], zero, zero])
+
+
+def test_a_long_entry_is_summed_in_term_order():
+    """Sums of more terms than one generated statement holds continue in the
+    next, so a field of 600 terms per entry compiles and keeps the order."""
+    terms = [(1.0 + n / 7.0, n % 3, n // 3 % 3, n // 9 % 3, n // 27) for n in range(600)]
+    field = PolynomialField([terms, [], terms[::-1]])
+    _assert_same_entries(
+        field.linearization(0.9, -1.1, 0.7, 0.3), polynomial_linearization(field)(0.9, -1.1, 0.7, 0.3)
+    )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "coef, mu", [(1.0, math.nan), (math.nan, 0.5)], ids=["nan_argument", "nan_coefficient"]
+)
+def test_a_kernel_gives_the_same_nan_on_every_call(coef, mu):
+    """At X = (0, 0, inf) the term x2 x3 mu forms the default NaN 0 * inf and
+    meets a second NaN, mu's or its coefficient's.  CPython passes on one
+    operand of such a product in ``float_mul`` and the other in the inline
+    code it specialises a function into after about eight calls; the kernel
+    takes both NaNs on numpy scalars, so its bits do not depend on how often
+    it has run.  A new structure (``cache_clear``) starts unspecialised."""
+    models._kernel.cache_clear()
+    field = PolynomialField([[(coef, 0, 1, 1, 1)], [(1.0, 1, 1, 0, 0)], [(-0.0, 0, 0, 1, 0)]])
+    bits = {np.array([*F, *np.ravel(DF)]).tobytes() for F, DF in (
+        field.linearization(0.0, 0.0, math.inf, mu) for _ in range(20)
+    )}
+    assert len(bits) == 1
 
 
 # ---------------------------------------------------------------------------

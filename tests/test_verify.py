@@ -22,7 +22,12 @@ from hybridhopf.verify import (
     integrate,
     simulate_truncated,
 )
-from oracles import averaged_drift_check, coexistence_line
+from oracles import (
+    averaged_drift_check,
+    coexistence_line,
+    polynomial_linearization,
+    predator_prey_linearization,
+)
 
 INTERIOR_PERIOD = 2.0 * math.pi / math.sqrt(0.3)
 
@@ -119,6 +124,37 @@ def test_planted_circle_orbit_toy_cylindrical():
     orbit = find_periodic_orbit(model, mu, seed)
     assert orbit.period == pytest.approx(2.0 * math.pi / planted["omega"], abs=1e-8)
     assert math.hypot(orbit.anchor[0], orbit.anchor[1]) == pytest.approx(r0, abs=1e-8)
+
+
+@pytest.mark.parametrize("case", ["toy_cylindrical", "predator_prey"])
+def test_shooting_with_the_former_linearization_gives_the_same_bits(case, interior, interior_pipeline):
+    """The generated polynomial kernel and the fused predator-prey
+    linearisation shoot the very orbit the evaluations they replaced shoot:
+    the numpy evaluation of the polynomial layout, and ``field`` plus a
+    separate hand-written derivative."""
+    if case == "toy_cylindrical":
+        # test_planted_circle_orbit_toy_cylindrical's set with beta1 != 0
+        planted = {
+            "omega": 1.3, "beta1": 0.3, "beta2": -0.7, "beta5": 0.9, "gamma5": 1.1, "gamma7": -0.4
+        }
+        model, mu, r0 = builtin("toy_cylindrical", planted), -0.005, math.sqrt(0.005 * 1.1 / 0.9)
+        seed = ShootingSeed(anchor=np.array([r0 * 1.04, 0.0, -0.002]), period=5.1, scale=r0)
+        former = polynomial_linearization(model.field.__self__)
+        guard = None
+    else:
+        model, mu = interior_pipeline.model, 0.005
+        seed = predict_orbit(interior_pipeline.coeffs, mu, frame=interior_pipeline.frame)
+        former = predator_prey_linearization(interior)
+        guard = eco.interior_guard()
+    replaced = dataclasses.replace(model, linearization=former)
+    assert models.linearization_fn(replaced) is former
+    got = find_periodic_orbit(model, mu, seed, guard=guard)
+    want = find_periodic_orbit(replaced, mu, seed, guard=guard)
+    for name in ("anchor", "monodromy", "states"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.period.hex() == want.period.hex()
+    assert np.array(got.newton).tobytes() == np.array(want.newton).tobytes()
+    assert len(got.newton) >= 2 and got.residual < 1e-10
 
 
 def test_hyperbolic_orbit_has_one_escaping_multiplier(synthetic_pipeline):
