@@ -6,10 +6,13 @@ asymptotic predictions against it: single shooting with variational equations
 tolerance; the monodromy comes from the converged solve, with a Liouville
 trace quadrature as an internal consistency check; each stage of the
 variational equations is one call of the model's linearisation on Python
-floats, `models.linearization_fn`), Floquet stability,
-natural continuation in the parameter, and integration of the truncated
-reduced dynamics against the full flow.  `integrate` returns the solver's own
-`dop853.Solution`.
+floats, `models.linearization_fn`; the variational block is error
+controlled on the scale of the identity it starts from, `VARIATIONAL_SCALE`,
+unless the converged solve's Liouville check reads above
+`SCALED_LIOUVILLE_TOL`),
+Floquet stability, natural continuation in the parameter, and integration of
+the truncated reduced dynamics against the full flow.  `integrate` returns the
+solver's own `dop853.Solution`.
 """
 
 from __future__ import annotations
@@ -49,6 +52,14 @@ DRIFT_FACTOR = 3.0
 BRANCH_NEWTON_TOL = 1e-10
 #: Floquet moduli must clear the unit circle by this margin for a verdict
 FLOQUET_MARGIN = 1e-6
+#: the variational block starts at this power of two times the identity, so
+#: the error control resolves Phi to 1.28 rtol of the identity, not to the
+#: state's absolute tolerance wherever an entry of Phi crosses 0
+VARIATIONAL_SCALE = 2.0**-7
+#: a converged solve of the scaled block whose Liouville defect reads above
+#: this is solved again with Phi from the identity: its moduli can be off by a
+#: few times the defect, too far to back a verdict at `FLOQUET_MARGIN`
+SCALED_LIOUVILLE_TOL = 1e-7
 
 
 def integrate(
@@ -114,12 +125,22 @@ def _flow_with_monodromy(
     x0: np.ndarray,
     T: float,
     rtol: float,
+    scale: float = VARIATIONAL_SCALE,
 ):
     """Integrate state, variational matrix, and divergence quadrature,
     with the dense interpolant of all three.  Each stage is one call of
     `models.linearization_fn` on Python floats, returning a list of 13: entry
     (i, j) of J Phi is ``J[i][0] Phi[0][j] + J[i][1] Phi[1][j] + J[i][2] Phi[2][j]``
-    summed left to right, and the divergence ``J[0][0] + J[1][1] + J[2][2]``."""
+    summed left to right, and the divergence ``J[0][0] + J[1][1] + J[2][2]``.
+
+    The block starts at ``scale`` (a power of two, `VARIATIONAL_SCALE` unless
+    given) times the identity, so the solver's absolute tolerance, rtol / 100
+    and sized for the state, acts on Phi as rtol / (100 ``scale``) in units
+    of the identity.  The RHS is linear in Phi, so every product and sum in
+    the block scales exactly and dividing the final block by the scale gives
+    the monodromy bit for bit; only the step sequence differs from a block
+    started at the identity.  The interpolant's rows 3-11 hold the scaled
+    block; only rows 0-2, the state, are read."""
     linearize = models.linearization_fn(model)
 
     def rhs(t: float, Y: np.ndarray) -> list[float]:
@@ -133,10 +154,17 @@ def _flow_with_monodromy(
             j11 + j22 + j33,
         ]
 
-    Y0 = np.concatenate([x0, np.eye(3).ravel(), [0.0]])
+    Y0 = np.concatenate([x0, scale * np.eye(3).ravel(), [0.0]])
     sol = dop853.solve(rhs, (0.0, T), Y0, rtol)
     YT = sol.y[:, -1]
-    return YT[:3], YT[3:12].reshape(3, 3), YT[12], sol.sol
+    return YT[:3], YT[3:12].reshape(3, 3) / scale, YT[12], sol.sol
+
+
+def _liouville_defect(monodromy: np.ndarray, trace_int: float) -> float:
+    """Relative gap between det(monodromy) and exp of the integrated divergence."""
+    det = float(np.linalg.det(monodromy))
+    expected = math.exp(trace_int)
+    return abs(det - expected) / max(abs(det), abs(expected), 1e-300)
 
 
 def find_periodic_orbit(
@@ -165,8 +193,13 @@ def find_periodic_orbit(
     `StepFailure`) is rejected and halved.  Only a solve at ``rtol`` can end
     the iteration, so a seed whose residual reads below ``newton_tol``, or
     below what its loose solve resolves, takes its full step, solved at
-    ``rtol``; no point is integrated twice.  The residual, monodromy,
-    multipliers, Liouville check and `states` all come from that last solve.
+    ``rtol``.  Every solve error-controls the variational block on the scale
+    of the identity (`VARIATIONAL_SCALE`); a converged solve whose Liouville
+    check reads above `SCALED_LIOUVILLE_TOL` is the one point integrated
+    twice: it is solved again with Phi from the identity, as is every later
+    trial, and the iteration goes on from that solve.  The residual,
+    monodromy, multipliers, Liouville check and `states` all come from the
+    last solve.
     """
     if not (math.isfinite(mu) and n_samples >= 1 and rtol > 0 and newton_tol > 0):
         raise InvalidBounds(
@@ -210,13 +243,22 @@ def find_periodic_orbit(
     # the seed's solve only aims the first step, so it runs at sqrt(rtol);
     # every trial runs at rtol, so only a trial's solve can end the iteration
     iterate_rtol = math.sqrt(rtol)
+    variational_scale = VARIATIONAL_SCALE
     xT, monodromy, trace_int, dense = _flow_with_monodromy(model, mu, x, T, iterate_rtol)
     newton = [(iterate_rtol, float(np.max(np.abs(closure(x, xT)))))]
     for _ in range(SHOOTING_MAX_ITER):
         R = closure(x, xT)
         res_norm = float(np.max(np.abs(R)))
         if res_norm < newton_tol and iterate_rtol == rtol:
-            break
+            liouville = _liouville_defect(monodromy, trace_int)
+            if liouville <= SCALED_LIOUVILLE_TOL or variational_scale == 1.0:
+                break
+            # this monodromy would back the Floquet verdict, and the scaled
+            # block's error control leaves it off by a few times its defect
+            variational_scale = 1.0
+            xT, monodromy, trace_int, dense = _flow_with_monodromy(model, mu, x, T, rtol, 1.0)
+            newton.append((rtol, float(np.max(np.abs(closure(x, xT))))))
+            continue
         A = np.zeros((4, 4))
         A[:3, :3] = monodromy - np.eye(3)
         A[:3, 3] = models.evaluate(model, xT, mu)
@@ -247,7 +289,7 @@ def find_periodic_orbit(
                 scale *= 0.5
                 continue
             try:
-                trial = _flow_with_monodromy(model, mu, x_new, T_new, rtol)
+                trial = _flow_with_monodromy(model, mu, x_new, T_new, rtol, variational_scale)
             except NumericalFailure:
                 newton.append((rtol, math.nan))
                 scale *= 0.5
@@ -270,9 +312,6 @@ def find_periodic_orbit(
     residual = float(np.max(np.abs(xT - x)))
     times = np.linspace(0.0, T, n_samples)
     states = dense(times)[:3].T
-    det = float(np.linalg.det(monodromy))
-    expected = math.exp(trace_int)
-    liouville = abs(det - expected) / max(abs(det), abs(expected), 1e-300)
     multipliers = tuple(sorted(np.linalg.eigvals(monodromy), key=lambda z: -abs(z)))
     return PeriodicOrbit(
         mu=mu,
