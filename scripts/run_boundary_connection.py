@@ -12,11 +12,16 @@ admissible region is one ``error:`` line on stderr and exit 64, and one
 where a standing assumption fails names the failed assumptions on stderr
 and exits 2, the code of an assumption violation.
 
-This driver seeds the first orbit by settling onto the attractor (the
-asymptotic prediction is only valid for small mu), continues outward over a
-mu grid, and reports amplitude and boundary distance per orbit.  It then
-settles a long trajectory at the largest requested mu and reports where the
-flow actually ends up once shooting has lost the orbit.
+This driver seeds the first orbit from the asymptotic prediction of the
+reduced coefficients, continues outward over a mu grid (each later seed
+extrapolated in sqrt(mu), see `continue_branch`), and reports per orbit its
+amplitude in the frame's (u1, u2) plane, its period and its distance from
+x2 = 0.  It then settles a trajectory for ``--settle-time`` at the largest
+requested mu, from a state between the line point and the boundary
+equilibrium, and reports where the flow actually ends up once shooting has
+lost the orbit.  A ``--settle-time`` that is not finite and positive, and
+a grid that is not 0 < ``--mu-min`` < ``--mu-max`` with ``--n-points`` >= 1,
+are rejected before anything is located.
 
 Usage:
     python3 scripts/run_boundary_connection.py
@@ -27,12 +32,14 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from hybridhopf import eco
-from hybridhopf.errors import AssumptionViolation, HybridHopfError
+from hybridhopf.coefficients import compute_coefficients
+from hybridhopf.errors import AssumptionViolation, HybridHopfError, InvalidParams
 from hybridhopf.frame import check_assumptions
 from hybridhopf.verify import continue_branch, integrate
 
@@ -64,6 +71,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run(args: argparse.Namespace) -> int:
+    if not 0.0 < args.settle_time < math.inf:
+        raise InvalidParams(f"--settle-time must be finite and positive, got {args.settle_time}")
+    if not (0.0 < args.mu_min < args.mu_max < math.inf and args.n_points >= 1):
+        raise InvalidParams(
+            "the grid needs 0 < --mu-min < --mu-max, both finite, and --n-points >= 1, got "
+            f"{args.mu_min}, {args.mu_max} and {args.n_points}"
+        )
     p = eco.EcoParams(
         delta1=args.delta1,
         delta2=args.delta2,
@@ -82,17 +96,12 @@ def run(args: argparse.Namespace) -> int:
         return AssumptionViolation.exit_code
     print("standing assumptions      : all pass")
 
-    # Start the settling trajectory between the line point and the interior
-    # equilibrium of the x2-free subsystem, safely off both.
-    E1 = np.array(eco.boundary_equilibrium(p))
-    seed_state = 0.6 * X_H + 0.4 * (E1 + np.array([0.0, 0.05, 0.0]))
-
     grid = [float(m) for m in np.geomspace(args.mu_min, args.mu_max, args.n_points)]
     branch = continue_branch(
         model,
         grid,
-        seed_state=seed_state,
-        settle_time=args.settle_time,
+        coeffs=compute_coefficients(report.standard_jet),
+        frame=report.frame,
         guard=eco.interior_guard(),
     )
 
@@ -116,9 +125,13 @@ def run(args: argparse.Namespace) -> int:
         print(f"min x2 shrinking monotonically  : {shrinks}  "
               f"(closest approach {min(min_x2s):.4g})")
 
-    # Where does the flow go at the largest mu, orbit or not?
+    # Where does the flow go at the largest mu, orbit or not?  Start between
+    # the line point and the interior equilibrium of the x2-free subsystem,
+    # safely off both.
+    E1 = np.array(eco.boundary_equilibrium(p))
+    start = 0.6 * X_H + 0.4 * (E1 + np.array([0.0, 0.05, 0.0]))
     mu_top = grid[-1]
-    tail = integrate(model, mu_top, seed_state, (0.0, args.settle_time))
+    tail = integrate(model, mu_top, start, (0.0, args.settle_time))
     late = tail.sol(np.linspace(0.0, args.settle_time, 4000)).T[-1000:]
     print(f"\nsettled flow at mu = {mu_top:g} (last quarter of t <= "
           f"{args.settle_time:g}):")

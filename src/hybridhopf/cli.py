@@ -274,14 +274,12 @@ def _cmd_continue(args: argparse.Namespace) -> int:
     model, report, frame, coeffs, guard = _pipeline(config, out)
     if not report.all_pass():
         return _assumptions_failed(report)
-    seed_state = _numbers(args.seed_state, "--seed-state", 3) if args.seed_state else None
     try:
         branch = verify.continue_branch(
             model,
             grid,
             coeffs=coeffs,
             frame=frame,
-            seed_state=seed_state,
             guard=guard,
             n_samples=args.samples,
         )
@@ -410,7 +408,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("continue", help="track the orbit branch over a mu grid")
     add_common(p)
     p.add_argument("--mu-grid", default=None, help="comma-separated mu values")
-    p.add_argument("--seed-state", default=None, help="settle from this state to seed the first point")
     p.add_argument("--samples", type=int, default=256, help="orbit sample count")
     p.set_defaults(func=_cmd_continue)
 

@@ -1,10 +1,11 @@
 """scipy's ``solve_ivp(method="DOP853")`` (Hairer, Nørsett & Wanner, *Solving
 ODEs I*, §II.10), ported to take its steps bit for bit: the same tableau (each
 coefficient the repr of scipy's double), initial step, error norm, controller,
-and IEEE operations per element in the same order.  One change: a step builds
-its interpolant, three more stages, when a time inside it is first read.  The
-one terminal event is located by bisection on the interpolant of the step where
-it first reads <= 0 (Hairer, Nørsett & Wanner, §II.6), not by scipy's `brentq`.
+and IEEE operations per element in the same order.  Two changes: a step builds
+its interpolant, three more stages, when a time inside it is first read, and a
+solve stops at `MAX_STEPS` steps, where scipy goes on.  The one terminal event
+is located by bisection on the interpolant of the step where it first reads
+<= 0 (Hairer, Nørsett & Wanner, §II.6), not by scipy's `brentq`.
 Where the form differs from scipy's, the bits stay because:
 
 - ``M.dot(v)`` is the BLAS call of ``np.dot(M, v)``, on the same views of ``K``;
@@ -53,6 +54,10 @@ MIN_FACTOR, MAX_FACTOR = 0.2, 10  # bounds of one step-size change
 ERROR_EXPONENT = -1 / 8  # the error estimate is of order 7
 N_STAGES = 12
 ATOL_PER_RTOL = 1e-2  # the absolute tolerance is rtol / 100
+#: accepted steps one `solve` may take; every step is kept for dense output,
+#: so a trajectory that runs away ends in `StepFailure`, not in memory
+#: exhaustion.  `solve` reads it at each call.
+MAX_STEPS = 50_000
 
 # Row s - 1 holds the weights of stages 0 .. s-1 in stage s: stage 12 is the
 # 8th-order solution, stages 13-15 serve the dense output only.
@@ -252,6 +257,8 @@ def solve(fun, t_span, y0, rtol: float, event=None) -> Solution:
     raising where scipy returns a failure: `InvalidBounds` unless both ends of
     ``t_span`` are finite and it runs forward, `StepFailure` when the step size
     falls below the float spacing, `NonFinite` for a non-finite start or state.
+    Past `MAX_STEPS` accepted steps, where scipy would go on, it raises
+    `StepFailure` naming t, |y| and the count.
     ``event(t, y)``, positive at the start, ends the run at its first root, which
     is bisected on the interpolant of the first step whose end it reads <= 0."""
     t0, tf = map(float, t_span)
@@ -264,8 +271,13 @@ def solve(fun, t_span, y0, rtol: float, event=None) -> Solution:
     t, f = t0, np.asarray(fun(t0, y), dtype=float)
     h_abs = _initial_step(fun, t0, y, f, tf, rtol, atol)
     ts, ys, steps = [t], [y], []
-    fired = False
+    fired, budget = False, MAX_STEPS
     while t < tf and not fired:
+        if len(steps) >= budget:
+            raise StepFailure(
+                f"integration exceeded its budget of {budget} steps at t = {t:.6g}, "
+                f"|y| = {float(np.linalg.norm(y)):.6g}"
+            )
         step, h_abs = _advance(fun, t, y, f, h_abs, tf, rtol, atol)
         if step is None:
             raise StepFailure(

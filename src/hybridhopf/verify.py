@@ -110,15 +110,6 @@ class PeriodicOrbit:
     newton: tuple[tuple[float, float], ...]
 
 
-def _radius(states: np.ndarray) -> float:
-    """Largest distance of the states sampled at ``np.linspace(0, T, n)`` over
-    one period from their centroid.  The last sample repeats the first, so
-    the centroid leaves it out: counted twice, the anchor would pull the
-    centroid toward itself and make the radius depend on where it sits."""
-    centroid = np.ascontiguousarray(states[: max(len(states) - 1, 1)].T).mean(axis=1)
-    return float(np.max(np.linalg.norm(states - centroid, axis=1)))
-
-
 def _flow_with_monodromy(
     model: ModelDefinition,
     mu: float,
@@ -395,15 +386,6 @@ class Branch:
         return self.lost_at is None
 
 
-def _amplitude(
-    orbit: PeriodicOrbit, frame: StandardFrame | None, mu: float
-) -> float:
-    if frame is None:
-        return _radius(orbit.states)
-    coords = frame.to_frame(orbit.states, mu)
-    return float(np.max(np.linalg.norm(coords[:, :2], axis=1)))
-
-
 def _fit_amplitudes(points: Sequence[BranchPoint]) -> AmplitudeFit | None:
     if len(points) < 2:
         return None
@@ -416,30 +398,6 @@ def _fit_amplitudes(points: Sequence[BranchPoint]) -> AmplitudeFit | None:
         prefactor=float(math.exp(intercept)),
         n_points=len(chosen),
     )
-
-
-def _detect_cycle(model: ModelDefinition, mu: float, x: np.ndarray) -> ShootingSeed:
-    """Estimate a cycle from recurrence on a transversal section over a
-    window of 300 time units."""
-    F = models.evaluate(model, x, mu)
-    speed = float(np.linalg.norm(F))
-    if speed < 1e-12:
-        raise NoConvergence("trajectory settled on an equilibrium, not a cycle")
-    normal = F / speed
-    dense = integrate(model, mu, x, (0.0, 300.0)).sol
-    ts = np.linspace(0.0, 300.0, 20000)
-    g = (dense(ts).T - x) @ normal
-    i = np.flatnonzero((g[:-1] < 0.0) & (g[1:] >= 0.0))
-    # linear refinement of the upward crossing times
-    frac = -g[i] / (g[i + 1] - g[i])
-    crossings = ts[i] + frac * (ts[i + 1] - ts[i])
-    if len(crossings) < 3:
-        raise NoConvergence("no recurrent crossings; trajectory is not cycling")
-    gaps = np.diff(crossings)
-    period = float(np.median(gaps[-5:]))
-    anchor = np.asarray(dense(crossings[-1]))
-    loop = integrate(model, mu, anchor, (0.0, period)).sol(np.linspace(0.0, period, 400))
-    return ShootingSeed(anchor=anchor, period=period, scale=_radius(loop.T))
 
 
 def _extrapolate(
@@ -460,27 +418,22 @@ def _extrapolate(
 def continue_branch(
     model: ModelDefinition,
     mu_values: Iterable[float],
-    coeffs: CylindricalCoefficients | None = None,
-    frame: StandardFrame | None = None,
-    seed_state: Sequence[float] | None = None,
-    settle_time: float = 1500.0,
+    coeffs: CylindricalCoefficients,
+    frame: StandardFrame,
     guard: Callable[[np.ndarray], bool] | None = None,
     n_samples: int = 256,
 ) -> Branch:
     """Natural continuation of the orbit branch over a mu grid.
 
-    Given a ``seed_state``, the first point is seeded by settling the
-    trajectory from it for ``settle_time`` onto the attractor and measuring its
-    recurrence; without one, by the asymptotic prediction, which needs
-    ``coeffs`` and ``frame`` (`InvalidBounds` when either is missing).  Later
-    points are seeded by extrapolating anchor and period in s = sqrt|mu|, in
-    which the branch is smooth (amplitude ~ s): the Lagrange polynomial through
-    the last four of the Hopf point (s = 0, ``frame.origin``, period 2 pi /
-    ``frame.omega``; only when a frame is given) and the converged orbits.
-    Without a frame the second point reuses the first orbit.  Shooting runs
-    at `SWEEP_RTOL` and `BRANCH_NEWTON_TOL` (its seed solve at the square
-    root of `SWEEP_RTOL`, see `find_periodic_orbit`); every other
-    integration uses `SWEEP_RTOL`.
+    The first point is seeded by the asymptotic prediction from ``coeffs``
+    and ``frame``.  Later points are seeded by extrapolating anchor and
+    period in s = sqrt|mu|, in which the branch is smooth (amplitude ~ s):
+    the Lagrange polynomial through the last four of the Hopf point (s = 0,
+    ``frame.origin``, period 2 pi / ``frame.omega``) and the converged
+    orbits.  A point's amplitude is the largest radius of its orbit in the
+    frame's (u1, u2) plane.  Shooting runs at `SWEEP_RTOL` and
+    `BRANCH_NEWTON_TOL` (its seed solve at the square root of `SWEEP_RTOL`,
+    see `find_periodic_orbit`).
 
     Continuation stops at the first point where shooting fails; the partial
     branch is returned with ``lost_at`` set.
@@ -497,18 +450,11 @@ def continue_branch(
     if any(b <= a for a, b in zip(mags, mags[1:])):
         raise InvalidBounds("mu grid must be strictly monotone in |mu|")
 
-    if seed_state is not None:
-        settled = integrate(model, grid[0], seed_state, (0.0, settle_time))
-        seed: ShootingSeed | PredictedOrbit = _detect_cycle(model, grid[0], settled.y[:, -1])
-    elif coeffs is None or frame is None:
-        raise InvalidBounds("seeding needs a seed_state, or coefficients and a frame")
-    else:
-        seed = predict_orbit(coeffs, grid[0], frame)
-
+    seed: ShootingSeed | PredictedOrbit = predict_orbit(coeffs, grid[0], frame)
     points: list[BranchPoint] = []
     lost_at: float | None = None
     # (s, anchor, period) with s = sqrt|mu|; the Hopf point is the branch's s = 0 end
-    nodes = [] if frame is None else [(0.0, frame.origin, 2.0 * math.pi / frame.omega)]
+    nodes = [(0.0, frame.origin, 2.0 * math.pi / frame.omega)]
     for mu in grid:
         s = math.sqrt(abs(mu))
         if points:
@@ -529,7 +475,8 @@ def continue_branch(
         except NumericalFailure:
             lost_at = mu
             break
-        points.append(BranchPoint(mu=mu, amplitude=_amplitude(orbit, frame, mu), orbit=orbit))
+        radii = np.linalg.norm(frame.to_frame(orbit.states, mu)[:, :2], axis=1)
+        points.append(BranchPoint(mu=mu, amplitude=float(np.max(radii)), orbit=orbit))
         nodes.append((s, orbit.anchor, orbit.period))
 
     return Branch(points=tuple(points), lost_at=lost_at, fit=_fit_amplitudes(points))

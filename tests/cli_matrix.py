@@ -19,11 +19,11 @@ gamma7 only), ``toy_es`` an ES set, ``toy_beta1`` ROADMAP item 2's set with
 beta1 != 0, read back as planted, and ``classical_hopf`` the classical Hopf
 normal form, which has no line of equilibria; ``classify`` and ``verify``
 on the ES set with finite-difference jets; a jet entry
-that overflows, in both jet modes, and a Jacobian that overflows;
-``continue --seed-state``; a degenerate ``eco-sweep`` draw; the typed-error
-rows of ``tests/test_cli.py``, read from its parametrize marks and test
-bodies; and ``scripts/run_boundary_connection.py`` on three points, with its
-TSV.
+that overflows, in both jet modes, and a Jacobian that overflows; a
+degenerate ``eco-sweep`` draw; the typed-error rows of
+``tests/test_cli.py``, read from its parametrize marks and test bodies; and
+``scripts/run_boundary_connection.py`` on three points, seeded from the
+prediction, with its TSV.
 
     python tests/cli_matrix.py --compare OUT_A OUT_B
 
@@ -103,12 +103,6 @@ def runs() -> list[tuple[str, list[str], object]]:
         ("pp_eco_sweep_seed7", ["eco-sweep", "--samples", "1000", "--seed", "7"], None),
         ("pp_eco_sweep_seed1", ["eco-sweep", "--samples", "10000", "--seed", "1"], None),
         ("pp_continue_coarse", ["continue", "--config", "{config}", "--mu-grid", COARSE_GRID], INTERIOR),
-        (
-            "pp_continue_simulate",
-            ["continue", "--config", "{config}", "--mu-grid", "0.005,0.01",
-             "--seed-state", "0.2133,0.1667,0.4"],
-            INTERIOR,
-        ),
     ]
     planted = {
         "synthetic_nf": (SYNTHETIC, "-"),

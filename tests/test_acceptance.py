@@ -327,18 +327,20 @@ def test_criterion_11_averaging_error_scales_with_epsilon(synthetic_pipeline):
 
 
 def test_criterion_12_boundary_bound_branch_best_effort():
-    # This parameter set sits on the admissible-region boundary in exact
-    # arithmetic, so the local expansion degenerates there; the branch is
-    # therefore seeded from simulation alone and the line-point coordinates
-    # are deliberately not asserted.
-    params = eco.EcoParams(delta1=0.8, delta2=0.5, lam=0.4, alpha1=0.1, alpha2=0.2)
+    # The boundary script's defaults: strictly inside the admissible region
+    # 0 < alpha1 < 1 - 2 lam = 0.22 < alpha2 < 1, where all five standing
+    # assumptions pass, so the branch is seeded from the prediction.  It grows
+    # toward the invariant plane x2 = 0 until shooting loses it.
+    params = eco.EcoParams(delta1=0.8, delta2=0.5, lam=0.39, alpha1=0.15, alpha2=0.3)
     model = eco.model(params)
+    report = check_assumptions(model, eco.hopf_point(params))
+    assert report.all_pass()
     grid = [0.0005, 0.001, 0.002, 0.004, 0.007, 0.011, 0.017, 0.025, 0.035, 0.05]
     branch = continue_branch(
         model,
         grid,
-        seed_state=np.array([0.2133, 0.1667, 0.4]),
-        settle_time=2500.0,
+        coeffs=compute_coefficients(report.standard_jet),
+        frame=report.frame,
         guard=eco.interior_guard(),
     )
     amplitudes = [pt.amplitude for pt in branch.points]

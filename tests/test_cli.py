@@ -526,6 +526,16 @@ def test_unknown_subcommand_is_usage_error():
     assert excinfo.value.code == 64
 
 
+def test_continue_seed_state_is_usage_error(workspace):
+    """Every branch starts from the prediction: ``continue`` has no
+    ``--seed-state``, and argparse rejects it as an unknown option."""
+    argv = ["continue", "--config", workspace.config(INTERIOR), "--mu-grid", "0.001",
+            "--seed-state", "0.1,0.2,0.3", "--out", workspace.outdir("ss")]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 64
+
+
 def test_missing_config_flag_is_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main(["classify"])
@@ -610,7 +620,7 @@ def test_bad_mu_grid_is_usage_error(workspace):
         (["continue", "--mu-grid", "0.001,nan"], INTERIOR),
         (["continue"], {**INTERIOR, "mu_grid": ["a"]}),
         (["continue"], {**INTERIOR, "mu_grid": 5}),
-        (["continue", "--mu-grid", "0.001", "--seed-state", "0.1,inf,0.3"], INTERIOR),
+        (["continue", "--mu-grid", "0.001", "--samples", "0"], INTERIOR),
         (["verify", "--mu", "0.005", "--samples", "0"], INTERIOR),
         (["verify", "--mu", "0.005", "--samples", "-3"], INTERIOR),
         (["verify", "--mu", "nan"], INTERIOR),

@@ -1,6 +1,7 @@
 """The `dop853` port's own contracts, which need no scipy: the vectorised dense
-output reads what each time reads alone, and ``fun`` may return an array, a
-list or a tuple of the same floats.  `tests/test_dop853.py` holds the port to
+output reads what each time reads alone, ``fun`` may return an array, a
+list or a tuple of the same floats, and a solve ends in `StepFailure` past
+its step budget.  `tests/test_dop853.py` holds the port to
 scipy and skips without it."""
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from hybridhopf import dop853, verify
-from hybridhopf.errors import LeftDomain
+from hybridhopf.errors import LeftDomain, StepFailure
 
 
 @pytest.fixture
@@ -87,3 +88,19 @@ def test_fun_may_return_an_array_a_list_or_a_tuple(event):
         assert np.array_equal(other.t, runs[0].t)
         assert np.array_equal(other.y, runs[0].y)
         assert np.array_equal(other.sol(grid), runs[0].sol(grid))
+
+
+def harmonic(t: float, y: np.ndarray) -> list[float]:
+    return [y[1], -y[0]]
+
+
+def test_a_solve_past_its_step_budget_ends_in_a_typed_error(monkeypatch):
+    """An oscillator over a long span takes steps in proportion to it: past
+    `dop853.MAX_STEPS` the solve raises `StepFailure` naming t, |y| and the
+    budget, and a budget equal to the step count a span takes is enough."""
+    y0 = np.array([1.0, 0.0])
+    steps = len(dop853.solve(harmonic, (0.0, 50.0), y0, 1e-9).steps)
+    monkeypatch.setattr(dop853, "MAX_STEPS", steps)
+    assert len(dop853.solve(harmonic, (0.0, 50.0), y0, 1e-9).steps) == steps
+    with pytest.raises(StepFailure, match=rf"budget of {steps} steps at t = \S+, \|y\| = 1\b"):
+        dop853.solve(harmonic, (0.0, 1e6), y0, 1e-9)

@@ -33,8 +33,10 @@ def test_script_runs(name, argv, capsys):
 
 @pytest.mark.parametrize("settle_time", ["nan", "inf"])
 def test_script_errors_end_in_one_typed_line(settle_time):
-    """As on the command line: exit with the error's code, one stderr line.
-    A fresh interpreter with a timeout makes a hang fail instead of stall."""
+    """As on the command line: exit with the error's code, one stderr line,
+    and nothing on stdout: the settle time is checked before anything is
+    located.  A fresh interpreter with a timeout makes a hang fail instead
+    of stall."""
     result = subprocess.run(
         [sys.executable, str(SCRIPTS / "run_boundary_connection.py"), "--settle-time", settle_time],
         capture_output=True,
@@ -45,6 +47,19 @@ def test_script_errors_end_in_one_typed_line(settle_time):
     )
     assert result.returncode == 64, result.stderr
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1, result.stderr
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv", [["--mu-min", "0"], ["--mu-min", "0.1"], ["--mu-max", "inf"], ["--n-points", "0"]]
+)
+def test_boundary_connection_checks_its_grid_before_locating(argv, capsys):
+    """A grid that is not 0 < mu_min < mu_max < inf with at least one point
+    is one ``error:`` line and exit 64, with nothing on stdout."""
+    assert load_script("run_boundary_connection").main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: the grid needs") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_boundary_connection_stops_when_an_assumption_fails(capsys):

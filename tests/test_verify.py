@@ -484,13 +484,6 @@ def test_continuation_rejects_bad_grids(interior_pipeline, grid):
         )
 
 
-@pytest.mark.parametrize("given", [(), ("coeffs",), ("frame",)])
-def test_continuation_without_seed_state_needs_coeffs_and_frame(interior_pipeline, given):
-    pipe = interior_pipeline
-    with pytest.raises(InvalidBounds, match="coefficients and a frame"):
-        continue_branch(pipe.model, [0.005], **{name: getattr(pipe, name) for name in given})
-
-
 def test_continuation_reports_lost_branch(interior_pipeline):
     branch = continue_branch(
         interior_pipeline.model,
@@ -519,59 +512,6 @@ def test_continuation_monotone_amplitudes(interior_pipeline):
     assert all(a > 0 for a in amps)
     assert all(b > a for a, b in zip(amps, amps[1:]))
     assert branch.points[1].orbit.period == pytest.approx(11.455279540078301, rel=1e-9)
-
-
-@pytest.mark.parametrize("n_samples", [7, 256])
-def test_frameless_amplitude_is_the_radius_from_any_anchor(n_samples):
-    """A tilted circle of radius 0.05 sampled as shooting samples an orbit,
-    at ``np.linspace(0, T, n)`` from anchors at several phases: the last
-    sample repeats the anchor and must not pull the centroid toward it."""
-    centre, radius = np.array([0.3, 0.2, 0.35]), 0.05
-    u, v = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.6, 0.8])
-    t = np.linspace(0.0, 2.0 * math.pi, n_samples)
-    for phase in (0.0, 0.4, 1.3, 2.9, 5.1):
-        states = centre + radius * (np.outer(np.cos(t + phase), u) + np.outer(np.sin(t + phase), v))
-        assert verify._radius(states) == pytest.approx(radius, rel=0.0, abs=1e-12)
-
-
-def test_frameless_amplitude_does_not_depend_on_memory_layout(interior_pipeline, interior_hopf):
-    """numpy sums a column of a C-ordered array row by row and of an
-    F-ordered one pairwise; the radius must not follow the layout that the
-    integrator happens to hand back."""
-    branch = continue_branch(
-        interior_pipeline.model,
-        [0.002],
-        seed_state=interior_hopf + np.array([0.01, 0.01, 0.0]),
-        guard=eco.interior_guard(),
-    )
-    point = branch.points[0]
-    states = point.orbit.states
-    assert point.amplitude == verify._radius(states)
-    for layout in (np.ascontiguousarray, np.asfortranarray):
-        assert verify._radius(layout(states)) == point.amplitude, layout.__name__
-
-
-def test_simulate_seeding_matches_prediction_seeding(interior_pipeline, interior_hopf):
-    predicted = continue_branch(
-        interior_pipeline.model,
-        [0.002],
-        coeffs=interior_pipeline.coeffs,
-        frame=interior_pipeline.frame,
-    )
-    settled = continue_branch(
-        interior_pipeline.model,
-        [0.002],
-        frame=interior_pipeline.frame,
-        seed_state=interior_hopf + np.array([0.01, 0.01, 0.0]),
-        guard=eco.interior_guard(),
-    )
-    assert predicted.complete() and settled.complete()
-    assert settled.points[0].amplitude == pytest.approx(
-        predicted.points[0].amplitude, abs=1e-5
-    )
-    assert settled.points[0].orbit.period == pytest.approx(
-        predicted.points[0].orbit.period, abs=1e-6
-    )
 
 
 def test_readme_branch_seeds_start_near_closure(interior_pipeline, integrations):
