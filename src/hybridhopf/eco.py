@@ -3,8 +3,9 @@
 At equal break-even concentrations (mu = 0) the system carries a line of
 coexistence equilibria; perturbing the second predator's break-even value by
 mu destroys the line and produces the periodic-orbit branch analyzed by the
-rest of the package.  This module builds the model from an `EcoParams`
-(the ``predator_prey`` builtin of `models` forwards here), and provides the
+rest of the package.  This module writes the field and its linearisation
+for an `EcoParams` and builds the model with `models.field_model` (the
+``predator_prey`` builtin of `models` forwards here), and provides the
 interior Hopf point, closed-form reference values for the reduced
 coefficients in the analytic chart, the admissible parameter region with a
 sampler, the single-predator boundary equilibrium, and the comparison
@@ -40,7 +41,7 @@ import numpy as np
 from .classifier import LABELS, Classification, classify, sign_decision
 from .coefficients import CylindricalCoefficients, HarmonicScalar
 from .errors import DegenerateAlphas, InvalidBounds, InvalidParams, NonFinite, NotAdmissible
-from .models import ModelDefinition
+from .models import ModelDefinition, _on_floats, field_model
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,17 +95,6 @@ class EcoParams:
         return dataclasses.asdict(self)
 
 
-def _on_floats(expressions: Callable, *x: float):
-    """``expressions(x1, x2, x3, mu)`` on Python floats: the same IEEE operations
-    as on numpy scalars (``**`` is libm ``pow`` on both), so the same bits at a
-    fraction of the cost.  Where Python raises instead (a pole, an overflowing
-    power), they are repeated on numpy scalars, which give inf or nan."""
-    try:
-        return expressions(*x)
-    except (ZeroDivisionError, OverflowError):
-        return expressions(*map(np.float64, x))
-
-
 def _line_point(p: EcoParams) -> list[float]:
     """The closed-form point of the coexistence line where the spectrum is
     {0, +-i omega}; defined for alpha1 != alpha2."""
@@ -114,12 +104,12 @@ def _line_point(p: EcoParams) -> list[float]:
 
 def model(p: EcoParams) -> ModelDefinition:
     """The predator-prey field for these parameters, written twice: ``field``
-    (for ``rhs``, and for `models.jet` on Taylor numbers: plain arithmetic,
-    exact over rationals as well) and the linearisation, which forms the
+    (plain arithmetic, exact over rationals as well, for `models.jet` on
+    Taylor numbers and for ``rhs``) and the linearisation, which forms the
     shared terms p1, p2, g1, g2, h1 and h2 once, with the operations of
-    ``field``, and adds the Jacobian, the one hand-derived derivative;
-    ``jacobian`` reads its DF.  Both run under `_on_floats`, so the
-    linearisation keeps the bits of ``rhs`` and ``jacobian``.
+    ``field``, and adds the Jacobian, the one hand-derived derivative.
+    Both run under `models._on_floats` (``rhs`` in `models.field_model`),
+    so the linearisation keeps the bits of ``rhs`` and ``jacobian``.
     ``metadata["hopf_seed"]`` is `_line_point` when |alpha2 - alpha1| > 1e-9
     and l1, l2 > 0."""
     delta1, delta2, lam, alpha1, alpha2 = p.delta1, p.delta2, p.lam, p.alpha1, p.alpha2
@@ -135,9 +125,6 @@ def model(p: EcoParams) -> ModelDefinition:
             s * (1 - s) - x1 * h1 - x2 * h2,
         ]
 
-    def rhs(X: np.ndarray, mu: float) -> np.ndarray:
-        return np.array(_on_floats(field, *X.tolist(), mu))
-
     def field_and_derivative(x1, x2, s, mu):
         p1, p2 = s + alpha1, s + alpha2
         g1, g2 = (s - lam) / p1, (s - lam - mu) / p2
@@ -152,15 +139,11 @@ def model(p: EcoParams) -> ModelDefinition:
             [-h1, -h2, 1.0 - 2.0 * s - x1 * dh1 - x2 * dh2],
         ]
 
-    linearization = functools.partial(_on_floats, field_and_derivative)
-
-    def jacobian(X: np.ndarray, mu: float) -> np.ndarray:
-        return np.array(linearization(*X.tolist(), mu)[1])
-
     meta = {}
     if abs(alpha2 - alpha1) > 1e-9 and p.l1 > 0 and p.l2 > 0:
         meta["hopf_seed"] = _line_point(p)
-    return ModelDefinition("predator_prey", rhs, None, jacobian, meta, field, linearization)
+    linearization = functools.partial(_on_floats, field_and_derivative)
+    return field_model("predator_prey", field, linearization, metadata=meta)
 
 
 @dataclasses.dataclass(frozen=True)

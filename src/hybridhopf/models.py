@@ -1,10 +1,11 @@
 """Vector fields on R^3 with derivative jets.
 
-A model bundles a right-hand side F(X; mu) with a way to obtain its partial
-derivatives at a point: exact closed forms (polynomial models), or its
-``field`` evaluated on truncated Taylor numbers (predator-prey).  The builtin
-catalogue holds the planted polynomial field ``toy_cylindrical``; its
-``predator_prey`` entry checks the config's parameters and forwards to
+A model is a field F(X; mu) in plain arithmetic with its linearisation
+(F, DF), both kinds (`eco.model`, `PolynomialField`) built by `field_model`,
+and a way to obtain partial derivatives at a point: exact closed forms
+(polynomial models), or the field on truncated Taylor numbers (predator-prey).
+The builtin catalogue holds the planted polynomial field ``toy_cylindrical``;
+its ``predator_prey`` entry checks the config's parameters and forwards to
 `eco.model`.  Everything downstream (frames, reduced coefficients,
 classification) consumes the `JetTable` produced here.
 A jet holds derivative tensors up to order three, ``F``, ``DF``, ``D^2 F``
@@ -115,7 +116,8 @@ class JetTable:
 
 @dataclasses.dataclass(frozen=True)
 class ModelDefinition:
-    """A named vector field with optional exact derivatives.
+    """A named vector field with optional exact derivatives; `field_model`
+    builds both model kinds.
 
     ``rhs(X, mu)`` returns dX/dt, a (3,) array, for a state X of shape (3,)
     and a float mu.  ``exact_jet`` (when present) returns a `JetTable` whose
@@ -209,6 +211,42 @@ def linearization_fn(model: ModelDefinition) -> Callable[..., tuple[list, list]]
     return derived
 
 
+def _on_floats(fn: Callable, x1, x2, x3, mu):
+    """``fn(x1, x2, x3, mu)`` on Python floats, the bits of numpy scalars at a
+    fraction of the cost (``**`` is libm ``pow`` on both).  Where Python
+    raises instead of giving inf or nan (`ZeroDivisionError`, `OverflowError`)
+    ``fn`` runs again on numpy scalars, and it runs on them from the start
+    when an argument is nan: of two NaNs, CPython's ``float_mul`` and the
+    inline code it specialises a function into after about eight calls pass
+    on different operands, where numpy's scalar operations have one path."""
+    if x1 == x1 and x2 == x2 and x3 == x3 and mu == mu:
+        try:
+            return fn(x1, x2, x3, mu)
+        except (ZeroDivisionError, OverflowError):
+            pass
+    return fn(*map(np.float64, (x1, x2, x3, mu)))
+
+
+def field_model(
+    name: str,
+    field: Callable[..., Sequence],
+    linearization: Callable[..., tuple[list, list]],
+    exact_jet: Callable[[np.ndarray, float], JetTable] | None = None,
+    metadata: Mapping[str, object] | None = None,
+) -> ModelDefinition:
+    """The model of ``field`` and its ``linearization`` (one that runs through
+    `_on_floats`): ``rhs`` is ``field`` run through `_on_floats`,
+    ``jacobian`` the DF of ``linearization``, both as arrays."""
+
+    def rhs(X: np.ndarray, mu: float) -> np.ndarray:
+        return np.array(_on_floats(field, *X.tolist(), mu))
+
+    def jacobian(X: np.ndarray, mu: float) -> np.ndarray:
+        return np.array(linearization(*X.tolist(), mu)[1])
+
+    return ModelDefinition(name, rhs, exact_jet, jacobian, metadata or {}, field, linearization)
+
+
 # ---------------------------------------------------------------------------
 # polynomial fields (exact jets by term-wise differentiation)
 # ---------------------------------------------------------------------------
@@ -222,48 +260,38 @@ _TERMS_PER_SUM = 256
 def _kernel_source(structure: tuple) -> str:
     """Source of ``make(c0, c1, ...)``: it binds the coefficient of each pair
     of a `PolynomialField` layout of F and DF and returns ``kernel(x0, x1,
-    x2, x3) -> (F, DF)``.  The kernel takes each power it reads once, as
-    ``x ** k``, forms each pair as ``c * (w * (p_a * p_b ...))`` with its
-    factors in axis order, and sums each entry as ``0.0 + term + ...`` in
-    pair order: the operations of the numpy evaluation, less its factors of
-    1.0 (powers 0 and weights 1), which are exact."""
+    x2, x3) -> (F, DF)`` and ``field(x0, x1, x2, x3) -> F``, which reads
+    only the F pairs.  Each takes each power it reads once, as ``x ** k``,
+    forms each pair as ``c * (w * (p_a * p_b ...))`` with its factors in
+    axis order, and sums each entry as ``0.0 + term + ...`` in pair order:
+    the operations of the numpy evaluation, less its factors of 1.0 (powers
+    0 and weights 1), which are exact.  Both are plain arithmetic, so
+    ``field`` runs on floats, `_Taylor` numbers and sympy symbols alike."""
     powers, index, weight, slots = structure
-    used = sorted({n for row in index for n in row if powers[n][1]})
-    body = [f"p{n} = x{powers[n][0]} ** {powers[n][1]}" for n in used]
     sums: list[list[str]] = [["0.0"] for _ in range(STATE_DIM * (STATE_DIM + 1))]
     for n, (row, w, slot) in enumerate(zip(index, weight, slots)):
         term = " * ".join(f"p{m}" for m in row if powers[m][1])
         if w != 1.0:
             term = f"{w!r} * ({term})" if term else repr(w)
         sums[slot].append(f"c{n} * ({term})" if term else f"c{n}")
-    for slot, terms in enumerate(sums):
-        for start in range(0, len(terms), _TERMS_PER_SUM):
-            head = [f"e{slot}"] if start else []
-            body.append(f"e{slot} = {' + '.join(head + terms[start:start + _TERMS_PER_SUM])}")
-    body.append("return [e0, e4, e8], [[e1, e2, e3], [e5, e6, e7], [e9, e10, e11]]")
+
+    def function(name: str, entries: Sequence[int], result: str) -> list[str]:
+        used = sorted({m for row, s in zip(index, slots) if s in entries for m in row})
+        body = [f"p{n} = x{powers[n][0]} ** {powers[n][1]}" for n in used if powers[n][1]]
+        for e in entries:
+            for start in range(0, len(sums[e]), _TERMS_PER_SUM):
+                head = [f"e{e}"] if start else []
+                body.append(f"e{e} = {' + '.join(head + sums[e][start:start + _TERMS_PER_SUM])}")
+        body.append(f"return {result}")
+        return [f"    def {name}(x0, x1, x2, x3):", *(f"        {line}" for line in body)]
+
+    F = "[e0, e4, e8]"
     return "\n".join([
         f"def make({', '.join(f'c{n}' for n in range(len(slots)))}):",
-        "    def kernel(x0, x1, x2, x3):",
-        *(f"        {line}" for line in body),
-        "    return kernel\n",
+        *function("kernel", range(len(sums)), f"{F}, [[e1, e2, e3], [e5, e6, e7], [e9, e10, e11]]"),
+        *function("field", (0, 4, 8), F),
+        "    return kernel, field\n",
     ])
-
-
-def _kernel_on_floats(kernel: Callable, x1: float, x2: float, x3: float, mu: float):
-    """``kernel(x1, x2, x3, mu)`` on Python floats, repeated on numpy scalars
-    where Python's ``**`` overflows (as in `eco._on_floats`), and run on
-    numpy scalars from the start when an argument is nan.  Of a product or sum of two NaNs, CPython's ``float_mul``
-    and the inline code it specialises a function's float operations into
-    after about eight calls pass on different operands, so on Python floats
-    the bits of a NaN would depend on how often the kernel had run; numpy's
-    scalar operations have one code path.  Without a nan argument or
-    coefficient every NaN the kernel forms is the machine's default NaN."""
-    if x1 == x1 and x2 == x2 and x3 == x3 and mu == mu:
-        try:
-            return kernel(x1, x2, x3, mu)
-        except OverflowError:
-            pass
-    return kernel(*map(np.float64, (x1, x2, x3, mu)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -287,12 +315,12 @@ class PolynomialField:
     sum each entry in term order: barring underflow, an entry of n terms is
     within about (n + 16) 2^-53 times the sum of their magnitudes.  The
     first layout runs as the straight-line code of `_kernel`, bound to this
-    field's coefficients (``linearization``; ``rhs`` and ``jacobian`` read
-    it), the jet layout as one numpy gather, product and ``np.bincount``.
-    An entry is non-finite when a power it needs overflows
-    (`_kernel_on_floats`) or a coordinate it reads is not finite; a pair
-    whose powers multiply to 0 adds exactly 0.  `field` is the term loop in plain arithmetic, for
-    jets by Taylor arithmetic, with each power it needs taken once per call.
+    field's coefficients: ``linearization`` gives F and DF through
+    `_on_floats`, and ``field`` is its F pairs alone, in plain arithmetic,
+    so `jet` can run it on Taylor numbers.  The jet layout runs as one
+    numpy gather, product and ``np.bincount``.  An entry is non-finite when
+    a power it needs overflows or a coordinate it reads is not finite; a
+    pair whose powers multiply to 0 adds exactly 0.
     """
 
     def __init__(self, components: Sequence[Sequence[Sequence[float]]]):
@@ -308,9 +336,10 @@ class PolynomialField:
             tuple(powers), tuple(map(tuple, index.tolist())), tuple(weight.tolist()), tuple(slots.tolist())
         )
         # a nan coefficient stays a numpy scalar, so every operation on it is numpy's
-        kernel = _kernel(structure)(*(coefs if np.isnan(coefs).any() else coefs.tolist()))
+        coefs = coefs if np.isnan(coefs).any() else coefs.tolist()
+        kernel, self.field = _kernel(structure)(*coefs)
         #: (x1, x2, x3, mu) -> (F, DF), three floats and three rows of three
-        self.linearization = functools.partial(_kernel_on_floats, kernel)
+        self.linearization = functools.partial(_on_floats, kernel)
 
     @functools.cached_property
     def _jet(self):
@@ -330,55 +359,17 @@ class PolynomialField:
         slots = self.component[t] * len(order) + q
         return powers, index, self.coefs[t], weight, slots, STATE_DIM * len(order)
 
-    @staticmethod
-    def _point(X, mu) -> tuple[float, float, float, float]:
-        return (*np.asarray(X, dtype=float)[:STATE_DIM].tolist(), float(mu))
-
-    def rhs(self, X: np.ndarray, mu: float) -> np.ndarray:
-        return np.array(self.linearization(*self._point(X, mu))[0])
-
-    def jacobian(self, X: np.ndarray, mu: float) -> np.ndarray:
-        return np.array(self.linearization(*self._point(X, mu))[1])
-
-    @functools.cached_property
-    def _terms(self):
-        """The (axis, k) of every power ``field`` needs, k > 0, and each term's
-        coefficient, component and positions in that list, axis by axis."""
-        rows = self.exponents.tolist()
-        powers = sorted({(axis, k) for row in rows for axis, k in enumerate(row) if k})
-        position = {power: n for n, power in enumerate(powers)}
-        terms = [
-            (coef, c, [position[axis, k] for axis, k in enumerate(row) if k])
-            for coef, row, c in zip(self.coefs.tolist(), rows, self.component.tolist())
-        ]
-        return powers, terms
-
-    def field(self, x1, x2, x3, mu) -> list:
-        powers, terms = self._terms
-        x = (x1, x2, x3, mu)
-        table = [x[axis] ** k for axis, k in powers]
-        out = [0.0] * STATE_DIM
-        for coef, c, positions in terms:
-            out[c] = out[c] + coef * math.prod([table[n] for n in positions])
-        return out
-
     def exact_jet(self, point: np.ndarray, mu: float) -> JetTable:
         powers, index, coefs, weight, slots, size = self._jet
-        x = self._point(point, mu)
-        try:
-            table = [x[axis] ** k for axis, k in powers]
-        except OverflowError:  # Python floats raise where numpy scalars give inf
-            table = [np.float64(x[axis]) ** k for axis, k in powers]
+        x = np.asarray(point, dtype=float).tolist()
+        table = _on_floats(lambda *c: [c[axis] ** k for axis, k in powers], *x, float(mu))
         values = coefs * (weight * np.array(table)[index].prod(axis=1))
         entries = np.bincount(slots, values, size).reshape(STATE_DIM, -1).T
         return JetTable.from_entries(point, mu, entries, tolerance=1e-12)
 
     def model(self, name: str) -> ModelDefinition:
-        """The field as a model with its exact Jacobian, jet and linearisation."""
-        return ModelDefinition(
-            name, self.rhs, self.exact_jet, self.jacobian, field=self.field,
-            linearization=self.linearization,
-        )
+        """The field as a model with its exact jet and linearisation."""
+        return field_model(name, self.field, self.linearization, self.exact_jet)
 
 
 def polynomial_model(

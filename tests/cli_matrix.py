@@ -18,7 +18,10 @@ it plants: ``synthetic_nf`` the quadratic normal form (beta2, beta5, gamma5,
 gamma7 only), ``toy_es`` an ES set, ``toy_beta1`` ROADMAP item 2's set with
 beta1 != 0, read back as planted, and ``classical_hopf`` the classical Hopf
 normal form, which has no line of equilibria; ``classify`` and ``verify``
-on the ES set with finite-difference jets; a jet entry
+on the ES set, and ``classify`` and ``continue`` on the beta1 != 0 set
+(``toy_beta1_fd_classify``, ``toy_beta1_fd_continue``: jets by Taylor
+arithmetic on the polynomial's ``field``, shooting by central differences
+of its ``rhs``), with finite-difference jets; a jet entry
 that overflows, in both jet modes, and a Jacobian that overflows; a
 degenerate ``eco-sweep`` draw; the typed-error rows of
 ``tests/test_cli.py``, read from its parametrize marks and test bodies; and
@@ -121,6 +124,12 @@ def runs() -> list[tuple[str, list[str], object]]:
     matrix += [
         ("toy_es_fd_classify", ["classify", "--config", "{config}"], _fd(PLANTED_ES)),
         ("toy_es_fd_verify", ["verify", "--config", "{config}", "--mu=0.005"], _fd(PLANTED_ES)),
+        ("toy_beta1_fd_classify", ["classify", "--config", "{config}"], _fd(TOY_BETA1)),
+        (
+            "toy_beta1_fd_continue",
+            ["continue", "--config", "{config}", f"--mu-grid={PLANTED_GRID}"],
+            _fd(TOY_BETA1),
+        ),
     ]
 
     # typed errors, as tests/test_cli.py runs them

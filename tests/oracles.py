@@ -4,8 +4,9 @@ Each one checks a claim of the package against an independent route: the
 closed-form coefficients in their analytic chart, the mu = 0 equilibrium
 line of the predator-prey model, the averaged transverse drift of the full
 flow, the region sampler drawn one parameter set at a time, a
-finite-difference jet probed one state at a time, and the linearisations
+finite-difference jet probed one state at a time, the linearisations
 that the generated polynomial kernel and the fused predator-prey one
+replaced, and the term loop that a polynomial's generated ``field``
 replaced.
 """
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from hybridhopf import eco
+from hybridhopf import eco, models
 from hybridhopf.coefficients import CylindricalCoefficients
 from hybridhopf.eco import EcoParams
 from hybridhopf.frame import StandardFrame
@@ -195,6 +196,30 @@ def polynomial_linearization(field: PolynomialField) -> Callable[..., tuple[list
     return linearize
 
 
+def polynomial_field_loop(field: PolynomialField) -> Callable[..., list]:
+    """(x1, x2, x3, mu) -> F by the term loop that ``field.field``, the F
+    pairs of the generated kernel, replaced: each power a term needs taken
+    once per call, and each component summed from 0.0 in term order as
+    ``coef * prod(powers)``, zero coefficients included."""
+    rows = field.exponents.tolist()
+    powers = sorted({(axis, k) for row in rows for axis, k in enumerate(row) if k})
+    position = {power: n for n, power in enumerate(powers)}
+    terms = [
+        (coef, c, [position[axis, k] for axis, k in enumerate(row) if k])
+        for coef, row, c in zip(field.coefs.tolist(), rows, field.component.tolist())
+    ]
+
+    def loop(x1, x2, x3, mu):
+        x = (x1, x2, x3, mu)
+        table = [x[axis] ** k for axis, k in powers]
+        out = [0.0] * STATE_DIM
+        for coef, c, positions in terms:
+            out[c] = out[c] + coef * math.prod([table[n] for n in positions])
+        return out
+
+    return loop
+
+
 def predator_prey_linearization(p: EcoParams) -> Callable[..., tuple[list, list]]:
     """(x1, x2, s, mu) -> (F, DF) as `eco.model` formed it before its
     linearisation took the shared terms once: the model's ``field`` and a
@@ -218,7 +243,7 @@ def predator_prey_linearization(p: EcoParams) -> Callable[..., tuple[list, list]
     def field_and_derivative(*x):
         return field(*x), derivative(*x)
 
-    return functools.partial(eco._on_floats, field_and_derivative)
+    return functools.partial(models._on_floats, field_and_derivative)
 
 
 def field_jet(model: ModelDefinition, point: Sequence[float], mu: float) -> JetTable:

@@ -24,7 +24,13 @@ from hybridhopf.models import (
     polynomial_model,
     state_multi_indices,
 )
-from oracles import FD_TOLERANCE, field_jet, finite_difference_jet_loop, polynomial_linearization
+from oracles import (
+    FD_TOLERANCE,
+    field_jet,
+    finite_difference_jet_loop,
+    polynomial_field_loop,
+    polynomial_linearization,
+)
 from test_cli import STEEP_DRIFT
 
 
@@ -425,9 +431,30 @@ def test_toy_cylindrical_linearization_is_bit_identical_to_rhs_and_jacobian(plan
     _assert_linearization_is_rhs_and_jacobian(builtin("toy_cylindrical", planted), X, mu)
 
 
-@pytest.mark.parametrize("replaced", ["rhs", "jacobian", "finite_difference"])
-def test_a_replaced_rhs_or_jacobian_is_never_linearized_by_the_former_one(replaced):
-    model = builtin("toy_cylindrical", {"beta1": 0.4, "beta2": 0.7, "beta5": -0.9, "gamma5": 0.8})
+_REPLACEABLE = {
+    "toy_cylindrical": lambda: builtin(
+        "toy_cylindrical", {"beta1": 0.4, "beta2": 0.7, "beta5": -0.9, "gamma5": 0.8}
+    ),
+    "predator_prey": lambda: builtin(
+        "predator_prey", {"delta1": 1.0, "delta2": 1.0, "lam": 0.3, "alpha1": 0.2, "alpha2": 0.6}
+    ),
+    "polynomial": lambda: polynomial_model(
+        {"y1": [[1.5, 0, 1, 0, 0], [-0.5, 1, 0, 1, 1]], "y2": [[2.0, 2, 1, 0, 0]], "z": [[0.7, 0, 0, 2, 0]]}
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "kind, replaced",
+    [
+        pytest.param(kind, r, id=r if kind == "toy_cylindrical" else f"{kind}-{r}")
+        for kind in _REPLACEABLE
+        for r in ("rhs", "jacobian", "finite_difference")
+    ],
+)
+def test_a_replaced_rhs_or_jacobian_is_never_linearized_by_the_former_one(kind, replaced):
+    """What perfbench's ``CallCounter`` relies on, for both model kinds."""
+    model = _REPLACEABLE[kind]()
     changes = {
         "rhs": {"rhs": lambda X, mu: 2.0 * model.rhs(X, mu)},
         "jacobian": {"jacobian": lambda X, mu: 2.0 * model.jacobian(X, mu)},
@@ -645,6 +672,63 @@ def test_polynomial_kernel_is_the_numpy_evaluation(components, X, mu):
     _assert_same_entries(field.linearization(*X, mu), polynomial_linearization(field)(*X, mu))
 
 
+def _taylor_entries(field, X, mu) -> np.ndarray:
+    """Every entry of the jet `field_jet` takes from ``field`` by Taylor
+    arithmetic, before `models.jet` rejects a non-finite one."""
+    with np.errstate(all="ignore"):
+        table = models._field_jet(ModelDefinition("taylor", None, field=field), np.array(X), mu)
+    return np.concatenate([t.ravel() for t in (*table.state_derivs, *table.mu_derivs)])
+
+
+def _same(got, want, on_floats: bool) -> np.ndarray:
+    """Entry by entry: the same bits, NaN payloads aside, on floats; ``==``,
+    or nan on both sides, on Taylor numbers."""
+    got, want = np.array(got, dtype=float), np.array(want, dtype=float)
+    both_nan = np.isnan(got) & np.isnan(want)
+    if on_floats:
+        return both_nan | (got.view(np.int64) == want.view(np.int64))
+    return both_nan | (got == want)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(
+    components=st.lists(st.lists(_term, max_size=8), min_size=3, max_size=3),
+    X=st.lists(_coord, min_size=3, max_size=3),
+    mu=_coord,
+)
+@example(components=[[[-1.0, 0, 0, 0, 0], [0.0, 2, 2, 3, 1]], [], []], X=[0.0, -0.0, -0.0], mu=0.0)
+@example(components=[[[0.0, 5, 0, 0, 0], [1.0, 0, 1, 0, 0]], [], []], X=[1e200, 0.5, 0.0], mu=0.0)
+@example(components=[[[0.0, 1, 0, 0, 0], [1.0, 0, 1, 0, 0]], [], []], X=[math.nan, 0.5, 0.0], mu=0.0)
+def test_polynomial_field_is_the_term_loop(components, X, mu):
+    """``field``, the F pairs of the generated kernel, against the term loop
+    it replaced: on floats (through `models._on_floats`, as ``rhs`` runs it)
+    the same bits, NaN payloads aside; on Taylor numbers every jet entry
+    ``==`` the loop's, with nan exactly where the loop has nan.  The
+    generated code skips zero-coefficient terms, which the loop added, and
+    that allows two differences, both checked against the loop over the
+    nonzero terms alone:
+
+    - the sign of a zero jet entry: for the component -1 + 0 x1^2 x2^2 x3^3
+      mu at ±0 coordinates ``field`` returns the float -1, whose Taylor lift
+      has -0 entries, where the loop's Taylor sum rounds them to +0
+      (``==`` holds);
+    - a zero-coefficient term whose power is not finite (it overflows, or
+      reads an inf or nan coordinate): the loop adds 0 * inf or 0 * nan,
+      a nan, where ``field`` adds nothing."""
+    field = PolynomialField(components)
+    nonzero = PolynomialField([[t for t in terms if t[0] != 0.0] for terms in components])
+    loop, nonzero_loop = polynomial_field_loop(field), polynomial_field_loop(nonzero)
+    runs = {
+        True: lambda f: models._on_floats(f, *X, mu),
+        False: lambda f: _taylor_entries(f, X, mu),
+    }
+    for on_floats, run in runs.items():
+        got, want = np.array(run(field.field), dtype=float), np.array(run(loop), dtype=float)
+        assert _same(got, run(nonzero_loop), on_floats).all(), (on_floats, got)
+        assert (_same(got, want, on_floats) | np.isnan(want)).all(), (on_floats, got, want)
+
+
 def test_a_kernel_is_compiled_once_per_structure_and_bound_per_field(monkeypatch):
     """Fields of one structure share the compiled kernel and keep their own
     coefficients; which coefficient is zero is part of the structure."""
@@ -658,7 +742,7 @@ def test_a_kernel_is_compiled_once_per_structure_and_bound_per_field(monkeypatch
     point = (0.3, -0.2, 0.1, 0.01)
     assert a.linearization(*point) != b.linearization(*point)
     for model in (a, b):
-        assert model.linearization(*point) == polynomial_linearization(model.field.__self__)(*point)
+        assert model.linearization(*point) == polynomial_linearization(model.exact_jet.__self__)(*point)
     first = PolynomialField([[(2.0, 1, 0, 0, 0), (0.0, 0, 1, 0, 0)], [], []])
     second = PolynomialField([[(0.0, 1, 0, 0, 0), (2.0, 0, 1, 0, 0)], [], []])
     assert len(generated) == 3
@@ -678,22 +762,30 @@ def test_a_long_entry_is_summed_in_term_order():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize(
-    "coef, mu", [(1.0, math.nan), (math.nan, 0.5)], ids=["nan_argument", "nan_coefficient"]
-)
-def test_a_kernel_gives_the_same_nan_on_every_call(coef, mu):
+@pytest.mark.parametrize("case", ["nan_argument", "nan_coefficient", "predator_prey"])
+def test_a_kernel_gives_the_same_nan_on_every_call(case):
     """At X = (0, 0, inf) the term x2 x3 mu forms the default NaN 0 * inf and
-    meets a second NaN, mu's or its coefficient's.  CPython passes on one
-    operand of such a product in ``float_mul`` and the other in the inline
-    code it specialises a function into after about eight calls; the kernel
-    takes both NaNs on numpy scalars, so its bits do not depend on how often
-    it has run.  A new structure (``cache_clear``) starts unspecialised."""
+    meets a second NaN, mu's or its coefficient's; in the predator-prey
+    model at X = (0.1, -nan, 0.3), mu = nan, x2's -nan meets mu's nan in
+    delta2 x2 g2.  CPython passes on one operand of such a product in
+    ``float_mul`` and the other in the inline code it specialises a
+    function into after about eight calls; `models._on_floats` takes both
+    NaNs on numpy scalars, so the bits of ``rhs`` and of the linearisation
+    do not depend on how often they have run.  A new structure
+    (``cache_clear``) starts unspecialised."""
     models._kernel.cache_clear()
-    field = PolynomialField([[(coef, 0, 1, 1, 1)], [(1.0, 1, 1, 0, 0)], [(-0.0, 0, 0, 1, 0)]])
+    if case == "predator_prey":
+        model = eco.model(eco.EcoParams(0.8, 0.5, 0.39, 0.15, 0.3))
+        point = (0.1, -math.nan, 0.3, math.nan)
+    else:
+        coef, mu = (1.0, math.nan) if case == "nan_argument" else (math.nan, 0.5)
+        field = PolynomialField([[(coef, 0, 1, 1, 1)], [(1.0, 1, 1, 0, 0)], [(-0.0, 0, 0, 1, 0)]])
+        model, point = field.model("nan"), (0.0, 0.0, math.inf, mu)
     bits = {np.array([*F, *np.ravel(DF)]).tobytes() for F, DF in (
-        field.linearization(0.0, 0.0, math.inf, mu) for _ in range(20)
+        model.linearization(*point) for _ in range(30)
     )}
-    assert len(bits) == 1
+    rhs_bits = {model.rhs(np.array(point[:3]), point[3]).tobytes() for _ in range(30)}
+    assert len(bits) == 1 and len(rhs_bits) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -880,12 +972,12 @@ def test_predator_prey_jacobian_is_its_field_jet_block(seed, X, mu):
 @given(planted=_PLANTED, X=st.lists(_draw, min_size=3, max_size=3), mu=_draw)
 def test_planted_jacobian_is_its_field_jet_block(planted, X, mu):
     model = builtin(*planted)
-    field = model.field.__self__  # the model's PolynomialField
+    field = model.exact_jet.__self__  # the model's PolynomialField
     rows = [(abs(c), *e) for c, e in zip(field.coefs.tolist(), field.exponents.tolist())]
     magnitude = PolynomialField(
         [[r for r, k in zip(rows, field.component) if k == c] for c in range(STATE_DIM)]
     )
-    bound = magnitude.jacobian(np.abs(X), abs(mu))
+    bound = magnitude.model("magnitude").jacobian(np.abs(X), abs(mu))
     _assert_jacobian_is_the_field_jet_block(model, np.array(X), mu, bound)
 
 

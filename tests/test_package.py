@@ -1,6 +1,8 @@
 """Package surface: every public name in `src/` has a caller outside the
 tests, every defaulted parameter of a public function is set by one, each
-name has one import path, that of its own module, and DF has one provider."""
+name has one import path, that of its own module, DF has one provider, one
+runner falls back from Python floats to numpy scalars, and one constructor
+writes every model's ``rhs`` and ``jacobian``."""
 from __future__ import annotations
 
 import ast
@@ -156,3 +158,39 @@ def test_models_is_the_one_derivative_provider():
             if stray:
                 strays.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
     assert strays == []
+
+
+#: what Python's float arithmetic raises where numpy scalars give inf or nan
+_FLOAT_RAISES = {"ArithmeticError", "FloatingPointError", "OverflowError", "ZeroDivisionError"}
+
+
+def test_one_runner_falls_back_from_python_floats_to_numpy_scalars():
+    """`models._on_floats` is the one function in `src/` that names what
+    Python floats raise and numpy's ``float64``: every evaluation that
+    repeats its work on numpy scalars goes through it."""
+    runners = []
+    for path in sorted((ROOT / "src" / "hybridhopf").glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, ast.FunctionDef):
+                names = {getattr(n, "id", None) or getattr(n, "attr", None) for n in ast.walk(fn)}
+                if names & _FLOAT_RAISES and "float64" in names:
+                    runners.append(f"{path.stem}.{fn.name}")
+    assert runners == ["models._on_floats"]
+
+
+def test_both_model_kinds_get_rhs_and_jacobian_from_field_model():
+    """`models.field_model` writes the ``rhs`` and ``jacobian`` of the
+    predator-prey model and of every polynomial field, builtin or from a
+    config: no model kind keeps a wrapper of its own."""
+    from hybridhopf import models
+
+    built = [
+        models.builtin(
+            "predator_prey", {"delta1": 1.0, "delta2": 1.0, "lam": 0.3, "alpha1": 0.2, "alpha2": 0.6}
+        ),
+        models.builtin("toy_cylindrical", {"beta2": 0.7, "beta5": -0.9, "gamma5": 0.8}),
+        models.from_config({"polynomial": {"y1": [[1.0, 0, 1, 0, 0]], "y2": [[-1.0, 1, 0, 0, 0]], "z": []}}),
+    ]
+    for model in built:
+        assert model.rhs.__qualname__ == "field_model.<locals>.rhs", model.name
+        assert model.jacobian.__qualname__ == "field_model.<locals>.jacobian", model.name

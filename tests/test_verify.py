@@ -140,7 +140,7 @@ def test_shooting_with_the_former_linearization_gives_the_same_bits(case, interi
         }
         model, mu, r0 = builtin("toy_cylindrical", planted), -0.005, math.sqrt(0.005 * 1.1 / 0.9)
         seed = ShootingSeed(anchor=np.array([r0 * 1.04, 0.0, -0.002]), period=5.1, scale=r0)
-        former = polynomial_linearization(model.field.__self__)
+        former = polynomial_linearization(model.exact_jet.__self__)
         guard = None
     else:
         model, mu = interior_pipeline.model, 0.005
