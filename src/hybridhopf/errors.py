@@ -63,7 +63,7 @@ class NotHopf(NumericalFailure):
 
 
 class DefectiveSpectrum(HybridHopfError):
-    """Eigenvalues at the candidate point are not simple."""
+    """The spectrum at the candidate point has no simple rotation pair to build a frame on."""
 
 
 class WrongDirection(NumericalFailure):

@@ -12,6 +12,11 @@ planar components only at second order.  This module finds such a point on a
 line of equilibria, builds the frame (including the parameter-dependent
 origin shift that removes the first-order planar drift), verifies the
 standing assumptions, and rewrites a raw derivative jet in frame coordinates.
+
+No eigensolver runs: on the line DF has the eigenvalue 0, so `_spectrum`
+reads the other pair from tr DF and m2, the sum of DF's principal 2x2
+minors, and nu0 as det DF / m2, first order in nu0 and so exact enough where
+the A2 checks read it; the frame vectors and T^{-1} are cross products.
 """
 
 from __future__ import annotations
@@ -38,14 +43,6 @@ A2_THRESHOLD = 1e-8
 NONZERO_THRESHOLD = 1e-6
 
 
-def _eigen(decompose, J: np.ndarray):
-    """``decompose(J)`` (`np.linalg.eig` or `eigvals`); a LAPACK failure is `NonFinite`."""
-    try:
-        return decompose(J)
-    except np.linalg.LinAlgError as exc:
-        raise NonFinite(f"eigenvalues of the Jacobian failed: {exc}") from exc
-
-
 def _finite(model: ModelDefinition, failure: str, M, X: np.ndarray) -> np.ndarray:
     """M as an array, taken at (X, mu = 0); a non-finite entry is `NonFinite`
     naming the model, the ``failure`` and the state, so none reaches LAPACK."""
@@ -55,66 +52,66 @@ def _finite(model: ModelDefinition, failure: str, M, X: np.ndarray) -> np.ndarra
     return M
 
 
-def _spectrum_split(J: np.ndarray) -> tuple[complex, complex]:
-    """Return (nu, nu0): the rotation eigenvalue (Im > 0 if any) and the real one."""
-    eigs = _eigen(np.linalg.eigvals, J)
-    order = np.argsort(-np.abs(eigs.imag))
-    nu = eigs[order[0]]
-    nu0 = eigs[order[2]]
-    if nu.imag < 0:
-        nu = np.conj(nu)
-    return complex(nu), complex(nu0)
+def _spectrum(J: np.ndarray | Sequence[Sequence[float]]) -> tuple[complex, float]:
+    """(nu, nu0) of a 3x3 J, float arithmetic on its nine entries: the
+    rotation eigenvalue a + i omega (omega >= 0) and the real one.
+
+    The spectrum {nu0, a +- i omega} has tr = nu0 + 2a, m2 = a^2 + omega^2 +
+    2 a nu0 and det = nu0 (a^2 + omega^2).  So nu0 = det / m2 is first order:
+    its relative error 2 a nu0 / (a^2 + omega^2) is below 2e-16 / omega^2
+    where |a| and |nu0| are below A2_THRESHOLD, the only place a verdict
+    reads them.  a = (tr - nu0) / 2, omega^2 = m2 - 2 a nu0 - a^2, and a real
+    pair gives its larger root.  m2 = 0 gives nan, and an overflow nan or
+    inf, from which `build_standard_frame` builds no frame.
+    """
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = np.asarray(J, dtype=float).tolist()
+    m12 = j11 * j22 - j12 * j21
+    m2 = (j00 * j11 - j01 * j10) + (j00 * j22 - j02 * j20) + m12
+    det = j00 * m12 - j01 * (j10 * j22 - j12 * j20) + j02 * (j10 * j21 - j11 * j20)
+    nu0 = det / m2 if m2 else math.nan
+    a = (j00 + j11 + j22 - nu0) / 2.0
+    omega2 = m2 - 2.0 * a * nu0 - a * a
+    if omega2 < 0.0:
+        return complex(a + math.sqrt(-omega2), 0.0), nu0
+    return complex(a, math.sqrt(omega2)), nu0
 
 
 def _newton_matrix(model: ModelDefinition, X: np.ndarray) -> np.ndarray:
-    """The (4, 3) derivative of ``[F, Re nu]`` at (X, mu = 0) from one jet.
-
-    Rows 1-3 are DF.  Row 4 is the first-order eigenvalue perturbation
-    d nu / dX_k = w (d_k DF) v with J v = nu v and w the matching row of
-    V^{-1}, so w v = 1; d_k DF is ``D^2 F[:, :, k]``.  nu is the eigenvalue
-    of largest |Im| that `_spectrum_split` picks; its conjugate has the same
-    real part of the derivative.  w is the cofactor row c / (c v), c the
-    cross product of the other two eigenvectors: a complex LAPACK inverse
-    would page in 0.7 MB of code for it.  Eigenvectors that do not span R^3
-    give c v = 0 and so a non-finite row, which is `NonFinite`.
-    """
-    jt = models.jet(model, X, 0.0)
-    J, H = jt.state_derivs[1], jt.state_derivs[2]
-    eigs, V = _eigen(np.linalg.eig, J)
-    k = int(np.argmax(np.abs(eigs.imag)))
-    columns = V.T.tolist()
-    v, a, b = columns[k], columns[(k + 1) % 3], columns[(k + 2) % 3]
-    c = [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-    with np.errstate(all="ignore"):  # a non-finite entry is reported below
-        dnu = np.einsum("c,cik,i->k", c, H, v) / (c[0] * v[0] + c[1] * v[1] + c[2] * v[2])
-    return _finite(model, "has a non-finite Newton matrix", np.vstack([J, dnu.real]), X)
+    """The (4, 3) derivative of ``[F, tr DF / 2]`` at (X, mu = 0) from one
+    jet: rows 1-3 are DF, row 4 is d(tr DF / 2) / dX_k = 1/2 sum_i
+    D^2 F[i, i, k].  An entry that overflows is `NonFinite`."""
+    _, J, H, _ = models.jet(model, X, 0.0).state_derivs
+    JG = np.vstack([J, 0.5 * np.einsum("iik->k", H)])
+    return _finite(model, "has a non-finite Newton matrix", JG, X)
 
 
 def locate_hopf_point(model: ModelDefinition, seed: Sequence[float]) -> np.ndarray:
-    """Newton-solve {F(X) = 0, Re nu(X) = 0} at mu = 0 for a point on the
-    equilibrium line where the planar eigenvalue pair crosses the imaginary
-    axis.
+    """Newton-solve {F(X) = 0, tr DF(X) / 2 = 0} at mu = 0 for a point on
+    the equilibrium line where the planar eigenvalue pair crosses the
+    imaginary axis.
 
-    The system is overdetermined (four conditions, three unknowns) but
-    consistent on a line of equilibria; steps are least-squares solves.  The
-    residual takes F and DF from one `models.linearization_fn` call, and the
-    spectrum it splits at the last iterate is the one the post-checks read;
-    the Newton matrix is `_newton_matrix`, from one `models.jet` per iterate,
-    so the model needs an exact jet or a field (else `InvalidParams`).
+    On the line DF has the eigenvalue 0, so tr DF / 2 is Re nu of the pair
+    there.  The system is overdetermined (four conditions, three unknowns)
+    but consistent on a line of equilibria; steps are least-squares solves.
+    The residual takes F and DF from one `models.linearization_fn` call, and
+    the post-checks read `_spectrum` of the DF at the last iterate (its
+    first-order nu0 suffices below A2_THRESHOLD); the Newton matrix is
+    `_newton_matrix`, from one `models.jet` per iterate, so the model needs
+    an exact jet or a field (else `InvalidParams`).
     """
     X = np.asarray(seed, dtype=float).copy()
     if X.shape != (STATE_DIM,):
         raise NoConvergence(f"seed must be a 3-vector, got shape {X.shape}")
     linearize = models.linearization_fn(model)
 
-    def residual(P: np.ndarray) -> tuple[np.ndarray, tuple[complex, complex]]:
-        """[F, Re nu] at P, and the (nu, nu0) of `_spectrum_split`."""
+    def residual(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """[F, tr DF / 2] at P, and DF."""
         F, DF = linearize(*P.tolist(), 0.0)
         F = _finite(model, "produced non-finite output", F, P)
-        spectrum = _spectrum_split(_finite(model, "has a non-finite Jacobian", DF, P))
-        return np.array([F[0], F[1], F[2], spectrum[0].real]), spectrum
+        DF = _finite(model, "has a non-finite Jacobian", DF, P)
+        return np.array([F[0], F[1], F[2], 0.5 * (DF[0, 0] + DF[1, 1] + DF[2, 2])]), DF
 
-    G, spectrum = residual(X)
+    G, DF = residual(X)
     for _ in range(LOCATE_MAX_ITER):
         F_norm = float(np.max(np.abs(G[:3])))
         if F_norm < LOCATE_RESIDUAL_TOL and abs(G[3]) < LOCATE_SPECTRUM_TOL:
@@ -126,7 +123,7 @@ def locate_hopf_point(model: ModelDefinition, seed: Sequence[float]) -> np.ndarr
         failure = ""
         for _halving in range(12):
             try:
-                G_new, spectrum_new = residual(X + scale * step)
+                G_new, DF_new = residual(X + scale * step)
             except NonFinite as exc:
                 failure = f" (last failed trial: {exc})"
                 scale *= 0.5
@@ -137,20 +134,18 @@ def locate_hopf_point(model: ModelDefinition, seed: Sequence[float]) -> np.ndarr
         else:
             raise NoConvergence(f"Hopf-point search stalled: no descent direction{failure}")
         X = X + scale * step
-        G, spectrum = G_new, spectrum_new
+        G, DF = G_new, DF_new
     else:
         raise NoConvergence(
             f"Hopf-point search did not converge in {LOCATE_MAX_ITER} iterations "
             f"(|F| = {np.max(np.abs(G[:3])):.2e}, Re nu = {G[3]:.2e})"
         )
 
-    nu, nu0 = spectrum
-    if nu.imag <= A2_THRESHOLD:
+    nu, nu0 = _spectrum(DF)
+    if not nu.imag > A2_THRESHOLD:
         raise NotHopf(f"no rotation pair at the converged point (Im nu = {nu.imag:.2e})")
-    if abs(nu0) > A2_THRESHOLD:
-        raise NotHopf(
-            f"third eigenvalue is not zero at the converged point (nu0 = {nu0:.2e})"
-        )
+    if not abs(nu0) <= A2_THRESHOLD:
+        raise NotHopf(f"third eigenvalue is not zero at the converged point (nu0 = {nu0:.2e})")
     return X
 
 
@@ -189,92 +184,77 @@ class StandardFrame:
         return cls(origin=origin, basis=basis, mu_shift=mu_shift, omega=omega)
 
 
-def _realify(vec: np.ndarray) -> np.ndarray:
-    """Real eigenvector from a possibly complex-typed one (real eigenvalue)."""
-    pivot = vec[np.argmax(np.abs(vec))]
-    real = (vec / pivot).real
-    return real / np.linalg.norm(real)
+def _cross(u: Sequence[float], v: Sequence[float]) -> list[float]:
+    """u x v of two float 3-vectors."""
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
 
 
-def _signed(vec: np.ndarray) -> np.ndarray:
-    """Flip sign so the largest-magnitude component is positive."""
-    pivot = vec[np.argmax(np.abs(vec))]
-    return -vec if pivot < 0 else vec
+def _widest_cross(r0: Sequence[float], r1: Sequence[float], r2: Sequence[float]) -> list[float]:
+    """The longest of r0 x r1, r0 x r2 and r1 x r2 (the first on ties)."""
+    return max(_cross(r0, r1), _cross(r0, r2), _cross(r1, r2), key=lambda c: math.hypot(*c))
+
+
+def _oriented(vec: Sequence[float], first: bool = False) -> list[float]:
+    """vec / |vec|, its largest component (``first``: its first, if above 1e-12) positive."""
+    unit = [x / math.hypot(*vec) for x in vec]
+    pivot = 0 if first and abs(unit[0]) > 1e-12 else max(range(3), key=lambda i: abs(unit[i]))
+    return [-x for x in unit] if unit[pivot] < 0 else unit
 
 
 def build_standard_frame(jet: JetTable) -> StandardFrame:
-    """Frame from the jet at a located Hopf point.
+    """Frame from the jet at a located Hopf point, from cross products of
+    the rows and columns of J = DF and `_spectrum`'s a + i omega, whose
+    first-order nu0 moves a and omega at second order only.
 
-    The rotation plane comes from the complex eigenvector v of the +i*omega
-    eigenvalue: any phase choice c gives e1 = Im(c v), e2 = Re(c v) with
-    J e1 = omega e2 and J e2 = -omega e1.  The phase is fixed by requiring
-    the second component of e1 to vanish with the first nonnegative (falling
-    back to the sign of the largest component when the first is zero), and
-    e1 is normalized to unit length.  e3 is the unit kernel direction with
-    its largest component positive.
+    e3 is J's unit kernel direction, the widest cross product of two rows,
+    with its largest component positive.  The rotation plane is normal to
+    n, the widest cross product of two columns (J^T n = 0).  e1 is n x
+    (0, 1, 0), the unit vector of the plane with second component 0, with
+    its first component positive (its largest when the first is 0); when
+    the plane is {x2 = 0}, e1 is n x (row 0 of J - aI), so that e2 has first
+    component 0.  e2 = (J e1 - a e1) / omega.  omega <= A2_THRESHOLD times
+    the spectral radius, as in any spectrum that is not simple, is
+    `DefectiveSpectrum`.
     """
-    J = jet.state_derivs[1]
-    eigvals, eigvecs = _eigen(np.linalg.eig, J)
-    scale = max(1e-30, float(np.max(np.abs(eigvals))))
-    order = np.argsort(-np.abs(eigvals.imag))
-    if abs(eigvals[order[0]].imag) <= A2_THRESHOLD * scale:
+    rows = jet.state_derivs[1].tolist()
+    nu, nu0 = _spectrum(rows)
+    a, omega = nu.real, nu.imag
+    if not omega > A2_THRESHOLD * max(1e-30, abs(nu), abs(nu0)):
         raise DefectiveSpectrum("no simple rotation pair in the spectrum")
-    pairwise = [
-        abs(eigvals[i] - eigvals[j]) for i in range(3) for j in range(i + 1, 3)
-    ]
-    if min(pairwise) < 1e-10 * scale:
-        raise DefectiveSpectrum("eigenvalues are not simple")
+    e3 = _oriented(_widest_cross(*rows))
+    n = _widest_cross(*zip(*rows))
+    e1 = _cross(n, (0.0, 1.0, 0.0))
+    if math.hypot(*e1) <= 1e-12 * math.hypot(*n):
+        e1 = _cross(n, (rows[0][0] - a, rows[0][1], rows[0][2]))
+    e1 = _oriented(e1, first=True)
+    e2 = [(r[0] * e1[0] + r[1] * e1[1] + r[2] * e1[2] - a * x) / omega for r, x in zip(rows, e1)]
+    if not abs(sum(x * y for x, y in zip(e1, _cross(e2, e3)))) >= 1e-12:
+        raise DefectiveSpectrum("frame vectors do not span R^3")
+    basis = np.array(list(zip(e1, e2, e3)))
+    return StandardFrame.from_drift(np.array(jet.point, dtype=float), basis, jet.mu_derivs[0], omega)
 
-    idx_plus = next(i for i in order if eigvals[i].imag > 0)
-    idx_zero = order[2]
-    omega = float(eigvals[idx_plus].imag)
-    v = eigvecs[:, idx_plus]
-    v = v / np.max(np.abs(v))
 
-    # phase: make Im((e^{i theta} v)_2) = 0
-    if abs(v[1]) > 1e-12:
-        theta = -np.angle(v[1])
-    else:
-        theta = math.pi / 2.0 - np.angle(v[0])
-    candidates = []
-    for t in (theta, theta + math.pi):
-        cv = np.exp(1j * t) * v
-        e1 = cv.imag
-        e2 = cv.real
-        candidates.append((e1, e2))
-    # prefer positive first component of e1; tie-break on largest component
-    def keyed(pair):
-        e1, _ = pair
-        first = e1[0]
-        if abs(first) > 1e-12 * np.linalg.norm(e1):
-            return first
-        return e1[np.argmax(np.abs(e1))]
-
-    e1, e2 = max(candidates, key=keyed)
-    rho = np.linalg.norm(e1)
-    e1 = e1 / rho
-    e2 = e2 / rho
-
-    e3 = _signed(_realify(eigvecs[:, idx_zero]))
-    basis = np.column_stack([e1, e2, e3])
-    if abs(np.linalg.det(basis)) < 1e-12:
-        raise DefectiveSpectrum("eigenvectors do not span R^3")
-
-    return StandardFrame.from_drift(
-        np.array(jet.point, dtype=float), basis, jet.mu_derivs[0], omega
-    )
+def _inverse(T: np.ndarray) -> np.ndarray:
+    """T^{-1}: row i is the cross product of the columns i + 1 and i + 2 of
+    T (cyclically) over det T = c0 . (c1 x c2), each sum left to right."""
+    c0, c1, c2 = zip(*T.tolist())
+    rows = [_cross(c1, c2), _cross(c2, c0), _cross(c0, c1)]
+    det = c0[0] * rows[0][0] + c0[1] * rows[0][1] + c0[2] * rows[0][2]
+    return np.array([[x / det for x in row] for row in rows])
 
 
 #: `_pull_back`'s contractions by tensor rank: T^{-1} on the component axis,
 #: then T on each derivative axis in turn
 _PULL_BACK = {
+    1: ("dc,c->d",),
+    2: ("dc,ci->di", "di,ip->dp"),
     3: ("dc,cij->dij", "dij,ip->dpj", "dpj,jq->dpq"),
     4: ("dc,cijk->dijk", "dijk,ip->dpjk", "dpjk,jq->dpqk", "dpqk,kr->dpqr"),
 }
 
 
 def _pull_back(Tinv: np.ndarray, A: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """T^{-1} A(T., T., ...) for a rank-3 or rank-4 tensor A, one two-operand
+    """T^{-1} A(T., T., ...) for a tensor A of rank 1 to 4, one two-operand
     `np.einsum` per axis: einsum without ``optimize`` calls no BLAS, so the
     bits do not depend on its kernel, and every operand and result is
     C-contiguous, which fixes einsum's summation order."""
@@ -291,22 +271,20 @@ def standard_jet(jet: JetTable, frame: StandardFrame) -> JetTable:
     State derivatives transform tensorially under X = origin + T u,
     (A(Tu), B(Tu, Tv), C(Tu, Tv, Tw)) pulled back by T^{-1}; the parameter
     block additionally picks up corrections from the mu-dependent origin,
-    which cancel the first-order planar drift exactly.
+    which cancel the first-order planar drift exactly.  T^{-1} is
+    `_inverse`'s and every block goes through `_pull_back`, so no LAPACK or
+    BLAS call sets a bit of a tensor (``tolerance`` reads `np.linalg.cond`).
     """
     T = frame.basis
-    Tinv = np.linalg.inv(T)
+    Tinv = _inverse(T)
     S = frame.mu_shift
-    F, A1, A2, A3 = jet.state_derivs
-    f_mu, A_mu = jet.mu_derivs
-
-    B1 = Tinv @ A1 @ T
-    B2 = _pull_back(Tinv, A2, T)
-    B3 = _pull_back(Tinv, A3, T)
+    F, B1, B2, B3 = (_pull_back(Tinv, A, T) for A in jet.state_derivs)
+    f_mu, A_mu = (_pull_back(Tinv, A, T) for A in jet.mu_derivs)
     return JetTable(
         point=np.zeros(3),
         mu=jet.mu,
-        state_derivs=(Tinv @ F, B1, B2, B3),
-        mu_derivs=(Tinv @ f_mu + B1 @ S, Tinv @ A_mu @ T + np.einsum("dpq,q->dp", B2, S)),
+        state_derivs=(F, B1, B2, B3),
+        mu_derivs=(f_mu + np.einsum("dp,p->d", B1, S), A_mu + np.einsum("dpq,q->dp", B2, S)),
         tolerance=jet.tolerance * max(1.0, np.linalg.cond(T)),
     )
 
@@ -327,7 +305,7 @@ class AssumptionReport:
     """
 
     a1_line_residual: float
-    a2_spectrum: tuple[complex, complex, complex]
+    a2_spectrum: tuple[complex, complex, float]
     a2_defect: float
     a3_crossing: float
     a4_nondegeneracy: float
@@ -399,12 +377,9 @@ def check_assumptions(model: ModelDefinition, X_H: Sequence[float]) -> Assumptio
     """
     X_H = np.asarray(X_H, dtype=float)
     jt = models.jet(model, X_H, 0.0)
-    J = jt.state_derivs[1]
-    nu, nu0 = _spectrum_split(J)
-    spectrum = (nu, np.conj(nu), nu0)
-    a2_defect = float(max(abs(nu.real), abs(nu0)))
-    omega = float(nu.imag)
-    a2_ok = a2_defect < A2_THRESHOLD and omega > A2_THRESHOLD
+    nu, nu0 = _spectrum(jt.state_derivs[1])
+    a2_defect = float(np.max([abs(nu.real), abs(nu0)]))
+    a2_ok = a2_defect < A2_THRESHOLD and nu.imag > A2_THRESHOLD
 
     a3 = a4 = a5 = math.nan
     a1 = math.inf
@@ -432,12 +407,12 @@ def check_assumptions(model: ModelDefinition, X_H: Sequence[float]) -> Assumptio
     }
     return AssumptionReport(
         a1_line_residual=a1,
-        a2_spectrum=spectrum,
+        a2_spectrum=(nu, nu.conjugate(), nu0),
         a2_defect=a2_defect,
         a3_crossing=a3,
         a4_nondegeneracy=a4,
         a5_drift=a5,
-        omega=omega,
+        omega=nu.imag,
         verdicts=verdicts,
         frame=frame,
         standard_jet=std,
