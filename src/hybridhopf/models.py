@@ -3,7 +3,11 @@
 A model is a field F(X; mu) in plain arithmetic with its linearisation
 (F, DF), both kinds (`eco.model`, `PolynomialField`) built by `field_model`,
 and a way to obtain partial derivatives at a point: exact closed forms
-(polynomial models), or the field on truncated Taylor numbers (predator-prey).
+(polynomial models), or truncated Taylor arithmetic on the field
+(predator-prey): `_trace` runs the field once on tracer numbers that record
+its operations, and `_program` compiles that tape, once per tape, into
+straight-line Python on floats, which `_interpret` replaces for a tape's
+first replay and wherever a value is not finite.
 The builtin catalogue holds the planted polynomial field ``toy_cylindrical``;
 its ``predator_prey`` entry checks the config's parameters and forwards to
 `eco.model`.  Everything downstream (frames, reduced coefficients,
@@ -24,6 +28,7 @@ import itertools
 import math
 import numbers
 import operator
+import re
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -80,6 +85,8 @@ class JetTable:
     mu_derivs : (d_mu F, d_mu DF) with shapes (3,) and (3, 3), the parameter
         block needed by first-order theory.
     tolerance : accuracy the producer claims for each entry.
+    entries : the (72,) block `from_entries` gathered the tensors from, or
+        None for a table built from its tensors.
 
     Every tensor is C-contiguous: `np.einsum` sums a strided operand in
     another order, so `frame.standard_jet`'s bits would depend on how a
@@ -92,6 +99,7 @@ class JetTable:
     state_derivs: tuple[np.ndarray, ...]
     mu_derivs: tuple[np.ndarray, ...]
     tolerance: float
+    entries: np.ndarray | None = dataclasses.field(default=None, repr=False, compare=False)
 
     @classmethod
     def from_entries(
@@ -111,6 +119,7 @@ class JetTable:
             state_derivs=tuple(flat[table] for table in _STATE_GATHER),
             mu_derivs=tuple(flat[table] for table in _MU_GATHER),
             tolerance=tolerance,
+            entries=flat,
         )
 
 
@@ -125,8 +134,9 @@ class ModelDefinition:
     (3, 3) float ndarray; point location, the line check and shooting read
     DF only through `linearization_fn`.  ``field(x1, x2, x3, mu)``
     (when present) returns the three components written in plain arithmetic
-    (``+ - * /`` and integer powers); `jet` evaluates it on Taylor numbers
-    when there is no ``exact_jet``.  ``linearization(x1, x2, x3, mu)`` (when
+    (``+ - * /`` and integer powers); `jet` traces it once and replays its
+    Taylor arithmetic when there is no ``exact_jet``.
+    ``linearization(x1, x2, x3, mu)`` (when
     present) returns ``(F, DF)`` on Python floats, three floats and three
     rows of three, with the bits of ``rhs`` and ``jacobian``; it holds only
     for the ``rhs`` and ``jacobian`` the model was constructed with, which
@@ -166,14 +176,21 @@ def evaluate(model: ModelDefinition, state: Sequence[float], mu: float) -> np.nd
 def jet(model: ModelDefinition, point: Sequence[float], mu: float) -> JetTable:
     """Model jet at a point: the exact jet when the model has one, else the
     jet of its field by Taylor arithmetic.  A point that is not a 3-vector is
-    `InvalidParams`, a non-finite entry `NonFinite` naming the model."""
+    `InvalidParams`, a non-finite entry `NonFinite` naming the model; the
+    entries are checked once, and numpy warnings are silenced only around
+    code that runs numpy."""
     X, mu = np.asarray(point, dtype=float), float(mu)
     if X.shape != (STATE_DIM,):
         raise InvalidParams(f"state must have length {STATE_DIM}, got shape {X.shape}")
-    with np.errstate(all="ignore"):  # a non-finite entry is reported below
-        table = model.exact_jet(X, mu) if model.exact_jet else _field_jet(model, X, mu)
-    tensors = (*table.state_derivs, *table.mu_derivs)
-    if not np.isfinite(np.concatenate([t.ravel() for t in tensors])).all():
+    if model.exact_jet:
+        with np.errstate(all="ignore"):  # a non-finite entry is reported below
+            table = model.exact_jet(X, mu)
+    else:
+        table = _field_jet(model, X, mu)
+    entries = table.entries
+    if entries is None:  # a table built from its tensors
+        entries = np.concatenate((*table.state_derivs, *table.mu_derivs), axis=None)
+    if not np.isfinite(entries).all():
         raise NonFinite(
             f"model '{model.name}' has a non-finite jet entry at state={X.tolist()}, mu={mu}"
         )
@@ -218,13 +235,15 @@ def _on_floats(fn: Callable, x1, x2, x3, mu):
     ``fn`` runs again on numpy scalars, and it runs on them from the start
     when an argument is nan: of two NaNs, CPython's ``float_mul`` and the
     inline code it specialises a function into after about eight calls pass
-    on different operands, where numpy's scalar operations have one path."""
+    on different operands, where numpy's scalar operations have one path.
+    They run without numpy's warnings: the callers judge inf and nan."""
     if x1 == x1 and x2 == x2 and x3 == x3 and mu == mu:
         try:
             return fn(x1, x2, x3, mu)
         except (ZeroDivisionError, OverflowError):
             pass
-    return fn(*map(np.float64, (x1, x2, x3, mu)))
+    with np.errstate(all="ignore"):
+        return fn(*map(np.float64, (x1, x2, x3, mu)))
 
 
 def field_model(
@@ -266,7 +285,7 @@ def _kernel_source(structure: tuple) -> str:
     axis order, and sums each entry as ``0.0 + term + ...`` in pair order:
     the operations of the numpy evaluation, less its factors of 1.0 (powers
     0 and weights 1), which are exact.  Both are plain arithmetic, so
-    ``field`` runs on floats, `_Taylor` numbers and sympy symbols alike."""
+    ``field`` runs on floats, `_Taylor` tracers and sympy symbols alike."""
     powers, index, weight, slots = structure
     sums: list[list[str]] = [["0.0"] for _ in range(STATE_DIM * (STATE_DIM + 1))]
     for n, (row, w, slot) in enumerate(zip(index, weight, slots)):
@@ -302,6 +321,22 @@ def _kernel(structure: tuple) -> Callable:
     return namespace["make"]
 
 
+@functools.lru_cache(maxsize=64)
+def _layout_tables(exponents: bytes, component: bytes, nonzero: bytes, orders: tuple) -> tuple:
+    """`PolynomialField._layout` once per structure, each kept pair's term in
+    place of its coefficient."""
+    exponents, order = np.frombuffer(exponents, dtype=int).reshape(-1, 4), np.array(orders)
+    kept = (exponents[None] >= order[:, None]).all(axis=2) & np.frombuffer(nonzero, dtype=bool)
+    q, t = np.nonzero(kept)
+    power, d = exponents[t], order[q]
+    ks, inverse = np.unique(power - d, return_inverse=True)
+    index = np.arange(4) * len(ks) + inverse.reshape(power.shape)
+    powers = [(axis, k) for axis in range(4) for k in ks.tolist()]
+    weight = np.prod([np.where(d > s, power - s, 1.0) for s in range(JET_ORDER)], axis=(0, 2))
+    slots = np.frombuffer(component, dtype=int)[t] * len(order) + q
+    return powers, index, t, weight, slots, STATE_DIM * len(order)
+
+
 class PolynomialField:
     """Three polynomial components in (x1, x2, x3, mu) with exact jets.
 
@@ -317,7 +352,8 @@ class PolynomialField:
     first layout runs as the straight-line code of `_kernel`, bound to this
     field's coefficients: ``linearization`` gives F and DF through
     `_on_floats`, and ``field`` is its F pairs alone, in plain arithmetic,
-    so `jet` can run it on Taylor numbers.  The jet layout runs as one
+    so `jet` can trace it.  Both layouts are built once per structure
+    (`_layout_tables`).  The jet layout runs as one
     numpy gather, product and ``np.bincount``.  An entry is non-finite when
     a power it needs overflows or a coordinate it reads is not finite; a
     pair whose powers multiply to 0 adds exactly 0.
@@ -348,16 +384,9 @@ class PolynomialField:
     def _layout(self, orders: list[tuple[int, int, int, int]]):
         """For these derivative orders: the power table's (axis, k) pairs, each
         kept pair's table positions, coefficient, weight and slot, the slot count."""
-        order = np.array(orders)
-        kept = (self.exponents[None] >= order[:, None]).all(axis=2) & (self.coefs != 0.0)
-        q, t = np.nonzero(kept)
-        power, d = self.exponents[t], order[q]
-        ks, inverse = np.unique(power - d, return_inverse=True)
-        index = np.arange(4) * len(ks) + inverse.reshape(power.shape)
-        powers = [(axis, k) for axis in range(4) for k in ks.tolist()]
-        weight = np.prod([np.where(d > s, power - s, 1.0) for s in range(JET_ORDER)], axis=(0, 2))
-        slots = self.component[t] * len(order) + q
-        return powers, index, self.coefs[t], weight, slots, STATE_DIM * len(order)
+        key = (self.exponents.tobytes(), self.component.tobytes(), (self.coefs != 0.0).tobytes())
+        powers, index, t, weight, slots, size = _layout_tables(*key, tuple(orders))
+        return powers, index, self.coefs[t], weight, slots, size
 
     def exact_jet(self, point: np.ndarray, mu: float) -> JetTable:
         powers, index, coefs, weight, slots, size = self._jet
@@ -430,95 +459,301 @@ _INDEX[tuple(_MONOMIALS.T)] = np.arange(len(_MONOMIALS))
 _SUMS = _MONOMIALS[:, None] + _MONOMIALS
 _LEFT, _RIGHT = np.nonzero(_SUMS.sum(axis=2) + _SUMS[..., 3] <= JET_ORDER)
 _TARGET = _INDEX[tuple(_SUMS[_LEFT, _RIGHT].T)]
-#: the rows of `JetTable.from_entries` among the monomials, and the
+_SIZE = len(_MONOMIALS)
+#: each product's (left, right, target), in `np.bincount`'s order
+_TRIPLES = list(zip(_LEFT.tolist(), _RIGHT.tolist(), _TARGET.tolist()))
+#: the rows of `JetTable.from_entries` among the monomials, with the
 #: factorials that turn their Taylor coefficients into derivatives
-_JET_SLOTS = _INDEX[tuple(np.array(_JET_ORDERS).T)]
-_JET_FACTORIALS = np.vectorize(math.factorial)(_JET_ORDERS).prod(axis=1)
-#: the constant 1, and the four variables with their constant terms still 0
-_ONE = np.eye(1, len(_MONOMIALS)).ravel()
-_SEEDS = np.eye(len(_MONOMIALS))[_INDEX[tuple(np.eye(4, dtype=int))]]
+_OUTPUTS = list(zip(_INDEX[tuple(np.array(_JET_ORDERS).T)].tolist(),
+                    np.vectorize(math.factorial)(_JET_ORDERS).prod(axis=1).tolist()))
+#: the coefficient of x1, x2, x3 and mu in the four variables
+_SEED_SLOTS = _INDEX[tuple(np.eye(4, dtype=int))].tolist()
+#: operands on the tape: values, a power's exponent; "+c", "c-" take a constant
+_ARITY = dict.fromkeys(["+", "-", "*", "/", "**"], 2) | dict.fromkeys(["+c", "-c", "*c", "/c", "c-", "c/"], 1)
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.bincount(_TARGET, a[_LEFT] * b[_RIGHT], len(_MONOMIALS))
-
-
-def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a / b by the geometric series: for b = b0 (1 + d), d without a
-    constant term, a / b = (a / b0) (1 - d + d^2 - d^3), summed by Horner."""
-    if b[0] == 0.0:
-        raise ZeroDivisionError("division by a Taylor number with a zero constant term")
-    q, d = a / b[0], b / b[0]
-    d[0] = 0.0
-    out = q
-    for _ in range(JET_ORDER):
-        out = q - _product(out, d)
-    return out
-
-
-def _lift(value) -> np.ndarray:
-    """The coefficients of a `_Taylor`, or of a real constant."""
-    if isinstance(value, _Taylor):
-        return value.c
+def _real(value) -> float:
     if type(value) is not float and not isinstance(value, numbers.Real):
         raise TypeError(f"{type(value).__name__} is not a real number")
-    return _ONE * value
+    return float(value)
+
+
+def _push(trace: tuple, *item) -> _Taylor:
+    value = _Taylor()
+    value.trace, value.n = trace, len(trace[0])
+    trace[0].extend(item)
+    return value
+
+
+def _record(op: str, reflected: bool = False) -> Callable:
+    """The `_Taylor` method that records ``self op other`` (``other op self``
+    if reflected), with a constant ``other`` as ``op + "c"`` (``"c" + op``)."""
+
+    def method(self, other):
+        if type(other) is _Taylor:
+            return _push(self.trace, op, self.n, other.n)
+        self.trace[1].append(other if type(other) is float else _real(other))
+        return _push(self.trace, "c" + op if reflected else op + "c", self.n)
+
+    return method
 
 
 class _Taylor:
-    """A polynomial in (x1, x2, x3, mu) cut at weighted degree JET_ORDER, mu
-    counting twice, with ``c[n]`` the coefficient of ``_MONOMIALS[n]``.  It
-    has ``+ - * /`` with reals on either side and integer powers; anything
-    else (``abs``, ``math.exp``, comparisons, numpy functions) raises
-    `TypeError`."""
+    """A value of ``field`` while `_trace` runs it: position ``n`` on the tape
+    ``trace[0]`` of Taylor operations, the field's constants in ``trace[1]``.
+    It has ``+ - * /`` with reals on either side, unary ``+ -`` (``-t`` is
+    ``t * -1.0``, the same bits) and integer powers; anything else (``abs``,
+    ``math.exp``, comparisons, numpy functions) raises `TypeError`."""
 
+    __slots__ = ("trace", "n")
     __array_ufunc__ = None  # numpy scalars defer to the reflected operators
-
-    def __init__(self, c: np.ndarray):
-        self.c = c
-
-    __add__ = __radd__ = lambda self, other: _Taylor(self.c + _lift(other))
-    __sub__ = lambda self, other: _Taylor(self.c - _lift(other))
-    __rsub__ = lambda self, other: _Taylor(_lift(other) - self.c)
-    __truediv__ = lambda self, other: _Taylor(_quotient(self.c, _lift(other)))
-    __rtruediv__ = lambda self, other: _Taylor(_quotient(_lift(other), self.c))
-    __neg__ = lambda self: _Taylor(-self.c)
+    __add__ = __radd__ = _record("+")
+    __sub__, __rsub__ = _record("-"), _record("-", reflected=True)
+    __mul__ = __rmul__ = _record("*")
+    __truediv__, __rtruediv__ = _record("/"), _record("/", reflected=True)
+    __neg__ = lambda self: self * -1.0
     __pos__ = lambda self: self
 
-    def __mul__(self, other):
-        if type(other) is float or isinstance(other, numbers.Real):
-            return _Taylor(self.c * other)
-        return _Taylor(_product(self.c, _lift(other)))
-
-    __rmul__ = __mul__
-
     def __pow__(self, k):
-        """(a0 + d)^k as the sum of C(k, n) a0^(k-n) d^n over n <= JET_ORDER,
-        so a large k costs what a small one does."""
         k = operator.index(k)
         if k < 0:
             return 1 / self ** -k
-        if k == 1:
-            return self
-        a0, d = self.c[0], self.c.copy()
-        d[0], out, power = 0.0, _lift(a0**k), _ONE
+        return self if k == 1 else _push(self.trace, "**", self.n, k)
+
+
+def _trace(field: Callable) -> tuple[tuple, list, Exception | None]:
+    """``field``'s tape, its constants and the exception that ended it early:
+    the tape ends in ``"out"`` and the three outputs (None for a constant),
+    or in ``"raise"``, which a replay raises after the poles before it."""
+    ops, constants, failure = ["x"] * 4, [], None
+    seeds = [_push((ops, constants)) for _ in range(4)]
+    for n, seed in enumerate(seeds):  # the four "x" entries
+        seed.n = n
+    try:
+        out = [F.n if type(F) is _Taylor else constants.append(_real(F)) for F in field(*seeds)]
+        if len(out) != STATE_DIM:
+            raise TypeError(f"it has {len(out)} components")
+        ops += ["out", *out]
+    except Exception as exc:
+        ops.append("raise")
+        failure = exc
+    return tuple(ops), constants, failure
+
+
+def _walk(tape: tuple, x: Sequence, constants: Sequence, pole: Callable, guard: Callable):
+    """The tape on lists of the 24 Taylor coefficients, floats or `_Var`s:
+    the three output rows, or None where it ends in "raise".  A product
+    sums ``a[l] * b[r]`` over `_TRIPLES` from 0.0, as ``np.bincount``; a / b
+    is ``a / b0`` times ``1 - d + d^2 - d^3``, ``d = b / b0 - 1``, summed by
+    Horner; (a0 + d)^k is the sum of C(k, n) a0^(k-n) d^n over n <= 3, so a
+    large k costs what a small one does.  ``pole`` gets each b0, ``guard``
+    each binomial weight and each Horner iterate that only d0 = 0 multiplies."""
+    constants, values, position = iter(constants), {}, 0
+
+    def lift(c):
+        return [c] + [0.0 * c] * (_SIZE - 1)
+
+    def product(a, b):
+        out = [0.0] * _SIZE
+        for l, r, t in _TRIPLES:
+            out[t] = out[t] + a[l] * b[r]
+        return out
+
+    def quotient(a, b):
+        b0 = b[0]
+        pole(b0)
+        q, d = [u / b0 for u in a], [0.0] + [u / b0 for u in b[1:]]
+        out = q
+        for n in range(JET_ORDER):
+            guard(out if n else [])
+            out = [u - v for u, v in zip(q, product(out, d))]
+        return out
+
+    def power(a, k):
+        a0, d = a[0], [0.0] + a[1:]
+        v = a0**k
+        out, p = [v] + [0.0 * v] * (_SIZE - 1), d
         for n in range(1, min(k, JET_ORDER) + 1):
-            power = d if n == 1 else _product(power, d)
-            out += float(math.comb(k, n)) * a0 ** (k - n) * power
-        return _Taylor(out)
+            p = d if n == 1 else product(p, d)
+            w = float(math.comb(k, n)) * a0 ** (k - n) if k > n else float(math.comb(k, n))
+            guard([w])
+            out = [u + w * v for u, v in zip(out, p)]
+        return out
+
+    while tape[position] not in ("out", "raise"):
+        op = tape[position]
+        args = tape[position + 1:position + 1 + _ARITY.get(op, 0)]
+        if op == "x":
+            v = [x[position]] + [float(m == _SEED_SLOTS[position]) for m in range(1, _SIZE)]
+        elif op == "**":
+            v = power(values[args[0]], args[1])
+        elif op == "*c":
+            c = next(constants)
+            v = [u * c for u in values[args[0]]]
+        else:
+            a = values[args[0]]
+            b = values[args[1]] if len(args) == 2 else lift(next(constants))
+            a, b = (b, a) if op[0] == "c" else (a, b)
+            kind = op.strip("c")
+            v = (product(a, b) if kind == "*" else quotient(a, b) if kind == "/"
+                 else [u + w for u, w in zip(a, b)] if kind == "+" else [u - w for u, w in zip(a, b)])
+        values[position] = v
+        position += 1 + len(args)
+    if tape[position] == "out":
+        return [values[r] if r is not None else lift(next(constants)) for r in tape[position + 1:]]
+
+
+def _pole(b0) -> None:
+    if b0 == 0.0:
+        raise ZeroDivisionError("division by a Taylor number with a zero constant term")
+
+
+def _interpret(signature: tuple, arguments: tuple, *x) -> list:
+    """The 72 jet entries of a tape at x, every coefficient kept."""
+    rows = _walk(signature, x, arguments[:-1], _pole, lambda values: None)
+    if rows is None:
+        raise arguments[-1].with_traceback(None)
+    return [row[slot] * f for slot, f in _OUTPUTS for row in rows]
+
+
+class _Var:
+    """A float of the program that `_Program` writes: its name, whether it
+    is ±0 whenever all values are finite (``zero``), and whether it is never
+    -0 (``plus``)."""
+
+    __slots__ = ("program", "name", "zero", "plus")
+
+    def __init__(self, program: _Program, name: str, zero: bool = False, plus: bool = False):
+        self.program, self.name, self.zero, self.plus = program, name, zero, plus
+
+    __add__, __radd__ = lambda a, b: _apply(a, "+", b), lambda a, b: _apply(b, "+", a)
+    __sub__, __rsub__ = lambda a, b: _apply(a, "-", b), lambda a, b: _apply(b, "-", a)
+    __mul__, __rmul__ = lambda a, b: _apply(a, "*", b), lambda a, b: _apply(b, "*", a)
+    __truediv__, __rtruediv__ = lambda a, b: _apply(a, "/", b), lambda a, b: _apply(b, "/", a)
+    __pow__ = lambda a, k: a if k == 1 else a.program.emit(a, "**", k)
+
+
+def _apply(a, op: str, b):
+    """``a op b``, one of them a `_Var`: written into its program unless it
+    is an operand whenever all values are finite.  A zero term leaves a
+    value that is never -0 as it is."""
+    va, vb = type(a) is _Var, type(b) is _Var
+    za, zb = a.zero if va else a == 0.0, b.zero if vb else b == 0.0
+    # a literal is never -0 unless it is -0.0
+    pa = a.plus if va else not (za and math.copysign(1.0, a) < 0.0)
+    pb = b.plus if vb else not (zb and math.copysign(1.0, b) < 0.0)
+    zero, plus = (za or zb) if op == "*" else za if op == "/" else za and zb, False
+    if op == "*" and 1.0 in (a, b):
+        return b if a == 1.0 else a
+    if op == "*" and za and not vb and b > 0.0 or op == "/" and b == 1.0:  # a zero times a factorial
+        return a
+    if op in "+-" and za and zb:  # +0 + z, z + +0, +0 - z, z - -0 are +0; z + -0, z - +0, -0 + z are z
+        if not va and pa or not vb and pb != (op == "-"):
+            return 0.0
+        if not vb or not va and op == "+":
+            return b if vb else a
+    elif op in "+-" and zb and (pa or not vb and pb == (op == "-")):
+        return a
+    elif op == "+" and za and (pb or not va and not pa):
+        return b
+    if op in "+-":
+        plus = pa or op == "+" and pb
+    return (a if va else b).program.emit(a, op, b, zero, plus)
+
+
+def _text(v) -> str:
+    return v.name if type(v) is _Var else repr(float(v))
+
+
+class _Program:
+    """The straight-line Python that `_walk` on `_Var`s writes: each
+    expression assigned once, the divisors it tests, and the values whose
+    finiteness it checks at the end."""
+
+    def __init__(self):
+        self.lines, self.names, self.guards = [], {}, []
+
+    def emit(self, a, op: str, b, zero: bool = False, plus: bool = False) -> _Var:
+        text = f"{_text(a)} {op} {b if op == '**' else _text(b)}"
+        if text not in self.names:
+            self.names[text] = _Var(self, f"t{len(self.names)}", zero, plus)
+            self.lines.append((self.names[text].name, text))
+        return self.names[text]
+
+    def pole(self, b0: _Var) -> None:
+        """A pole returns None: `_interpret` raises it, or an earlier nan."""
+        self.lines.append((None, f"if {b0.name} == 0.0: return None"))
+        self.guards.append(b0)
+
+
+def _program_source(signature: tuple) -> str:
+    """Source of ``make(k0, k1, ..., failure)``: it binds a tape's constants
+    and returns ``run(x0, x1, x2, x3)``, `_walk` on `_Var`s less every
+    coefficient that is ±0 whenever all values are finite, since a ±0 term
+    changes no sum that starts at +0.0.  ``run`` gives `_interpret`'s 72
+    jet entries, or None where one of them or a guarded value is not
+    finite, as a skipped ``0 * inf`` would have been nan."""
+    program = _Program()
+    taken = sum(type(op) is str and "c" in op for op in signature) + signature.count(None)
+    constants = [_Var(program, f"k{n}") for n in range(taken)]
+    rows = _walk(signature, [_Var(program, f"x{n}") for n in range(4)], constants, program.pole, program.guards.extend)
+    tail = ["raise failure.with_traceback(None)"]
+    if rows is not None:
+        out = [_text(row[slot] * f) for slot, f in _OUTPUTS for row in rows]
+        guards = [_text(g) for g in program.guards if not (g.zero if type(g) is _Var else g == 0.0)]
+        tail = [f"out = [{', '.join(out)}]", f"total = {' + '.join(['sum(out)', *guards])}",
+                "return out if total - total == 0.0 else None"]
+    live, body = set(re.findall(r"\bt\d+", " ".join(tail))), []
+    for name, text in reversed(program.lines):  # what an output or a check reads
+        if name is None or name in live:
+            body.append(f"{name} = {text}" if name else text)
+            live.update(re.findall(r"\bt\d+", text))
+    return "\n".join([
+        f"def make({''.join(f'k{n}, ' for n in range(taken))}failure):",
+        "    def run(x0, x1, x2, x3):",
+        *(f"        {line}" for line in [*reversed(body), *tail]),
+        "    return run\n",
+    ])
+
+
+@functools.lru_cache(maxsize=64)
+def _program(signature: tuple) -> Callable:
+    """The ``make`` of `_program_source`, compiled once per tape."""
+    namespace = {"inf": math.inf, "nan": math.nan}  # literals that overflowed
+    exec(compile(_program_source(signature), "<field jet>", "exec"), namespace)
+    return namespace["make"]
+
+
+@functools.lru_cache(maxsize=256)
+def _replays(signature: tuple) -> Iterator[int]:
+    """Counts a tape's replays from 0; it compiles at the second, as compiling
+    costs about thirty `_interpret` replays."""
+    return itertools.count()
+
+
+@functools.lru_cache(maxsize=64)
+def _traced(field: Callable) -> list:
+    """``[tape, arguments of make, bound program or None]``: once per field."""
+    signature, constants, failure = _trace(field)
+    return [signature, (*constants, failure), None]
 
 
 def _field_jet(model: ModelDefinition, X: np.ndarray, mu: float) -> JetTable:
-    """The jet of ``model.field`` at (X, mu): the field evaluated on `_Taylor`
-    numbers.  Every failure is a typed error naming the model."""
+    """The jet of ``model.field`` at (X, mu) by truncated Taylor arithmetic on
+    floats: its tape compiled once it has been replayed before, else (and
+    where the program returns None) interpreted.  Every failure is a typed
+    error naming the model."""
     if model.field is None:
         raise InvalidParams(f"model '{model.name}' has neither an exact jet nor a field")
-    seeds = _SEEDS.copy()
-    seeds[:, 0] = (*X, mu)
+    traced = _traced(model.field)
+    signature, arguments, run = traced
+    x = (*X.tolist(), mu)
     try:
-        rows = [_lift(F) for F in model.field(*map(_Taylor, seeds))]
-        if len(rows) != STATE_DIM:
-            raise TypeError(f"it has {len(rows)} components")
+        if run is None and next(_replays(signature)):
+            run = traced[2] = _program(signature)(*arguments)
+        entries = _on_floats(run, *x) if run else None
+        if entries is None:
+            entries = _on_floats(functools.partial(_interpret, signature, arguments), *x)
     except ArithmeticError as exc:  # a pole, or a Python float overflow
         at = f"state={X.tolist()}, mu={mu}"
         raise NonFinite(f"model '{model.name}' field fails at {at}: {exc}") from exc
@@ -526,7 +761,6 @@ def _field_jet(model: ModelDefinition, X: np.ndarray, mu: float) -> JetTable:
         raise InvalidParams(
             f"model '{model.name}' field must use only + - * / and integer powers: {exc}"
         ) from exc
-    entries = (np.array(rows)[:, _JET_SLOTS] * _JET_FACTORIALS).T
     tolerance = FIELD_JET_TOLERANCE if model.jacobian is None else 1e-12
     return JetTable.from_entries(X, mu, entries, tolerance)
 

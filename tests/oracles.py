@@ -6,8 +6,9 @@ line of the predator-prey model, the averaged transverse drift of the full
 flow, the region sampler drawn one parameter set at a time, a
 finite-difference jet probed one state at a time, the linearisations
 that the generated polynomial kernel and the fused predator-prey one
-replaced, and the term loop that a polynomial's generated ``field``
-replaced.
+replaced, the term loop that a polynomial's generated ``field``
+replaced, and the dense numpy Taylor arithmetic that the compiled jet
+programs of `models._field_jet` replaced.
 """
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ import dataclasses
 import functools
 import itertools
 import math
+import numbers
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,9 +25,18 @@ import numpy as np
 from hybridhopf import eco, models
 from hybridhopf.coefficients import CylindricalCoefficients
 from hybridhopf.eco import EcoParams
+from hybridhopf.errors import InvalidParams, NonFinite
 from hybridhopf.frame import StandardFrame
 from hybridhopf.models import (
+    _INDEX,
+    _LEFT,
+    _MONOMIALS,
     _MU_INDICES,
+    _OUTPUTS,
+    _RIGHT,
+    _TARGET,
+    FIELD_JET_TOLERANCE,
+    JET_ORDER,
     STATE_DIM,
     JetTable,
     ModelDefinition,
@@ -286,3 +298,108 @@ def finite_difference_jet_loop(
 
     mu_entries = [mu_derivative(idx) for idx in _MU_INDICES]
     return JetTable.from_entries(X, mu, [*entries.values(), *mu_entries], FD_TOLERANCE)
+
+
+# ---------------------------------------------------------------------------
+# jets from the field on dense numpy Taylor numbers
+# ---------------------------------------------------------------------------
+
+#: the constant 1, and the four variables with their constant terms still 0
+_ONE = np.eye(1, len(_MONOMIALS)).ravel()
+#: the jet rows among the monomials, and the factorials of their exponents
+_JET_SLOTS, _JET_FACTORIALS = (np.array(column) for column in zip(*_OUTPUTS))
+_SEEDS = np.eye(len(_MONOMIALS))[_INDEX[tuple(np.eye(4, dtype=int))]]
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.bincount(_TARGET, a[_LEFT] * b[_RIGHT], len(_MONOMIALS))
+
+
+def _quotient(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a / b by the geometric series: for b = b0 (1 + d), d without a
+    constant term, a / b = (a / b0) (1 - d + d^2 - d^3), summed by Horner."""
+    if b[0] == 0.0:
+        raise ZeroDivisionError("division by a Taylor number with a zero constant term")
+    q, d = a / b[0], b / b[0]
+    d[0] = 0.0
+    out = q
+    for _ in range(JET_ORDER):
+        out = q - _product(out, d)
+    return out
+
+
+def _lift(value) -> np.ndarray:
+    """The coefficients of a `_Taylor`, or of a real constant."""
+    if isinstance(value, _Taylor):
+        return value.c
+    if type(value) is not float and not isinstance(value, numbers.Real):
+        raise TypeError(f"{type(value).__name__} is not a real number")
+    return _ONE * value
+
+
+class _Taylor:
+    """A polynomial in (x1, x2, x3, mu) cut at weighted degree JET_ORDER, mu
+    counting twice, with ``c[n]`` the coefficient of ``_MONOMIALS[n]``.  It
+    has ``+ - * /`` with reals on either side and integer powers; anything
+    else (``abs``, ``math.exp``, comparisons, numpy functions) raises
+    `TypeError`.  Its name is the traced class's, so the messages of those
+    errors are the same."""
+
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
+
+    def __init__(self, c: np.ndarray):
+        self.c = c
+
+    __add__ = __radd__ = lambda self, other: _Taylor(self.c + _lift(other))
+    __sub__ = lambda self, other: _Taylor(self.c - _lift(other))
+    __rsub__ = lambda self, other: _Taylor(_lift(other) - self.c)
+    __truediv__ = lambda self, other: _Taylor(_quotient(self.c, _lift(other)))
+    __rtruediv__ = lambda self, other: _Taylor(_quotient(_lift(other), self.c))
+    __neg__ = lambda self: _Taylor(-self.c)
+    __pos__ = lambda self: self
+
+    def __mul__(self, other):
+        if type(other) is float or isinstance(other, numbers.Real):
+            return _Taylor(self.c * other)
+        return _Taylor(_product(self.c, _lift(other)))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        """(a0 + d)^k as the sum of C(k, n) a0^(k-n) d^n over n <= JET_ORDER,
+        so a large k costs what a small one does."""
+        k = operator.index(k)
+        if k < 0:
+            return 1 / self ** -k
+        if k == 1:
+            return self
+        a0, d = self.c[0], self.c.copy()
+        d[0], out, power = 0.0, _lift(a0**k), _ONE
+        for n in range(1, min(k, JET_ORDER) + 1):
+            power = d if n == 1 else _product(power, d)
+            out += float(math.comb(k, n)) * a0 ** (k - n) * power
+        return _Taylor(out)
+
+
+def taylor_field_jet(model: ModelDefinition, X: np.ndarray, mu: float) -> JetTable:
+    """The jet of ``model.field`` at (X, mu) evaluated on dense `_Taylor`
+    numbers, with the errors of `models._field_jet`; non-finite entries are
+    kept.  Run it under ``np.errstate``."""
+    if model.field is None:
+        raise InvalidParams(f"model '{model.name}' has neither an exact jet nor a field")
+    seeds = _SEEDS.copy()
+    seeds[:, 0] = (*X, mu)
+    try:
+        rows = [_lift(F) for F in model.field(*map(_Taylor, seeds))]
+        if len(rows) != STATE_DIM:
+            raise TypeError(f"it has {len(rows)} components")
+    except ArithmeticError as exc:  # a pole, or a Python float overflow
+        at = f"state={X.tolist()}, mu={mu}"
+        raise NonFinite(f"model '{model.name}' field fails at {at}: {exc}") from exc
+    except TypeError as exc:
+        raise InvalidParams(
+            f"model '{model.name}' field must use only + - * / and integer powers: {exc}"
+        ) from exc
+    entries = (np.array(rows)[:, _JET_SLOTS] * _JET_FACTORIALS).T
+    tolerance = FIELD_JET_TOLERANCE if model.jacobian is None else 1e-12
+    return JetTable.from_entries(X, mu, entries, tolerance)

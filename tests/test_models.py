@@ -30,6 +30,7 @@ from oracles import (
     finite_difference_jet_loop,
     polynomial_field_loop,
     polynomial_linearization,
+    taylor_field_jet,
 )
 from test_cli import STEEP_DRIFT
 
@@ -786,6 +787,171 @@ def test_a_kernel_gives_the_same_nan_on_every_call(case):
     )}
     rhs_bits = {model.rhs(np.array(point[:3]), point[3]).tobytes() for _ in range(30)}
     assert len(bits) == 1 and len(rhs_bits) == 1
+
+
+# ---------------------------------------------------------------------------
+# the traced and compiled field jet against the dense numpy Taylor arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _jet_outcome(producer, model, X, mu):
+    """The bytes of every jet entry (`_bits`: NaN payloads aside), or the type
+    and message of what the producer raised."""
+    try:
+        with np.errstate(all="ignore"):
+            table = producer(model, np.array(X, dtype=float), mu)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return _bits(np.concatenate([t.ravel() for t in (*table.state_derivs, *table.mu_derivs)]))
+
+
+def _assert_field_jet_is_the_reference(field, X, mu):
+    """`models._field_jet` on a first and a second replay of the tape, which
+    runs its compiled program, has the reference's bits (signs of zeros, inf
+    and where nan stands included) or raises what it raises."""
+    model = ModelDefinition("traced", None, field=field)
+    want = _jet_outcome(taylor_field_jet, model, X, mu)
+    for _ in range(2):
+        assert _jet_outcome(models._field_jet, model, X, mu) == want, (X, mu, want)
+
+
+_point = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e200, -1e200, 1e-300, 5e-324, math.inf, -math.inf, math.nan]),
+    st.floats(-2.5, 2.5),
+)
+_constant = st.sampled_from([0.0, -0.0, 1, 0.5, -0.7, 2.0, 1e200, 1e-300])
+
+
+#: expression trees over the four variables ("x0" to "x3") and constants with
+#: every operation a field may use: ``+ - * /`` with constants on either side
+#: (``1 - x``, ``c / x``), unary minus and powers 0, 1, -2, 5 and 2^62
+_ARITHMETIC = st.recursive(
+    st.one_of(st.sampled_from(["x0", "x1", "x2", "x3"]), _constant),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from("+-*/"), inner, inner),
+        st.tuples(st.just("neg"), inner),
+        st.tuples(st.just("**"), inner, st.sampled_from([0, 1, -2, 5, 2**62])),
+    ),
+    max_leaves=8,
+)
+
+
+def _evaluate(tree, v):
+    if type(tree) is str:
+        return v[int(tree[1])]
+    if type(tree) is not tuple:
+        return tree
+    op, a, *b = tree
+    a = _evaluate(a, v)
+    if op == "neg":
+        return -a
+    if op == "**":
+        return a ** b[0]
+    b = _evaluate(b[0], v)
+    return a + b if op == "+" else a - b if op == "-" else a * b if op == "*" else a / b
+
+
+@settings(max_examples=150, deadline=None)
+@given(trees=st.lists(_ARITHMETIC, min_size=3, max_size=3), X=st.lists(_point, min_size=3, max_size=3), mu=_point)
+@example(trees=[("/", 1, "x0"), ("-", 1, ("**", "x1", 5)), "x2"], X=[0.0, 2.0, 1.0], mu=0.0)
+@example(trees=[("**", ("*", "x0", 1e200), 5), ("neg", "x1"), ("/", 0.5, "x3")], X=[1e200, -0.0, 1.0], mu=1e-300)
+@example(trees=[("/", -0.0, ("+", 1.0, ("neg", "x0"))), "x2", ("/", "x0", "x0")], X=[1e-300, 1.0, 1.25], mu=0.5)
+def test_field_jet_is_the_dense_reference_on_arithmetic_fields(trees, X, mu):
+    """Poles, overflow, ±0, subnormals, inf and nan: the compiled program
+    returns None wherever a value is not finite, and the interpreter then
+    has the reference's bits.  At x1 = 1e-300 the Horner iterates of
+    x1 / x1 overflow in coefficients that only d0 = 0 multiplies."""
+    _assert_field_jet_is_the_reference(lambda *v: [_evaluate(t, v) for t in trees], X, mu)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    components=st.lists(st.lists(_term, max_size=8), min_size=3, max_size=3),
+    X=st.lists(_coord, min_size=3, max_size=3),
+    mu=_coord,
+)
+def test_field_jet_is_the_dense_reference_on_polynomial_fields(components, X, mu):
+    _assert_field_jet_is_the_reference(PolynomialField(components).field, X, mu)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.lists(st.floats(-0.05, 0.05), min_size=3, max_size=3),
+    mu=st.floats(-0.05, 0.05),
+)
+def test_field_jet_is_the_dense_reference_on_region_draws(seed, offset, mu):
+    p = eco.sample_region(1, seed)[0]
+    _assert_field_jet_is_the_reference(eco.model(p).field, eco.hopf_point(p) + offset, mu)
+
+
+@pytest.mark.parametrize(
+    "component, X",
+    [
+        (lambda x: abs(x), [0.5, 1.0, 0.0]),
+        (lambda x: abs(x), [0.5, 0.0, 0.0]),  # the pole before it comes first
+        (lambda x: x if x > 0 else -x, [0.5, 1.0, 0.0]),
+        (lambda x: x * 2**1100, [0.5, 1.0, 0.0]),
+        (lambda x: x ** 10**400, [0.5, 1.0, 0.0]),
+        (lambda x: x * 1j, [0.5, 1.0, 0.0]),
+    ],
+    ids=["abs", "pole_then_abs", "comparison", "int_overflow", "power_overflow", "complex"],
+)
+def test_field_jet_fails_as_the_reference_does(component, X):
+    """Where the evaluation raises, in its order: a pole in the first
+    component comes before an unsupported operation or an overflow in the
+    second."""
+    _assert_field_jet_is_the_reference(lambda x1, x2, x3, mu: [1 / x2, component(x1), x3], X, 0.0)
+
+
+def test_models_of_one_structure_share_a_compiled_program():
+    """A tape compiles at its second replay, once: two predator-prey
+    models replay one program, each with its own constants."""
+    models._program.cache_clear()
+    models._replays.cache_clear()
+    draws = eco.sample_region(2, 3)
+    X = np.array([0.2, 0.3, 0.25])
+    for p in (draws[0], draws[0], draws[1]):
+        model = eco.model(p)
+        assert _jet_outcome(models._field_jet, model, X, 0.01) == _jet_outcome(taylor_field_jet, model, X, 0.01)
+    info = models._program.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+    a, b = (models._field_jet(eco.model(p), X, 0.01).entries for p in draws)
+    assert not np.array_equal(a, b)
+
+
+def test_a_branch_on_a_constant_gets_a_program_per_branch():
+    models._program.cache_clear()
+
+    def field_of(c):
+        def field(x1, x2, x3, mu):
+            return [x1 * c if c > 0 else x1 / c, x2 * x3, mu]
+
+        return field
+
+    X = [0.3, -0.2, 0.1]
+    for c in (2.0, -2.0, 3.0):
+        _assert_field_jet_is_the_reference(field_of(c), X, 0.01)
+    assert models._program.cache_info().currsize == 2
+
+
+def test_a_replaced_field_is_never_replayed_by_the_former_one():
+    """What `test_a_replaced_rhs_or_jacobian_is_never_linearized_by_the_former_one`
+    asks of ``rhs`` and ``jacobian``, for ``field``: the jet of a model whose
+    field was replaced is the new field's, traced once."""
+    model = builtin("predator_prey", _PREDATOR_PREY)
+    X = np.array([0.125, 0.405, 0.3])
+    jet(model, X, 0.0), jet(model, X, 0.0)
+    calls = []
+
+    def doubled(*v):
+        calls.append(v)
+        return [2.0 * F for F in model.field(*v)]
+
+    other = dataclasses.replace(model, field=doubled)
+    for _ in range(3):
+        assert np.array_equal(jet(other, X, 0.0).entries, 2.0 * jet(model, X, 0.0).entries)
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Package surface: every public name in `src/` has a caller outside the
 tests, every defaulted parameter of a public function is set by one, each
 name has one import path, that of its own module, DF has one provider, one
-runner falls back from Python floats to numpy scalars, and one constructor
-writes every model's ``rhs`` and ``jacobian``."""
+runner falls back from Python floats to numpy scalars, one constructor
+writes every model's ``rhs`` and ``jacobian``, and generated code compiles
+only behind bounded caches."""
 from __future__ import annotations
 
 import ast
@@ -194,3 +195,32 @@ def test_both_model_kinds_get_rhs_and_jacobian_from_field_model():
     for model in built:
         assert model.rhs.__qualname__ == "field_model.<locals>.rhs", model.name
         assert model.jacobian.__qualname__ == "field_model.<locals>.jacobian", model.name
+
+
+def _bounded_cache(fn: ast.FunctionDef) -> bool:
+    """Whether ``fn`` is decorated ``functools.lru_cache(maxsize=<int>)``."""
+    return any(
+        isinstance(d, ast.Call) and getattr(d.func, "attr", None) == "lru_cache"
+        and any(k.arg == "maxsize" and type(getattr(k.value, "value", None)) is int for k in d.keywords)
+        for d in fn.decorator_list
+    )
+
+
+def test_generated_code_is_compiled_only_behind_bounded_caches():
+    """`compile(` and `exec(` appear in `src/` only in the polynomial kernel's
+    and the field jet's compilers, each once per structure behind a bounded
+    `functools.lru_cache`, so no call path compiles per evaluation."""
+    found = []
+    for path in sorted((ROOT / "src" / "hybridhopf").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = {
+            id(n) for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) in ("compile", "exec")
+        }
+        for fn in tree.body:
+            inside = {id(n) for n in ast.walk(fn)} & calls if isinstance(fn, ast.FunctionDef) else set()
+            if inside:
+                found.append((f"{path.stem}.{fn.name}", len(inside), _bounded_cache(fn)))
+            calls -= inside
+        assert not calls, f"{path.name} compiles outside a top-level function"
+    assert found == [("models._kernel", 2, True), ("models._program", 2, True)]
