@@ -16,7 +16,8 @@ This driver seeds the first orbit from the asymptotic prediction of the
 reduced coefficients, continues outward over a mu grid (each later seed
 extrapolated in sqrt(mu), see `continue_branch`), and reports per orbit its
 amplitude in the frame's (u1, u2) plane, its period and its distance from
-x2 = 0.  It then settles a trajectory for ``--settle-time`` at the largest
+x2 = 0, both extremes refined on the orbit's interpolant
+(`PeriodicOrbit.peak`).  It then settles a trajectory for ``--settle-time`` at the largest
 requested mu, from a state between the line point and the boundary
 equilibrium, and reports where the flow actually ends up once shooting has
 lost the orbit.  A ``--settle-time`` that is not finite and positive, and
@@ -108,7 +109,7 @@ def run(args: argparse.Namespace) -> int:
     print(f"\n{'mu':>10} {'amplitude':>12} {'period':>12} {'min x2':>12}")
     rows = []
     for point in branch.points:
-        min_x2 = float(np.min(point.orbit.states[:, 1]))
+        min_x2 = -point.orbit.peak(lambda X: -X[..., 1])
         print(f"{point.mu:>10.5g} {point.amplitude:>12.6g} "
               f"{point.orbit.period:>12.6g} {min_x2:>12.6g}")
         rows.append((point.mu, point.amplitude, point.orbit.period, min_x2))

@@ -35,6 +35,12 @@ TYPE_ELLIPTIC_UNSTABLE = "EU"
 #: the types in the order of `Decision.label`
 LABELS = (TYPE_HYPERBOLIC, TYPE_ELLIPTIC_STABLE, TYPE_ELLIPTIC_UNSTABLE)
 
+#: samples of a predicted loop, the number orbit collocation starts from
+ORBIT_SAMPLES = 41
+#: (cos, sin, 0) of the phases 2 pi j / ORBIT_SAMPLES, one column each
+_CIRCLE = np.vstack([np.cos(np.arange(ORBIT_SAMPLES) * (2.0 * math.pi / ORBIT_SAMPLES)),
+                     np.sin(np.arange(ORBIT_SAMPLES) * (2.0 * math.pi / ORBIT_SAMPLES)),
+                     np.zeros(ORBIT_SAMPLES)])
 #: coefficients smaller than this cannot carry a sign decision
 SIGN_THRESHOLD = 1e-6
 #: relative threshold below which the focus quantity counts as zero
@@ -174,8 +180,10 @@ class PredictedOrbit:
 
     ``r0`` is the radius in frame coordinates; ``anchor`` is the loop's
     point at phase 0, u = (r0, 0, 0), in original coordinates when a frame
-    is supplied.  ``scale`` converts r0 into an original-coordinate size and
-    is the trust radius for shooting, as in `verify.ShootingSeed`.
+    is supplied, and ``samples`` its `ORBIT_SAMPLES` points at phases
+    2 pi j / N, counterclockwise as the frame rotates.  ``scale`` converts r0
+    into an original-coordinate size and is the trust radius for shooting,
+    as in `verify.ShootingSeed`.
     """
 
     mu: float
@@ -183,6 +191,7 @@ class PredictedOrbit:
     period: float
     anchor: np.ndarray | None
     scale: float
+    samples: np.ndarray | None = None
 
 def predict_orbit(
     coeffs: CylindricalCoefficients,
@@ -206,12 +215,14 @@ def predict_orbit(
     r0 = math.sqrt(r0_sq)
     period = 2.0 * math.pi / coeffs.omega
 
-    anchor = None
+    anchor = samples = None
     scale = r0
     if frame is not None:
         scale = r0 * float(np.linalg.norm(frame.basis[:, :2], 2))
         anchor = frame.from_frame((r0, 0.0, 0.0), mu)
-    return PredictedOrbit(mu=mu, r0=r0, period=period, anchor=anchor, scale=scale)
+        u = r0 * _CIRCLE + mu * frame.mu_shift[:, None]
+        samples = (frame.origin[:, None] + frame.basis @ u).T  # from_frame of each u_j
+    return PredictedOrbit(mu=mu, r0=r0, period=period, anchor=anchor, scale=scale, samples=samples)
 
 
 def saddle_exponents(

@@ -116,8 +116,12 @@ def locate_hopf_point(model: ModelDefinition, seed: Sequence[float]) -> np.ndarr
         F_norm = float(np.max(np.abs(G[:3])))
         if F_norm < LOCATE_RESIDUAL_TOL and abs(G[3]) < LOCATE_SPECTRUM_TOL:
             break
+        # rows with an entry of 1 or more scaled by powers of two (exactly) to
+        # a largest entry in [1/2, 1): lstsq's rank cut, eps times the largest
+        # singular value, then keeps the trace row where DF spans many decades
         JG = _newton_matrix(model, X)
-        step, *_ = np.linalg.lstsq(JG, -G, rcond=None)
+        weight = np.ldexp(1.0, -np.maximum(np.frexp(np.abs(JG).max(axis=1))[1], 0))
+        step, *_ = np.linalg.lstsq(JG * weight[:, None], -G * weight, rcond=None)
         base = float(np.linalg.norm(G))
         scale = 1.0
         failure = ""

@@ -1,35 +1,36 @@
 """Numerical verification of predicted periodic orbits.
 
 Everything here treats the vector field as ground truth and checks the
-asymptotic predictions against it: single shooting with variational equations
-(an inexact Newton iteration whose seed solve runs at the square root of the
-tolerance; the monodromy comes from the converged solve, with a Liouville
-trace quadrature as an internal consistency check; each stage of the
-variational equations is one call of the model's linearisation on Python
-floats, `models.linearization_fn`; the variational block is error
-controlled on the scale of the identity it starts from, `VARIATIONAL_SCALE`,
-unless the converged solve's Liouville check reads above
-`SCALED_LIOUVILLE_TOL`),
-Floquet stability, natural continuation in the parameter, and integration of
-the truncated reduced dynamics against the full flow.  `integrate` returns the
-solver's own `dop853.Solution`.
+asymptotic predictions against it: Fourier collocation of the whole orbit
+(`collocate`), then one variational solve from its anchor whose closure,
+monodromy and Liouville trace quadrature make the orbit an integration
+result, with Newton shooting from that solve where it falls short (each
+stage, and each collocation sample, is one call of the model's
+linearisation on Python floats, `models.linearization_fn`; the variational
+block is error controlled on the scale of the identity it starts from,
+`VARIATIONAL_SCALE`, unless a converged solve's Liouville check reads above
+`SCALED_LIOUVILLE_TOL`), Floquet stability, natural continuation in the
+parameter, and integration of the truncated reduced dynamics against the
+full flow.  `integrate` returns the solver's own `dop853.Solution`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import dop853, models
-from .classifier import PredictedOrbit, predict_orbit
+from .classifier import ORBIT_SAMPLES, PredictedOrbit, predict_orbit
 from .coefficients import CylindricalCoefficients
 from .errors import (
     InvalidBounds,
     LeftDomain,
     NoConvergence,
+    NonFinite,
     NumericalFailure,
     SingularShooting,
 )
@@ -44,9 +45,9 @@ ORBIT_NEWTON_TOL = 1e-11
 SWEEP_RTOL = 1e-9
 #: integrator tolerance of the truncated-dynamics runs and their full-flow comparison
 PROBE_RTOL = 1e-10
-#: Newton budget of one shooting solve
+#: Newton budget of one shooting solve, and of one collocation over all its N
 SHOOTING_MAX_ITER = 25
-#: shooting iterates must stay within this many seed amplitudes of the seed
+#: shooting iterates and collocation samples must stay within this many seed amplitudes of the seed
 DRIFT_FACTOR = 3.0
 #: closure tolerance of each continuation point
 BRANCH_NEWTON_TOL = 1e-10
@@ -60,6 +61,12 @@ VARIATIONAL_SCALE = 2.0**-7
 #: this is solved again with Phi from the identity: its moduli can be off by a
 #: few times the defect, too far to back a verdict at `FLOQUET_MARGIN`
 SCALED_LIOUVILLE_TOL = 1e-7
+#: collocation ends where max |D X - (T / 2 pi) F| reads this fraction of max |(T / 2 pi) F|
+COLLOCATION_TOL = 1e-11
+#: a collocated loop whose top eighth of harmonics reads above this fraction
+#: of its first is resampled at about 3/2 its N (odd), up to `COLLOCATION_MAX_N`
+COLLOCATION_TAIL = 1e-9
+COLLOCATION_MAX_N = 135
 
 
 def integrate(
@@ -76,14 +83,30 @@ def integrate(
 
 @dataclasses.dataclass(frozen=True)
 class ShootingSeed:
-    """Starting guess for single shooting: a point, a period, a positive, finite size.
-
-    A `PredictedOrbit` carries the same three fields and seeds shooting too.
+    """Starting guess for an orbit: a point, a period, a positive, finite
+    size, and optionally the loop's odd number of equispaced ``samples``
+    (N, 3) from the point on; `collocate` samples a seed without them from
+    one plain integration.  A `PredictedOrbit` carries the same fields.
     """
 
     anchor: np.ndarray
     period: float
     scale: float
+    samples: np.ndarray | None = None
+
+
+@dataclasses.dataclass(frozen=True)
+class Collocation:
+    """A collocated loop: ``samples`` (N, 3) at t_j = j T / N, its ``period``
+    T, its Newton ``steps``, its final ``residual`` max |D X - (T / 2 pi) F|
+    and phase residual, and its spectral ``tail``, the largest of its top
+    eighth of harmonics over its first."""
+
+    samples: np.ndarray
+    period: float
+    steps: int
+    residual: float
+    tail: float
 
 
 @dataclasses.dataclass(frozen=True)
@@ -95,7 +118,8 @@ class PeriodicOrbit:
     integrated divergence and measures variational-solve quality.
     ``newton`` is the (rtol, max |closure residual|) of every variational
     solve of the shooting in order, backtracking trials included; a solve
-    that failed reads nan.
+    that failed reads nan.  ``collocation`` is the loop the first solve
+    started from; ``flow(t)`` reads the last solve's interpolant of the state.
     """
 
     mu: float
@@ -108,6 +132,26 @@ class PeriodicOrbit:
     residual: float
     liouville_defect: float
     newton: tuple[tuple[float, float], ...]
+    collocation: Collocation
+    flow: Callable[[np.ndarray], np.ndarray] = dataclasses.field(repr=False, compare=False)
+
+    def peak(self, value: Callable[[np.ndarray], np.ndarray]) -> float:
+        """The largest ``value`` (states (..., 3) to values (...)) on the
+        orbit: the largest at `states`, refined by steps to the vertex of the
+        parabola through it and its neighbours, then twice through three
+        times on `flow`, each spaced 32 times closer than the last."""
+        values = value(self.states).tolist()
+        n = max(len(values) - 1, 1)  # the last sample repeats the first
+        k = max(range(n), key=values.__getitem__)
+        t, h, best = float(self.times[k]), self.period / n, values[k]
+        a, b, c = values[(k - 1) % n], best, values[(k + 1) % n]
+        for step in range(3):
+            best = max(best, a, b, c)
+            if step == 2 or not a - 2.0 * b + c < 0.0:
+                break
+            t, h = t + 0.5 * h * (a - c) / (a - 2.0 * b + c), h / 32.0
+            a, b, c = value(self.flow((t + np.array([-h, 0.0, h])) % self.period).T).tolist()
+        return best
 
 
 def _flow_with_monodromy(
@@ -158,6 +202,155 @@ def _liouville_defect(monodromy: np.ndarray, trace_int: float) -> float:
     return abs(det - expected) / max(abs(det), abs(expected), 1e-300)
 
 
+def _trust_region(model: ModelDefinition, mu: float, seed, guard) -> tuple:
+    """The seed's anchor, the unit flow there (which pin the phase), and
+    ``check(states, reference, T, what)``, raising `NoConvergence` for a
+    state over `DRIFT_FACTOR` seed scales from its reference, a period
+    outside [0.2, 5] seed periods, or a state failing ``guard``."""
+    if not 0.0 < seed.scale < math.inf:
+        raise InvalidBounds(f"shooting needs a positive, finite seed scale, got {seed.scale}")
+    if seed.anchor is None:
+        raise NoConvergence("orbit prediction has no anchor; predict with a frame to seed shooting")
+    anchor, T0, drift_cap = np.array(seed.anchor, dtype=float), seed.period, DRIFT_FACTOR * seed.scale
+    if T0 <= 0:
+        raise NoConvergence("seed period must be positive")
+    F0 = models.evaluate(model, anchor, mu)
+    speed = float(np.linalg.norm(F0))
+    if speed < 1e-14:
+        raise NoConvergence("seed anchor is an equilibrium; no phase direction")
+
+    def check(states: np.ndarray, reference: np.ndarray, T: float, what: str) -> None:
+        states = np.atleast_2d(states)
+        if not float(np.max(np.linalg.norm(states - reference, axis=-1))) <= drift_cap:
+            raise NoConvergence(f"{what} drifted beyond the trust radius {drift_cap:.3g}")
+        if not (0.2 * T0 <= T <= 5.0 * T0):
+            raise NoConvergence(f"{what} period left the trust window ({T:.3g})")
+        if guard is not None and not all(guard(X) for X in states):
+            raise NoConvergence(f"{what} violated the interior guard")
+
+    return anchor, F0 / speed, check
+
+
+def _newton_step(A: np.ndarray, R: np.ndarray, what: str) -> np.ndarray:
+    """-A^{-1} R; a singular A or a non-finite step is `SingularShooting`."""
+    try:
+        delta = np.linalg.solve(A, -R)
+    except np.linalg.LinAlgError as exc:
+        raise SingularShooting(f"{what} matrix is singular: {exc}") from exc
+    if not np.all(np.isfinite(delta)):
+        raise SingularShooting(f"{what} step is non-finite")
+    return delta
+
+
+def _backtrack(trial: Callable[[float], tuple], base: float, what: str):
+    """The result of ``trial(scale)``, which returns (residual norm, result),
+    at the first of the steps 1, 1/2, ..., 1/128 whose norm reads below
+    ``base``, or at 1/64; a trial raising `NumericalFailure` is halved."""
+    scale, failure = 1.0, ""
+    for _halving in range(8):
+        try:
+            norm, result = trial(scale)
+            if norm < base or scale <= 1.0 / 64.0:
+                return result
+        except NumericalFailure as exc:
+            failure = f" (last failed trial: {exc})"
+        scale *= 0.5
+    raise NoConvergence(f"{what} stalled: no residual decrease{failure}")
+
+
+@functools.lru_cache(maxsize=None)
+def _spectral_derivative(n: int) -> tuple[np.ndarray, tuple]:
+    """Read-only D_jk = (-1)^(j-k) / (2 sin((j - k) pi / n)), 0 for j = k: the
+    derivative in theta on n equispaced samples, n odd (Trefethen 2000, ch. 3);
+    and the index of entry (a, b) of sample j's block, (a n + j, b n + j)."""
+    k = np.arange(n)
+    column = np.append(0.0, 0.5 * (-1.0) ** k[1:] / np.sin(k[1:] * (math.pi / n)))
+    D = column[np.subtract.outer(k, k) % n]
+    D.flags.writeable = False
+    a, b, j = np.ogrid[:3, :3, :n]
+    return D, (a * n + j, b * n + j)
+
+
+def _resample(samples: np.ndarray, n: int) -> np.ndarray:
+    """An odd number N of equispaced periodic samples read at n >= N points
+    of their trigonometric interpolant, the Fourier series zero-padded."""
+    m = len(samples)
+    return samples if n == m else np.fft.irfft(np.fft.rfft(samples, axis=0), n, axis=0) * (n / m)
+
+
+def collocate(
+    model: ModelDefinition,
+    mu: float,
+    seed: ShootingSeed | PredictedOrbit,
+    guard: Callable[[np.ndarray], bool] | None = None,
+) -> Collocation:
+    """The orbit near a seed by Fourier collocation (Doedel, Keller & Kernévez,
+    IJBC 1991; Trefethen 2000, ch. 3): Newton, backtracking as shooting does,
+    on N samples X_j = x(j T / N) and T for D X = (T / 2 pi) F(X), D the
+    spectral derivative in 2 pi t / T, with shooting's phase condition; one
+    `np.linalg.solve` a step.  It starts from the seed's ``samples`` or one
+    plain integration read at `ORBIT_SAMPLES` times, and a loop that
+    converges with a tail above `COLLOCATION_TAIL` is resampled.  Every
+    iterate must keep `find_periodic_orbit`'s drift cap and period window,
+    and the converged loop ``guard``; else `NoConvergence` ends the search."""
+    anchor, normal, check = _trust_region(model, mu, seed, None)
+    T = float(seed.period)
+    if seed.samples is None:  # a trajectory 10 drift caps out is running away
+        cap = 10.0 * DRIFT_FACTOR * seed.scale
+        flow = dop853.solve(lambda t, Y: model.rhs(Y, mu), (0.0, T), anchor, SWEEP_RTOL,
+                            lambda t, Y: cap - float(np.linalg.norm(Y - anchor)))
+        if flow.event_fired:
+            raise NoConvergence(f"seed trajectory drifted beyond the trust radius {cap:.3g}")
+        X = flow.sol(np.arange(ORBIT_SAMPLES) * (T / ORBIT_SAMPLES)).T
+    else:
+        X = np.asarray(seed.samples, dtype=float)
+        if X.ndim != 2 or X.shape[1] != 3 or len(X) % 2 == 0:
+            raise InvalidBounds(f"seed samples must be (N, 3) with N odd, got {X.shape}")
+    reference, linearize = X, models.linearization_fn(model)
+
+    def residual(X: np.ndarray, T: float) -> tuple:
+        J = np.array([(*F, *a, *b, *c) for F, (a, b, c) in (linearize(*x, mu) for x in X.tolist())])
+        F, DF = J[:, :3], J[:, 3:].reshape(-1, 3, 3)
+        if not np.isfinite(J).all():
+            raise NonFinite(f"model '{model.name}' is not finite on the collocated loop, mu={mu}")
+        # D annihilates constants, so X - X_0 leaves its rounding on the loop's size
+        R = (_spectral_derivative(len(X))[0] @ (X - X[0]) - (T / (2.0 * math.pi)) * F).T
+        R = np.append(R, normal @ (X[0] - anchor))
+        return float(np.linalg.norm(R)), (X, T, F, DF, R)
+
+    X, T, F, DF, R = residual(X, T)[1]
+    steps = 0
+    while True:
+        n = len(X)
+        if np.max(np.abs(R)) <= COLLOCATION_TOL * (T / (2.0 * math.pi)) * np.max(np.abs(F)):
+            h = np.linalg.norm(np.fft.rfft(X, axis=0), axis=1)
+            tail = float(np.max(h[-math.ceil((n // 2) / 8) :])) / h[1] if h[1] else math.inf
+            if tail > COLLOCATION_TAIL and n + 2 * (n // 4) <= COLLOCATION_MAX_N:
+                X, reference = _resample(X, n + 2 * (n // 4)), _resample(reference, n + 2 * (n // 4))
+                X, T, F, DF, R = residual(X, T)[1]
+                continue
+            if guard is not None and not all(guard(x) for x in X):
+                raise NoConvergence("collocated loop violated the interior guard")
+            return Collocation(X, T, steps, float(np.max(np.abs(R))), tail)
+        if steps == SHOOTING_MAX_ITER:
+            raise NoConvergence(f"collocation did not converge in {steps} steps")
+        D, blocks = _spectral_derivative(n)
+        A = np.zeros((3 * n + 1, 3 * n + 1))
+        for c in range(3):
+            A[c * n : (c + 1) * n, c * n : (c + 1) * n] = D
+        A[blocks] -= (T / (2.0 * math.pi)) * DF.transpose(1, 2, 0)
+        A[: 3 * n, 3 * n] = F.T.ravel() / (-2.0 * math.pi)
+        A[3 * n, : 3 * n : n] = normal
+        delta, steps = _newton_step(A, R, "collocation"), steps + 1
+
+        def trial(scale: float) -> tuple:
+            X_new, T_new = X + scale * delta[:-1].reshape(3, n).T, T + scale * float(delta[-1])
+            check(X_new, reference, T_new, "collocation sample")
+            return residual(X_new, T_new)
+
+        X, T, F, DF, R = _backtrack(trial, float(np.linalg.norm(R)), "collocation")
+
+
 def find_periodic_orbit(
     model: ModelDefinition,
     mu: float,
@@ -167,80 +360,41 @@ def find_periodic_orbit(
     guard: Callable[[np.ndarray], bool] | None = None,
     n_samples: int = 256,
 ) -> PeriodicOrbit:
-    """Newton shooting for a periodic orbit near a seed (a `ShootingSeed`, or
-    a `PredictedOrbit` made with a frame).
-
-    The phase condition pins the solution to the plane through the seed anchor
-    orthogonal to the flow there.  The solve is deliberately local: an iterate
-    more than `DRIFT_FACTOR` times the seed's positive, finite ``scale`` from
-    the seed, with a period outside [0.2, 5] times the seed period, or failing
-    the caller's ``guard`` raises `NoConvergence` instead of landing on a
-    distant attractor.
-
-    An inexact Newton iteration: the seed's variational solve runs at
-    sqrt(``rtol``), since its residual only aims the first step.  Every
-    Newton trial is one variational solve at ``rtol``, reused as the next
-    iterate when accepted; a trial whose solve fails (`NonFinite`,
-    `StepFailure`) is rejected and halved.  Only a solve at ``rtol`` can end
-    the iteration, so a seed whose residual reads below ``newton_tol``, or
-    below what its loose solve resolves, takes its full step, solved at
-    ``rtol``.  Every solve error-controls the variational block on the scale
-    of the identity (`VARIATIONAL_SCALE`); a converged solve whose Liouville
-    check reads above `SCALED_LIOUVILLE_TOL` is the one point integrated
-    twice: it is solved again with Phi from the identity, as is every later
-    trial, and the iteration goes on from that solve.  The residual,
-    monodromy, multipliers, Liouville check and `states` all come from the
-    last solve.
+    """The periodic orbit near a seed (a `ShootingSeed`, or a `PredictedOrbit`
+    made with a frame): `collocate` (from one plain integration where the
+    seed's samples fail), then one variational solve at ``rtol`` from the
+    collocated anchor, the orbit when it closes below ``newton_tol`` and its
+    Liouville check passes.  Else Newton shooting goes on from it, in the
+    phase plane through the seed anchor orthogonal to the flow; a trial more
+    than `DRIFT_FACTOR` seed scales from that anchor, with a period outside
+    [0.2, 5] seed periods, failing ``guard`` or whose solve fails is halved.
+    A converged solve whose Liouville check reads above `SCALED_LIOUVILLE_TOL`
+    is redone with Phi from the identity, as is every later trial.  The
+    residual, monodromy, multipliers, `states` and `flow` are the last solve's.
     """
     if not (math.isfinite(mu) and n_samples >= 1 and rtol > 0 and newton_tol > 0):
         raise InvalidBounds(
             "shooting needs a finite mu, n_samples >= 1 and positive tolerances, got "
             f"mu={mu}, n_samples={n_samples}, rtol={rtol}, newton_tol={newton_tol}"
         )
-    if not 0.0 < seed.scale < math.inf:
-        raise InvalidBounds(f"shooting needs a positive, finite seed scale, got {seed.scale}")
-    if seed.anchor is None:
-        raise NoConvergence(
-            "orbit prediction has no anchor; predict with a frame to seed shooting"
-        )
-    x = np.asarray(seed.anchor, dtype=float).copy()
-    T = float(seed.period)
-    if T <= 0:
-        raise NoConvergence("seed period must be positive")
-    T0 = T
-    drift_cap = DRIFT_FACTOR * seed.scale
-
-    F0 = models.evaluate(model, x, mu)
-    speed = float(np.linalg.norm(F0))
-    if speed < 1e-14:
-        raise NoConvergence("seed anchor is an equilibrium; no phase direction")
-    normal = F0 / speed
-    anchor0 = x.copy()
-
-    def check_iterate(P: np.ndarray, T_val: float) -> None:
-        if float(np.linalg.norm(P - anchor0)) > drift_cap:
-            raise NoConvergence(
-                f"shooting iterate drifted beyond the trust radius {drift_cap:.3g}"
-            )
-        if not (0.2 * T0 <= T_val <= 5.0 * T0):
-            raise NoConvergence(f"shooting period left the trust window ({T_val:.3g})")
-        if guard is not None and not guard(P):
-            raise NoConvergence("shooting iterate violated the interior guard")
+    try:
+        loop = collocate(model, mu, seed, guard)
+    except NoConvergence:
+        if seed.samples is None:
+            raise
+        loop = collocate(model, mu, dataclasses.replace(seed, samples=None), guard)
+    anchor0, normal, check = _trust_region(model, mu, seed, guard)
 
     def closure(P: np.ndarray, PT: np.ndarray) -> np.ndarray:
         return np.append(PT - P, normal @ (P - anchor0))
 
-    check_iterate(x, T)
-    # the seed's solve only aims the first step, so it runs at sqrt(rtol);
-    # every trial runs at rtol, so only a trial's solve can end the iteration
-    iterate_rtol = math.sqrt(rtol)
+    x, T = loop.samples[0].copy(), loop.period
     variational_scale = VARIATIONAL_SCALE
-    xT, monodromy, trace_int, dense = _flow_with_monodromy(model, mu, x, T, iterate_rtol)
-    newton = [(iterate_rtol, float(np.max(np.abs(closure(x, xT)))))]
+    xT, monodromy, trace_int, dense = _flow_with_monodromy(model, mu, x, T, rtol)
+    newton = [(rtol, float(np.max(np.abs(closure(x, xT)))))]
     for _ in range(SHOOTING_MAX_ITER):
         R = closure(x, xT)
-        res_norm = float(np.max(np.abs(R)))
-        if res_norm < newton_tol and iterate_rtol == rtol:
+        if float(np.max(np.abs(R))) < newton_tol:
             liouville = _liouville_defect(monodromy, trace_int)
             if liouville <= SCALED_LIOUVILLE_TOL or variational_scale == 1.0:
                 break
@@ -254,50 +408,25 @@ def find_periodic_orbit(
         A[:3, :3] = monodromy - np.eye(3)
         A[:3, 3] = models.evaluate(model, xT, mu)
         A[3, :3] = normal
-        try:
-            delta = np.linalg.solve(A, -R)
-        except np.linalg.LinAlgError as exc:
-            raise SingularShooting(f"shooting matrix is singular: {exc}") from exc
-        if not np.all(np.isfinite(delta)):
-            raise SingularShooting("shooting step is non-finite")
+        delta = _newton_step(A, R, "shooting")
 
-        # backtracking on the closure residual; a seed solve's residual below
-        # newton_tol or below its own tolerance at the anchor, atol + rtol |x|
-        # at sqrt(rtol), is its integration error and cannot judge a step:
-        # that step is taken in full
-        resolution = iterate_rtol * (dop853.ATOL_PER_RTOL + float(np.max(np.abs(x))))
-        if iterate_rtol != rtol and res_norm < max(newton_tol, resolution):
-            base = math.inf
-        else:
-            base = float(np.linalg.norm(R))
-        scale = 1.0
-        for _halving in range(8):
-            x_new = x + scale * delta[:3]
-            T_new = T + scale * delta[3]
+        def trial(scale: float) -> tuple:
+            x_new, T_new = x + scale * delta[:3], T + scale * delta[3]
+            check(x_new, anchor0, T_new, "shooting iterate")
             try:
-                check_iterate(x_new, T_new)
-            except NumericalFailure:
-                scale *= 0.5
-                continue
-            try:
-                trial = _flow_with_monodromy(model, mu, x_new, T_new, rtol, variational_scale)
+                solve = _flow_with_monodromy(model, mu, x_new, T_new, rtol, variational_scale)
             except NumericalFailure:
                 newton.append((rtol, math.nan))
-                scale *= 0.5
-                continue
-            R_new = closure(x_new, trial[0])
+                raise
+            R_new = closure(x_new, solve[0])
             newton.append((rtol, float(np.max(np.abs(R_new)))))
-            if float(np.linalg.norm(R_new)) < base or scale <= 1.0 / 64.0:
-                x, T, iterate_rtol = x_new, T_new, rtol
-                xT, monodromy, trace_int, dense = trial
-                break
-            scale *= 0.5
-        else:
-            raise NoConvergence("shooting stalled: no residual decrease")
+            return float(np.linalg.norm(R_new)), (x_new, T_new, *solve)
+
+        x, T, xT, monodromy, trace_int, dense = _backtrack(trial, float(np.linalg.norm(R)), "shooting")
     else:
         raise NoConvergence(
             f"shooting did not reach tolerance in {SHOOTING_MAX_ITER} iterations "
-            f"(residual {res_norm:.2e})"
+            f"(residual {float(np.max(np.abs(R))):.2e})"
         )
 
     residual = float(np.max(np.abs(xT - x)))
@@ -315,6 +444,8 @@ def find_periodic_orbit(
         residual=residual,
         liouville_defect=liouville,
         newton=tuple(newton),
+        collocation=loop,
+        flow=lambda t: dense(t)[:3],
     )
 
 
@@ -403,16 +534,18 @@ def _fit_amplitudes(points: Sequence[BranchPoint]) -> AmplitudeFit | None:
 def _extrapolate(
     nodes: Sequence[tuple[float, np.ndarray, float]], s: float
 ) -> tuple[np.ndarray, float]:
-    """Anchor and period at ``s`` of the Lagrange polynomial through the
-    nodes (s_i, anchor_i, period_i); one node gives its own values back."""
-    anchor, period = 0.0, 0.0
-    for i, (s_i, anchor_i, period_i) in enumerate(nodes):
+    """Samples and period at ``s`` of the Lagrange polynomial through the
+    nodes (s_i, samples_i, period_i), samples `_resample`d to the largest N;
+    one node gives its own values back."""
+    n = max(len(samples_i) for _, samples_i, _ in nodes)
+    samples, period = 0.0, 0.0
+    for i, (s_i, samples_i, period_i) in enumerate(nodes):
         weight = math.prod(
             (s - s_j) / (s_i - s_j) for j, (s_j, _, _) in enumerate(nodes) if j != i
         )
-        anchor = anchor + weight * anchor_i
+        samples = samples + weight * _resample(samples_i, n)
         period += weight * period_i
-    return anchor, period
+    return samples, period
 
 
 def continue_branch(
@@ -426,17 +559,18 @@ def continue_branch(
     """Natural continuation of the orbit branch over a mu grid.
 
     The first point is seeded by the asymptotic prediction from ``coeffs``
-    and ``frame``.  Later points are seeded by extrapolating anchor and
-    period in s = sqrt|mu|, in which the branch is smooth (amplitude ~ s):
-    the Lagrange polynomial through the last four of the Hopf point (s = 0,
-    ``frame.origin``, period 2 pi / ``frame.omega``) and the converged
-    orbits.  A point's amplitude is the largest radius of its orbit in the
-    frame's (u1, u2) plane.  Shooting runs at `SWEEP_RTOL` and
-    `BRANCH_NEWTON_TOL` (its seed solve at the square root of `SWEEP_RTOL`,
-    see `find_periodic_orbit`).
+    and ``frame``, its circle of `ORBIT_SAMPLES` samples.  Later points are
+    seeded by extrapolating the collocated samples and period in s =
+    sqrt|mu|, in which the branch is smooth (amplitude ~ s): the Lagrange
+    polynomial through the last four of the Hopf point (s = 0,
+    ``frame.origin`` at every sample, period 2 pi / ``frame.omega``) and the
+    converged orbits.  A point's amplitude is the largest radius of its
+    orbit in the frame's (u1, u2) plane, by `PeriodicOrbit.peak`.  Orbits
+    are found at `SWEEP_RTOL` and `BRANCH_NEWTON_TOL` (see
+    `find_periodic_orbit`).
 
-    Continuation stops at the first point where shooting fails; the partial
-    branch is returned with ``lost_at`` set.
+    Continuation stops at the first point where the orbit search fails; the
+    partial branch is returned with ``lost_at`` set.
     """
     grid = [float(m) for m in mu_values]
     if not grid:
@@ -453,15 +587,13 @@ def continue_branch(
     seed: ShootingSeed | PredictedOrbit = predict_orbit(coeffs, grid[0], frame)
     points: list[BranchPoint] = []
     lost_at: float | None = None
-    # (s, anchor, period) with s = sqrt|mu|; the Hopf point is the branch's s = 0 end
-    nodes = [(0.0, frame.origin, 2.0 * math.pi / frame.omega)]
+    # (s, samples, period) with s = sqrt|mu|; the Hopf point is the branch's s = 0 end
+    nodes = [(0.0, np.tile(frame.origin, (ORBIT_SAMPLES, 1)), 2.0 * math.pi / frame.omega)]
     for mu in grid:
         s = math.sqrt(abs(mu))
         if points:
-            anchor, period = _extrapolate(nodes[-4:], s)
-            seed = ShootingSeed(
-                anchor=anchor, period=period, scale=max(points[-1].amplitude, 1e-6)
-            )
+            samples, period = _extrapolate(nodes[-4:], s)
+            seed = ShootingSeed(samples[0], period, max(points[-1].amplitude, 1e-6), samples)
         try:
             orbit = find_periodic_orbit(
                 model,
@@ -475,9 +607,11 @@ def continue_branch(
         except NumericalFailure:
             lost_at = mu
             break
-        radii = np.linalg.norm(frame.to_frame(orbit.states, mu)[:, :2], axis=1)
-        points.append(BranchPoint(mu=mu, amplitude=float(np.max(radii)), orbit=orbit))
-        nodes.append((s, orbit.anchor, orbit.period))
+        amplitude = orbit.peak(
+            lambda X: np.linalg.norm(frame.to_frame(X, mu)[..., :2], axis=-1)
+        )
+        points.append(BranchPoint(mu=mu, amplitude=amplitude, orbit=orbit))
+        nodes.append((s, orbit.collocation.samples, orbit.collocation.period))
 
     return Branch(points=tuple(points), lost_at=lost_at, fit=_fit_amplitudes(points))
 

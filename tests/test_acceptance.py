@@ -344,7 +344,7 @@ def test_criterion_12_boundary_bound_branch_best_effort():
         guard=eco.interior_guard(),
     )
     amplitudes = [pt.amplitude for pt in branch.points]
-    min_x2 = [float(np.min(pt.orbit.states[:, 1])) for pt in branch.points]
+    min_x2 = [-pt.orbit.peak(lambda X: -X[..., 1]) for pt in branch.points]
     print(
         f"criterion 12: tracked {len(branch.points)}/{len(grid)} points "
         f"(lost at {branch.lost_at}), amplitudes {np.round(amplitudes, 4).tolist()}, "

@@ -416,10 +416,12 @@ def test_eco_sweep_degenerate_draw_is_exit_3(workspace, capsys):
 
 
 def test_stalled_search_at_an_overflowing_rotation_is_a_numerical_failure(workspace):
-    """At omega = 1e308 the Newton matrix's singular values span 308
-    decades, so the least-squares step drops the direction along the line
-    and the Hopf-point search stalls on it; the command exits with a
-    numerical failure that names the stall, not a traceback."""
+    """At omega = 1e308, |F| at the seed is about 1e307, so the 2-norm of
+    every trial's residual overflows to inf and no trial reads a decrease:
+    the Hopf-point search stalls on its first step (lstsq keeps the trace row,
+    the rows being scaled, `test_locate_keeps_the_trace_row_where_df_spans_many_decades`);
+    the command exits with a numerical failure that names the stall, not a
+    traceback."""
     doc = {
         "builtin": "toy_cylindrical",
         "params": {"omega": 1e308, "beta2": -0.7, "beta3": 0.2, "beta5": 0.9, "gamma5": -1.1},

@@ -54,6 +54,19 @@ def test_locate_synthetic_returns_origin(params):
     assert np.allclose(X, 0.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("omega", [1e16, 1e100])
+def test_locate_keeps_the_trace_row_where_df_spans_many_decades(omega):
+    """Unscaled, the rotation rows put the Newton matrix's largest singular
+    value at omega, lstsq's rank cut drops the trace row, and the search
+    stalled at F = 0 ("no descent direction"); rows scaled by powers of two
+    to a largest entry below 1 keep it, and the search reaches the origin."""
+    model = builtin(
+        "toy_cylindrical", {"omega": omega, "beta2": -0.7, "beta3": 0.2, "beta5": 0.9, "gamma5": -1.1}
+    )
+    X = locate_hopf_point(model, np.array([0.1, 0.1, 0.1]))
+    assert np.max(np.abs(X)) < 1e-20
+
+
 def test_locate_accepts_classical_hopf_spectrum():
     # the classical normal form passes the spectral test here; it is rejected
     # later by the nondegeneracy check, not by the locator

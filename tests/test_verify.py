@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from hybridhopf import dop853, eco, models, verify
-from hybridhopf.classifier import classify, predict_orbit
+from hybridhopf.classifier import ORBIT_SAMPLES, classify, predict_orbit
 from hybridhopf.coefficients import compute_coefficients
 from hybridhopf.errors import InvalidBounds, LeftDomain, NoConvergence, NonFinite, StepFailure
 from hybridhopf.frame import build_standard_frame, standard_jet
@@ -154,8 +154,11 @@ def test_shooting_with_the_former_linearization_gives_the_same_bits(case, interi
     for name in ("anchor", "monodromy", "states"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert got.period.hex() == want.period.hex()
+    assert got.collocation.samples.tobytes() == want.collocation.samples.tobytes()
+    assert got.collocation.period.hex() == want.collocation.period.hex()
+    assert got.collocation.steps == want.collocation.steps >= 2
     assert np.array(got.newton).tobytes() == np.array(want.newton).tobytes()
-    assert len(got.newton) >= 2 and got.residual < 1e-10
+    assert len(got.newton) == 1 and got.residual < 1e-10
 
 
 def test_hyperbolic_orbit_has_one_escaping_multiplier(synthetic_pipeline):
@@ -226,6 +229,138 @@ def test_prediction_without_frame_cannot_seed_shooting(interior_pipeline):
         find_periodic_orbit(interior_pipeline.model, 0.005, guess)
 
 
+# ---------------------------------------------------------------------------
+# Fourier collocation
+# ---------------------------------------------------------------------------
+
+
+def _loop(frame, mu, r, n, z=0.0):
+    """n samples of the frame circle of radius r at height z, from phase 0."""
+    theta = 2.0 * math.pi * np.arange(n) / n
+    return np.array([frame.from_frame((r * math.cos(t), r * math.sin(t), z), mu) for t in theta])
+
+
+def test_collocation_returns_the_planted_circle():
+    """With only omega, beta2, beta5 and gamma5 planted, `toy_cylindrical`
+    has the exact orbit r = r0 = sqrt(-mu gamma5 / beta5), z = 0, period
+    2 pi / omega; from a loop 4 % too wide, 0.002 below the plane and a
+    period 5 % long, collocation returns it to 1e-12."""
+    planted = {"omega": 1.3, "beta2": -0.7, "beta5": 0.9, "gamma5": 1.1}
+    pipe = build_pipeline(builtin("toy_cylindrical", planted), np.zeros(3))
+    mu = -0.005
+    r0 = math.sqrt(-mu * planted["gamma5"] / planted["beta5"])
+    samples = _loop(pipe.frame, mu, 1.04 * r0, ORBIT_SAMPLES, z=-0.002)
+    seed = ShootingSeed(samples[0], 1.05 * 2.0 * math.pi / planted["omega"], r0, samples)
+    loop = verify.collocate(pipe.model, mu, seed)
+    X = loop.samples
+    assert len(X) == ORBIT_SAMPLES and loop.steps >= 3
+    assert np.max(np.abs(np.hypot(X[:, 0], X[:, 1]) - r0)) < 1e-12
+    assert np.max(np.abs(X[:, 2])) < 1e-12
+    assert loop.period == pytest.approx(2.0 * math.pi / planted["omega"], rel=1e-12, abs=0.0)
+    turns = np.diff(np.unwrap(np.arctan2(X[:, 1], X[:, 0])))
+    assert np.max(np.abs(turns - 2.0 * math.pi / ORBIT_SAMPLES)) < 1e-12
+    assert loop.residual < 1e-12 and loop.tail < 1e-12
+
+
+def test_the_spectral_tail_grows_a_loop_that_converges_wrong(interior_pipeline, monkeypatch):
+    """README config at mu = 0.02 from a 17-sample circle: held at 17
+    samples, collocation converges to a loop whose anchor is 1e-6 off the
+    orbit and whose top harmonics read 2.5e-5 of its first; the tail rule
+    grows it, to 37 samples when this was written, and lands on the orbit."""
+    mu, frame = 0.02, interior_pipeline.frame
+    prediction = predict_orbit(interior_pipeline.coeffs, mu, frame=frame)
+    reference = find_periodic_orbit(
+        interior_pipeline.model, mu, prediction, guard=eco.interior_guard()
+    )
+    samples = _loop(frame, mu, prediction.r0, 17)
+    seed = ShootingSeed(prediction.anchor, prediction.period, prediction.scale, samples)
+    grown = verify.collocate(interior_pipeline.model, mu, seed, eco.interior_guard())
+    assert len(grown.samples) > 17 and grown.tail <= verify.COLLOCATION_TAIL
+    assert np.max(np.abs(grown.samples[0] - reference.anchor)) < 1e-10
+    assert grown.period == pytest.approx(reference.period, rel=1e-12)
+    monkeypatch.setattr(verify, "COLLOCATION_TAIL", math.inf)
+    held = verify.collocate(interior_pipeline.model, mu, seed, eco.interior_guard())
+    assert len(held.samples) == 17 and held.tail > 1e-6
+    assert np.max(np.abs(held.samples[0] - reference.anchor)) > 1e-7
+
+
+@pytest.mark.parametrize(
+    "violation, match",
+    [
+        ("drift", "trust radius"),
+        ("period", "trust window"),
+        ("guard", "collocated loop violated the interior guard"),
+    ],
+)
+def test_collocation_trust_region_violations_are_typed(interior_pipeline, violation, match):
+    """A seed scale 1e-6 of the prediction's, a seed period a sixth of the
+    orbit's and a guard that no state passes each end the orbit search in
+    `NoConvergence` naming what the loop violated."""
+    mu = 0.005
+    prediction = predict_orbit(interior_pipeline.coeffs, mu, frame=interior_pipeline.frame)
+    seed, guard = prediction, None
+    if violation == "drift":
+        seed = dataclasses.replace(prediction, scale=1e-6 * prediction.scale)
+    elif violation == "period":
+        seed = dataclasses.replace(prediction, period=prediction.period / 6.0, scale=10.0)
+    else:
+        guard = lambda X: False  # noqa: E731
+    with pytest.raises(NoConvergence, match=match):
+        find_periodic_orbit(interior_pipeline.model, mu, seed, guard=guard)
+
+
+@pytest.mark.parametrize(
+    "label, planted",
+    [
+        ("H", {"omega": 1.3, "beta2": 0.7, "beta5": 0.9, "gamma5": -1.1}),
+        ("ES", {"beta2": -1.0, "beta3": -0.5, "beta5": 1.0, "gamma5": -1.0}),
+        ("EU", {"omega": 1.3, "beta2": -0.7, "beta5": 0.9, "gamma5": 1.1, "gamma7": -0.4}),
+    ],
+)
+def test_planted_branches_take_one_variational_solve_a_point(label, planted, integrations):
+    """On perfbench's 8-point grid a planted branch closes every point in the
+    one variational solve from its collocated loop (three a point with the
+    loose seed solve before collocation)."""
+    pipe = build_pipeline(builtin("toy_cylindrical", planted), np.zeros(3))
+    classification = classify(pipe.coeffs)
+    assert classification.label == label
+    integrations.clear()
+    branch = continue_branch(
+        pipe.model,
+        classification.direction * np.geomspace(5e-4, 2e-2, 8),
+        coeffs=pipe.coeffs,
+        frame=pipe.frame,
+    )
+    assert branch.complete()
+    assert [dim for _, _, dim, _ in integrations] == [13] * 8
+    assert all(len(p.orbit.newton) == 1 for p in branch.points)
+
+
+def test_branch_extremes_are_refined_on_the_interpolant(interior_pipeline):
+    """The amplitude and min x2 are the extremes of the last solve's
+    interpolant: no time on a grid of 400 001 reads beyond them, nor falls
+    short by more than 1e-11 relative, where the 256 samples fall 2e-5 (the
+    amplitude) and 2.5e-6 (min x2 at mu = 0.02) short."""
+    frame = interior_pipeline.frame
+    branch = continue_branch(
+        interior_pipeline.model,
+        [0.005, 0.02],
+        coeffs=interior_pipeline.coeffs,
+        frame=frame,
+        guard=eco.interior_guard(),
+    )
+    for point in branch.points:
+        orbit = point.orbit
+        fine = orbit.flow(np.linspace(0.0, orbit.period, 400_001)).T
+        radius = np.linalg.norm(frame.to_frame(fine, point.mu)[:, :2], axis=1)
+        assert 0.0 <= point.amplitude - np.max(radius) <= 1e-11 * point.amplitude
+        sampled = np.max(np.linalg.norm(frame.to_frame(orbit.states, point.mu)[:, :2], axis=1))
+        assert point.amplitude - sampled > 1e-5 * point.amplitude
+        low = -orbit.peak(lambda X: -X[..., 1])
+        assert 0.0 <= np.min(fine[:, 1]) - low <= 1e-11 * low
+    assert np.min(orbit.states[:, 1]) - low > 1e-6
+
+
 @pytest.fixture
 def integrations(monkeypatch):
     """(x0, T, dimension, DOP853 steps) of every integration `verify` makes."""
@@ -248,14 +383,11 @@ def test_shooting_integrates_no_point_twice(interior_pipeline, integrations):
     orbit = find_periodic_orbit(
         interior_pipeline.model, mu, prediction, guard=eco.interior_guard()
     )
-    assert len(integrations) <= 5
-    assert all(dim == 13 for _, _, dim, _ in integrations)
-    assert len({(x0, T) for x0, T, _, _ in integrations}) == len(integrations)
-    # the seed's solve runs at sqrt(rtol) and only aims the first Newton
-    # step; every trial, the converged one last, runs at rtol
-    rtols = [rtol for rtol, _ in orbit.newton]
-    assert rtols == [math.sqrt(verify.ORBIT_RTOL)] + [verify.ORBIT_RTOL] * (len(rtols) - 1)
-    assert len(rtols) == len(integrations) >= 2
+    # the collocated loop closes below newton_tol in the one variational
+    # solve at rtol from its anchor over its period
+    assert [dim for _, _, dim, _ in integrations] == [13]
+    assert integrations[0][:2] == (tuple(orbit.collocation.samples[0]), orbit.collocation.period)
+    assert [rtol for rtol, _ in orbit.newton] == [verify.ORBIT_RTOL]
     assert orbit.newton[-1][1] < verify.ORBIT_NEWTON_TOL
     # the samples and monodromy are those of the converged iterate's own solve
     _, monodromy, _, dense = verify._flow_with_monodromy(
@@ -265,15 +397,14 @@ def test_shooting_integrates_no_point_twice(interior_pipeline, integrations):
     assert np.array_equal(orbit.states, dense(orbit.times)[:3].T)
 
 
-@pytest.mark.parametrize("newton_tol, solves", [(verify.ORBIT_NEWTON_TOL, 3), (1e-3, 2)])
-def test_a_converged_seed_still_ends_on_a_solve_at_rtol(
-    interior_pipeline, integrations, newton_tol, solves
+@pytest.mark.parametrize("newton_tol", [verify.ORBIT_NEWTON_TOL, 1e-3])
+def test_a_point_seed_is_sampled_by_one_plain_integration(
+    interior_pipeline, integrations, newton_tol
 ):
-    """Seeded with a converged orbit's own anchor and period, the seed solve
-    at sqrt(rtol) reads only its own integration error.  That cannot end the
-    shooting, even below ``newton_tol``, nor judge a step: the Newton step
-    from it is taken in full, without halving, and solved at rtol at a new
-    point."""
+    """Seeded with a converged orbit's own anchor and period and no samples,
+    collocation starts from one plain integration over that period, read at
+    `ORBIT_SAMPLES` times, and the orbit is one variational solve at rtol
+    from the collocated anchor, whatever ``newton_tol``."""
     mu = 0.005
     prediction = predict_orbit(interior_pipeline.coeffs, mu, frame=interior_pipeline.frame)
     first = find_periodic_orbit(
@@ -284,24 +415,25 @@ def test_a_converged_seed_still_ends_on_a_solve_at_rtol(
     orbit = find_periodic_orbit(
         interior_pipeline.model, mu, seed, newton_tol=newton_tol, guard=eco.interior_guard()
     )
-    assert orbit.newton[0][1] < math.sqrt(verify.ORBIT_RTOL) * np.max(np.abs(first.anchor))
-    assert len(orbit.newton) == len(integrations) == solves
-    assert [rtol for rtol, _ in orbit.newton[1:]] == [verify.ORBIT_RTOL] * (solves - 1)
-    assert orbit.newton[-1][1] < newton_tol
-    assert integrations[0][:2] == (tuple(first.anchor), first.period)
-    assert len({(x0, T) for x0, T, _, _ in integrations}) == solves
-    assert orbit.period == pytest.approx(first.period, rel=1e-6)
+    assert integrations[0][:3] == (tuple(first.anchor), first.period, 3)
+    assert integrations[1][:3] == (
+        tuple(orbit.collocation.samples[0]), orbit.collocation.period, 13
+    )
+    assert len(integrations) == 2 and len(orbit.collocation.samples) == ORBIT_SAMPLES
+    assert [rtol for rtol, _ in orbit.newton] == [verify.ORBIT_RTOL]
+    assert orbit.newton[-1][1] < min(newton_tol, verify.ORBIT_NEWTON_TOL)
+    assert orbit.period == pytest.approx(first.period, rel=1e-11)
+    assert np.max(np.abs(orbit.anchor - first.anchor)) < 1e-10
 
 
 def test_shooting_builds_dense_output_only_where_it_is_read(interior_pipeline):
-    """Every Newton trial is a dense variational solve, but only the converged
-    one's interpolant is read.  Building each step's interpolant on first read
-    saves the three extra stages per step of the four earlier solves.  With
-    the variational block error-controlled on the scale of the identity the
-    orbit takes 1830 model RHS calls (2310 with Phi held to the state's
-    absolute tolerance); the window leaves 90 calls of margin either way.
-    The lower bound also makes sure the solves call the counted ``rhs`` at
-    all, not a linearisation built with the model's former one."""
+    """The orbit takes 745 model RHS calls: 247 in collocation (41 samples
+    in each of its six residual evaluations, and the seed anchor's flow),
+    398 in the one variational solve's 33 steps, 99 building their
+    interpolants, which `states` reads, and one more for the phase
+    direction.  The window leaves 40 calls of margin either way; the lower
+    bound also makes sure the solves call the counted ``rhs`` at all, not a
+    linearisation built with the model's former one."""
     calls = []
 
     def rhs(x, mu, _rhs=interior_pipeline.model.rhs):
@@ -312,7 +444,7 @@ def test_shooting_builds_dense_output_only_where_it_is_read(interior_pipeline):
     mu = 0.005
     prediction = predict_orbit(interior_pipeline.coeffs, mu, frame=interior_pipeline.frame)
     find_periodic_orbit(model, mu, prediction, guard=eco.interior_guard())
-    assert 1740 <= len(calls) <= 1920
+    assert 705 <= len(calls) <= 785
 
 
 @pytest.mark.parametrize("replaced", ["rhs", "no_jacobian"])
@@ -346,9 +478,9 @@ def test_shooting_calls_the_functions_that_replaced_the_models_own(
         )
 
     orbit = shoot(shot)
-    # one call a stage: 1215 and 1468 calls; a stale linearisation leaves
-    # only the few of `models.evaluate`
-    assert len(calls) >= 1000
+    # one call a stage and a collocation sample: 574 and 662 calls; a stale
+    # linearisation leaves only the few of `models.evaluate`
+    assert len(calls) >= 500
     own = shoot(model)
     if replaced == "rhs":  # the same function, so the same bits
         assert np.array_equal(orbit.monodromy, own.monodromy)
@@ -515,8 +647,9 @@ def test_continuation_monotone_amplitudes(interior_pipeline):
 
 
 def test_readme_branch_seeds_start_near_closure(interior_pipeline, integrations):
-    """Seeds extrapolated in s = sqrt|mu| through the Hopf point: the README
-    8-point branch takes 27 variational solves, 33 with a secant in mu."""
+    """Loops extrapolated in s = sqrt|mu| through the Hopf point, collocated:
+    the README 8-point branch takes one variational solve a point (27 when
+    shooting started from the extrapolated anchor, 33 with a secant in mu)."""
     branch = continue_branch(
         interior_pipeline.model,
         np.geomspace(5e-4, 2e-2, 8),
@@ -525,17 +658,16 @@ def test_readme_branch_seeds_start_near_closure(interior_pipeline, integrations)
         guard=eco.interior_guard(),
     )
     assert branch.complete() and len(branch.points) == 8
-    assert all(dim == 13 for _, _, dim, _ in integrations)
-    assert len(integrations) <= 27
+    assert [dim for _, _, dim, _ in integrations] == [13] * 8
 
 
 def test_readme_continue_steps_resolve_phi_on_the_scale_of_the_identity(
     interior_pipeline, integrations
 ):
     """With Phi error-controlled to about 1.28 rtol of the identity it starts
-    from, the README 6-point grid takes 355 DOP853 steps in 22 variational
-    solves; 424 in as many solves when Phi's entries crossing 0 were held to
-    the state's absolute tolerance, rtol / 100."""
+    from, the README 6-point grid takes 117 DOP853 steps in its 6 variational
+    solves, one a point; 140 in as many solves when Phi's entries crossing 0
+    were held to the state's absolute tolerance, rtol / 100."""
     branch = continue_branch(
         interior_pipeline.model,
         [0.0005, 0.001, 0.002, 0.005, 0.01, 0.02],
@@ -544,14 +676,17 @@ def test_readme_continue_steps_resolve_phi_on_the_scale_of_the_identity(
         guard=eco.interior_guard(),
     )
     assert branch.complete() and len(branch.points) == 6
-    assert [dim for _, _, dim, _ in integrations] == [13] * 22
-    assert sum(steps for _, _, _, steps in integrations) <= 365
+    assert [dim for _, _, dim, _ in integrations] == [13] * 6
+    assert sum(steps for _, _, _, steps in integrations) <= 121
 
 
 def _sweep_branch(case, interior_pipeline):
     """(model, branch) of an accuracy case: the README ``continue`` grid, a
     planted ES `toy_cylindrical` branch, or draw 6 of ``sample_region(30, 11)``
-    on perfbench's 8-point grid, whose orbits `SWEEP_RTOL` resolves worst."""
+    on perfbench's 8-point grid, whose orbits `SWEEP_RTOL` resolves worst.
+    Draw 6 runs without the interior guard: its orbit at mu = 0.02 comes
+    within 1e-7 of x1 = 0, below `eco.INTERIOR_FLOOR`, and the guard holds
+    every collocated sample."""
     if case == "readme":
         pipeline, guard = interior_pipeline, eco.interior_guard()
         grid = [0.0005, 0.001, 0.002, 0.005, 0.01, 0.02]
@@ -562,7 +697,7 @@ def _sweep_branch(case, interior_pipeline):
     else:
         params = eco.sample_region(30, 11)[6]
         pipeline = build_pipeline(eco.model(params), eco.hopf_point(params))
-        grid, guard = np.geomspace(5e-4, 2e-2, 8), eco.interior_guard()
+        grid, guard = np.geomspace(5e-4, 2e-2, 8), None
     classification = classify(pipeline.coeffs)
     if case == "toy_cylindrical_es":
         assert classification.label == "ES"
@@ -621,6 +756,7 @@ def test_a_converged_solve_failing_the_liouville_check_is_redone_from_the_identi
     model, branch = _sweep_branch("region_draw_6", interior_pipeline)
     last = branch.points[-1].orbit
     assert branch.points[-1].mu == pytest.approx(0.02)
+    assert 0.0 < np.min(last.states[:, 0]) < eco.INTERIOR_FLOOR
     flows = {
         scale: verify._flow_with_monodromy(
             model, last.mu, last.anchor, last.period, verify.SWEEP_RTOL, scale
@@ -666,6 +802,16 @@ def test_extrapolation_in_s_is_exact_for_cubics():
     # one node: its own values
     got_anchor, got_period = verify._extrapolate([orbits[0]], target)
     assert np.array_equal(got_anchor, a1) and got_period == T1
+
+    # loops of a cubic family sampled at 41 and at 61 points: the nodes are
+    # brought to 61 on their Fourier series, exact for a band-limited loop
+    def loop(s, n):
+        theta = 2.0 * math.pi * np.arange(n)[:, None] / n
+        return anchor(s) + np.cos(theta) * a[1] * (1.0 + s) + np.sin(2.0 * theta) * a[2] * s**2
+
+    nodes = [(si, loop(si, 61 if k == 1 else 41), period(si)) for k, si in enumerate(s[:4])]
+    got_loop, _ = verify._extrapolate(nodes, s[4])
+    assert np.max(np.abs(got_loop - loop(s[4], 61))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
