@@ -148,11 +148,11 @@ class _Step:
         return _horner(self.coefficients(), (t - self.t_old) / (self.t - self.t_old), self.y_old)
 
 
-def _horner(F: np.ndarray, x, y_old: np.ndarray, at=slice(None)) -> np.ndarray:
-    """scipy's interpolant, Horner in x and 1 - x, at ``x`` of rows ``F[i][..., at]``."""
+def _horner(F: np.ndarray, x, y_old: np.ndarray) -> np.ndarray:
+    """scipy's interpolant, Horner in x and 1 - x, at ``x`` of rows ``F[i]``."""
     y = np.zeros(y_old.shape)
     for i in range(7):
-        y += F[6 - i][..., at]
+        y += F[6 - i]
         y *= x if i % 2 == 0 else 1 - x
     return y + y_old
 
@@ -169,7 +169,9 @@ class Solution:
 
     def sol(self, t) -> np.ndarray:
         """States at a time or a 1-D array of times (C-ordered: a mean over them rounds
-        by layout); a step end reads the earlier step."""
+        by layout); a step end reads the earlier step.  Only the steps read build
+        their interpolants, and each time's coefficients are gathered once, so its
+        Horner sum is the one its `_Step` call runs."""
         t = np.asarray(t)
         seg = np.clip(np.searchsorted(self.t, t, side="left") - 1, 0, len(self.steps) - 1)
         if t.ndim == 0:
@@ -178,8 +180,8 @@ class Solution:
         steps = [self.steps[k] for k in read.tolist()]
         t_old, t_end = np.array([(s.t_old, s.t) for s in steps]).T
         y_old = np.stack([s.y_old for s in steps], axis=-1).take(at, axis=-1)
-        F = np.stack([s.coefficients() for s in steps], axis=-1)
-        return _horner(F, (t - t_old[at]) / (t_end - t_old)[at], y_old, at)
+        F = np.stack([s.coefficients() for s in steps], axis=-1).take(at, axis=-1)
+        return _horner(F, (t - t_old[at]) / (t_end - t_old)[at], y_old)
 
 
 def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol):

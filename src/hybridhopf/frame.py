@@ -122,7 +122,10 @@ def locate_hopf_point(model: ModelDefinition, seed: Sequence[float]) -> np.ndarr
         JG = _newton_matrix(model, X)
         weight = np.ldexp(1.0, -np.maximum(np.frexp(np.abs(JG).max(axis=1))[1], 0))
         step, *_ = np.linalg.lstsq(JG * weight[:, None], -G * weight, rcond=None)
-        base = float(np.linalg.norm(G))
+        # norms of G and of each trial scaled by one power of two, so max |G|
+        # lands in [1/2, 1): exact, and finite where |G| squared would overflow
+        unit = math.ldexp(1.0, -math.frexp(max(F_norm, abs(float(G[3]))))[1])
+        base = float(np.linalg.norm(G * unit))
         scale = 1.0
         failure = ""
         for _halving in range(12):
@@ -132,7 +135,7 @@ def locate_hopf_point(model: ModelDefinition, seed: Sequence[float]) -> np.ndarr
                 failure = f" (last failed trial: {exc})"
                 scale *= 0.5
                 continue
-            if np.linalg.norm(G_new) < base:
+            if np.linalg.norm(G_new * unit) < base:
                 break
             scale *= 0.5
         else:

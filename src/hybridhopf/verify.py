@@ -120,31 +120,42 @@ class PeriodicOrbit:
     solve of the shooting in order, backtracking trials included; a solve
     that failed reads nan.  ``collocation`` is the loop the first solve
     started from; ``flow(t)`` reads the last solve's interpolant of the state.
+    `times` and `states` read ``flow`` at ``n_samples`` times over the period,
+    the last repeating the first, on first access: only then does the solve
+    build the interpolant of every step.
     """
 
     mu: float
     anchor: np.ndarray
     period: float
-    times: np.ndarray
-    states: np.ndarray
     monodromy: np.ndarray
     multipliers: tuple[complex, complex, complex]
     residual: float
     liouville_defect: float
     newton: tuple[tuple[float, float], ...]
     collocation: Collocation
+    n_samples: int
     flow: Callable[[np.ndarray], np.ndarray] = dataclasses.field(repr=False, compare=False)
 
+    @functools.cached_property
+    def times(self) -> np.ndarray:
+        return np.linspace(0.0, self.period, self.n_samples)
+
+    @functools.cached_property
+    def states(self) -> np.ndarray:
+        return self.flow(self.times).T
+
     def peak(self, value: Callable[[np.ndarray], np.ndarray]) -> float:
-        """The largest ``value`` (states (..., 3) to values (...)) on the
-        orbit: the largest at `states`, refined by steps to the vertex of the
-        parabola through it and its neighbours, then twice through three
-        times on `flow`, each spaced 32 times closer than the last."""
-        values = value(self.states).tolist()
-        n = max(len(values) - 1, 1)  # the last sample repeats the first
+        """The largest ``value`` (states (..., 3) to values (...)) on `flow`:
+        bracketed at the largest on the collocated loop (N samples at j T / N
+        from the anchor) by that time and its neighbours' read on `flow`,
+        then refined by steps to the vertex of the parabola through the
+        three, twice, each through three times spaced 32 times closer."""
+        values = value(self.collocation.samples).tolist()
+        n = len(values)
         k = max(range(n), key=values.__getitem__)
-        t, h, best = float(self.times[k]), self.period / n, values[k]
-        a, b, c = values[(k - 1) % n], best, values[(k + 1) % n]
+        t, h, best = k * self.period / n, self.period / n, -math.inf
+        a, b, c = value(self.flow((t + np.array([-h, 0.0, h])) % self.period).T).tolist()
         for step in range(3):
             best = max(best, a, b, c)
             if step == 2 or not a - 2.0 * b + c < 0.0:
@@ -370,7 +381,8 @@ def find_periodic_orbit(
     [0.2, 5] seed periods, failing ``guard`` or whose solve fails is halved.
     A converged solve whose Liouville check reads above `SCALED_LIOUVILLE_TOL`
     is redone with Phi from the identity, as is every later trial.  The
-    residual, monodromy, multipliers, `states` and `flow` are the last solve's.
+    residual, monodromy, multipliers and `flow` are the last solve's, and so
+    are the ``n_samples`` `states`, read from `flow` on first access only.
     """
     if not (math.isfinite(mu) and n_samples >= 1 and rtol > 0 and newton_tol > 0):
         raise InvalidBounds(
@@ -430,21 +442,18 @@ def find_periodic_orbit(
         )
 
     residual = float(np.max(np.abs(xT - x)))
-    times = np.linspace(0.0, T, n_samples)
-    states = dense(times)[:3].T
     multipliers = tuple(sorted(np.linalg.eigvals(monodromy), key=lambda z: -abs(z)))
     return PeriodicOrbit(
         mu=mu,
         anchor=x,
         period=T,
-        times=times,
-        states=states,
         monodromy=monodromy,
         multipliers=multipliers,  # type: ignore[arg-type]
         residual=residual,
         liouville_defect=liouville,
         newton=tuple(newton),
         collocation=loop,
+        n_samples=n_samples,
         flow=lambda t: dense(t)[:3],
     )
 
@@ -565,9 +574,10 @@ def continue_branch(
     polynomial through the last four of the Hopf point (s = 0,
     ``frame.origin`` at every sample, period 2 pi / ``frame.omega``) and the
     converged orbits.  A point's amplitude is the largest radius of its
-    orbit in the frame's (u1, u2) plane, by `PeriodicOrbit.peak`.  Orbits
-    are found at `SWEEP_RTOL` and `BRANCH_NEWTON_TOL` (see
-    `find_periodic_orbit`).
+    orbit in the frame's (u1, u2) plane, by `PeriodicOrbit.peak`, so it
+    does not depend on ``n_samples``, the count of each orbit's `states`,
+    which nothing here reads.  Orbits are found at `SWEEP_RTOL` and
+    `BRANCH_NEWTON_TOL` (see `find_periodic_orbit`).
 
     Continuation stops at the first point where the orbit search fails; the
     partial branch is returned with ``lost_at`` set.

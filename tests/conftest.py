@@ -1,4 +1,5 @@
-"""Shared fixtures: the interior ecosystem sample and synthetic pipelines."""
+"""Shared fixtures: the interior ecosystem sample, synthetic pipelines, and a
+recorder of the package's `dop853` solves."""
 from __future__ import annotations
 
 import dataclasses
@@ -6,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hybridhopf import eco
+from hybridhopf import dop853, eco
 from hybridhopf.coefficients import CylindricalCoefficients, compute_coefficients
 from hybridhopf.eco import EcoParams
 from hybridhopf.frame import StandardFrame, build_standard_frame, standard_jet
@@ -82,3 +83,17 @@ def rotation_model():
         {"y1": [[-1.0, 0, 1, 0, 0]], "y2": [[1.0, 1, 0, 0, 0]], "z": []},
         name="pure_rotation",
     )
+
+
+@pytest.fixture
+def solutions(monkeypatch):
+    """The `dop853.Solution` of every `dop853.solve` call the package makes."""
+    made = []
+    solve = dop853.solve
+
+    def recording(*args, **kwargs):
+        made.append(solve(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(dop853, "solve", recording)
+    return made

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -285,6 +286,21 @@ def test_continue_tracks_a_coarse_grid(workspace):
     assert summary["lost_at"] is None
 
 
+def test_continue_samples_set_only_the_orbit_files(workspace):
+    """``--samples`` is the resolution of each ``orbit_*.tsv`` alone: the
+    amplitudes are refined on each orbit's interpolant, so ``branch.tsv``
+    and ``summary.json`` are the same bytes at 17 samples as at the default."""
+    cfg = workspace.config(INTERIOR)
+    grid = ["--mu-grid", "0.0005,0.001,0.002,0.005,0.01,0.02"]
+    assert main(["continue", "--config", cfg, *grid, "--out", workspace.outdir("d")]) == 0
+    argv = ["continue", "--config", cfg, *grid, "--samples", "17", "--out", workspace.outdir("s")]
+    assert main(argv) == 0
+    for name in ("branch.tsv", "summary.json"):
+        assert (workspace.path("s") / name).read_bytes() == (workspace.path("d") / name).read_bytes()
+    _, rows = read_table(workspace, "s", "orbit_000.tsv")
+    assert len(rows) == 17
+
+
 def test_continue_wrong_direction_grid(workspace):
     cfg = workspace.config(INTERIOR)
     code = main(
@@ -415,13 +431,14 @@ def test_eco_sweep_degenerate_draw_is_exit_3(workspace, capsys):
     assert err.startswith("degenerate: ") and err.count("\n") == 1, err
 
 
-def test_stalled_search_at_an_overflowing_rotation_is_a_numerical_failure(workspace):
-    """At omega = 1e308, |F| at the seed is about 1e307, so the 2-norm of
-    every trial's residual overflows to inf and no trial reads a decrease:
-    the Hopf-point search stalls on its first step (lstsq keeps the trace row,
-    the rows being scaled, `test_locate_keeps_the_trace_row_where_df_spans_many_decades`);
-    the command exits with a numerical failure that names the stall, not a
-    traceback."""
+def test_overflowing_rotation_is_located_and_fails_its_assumption_check(workspace):
+    """At omega = 1e308, |F| at the seed is about 1e307, so the square of the
+    residual's 2-norm overflows; the Hopf-point search compares norms scaled
+    by one power of two, descends (lstsq keeps the trace row, the rows being
+    scaled, `test_locate_keeps_the_trace_row_where_df_spans_many_decades`)
+    and reaches the z-axis.  There the line-of-equilibria residual reads
+    inf: the command exits 2 on the failed assumption check, with no
+    traceback and no numpy warning."""
     doc = {
         "builtin": "toy_cylindrical",
         "params": {"omega": 1e308, "beta2": -0.7, "beta3": 0.2, "beta5": 0.9, "gamma5": -1.1},
@@ -431,11 +448,11 @@ def test_stalled_search_at_an_overflowing_rotation_is_a_numerical_failure(worksp
          "--out", workspace.outdir("eig")],
         capture_output=True, text=True, check=False, env=source_env(), timeout=60,
     )
-    assert result.returncode == 1, result.stderr
-    assert "Traceback" not in result.stderr
-    last = result.stderr.splitlines()[-1]
-    assert last.startswith("numerical failure: "), result.stderr
-    assert "Hopf-point search stalled: no descent direction" in last, result.stderr
+    assert result.returncode == 2, result.stderr
+    assert result.stderr == ""
+    assert result.stdout.splitlines()[-1].startswith("assumption check failed: a1_line")
+    report = read_json(workspace, "eig", "assumptions.json")["report"]
+    assert report["a1_line_residual"] == math.inf
 
 
 @pytest.mark.parametrize(

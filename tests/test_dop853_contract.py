@@ -12,20 +12,6 @@ from hybridhopf import dop853, verify
 from hybridhopf.errors import LeftDomain, StepFailure
 
 
-@pytest.fixture
-def solutions(monkeypatch):
-    """The `dop853.Solution` of every `dop853.solve` call the package makes."""
-    made = []
-    solve = dop853.solve
-
-    def recording(*args, **kwargs):
-        made.append(solve(*args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(dop853, "solve", recording)
-    return made
-
-
 def hard_grid(sol: dop853.Solution) -> np.ndarray:
     """Every step end (the event's root and the end of its step too), repeated
     times, times outside [t0, tf] and times inside steps, in shuffled order."""
@@ -88,6 +74,22 @@ def test_fun_may_return_an_array_a_list_or_a_tuple(event):
         assert np.array_equal(other.t, runs[0].t)
         assert np.array_equal(other.y, runs[0].y)
         assert np.array_equal(other.sol(grid), runs[0].sol(grid))
+
+
+def test_dense_output_is_each_steps_own_interpolant():
+    """`Solution.sol` at a vector of times reads, bit for bit, what the
+    interpolant of each time's step reads alone: the step ending at a step
+    end, the first step at the start of the span and the last at its end."""
+    sol = dop853.solve(van_der_pol, (0.0, 12.0), np.array([0.5, 0.0]), 1e-10)
+    times, owners = [sol.t[0]], [sol.steps[0]]
+    for step in sol.steps:
+        inside = np.linspace(step.t_old, step.t, 5)[1:].tolist()
+        times += inside
+        owners += [step] * len(inside)
+    assert times[-1] == sol.t[-1] and len(times) == 4 * len(sol.steps) + 1
+    together = sol.sol(np.array(times))
+    for column, t, step in zip(together.T, times, owners):
+        assert np.array_equal(column, dop853._Step.__call__(step, t))
 
 
 def harmonic(t: float, y: np.ndarray) -> list[float]:

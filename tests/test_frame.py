@@ -67,6 +67,16 @@ def test_locate_keeps_the_trace_row_where_df_spans_many_decades(omega):
     assert np.max(np.abs(X)) < 1e-20
 
 
+@pytest.mark.parametrize("size", [1e155, 1e307])
+def test_locate_descends_where_the_residual_norm_overflows(rotation_model, size):
+    """Seeded at |F| = size on a rotation about the z-axis, the square of
+    the residual's 2-norm overflows: numpy warned of it, and at 1e307 no
+    trial read a decrease, so the search stalled.  Norms scaled by one power
+    of two per step reach the axis in one step."""
+    X = locate_hopf_point(rotation_model, np.array([size, -size, 0.5]))
+    assert X.tolist() == [0.0, 0.0, 0.5]
+
+
 def test_locate_accepts_classical_hopf_spectrum():
     # the classical normal form passes the spectral test here; it is rejected
     # later by the nondegeneracy check, not by the locator

@@ -309,14 +309,15 @@ def test_collocation_trust_region_violations_are_typed(interior_pipeline, violat
         find_periodic_orbit(interior_pipeline.model, mu, seed, guard=guard)
 
 
-@pytest.mark.parametrize(
-    "label, planted",
-    [
-        ("H", {"omega": 1.3, "beta2": 0.7, "beta5": 0.9, "gamma5": -1.1}),
-        ("ES", {"beta2": -1.0, "beta3": -0.5, "beta5": 1.0, "gamma5": -1.0}),
-        ("EU", {"omega": 1.3, "beta2": -0.7, "beta5": 0.9, "gamma5": 1.1, "gamma7": -0.4}),
-    ],
-)
+#: planted `toy_cylindrical` sets of each type, shot on perfbench's 8-point grid
+PLANTED_BRANCHES = [
+    ("H", {"omega": 1.3, "beta2": 0.7, "beta5": 0.9, "gamma5": -1.1}),
+    ("ES", {"beta2": -1.0, "beta3": -0.5, "beta5": 1.0, "gamma5": -1.0}),
+    ("EU", {"omega": 1.3, "beta2": -0.7, "beta5": 0.9, "gamma5": 1.1, "gamma7": -0.4}),
+]
+
+
+@pytest.mark.parametrize("label, planted", PLANTED_BRANCHES)
 def test_planted_branches_take_one_variational_solve_a_point(label, planted, integrations):
     """On perfbench's 8-point grid a planted branch closes every point in the
     one variational solve from its collocated loop (three a point with the
@@ -334,6 +335,45 @@ def test_planted_branches_take_one_variational_solve_a_point(label, planted, int
     assert branch.complete()
     assert [dim for _, _, dim, _ in integrations] == [13] * 8
     assert all(len(p.orbit.newton) == 1 for p in branch.points)
+
+
+@pytest.mark.parametrize("label, planted", PLANTED_BRANCHES)
+def test_planted_branch_amplitudes_are_the_flow_maximum(label, planted):
+    """On the near-circular planted orbits the frame radius varies by about
+    1e-8 over the loop, with many local maxima, so the bracket on the
+    collocated loop may refine another one than the highest: the amplitude
+    lies within 1e-8 relative of the largest radius on a grid of 400 001
+    times of `flow` (2.3e-9 measured)."""
+    pipe = build_pipeline(builtin("toy_cylindrical", planted), np.zeros(3))
+    direction = classify(pipe.coeffs).direction
+    branch = continue_branch(
+        pipe.model, direction * np.geomspace(5e-4, 2e-2, 8), coeffs=pipe.coeffs, frame=pipe.frame
+    )
+    assert branch.complete()
+    for point in branch.points:
+        orbit = point.orbit
+        fine = orbit.flow(np.linspace(0.0, orbit.period, 400_001)).T
+        radius = np.max(np.linalg.norm(pipe.frame.to_frame(fine, point.mu)[:, :2], axis=1))
+        assert abs(point.amplitude - radius) <= 1e-8 * radius
+
+
+def test_branch_points_build_only_the_interpolants_the_peak_reads(interior_pipeline, solutions):
+    """Continuing the README branch builds the interpolant of two steps of
+    each point's variational solve, where `PeriodicOrbit.peak` reads the
+    amplitude, out of 16-24; reading `states` builds the rest."""
+    branch = continue_branch(
+        interior_pipeline.model,
+        [0.0005, 0.001, 0.002, 0.005, 0.01, 0.02],
+        coeffs=interior_pipeline.coeffs,
+        frame=interior_pipeline.frame,
+        guard=eco.interior_guard(),
+    )
+    assert branch.complete() and len(solutions) == len(branch.points)
+    for sol, point in zip(solutions, branch.points):
+        assert len(sol.steps) >= 16
+        assert 1 <= sum(step.F is not None for step in sol.steps) <= 3
+        assert point.orbit.states.shape == (256, 3)
+        assert all(step.F is not None for step in sol.steps)
 
 
 def test_branch_extremes_are_refined_on_the_interpolant(interior_pipeline):
@@ -426,14 +466,15 @@ def test_a_point_seed_is_sampled_by_one_plain_integration(
     assert np.max(np.abs(orbit.anchor - first.anchor)) < 1e-10
 
 
-def test_shooting_builds_dense_output_only_where_it_is_read(interior_pipeline):
-    """The orbit takes 745 model RHS calls: 247 in collocation (41 samples
+def test_shooting_builds_dense_output_only_where_it_is_read(interior_pipeline, integrations):
+    """The orbit takes 646 model RHS calls: 247 in collocation (41 samples
     in each of its six residual evaluations, and the seed anchor's flow),
-    398 in the one variational solve's 33 steps, 99 building their
-    interpolants, which `states` reads, and one more for the phase
-    direction.  The window leaves 40 calls of margin either way; the lower
+    398 in the one variational solve's 33 steps, and one more for the phase
+    direction.  The window leaves 20 calls of margin either way; the lower
     bound also makes sure the solves call the counted ``rhs`` at all, not a
-    linearisation built with the model's former one."""
+    linearisation built with the model's former one.  Reading `states` then
+    builds the interpolant of every step of that solve: three calls a step,
+    99 in all."""
     calls = []
 
     def rhs(x, mu, _rhs=interior_pipeline.model.rhs):
@@ -443,8 +484,11 @@ def test_shooting_builds_dense_output_only_where_it_is_read(interior_pipeline):
     model = dataclasses.replace(interior_pipeline.model, rhs=rhs)
     mu = 0.005
     prediction = predict_orbit(interior_pipeline.coeffs, mu, frame=interior_pipeline.frame)
-    find_periodic_orbit(model, mu, prediction, guard=eco.interior_guard())
-    assert 705 <= len(calls) <= 785
+    orbit = find_periodic_orbit(model, mu, prediction, guard=eco.interior_guard())
+    assert 626 <= len(calls) <= 666
+    built = len(calls)
+    assert orbit.states.shape == (256, 3)
+    assert len(calls) - built == 3 * integrations[-1][3] == 99
 
 
 @pytest.mark.parametrize("replaced", ["rhs", "no_jacobian"])
